@@ -6,8 +6,8 @@
 //! the unit tests here pin against the paper's reported values.
 //!
 //! `cargo run --release -p pandora-bench --bin repro` regenerates all
-//! tables; `cargo bench` measures host-side cost of the hot primitives
-//! and of the simulations themselves.
+//! tables. Host-side cost is measured elsewhere, by the repository's one
+//! benchmark (`benchmark/run.sh`).
 
 pub mod ablations;
 pub mod audio_exps;

@@ -18,7 +18,9 @@
 //! The run prints the plan shape (measured depth against the
 //! `ceil(log_d n)` bound), the delivery scoreboard for the surviving
 //! viewers, the merged per-hop latency histogram, and the repair-gap
-//! statistics — the worst single-stripe silence any survivor saw.
+//! statistics — the worst single-stripe silence any survivor saw — then
+//! holds the run to its six acceptance floors and exits non-zero, naming
+//! each one missed.
 
 use pandora_overlay::{
     build_overlay_broadcast, plan_for, CrashPlan, OverlayConfig, OverlaySummary,
@@ -130,10 +132,10 @@ fn main() {
         "  deaths={} grafts={} applied={} unrepairable={}",
         s.hub_deaths, s.hub_grafts, s.grafts_in, s.hub_unrepairable
     );
+    let playout_us = cfg.playout.as_micros();
     println!(
-        "  repair gap: worst single-stripe silence {} us (playout budget {} us)",
-        s.stripe_gap_max_us_alive,
-        cfg.playout.as_nanos() / 1_000
+        "  repair gap: worst single-stripe silence {} us (playout budget {playout_us} us)",
+        s.stripe_gap_max_us_alive
     );
     println!(
         "  overall gap: worst any-stripe silence {} us",
@@ -160,8 +162,36 @@ fn main() {
         let bar = "#".repeat(((count * 48).div_ceil(total)) as usize);
         println!("  [{lo:>6}..{hi:>6}) us {count:>8} {bar}");
     }
-    if s.lost_alive + s.late_alive == 0 && s.hub_unrepairable == 0 {
-        println!();
-        println!("every surviving viewer: 0 lost, 0 late — repair held the stream");
+
+    // The soak's acceptance floors: CI runs this example, so a missed
+    // floor must fail the run, not just go unprinted.
+    let floors = [
+        (
+            plan.max_depth_overall() <= plan.depth_bound(),
+            "depth exceeds ceil(log_d n)",
+        ),
+        (
+            s.crashed == 1 && s.hub_deaths == 1,
+            "crash not detected exactly once",
+        ),
+        (
+            s.hub_grafts >= 1 && s.hub_unrepairable == 0,
+            "repair incomplete",
+        ),
+        (s.lost_alive == 0, "survivors lost slices"),
+        (s.late_alive == 0, "survivors saw late slices"),
+        (
+            s.stripe_gap_max_us_alive <= playout_us,
+            "repair gap exceeds playout",
+        ),
+    ];
+    let missed: Vec<_> = floors.iter().filter(|(ok, _)| !ok).collect();
+    for (_, what) in &missed {
+        eprintln!("floor missed: {what}");
     }
+    if !missed.is_empty() {
+        std::process::exit(1);
+    }
+    println!();
+    println!("every surviving viewer: 0 lost, 0 late — repair held the stream");
 }

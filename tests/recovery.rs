@@ -48,10 +48,11 @@ struct CrashOutcome {
 /// A conference of `boxes` members with leases on: node0 fans audio out
 /// to node1..=node7 (or all others when smaller), node3 sources its own
 /// stream to the last box. node3 crashes at t=2 s and restarts at
-/// t=6.5 s; after its lease settles, the driver re-admits it.
-fn run_crash_soak(boxes: usize, seed: u64) -> CrashOutcome {
+/// t=6.5 s; after its lease settles, the driver re-admits it. Leases
+/// renew every `interval`, with the probe backoff capped at eight of
+/// them (the default's proportions at any heartbeat).
+fn run_crash_soak(boxes: usize, seed: u64, interval: SimDuration) -> CrashOutcome {
     assert!(boxes >= 6, "need a source, fan-out, node3 and its listener");
-    let interval = SimDuration::from_millis(100);
     let mut sim = Simulation::new();
     let star = Star::build(
         &sim.spawner(),
@@ -61,6 +62,7 @@ fn run_crash_soak(boxes: usize, seed: u64) -> CrashOutcome {
             controller: ControllerConfig {
                 lease: Some(LeaseConfig {
                     interval,
+                    backoff_cap: interval.mul(8),
                     ..LeaseConfig::default()
                 }),
                 ..ControllerConfig::default()
@@ -177,59 +179,73 @@ fn run_crash_soak(boxes: usize, seed: u64) -> CrashOutcome {
 }
 
 /// The acceptance soak: a 16-box lease-guarded conference loses node3
-/// mid-call. Detection within 20 heartbeat intervals, every route and
-/// admission charge released, survivors glitch-free (P6), and the
-/// restarted box rejoins through normal admission.
+/// mid-call, at heartbeat intervals of 50, 100 and 200 ms. At each:
+/// detection within 20 heartbeat intervals, every route and admission
+/// charge released, survivors glitch-free (P6), and the restarted box
+/// rejoins through normal admission. Across them: detection latency is
+/// linear in the heartbeat interval.
 #[test]
 fn crash_soak_sixteen_boxes_reconverges_glitch_free() {
-    let out = run_crash_soak(16, 0xFA11);
-    println!(
-        "crash soak: {} | timeline:\n{}",
-        out.recovery_digest, out.timeline
-    );
-    assert_eq!(out.crashes, 1, "exactly one reconvergence");
-    assert_eq!(out.rejoins, 1, "exactly one rejoin settlement");
-    // Detection: the missed-probe backoff walk costs at most
-    // 1+1 + 2+1 + 4+1 + 8+1 = 19 intervals from the last renewal.
-    assert!(
-        out.detect_ns <= 20 * 100_000_000,
-        "death detected too slowly: {} ns",
-        out.detect_ns
-    );
-    // Reconvergence swept every route at the dead port except the
-    // re-installed well-known control circuit...
+    let mut detect_ns = Vec::new();
+    for heartbeat_ms in [50, 100, 200] {
+        let interval = SimDuration::from_millis(heartbeat_ms);
+        let out = run_crash_soak(16, 0xFA11, interval);
+        println!(
+            "crash soak @ {heartbeat_ms} ms heartbeat: {} | timeline:\n{}",
+            out.recovery_digest, out.timeline
+        );
+        assert_eq!(out.crashes, 1, "exactly one reconvergence");
+        assert_eq!(out.rejoins, 1, "exactly one rejoin settlement");
+        // Detection: the missed-probe backoff walk costs at most
+        // 1+1 + 2+1 + 4+1 + 8+1 = 19 intervals from the last renewal.
+        assert!(
+            out.detect_ns <= 20 * interval.as_nanos(),
+            "death detected too slowly at {heartbeat_ms} ms: {} ns",
+            out.detect_ns
+        );
+        detect_ns.push(out.detect_ns);
+        // Reconvergence swept every route at the dead port except the
+        // re-installed well-known control circuit...
+        assert_eq!(
+            out.routes_after_reconverge, 1,
+            "stray routes left at the dead port"
+        );
+        // ...and recorded the unreachable box's charges as stale debt:
+        // its sink for node0's session, and its own session's fan-out leg.
+        assert_eq!(out.debt_while_dead, 2, "stale debt not recorded");
+        assert_eq!(out.debt_after_rejoin, 0, "rejoin left debt unsettled");
+        // The rejoin re-admitted node3 at full audio rate and its
+        // playback resumed: admission works normally after settlement.
+        assert_eq!(out.readmitted_rate, 1000, "audio never degraded");
+        assert!(
+            out.dead_recv_final > out.dead_recv_at_rejoin + 50,
+            "no audio flowed after re-admission: {} -> {}",
+            out.dead_recv_at_rejoin,
+            out.dead_recv_final
+        );
+        // P6: nobody else noticed. Zero lost segments, zero late mix
+        // ticks across all fifteen survivors, through detection,
+        // reconvergence and rejoin.
+        assert_eq!(out.survivor_lost, 0, "survivors lost segments");
+        assert_eq!(out.survivor_late, 0, "survivors glitched");
+        // The lease walked live -> suspect -> dead -> live, in that order.
+        let (s, dd, l) = (
+            out.timeline.find("node3 -> suspect").expect("suspected"),
+            out.timeline.find("node3 -> dead").expect("died"),
+            out.timeline.rfind("node3 -> live").expect("revived"),
+        );
+        assert!(
+            s < dd && dd < l,
+            "lease states out of order:\n{}",
+            out.timeline
+        );
+    }
+    // Every wait in the walk is a multiple of the interval on the
+    // controller's own clock, so doubling the heartbeat doubles detection.
     assert_eq!(
-        out.routes_after_reconverge, 1,
-        "stray routes left at the dead port"
-    );
-    // ...and recorded the unreachable box's charges as stale debt: its
-    // sink for node0's session, and its own session's fan-out leg.
-    assert_eq!(out.debt_while_dead, 2, "stale debt not recorded");
-    assert_eq!(out.debt_after_rejoin, 0, "rejoin left debt unsettled");
-    // The rejoin re-admitted node3 at full audio rate and its playback
-    // resumed: admission works normally after settlement.
-    assert_eq!(out.readmitted_rate, 1000, "audio never degraded");
-    assert!(
-        out.dead_recv_final > out.dead_recv_at_rejoin + 50,
-        "no audio flowed after re-admission: {} -> {}",
-        out.dead_recv_at_rejoin,
-        out.dead_recv_final
-    );
-    // P6: nobody else noticed. Zero lost segments, zero late mix ticks
-    // across all fifteen survivors, through detection, reconvergence
-    // and rejoin.
-    assert_eq!(out.survivor_lost, 0, "survivors lost segments");
-    assert_eq!(out.survivor_late, 0, "survivors glitched");
-    // The lease walked live -> suspect -> dead -> live, in that order.
-    let (s, dd, l) = (
-        out.timeline.find("node3 -> suspect").expect("suspected"),
-        out.timeline.find("node3 -> dead").expect("died"),
-        out.timeline.rfind("node3 -> live").expect("revived"),
-    );
-    assert!(
-        s < dd && dd < l,
-        "lease states out of order:\n{}",
-        out.timeline
+        [detect_ns[1], detect_ns[2]],
+        [2 * detect_ns[0], 4 * detect_ns[0]],
+        "detection latency not linear in the heartbeat interval: {detect_ns:?}"
     );
 }
 
@@ -238,8 +254,8 @@ fn crash_soak_sixteen_boxes_reconverges_glitch_free() {
 /// box's counters replay identically.
 #[test]
 fn crash_recovery_replays_byte_identically() {
-    let a = run_crash_soak(6, 0xD1CE);
-    let b = run_crash_soak(6, 0xD1CE);
+    let a = run_crash_soak(6, 0xD1CE, SimDuration::from_millis(100));
+    let b = run_crash_soak(6, 0xD1CE, SimDuration::from_millis(100));
     assert_eq!(a.trace, b.trace, "fault trace diverged");
     assert_eq!(a.digest, b.digest, "controller digest diverged");
     assert_eq!(a.recovery_digest, b.recovery_digest);

@@ -483,9 +483,16 @@ fn overlay_broadcast_with_crash_is_identical_across_shard_counts() {
     assert_eq!(s.crashed, 1);
     assert_eq!(s.hub_deaths, 1, "the crash went undetected");
     assert!(s.hub_grafts >= 1, "no grafts were issued");
+    assert_eq!(s.hub_unrepairable, 0, "an orphan had no backup parent");
     assert!(s.grafts_in >= 1, "no backup applied a graft");
     assert_eq!(s.lost_alive, 0, "survivors lost slices");
     assert_eq!(s.late_alive, 0, "survivors saw late slices");
+    let playout_us = cfg.playout.as_micros();
+    assert!(
+        s.stripe_gap_max_us_alive <= playout_us,
+        "repair gap {} us exceeds the {playout_us} us playout budget",
+        s.stripe_gap_max_us_alive
+    );
     assert!(
         plan.max_depth_overall() <= plan.depth_bound(),
         "depth {} exceeds ceil(log_d n) = {}",
