@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use pandora_slab::{ByteSlab, SlabRef, SlabWriter};
 
-use crate::burst::CellBurst;
 use crate::cell::{Cell, Vci, CELL_PAYLOAD};
 
 /// Splits a frame (an encoded Pandora segment) into cells on `vci`,
@@ -72,8 +71,13 @@ struct VciState {
     corrupt: bool,
 }
 
-/// Reassembles cell streams back into frames, discarding any frame with a
-/// missing cell.
+/// Largest frame a [`Reassembler`] buffers: a box's default slab region
+/// (`BoxConfig::standard().slab_bytes`), so it refuses the frames a box's
+/// [`SlabReassembler`] refuses.
+const MAX_FRAME_BYTES: usize = 64 * 1024;
+
+/// Reassembles cell streams back into frames, discarding whole any frame
+/// with a missing cell or more than 64 KiB of payload.
 #[derive(Debug, Default)]
 pub struct Reassembler {
     circuits: HashMap<Vci, VciState>,
@@ -98,7 +102,16 @@ impl Reassembler {
             }
         }
         st.next_seq = Some(cell.seq.wrapping_add(1));
-        st.buf.extend_from_slice(cell.data());
+        if st.buf.len() + cell.data().len() > MAX_FRAME_BYTES {
+            st.corrupt = true;
+        }
+        if st.corrupt {
+            // A poisoned frame is never delivered: stop buffering it, or a
+            // stream whose last-marked cell never comes grows without bound.
+            st.buf.clear();
+        } else {
+            st.buf.extend_from_slice(cell.data());
+        }
         if cell.last {
             let frame = std::mem::take(&mut st.buf);
             let corrupt = std::mem::take(&mut st.corrupt);
@@ -108,39 +121,6 @@ impl Reassembler {
             } else {
                 self.frames_ok += 1;
                 Some((cell.vci, frame))
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Feeds a whole burst with one dispatch: the circuit is resolved
-    /// once and the sequence check runs once against the burst's first
-    /// cell (the rest are contiguous by the [`CellBurst`] invariant),
-    /// then the payload is appended in bulk. Equivalent to pushing the
-    /// burst's cells one by one — same frames, same counters.
-    pub fn push_burst(&mut self, burst: CellBurst) -> Option<(Vci, Vec<u8>)> {
-        let st = self.circuits.entry(burst.vci()).or_default();
-        if let Some(expected) = st.next_seq {
-            if burst.first_seq() != expected {
-                st.corrupt = true;
-            }
-        }
-        st.next_seq = Some(burst.first_seq().wrapping_add(burst.len() as u32));
-        let total: usize = burst.cells().iter().map(|c| c.payload_len as usize).sum();
-        st.buf.reserve(total);
-        for cell in burst.cells() {
-            st.buf.extend_from_slice(cell.data());
-        }
-        if burst.ends_frame() {
-            let frame = std::mem::take(&mut st.buf);
-            let corrupt = std::mem::take(&mut st.corrupt);
-            if corrupt {
-                self.frames_discarded += 1;
-                None
-            } else {
-                self.frames_ok += 1;
-                Some((burst.vci(), frame))
             }
         } else {
             None
@@ -252,58 +232,6 @@ impl SlabReassembler {
         }
     }
 
-    /// Feeds a whole burst with one dispatch: circuit resolved once, one
-    /// sequence check, at most one region allocation, and the payload
-    /// appended straight into the slab region in bulk. Equivalent to
-    /// pushing the burst's cells one by one — same frames, same
-    /// `frames_ok`/`frames_discarded`/`alloc_failures` accounting.
-    pub fn push_burst(&mut self, burst: CellBurst) -> Option<(Vci, SlabRef)> {
-        let st = self.circuits.entry(burst.vci()).or_default();
-        if let Some(expected) = st.next_seq {
-            if burst.first_seq() != expected {
-                st.corrupt = true;
-                st.writer = None;
-            }
-        }
-        st.next_seq = Some(burst.first_seq().wrapping_add(burst.len() as u32));
-        if !st.corrupt {
-            if st.writer.is_none() {
-                match self.slab.try_writer() {
-                    Ok(w) => st.writer = Some(w),
-                    Err(_) => {
-                        self.alloc_failures += 1;
-                        st.corrupt = true;
-                    }
-                }
-            }
-            if let Some(w) = st.writer.as_mut() {
-                // `all` short-circuits on the first failed append, like
-                // the per-cell path stopping once the frame is poisoned.
-                let fits = burst.cells().iter().all(|c| w.append(c.data()).is_ok());
-                if !fits {
-                    st.corrupt = true;
-                    st.writer = None;
-                }
-            }
-        }
-        if burst.ends_frame() {
-            let writer = st.writer.take();
-            let corrupt = std::mem::take(&mut st.corrupt);
-            match (corrupt, writer) {
-                (false, Some(w)) => {
-                    self.frames_ok += 1;
-                    Some((burst.vci(), w.freeze()))
-                }
-                _ => {
-                    self.frames_discarded += 1;
-                    None
-                }
-            }
-        } else {
-            None
-        }
-    }
-
     /// Frames delivered intact.
     pub fn frames_ok(&self) -> u64 {
         self.frames_ok
@@ -386,6 +314,17 @@ mod tests {
             got = got.or(r.push(c));
         }
         assert_eq!(got, Some((Vci(3), vec![1, 2])));
+    }
+
+    #[test]
+    fn poisoned_frame_buffers_nothing_more() {
+        let mut r = Reassembler::new();
+        r.push(Cell::new(Vci(1), 0, false, &[1u8; 48]));
+        // A gap, then a long unmarked run: none of it is kept.
+        for seq in 2..1_000 {
+            r.push(Cell::new(Vci(1), seq, false, &[2u8; 48]));
+            assert!(r.circuits[&Vci(1)].buf.is_empty());
+        }
     }
 
     #[test]
@@ -502,80 +441,6 @@ mod tests {
             out = out.or(r.push(c));
         }
         assert_eq!(out, None);
-        assert_eq!(r.frames_discarded(), 1);
-        assert_eq!(r.slab().free_count(), 2);
-    }
-
-    #[test]
-    fn push_burst_matches_per_cell_push() {
-        let frames: Vec<Vec<u8>> = vec![vec![1u8; 200], vec![2u8; 96], vec![3u8; 10]];
-        let mut seq = 0u32;
-        let mut scalar = Reassembler::new();
-        let mut batched = Reassembler::new();
-        for f in &frames {
-            let cells = segment_to_cells(Vci(4), f, seq);
-            seq = seq.wrapping_add(cells.len() as u32);
-            let burst = CellBurst::from_cells(cells.clone()).expect("intact frame");
-            let mut s_out = None;
-            for c in cells {
-                s_out = s_out.or(scalar.push(c));
-            }
-            assert_eq!(s_out, batched.push_burst(burst));
-        }
-        assert_eq!(scalar.frames_ok(), batched.frames_ok());
-        assert_eq!(scalar.frames_ok(), 3);
-    }
-
-    #[test]
-    fn push_burst_discards_on_gap_between_bursts() {
-        let mut r = Reassembler::new();
-        let mut cells = segment_to_cells(Vci(1), &[9u8; 200], 0);
-        cells.remove(2); // Mid-frame loss: two runs with a gap between.
-        let mut out = None;
-        for b in CellBurst::split_runs(cells) {
-            out = out.or(r.push_burst(b));
-        }
-        assert_eq!(out, None);
-        assert_eq!(r.frames_discarded(), 1);
-        // The circuit recovers on the next intact frame.
-        let next = CellBurst::from_cells(segment_to_cells(Vci(1), &[1, 2], 5)).expect("intact");
-        assert_eq!(r.push_burst(next), Some((Vci(1), vec![1, 2])));
-    }
-
-    #[test]
-    fn slab_push_burst_matches_per_cell_push() {
-        let frame: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        let cells = segment_to_cells(Vci(9), &frame, 100);
-        let mut r = SlabReassembler::new(ByteSlab::new(2, 1024));
-        let burst = CellBurst::from_cells(cells).expect("intact frame");
-        let (vci, got) = r.push_burst(burst).expect("frame completes");
-        assert_eq!(vci, Vci(9));
-        got.with(|b| assert_eq!(b, &frame[..]));
-        assert_eq!(r.frames_ok(), 1);
-        assert_eq!(r.slab().copied_in_bytes(), frame.len() as u64);
-    }
-
-    #[test]
-    fn slab_push_burst_exhaustion_counts_one_alloc_failure() {
-        let slab = ByteSlab::new(1, 1024);
-        let held = slab.try_alloc_copy(&[0]).expect("first region");
-        let mut r = SlabReassembler::new(slab);
-        let burst =
-            CellBurst::from_cells(segment_to_cells(Vci(1), &[9u8; 100], 0)).expect("intact");
-        assert_eq!(r.push_burst(burst), None);
-        assert_eq!(r.alloc_failures(), 1);
-        assert_eq!(r.frames_discarded(), 1);
-        drop(held);
-        let next = CellBurst::from_cells(segment_to_cells(Vci(1), &[5u8; 100], 3)).expect("intact");
-        assert!(r.push_burst(next).is_some());
-    }
-
-    #[test]
-    fn slab_push_burst_discards_oversized_frame() {
-        let mut r = SlabReassembler::new(ByteSlab::new(2, 64));
-        let burst =
-            CellBurst::from_cells(segment_to_cells(Vci(1), &[9u8; 100], 0)).expect("intact");
-        assert_eq!(r.push_burst(burst), None);
         assert_eq!(r.frames_discarded(), 1);
         assert_eq!(r.slab().free_count(), 2);
     }

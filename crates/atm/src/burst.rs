@@ -1,134 +1,38 @@
-//! Burst transport: a segment's cells carried and dispatched as one unit.
+//! [`CellBurst`]: the cells of one frame, built once and shared.
 //!
-//! The per-cell pipeline pays its fixed costs — route lookup, VCI state
-//! resolution, queue borrow, counter update — once per 53-byte cell. A
-//! [`CellBurst`] is the cells of (at most) one frame on one VCI with
-//! consecutive sequence numbers, so every one of those costs can be paid
-//! once per *segment* instead: the switch resolves the route once and
-//! appends each output port's copies in bulk, and the reassembler
-//! resolves the circuit once and appends the payload in bulk. The cells
-//! inside a burst are byte-identical to what the per-cell path carries —
-//! batched and scalar paths are interchangeable and pinned to each other
-//! by the equivalence suite (`tests/batched_equivalence.rs`).
+//! The overlay source segments a slice into cells once
+//! ([`burst_gather`]) and every relay then forwards the same run behind
+//! an `Arc` (`pandora_overlay::Slice`), so a slice's payload is copied
+//! into cells once however many members it reaches. Links charge a burst
+//! its full cell count ([`WireSize`]).
 //!
-//! Wire timing note: a burst on a store-and-forward link finishes
-//! serializing exactly when its last cell would have — frame-completion
-//! times are invariant — but intermediate cells no longer appear
-//! individually. Paths whose per-cell timing is semantic (the box TX
-//! scheduler's interleaving modes, jitter models) keep the per-cell path;
-//! bursts serve fabric hops and the CPU-level dispatch itself.
+//! Between two boxes every cell travels singly — `cells_gather`, the
+//! switch's `dispatch_cell`, a reassembler's `push` — because the box TX
+//! scheduler's audio-over-video interleave (Principle 2, §3.5) and the
+//! jitter models are per-cell by meaning. There is deliberately no
+//! per-burst switch or reassembly path beside that one: the whole `atm`
+//! layer measures under 0.6 % of wall time on every benchmark workload
+//! (`benchmark/README.md`, "Where the time goes"), so a second
+//! implementation of it could not move an end-to-end number.
 
-// check:hot-path: every payload byte of a burst crosses the fabric here.
+// check:hot-path: every payload byte the overlay source sends is cut into cells here.
 
-use std::collections::HashMap;
-use std::rc::Rc;
-
-use pandora_sim::{buffered, Receiver, Sender, WireSize};
+use pandora_sim::WireSize;
 
 use crate::aal::cells_gather;
 use crate::cell::{Cell, Vci, CELL_BYTES};
-use crate::network::{FabricCounters, RouteTable};
 
-/// The cells of (at most) one frame on one VCI, dispatched as a unit.
-///
-/// Invariants (enforced by every constructor):
-/// * non-empty;
-/// * all cells share one VCI;
-/// * sequence numbers are consecutive (wrapping);
-/// * only the final cell may carry the last-cell mark.
+/// The cells of one frame on one VCI, in sequence order; immutable once
+/// built, so it can be shared behind an `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellBurst {
     cells: Vec<Cell>,
 }
 
 impl CellBurst {
-    /// Wraps a cell run, validating the burst invariants. Returns `None`
-    /// if `cells` is empty, mixes VCIs, has a sequence gap, or marks a
-    /// non-final cell as last.
-    pub fn from_cells(cells: Vec<Cell>) -> Option<CellBurst> {
-        let first = cells.first()?;
-        let (vci, mut seq) = (first.vci, first.seq);
-        for (i, c) in cells.iter().enumerate() {
-            if c.vci != vci || c.seq != seq || (c.last && i + 1 != cells.len()) {
-                return None;
-            }
-            seq = seq.wrapping_add(1);
-        }
-        Some(CellBurst { cells })
-    }
-
-    /// Groups an arbitrary cell stream into maximal bursts: a new burst
-    /// starts at every VCI change, sequence discontinuity, or after a
-    /// last-marked cell. Feeding the resulting bursts through a burst
-    /// path reproduces the per-cell path byte-for-byte — this is how a
-    /// lossy stream (gaps from dropped cells) enters burst reassembly.
-    pub fn split_runs(cells: impl IntoIterator<Item = Cell>) -> Vec<CellBurst> {
-        let mut out: Vec<CellBurst> = Vec::with_capacity(4);
-        let mut run: Vec<Cell> = Vec::with_capacity(4);
-        for cell in cells {
-            let breaks = match run.last() {
-                Some(prev) => {
-                    prev.last || cell.vci != prev.vci || cell.seq != prev.seq.wrapping_add(1)
-                }
-                None => false,
-            };
-            if breaks {
-                out.push(CellBurst {
-                    cells: std::mem::take(&mut run),
-                });
-            }
-            run.push(cell);
-        }
-        if !run.is_empty() {
-            out.push(CellBurst { cells: run });
-        }
-        out
-    }
-
-    /// The burst's virtual circuit.
-    pub fn vci(&self) -> Vci {
-        self.cells[0].vci
-    }
-
-    /// Sequence number of the first cell.
-    pub fn first_seq(&self) -> u32 {
-        self.cells[0].seq
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Always `false` (a burst is never empty); present for API symmetry.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Whether the final cell carries the last-cell mark (i.e. the burst
-    /// completes a frame).
-    pub fn ends_frame(&self) -> bool {
-        self.cells[self.cells.len() - 1].last
-    }
-
     /// The cells, in sequence order.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
-    }
-
-    /// Unwraps into the cell run (for feeding per-cell consumers).
-    pub fn into_cells(self) -> Vec<Cell> {
-        self.cells
-    }
-
-    /// A copy of the burst rewritten onto `vci` — the switch fan-out
-    /// operation, one pass over the run.
-    fn copy_onto(&self, vci: Vci) -> impl Iterator<Item = Cell> + '_ {
-        self.cells.iter().map(move |c| {
-            let mut copy = c.clone();
-            copy.vci = vci;
-            copy
-        })
     }
 }
 
@@ -138,148 +42,17 @@ impl WireSize for CellBurst {
     }
 }
 
-/// Splits a frame into one burst on `vci` — the batched counterpart of
-/// [`crate::segment_to_cells`]; the contained cells are byte-identical.
-pub fn segment_to_burst(vci: Vci, frame: &[u8], first_seq: u32) -> CellBurst {
-    CellBurst {
-        cells: cells_gather(vci, frame, &[], first_seq),
-    }
-}
-
 /// Splits a logically contiguous `header ++ payload` frame into one burst
-/// on `vci` — the slab scatter-gather TX feeding the burst path directly;
-/// the contained cells are byte-identical to [`crate::cells_gather`].
+/// on `vci`; the contained cells are exactly [`crate::cells_gather`]'s.
 pub fn burst_gather(vci: Vci, header: &[u8], payload: &[u8], first_seq: u32) -> CellBurst {
     CellBurst {
         cells: cells_gather(vci, header, payload, first_seq),
     }
 }
 
-/// The synchronous dispatch core of the switch: route table, unified
-/// counters and the bounded per-port output queues.
-///
-/// [`crate::Switch`] wraps this in a simulation task; benchmarks and the
-/// equivalence suite drive it directly. Cloning shares the same table,
-/// counters and ports.
-#[derive(Clone)]
-pub struct SwitchCore {
-    table: RouteTable,
-    counters: FabricCounters,
-    port_txs: Vec<Sender<Cell>>,
-}
-
-impl SwitchCore {
-    /// Builds a core with `output_ports` ports whose queues hold
-    /// `port_queue` cells each; returns one receiver per output port.
-    pub fn new(output_ports: usize, port_queue: usize) -> (SwitchCore, Vec<Receiver<Cell>>) {
-        let mut port_txs = Vec::with_capacity(output_ports);
-        let mut port_rxs = Vec::with_capacity(output_ports);
-        for _ in 0..output_ports {
-            let (tx, rx) = buffered::<Cell>(port_queue.max(1));
-            port_txs.push(tx);
-            port_rxs.push(rx);
-        }
-        let core = SwitchCore {
-            table: Rc::new(std::cell::RefCell::new(HashMap::new())),
-            counters: FabricCounters::default(),
-            port_txs,
-        };
-        (core, port_rxs)
-    }
-
-    pub(crate) fn table(&self) -> &RouteTable {
-        &self.table
-    }
-
-    /// The unified forwarding counters.
-    pub fn counters(&self) -> &FabricCounters {
-        &self.counters
-    }
-
-    /// Installs (or replaces) a unicast route: cells on `vci` go to
-    /// `port` with their VCI rewritten to `out_vci`.
-    pub fn route(&self, vci: Vci, port: usize, out_vci: Vci) {
-        self.table.borrow_mut().insert(vci, vec![(port, out_vci)]);
-    }
-
-    /// Adds one more copy destination for `vci`; duplicates are ignored.
-    pub fn route_add(&self, vci: Vci, port: usize, out_vci: Vci) {
-        let mut table = self.table.borrow_mut();
-        let routes = table.entry(vci).or_default();
-        if !routes.contains(&(port, out_vci)) {
-            routes.push((port, out_vci));
-        }
-    }
-
-    /// Forwards one cell: route lookup, per-route copy, per-port
-    /// `try_send` — the scalar path the per-cell switch task runs.
-    pub fn dispatch_cell(&self, cell: Cell) {
-        let table = self.table.borrow();
-        match table.get(&cell.vci) {
-            Some(routes) if !routes.is_empty() => {
-                for &(out, new_vci) in routes {
-                    if out >= self.port_txs.len() {
-                        self.counters.count_unroutable(1);
-                        continue;
-                    }
-                    let mut copy = cell.clone();
-                    copy.vci = new_vci;
-                    match self.port_txs[out].try_send(copy) {
-                        Ok(()) => self.counters.count_forwarded(1),
-                        Err(_) => self.counters.count_overflow(1),
-                    }
-                }
-            }
-            _ => self.counters.count_unroutable(1),
-        }
-    }
-
-    /// Forwards a whole burst with one dispatch: the route is resolved
-    /// once, each output port's copies are appended in one bulk queue
-    /// pass, and the counters are updated once per (route, burst) instead
-    /// of once per cell. Port-by-port output is byte-identical to
-    /// [`SwitchCore::dispatch_cell`] over the burst's cells, including
-    /// the overflow prefix a full port accepts.
-    pub fn dispatch_burst(&self, burst: &CellBurst) {
-        let n = burst.len() as u64;
-        let table = self.table.borrow();
-        match table.get(&burst.vci()) {
-            Some(routes) if !routes.is_empty() => {
-                for &(out, new_vci) in routes {
-                    if out >= self.port_txs.len() {
-                        self.counters.count_unroutable(n);
-                        continue;
-                    }
-                    let accepted = self.port_txs[out].try_send_many(burst.copy_onto(new_vci));
-                    self.counters.count_forwarded(accepted as u64);
-                    self.counters.count_overflow(n - accepted as u64);
-                }
-            }
-            _ => self.counters.count_unroutable(n),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aal::segment_to_cells;
-
-    fn frame(len: usize, fill: u8) -> Vec<u8> {
-        vec![fill; len]
-    }
-
-    #[test]
-    fn segment_to_burst_matches_per_cell_split() {
-        let f: Vec<u8> = (0..200u8).collect();
-        let burst = segment_to_burst(Vci(9), &f, 100);
-        assert_eq!(burst.cells(), &segment_to_cells(Vci(9), &f, 100)[..]);
-        assert_eq!(burst.vci(), Vci(9));
-        assert_eq!(burst.first_seq(), 100);
-        assert_eq!(burst.len(), 5);
-        assert!(burst.ends_frame());
-        assert_eq!(burst.wire_bytes(), 5 * CELL_BYTES);
-    }
 
     #[test]
     fn burst_gather_matches_cells_gather() {
@@ -290,110 +63,6 @@ mod tests {
             burst.cells(),
             &cells_gather(Vci(3), &header, &payload, 5)[..]
         );
-    }
-
-    #[test]
-    fn from_cells_validates_invariants() {
-        let cells = segment_to_cells(Vci(1), &frame(150, 7), 0);
-        assert!(CellBurst::from_cells(cells.clone()).is_some());
-        assert!(CellBurst::from_cells(vec![]).is_none(), "empty");
-        let mut gap = cells.clone();
-        gap.remove(1);
-        assert!(CellBurst::from_cells(gap).is_none(), "seq gap");
-        let mut mixed = cells.clone();
-        mixed[1].vci = Vci(2);
-        assert!(CellBurst::from_cells(mixed).is_none(), "mixed vci");
-        let mut early_last = cells;
-        early_last[0].last = true;
-        assert!(CellBurst::from_cells(early_last).is_none(), "interior last");
-    }
-
-    #[test]
-    fn split_runs_breaks_at_gaps_vci_changes_and_frame_ends() {
-        let mut stream = segment_to_cells(Vci(1), &frame(100, 1), 0);
-        stream.extend(segment_to_cells(Vci(1), &frame(100, 2), 3)); // Continues seq.
-        stream.extend(segment_to_cells(Vci(2), &frame(48, 3), 0));
-        let mut lossy = segment_to_cells(Vci(1), &frame(150, 4), 6);
-        lossy.remove(1); // A gap mid-frame.
-        stream.extend(lossy);
-        let runs = CellBurst::split_runs(stream.clone());
-        // Frame end splits the seq-contiguous VCI-1 frames; the gap splits
-        // the lossy frame in two.
-        assert_eq!(runs.len(), 5);
-        assert!(runs[0].ends_frame() && runs[1].ends_frame());
-        assert_eq!(runs[2].vci(), Vci(2));
-        assert!(!runs[3].ends_frame() && runs[4].ends_frame());
-        // Flattening the runs reproduces the stream exactly.
-        let flat: Vec<Cell> = runs.into_iter().flat_map(CellBurst::into_cells).collect();
-        assert_eq!(flat, stream);
-    }
-
-    #[test]
-    fn dispatch_burst_matches_dispatch_cell_per_port() {
-        let build = || {
-            let (core, rxs) = SwitchCore::new(3, 64);
-            core.route(Vci(7), 0, Vci(100));
-            core.route_add(Vci(7), 1, Vci(101));
-            core.route(Vci(8), 2, Vci(102));
-            (core, rxs)
-        };
-        let bursts = vec![
-            segment_to_burst(Vci(7), &frame(200, 1), 0),
-            segment_to_burst(Vci(8), &frame(100, 2), 0),
-            segment_to_burst(Vci(9), &frame(48, 3), 0), // Unroutable.
-        ];
-        let (scalar, scalar_rx) = build();
-        for b in &bursts {
-            for c in b.cells() {
-                scalar.dispatch_cell(c.clone());
-            }
-        }
-        let (batched, batched_rx) = build();
-        for b in &bursts {
-            batched.dispatch_burst(b);
-        }
-        for (s, b) in scalar_rx.iter().zip(batched_rx.iter()) {
-            let sv: Vec<Cell> = std::iter::from_fn(|| s.try_recv()).collect();
-            let bv: Vec<Cell> = std::iter::from_fn(|| b.try_recv()).collect();
-            assert_eq!(sv, bv);
-        }
-        assert_eq!(
-            scalar.counters().forwarded(),
-            batched.counters().forwarded()
-        );
-        assert_eq!(
-            scalar.counters().unroutable(),
-            batched.counters().unroutable()
-        );
-        assert_eq!(scalar.counters().overflow(), batched.counters().overflow());
-    }
-
-    #[test]
-    fn dispatch_burst_overflow_prefix_matches_scalar() {
-        let burst = segment_to_burst(Vci(1), &frame(480, 9), 0); // 10 cells.
-        let (scalar, s_rx) = SwitchCore::new(1, 4);
-        scalar.route(Vci(1), 0, Vci(1));
-        for c in burst.cells() {
-            scalar.dispatch_cell(c.clone());
-        }
-        let (batched, b_rx) = SwitchCore::new(1, 4);
-        batched.route(Vci(1), 0, Vci(1));
-        batched.dispatch_burst(&burst);
-        assert_eq!(scalar.counters().forwarded(), 4);
-        assert_eq!(batched.counters().forwarded(), 4);
-        assert_eq!(scalar.counters().overflow(), 6);
-        assert_eq!(batched.counters().overflow(), 6);
-        let sv: Vec<Cell> = std::iter::from_fn(|| s_rx[0].try_recv()).collect();
-        let bv: Vec<Cell> = std::iter::from_fn(|| b_rx[0].try_recv()).collect();
-        assert_eq!(sv, bv);
-    }
-
-    #[test]
-    fn dispatch_burst_out_of_range_port_counts_whole_burst() {
-        let (core, _rx) = SwitchCore::new(1, 8);
-        core.route(Vci(1), 5, Vci(1)); // No such port.
-        let burst = segment_to_burst(Vci(1), &frame(100, 1), 0);
-        core.dispatch_burst(&burst);
-        assert_eq!(core.counters().unroutable(), burst.len() as u64);
+        assert_eq!(burst.wire_bytes(), burst.cells().len() * CELL_BYTES);
     }
 }

@@ -10,15 +10,18 @@
 //! * [`cells_gather`] / [`SlabReassembler`] — the zero-copy variants:
 //!   scatter-gather segmentation straight from a header region plus a
 //!   slab payload, and reassembly directly into slab regions;
-//! * [`build_path`] / [`HopConfig`] — multi-hop paths with bandwidth,
-//!   latency, seeded [`JitterModel`]s (including the paper's
-//!   "2 ms usually, 20 ms under video load" bursty shape) and Bernoulli
-//!   loss;
+//! * [`build_path_controlled`] / [`HopConfig`] — multi-hop paths with
+//!   bandwidth, latency, seeded [`JitterModel`]s (including the paper's
+//!   "2 ms usually, 20 ms under video load" bursty shape), Bernoulli
+//!   loss and runtime fault controls;
 //! * [`Switch`] — a VCI-routed switch whose full output ports drop rather
-//!   than stall other ports (Principle 5 at the fabric level);
-//! * [`CellBurst`] / [`SwitchCore`] — the batched hot path: a segment's
-//!   cells cross route lookup, fan-out and reassembly with one dispatch
-//!   per burst, byte-identical to the per-cell path.
+//!   than stall other ports (Principle 5 at the fabric level): a
+//!   [`SwitchCore`] (route table, counters, `dispatch_cell`) plus the task
+//!   that feeds it;
+//! * [`CellBurst`] — the cells of one frame built once ([`burst_gather`])
+//!   and shared behind an `Arc` by the overlay's relays. Cells cross the
+//!   fabric one at a time; there is no per-burst switch or reassembly
+//!   path.
 
 mod aal;
 mod burst;
@@ -26,9 +29,9 @@ mod cell;
 mod network;
 
 pub use aal::{cells_gather, segment_to_cells, Reassembler, SlabReassembler};
-pub use burst::{burst_gather, segment_to_burst, CellBurst, SwitchCore};
+pub use burst::{burst_gather, CellBurst};
 pub use cell::{Cell, Vci, CELL_BYTES, CELL_PAYLOAD};
 pub use network::{
-    build_duplex_path, build_path, build_path_controlled, cell_time, jitter_stage, loss_stage,
-    DuplexPath, FabricCounters, HopConfig, JitterModel, PathControl, StageStats, Switch,
+    build_duplex_path, build_path_controlled, jitter_stage, loss_stage, DuplexPath, FabricCounters,
+    HopConfig, JitterModel, PathControl, StageStats, Switch, SwitchCore,
 };

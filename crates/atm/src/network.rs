@@ -9,17 +9,18 @@
 
 use std::cell::Cell as StdCell;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_sim::{
-    channel, link, link_controlled, LinkConfig, LinkControl, LinkSender, Receiver, SimDuration,
-    Spawner,
+    buffered, channel, link_controlled, LinkConfig, LinkControl, LinkSender, Receiver, Sender,
+    SimDuration, Spawner,
 };
 
-use crate::cell::{Cell, Vci, CELL_BYTES};
+use crate::cell::{Cell, Vci};
 
 /// A random extra-delay process applied to a FIFO stream.
 #[derive(Debug, Clone, Copy)]
@@ -67,8 +68,8 @@ impl JitterModel {
 }
 
 /// Unified fabric/stage counters: one shared-handle struct counts items
-/// through loss stages, switches and burst dispatch alike, so the switch
-/// and the per-hop stats no longer carry parallel `forwarded` plumbing.
+/// through loss stages and switches alike, so the switch and the per-hop
+/// stats carry no parallel `forwarded` plumbing.
 /// Cloning shares the underlying counters.
 #[derive(Clone, Default)]
 pub struct FabricCounters {
@@ -214,50 +215,6 @@ impl HopConfig {
     }
 }
 
-/// Builds a multi-hop ATM path; returns the ingress sender, the egress
-/// receiver and per-hop loss stats.
-///
-/// This is the E15 "SuperJanet" substrate: chain several hops with bursty
-/// jitter to model a Cambridge-to-London path crossing "several networks
-/// and protocol conversions".
-pub fn build_path(
-    spawner: &Spawner,
-    name: &str,
-    hops: &[HopConfig],
-    seed: u64,
-) -> (LinkSender<Cell>, Receiver<Cell>, Vec<StageStats>) {
-    assert!(!hops.is_empty(), "a path needs at least one hop");
-    let mut stats = Vec::new();
-    let first = LinkConfig::new(leak_name(format!("{name}.0")), hops[0].bits_per_sec)
-        .with_latency(hops[0].latency);
-    let (ingress, mut rx) = link::<Cell>(spawner, first);
-    rx = apply_disturbance(spawner, name, 0, &hops[0], seed, rx, &mut stats);
-    for (i, hop) in hops.iter().enumerate().skip(1) {
-        let cfg = LinkConfig::new(leak_name(format!("{name}.{i}")), hop.bits_per_sec)
-            .with_latency(hop.latency);
-        let (tx, next_rx) = link::<Cell>(spawner, cfg);
-        // Pump between hops.
-        let pump_in = rx;
-        spawner.spawn(&format!("hop:{name}.{i}"), async move {
-            while let Ok(cell) = pump_in.recv().await {
-                if tx.send(cell).await.is_err() {
-                    return;
-                }
-            }
-        });
-        rx = apply_disturbance(
-            spawner,
-            name,
-            i,
-            hop,
-            seed.wrapping_add(i as u64),
-            next_rx,
-            &mut stats,
-        );
-    }
-    (ingress, rx, stats)
-}
-
 struct PathCtlState {
     loss: StdCell<f64>,
     corrupt: StdCell<f64>,
@@ -353,10 +310,15 @@ impl PathControl {
     }
 }
 
-/// Like [`build_path`], but every hop link gets a [`LinkControl`] and the
-/// egress carries a seeded fault stage, all reachable through the returned
-/// [`PathControl`]. With the control untouched the path behaves identically
-/// to [`build_path`] with the same seed.
+/// Builds a multi-hop ATM path; returns the ingress sender, the egress
+/// receiver, per-hop loss stats and the path's fault controls.
+///
+/// This is the E15 "SuperJanet" substrate: chain several hops with bursty
+/// jitter to model a Cambridge-to-London path crossing "several networks
+/// and protocol conversions". Every hop link gets a [`LinkControl`] and
+/// the egress carries a seeded fault stage, all reachable through the
+/// returned [`PathControl`]; left untouched, the controls pass every cell
+/// through at its arrival time.
 pub fn build_path_controlled(
     spawner: &Spawner,
     name: &str,
@@ -550,79 +512,64 @@ fn leak_name(s: String) -> &'static str {
 
 // Each routed VCI carries a list of copy destinations: (output port,
 // rewritten VCI).
-pub(crate) type RouteTable = Rc<RefCell<std::collections::HashMap<Vci, Vec<(usize, Vci)>>>>;
+type RouteTable = Rc<RefCell<HashMap<Vci, Vec<(usize, Vci)>>>>;
 
-/// A VCI-routed cell switch (the ATM ring / switch fabric stand-in).
+/// The synchronous dispatch core of the switch: route table, unified
+/// counters and the bounded per-port output queues.
 ///
-/// Cells arriving on any input port are forwarded to the ports given by the
-/// routing table, optionally rewriting the VCI. A VCI may carry several
-/// copy destinations (fabric-level tannoy splitting): each installed copy
-/// is forwarded independently. Unroutable cells are dropped and counted.
-/// Output ports have bounded queues: a full port drops cells (counting
-/// them) rather than stalling other ports — Principle 5 at the fabric
-/// level, and Principle 5 again between the copies of a multicast VCI.
-pub struct Switch {
-    core: crate::burst::SwitchCore,
+/// [`Switch`] wraps this in a simulation task; the benchmark drives it
+/// directly. Cloning shares the same table, counters and ports.
+#[derive(Clone)]
+pub struct SwitchCore {
+    table: RouteTable,
+    counters: FabricCounters,
+    port_txs: Vec<Sender<Cell>>,
 }
 
-impl Switch {
-    /// Spawns a switch over the given input ports; returns the handle and
-    /// one receiver per output port.
-    ///
-    /// `port_queue` bounds each output port's queue in cells.
-    pub fn spawn(
-        spawner: &Spawner,
-        name: &str,
-        inputs: Vec<Receiver<Cell>>,
-        output_ports: usize,
-        port_queue: usize,
-    ) -> (Switch, Vec<Receiver<Cell>>) {
-        let (core, port_rxs) = crate::burst::SwitchCore::new(output_ports, port_queue);
-        let task_core = core.clone();
-        spawner.spawn(&format!("switch:{name}"), async move {
-            loop {
-                let guards: Vec<&Receiver<Cell>> = inputs.iter().collect();
-                let Some(Ok((_port, cell))) = pandora_sim::alt_many(&guards).await else {
-                    return;
-                };
-                task_core.dispatch_cell(cell);
-            }
-        });
-        (Switch { core }, port_rxs)
+impl SwitchCore {
+    /// Builds a core with `output_ports` ports whose queues hold
+    /// `port_queue` cells each; returns one receiver per output port.
+    pub fn new(output_ports: usize, port_queue: usize) -> (SwitchCore, Vec<Receiver<Cell>>) {
+        let mut port_txs = Vec::with_capacity(output_ports);
+        let mut port_rxs = Vec::with_capacity(output_ports);
+        for _ in 0..output_ports {
+            let (tx, rx) = buffered::<Cell>(port_queue.max(1));
+            port_txs.push(tx);
+            port_rxs.push(rx);
+        }
+        let core = SwitchCore {
+            table: Rc::default(),
+            counters: FabricCounters::default(),
+            port_txs,
+        };
+        (core, port_rxs)
     }
 
-    /// Spawns a burst-mode switch: inputs carry whole [`CellBurst`]s and
-    /// each one crosses the fabric with a single dispatch (one route
-    /// lookup, bulk per-port appends, bulk counter updates). Outputs stay
-    /// per-cell so downstream consumers are unchanged; port-by-port the
-    /// cell stream is byte-identical to [`Switch::spawn`] fed the bursts'
-    /// cells in the same arrival order.
-    pub fn spawn_bursts(
-        spawner: &Spawner,
-        name: &str,
-        inputs: Vec<Receiver<crate::burst::CellBurst>>,
-        output_ports: usize,
-        port_queue: usize,
-    ) -> (Switch, Vec<Receiver<Cell>>) {
-        let (core, port_rxs) = crate::burst::SwitchCore::new(output_ports, port_queue);
-        let task_core = core.clone();
-        spawner.spawn(&format!("switch:{name}"), async move {
-            loop {
-                let guards: Vec<&Receiver<crate::burst::CellBurst>> = inputs.iter().collect();
-                let Some(Ok((_port, burst))) = pandora_sim::alt_many(&guards).await else {
-                    return;
-                };
-                task_core.dispatch_burst(&burst);
-            }
-        });
-        (Switch { core }, port_rxs)
+    /// The unified forwarding counters.
+    pub fn counters(&self) -> &FabricCounters {
+        &self.counters
+    }
+
+    /// Cells forwarded.
+    pub fn forwarded(&self) -> u64 {
+        self.counters.forwarded()
+    }
+
+    /// Cells dropped for lack of a route.
+    pub fn unroutable(&self) -> u64 {
+        self.counters.unroutable()
+    }
+
+    /// Cells dropped on full output ports.
+    pub fn overflow(&self) -> u64 {
+        self.counters.overflow()
     }
 
     /// Installs (or replaces) a unicast route: cells on `vci` go to `port`
     /// with their VCI rewritten to `out_vci`. Any previously installed
     /// copies of the VCI are dropped.
     pub fn route(&self, vci: Vci, port: usize, out_vci: Vci) {
-        self.core.route(vci, port, out_vci);
+        self.table.borrow_mut().insert(vci, vec![(port, out_vci)]);
     }
 
     /// Adds one more copy destination for `vci` (fabric-level splitting:
@@ -630,14 +577,17 @@ impl Switch {
     /// ongoing listeners never glitch — Principle 6). Duplicate copies are
     /// ignored.
     pub fn route_add(&self, vci: Vci, port: usize, out_vci: Vci) {
-        self.core.route_add(vci, port, out_vci);
+        let mut table = self.table.borrow_mut();
+        let routes = table.entry(vci).or_default();
+        if !routes.contains(&(port, out_vci)) {
+            routes.push((port, out_vci));
+        }
     }
 
     /// Removes the copies of `vci` going to `port`; copies toward other
     /// ports keep flowing undisturbed.
     pub fn route_remove(&self, vci: Vci, port: usize) {
-        let table = self.core.table();
-        let mut table = table.borrow_mut();
+        let mut table = self.table.borrow_mut();
         if let Some(routes) = table.get_mut(&vci) {
             routes.retain(|&(p, _)| p != port);
             if routes.is_empty() {
@@ -648,7 +598,7 @@ impl Switch {
 
     /// Removes a VCI's routes entirely.
     pub fn unroute(&self, vci: Vci) {
-        self.core.table().borrow_mut().remove(&vci);
+        self.table.borrow_mut().remove(&vci);
     }
 
     /// Removes every leg toward `port` — the dead-attachment teardown:
@@ -657,8 +607,7 @@ impl Switch {
     /// flowing (Principle 6). Returns the VCIs that lost legs, in
     /// ascending order so callers act on them deterministically.
     pub fn unroute_port(&self, port: usize) -> Vec<Vci> {
-        let table = self.core.table();
-        let mut table = table.borrow_mut();
+        let mut table = self.table.borrow_mut();
         let mut touched: Vec<Vci> = Vec::new();
         for (&vci, routes) in table.iter_mut() {
             let before = routes.len();
@@ -679,38 +628,85 @@ impl Switch {
     /// Number of installed legs toward `port` — the recovery suite's
     /// "no routes left toward the dead box" assertion.
     pub fn port_route_count(&self, port: usize) -> usize {
-        self.core
-            .table()
+        self.table
             .borrow()
             .values()
             .map(|routes| routes.iter().filter(|&&(p, _)| p == port).count())
             .sum()
     }
 
-    /// The switch's unified counters.
-    pub fn counters(&self) -> &FabricCounters {
-        self.core.counters()
-    }
-
-    /// Cells forwarded.
-    pub fn forwarded(&self) -> u64 {
-        self.core.counters().forwarded()
-    }
-
-    /// Cells dropped for lack of a route.
-    pub fn unroutable(&self) -> u64 {
-        self.core.counters().unroutable()
-    }
-
-    /// Cells dropped on full output ports.
-    pub fn overflow(&self) -> u64 {
-        self.core.counters().overflow()
+    /// Forwards one cell: route lookup, per-route copy, per-port
+    /// `try_send`.
+    pub fn dispatch_cell(&self, cell: Cell) {
+        let table = self.table.borrow();
+        match table.get(&cell.vci) {
+            Some(routes) if !routes.is_empty() => {
+                for &(out, new_vci) in routes {
+                    if out >= self.port_txs.len() {
+                        self.counters.count_unroutable(1);
+                        continue;
+                    }
+                    let mut copy = cell.clone();
+                    copy.vci = new_vci;
+                    match self.port_txs[out].try_send(copy) {
+                        Ok(()) => self.counters.count_forwarded(1),
+                        Err(_) => self.counters.count_overflow(1),
+                    }
+                }
+            }
+            _ => self.counters.count_unroutable(1),
+        }
     }
 }
 
-/// Time to transmit one cell at `bits_per_sec`.
-pub fn cell_time(bits_per_sec: u64) -> SimDuration {
-    SimDuration(((CELL_BYTES as u128 * 8 * 1_000_000_000) / bits_per_sec as u128) as u64)
+/// A VCI-routed cell switch (the ATM ring / switch fabric stand-in): a
+/// [`SwitchCore`] plus the task that feeds it, so the route table and the
+/// counters are reached through the handle (`switch.route(..)`).
+///
+/// Cells arriving on any input port are forwarded to the ports given by the
+/// routing table, optionally rewriting the VCI. A VCI may carry several
+/// copy destinations (fabric-level tannoy splitting): each installed copy
+/// is forwarded independently. Unroutable cells are dropped and counted.
+/// Output ports have bounded queues: a full port drops cells (counting
+/// them) rather than stalling other ports — Principle 5 at the fabric
+/// level, and Principle 5 again between the copies of a multicast VCI.
+pub struct Switch {
+    core: SwitchCore,
+}
+
+impl Switch {
+    /// Spawns a switch over the given input ports; returns the handle and
+    /// one receiver per output port.
+    ///
+    /// `port_queue` bounds each output port's queue in cells.
+    pub fn spawn(
+        spawner: &Spawner,
+        name: &str,
+        inputs: Vec<Receiver<Cell>>,
+        output_ports: usize,
+        port_queue: usize,
+    ) -> (Switch, Vec<Receiver<Cell>>) {
+        let (core, port_rxs) = SwitchCore::new(output_ports, port_queue);
+        let task_core = core.clone();
+        spawner.spawn(&format!("switch:{name}"), async move {
+            loop {
+                let guards: Vec<&Receiver<Cell>> = inputs.iter().collect();
+                let Some(Ok((_port, cell))) = pandora_sim::alt_many(&guards).await else {
+                    return;
+                };
+                task_core.dispatch_cell(cell);
+            }
+        });
+        (Switch { core }, port_rxs)
+    }
+}
+
+impl std::ops::Deref for Switch {
+    type Target = SwitchCore;
+
+    fn deref(&self) -> &SwitchCore {
+        &self.core
+    }
 }
 
 #[cfg(test)]
@@ -720,15 +716,10 @@ mod tests {
     use std::cell::RefCell as StdRefCell;
 
     #[test]
-    fn cell_time_math() {
-        // 53 bytes at 100Mbit/s = 4.24us.
-        assert_eq!(cell_time(100_000_000), SimDuration::from_nanos(4_240));
-    }
-
-    #[test]
     fn clean_path_delivers_in_order() {
         let mut sim = Simulation::new();
-        let (tx, rx, _stats) = build_path(&sim.spawner(), "p", &[HopConfig::clean(100_000_000)], 1);
+        let (tx, rx, _stats, _ctrl) =
+            build_path_controlled(&sim.spawner(), "p", &[HopConfig::clean(100_000_000)], 1);
         sim.spawn("send", async move {
             for i in 0..10 {
                 tx.send(Cell::new(Vci(1), i, false, &[i as u8]))
@@ -751,7 +742,7 @@ mod tests {
     #[test]
     fn jitter_delays_but_preserves_order() {
         let mut sim = Simulation::new();
-        let (tx, rx0, _stats) = build_path(
+        let (tx, rx0, _stats, _ctrl) = build_path_controlled(
             &sim.spawner(),
             "p",
             &[HopConfig {
@@ -798,7 +789,7 @@ mod tests {
     #[test]
     fn loss_stage_drops_expected_fraction() {
         let mut sim = Simulation::new();
-        let (tx, rx0, stats) = build_path(
+        let (tx, rx0, stats, _ctrl) = build_path_controlled(
             &sim.spawner(),
             "p",
             &[HopConfig {
@@ -1043,43 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn controlled_path_untouched_matches_plain_path() {
-        let run = |controlled: bool| {
-            let mut sim = Simulation::new();
-            let hop = HopConfig {
-                bits_per_sec: 100_000_000,
-                latency: SimDuration::from_millis(1),
-                jitter: JitterModel::Uniform {
-                    max: SimDuration::from_millis(2),
-                },
-                loss: 0.05,
-            };
-            let (tx, rx) = if controlled {
-                let (tx, rx, _s, _c) = build_path_controlled(&sim.spawner(), "p", &[hop], 99);
-                (tx, rx)
-            } else {
-                let (tx, rx, _s) = build_path(&sim.spawner(), "p", &[hop], 99);
-                (tx, rx)
-            };
-            sim.spawn("send", async move {
-                for i in 0..500 {
-                    let _ = tx.send(Cell::new(Vci(1), i, false, &[])).await;
-                }
-            });
-            let log = Rc::new(StdRefCell::new(Vec::new()));
-            let l = log.clone();
-            sim.spawn("recv", async move {
-                while let Ok(c) = rx.recv().await {
-                    l.borrow_mut().push((pandora_sim::now(), c.seq));
-                }
-            });
-            sim.run_until_idle();
-            Rc::try_unwrap(log).expect("log shared").into_inner()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn extra_delay_step_shifts_then_bursts() {
         let mut sim = Simulation::new();
         let (tx, rx, _stats, ctrl) =
@@ -1151,7 +1105,7 @@ mod tests {
     #[should_panic(expected = "at least one hop")]
     fn empty_path_panics() {
         let sim = Simulation::new();
-        let _ = build_path(&sim.spawner(), "p", &[], 0);
+        let _ = build_path_controlled(&sim.spawner(), "p", &[], 0);
     }
 
     #[test]
@@ -1163,7 +1117,8 @@ mod tests {
             jitter: JitterModel::None,
             loss: 0.0,
         };
-        let (tx, rx, _) = build_path(&sim.spawner(), "p", &[hop, hop, hop, hop], 1);
+        let (tx, rx, _stats, _ctrl) =
+            build_path_controlled(&sim.spawner(), "p", &[hop, hop, hop, hop], 1);
         sim.spawn("send", async move {
             tx.send(Cell::new(Vci(1), 0, true, &[])).await.unwrap();
         });

@@ -3,7 +3,8 @@
 //! away"). Reassembly must translate every corruption into discard
 //! counters and keep running — never panic, never wedge a circuit.
 
-use pandora_atm::{segment_to_cells, Cell, Reassembler, Vci};
+use pandora_atm::{segment_to_cells, Cell, Reassembler, SlabReassembler, Vci};
+use pandora_slab::ByteSlab;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,6 +78,47 @@ fn colliding_vci_interleave_never_panics() {
     assert!(done.is_empty(), "interleaved collision delivered: {done:?}");
     assert!(r.frames_discarded() >= 2);
     assert_eq!(r.circuits(), 1);
+}
+
+#[test]
+fn unmarked_cell_flood_is_refused_whole_and_circuit_recovers() {
+    // A hostile (or broken) sender never marks a last cell: 10 000 full
+    // cells, 480 000 bytes, on one VCI. Neither reassembler may keep
+    // them — a box's default slab region, 64 KiB, bounds a frame — so
+    // when a mark finally comes both discard, and both deliver the
+    // intact frame that follows.
+    let mut flood = segment_to_cells(Vci(8), &vec![0xEE; 10_000 * 48], 0);
+    let n = flood.len() as u32;
+    assert_eq!(n, 10_000);
+    flood.last_mut().expect("non-empty").last = false;
+    let end = Cell::new(Vci(8), n, true, &[]);
+    let next = vec![4u8; 100];
+    let tail = segment_to_cells(Vci(8), &next, n + 1);
+    let stream: Vec<Cell> = flood.into_iter().chain([end]).chain(tail).collect();
+
+    let mut owned = Reassembler::new();
+    assert_eq!(
+        feed(&mut owned, stream.clone()),
+        vec![(Vci(8), next.clone())]
+    );
+    assert_eq!((owned.frames_ok(), owned.frames_discarded()), (1, 1));
+
+    let mut slab = SlabReassembler::new(ByteSlab::new(2, 64 * 1024));
+    let done: Vec<Vec<u8>> = stream
+        .into_iter()
+        .filter_map(|c| slab.push(c))
+        .map(|(_, frame)| frame.with(|b| b.to_vec()))
+        .collect();
+    assert_eq!(done, vec![next]);
+    assert_eq!((slab.frames_ok(), slab.frames_discarded()), (1, 1));
+
+    // The bound is the same on both: 64 KiB passes, one byte more does not.
+    for (len, delivered) in [(64 * 1024, 1), (64 * 1024 + 1, 0)] {
+        let cells = segment_to_cells(Vci(9), &vec![1u8; len], 0);
+        assert_eq!(feed(&mut owned, cells.clone()).len(), delivered, "{len}");
+        let got = cells.into_iter().filter_map(|c| slab.push(c)).count();
+        assert_eq!(got, delivered, "{len}");
+    }
 }
 
 #[test]

@@ -135,16 +135,6 @@ impl HealthBoard {
         self.inner.borrow().windows
     }
 
-    /// The video machine's current divisor.
-    pub fn video_divisor(&self) -> u32 {
-        self.inner.borrow().video.state().divisor
-    }
-
-    /// Whether the audio machine currently holds the mute.
-    pub fn audio_muted(&self) -> bool {
-        self.inner.borrow().audio.state().muted
-    }
-
     /// Deterministic one-line digest of both machines, for replay
     /// assertions: `windows=N audio[...] video[...]`.
     pub fn digest(&self) -> String {

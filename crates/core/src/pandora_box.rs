@@ -713,9 +713,8 @@ pub struct BoxPair {
 
 /// Connects two boxes with the given hop profile in each direction.
 ///
-/// The paths are built with fault-injection controls (left inert unless
-/// driven); an untouched control leaves behaviour identical to the plain
-/// [`pandora_atm::build_path`] wiring.
+/// The paths are built with fault-injection controls, inert unless
+/// driven.
 pub fn connect_pair(
     spawner: &Spawner,
     cfg_a: BoxConfig,

@@ -534,11 +534,6 @@ impl FaultTargets {
         self.paths.push((name.to_string(), ctrl));
     }
 
-    /// Registers a ticker handle under `name`.
-    pub fn register_ticker(&mut self, name: &str, handle: TickerHandle) {
-        self.tickers.push((name.to_string(), handle));
-    }
-
     /// Registers a CPU under `name`.
     pub fn register_cpu(&mut self, name: &str, cpu: Cpu) {
         self.cpus.push((name.to_string(), cpu));

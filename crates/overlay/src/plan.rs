@@ -261,11 +261,6 @@ impl TreePlan {
         self.k
     }
 
-    /// The tree carrying segment `seq`.
-    pub fn tree_of(&self, seq: u32) -> usize {
-        seq as usize % self.k
-    }
-
     /// Parent of `member` in `tree` (`None` for the source).
     pub fn parent(&self, tree: usize, member: usize) -> Option<usize> {
         self.parent[tree][member]

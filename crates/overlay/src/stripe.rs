@@ -279,7 +279,7 @@ impl StripeReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora_atm::{segment_to_burst, Vci};
+    use pandora_atm::{burst_gather, Vci};
 
     fn slice(k: usize, seq: u32, stamp: u64, sent: u64) -> Slice {
         Slice {
@@ -287,7 +287,7 @@ mod tests {
             seq,
             stamp,
             sent,
-            burst: Arc::new(segment_to_burst(Vci(9), &[0xAB; 96], seq * 8)),
+            burst: Arc::new(burst_gather(Vci(9), &[], &[0xAB; 96], seq * 8)),
         }
     }
 
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn relay_adds_no_payload_copies() {
         // One gather at the source; a thousand forwards share it.
-        let burst = Arc::new(segment_to_burst(Vci(5), &[7u8; 1408], 0));
+        let burst = Arc::new(burst_gather(Vci(5), &[], &[7u8; 1408], 0));
         let original = Arc::as_ptr(&burst);
         let s = Slice {
             tree: 0,

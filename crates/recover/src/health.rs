@@ -286,11 +286,6 @@ impl StreamHealth {
         self.cur.gaps += n;
     }
 
-    /// Records `n` late deliveries or mix ticks.
-    pub fn record_late(&mut self, n: u64) {
-        self.cur.late += n;
-    }
-
     /// Closes every window boundary crossed by `now_nanos`, feeding each
     /// to the machine; returns the actions to apply, in order. All the
     /// accumulated counts land in the first closed window (the events

@@ -108,14 +108,6 @@ impl AudioFormat {
             _ => None,
         }
     }
-
-    /// Bytes per sample.
-    pub fn bytes_per_sample(self) -> usize {
-        match self {
-            AudioFormat::MuLaw8 => 1,
-            AudioFormat::Linear16 => 2,
-        }
-    }
 }
 
 /// The audio-specific header (figure 3.1).
@@ -223,14 +215,6 @@ impl PixelFormat {
             1 => Some(PixelFormat::Mono8),
             2 => Some(PixelFormat::Rgb16),
             _ => None,
-        }
-    }
-
-    /// Bytes per pixel.
-    pub fn bytes_per_pixel(self) -> usize {
-        match self {
-            PixelFormat::Mono8 => 1,
-            PixelFormat::Rgb16 => 2,
         }
     }
 }

@@ -40,8 +40,9 @@
 //! 2. sessions where the dead box was the *source* tear down whole:
 //!    fabric route out, then CloseSink at each surviving listener so
 //!    their admission charges are refunded;
-//! 3. a fabric backstop ([`Switch::unroute_port`]) sweeps any stray legs
-//!    toward the dead port, then the well-known control circuit is
+//! 3. a fabric backstop ([`pandora_atm::SwitchCore::unroute_port`])
+//!    sweeps any stray legs toward the dead port, then the well-known
+//!    control circuit is
 //!    re-installed so a restarted box is reachable again.
 //!
 //! The dead box's own half of the state (its local routes and admission
@@ -832,12 +833,6 @@ impl Controller {
     /// the histogram is fed from the sim clock.
     pub fn detect_latency_mean_ns(&self) -> f64 {
         self.inner.borrow().recovery.detect_ns.mean()
-    }
-
-    /// Mean reconvergence time (death declared → fabric swept) in
-    /// virtual nanoseconds; 0 before the first crash.
-    pub fn reconverge_mean_ns(&self) -> f64 {
-        self.inner.borrow().recovery.reconverge_ns.mean()
     }
 
     fn endpoint(&self, id: EndpointId) -> Result<(usize, Vci), SessionError> {

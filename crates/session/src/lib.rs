@@ -41,6 +41,6 @@ pub use pandora_recover::{LeaseConfig, LeaseState};
 pub use proto::{RejectReason, SessionMsg, StreamClass, CONTROL_BYTES, CONTROL_MAGIC};
 pub use sharded::{
     build_sharded_pair, build_sharded_star, HubSeat, NodeHook, NodeSeat, PairSeat,
-    ShardedPairConfig, ShardedStarConfig,
+    ShardedPairConfig,
 };
 pub use topology::{point_to_point, Star, StarConfig, StarNode, CONTROL_VCI_BASE, REPLY_VCI_BASE};

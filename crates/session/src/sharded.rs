@@ -15,15 +15,13 @@
 use std::rc::Rc;
 
 use pandora::{BoxConfig, PandoraBox};
-use pandora_atm::{
-    build_duplex_path, build_path_controlled, Cell, HopConfig, PathControl, Switch, Vci,
-};
+use pandora_atm::{build_duplex_path, build_path_controlled, Cell, HopConfig, PathControl, Switch};
 use pandora_shard::{Cluster, Egress, Ingress, ShardEnv};
 use pandora_sim::{unbounded, LinkSender, Receiver, SimDuration};
 
-use crate::control::{spawn_agent, AgentStats, Controller, ControllerConfig};
-use crate::directory::{Capabilities, Directory, EndpointId, EndpointRecord};
-use crate::topology::{CONTROL_VCI_BASE, REPLY_VCI_BASE};
+use crate::control::{spawn_agent, AgentStats, Controller};
+use crate::directory::{Directory, EndpointId};
+use crate::topology::{attachment_seed, control_vcis, install_control_circuit, StarConfig};
 
 /// Parameters of a sharded point-to-point call fabric.
 #[derive(Clone)]
@@ -113,41 +111,6 @@ pub fn build_sharded_pair(
     cluster.setup(shard_b, b);
 }
 
-/// Parameters of a sharded conference star.
-#[derive(Clone)]
-pub struct ShardedStarConfig {
-    /// Hop profile of every attachment (both directions).
-    pub hops: Vec<HopConfig>,
-    /// Master seed; attachment `i` derives its seed exactly as
-    /// [`crate::Star::build`] does.
-    pub seed: u64,
-    /// Capability descriptor every endpoint advertises.
-    pub caps: Capabilities,
-    /// Controller signalling tunables.
-    pub controller: ControllerConfig,
-    /// Builds each box's configuration from its generated name.
-    pub box_config: fn(&'static str) -> BoxConfig,
-    /// Cell capacity of each fabric output port.
-    pub port_queue: usize,
-    /// Latency of each attachment's cluster ports (both directions) —
-    /// the lookahead window, so it must be positive.
-    pub link_latency: SimDuration,
-}
-
-impl Default for ShardedStarConfig {
-    fn default() -> Self {
-        ShardedStarConfig {
-            hops: vec![HopConfig::clean(100_000_000)],
-            seed: 1,
-            caps: Capabilities::standard(),
-            controller: ControllerConfig::default(),
-            box_config: BoxConfig::standard,
-            port_queue: 2_048,
-            link_latency: SimDuration::from_micros(50),
-        }
-    }
-}
-
 /// The hub's view of a sharded star, handed to `on_hub` during shard 0's
 /// setup.
 pub struct HubSeat {
@@ -182,10 +145,13 @@ pub struct NodeSeat {
 /// Per-box hook of [`build_sharded_star`].
 pub type NodeHook = Box<dyn FnOnce(&mut ShardEnv, &NodeSeat) + Send>;
 
-/// Builds a conference star of `n` boxes over `cluster`: box `i` on
-/// shard `place(i)`, switch and controller on shard 0. `node_hooks\[i\]`
-/// runs during box `i`'s shard setup; `on_hub` runs during shard 0's
-/// setup after the controller is live.
+/// Builds the conference star [`crate::Star::build`] builds from the same
+/// `config`, over `cluster`: box `i` on shard `place(i)`, switch and
+/// controller on shard 0. `link_latency` is the latency of each
+/// attachment's cluster ports (both directions) — the lookahead window,
+/// so it must be positive. `node_hooks\[i\]` runs during box `i`'s shard
+/// setup; `on_hub` runs during shard 0's setup after the controller is
+/// live.
 ///
 /// # Panics
 ///
@@ -194,7 +160,8 @@ pub type NodeHook = Box<dyn FnOnce(&mut ShardEnv, &NodeSeat) + Send>;
 pub fn build_sharded_star(
     cluster: &mut Cluster,
     n: usize,
-    config: ShardedStarConfig,
+    config: StarConfig,
+    link_latency: SimDuration,
     place: impl Fn(usize) -> usize,
     on_hub: impl FnOnce(&mut ShardEnv, &HubSeat) + Send + 'static,
     node_hooks: Vec<NodeHook>,
@@ -208,10 +175,8 @@ pub fn build_sharded_star(
     let mut out_ports = Vec::with_capacity(n + 1);
     for i in 0..=n {
         let shard = if i == n { 0 } else { place(i) };
-        let (in_eg, in_in) =
-            cluster.port::<Cell>(shard, 0, config.link_latency, &format!("att{i}.in"));
-        let (out_eg, out_in) =
-            cluster.port::<Cell>(0, shard, config.link_latency, &format!("att{i}.out"));
+        let (in_eg, in_in) = cluster.port::<Cell>(shard, 0, link_latency, &format!("att{i}.in"));
+        let (out_eg, out_in) = cluster.port::<Cell>(0, shard, link_latency, &format!("att{i}.out"));
         in_ports.push((in_eg, in_in));
         out_ports.push((out_eg, out_in));
     }
@@ -257,8 +222,7 @@ pub fn build_sharded_star(
                 duplex.a_tx,
                 duplex.a_rx,
             ));
-            let control_vci = Vci(CONTROL_VCI_BASE + i as u32);
-            let reply_vci = Vci(REPLY_VCI_BASE + i as u32);
+            let (control_vci, reply_vci) = control_vcis(i);
             let agent = spawn_agent(&spawner, boxy.clone(), caps, control_vci, reply_vci);
             let seat = NodeSeat {
                 index: i,
@@ -274,10 +238,6 @@ pub fn build_sharded_star(
             hook(env, &seat);
         });
     }
-}
-
-fn attachment_seed(master: u64, i: usize) -> u64 {
-    master.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9)
 }
 
 /// Binds attachment `i`'s two cluster-port halves on the current shard:
@@ -315,7 +275,7 @@ fn pump_attachment(
 fn build_hub(
     cluster: &mut Cluster,
     n: usize,
-    config: &ShardedStarConfig,
+    config: &StarConfig,
     switch_ins: Vec<Ingress<Cell>>,
     fabric_outs: Vec<Egress<Cell>>,
     ctl_in_eg: Egress<Cell>,
@@ -360,20 +320,12 @@ fn build_hub(
         }
 
         let mut directory = Directory::new();
-        let mut endpoints = Vec::with_capacity(n);
-        for i in 0..n {
-            let control_vci = Vci(CONTROL_VCI_BASE + i as u32);
-            let reply_vci = Vci(REPLY_VCI_BASE + i as u32);
-            switch.route(control_vci, i, control_vci);
-            switch.route(reply_vci, n, reply_vci);
-            endpoints.push(directory.register(EndpointRecord {
-                name: format!("node{i}"),
-                caps,
-                port: i,
-                control_vci,
-                reply_vci,
-            }));
-        }
+        let endpoints: Vec<EndpointId> = (0..n)
+            .map(|i| {
+                let name = format!("node{i}");
+                install_control_circuit(&switch, &mut directory, i, n, &name, caps)
+            })
+            .collect();
 
         let controller = Rc::new(Controller::spawn(
             &spawner,

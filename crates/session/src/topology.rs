@@ -25,6 +25,43 @@ pub const CONTROL_VCI_BASE: u32 = 0x7F00;
 /// reassembler never interleaves two agents' frames on one circuit.
 pub const REPLY_VCI_BASE: u32 = 0x7E00;
 
+/// Box `i`'s well-known (control, reply) circuit pair.
+pub(crate) fn control_vcis(i: usize) -> (Vci, Vci) {
+    (
+        Vci(CONTROL_VCI_BASE + i as u32),
+        Vci(REPLY_VCI_BASE + i as u32),
+    )
+}
+
+/// Seed of attachment `i` (box `i`, or the controller at `i == n`) under
+/// the star's master seed.
+pub(crate) fn attachment_seed(master: u64, i: usize) -> u64 {
+    master.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9)
+}
+
+/// Installs box `i`'s well-known control circuits on the fabric —
+/// controller → box `i`, and box `i`'s replies → the controller's port
+/// `n` — and registers the box in the directory.
+pub(crate) fn install_control_circuit(
+    switch: &Switch,
+    directory: &mut Directory,
+    i: usize,
+    n: usize,
+    name: &str,
+    caps: Capabilities,
+) -> EndpointId {
+    let (control_vci, reply_vci) = control_vcis(i);
+    switch.route(control_vci, i, control_vci);
+    switch.route(reply_vci, n, reply_vci);
+    directory.register(EndpointRecord {
+        name: name.to_string(),
+        caps,
+        port: i,
+        control_vci,
+        reply_vci,
+    })
+}
+
 /// Parameters of a [`Star`] conference fabric.
 #[derive(Clone)]
 pub struct StarConfig {
@@ -100,12 +137,8 @@ impl Star {
             } else {
                 Box::leak(format!("node{i}").into_boxed_str())
             };
-            let duplex = build_duplex_path(
-                spawner,
-                name,
-                &config.hops,
-                config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
-            );
+            let duplex =
+                build_duplex_path(spawner, name, &config.hops, attachment_seed(config.seed, i));
             inputs.push(duplex.b_rx);
             path_controls.push((format!("{name}.ab"), duplex.a_to_b_ctrl));
             path_controls.push((format!("{name}.ba"), duplex.b_to_a_ctrl));
@@ -131,26 +164,15 @@ impl Star {
                 controller_side = Some((a_tx, a_rx));
                 continue;
             }
-            let control_vci = Vci(CONTROL_VCI_BASE + i as u32);
-            let reply_vci = Vci(REPLY_VCI_BASE + i as u32);
-            // The well-known control circuits: controller → box i, and
-            // box i's replies → controller port.
-            switch.route(control_vci, i, control_vci);
-            switch.route(reply_vci, n, reply_vci);
+            let endpoint =
+                install_control_circuit(&switch, &mut directory, i, n, name, config.caps);
             let boxy = Rc::new(PandoraBox::new(
                 spawner,
                 (config.box_config)(name),
                 a_tx,
                 a_rx,
             ));
-            let endpoint = directory.register(EndpointRecord {
-                name: name.to_string(),
-                caps: config.caps,
-                port: i,
-                control_vci,
-                reply_vci,
-            });
-            pending_agents.push((boxy, endpoint, control_vci, reply_vci));
+            pending_agents.push((boxy, endpoint));
         }
         let (ctl_tx, ctl_rx) = controller_side.expect("controller attachment missing");
         let controller = Controller::spawn(
@@ -163,7 +185,9 @@ impl Star {
         );
         let nodes = pending_agents
             .into_iter()
-            .map(|(boxy, endpoint, control_vci, reply_vci)| {
+            .enumerate()
+            .map(|(i, (boxy, endpoint))| {
+                let (control_vci, reply_vci) = control_vcis(i);
                 let agent = spawn_agent(spawner, boxy.clone(), config.caps, control_vci, reply_vci);
                 StarNode {
                     boxy,

@@ -193,37 +193,6 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Appends as many values as the remaining capacity allows in a
-    /// single queue pass — the bulk counterpart of [`Sender::try_send`]
-    /// for burst transport: one capacity check, one queue borrow and one
-    /// receiver wake for the whole batch instead of one per item.
-    ///
-    /// Returns the number of values accepted. Values beyond the free
-    /// space are left unconsumed in `values` (and dropped with it unless
-    /// the caller keeps the iterator); with no other task running between
-    /// the per-item sends, the accepted prefix is exactly the set a
-    /// `try_send` loop would have accepted.
-    pub fn try_send_many(&self, values: impl Iterator<Item = T>) -> usize {
-        if !self.state.receiver_alive.get() {
-            return 0;
-        }
-        let mut queue = self.state.queue.borrow_mut();
-        let space = self.state.capacity.saturating_sub(queue.len());
-        let mut accepted = 0;
-        for value in values.take(space) {
-            queue.push_back(QEntry {
-                value,
-                pending: None,
-            });
-            accepted += 1;
-        }
-        drop(queue);
-        if accepted > 0 {
-            self.state.wake_receiver();
-        }
-        accepted
-    }
-
     /// Number of values queued and not yet received.
     pub fn len(&self) -> usize {
         self.state.queue.borrow().len()
@@ -545,41 +514,6 @@ mod tests {
         assert_eq!(tx.try_send(2), Ok(()));
         drop(rx);
         assert_eq!(tx.try_send(3), Err(TrySendError::Closed(3)));
-    }
-
-    #[test]
-    fn try_send_many_accepts_exactly_the_free_space() {
-        let (tx, rx) = buffered::<u32>(4);
-        assert_eq!(tx.try_send(0), Ok(()));
-        // Three slots left: the batch's first three values go in, the
-        // fourth is rejected — the same prefix a try_send loop accepts.
-        let accepted = tx.try_send_many([1, 2, 3, 4].into_iter());
-        assert_eq!(accepted, 3);
-        let drained: Vec<u32> = std::iter::from_fn(|| rx.try_recv()).collect();
-        assert_eq!(drained, vec![0, 1, 2, 3]);
-        // With the queue drained the rest of a new batch fits.
-        assert_eq!(tx.try_send_many([5, 6].into_iter()), 2);
-        drop(rx);
-        assert_eq!(tx.try_send_many([7].into_iter()), 0, "closed accepts none");
-    }
-
-    #[test]
-    fn try_send_many_wakes_receiver() {
-        let mut sim = Simulation::new();
-        let (tx, rx) = buffered::<u32>(8);
-        let got = StdRc::new(Cell::new(0u32));
-        let g = got.clone();
-        sim.spawn("rx", async move {
-            while rx.recv().await.is_ok() {
-                g.set(g.get() + 1);
-            }
-        });
-        sim.spawn("tx", async move {
-            crate::delay(SimDuration::from_millis(1)).await;
-            assert_eq!(tx.try_send_many((0..5).collect::<Vec<_>>().into_iter()), 5);
-        });
-        sim.run_until_idle();
-        assert_eq!(got.get(), 5);
     }
 
     #[test]

@@ -159,11 +159,6 @@ impl Cpu {
             self.busy_time().as_nanos() as f64 / elapsed.as_nanos() as f64
         }
     }
-
-    /// Number of claims currently waiting for the CPU.
-    pub fn queue_len(&self) -> usize {
-        self.state.queue.borrow().len()
-    }
 }
 
 impl CpuState {

@@ -125,11 +125,6 @@ impl FrameAssembler {
     pub fn completed(&self) -> u64 {
         self.completed
     }
-
-    /// Segments currently held for the in-progress frame.
-    pub fn pending_segments(&self) -> usize {
-        self.received.len()
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ fn medusa_mic_feeds_a_pandora_box() {
     // A Pandora box whose network input is wired straight to a Medusa mic
     // unit's cell stream.
     let (cells_tx, cells_rx) = pandora_sim::channel::<Cell>();
-    let (box_tx, _void_rx, _) = pandora_atm::build_path(
+    let (box_tx, _void_rx, _, _) = pandora_atm::build_path_controlled(
         &spawner,
         "out",
         &[pandora_atm::HopConfig::clean(50_000_000)],

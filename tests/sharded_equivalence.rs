@@ -22,7 +22,7 @@ use pandora_faults::{install_scoped, FaultKind, FaultPlan, FaultTargets, RandomP
 use pandora_segment::StreamId;
 use pandora_session::{
     build_sharded_pair, build_sharded_star, ControllerConfig, LeaseConfig, NodeHook, NodeSeat,
-    ShardedPairConfig, ShardedStarConfig, StreamClass,
+    ShardedPairConfig, StarConfig, StreamClass,
 };
 use pandora_shard::{Cluster, ShardEnv};
 use pandora_sim::{SimDuration, SimTime};
@@ -255,7 +255,7 @@ fn run_conference(shards: usize, boxes: usize, adversity: Adversity) -> Vec<Stri
     build_sharded_star(
         &mut cluster,
         boxes,
-        ShardedStarConfig {
+        StarConfig {
             seed: 0xFA11,
             controller: ControllerConfig {
                 lease: lease.then(|| LeaseConfig {
@@ -264,9 +264,9 @@ fn run_conference(shards: usize, boxes: usize, adversity: Adversity) -> Vec<Stri
                 }),
                 ..ControllerConfig::default()
             },
-            link_latency: SimDuration::from_micros(50),
             ..Default::default()
         },
+        SimDuration::from_micros(50),
         place,
         move |env, hub| {
             let controller = hub.controller.clone();
