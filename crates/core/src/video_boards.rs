@@ -109,7 +109,9 @@ impl Camera {
         spawner.spawn(&format!("camera:{name}"), async move {
             let mut n: u64 = 0;
             loop {
-                store.borrow_mut().write_frame(&pattern.frame(n));
+                store
+                    .borrow_mut()
+                    .write_frame_with(|pixels| pattern.render_into(n, pixels));
                 frames.set(n + 1);
                 n += 1;
                 pandora_sim::delay(SimDuration::from_nanos(FRAME_PERIOD_NANOS)).await;
@@ -310,7 +312,8 @@ impl DisplaySink {
         self.inner.borrow().segments
     }
 
-    /// Segments that failed to decompress.
+    /// Segments that failed to decompress, plus assembled frames whose
+    /// placement does not fit the display.
     pub fn decode_errors(&self) -> u64 {
         self.inner.borrow().decode_errors
     }
@@ -392,6 +395,12 @@ pub fn spawn_video_display(
                 }
                 continue;
             };
+            // Placement comes from the segment header, i.e. off the wire:
+            // a frame that does not fit the display is an error, not shown.
+            if !frame.rect.fits(display_width, display_height) {
+                s.inner.borrow_mut().decode_errors += 1;
+                continue;
+            }
             // "Once we have all the data for a frame, it is copied into the
             // display frame buffer as soon as possible, care being taken to
             // avoid the scan of the display controller."
@@ -407,9 +416,7 @@ pub fn spawn_video_display(
                 pandora_sim::delay(SimDuration::from_nanos(wait)).await;
             }
             let mut inner = s.inner.borrow_mut();
-            if frame.rect.fits(display_width, display_height) {
-                inner.display.write_rect(frame.rect, &frame.pixels);
-            }
+            inner.display.write_rect(frame.rect, &frame.pixels);
             let now = pandora_sim::now();
             inner.latency.record(
                 now.as_nanos()
@@ -467,6 +474,71 @@ mod tests {
         // Let the camera run.
         sim.run_for(SimDuration::from_millis(1));
         (sim, handle, sink)
+    }
+
+    #[test]
+    fn camera_writes_one_frame_per_period_in_place() {
+        let mut sim = Simulation::new();
+        let camera = Camera::spawn(&sim.spawner(), "t", 128, 96);
+        let pattern = TestPattern::new(128, 96);
+        let whole = Rect::new(0, 0, 128, 96);
+        for k in 0..30u64 {
+            sim.run_until(SimTime::from_nanos(k * FRAME_PERIOD_NANOS + 1));
+            assert_eq!(camera.frames(), k + 1);
+            let store = camera.store();
+            let store = store.borrow();
+            assert_eq!(store.generation(), k + 1);
+            assert!(
+                store.read_rect(whole) == pattern.frame(k),
+                "store after {k} periods is not frame {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_placement_is_an_error_and_the_display_survives() {
+        let mut sim = Simulation::new();
+        let spawner = sim.spawner();
+        let (tx, rx) = channel::<(StreamId, VideoSegment)>();
+        let sink = spawn_video_display(
+            &spawner,
+            "t",
+            256,
+            192,
+            rx,
+            VideoCosts::default(),
+            Cpu::new("mixer", SimDuration::from_nanos(700)),
+        );
+        let mut store = FrameStore::new(128, 96);
+        store.write_frame(&TestPattern::new(128, 96).frame(0));
+        let config = CaptureConfig {
+            lines_per_segment: 48, // One segment per frame.
+            ..capture_config(RateFraction::FULL)
+        };
+        let capture = |frame_no: u32| {
+            let ts = Timestamp::from_nanos(0);
+            let mut segs = capture_rect(&store, &config, frame_no, SequenceNumber(frame_no), ts);
+            assert_eq!(segs.len(), 1);
+            segs.remove(0)
+        };
+        // x_offset + width is 60 if summed in u32, which would fit.
+        let mut hostile = capture(0);
+        hostile.video.x_offset = u32::MAX - 3;
+        let good = capture(1);
+        spawner.spawn("feed", async move {
+            tx.send((StreamId(1), hostile))
+                .await
+                .expect("display alive");
+            tx.send((StreamId(1), good)).await.expect("display alive");
+        });
+        sim.run_until(SimTime::from_millis(200));
+        assert_eq!(sink.segments(), 2);
+        assert_eq!(sink.decode_errors(), 1);
+        assert_eq!(sink.frames_shown(), 1);
+        let shown = sink.last_frame().expect("the good frame");
+        assert_eq!(shown.frame_number, 1);
+        assert_eq!(shown.rect, config.rect);
+        assert_eq!(sink.read_display(config.rect), shown.pixels);
     }
 
     #[test]

@@ -38,15 +38,26 @@ impl Rect {
 
     /// Returns `true` if `self` and `other` share any pixel.
     pub fn overlaps(&self, other: &Rect) -> bool {
-        self.x < other.x + other.width
-            && other.x < self.x + self.width
-            && self.y < other.y + other.height
-            && other.y < self.y + self.height
+        u64::from(self.x) < other.right()
+            && u64::from(other.x) < self.right()
+            && u64::from(self.y) < other.bottom()
+            && u64::from(other.y) < self.bottom()
     }
 
     /// Returns `true` if the rectangle fits a `width` × `height` frame.
     pub fn fits(&self, width: u32, height: u32) -> bool {
-        self.x + self.width <= width && self.y + self.height <= height
+        self.right() <= u64::from(width) && self.bottom() <= u64::from(height)
+    }
+
+    /// One past the last column. Offsets and sizes arrive in segment
+    /// headers off the wire, so the sum is taken where it cannot wrap.
+    fn right(&self) -> u64 {
+        u64::from(self.x) + u64::from(self.width)
+    }
+
+    /// One past the last line; see [`Rect::right`].
+    fn bottom(&self) -> u64 {
+        u64::from(self.y) + u64::from(self.height)
     }
 }
 
@@ -111,20 +122,14 @@ impl FrameStore {
     /// Panics if `frame` is not exactly `width * height` bytes.
     pub fn write_frame(&mut self, frame: &[u8]) {
         assert_eq!(frame.len(), self.pixels.len(), "frame size mismatch");
-        self.pixels.copy_from_slice(frame);
-        self.generation += 1;
+        self.write_frame_with(|pixels| pixels.copy_from_slice(frame));
     }
 
-    /// Writes one line (used by the scan-interleaved camera model).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is out of range or the wrong width.
-    pub fn write_line(&mut self, y: u32, line: &[u8]) {
-        assert!(y < self.height, "line {y} out of range");
-        assert_eq!(line.len(), self.width as usize, "line width mismatch");
-        let start = y as usize * self.width as usize;
-        self.pixels[start..start + self.width as usize].copy_from_slice(line);
+    /// Overwrites the whole store in place: `render` is handed the
+    /// store's `width * height` pixels, row-major, and must fill them.
+    pub fn write_frame_with(&mut self, render: impl FnOnce(&mut [u8])) {
+        render(&mut self.pixels);
+        self.generation += 1;
     }
 
     /// Reads a rectangle, row-major.
@@ -209,7 +214,7 @@ impl ScanModel {
         let last = (t_ns + duration_ns.max(1) - 1) / lp;
         for li in first..=last {
             let line = (li % self.height as u64) as u32;
-            if line >= rect.y && line < rect.y + rect.height {
+            if line >= rect.y && u64::from(line) < rect.bottom() {
                 return true;
             }
         }
@@ -253,6 +258,18 @@ mod tests {
         assert!(!r.overlaps(&Rect::new(40, 20, 5, 5)));
         assert!(r.fits(100, 100));
         assert!(!r.fits(39, 100));
+    }
+
+    #[test]
+    fn rect_sums_do_not_wrap() {
+        // x + width and y + height both wrap to 60 in u32.
+        let far = Rect::new(u32::MAX - 3, u32::MAX - 3, 64, 64);
+        assert!(!far.fits(768, 288));
+        assert!(!far.overlaps(&Rect::new(0, 0, 768, 288)));
+        assert!(far.overlaps(&Rect::new(u32::MAX - 1, u32::MAX - 1, 1, 1)));
+        let scan = ScanModel::new(100, 40_000_000);
+        assert!(!scan.scan_hits_rect(far, 0, 40_000_000));
+        assert!(scan.scan_hits_rect(Rect::new(0, 99, 1, u32::MAX), 0, 40_000_000));
     }
 
     #[test]
@@ -313,13 +330,5 @@ mod tests {
         assert!(!scan.scan_hits_rect(rect, d, 100_000));
         // Far from the rect: no delay.
         assert_eq!(scan.safe_blit_delay(rect, 20_000_000, 100_000), 0);
-    }
-
-    #[test]
-    fn write_line_updates_single_row() {
-        let mut fs = FrameStore::new(4, 3);
-        fs.write_line(1, &[9, 9, 9, 9]);
-        assert_eq!(fs.read_rect(Rect::new(0, 1, 4, 1)), vec![9; 4]);
-        assert_eq!(fs.read_rect(Rect::new(0, 0, 4, 1)), vec![0; 4]);
     }
 }
