@@ -43,7 +43,7 @@ use pandora_recover::{
 };
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
 use pandora_shard::broadcast::shard_of;
-use pandora_shard::{Cluster, Egress, Ingress, ShardEnv};
+use pandora_shard::{Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
     alt_many, delay, link_controlled, now, unbounded, LinkConfig, Receiver, Sender, SimDuration,
     WireSize,
@@ -418,16 +418,20 @@ impl Uplink {
 /// Spawns the uplink machinery shared by relays and the source: the
 /// bounded queue, the pump that serializes copies through a
 /// bandwidth-limited link, and the router that hands each arriving copy
-/// to the egress of its (tree, child) edge. Returns the queue handle
-/// and the link control (for fault registration).
+/// to the egress of its (tree, child) edge (`outs`, opened here). Returns
+/// the queue handle and the link control (for fault registration).
 fn spawn_uplink(
     env: &ShardEnv,
     member: usize,
     uplink_cps: u64,
     cfg: &OverlayConfig,
-    child_txs: BTreeMap<(usize, usize), Sender<Msg>>,
+    outs: Vec<(usize, usize, Egress<Msg>)>,
     dead: Rc<StdCell<bool>>,
 ) -> (Rc<Uplink>, pandora_sim::LinkControl) {
+    let child_txs: BTreeMap<(usize, usize), PortSender<Msg>> = outs
+        .into_iter()
+        .map(|(tree, dest, egress)| ((tree, dest), env.open_egress(egress)))
+        .collect();
     let (kick_tx, kick_rx) = unbounded::<()>();
     // A copy that waits longer than one stripe interval (its own
     // forwarding cadence) marks the uplink persistently backlogged;
@@ -460,7 +464,7 @@ fn spawn_uplink(
                     continue;
                 }
                 if let Some(tx) = child_txs.get(&(item.tree, item.dest)) {
-                    let _ = tx.try_send(Msg::Slice(item.slice));
+                    tx.send(Msg::Slice(item.slice));
                 }
             }
         });
@@ -509,15 +513,8 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
     } = seat;
     let k = cfg.trees;
 
-    let mut child_txs: BTreeMap<(usize, usize), Sender<Msg>> = BTreeMap::new();
-    for (tree, dest, egress) in outs {
-        let (tx, rx) = unbounded::<Msg>();
-        env.bind_egress(egress, rx);
-        child_txs.insert((tree, dest), tx);
-    }
     let rxs: Vec<Receiver<Msg>> = ins.into_iter().map(|i| env.bind_ingress(i)).collect();
-    let (rpt_tx, rpt_rx) = unbounded::<Hello>();
-    env.bind_egress(report, rpt_rx);
+    let rpt_tx = env.open_egress(report);
 
     let dead = Rc::new(StdCell::new(false));
     let receiver = Rc::new(RefCell::new(StripeReceiver::new(k, cfg.playout.as_nanos())));
@@ -528,8 +525,7 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
     let p8_skips = Rc::new(StdCell::new(0u64));
     let grafts_in = Rc::new(StdCell::new(0u64));
 
-    let (uplink, link_ctl) =
-        spawn_uplink(env, member, cfg.uplink_cps, &cfg, child_txs, dead.clone());
+    let (uplink, link_ctl) = spawn_uplink(env, member, cfg.uplink_cps, &cfg, outs, dead.clone());
     let fault_trace = install_uplink_cap(env, member, &cfg, &link_ctl);
 
     if let Some(crash) = cfg.crash {
@@ -628,7 +624,7 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
             if hb_dead.get() {
                 break;
             }
-            let _ = rpt_tx.try_send(Hello {
+            rpt_tx.send(Hello {
                 node: member,
                 next: hb_rx.borrow().next_expected().to_vec(),
             });
@@ -697,24 +693,16 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     } = seat;
     let k = cfg.trees;
 
-    let mut child_txs: BTreeMap<(usize, usize), Sender<Msg>> = BTreeMap::new();
-    for (tree, dest, egress) in outs {
-        let (tx, rx) = unbounded::<Msg>();
-        env.bind_egress(egress, rx);
-        child_txs.insert((tree, dest), tx);
-    }
-    let mut ctl_txs: BTreeMap<usize, Sender<Msg>> = BTreeMap::new();
-    for (v, egress) in ctls {
-        let (tx, rx) = unbounded::<Msg>();
-        env.bind_egress(egress, rx);
-        ctl_txs.insert(v, tx);
-    }
-    let hello_rxs: Vec<Receiver<Hello>> =
-        reports.into_iter().map(|i| env.bind_ingress(i)).collect();
+    let ctl_txs: BTreeMap<usize, PortSender<Msg>> = ctls
+        .into_iter()
+        .map(|(v, egress)| (v, env.open_egress(egress)))
+        .collect();
+    // Every member's report port on one queue, in merge-key order: a
+    // `Hello` names its own node, so the ear needs no per-port guard.
+    let hello_rx = env.bind_ingress_merged(reports);
 
     let dead = Rc::new(StdCell::new(false)); // the source never dies
-    let (uplink, _link_ctl) =
-        spawn_uplink(env, 0, cfg.source_uplink_cps, &cfg, child_txs, dead.clone());
+    let (uplink, _link_ctl) = spawn_uplink(env, 0, cfg.source_uplink_cps, &cfg, outs, dead.clone());
 
     let rings = Rc::new(RefCell::new(
         (0..k)
@@ -780,8 +768,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     // member's graft resume points.
     let ear_engine = engine.clone();
     env.spawner().spawn("ovl:hub:hello", async move {
-        let refs: Vec<&Receiver<Hello>> = hello_rxs.iter().collect();
-        while let Some(Ok((_, hello))) = alt_many(&refs).await {
+        while let Ok(hello) = hello_rx.recv().await {
             ear_engine.borrow_mut().hello(hello.node, &hello.next);
         }
     });
@@ -815,7 +802,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
                         sweep_up.push(g.tree, g.orphan, s.retimed(sent));
                     }
                 } else if let Some(tx) = ctl_txs.get(&g.backup) {
-                    let _ = tx.try_send(Msg::Graft {
+                    tx.send(Msg::Graft {
                         tree: g.tree,
                         orphan: g.orphan,
                         resume_from: g.resume_from,

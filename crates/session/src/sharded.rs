@@ -17,7 +17,7 @@ use std::rc::Rc;
 use pandora::{BoxConfig, PandoraBox};
 use pandora_atm::{build_duplex_path, build_path_controlled, Cell, HopConfig, PathControl, Switch};
 use pandora_shard::{Cluster, Egress, Ingress, ShardEnv};
-use pandora_sim::{unbounded, LinkSender, Receiver, SimDuration};
+use pandora_sim::{LinkSender, Receiver, SimDuration};
 
 use crate::control::{spawn_agent, AgentStats, Controller};
 use crate::directory::{Directory, EndpointId};
@@ -76,13 +76,10 @@ pub fn build_sharded_pair(
             let spawner = env.spawner().clone();
             let (net_tx, path_out, _stats, ctrl) =
                 build_path_controlled(&spawner, path_name, &hops, seed);
-            let (up_tx, up_rx) = unbounded::<Cell>();
-            env.bind_egress(egress, up_rx);
+            let up_tx = env.open_egress(egress);
             spawner.spawn(&format!("pair:uplink:{name}"), async move {
                 while let Ok(cell) = path_out.recv().await {
-                    if up_tx.try_send(cell).is_err() {
-                        return;
-                    }
+                    up_tx.send(cell);
                 }
             });
             let net_rx = env.bind_ingress(ingress);
@@ -252,13 +249,10 @@ fn pump_attachment(
     b_tx: LinkSender<Cell>,
 ) {
     let spawner = env.spawner().clone();
-    let (up_tx, up_rx) = unbounded::<Cell>();
-    env.bind_egress(in_eg, up_rx);
+    let up_tx = env.open_egress(in_eg);
     spawner.spawn(&format!("star:uplink{i}"), async move {
         while let Ok(cell) = b_rx.recv().await {
-            if up_tx.try_send(cell).is_err() {
-                return;
-            }
+            up_tx.send(cell);
         }
     });
     let down_rx = env.bind_ingress(out_in);
@@ -308,13 +302,10 @@ fn build_hub(
         let (switch, port_rxs) = Switch::spawn(&spawner, "star", inputs, n + 1, port_queue);
         let switch = Rc::new(switch);
         for (i, (port_rx, out_eg)) in port_rxs.into_iter().zip(fabric_outs).enumerate() {
-            let (tx, rx) = unbounded::<Cell>();
-            env.bind_egress(out_eg, rx);
+            let tx = env.open_egress(out_eg);
             spawner.spawn(&format!("star:fabric{i}"), async move {
                 while let Ok(cell) = port_rx.recv().await {
-                    if tx.try_send(cell).is_err() {
-                        return;
-                    }
+                    tx.send(cell);
                 }
             });
         }

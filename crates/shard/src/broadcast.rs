@@ -8,9 +8,9 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use pandora_sim::{delay, now, unbounded, Sender, SimDuration};
+use pandora_sim::{delay, now, SimDuration};
 
-use crate::cluster::{Cluster, Egress, Ingress};
+use crate::cluster::{Cluster, Egress, Ingress, PortSender};
 
 /// One broadcast segment travelling down the tree.
 #[derive(Clone, Copy, Debug)]
@@ -92,15 +92,11 @@ pub fn build(cfg: &BroadcastConfig, shards: usize) -> Cluster {
         let shard = shard_of(i, cfg.boxes, shards);
         let cfg = *cfg;
         cluster.setup(shard, move |env| {
-            // Bind this box's outbound edges; keep one local sender per
-            // child for the relay task to fan out on.
-            let child_txs: Vec<Sender<Seg>> = egresses
+            // Open this box's outbound edges: one port sender per child
+            // for the relay task to fan out on.
+            let child_txs: Vec<PortSender<Seg>> = egresses
                 .into_iter()
-                .map(|egress| {
-                    let (tx, rx) = unbounded::<Seg>();
-                    env.bind_egress(egress, rx);
-                    tx
-                })
+                .map(|egress| env.open_egress(egress))
                 .collect();
 
             let recv = Rc::new(Cell::new(0u64));
@@ -118,7 +114,7 @@ pub fn build(cfg: &BroadcastConfig, shards: usize) -> Cluster {
                                 stamp: now().as_nanos(),
                             };
                             for tx in &child_txs {
-                                let _ = tx.try_send(seg);
+                                tx.send(seg);
                                 fwd.set(fwd.get() + 1);
                             }
                             delay(cfg.segment_interval).await;
@@ -134,7 +130,7 @@ pub fn build(cfg: &BroadcastConfig, shards: usize) -> Cluster {
                             last.set(i64::from(seg.seq));
                             delay(cfg.relay_cost).await;
                             for tx in &child_txs {
-                                let _ = tx.try_send(seg);
+                                tx.send(seg);
                                 fwd.set(fwd.get() + 1);
                             }
                         }

@@ -2,6 +2,7 @@
 //! closures and the in-shard environment handed to them.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::rc::Rc;
@@ -13,7 +14,7 @@ use crate::exchange::{Exchange, RawEntry};
 use crate::hub::IngressHub;
 
 /// A typed, one-way, latency-stamped link crossing (or looping within)
-/// a shard: the egress half, bound in the sending shard.
+/// a shard: the egress half, opened in the sending shard.
 pub struct Egress<T> {
     pub(crate) port: u32,
     pub(crate) from: usize,
@@ -28,6 +29,53 @@ pub struct Ingress<T> {
     pub(crate) port: u32,
     pub(crate) to: usize,
     pub(crate) _payload: PhantomData<fn() -> T>,
+}
+
+/// The sending end of an opened port ([`ShardEnv::open_egress`]). It is
+/// `!Send`: it lives and dies on the shard that opened it.
+pub struct PortSender<T> {
+    port: u32,
+    latency: SimDuration,
+    route: Route,
+    seq: Cell<u64>,
+    _payload: PhantomData<fn(T)>,
+}
+
+/// Where a port's entries go: straight into this shard's own ingress
+/// heap, or into the receiving shard's cross-thread mailbox.
+enum Route {
+    Loopback(Rc<IngressHub>),
+    Cross(Arc<Exchange>),
+}
+
+impl<T: Send + 'static> PortSender<T> {
+    /// Sends `value` down the port: stamps it `(now + latency, port,
+    /// seq)` and hands it to the receiving shard's ingress heap —
+    /// directly for a loopback port, through the cross-thread exchange
+    /// otherwise. Never blocks and never fails; a port whose ingress
+    /// receiver was dropped discards on delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a running task, with [`pandora_sim::now`]'s
+    /// message ("not inside a simulation…"): the stamp is the sending
+    /// task's virtual instant, so there is nothing to stamp a value
+    /// with during setup.
+    pub fn send(&self, value: T) {
+        let due = (pandora_sim::now() + self.latency).as_nanos();
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let entry = RawEntry {
+            due,
+            port: self.port,
+            seq,
+            payload: Box::new(value),
+        };
+        match &self.route {
+            Route::Loopback(hub) => hub.push(entry),
+            Route::Cross(exchange) => exchange.push(entry),
+        }
+    }
 }
 
 pub(crate) type SetupFn = Box<dyn FnOnce(&mut ShardEnv) + Send>;
@@ -175,8 +223,8 @@ impl Cluster {
 }
 
 /// The in-shard face of the cluster, handed to setup closures: spawn
-/// tasks, bind port halves, read the blackboard, register end-of-run
-/// reporters.
+/// tasks, open and bind port halves, read the blackboard, register
+/// end-of-run reporters.
 pub struct ShardEnv {
     pub(crate) shard: usize,
     pub(crate) spawner: Spawner,
@@ -202,15 +250,15 @@ impl ShardEnv {
         &self.blackboard
     }
 
-    /// Binds the egress half of a port: everything received from `rx` is
-    /// stamped `(now + latency, port, seq)` and handed to the receiving
-    /// shard's ingress heap — directly for loopback ports, through the
-    /// cross-thread exchange otherwise.
+    /// Opens the egress half of a port. No task stands behind the
+    /// returned [`PortSender`]: its `send` stamps and queues the value
+    /// from whichever task calls it, the way an Inmos link engine moves
+    /// bytes without costing the box a process (§3.1).
     ///
     /// # Panics
     ///
     /// Panics if the port's from-shard is not this shard.
-    pub fn bind_egress<T: Send + 'static>(&self, egress: Egress<T>, rx: Receiver<T>) {
+    pub fn open_egress<T: Send + 'static>(&self, egress: Egress<T>) -> PortSender<T> {
         assert!(
             egress.from == self.shard,
             "egress of port {} belongs to shard {}, bound in shard {}",
@@ -218,28 +266,17 @@ impl ShardEnv {
             egress.from,
             self.shard
         );
-        let loopback = (egress.from == egress.to).then(|| self.hub.clone());
-        let port = egress.port;
-        let latency = egress.latency;
-        let exchange = egress.exchange;
-        self.spawner
-            .spawn(&format!("shard:egress:{port}"), async move {
-                let mut seq = 0u64;
-                while let Ok(value) = rx.recv().await {
-                    let due = (pandora_sim::now() + latency).as_nanos();
-                    let payload: Box<dyn Any + Send> = Box::new(value);
-                    match &loopback {
-                        Some(hub) => hub.push(due, port, seq, payload),
-                        None => exchange.push(RawEntry {
-                            due,
-                            port,
-                            seq,
-                            payload,
-                        }),
-                    }
-                    seq += 1;
-                }
-            });
+        PortSender {
+            port: egress.port,
+            latency: egress.latency,
+            route: if egress.from == egress.to {
+                Route::Loopback(self.hub.clone())
+            } else {
+                Route::Cross(egress.exchange)
+            },
+            seq: Cell::new(0),
+            _payload: PhantomData,
+        }
     }
 
     /// Binds the ingress half of a port, returning the receiver on which
@@ -251,23 +288,45 @@ impl ShardEnv {
     /// Panics if the port's to-shard is not this shard, or if the port's
     /// ingress was already bound.
     pub fn bind_ingress<T: Send + 'static>(&self, ingress: Ingress<T>) -> Receiver<T> {
-        assert!(
-            ingress.to == self.shard,
-            "ingress of port {} belongs to shard {}, bound in shard {}",
-            ingress.port,
-            ingress.to,
-            self.shard
-        );
+        self.bind_ingress_merged([ingress])
+    }
+
+    /// Binds the ingress halves of any number of same-typed ports to
+    /// **one** receiver. The dispatcher feeds it in its `(due, port,
+    /// seq)` merge order, so values due at the same instant arrive in
+    /// port-creation order, then per-port send order — at every shard
+    /// count. For a fan-in whose messages name their own origin (the
+    /// overlay hub's heartbeats) this replaces a PRI ALT over one
+    /// receiver per port, whose cost grows with the port count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a port's to-shard is not this shard, or if a port's
+    /// ingress was already bound.
+    pub fn bind_ingress_merged<T: Send + 'static>(
+        &self,
+        ingresses: impl IntoIterator<Item = Ingress<T>>,
+    ) -> Receiver<T> {
         let (tx, rx) = unbounded::<T>();
-        self.hub.register_sink(
-            ingress.port,
-            Box::new(move |payload| {
-                let value = payload.downcast::<T>().expect("port payload type mismatch");
-                // Delivery into an unbounded queue never blocks; a
-                // dropped receiver just discards the rest of the stream.
-                let _ = tx.try_send(*value);
-            }),
-        );
+        for ingress in ingresses {
+            assert!(
+                ingress.to == self.shard,
+                "ingress of port {} belongs to shard {}, bound in shard {}",
+                ingress.port,
+                ingress.to,
+                self.shard
+            );
+            let tx = tx.clone();
+            self.hub.register_sink(
+                ingress.port,
+                Box::new(move |payload| {
+                    let value = payload.downcast::<T>().expect("port payload type mismatch");
+                    // Delivery into an unbounded queue never blocks; a
+                    // dropped receiver just discards the rest of the stream.
+                    let _ = tx.try_send(*value);
+                }),
+            );
+        }
         rx
     }
 

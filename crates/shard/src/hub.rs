@@ -79,13 +79,8 @@ impl IngressHub {
 
     /// Queues one loopback entry mid-slice and wakes the dispatcher so a
     /// same-slice due time is honoured.
-    pub fn push(&self, due: u64, port: u32, seq: u64, payload: Box<dyn Any + Send>) {
-        self.push_raw(RawEntry {
-            due,
-            port,
-            seq,
-            payload,
-        });
+    pub fn push(&self, entry: RawEntry) {
+        self.push_raw(entry);
         self.wake();
     }
 

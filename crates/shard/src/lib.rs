@@ -18,15 +18,26 @@
 //!    one latency from now. Zero-latency cross-shard ports are rejected
 //!    at build time — they would collapse the lookahead window to
 //!    nothing.
-//! 2. **Ingress is merged deterministically.** Cross-shard entries are
-//!    stamped `(due time, port id, per-port seq)` at the sender and
-//!    drained from a per-shard heap in exactly that order, on the
+//! 2. **A port has two task-less ends, and ingress is merged
+//!    deterministically.** The sending end is a [`PortSender`]
+//!    ([`ShardEnv::open_egress`]): its synchronous `send` stamps the
+//!    value `(due time, port id, per-port seq)` from inside whichever
+//!    task calls it and queues it for the receiving shard — like the
+//!    Inmos link engine it stands for, crossing a link costs the box no
+//!    process. The receiving end is a plain `Receiver`
+//!    ([`ShardEnv::bind_ingress`], or [`ShardEnv::bind_ingress_merged`]
+//!    for any number of same-typed ports on one queue). Entries are
+//!    drained from a per-shard heap in exactly stamp order, on the
 //!    executor's *late* timer lane, so delivery interleaves identically
 //!    with local work no matter when the entries physically crossed the
 //!    thread boundary. Port ids are assigned in creation order, which
 //!    topology builders keep independent of the shard count — so the
 //!    merge keys, and therefore the schedule each box observes, are the
-//!    same whether the cluster runs on one thread or eight.
+//!    same whether the cluster runs on one thread or eight. The same key
+//!    is what makes a many-port receiver deterministic: one dispatcher
+//!    feeds it in `(due, port, seq)` order, so what a fan-in task reads
+//!    is a pure function of the stamps, never of which port's queue a
+//!    scan happened to visit first.
 //! 3. **One shard is the baseline.** With `Cluster::new(1)` everything
 //!    is a loopback port on the calling thread: no OS threads, one
 //!    `Simulation`, today's executor exactly. The equivalence suite
@@ -47,5 +58,5 @@ pub mod broadcast;
 #[cfg(test)]
 mod tests;
 
-pub use cluster::{Blackboard, Cluster, Egress, Ingress, ShardEnv};
+pub use cluster::{Blackboard, Cluster, Egress, Ingress, PortSender, ShardEnv};
 pub use runtime::RunReport;

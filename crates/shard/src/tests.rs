@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use pandora_sim::{delay, now, unbounded, SimDuration, SimTime};
+use pandora_sim::{delay, now, SimDuration, SimTime};
 
 use crate::broadcast::{self, BroadcastConfig};
 use crate::Cluster;
@@ -22,27 +22,25 @@ fn ping_pong(shards: usize, rounds: u32) -> Vec<String> {
     let (b2a_tx, b2a_rx) = cluster.port::<u32>(shard_b, 0, lat, "b2a");
 
     cluster.setup(0, move |env| {
-        let (tx, pump_rx) = unbounded::<u32>();
-        env.bind_egress(a2b_tx, pump_rx);
+        let tx = env.open_egress(a2b_tx);
         let rx = env.bind_ingress(b2a_rx);
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
         let log2 = log.clone();
         env.spawner().spawn("box:a", async move {
-            let _ = tx.try_send(0);
+            tx.send(0);
             while let Ok(v) = rx.recv().await {
                 log2.borrow_mut()
                     .push(format!("a t={} v={v}", now().as_nanos()));
                 if v >= rounds {
                     break;
                 }
-                let _ = tx.try_send(v + 1);
+                tx.send(v + 1);
             }
         });
         env.on_finish(move || log.borrow().clone());
     });
     cluster.setup(shard_b, move |env| {
-        let (tx, pump_rx) = unbounded::<u32>();
-        env.bind_egress(b2a_tx, pump_rx);
+        let tx = env.open_egress(b2a_tx);
         let rx = env.bind_ingress(a2b_rx);
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
         let log2 = log.clone();
@@ -51,7 +49,7 @@ fn ping_pong(shards: usize, rounds: u32) -> Vec<String> {
                 log2.borrow_mut()
                     .push(format!("b t={} v={v}", now().as_nanos()));
                 delay(SimDuration::from_micros(10)).await;
-                let _ = tx.try_send(v + 1);
+                tx.send(v + 1);
             }
         });
         env.on_finish(move || log.borrow().clone());
@@ -75,13 +73,12 @@ fn loopback_port_delivers_at_stamped_latency() {
     let (tx_half, rx_half) =
         cluster.port::<&'static str>(0, 0, SimDuration::from_millis(3), "loop");
     cluster.setup(0, move |env| {
-        let (tx, pump_rx) = unbounded();
-        env.bind_egress(tx_half, pump_rx);
+        let tx = env.open_egress(tx_half);
         let rx = env.bind_ingress(rx_half);
         env.spawner().spawn("src", async move {
-            let _ = tx.try_send("x");
+            tx.send("x");
             delay(SimDuration::from_millis(1)).await;
-            let _ = tx.try_send("y");
+            tx.send("y");
         });
         let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
         let seen2 = seen.clone();
@@ -119,11 +116,10 @@ fn idle_shard_still_publishes_horizons() {
         });
         env.on_finish(move || vec![format!("ticks={}", ticks.get())]);
     });
-    // The egress half must still be bound somewhere or drop silently;
-    // binding it with a sender we never use keeps the port honest.
+    // Opening the egress with a sender we never use keeps the port
+    // honest.
     cluster.setup(1, move |env| {
-        let (_tx, pump_rx) = unbounded::<u8>();
-        env.bind_egress(_quiet_tx, pump_rx);
+        let _tx = env.open_egress(_quiet_tx);
     });
     let report = cluster.run(SimTime::from_millis(20));
     assert_eq!(report.merged_lines(), vec!["ticks=20".to_string()]);
@@ -142,8 +138,7 @@ fn setup_panic_propagates_without_hanging_other_shards() {
         let mut cluster = Cluster::new(2);
         let (tx, rx) = cluster.port::<u8>(0, 1, SimDuration::from_micros(1), "p");
         cluster.setup(0, move |env| {
-            let (_tx, pump_rx) = unbounded::<u8>();
-            env.bind_egress(tx, pump_rx);
+            let _tx = env.open_egress(tx);
         });
         cluster.setup(1, move |env| {
             let _rx = env.bind_ingress(rx);
@@ -183,4 +178,90 @@ fn broadcast_trace_is_identical_across_shard_counts() {
         let got = broadcast::build(&cfg, shards).run(deadline).merged_lines();
         assert_eq!(got, baseline, "shard count {shards} diverged");
     }
+}
+
+/// Two ports into one merged receiver. The sender deliberately uses the
+/// later-created port first, and the two latencies differ so that values
+/// sent at different instants fall due together. Returns the arrivals as
+/// `t=<ns> <value>` lines.
+fn merged_fan_in(shards: usize) -> Vec<String> {
+    assert!(shards == 1 || shards == 2);
+    let mut cluster = Cluster::new(shards);
+    let from = shards - 1;
+    let (a_tx, a_rx) = cluster.port::<&'static str>(from, 0, SimDuration::from_micros(300), "a");
+    let (b_tx, b_rx) = cluster.port::<&'static str>(from, 0, SimDuration::from_micros(100), "b");
+    cluster.setup(from, move |env| {
+        let (a, b) = (env.open_egress(a_tx), env.open_egress(b_tx));
+        env.spawner().spawn("src", async move {
+            b.send("b0"); // due 100 µs
+            a.send("a0"); // due 300 µs
+            delay(SimDuration::from_micros(200)).await;
+            b.send("b1"); // due 300 µs, with a0
+            b.send("b2");
+            a.send("a1"); // due 500 µs
+        });
+    });
+    cluster.setup(0, move |env| {
+        let rx = env.bind_ingress_merged([a_rx, b_rx]);
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let seen2 = seen.clone();
+        env.spawner().spawn("sink", async move {
+            while let Ok(v) = rx.recv().await {
+                seen2
+                    .borrow_mut()
+                    .push(format!("t={} {v}", now().as_nanos()));
+            }
+        });
+        env.on_finish(move || seen.borrow().clone());
+    });
+    cluster.run(SimTime::from_millis(2)).merged_lines()
+}
+
+#[test]
+fn merged_receiver_orders_by_due_then_port_then_send_order() {
+    assert_eq!(
+        merged_fan_in(1),
+        vec![
+            "t=100000 b0",
+            // Equal due times: port-creation order (a before b), then
+            // each port's own send order.
+            "t=300000 a0",
+            "t=300000 b1",
+            "t=300000 b2",
+            "t=500000 a1",
+        ]
+    );
+}
+
+#[test]
+fn merged_receiver_is_identical_over_loopback_and_exchange() {
+    assert_eq!(merged_fan_in(1), merged_fan_in(2));
+}
+
+#[test]
+#[should_panic(expected = "ingress port 0 bound twice")]
+fn binding_an_ingress_twice_panics() {
+    use crate::Ingress;
+    use std::marker::PhantomData;
+    let mut cluster = Cluster::new(1);
+    let (_tx, rx) = cluster.port::<u8>(0, 0, SimDuration::ZERO, "p");
+    cluster.setup(0, move |env| {
+        let again = Ingress::<u8> {
+            port: rx.port,
+            to: rx.to,
+            _payload: PhantomData,
+        };
+        let _rx = env.bind_ingress_merged([rx, again]);
+    });
+    cluster.run(SimTime::from_millis(1));
+}
+
+#[test]
+#[should_panic(expected = "not inside a simulation")]
+fn port_send_outside_a_task_panics() {
+    let mut cluster = Cluster::new(1);
+    let (tx, _rx) = cluster.port::<u8>(0, 0, SimDuration::from_micros(1), "p");
+    // Setup runs before the clock exists: there is no instant to stamp.
+    cluster.setup(0, move |env| env.open_egress(tx).send(1));
+    cluster.run(SimTime::from_millis(1));
 }

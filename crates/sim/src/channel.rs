@@ -51,6 +51,13 @@ struct PendingSend {
     waker: Rc<RefCell<Option<Waker>>>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Queue entries `accept_within_capacity` has looked at on this
+    /// thread — the probe behind `unbounded_drain_visits_linear`.
+    static ACCEPT_VISITS: Cell<u64> = const { Cell::new(0) };
+}
+
 pub(crate) struct ChanState<T> {
     queue: RefCell<VecDeque<QEntry<T>>>,
     capacity: usize,
@@ -66,15 +73,29 @@ impl<T> ChanState<T> {
         }
     }
 
-    /// Completes the pending flags of every entry now within capacity.
+    /// Accepts the one entry a `pop_front` moved inside the capacity.
+    ///
+    /// Entries are pushed accepted while `len < capacity` and pending at
+    /// an index `>= capacity` otherwise, and a cancelled send withdraws
+    /// only its own still-pending entry — so everything before index
+    /// `capacity` is always accepted already, and after a pop the only
+    /// newcomer is the entry now at `capacity - 1`. (Walking the whole
+    /// prefix instead made draining an unbounded queue quadratic.)
     fn accept_within_capacity(&self) {
-        let queue = self.queue.borrow();
-        for entry in queue.iter().take(self.capacity) {
-            if let Some(p) = &entry.pending {
-                p.done.set(true);
-                if let Some(w) = p.waker.borrow_mut().take() {
-                    w.wake();
-                }
+        let Some(last) = self.capacity.checked_sub(1) else {
+            return; // rendezvous: nothing is ever accepted while queued
+        };
+        #[cfg(test)]
+        ACCEPT_VISITS.with(|n| n.set(n.get() + 1));
+        if let Some(p) = self
+            .queue
+            .borrow()
+            .get(last)
+            .and_then(|e| e.pending.as_ref())
+        {
+            p.done.set(true);
+            if let Some(w) = p.waker.borrow_mut().take() {
+                w.wake();
             }
         }
     }
@@ -567,6 +588,95 @@ mod tests {
         sim.run_until_idle();
         // The send was cancelled at t=1ms, so the receiver sees closure, not 42.
         assert_eq!(*got.borrow(), Some(Err(RecvError)));
+    }
+
+    /// `buffered(2)` with five blocked senders behind the two accepted
+    /// ones; returns the order in which the blocked sends completed,
+    /// sampled after each `recv`.
+    fn blocked_completion_order(withdraw: Option<u32>) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let mut sim = Simulation::new();
+        let (tx, rx) = buffered::<u32>(2);
+        let completed = StdRc::new(RefCell::new(Vec::new()));
+        for i in 0..7u32 {
+            let tx = tx.clone();
+            let done = completed.clone();
+            sim.spawn(&format!("sender{i}"), async move {
+                if withdraw == Some(i) {
+                    // Give up while still blocked beyond the capacity.
+                    futures_race(tx.send(i), crate::delay(SimDuration::from_millis(1))).await;
+                    return;
+                }
+                tx.send(i).await.unwrap();
+                done.borrow_mut().push(i);
+            });
+        }
+        drop(tx);
+        sim.run_for(SimDuration::from_millis(2));
+        assert_eq!(*completed.borrow(), vec![0, 1], "two sends fit the FIFO");
+        let received = StdRc::new(RefCell::new(Vec::new()));
+        let after_each = StdRc::new(RefCell::new(Vec::new()));
+        let (r, a, c) = (received.clone(), after_each.clone(), completed.clone());
+        sim.spawn("receiver", async move {
+            while let Ok(v) = rx.recv().await {
+                r.borrow_mut().push(v);
+                // Let the sender this recv released run before sampling.
+                crate::delay(SimDuration::from_millis(1)).await;
+                a.borrow_mut().push(c.borrow().clone());
+            }
+        });
+        sim.run_until_idle();
+        let received = received.borrow().clone();
+        let after_each = after_each.borrow().clone();
+        (received, after_each)
+    }
+
+    #[test]
+    fn buffered_accepts_one_blocked_sender_per_recv_in_fifo_order() {
+        let (received, after_each) = blocked_completion_order(None);
+        assert_eq!(received, (0..7).collect::<Vec<_>>());
+        // Each recv frees one slot, so exactly one more send completes,
+        // oldest first, until none is left blocked.
+        let want: Vec<Vec<u32>> = (3..=7usize)
+            .chain([7, 7])
+            .map(|n| (0..n as u32).collect())
+            .collect();
+        assert_eq!(after_each, want);
+    }
+
+    #[test]
+    fn withdrawn_pending_send_does_not_strand_the_ones_behind_it() {
+        // Sender 4 sits in the middle of the blocked run and gives up.
+        let (received, after_each) = blocked_completion_order(Some(4));
+        assert_eq!(received, vec![0, 1, 2, 3, 5, 6]);
+        assert_eq!(
+            after_each,
+            vec![
+                vec![0, 1, 2],
+                vec![0, 1, 2, 3],
+                vec![0, 1, 2, 3, 5],
+                vec![0, 1, 2, 3, 5, 6],
+                vec![0, 1, 2, 3, 5, 6],
+                vec![0, 1, 2, 3, 5, 6],
+            ]
+        );
+    }
+
+    #[test]
+    fn unbounded_drain_visits_linear() {
+        const N: u32 = 10_000;
+        let (tx, rx) = unbounded::<u32>();
+        for i in 0..N {
+            assert_eq!(tx.try_send(i), Ok(()));
+        }
+        let before = ACCEPT_VISITS.with(Cell::get);
+        for i in 0..N {
+            assert_eq!(rx.try_recv(), Some(i), "drains in order");
+        }
+        assert_eq!(rx.try_recv(), None);
+        // One queue entry looked at per pop — it used to be the whole
+        // remaining queue, N²/2 = 50 M for this drain.
+        let visits = ACCEPT_VISITS.with(Cell::get) - before;
+        assert!(visits <= u64::from(N), "drain visited {visits} entries");
     }
 
     /// Minimal two-future race for tests (first to complete wins, other dropped).

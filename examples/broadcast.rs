@@ -19,13 +19,24 @@
 //! `ceil(log_d n)` bound), the delivery scoreboard for the surviving
 //! viewers, the merged per-hop latency histogram, and the repair-gap
 //! statistics — the worst single-stripe silence any survivor saw — then
-//! holds the run to its six acceptance floors and exits non-zero, naming
-//! each one missed.
+//! holds the run to its eight acceptance floors and exits non-zero,
+//! naming each one missed. Two of the floors are executor counts — tasks
+//! spawned per member and task polls per delivered slice — so a control
+//! plane whose cost grows with the membership cannot come back unseen.
 
 use pandora_overlay::{
     build_overlay_broadcast, plan_for, CrashPlan, OverlayConfig, OverlaySummary,
 };
 use pandora_sim::{SimDuration, SimTime};
+
+/// Floor: tasks the whole run may spawn per member. A member is five
+/// tasks (relay, heartbeat, uplink pump, uplink router, link); a task per
+/// cluster port made it fifteen.
+const MAX_TASKS_PER_MEMBER: f64 = 5.5;
+
+/// Floor: executor events (task polls, summed over shards) per slice
+/// delivered to a viewer.
+const MAX_EVENTS_PER_SLICE: f64 = 7.1;
 
 fn soak_config() -> OverlayConfig {
     OverlayConfig {
@@ -103,8 +114,8 @@ fn main() {
         cfg.segment_interval.as_nanos() * u64::from(cfg.segments)
             + SimDuration::from_millis(200).as_nanos(),
     );
-    let lines = built.cluster.run(deadline).merged_lines();
-    let s = OverlaySummary::parse(&lines);
+    let report = built.cluster.run(deadline);
+    let s = OverlaySummary::parse(&report.merged_lines());
 
     println!();
     println!("delivery (surviving viewers)");
@@ -163,6 +174,16 @@ fn main() {
         println!("  [{lo:>6}..{hi:>6}) us {count:>8} {bar}");
     }
 
+    // What the run cost the executor, in counts (not wall-clock): a
+    // member is a fixed handful of tasks — crossing a cluster port costs
+    // none — and a delivered slice a fixed handful of task polls.
+    let tasks_per_member = report.spawned_total as f64 / plan.members() as f64;
+    let events_per_slice = report.events() as f64 / s.delivered.max(1) as f64;
+    println!();
+    println!("executor cost");
+    println!("  tasks spawned per member {tasks_per_member:.2} (floor {MAX_TASKS_PER_MEMBER})");
+    println!("  events per delivered slice {events_per_slice:.2} (floor {MAX_EVENTS_PER_SLICE})");
+
     // The soak's acceptance floors: CI runs this example, so a missed
     // floor must fail the run, not just go unprinted.
     let floors = [
@@ -183,6 +204,14 @@ fn main() {
         (
             s.stripe_gap_max_us_alive <= playout_us,
             "repair gap exceeds playout",
+        ),
+        (
+            tasks_per_member <= MAX_TASKS_PER_MEMBER,
+            "more tasks per member than a port-less member needs",
+        ),
+        (
+            events_per_slice <= MAX_EVENTS_PER_SLICE,
+            "more executor events per delivered slice than the floor",
         ),
     ];
     let missed: Vec<_> = floors.iter().filter(|(ok, _)| !ok).collect();

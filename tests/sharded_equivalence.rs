@@ -474,7 +474,19 @@ fn overlay_broadcast_with_crash_is_identical_across_shard_counts() {
     let deadline = SimTime::from_millis(340);
     let run = |shards: usize| {
         let built = build_overlay_broadcast(&cfg, shards).expect("build");
-        built.cluster.run(deadline).merged_lines()
+        let report = built.cluster.run(deadline);
+        // A member is five tasks (relay, heartbeat, uplink pump, uplink
+        // router, link) and a cluster port is none; the hub's own
+        // handful — source, ear, sweep, the crash script — and one
+        // dispatcher per shard are all that may come on top.
+        let bound = 5 * plan.members() as u64 + 8 + shards as u64;
+        assert!(
+            report.spawned_total <= bound,
+            "{shards} shards spawned {} tasks for {} members (bound {bound})",
+            report.spawned_total,
+            plan.members()
+        );
+        report.merged_lines()
     };
 
     let baseline = run(1);

@@ -175,11 +175,10 @@ fn lookahead_stalls_at_the_horizon_and_releases_when_the_peer_idles() {
             // One late message, then idle: shard 0 must neither see the
             // value early (stall side) nor be wedged behind an idle
             // peer (release side).
-            let (tx, rx) = pandora_sim::unbounded::<u64>();
-            env.bind_egress(egress, rx);
+            let tx = env.open_egress(egress);
             env.spawner().spawn("sender", async move {
                 delay(SimDuration::from_millis(7)).await;
-                let _ = tx.try_send(now().as_millis());
+                tx.send(now().as_millis());
             });
         });
         cluster.setup(0, move |env| {
