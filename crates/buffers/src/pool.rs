@@ -16,7 +16,9 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use pandora_sim::TaskWaker;
 
 /// A buffer descriptor — the index that travels through the switch instead
 /// of the data itself ("the input processes … transmit the buffer index
@@ -32,7 +34,7 @@ struct Slot<T> {
 struct PoolInner<T> {
     slots: RefCell<Vec<Slot<T>>>,
     free: RefCell<Vec<usize>>,
-    waiters: RefCell<Vec<Waker>>,
+    waiters: RefCell<Vec<TaskWaker>>,
     exhausted_waits: Cell<u64>,
     allocations: Cell<u64>,
 }
@@ -275,7 +277,7 @@ impl<T> Unpin for Alloc<'_, T> {}
 impl<T> Future for Alloc<'_, T> {
     type Output = Descriptor;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Descriptor> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Descriptor> {
         let this = self.get_mut();
         let Some(value) = this.value.take() else {
             panic!("Alloc polled after completion");
@@ -295,7 +297,7 @@ impl<T> Future for Alloc<'_, T> {
                     .inner
                     .waiters
                     .borrow_mut()
-                    .push(cx.waker().clone());
+                    .push(pandora_sim::waker());
                 Poll::Pending
             }
         }

@@ -60,6 +60,9 @@ pub enum Rule {
     /// the hot-path marker — the transport data path allocates from the
     /// slab arena, never per segment.
     HotPathAlloc,
+    /// A std `Waker` (`cx.waker()`, `task::Waker`) outside the executor:
+    /// the `Context` waker is inert, tasks wake through `pandora_sim::waker()`.
+    StdWaker,
     /// A variant of a `check:wire-enum` marked enum lacking an encode
     /// match arm, or (for full obligations) a decode arm constructing it
     /// from a literal kind code.
@@ -94,13 +97,14 @@ impl Severity {
 }
 
 /// Every rule, in code order — the `--help`/`--explain` catalogue.
-pub const ALL_RULES: [Rule; 10] = [
+pub const ALL_RULES: [Rule; 11] = [
     Rule::SafetyComment,
     Rule::WallClock,
     Rule::OsThread,
     Rule::NoUnwrap,
     Rule::MissingDocs,
     Rule::HotPathAlloc,
+    Rule::StdWaker,
     Rule::WireExhaustive,
     Rule::ChannelCycle,
     Rule::CommandPath,
@@ -117,6 +121,7 @@ impl Rule {
             Rule::NoUnwrap => "no-unwrap",
             Rule::MissingDocs => "missing-docs",
             Rule::HotPathAlloc => "hot-path-alloc",
+            Rule::StdWaker => "std-waker",
             Rule::WireExhaustive => "wire-exhaustive",
             Rule::ChannelCycle => "channel-cycle",
             Rule::CommandPath => "command-path",
@@ -134,6 +139,7 @@ impl Rule {
             Rule::NoUnwrap => "PC004",
             Rule::MissingDocs => "PC005",
             Rule::HotPathAlloc => "PC006",
+            Rule::StdWaker => "PC007",
             Rule::WireExhaustive => "PC101",
             Rule::ChannelCycle => "PC102",
             Rule::CommandPath => "PC103",
@@ -200,6 +206,15 @@ impl Rule {
                  payload bytes from the slab arena only. `Vec::new(` and `.to_vec()` \
                  are per-segment heap allocations (usually with a copy) on the data \
                  path the two-copy invariant (DESIGN.md §9) protects."
+            }
+            Rule::StdWaker => {
+                "Tasks are woken through `pandora_sim::waker()`: a `TaskWaker` is a \
+                 task id plus an `Rc` on its simulation's wake queue, so a wake costs \
+                 no lock and cannot cross a thread. The std waker inside the \
+                 `Context` a poll receives is inert — waking it panics — so a leaf \
+                 future that stores `cx.waker()` never resumes. Only \
+                 `crates/sim/src/executor.rs`, which builds that inert waker, may \
+                 name `task::Waker`."
             }
             Rule::WireExhaustive => {
                 "An enum marked `check:wire-enum` is part of the wire protocol: \

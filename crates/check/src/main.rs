@@ -35,6 +35,7 @@ cross-file protocol rules:
   PC004 no-unwrap        no unwrap/expect outside tests in hot-path crates
   PC005 missing-docs     public items documented in the API crates
   PC006 hot-path-alloc   no Vec::new/to_vec in files marked check:hot-path
+  PC007 std-waker        no cx.waker()/task::Waker outside the sim executor
   PC101 wire-exhaustive  every wire-enum variant has encode+decode arms
   PC102 channel-cycle    no rendezvous wait-for cycles among sim tasks
   PC103 command-path     only the control plane touches command VCIs

@@ -22,6 +22,7 @@ pub fn check_file(file: &AnalyzedFile, config: &Config, out: &mut Vec<Diagnostic
     no_unwrap_rule(&ctx, config, out);
     missing_docs_rule(&ctx, config, out);
     hot_path_alloc_rule(&ctx, out);
+    std_waker_rule(&ctx, out);
 }
 
 /// Runs the cross-file protocol rules over the aggregated model.
@@ -333,6 +334,33 @@ fn hot_path_alloc_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// Rule `std-waker`: under `crates/`, only the executor may touch the
+/// std waker. Everything else registers `pandora_sim::waker()`; the
+/// waker inside a task's `Context` is inert and panics when woken.
+fn std_waker_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
+    let rel = ctx.file.rel_str.as_str();
+    if !rel.starts_with("crates/") || rel == "crates/sim/src/executor.rs" || ctx.testish {
+        return;
+    }
+    let file = ctx.masked();
+    for line in 0..file.len() {
+        if file.in_test[line] || file.in_macro[line] {
+            continue;
+        }
+        let code = &file.code[line];
+        let hit = code.contains("cx.waker()") || contains_word(code, "Waker");
+        if hit && !waived(file, line, Rule::StdWaker) {
+            push(
+                out,
+                ctx.file,
+                line,
+                Rule::StdWaker,
+                "tasks are woken through `pandora_sim::waker()`; the `Context` waker is inert",
+            );
+        }
+    }
+}
+
 fn is_documented(file: &MaskedFile, item_line: usize) -> bool {
     let mut l = item_line;
     while l > 0 {
@@ -619,6 +647,19 @@ mod tests {
         let src = "// check:hot-path\n// check:allow(hot-path-alloc): the copy is the contract here.\nfn f(b: &[u8]) -> Vec<u8> { b.to_vec() }\n";
         let out = diags("crates/core/src/x.rs", src);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn std_waker_fires_outside_the_executor_only() {
+        let src = "use std::task::{Context, Waker};\nfn f(cx: &mut Context<'_>) { keep(cx.waker().clone()); }\nfn g(w: pandora_sim::TaskWaker) { w.wake(); }\n";
+        let out = diags("crates/metrics/src/x.rs", src);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|d| d.rule == Rule::StdWaker));
+        assert_eq!((out[0].line, out[1].line), (1, 2));
+        for exempt in ["crates/sim/src/executor.rs", "tests/x.rs"] {
+            let out = diags(exempt, src);
+            assert!(out.is_empty(), "{exempt}: {out:?}");
+        }
     }
 
     #[test]

@@ -57,6 +57,8 @@ fn fixtures_report_exactly_the_seeded_violations() {
         ("crates/sim/src/bad.rs", 4, "PC002"),
         ("crates/sim/src/bad.rs", 9, "PC003"),
         ("crates/sim/src/bad.rs", 13, "PC004"),
+        ("crates/sim/src/foreign_waker.rs", 5, "PC007"),
+        ("crates/sim/src/foreign_waker.rs", 13, "PC007"),
         ("crates/sim/src/pipeline.rs", 7, "PC102"),
         ("crates/sim/src/pipeline.rs", 21, "PC102"),
         ("crates/video/src/control_leak.rs", 5, "PC103"),
@@ -100,6 +102,7 @@ fn binary_exits_nonzero_on_fixtures() {
         "crates/sim/src/bad.rs:4: wall-clock [PC002]:",
         "crates/sim/src/bad.rs:9: os-thread [PC003]:",
         "crates/sim/src/bad.rs:13: no-unwrap [PC004]:",
+        "crates/sim/src/foreign_waker.rs:13: std-waker [PC007]:",
         "crates/video/src/raw.rs:4: safety-comment [PC001]:",
         "crates/segment/src/wire.rs:3: missing-docs [PC005]:",
         "crates/atm/src/hot.rs:3: hot-path-alloc [PC006]:",
@@ -117,6 +120,10 @@ fn binary_exits_nonzero_on_fixtures() {
     assert!(
         !stdout.contains("bad.rs:18"),
         "waived wall-clock must not be reported:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("foreign_waker.rs:8") && !stdout.contains("foreign_waker.rs:22"),
+        "waived and test-module std wakers must not be reported:\n{stdout}"
     );
     assert!(
         !stdout.contains("masked_ok.rs"),
@@ -138,8 +145,8 @@ fn binary_emits_json() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"total\": 31"), "{stdout}");
-    assert!(stdout.contains("\"deny\": 29"), "{stdout}");
+    assert!(stdout.contains("\"total\": 33"), "{stdout}");
+    assert!(stdout.contains("\"deny\": 31"), "{stdout}");
     assert!(stdout.contains("\"warn\": 2"), "{stdout}");
     assert!(stdout.contains("\"code\":\"PC102\""), "{stdout}");
     assert!(stdout.contains("\"severity\":\"warn\""), "{stdout}");

@@ -301,12 +301,13 @@ async fn admit_video(
     *backlog += 1;
     while *backlog > cap {
         // Principle 3: degrade the stream that has been open the longest
-        // (disabled: the newest stream takes the hit instead).
+        // (disabled: the newest stream takes the hit instead). Ties on
+        // `opened_at` break on the stream id, not on the map's hash order.
         let candidates = video_q.iter().filter(|(_, q)| !q.segments.is_empty());
         let victim = if oldest_first {
-            candidates.min_by_key(|(_, q)| q.opened_at)
+            candidates.min_by_key(|(&id, q)| (q.opened_at, id))
         } else {
-            candidates.max_by_key(|(_, q)| q.opened_at)
+            candidates.max_by_key(|(&id, q)| (q.opened_at, id))
         }
         .map(|(&id, _)| id);
         let Some(victim) = victim else { break };
@@ -340,7 +341,7 @@ fn pop_video(video_q: &mut HashMap<StreamId, VideoQueue>, backlog: &mut usize) -
     let id = video_q
         .iter()
         .filter(|(_, q)| !q.segments.is_empty())
-        .max_by_key(|(_, q)| q.opened_at)
+        .max_by_key(|(&id, q)| (q.opened_at, id))
         .map(|(&id, _)| id)?;
     let q = video_q.get_mut(&id)?;
     let m = q.segments.pop_front();
@@ -852,6 +853,60 @@ mod tests {
             new_drops > old_drops,
             "new {new_drops} vs old {old_drops} — victim policy inverted"
         );
+    }
+
+    #[test]
+    fn p3_ties_on_opened_at_break_on_stream_id_not_hash_order() {
+        // Two streams opened at the same instant, driven past the cap.
+        // Every rig builds a fresh `HashMap` with its own `RandomState`
+        // keys, so a tie left to iteration order shows up within a few
+        // of the 32 builds.
+        let run = |oldest_first: bool| {
+            let mut r = rig_cfg(
+                NetOutConfig {
+                    p3_oldest_first: oldest_first,
+                    ..NetOutConfig::new(TxMode::NonInterleaved, 4)
+                },
+                1_000_000,
+            );
+            let pool = r.pool.clone();
+            let slab = r.slab.clone();
+            let vtx = r.video_tx.clone();
+            r.sim.spawn("feed", async move {
+                for _ in 0..10 {
+                    for stream in [10, 20] {
+                        vtx.send(msg(&pool, &slab, stream, video_seg(5_000), 7))
+                            .await
+                            .unwrap();
+                    }
+                }
+            });
+            let order = Rc::new(RefCell::new(Vec::new()));
+            let o = order.clone();
+            let rx = r.wire_rx;
+            r.sim.spawn("wire", async move {
+                while let Ok(c) = rx.recv().await {
+                    if c.last {
+                        o.borrow_mut().push(c.vci);
+                    }
+                }
+            });
+            r.sim.run_until_idle();
+            let drops = [10, 20].map(|s| r.stats.p3_drops(StreamId(s)));
+            assert!(drops[0] + drops[1] > 0, "the cap never engaged");
+            let order = order.borrow().clone();
+            (drops, order)
+        };
+        for oldest_first in [true, false] {
+            let first = run(oldest_first);
+            for build in 1..32 {
+                assert_eq!(
+                    run(oldest_first),
+                    first,
+                    "build {build}, oldest_first={oldest_first}"
+                );
+            }
+        }
     }
 
     #[test]

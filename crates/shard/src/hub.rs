@@ -7,9 +7,9 @@ use std::collections::{BinaryHeap, HashMap};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use pandora_sim::{delay_until_late, now, Delay, SimTime};
+use pandora_sim::{delay_until_late, now, Delay, SimTime, TaskWaker};
 
 use crate::exchange::RawEntry;
 
@@ -47,7 +47,7 @@ pub(crate) struct IngressHub {
     heap: RefCell<BinaryHeap<Reverse<HeapEntry>>>,
     #[allow(clippy::type_complexity)]
     sinks: RefCell<HashMap<u32, Box<dyn Fn(Box<dyn Any + Send>)>>>,
-    waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<TaskWaker>>,
 }
 
 impl IngressHub {
@@ -88,7 +88,7 @@ impl IngressHub {
     /// fine: the first poll drains everything already queued).
     pub fn wake(&self) {
         if let Some(w) = self.waker.borrow().as_ref() {
-            w.wake_by_ref();
+            w.wake();
         }
     }
 
@@ -141,7 +141,10 @@ impl Future for Dispatcher {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        *this.hub.waker.borrow_mut() = Some(cx.waker().clone());
+        this.hub
+            .waker
+            .borrow_mut()
+            .get_or_insert_with(pandora_sim::waker);
         loop {
             this.hub.deliver_matured();
             let Some(due) = this.hub.next_due() else {

@@ -99,6 +99,28 @@ fn loopback_port_delivers_at_stamped_latency() {
 }
 
 #[test]
+fn hub_wake_between_slices_is_honoured_by_the_next_slice() {
+    // What the runner does at every slice start: entries pushed and the
+    // dispatcher woken from outside any poll, then `run_until`.
+    let mut sim = pandora_sim::Simulation::new();
+    let hub = crate::hub::IngressHub::new();
+    let seen = Rc::new(Cell::new(0u64));
+    let s = seen.clone();
+    hub.register_sink(7, Box::new(move |_| s.set(now().as_nanos())));
+    sim.spawn("dispatch", crate::hub::Dispatcher::new(hub.clone()));
+    sim.run_until(SimTime::from_millis(1));
+    hub.push_raw(crate::exchange::RawEntry {
+        due: 2_000_000,
+        port: 7,
+        seq: 0,
+        payload: Box::new(()),
+    });
+    hub.wake();
+    sim.run_until(SimTime::from_millis(3));
+    assert_eq!(seen.get(), 2_000_000, "delivered at its due time");
+}
+
+#[test]
 fn idle_shard_still_publishes_horizons() {
     // Shard 1 has no tasks at all; shard 0 depends on it through a port
     // that never carries traffic. The run must still reach the deadline.

@@ -77,14 +77,14 @@ pub struct Alt2<'a, A, B> {
 impl<A, B> Future for Alt2<'_, A, B> {
     type Output = Option<Result<Either2<A, B>, RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
-        match self.a.poll_take(cx) {
+        match self.a.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either2::A(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.b.poll_take(cx) {
+        match self.b.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either2::B(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
@@ -92,7 +92,7 @@ impl<A, B> Future for Alt2<'_, A, B> {
         if closed == 2 {
             return Poll::Ready(Some(Err(RecvError)));
         }
-        poll_deadline(self.deadline, &mut self.registered, cx)
+        poll_deadline(self.deadline, &mut self.registered)
     }
 }
 
@@ -139,19 +139,19 @@ pub struct Alt3<'a, A, B, C> {
 impl<A, B, C> Future for Alt3<'_, A, B, C> {
     type Output = Option<Result<Either3<A, B, C>, RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
-        match self.a.poll_take(cx) {
+        match self.a.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::A(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.b.poll_take(cx) {
+        match self.b.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::B(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.c.poll_take(cx) {
+        match self.c.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::C(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
@@ -159,7 +159,7 @@ impl<A, B, C> Future for Alt3<'_, A, B, C> {
         if closed == 3 {
             return Poll::Ready(Some(Err(RecvError)));
         }
-        poll_deadline(self.deadline, &mut self.registered, cx)
+        poll_deadline(self.deadline, &mut self.registered)
     }
 }
 
@@ -224,24 +224,24 @@ pub struct Alt4<'a, A, B, C, D> {
 impl<A, B, C, D> Future for Alt4<'_, A, B, C, D> {
     type Output = Option<Result<Either4<A, B, C, D>, RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
-        match self.a.poll_take(cx) {
+        match self.a.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::A(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.b.poll_take(cx) {
+        match self.b.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::B(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.c.poll_take(cx) {
+        match self.c.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::C(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
-        match self.d.poll_take(cx) {
+        match self.d.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::D(v)))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
@@ -249,7 +249,7 @@ impl<A, B, C, D> Future for Alt4<'_, A, B, C, D> {
         if closed == 4 {
             return Poll::Ready(Some(Err(RecvError)));
         }
-        poll_deadline(self.deadline, &mut self.registered, cx)
+        poll_deadline(self.deadline, &mut self.registered)
     }
 }
 
@@ -287,10 +287,10 @@ pub struct AltMany<'a, T> {
 impl<T> Future for AltMany<'_, T> {
     type Output = Option<Result<(usize, T), RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
         for (i, rx) in self.guards.iter().enumerate() {
-            match rx.poll_take(cx) {
+            match rx.poll_take() {
                 Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok((i, v)))),
                 Poll::Ready(Err(RecvError)) => closed += 1,
                 Poll::Pending => {}
@@ -299,7 +299,7 @@ impl<T> Future for AltMany<'_, T> {
         if !self.guards.is_empty() && closed == self.guards.len() {
             return Poll::Ready(Some(Err(RecvError)));
         }
-        poll_deadline(self.deadline, &mut self.registered, cx)
+        poll_deadline(self.deadline, &mut self.registered)
     }
 }
 
@@ -323,13 +323,13 @@ pub struct RecvDeadline<'a, T> {
 impl<T> Future for RecvDeadline<'_, T> {
     type Output = Option<Result<T, RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.rx.poll_take(cx) {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        match self.rx.poll_take() {
             Poll::Ready(r) => return Poll::Ready(Some(r)),
             Poll::Pending => {}
         }
         let deadline = Some(self.deadline);
-        match poll_deadline::<()>(deadline, &mut self.registered, cx) {
+        match poll_deadline::<()>(deadline, &mut self.registered) {
             Poll::Ready(_) => Poll::Ready(None),
             Poll::Pending => Poll::Pending,
         }
@@ -338,17 +338,13 @@ impl<T> Future for RecvDeadline<'_, T> {
 
 /// Shared tail for deadline guards: `Ready(None)` on expiry, else registers
 /// a timer once and stays pending.
-fn poll_deadline<V>(
-    deadline: Option<SimTime>,
-    registered: &mut bool,
-    cx: &mut Context<'_>,
-) -> Poll<Option<V>> {
+fn poll_deadline<V>(deadline: Option<SimTime>, registered: &mut bool) -> Poll<Option<V>> {
     if let Some(d) = deadline {
         if now() >= d {
             return Poll::Ready(None);
         }
         if !*registered {
-            with_current(|i| i.register_timer(d, cx.waker().clone()));
+            with_current(|i| i.register_timer(d));
             *registered = true;
         }
     }

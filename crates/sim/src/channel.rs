@@ -16,7 +16,9 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+
+use crate::executor::{waker, with_current, TaskWaker};
 
 /// Error returned by `send` when the receiver has been dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,12 +45,21 @@ impl std::error::Error for RecvError {}
 struct QEntry<T> {
     value: T,
     // Present while the sending future is still waiting for acceptance.
-    pending: Option<PendingSend>,
+    pending: Option<Rc<PendingSend>>,
 }
 
+/// The one cell a blocked send shares with its queue entry.
 struct PendingSend {
-    done: Rc<Cell<bool>>,
-    waker: Rc<RefCell<Option<Waker>>>,
+    done: Cell<bool>,
+    waker: RefCell<Option<TaskWaker>>,
+}
+
+impl PendingSend {
+    fn wake(&self) {
+        if let Some(w) = self.waker.borrow_mut().take() {
+            w.wake();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -61,7 +72,7 @@ thread_local! {
 pub(crate) struct ChanState<T> {
     queue: RefCell<VecDeque<QEntry<T>>>,
     capacity: usize,
-    recv_waker: RefCell<Option<Waker>>,
+    recv_waker: RefCell<Option<TaskWaker>>,
     senders: Cell<usize>,
     receiver_alive: Cell<bool>,
 }
@@ -94,9 +105,7 @@ impl<T> ChanState<T> {
             .and_then(|e| e.pending.as_ref())
         {
             p.done.set(true);
-            if let Some(w) = p.waker.borrow_mut().take() {
-                w.wake();
-            }
+            p.wake();
         }
     }
 
@@ -104,22 +113,20 @@ impl<T> ChanState<T> {
         let entry = self.queue.borrow_mut().pop_front()?;
         if let Some(p) = entry.pending {
             p.done.set(true);
-            if let Some(w) = p.waker.borrow_mut().take() {
-                w.wake();
-            }
+            p.wake();
         }
         self.accept_within_capacity();
         Some(entry.value)
     }
 
-    fn poll_take(&self, cx: &mut Context<'_>) -> Poll<Result<T, RecvError>> {
+    fn poll_take(&self) -> Poll<Result<T, RecvError>> {
         if let Some(v) = self.pop() {
             return Poll::Ready(Ok(v));
         }
         if self.senders.get() == 0 {
             return Poll::Ready(Err(RecvError));
         }
-        *self.recv_waker.borrow_mut() = Some(cx.waker().clone());
+        with_current(|i| i.register(&mut self.recv_waker.borrow_mut()));
         Poll::Pending
     }
 }
@@ -243,12 +250,7 @@ pub enum TrySendError<T> {
 pub struct SendFuture<'a, T> {
     chan: &'a Rc<ChanState<T>>,
     value: Option<T>,
-    pending: Option<PendingHandle>,
-}
-
-struct PendingHandle {
-    done: Rc<Cell<bool>>,
-    waker: Rc<RefCell<Option<Waker>>>,
+    pending: Option<Rc<PendingSend>>,
 }
 
 // `SendFuture` holds no self-references — a channel handle, an owned
@@ -259,7 +261,7 @@ impl<T> Unpin for SendFuture<'_, T> {}
 impl<T> Future for SendFuture<'_, T> {
     type Output = Result<(), SendError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         if let Some(p) = &this.pending {
             if p.done.get() {
@@ -270,7 +272,7 @@ impl<T> Future for SendFuture<'_, T> {
                 this.pending = None;
                 return Poll::Ready(Err(SendError));
             }
-            *p.waker.borrow_mut() = Some(cx.waker().clone());
+            *p.waker.borrow_mut() = Some(waker());
             return Poll::Pending;
         }
         let Some(value) = this.value.take() else {
@@ -289,17 +291,16 @@ impl<T> Future for SendFuture<'_, T> {
             this.chan.wake_receiver();
             return Poll::Ready(Ok(()));
         }
-        let done = Rc::new(Cell::new(false));
-        let waker = Rc::new(RefCell::new(Some(cx.waker().clone())));
+        let pending = Rc::new(PendingSend {
+            done: Cell::new(false),
+            waker: RefCell::new(Some(waker())),
+        });
         this.chan.queue.borrow_mut().push_back(QEntry {
             value,
-            pending: Some(PendingSend {
-                done: done.clone(),
-                waker: waker.clone(),
-            }),
+            pending: Some(pending.clone()),
         });
         this.chan.wake_receiver();
-        this.pending = Some(PendingHandle { done, waker });
+        this.pending = Some(pending);
         Poll::Pending
     }
 }
@@ -310,11 +311,10 @@ impl<T> Drop for SendFuture<'_, T> {
         if let Some(p) = &self.pending {
             if !p.done.get() {
                 let mut queue = self.chan.queue.borrow_mut();
-                if let Some(pos) = queue.iter().position(|e| {
-                    e.pending
-                        .as_ref()
-                        .is_some_and(|q| Rc::ptr_eq(&q.done, &p.done))
-                }) {
+                if let Some(pos) = queue
+                    .iter()
+                    .position(|e| e.pending.as_ref().is_some_and(|q| Rc::ptr_eq(q, p)))
+                {
                     queue.remove(pos);
                 }
             }
@@ -333,9 +333,7 @@ impl<T> Drop for Receiver<T> {
         // Wake every blocked sender so it can observe the closure.
         for entry in self.state.queue.borrow().iter() {
             if let Some(p) = &entry.pending {
-                if let Some(w) = p.waker.borrow_mut().take() {
-                    w.wake();
-                }
+                p.wake();
             }
         }
     }
@@ -367,8 +365,8 @@ impl<T> Receiver<T> {
         self.state.senders.get() == 0
     }
 
-    pub(crate) fn poll_take(&self, cx: &mut Context<'_>) -> Poll<Result<T, RecvError>> {
-        self.state.poll_take(cx)
+    pub(crate) fn poll_take(&self) -> Poll<Result<T, RecvError>> {
+        self.state.poll_take()
     }
 }
 
@@ -380,8 +378,8 @@ pub struct RecvFuture<'a, T> {
 impl<T> Future for RecvFuture<'_, T> {
     type Output = Result<T, RecvError>;
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.chan.poll_take(cx)
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        self.chan.poll_take()
     }
 }
 

@@ -18,9 +18,9 @@ use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::executor::{now, with_current};
+use crate::executor::{now, waker, with_current, TaskWaker};
 use crate::time::{SimDuration, SimTime};
 
 /// Priority of a CPU claim; larger values are served first.
@@ -36,9 +36,14 @@ pub const PRIO_COMMAND: ClaimPriority = 15;
 struct Waiter {
     priority: ClaimPriority,
     seq: u64,
-    granted: Rc<Cell<bool>>,
-    cancelled: Rc<Cell<bool>>,
-    waker: Rc<RefCell<Option<Waker>>>,
+    claim: Rc<QueuedClaim>,
+}
+
+/// The one cell a queued claim shares with its place in the queue.
+struct QueuedClaim {
+    granted: Cell<bool>,
+    cancelled: Cell<bool>,
+    waker: RefCell<Option<TaskWaker>>,
 }
 
 impl PartialEq for Waiter {
@@ -167,10 +172,10 @@ impl CpuState {
         loop {
             let next = self.queue.borrow_mut().pop();
             match next {
-                Some(w) if w.cancelled.get() => continue,
+                Some(w) if w.claim.cancelled.get() => continue,
                 Some(w) => {
-                    w.granted.set(true);
-                    if let Some(wk) = w.waker.borrow_mut().take() {
+                    w.claim.granted.set(true);
+                    if let Some(wk) = w.claim.waker.borrow_mut().take() {
                         wk.wake();
                     }
                     // The CPU stays "running": it was handed over directly so
@@ -188,15 +193,8 @@ impl CpuState {
 
 enum ClaimState {
     Init,
-    Queued {
-        granted: Rc<Cell<bool>>,
-        cancelled: Rc<Cell<bool>>,
-        waker: Rc<RefCell<Option<Waker>>>,
-    },
-    Running {
-        done_at: SimTime,
-        registered: bool,
-    },
+    Queued(Rc<QueuedClaim>),
+    Running { done_at: SimTime, registered: bool },
     Finished,
 }
 
@@ -226,37 +224,33 @@ impl Claim {
 impl Future for Claim {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
         loop {
             match &mut this.state {
                 ClaimState::Init => {
                     if this.cpu.running.get() {
-                        let granted = Rc::new(Cell::new(false));
-                        let cancelled = Rc::new(Cell::new(false));
-                        let waker = Rc::new(RefCell::new(Some(cx.waker().clone())));
+                        let claim = Rc::new(QueuedClaim {
+                            granted: Cell::new(false),
+                            cancelled: Cell::new(false),
+                            waker: RefCell::new(Some(waker())),
+                        });
                         let seq = this.cpu.seq.get();
                         this.cpu.seq.set(seq + 1);
                         this.cpu.queue.borrow_mut().push(Waiter {
                             priority: this.priority,
                             seq,
-                            granted: granted.clone(),
-                            cancelled: cancelled.clone(),
-                            waker: waker.clone(),
+                            claim: claim.clone(),
                         });
-                        this.state = ClaimState::Queued {
-                            granted,
-                            cancelled,
-                            waker,
-                        };
+                        this.state = ClaimState::Queued(claim);
                         return Poll::Pending;
                     }
                     this.cpu.running.set(true);
                     this.start_running();
                 }
-                ClaimState::Queued { granted, waker, .. } => {
-                    if !granted.get() {
-                        *waker.borrow_mut() = Some(cx.waker().clone());
+                ClaimState::Queued(claim) => {
+                    if !claim.granted.get() {
+                        *claim.waker.borrow_mut() = Some(waker());
                         return Poll::Pending;
                     }
                     this.start_running();
@@ -273,7 +267,7 @@ impl Future for Claim {
                     }
                     if !*registered {
                         let d = *done_at;
-                        with_current(|i| i.register_timer(d, cx.waker().clone()));
+                        with_current(|i| i.register_timer(d));
                         *registered = true;
                     }
                     return Poll::Pending;
@@ -287,14 +281,12 @@ impl Future for Claim {
 impl Drop for Claim {
     fn drop(&mut self) {
         match &self.state {
-            ClaimState::Queued {
-                granted, cancelled, ..
-            } => {
-                if granted.get() {
+            ClaimState::Queued(claim) => {
+                if claim.granted.get() {
                     // Granted but never polled to Running: pass it on.
                     self.cpu.release();
                 } else {
-                    cancelled.set(true);
+                    claim.cancelled.set(true);
                 }
             }
             ClaimState::Running { .. } => {

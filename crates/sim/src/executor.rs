@@ -11,6 +11,17 @@
 //! Determinism: with the same spawn order and the same seeded workloads, a
 //! simulation produces bit-identical schedules, which is what makes the
 //! paper tables exactly reproducible.
+//!
+//! Waking: a [`Simulation`] is owned by one thread, so a wake is a push
+//! onto an `Rc`'d queue of [`TaskId`]s — no lock, no atomic. A leaf future
+//! asks for the task being polled with [`waker`] and keeps the
+//! [`TaskWaker`]; wakes are appended in call order and applied only after
+//! the current poll returns (an immediate enqueue would let a self-wake
+//! overtake the wakes made around it). Timers skip the handle altogether
+//! and name the task that armed them. The std [`Context`] every `poll`
+//! receives carries one inert waker per simulation whose `wake` panics: a
+//! foreign leaf future that registers `cx.waker()` fails loudly on its
+//! first wake-up instead of hanging.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -20,8 +31,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-
-use parking_lot::Mutex;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -39,11 +48,39 @@ pub enum Priority {
     Low,
 }
 
-/// Identifier of a spawned task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identifier of a spawned task: a slot index and the slot's generation.
+///
+/// Both halves are `u32`. The index wrapping would take 2³² tasks live at
+/// once (spawn panics first); the generation wrapping would take 2³² tasks
+/// finishing in *one* slot while a [`TaskWaker`] from exactly 2³²
+/// generations earlier is still held — and would then cost that slot's
+/// occupant one spurious poll, which every future here tolerates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId {
-    index: usize,
-    gen: u64,
+    index: u32,
+    gen: u32,
+}
+
+/// Handle that makes one task runnable again — the simulator's waker.
+///
+/// Obtained with [`waker`] from inside a poll and stored by whatever the
+/// task blocks on. It is an `Rc` on its simulation's wake queue, so it is
+/// `!Send`: that no wake crosses a thread is checked by the compiler. A
+/// handle kept past its task's end wakes nothing (the generation no longer
+/// matches), and one kept past its simulation's end pushes onto a queue
+/// nobody reads.
+#[derive(Clone)]
+pub struct TaskWaker {
+    id: TaskId,
+    queue: Rc<RefCell<Vec<TaskId>>>,
+}
+
+impl TaskWaker {
+    /// Queues the task to be polled again. Takes effect when the poll in
+    /// progress (if any) returns, in call order with every other wake.
+    pub fn wake(&self) {
+        self.queue.borrow_mut().push(self.id);
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,10 +92,9 @@ enum TaskState {
 }
 
 struct Slot {
-    gen: u64,
+    gen: u32,
     state: TaskState,
     future: Option<Pin<Box<dyn Future<Output = ()>>>>,
-    waker: Option<Waker>,
     name: Rc<str>,
     priority: Priority,
     /// Fault-injection hold: a paused task is never polled; wake-ups are
@@ -67,17 +103,13 @@ struct Slot {
     pending_wake: bool,
 }
 
-struct WakeEntry {
-    id: TaskId,
-    woken: Arc<Mutex<Vec<TaskId>>>,
-}
+/// The std waker inside every task's [`Context`]: never the way to wake
+/// a task here, so waking it is a bug worth a panic rather than a hang.
+struct InertWaker;
 
-impl Wake for WakeEntry {
+impl Wake for InertWaker {
     fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.woken.lock().push(self.id);
+        panic!("the Context waker is inert in pandora-sim: register pandora_sim::waker() instead");
     }
 }
 
@@ -94,34 +126,20 @@ impl Wake for WakeEntry {
 ///
 /// [`Normal`]: TimerLane::Normal
 /// [`Late`]: TimerLane::Late
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerLane {
-    Normal,
-    Late,
+    Normal = 0,
+    Late = 1,
 }
 
+/// A pending timer: fires by queueing a wake of the task that armed it.
+/// Derived ordering is `(at, lane << 63 | seq)`; `task` never decides,
+/// because `seq` is unique.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     at: u64,
-    lane: TimerLane,
-    seq: u64,
-    waker: Waker,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.lane == other.lane && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.lane, self.seq).cmp(&(other.at, other.lane, other.seq))
-    }
+    lane_seq: u64,
+    task: TaskId,
 }
 
 pub(crate) struct Inner {
@@ -130,7 +148,8 @@ pub(crate) struct Inner {
     free: RefCell<Vec<usize>>,
     run_high: RefCell<VecDeque<TaskId>>,
     run_low: RefCell<VecDeque<TaskId>>,
-    woken: Arc<Mutex<Vec<TaskId>>>,
+    woken: Rc<RefCell<Vec<TaskId>>>,
+    inert: Waker,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     timer_seq: Cell<u64>,
     ctx_switches: Cell<u64>,
@@ -147,7 +166,8 @@ impl Inner {
             free: RefCell::new(Vec::new()),
             run_high: RefCell::new(VecDeque::new()),
             run_low: RefCell::new(VecDeque::new()),
-            woken: Arc::new(Mutex::new(Vec::new())),
+            woken: Rc::new(RefCell::new(Vec::new())),
+            inert: Waker::from(Arc::new(InertWaker)),
             timers: RefCell::new(BinaryHeap::new()),
             timer_seq: Cell::new(0),
             ctx_switches: Cell::new(0),
@@ -171,7 +191,6 @@ impl Inner {
                     gen: 0,
                     state: TaskState::Done,
                     future: None,
-                    waker: None,
                     name: Rc::from(""),
                     priority,
                     paused: false,
@@ -182,7 +201,7 @@ impl Inner {
         };
         let slot = &mut tasks[index];
         let id = TaskId {
-            index,
+            index: u32::try_from(index).unwrap_or_else(|_| panic!("more than 2^32 task slots")),
             gen: slot.gen,
         };
         slot.state = TaskState::Queued;
@@ -191,10 +210,6 @@ impl Inner {
         slot.priority = priority;
         slot.paused = false;
         slot.pending_wake = false;
-        slot.waker = Some(Waker::from(Arc::new(WakeEntry {
-            id,
-            woken: self.woken.clone(),
-        })));
         drop(tasks);
         self.live_tasks.set(self.live_tasks.get() + 1);
         self.spawned_total.set(self.spawned_total.get() + 1);
@@ -209,33 +224,60 @@ impl Inner {
         SimTime(self.clock.get())
     }
 
-    pub(crate) fn register_timer(&self, at: SimTime, waker: Waker) {
-        self.register_timer_in(at, TimerLane::Normal, waker);
+    /// The task being polled.
+    fn current_task(&self) -> TaskId {
+        match self.current.get() {
+            Some(id) => id,
+            None => panic!("not inside a task poll: wakers and timers belong to a running task"),
+        }
     }
 
-    pub(crate) fn register_timer_late(&self, at: SimTime, waker: Waker) {
-        self.register_timer_in(at, TimerLane::Late, waker);
+    pub(crate) fn waker(&self) -> TaskWaker {
+        TaskWaker {
+            id: self.current_task(),
+            queue: self.woken.clone(),
+        }
     }
 
-    fn register_timer_in(&self, at: SimTime, lane: TimerLane, waker: Waker) {
+    /// Leaves the polling task's waker in `slot` — untouched when it is
+    /// there already, so an ALT re-polled on one guard does not
+    /// re-register the others.
+    pub(crate) fn register(&self, slot: &mut Option<TaskWaker>) {
+        let id = self.current_task();
+        if slot.as_ref().is_none_or(|w| w.id != id) {
+            *slot = Some(self.waker());
+        }
+    }
+
+    /// Arms a timer that wakes the task being polled at `at`.
+    pub(crate) fn register_timer(&self, at: SimTime) {
+        self.register_timer_in(at, TimerLane::Normal);
+    }
+
+    fn register_timer_in(&self, at: SimTime, lane: TimerLane) {
         // One shared seq counter is safe for both lanes: ordering is
         // (at, lane, seq), so extra late-lane registrations shift normal
         // timers' seq values without ever reordering them.
         let seq = self.timer_seq.get();
+        debug_assert!(seq < 1 << 63, "timer seq reached the lane bit");
         self.timer_seq.set(seq + 1);
         self.timers.borrow_mut().push(Reverse(TimerEntry {
             at: at.0,
-            lane,
-            seq,
-            waker,
+            lane_seq: (lane as u64) << 63 | seq,
+            task: self.current_task(),
         }));
     }
 
+    /// Applies the queued wakes in call order. Nothing here runs task
+    /// code, so the queue is drained in place and keeps its capacity.
     fn drain_woken(&self) {
-        let ids: Vec<TaskId> = std::mem::take(&mut *self.woken.lock());
-        for id in ids {
-            let mut tasks = self.tasks.borrow_mut();
-            let Some(slot) = tasks.get_mut(id.index) else {
+        let mut woken = self.woken.borrow_mut();
+        if woken.is_empty() {
+            return;
+        }
+        let mut tasks = self.tasks.borrow_mut();
+        for id in woken.drain(..) {
+            let Some(slot) = tasks.get_mut(id.index as usize) else {
                 continue;
             };
             if slot.gen != id.gen || slot.state != TaskState::Idle {
@@ -247,9 +289,7 @@ impl Inner {
                 continue;
             }
             slot.state = TaskState::Queued;
-            let priority = slot.priority;
-            drop(tasks);
-            match priority {
+            match slot.priority {
                 Priority::High => self.run_high.borrow_mut().push_back(id),
                 Priority::Low => self.run_low.borrow_mut().push_back(id),
             }
@@ -264,9 +304,9 @@ impl Inner {
     }
 
     fn poll_task(self: &Rc<Self>, id: TaskId) {
-        let (mut future, waker) = {
+        let mut future = {
             let mut tasks = self.tasks.borrow_mut();
-            let Some(slot) = tasks.get_mut(id.index) else {
+            let Some(slot) = tasks.get_mut(id.index as usize) else {
                 return;
             };
             if slot.gen != id.gen || slot.state == TaskState::Done {
@@ -280,32 +320,31 @@ impl Inner {
                 return;
             }
             slot.state = TaskState::Running;
-            match (slot.future.take(), slot.waker.clone()) {
-                (Some(future), Some(waker)) => (future, waker),
-                _ => {
-                    // A queued task always has both; reaching here means
+            match slot.future.take() {
+                Some(future) => future,
+                None => {
+                    // A queued task always has one; reaching here means
                     // the slot table is corrupt. Skip the poll rather
                     // than crash the whole simulation.
-                    debug_assert!(false, "queued task {id:?} missing future/waker");
+                    debug_assert!(false, "queued task {id:?} missing its future");
                     return;
                 }
             }
         };
         self.ctx_switches.set(self.ctx_switches.get() + 1);
         self.current.set(Some(id));
-        let mut cx = Context::from_waker(&waker);
+        let mut cx = Context::from_waker(&self.inert);
         let poll = future.as_mut().poll(&mut cx);
         self.current.set(None);
         let mut tasks = self.tasks.borrow_mut();
-        let slot = &mut tasks[id.index];
+        let slot = &mut tasks[id.index as usize];
         match poll {
             Poll::Ready(()) => {
                 slot.state = TaskState::Done;
-                slot.gen += 1;
+                slot.gen = slot.gen.wrapping_add(1);
                 slot.future = None;
-                slot.waker = None;
                 drop(tasks);
-                self.free.borrow_mut().push(id.index);
+                self.free.borrow_mut().push(id.index as usize);
                 self.live_tasks.set(self.live_tasks.get() - 1);
             }
             Poll::Pending => {
@@ -337,7 +376,7 @@ impl Inner {
                     slot.state = TaskState::Queued;
                     requeue.push((
                         TaskId {
-                            index,
+                            index: index as u32,
                             gen: slot.gen,
                         },
                         slot.priority,
@@ -370,9 +409,10 @@ impl Inner {
                     debug_assert!(at >= self.clock.get(), "time must not go backwards");
                     self.clock.set(at.max(self.clock.get()));
                     let mut timers = self.timers.borrow_mut();
+                    let mut woken = self.woken.borrow_mut();
                     while timers.peek().is_some_and(|Reverse(t)| t.at <= at) {
                         if let Some(Reverse(t)) = timers.pop() {
-                            t.waker.wake();
+                            woken.push(t.task);
                         }
                     }
                 }
@@ -678,6 +718,17 @@ pub fn now() -> SimTime {
     with_current(|i| i.now())
 }
 
+/// The waker of the task being polled — what a leaf future stores with
+/// whatever it blocks on (the `Context` waker is inert, see the module
+/// docs).
+///
+/// # Panics
+///
+/// Panics outside a task poll, like [`now`].
+pub fn waker() -> TaskWaker {
+    with_current(|i| i.waker())
+}
+
 /// Current virtual time, or `None` when no simulation is running on this
 /// thread (e.g. during setup before the first `run_until`).
 pub fn try_now() -> Option<SimTime> {
@@ -723,7 +774,7 @@ pub fn delay_until(deadline: SimTime) -> Delay {
         deadline,
         rel: None,
         registered: false,
-        late: false,
+        lane: TimerLane::Normal,
     }
 }
 
@@ -738,7 +789,7 @@ pub fn delay_until_late(deadline: SimTime) -> Delay {
         deadline,
         rel: None,
         registered: false,
-        late: true,
+        lane: TimerLane::Late,
     }
 }
 
@@ -750,7 +801,7 @@ pub fn delay(d: SimDuration) -> Delay {
         deadline: SimTime(u64::MAX),
         rel: Some(d),
         registered: false,
-        late: false,
+        lane: TimerLane::Normal,
     }
 }
 
@@ -760,7 +811,7 @@ pub struct Delay {
     deadline: SimTime,
     rel: Option<SimDuration>,
     registered: bool,
-    late: bool,
+    lane: TimerLane,
 }
 
 impl Delay {
@@ -772,26 +823,21 @@ impl Delay {
 
 impl Future for Delay {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        if let Some(d) = this.rel.take() {
-            this.deadline = now() + d;
-        }
-        let t = with_current(|i| i.now());
-        if t >= this.deadline {
-            return Poll::Ready(());
-        }
-        if !this.registered {
-            with_current(|i| {
-                if this.late {
-                    i.register_timer_late(this.deadline, cx.waker().clone())
-                } else {
-                    i.register_timer(this.deadline, cx.waker().clone())
-                }
-            });
-            this.registered = true;
-        }
-        Poll::Pending
+        with_current(|i| {
+            if let Some(d) = this.rel.take() {
+                this.deadline = i.now() + d;
+            }
+            if i.now() >= this.deadline {
+                return Poll::Ready(());
+            }
+            if !this.registered {
+                i.register_timer_in(this.deadline, this.lane);
+                this.registered = true;
+            }
+            Poll::Pending
+        })
     }
 }
 
@@ -800,12 +846,12 @@ pub async fn yield_now() {
     struct YieldNow(bool);
     impl Future for YieldNow {
         type Output = ();
-        fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
             if self.0 {
                 Poll::Ready(())
             } else {
                 self.0 = true;
-                cx.waker().wake_by_ref();
+                waker().wake();
                 Poll::Pending
             }
         }
@@ -887,6 +933,20 @@ mod tests {
         assert_eq!(hits.get(), 3);
         sim.run_until(SimTime::from_millis(20));
         assert!(hits.get() >= 14, "hits = {}", hits.get());
+    }
+
+    #[test]
+    #[should_panic(expected = "register pandora_sim::waker()")]
+    fn foreign_future_waking_the_context_waker_fails_loudly() {
+        let mut sim = Simulation::new();
+        sim.spawn(
+            "foreign",
+            std::future::poll_fn(|cx| {
+                cx.waker().wake_by_ref();
+                Poll::<()>::Pending
+            }),
+        );
+        sim.run_until_idle();
     }
 
     #[test]

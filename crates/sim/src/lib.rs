@@ -6,7 +6,10 @@
 //!
 //! * a single-threaded, deterministic, virtual-time **executor**
 //!   ([`Simulation`]) with two task priorities, timers and a
-//!   context-switch counter;
+//!   context-switch counter. A blocked leaf future registers the
+//!   [`TaskWaker`] that [`waker`] returns — a task id plus an `Rc` on the
+//!   simulation's wake queue, `!Send` by construction — never the std
+//!   waker in its `Context`, which is inert and panics when woken;
 //! * **rendezvous channels** ([`channel`]) with Occam semantics — a send
 //!   completes only when received — plus [`buffered`] and [`unbounded`]
 //!   variants for hardware FIFOs and report sinks;
@@ -63,7 +66,8 @@ pub use channel::{
 pub use cpu::{Claim, ClaimPriority, Cpu, PRIO_COMMAND, PRIO_NORMAL, PRIO_OUTPUT};
 pub use executor::{
     delay, delay_until, delay_until_late, now, pause_matching, resume_matching, spawn, spawn_prio,
-    try_now, yield_now, DeadlockReport, Delay, Priority, Simulation, Spawner, StopReason, TaskId,
+    try_now, waker, yield_now, DeadlockReport, Delay, Priority, Simulation, Spawner, StopReason,
+    TaskId, TaskWaker,
 };
 pub use link::{
     drifted_tick, link, link_controlled, link_here, LinkConfig, LinkControl, LinkSender, WireSize,

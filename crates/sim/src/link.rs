@@ -12,10 +12,10 @@ use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use crate::channel::{buffered, Receiver, SendError, Sender};
-use crate::executor::{delay, spawn_prio, Priority, Spawner};
+use crate::executor::{delay, spawn_prio, waker, Priority, Spawner, TaskWaker};
 use crate::time::{SimDuration, SimTime};
 
 /// Items that know their size on the wire.
@@ -179,7 +179,7 @@ pub fn link<T: 'static>(spawner: &Spawner, config: LinkConfig) -> (LinkSender<T>
 struct LinkCtlState {
     up: Cell<bool>,
     rate_permille: Cell<u64>,
-    wakers: RefCell<Vec<Waker>>,
+    wakers: RefCell<Vec<TaskWaker>>,
     downs: Cell<u64>,
 }
 
@@ -262,11 +262,11 @@ struct WaitUp {
 
 impl Future for WaitUp {
     type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.state.up.get() {
             Poll::Ready(())
         } else {
-            self.state.wakers.borrow_mut().push(cx.waker().clone());
+            self.state.wakers.borrow_mut().push(waker());
             Poll::Pending
         }
     }
