@@ -1,10 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Only the `channel::bounded` constructor is provided, backed by
-//! `std::sync::mpsc::sync_channel`, whose blocking `send` gives the same
-//! rendezvous back-pressure the live runtime (`pandora::rt`) relies on.
-//! The real crossbeam channel is MPMC; this shim is MPSC, which matches
-//! every use in this workspace (one consumer per channel).
+//! `std::sync::mpsc::sync_channel`. Nothing in the workspace has called
+//! it since the wall-clock runtime (`crates/core/src/rt.rs`) was
+//! deleted; the shim and the `crossbeam` line in `crates/core/Cargo.toml`
+//! stay only because dropping them rewrites the tracked
+//! `benchmark/Cargo.lock` (ROADMAP item 3).
 
 /// Bounded blocking channels, mirroring `crossbeam::channel`.
 pub mod channel {

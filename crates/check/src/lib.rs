@@ -427,15 +427,10 @@ impl Default for Config {
                 "shard",
                 "overlay",
             ]),
-            // rt.rs is the intentionally-live runtime; `repro` times its
-            // own run, while the experiment library beside it stays
-            // virtual-time; the analyzer itself times its own run for the
-            // report.
-            wall_clock_allowlist: v(&[
-                "crates/core/src/rt.rs",
-                "crates/bench/src/bin/repro.rs",
-                "crates/check",
-            ]),
+            // `repro` times its own run, while the experiment library
+            // beside it stays virtual-time; the analyzer itself times its
+            // own run for the report.
+            wall_clock_allowlist: v(&["crates/bench/src/bin/repro.rs", "crates/check"]),
             command_plane_crates: v(&["session", "recover"]),
         }
     }

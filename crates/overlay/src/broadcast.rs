@@ -27,9 +27,14 @@
 //! [`RepairEngine`]'s leases, a dead interior relay's orphans are
 //! grafted onto their precomputed backup parents, and each backup
 //! replays its clawback ring so the orphan's stripe refills inside the
-//! playout budget. Everything is driven by virtual time and
-//! deterministic channel selection, so a run's merged report is
-//! byte-identical across replays and shard counts.
+//! playout budget. The source is not a special case of any of this: it
+//! is the root relay of every tree, and keeps, forwards and adopts
+//! through the same relay state a viewer uses for its one interior
+//! stripe. A viewer listens to its control port ahead of its stripe
+//! inputs (P4), so a graft is applied at once however deep the stripe
+//! backlog. Everything is driven by virtual time and deterministic
+//! channel selection, so a run's merged report is byte-identical across
+//! replays and shard counts.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -42,8 +47,7 @@ use pandora_recover::{
     AdaptAction, AdaptMachine, HealthConfig, LeaseConfig, MediaClass, WindowSample,
 };
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
-use pandora_shard::broadcast::shard_of;
-use pandora_shard::{Cluster, Egress, Ingress, PortSender, ShardEnv};
+use pandora_shard::{shard_of, Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
     alt_many, delay, link_controlled, now, unbounded, LinkConfig, Receiver, Sender, SimDuration,
     WireSize,
@@ -68,7 +72,8 @@ pub const OVERLAY_VCI_BASE: u32 = 0x40;
 /// A scripted mid-broadcast crash of one member.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashPlan {
-    /// The member that dies (must not be 0 — the source hosts the hub).
+    /// The viewer that dies, `1..=viewers` (never 0: the source hosts
+    /// the hub).
     pub member: usize,
     /// Virtual time of the crash, from run start.
     pub at: SimDuration,
@@ -78,7 +83,7 @@ pub struct CrashPlan {
 /// `pandora-faults` ([`FaultPlan::uplink_cap`]).
 #[derive(Debug, Clone, Copy)]
 pub struct UplinkCapPlan {
-    /// The member whose uplink is capped.
+    /// The viewer whose uplink is capped, `1..=viewers`.
     pub member: usize,
     /// When the cap lands.
     pub at: SimDuration,
@@ -186,6 +191,14 @@ pub enum BuildError {
         /// The admission decision that refused it.
         decision: Decision,
     },
+    /// A scripted fault ([`CrashPlan`] or [`UplinkCapPlan`]) names a
+    /// member that is not a viewer — it would silently never fire.
+    FaultTarget {
+        /// Which plan (`"crash"` or `"uplink_cap"`).
+        plan: &'static str,
+        /// The member it names.
+        member: usize,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -197,6 +210,9 @@ impl std::fmt::Display for BuildError {
                     f,
                     "relay admission refused for member {member}: {decision:?}"
                 )
+            }
+            BuildError::FaultTarget { plan, member } => {
+                write!(f, "{plan} plan names member {member}, not a viewer")
             }
         }
     }
@@ -349,6 +365,8 @@ struct Uplink {
     cap: usize,
     late_bound_nanos: u64,
     kick: Sender<()>,
+    /// Set when the member crashes: its uplink falls silent.
+    dead: StdCell<bool>,
     enqueued: StdCell<u64>,
     drops: StdCell<u64>,
     window_enq: StdCell<u64>,
@@ -363,6 +381,7 @@ impl Uplink {
             cap: cap.max(1),
             late_bound_nanos,
             kick,
+            dead: StdCell::new(false),
             enqueued: StdCell::new(0),
             drops: StdCell::new(0),
             window_enq: StdCell::new(0),
@@ -426,7 +445,6 @@ fn spawn_uplink(
     uplink_cps: u64,
     cfg: &OverlayConfig,
     outs: Vec<(usize, usize, Egress<Msg>)>,
-    dead: Rc<StdCell<bool>>,
 ) -> (Rc<Uplink>, pandora_sim::LinkControl) {
     let child_txs: BTreeMap<(usize, usize), PortSender<Msg>> = outs
         .into_iter()
@@ -443,11 +461,10 @@ fn spawn_uplink(
         LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS),
     );
     let pump_up = uplink.clone();
-    let pump_dead = dead.clone();
     env.spawner().spawn(&format!("ovl:up{member}"), async move {
         while kick_rx.recv().await.is_ok() {
             while let Some(item) = pump_up.pop() {
-                if pump_dead.get() {
+                if pump_up.dead.get() {
                     continue;
                 }
                 if link_tx.send(item).await.is_err() {
@@ -456,11 +473,11 @@ fn spawn_uplink(
             }
         }
     });
-    let out_dead = dead;
+    let out_up = uplink.clone();
     env.spawner()
         .spawn(&format!("ovl:out{member}"), async move {
             while let Ok(item) = link_rx.recv().await {
-                if out_dead.get() {
+                if out_up.dead.get() {
                     continue;
                 }
                 if let Some(tx) = child_txs.get(&(item.tree, item.dest)) {
@@ -490,11 +507,96 @@ fn install_uplink_cap(
     Some(install(env.spawner(), &plan, &targets))
 }
 
+/// A member's relaying half: its uplink and, per tree, the clawback
+/// ring of the stripe and the live children. The source is the root
+/// relay of all `k` trees; a viewer relays its interior stripe only and
+/// is a leaf (no ring) elsewhere. Shared by the member's tasks (relay or
+/// source loop, heartbeat or hub sweep) and its finish report.
+struct Relay {
+    uplink: Rc<Uplink>,
+    /// Per tree: the ring (`None` on a leaf), and the plan's children
+    /// plus every adopted orphan.
+    trees: RefCell<Vec<(Option<RepairRing>, Vec<usize>)>>,
+    grafts_in: StdCell<u64>,
+    /// The P8 rate divisor the heartbeat's [`AdaptMachine`] last set.
+    divisor: StdCell<u32>,
+    max_divisor: StdCell<u32>,
+    p8_skips: StdCell<u64>,
+}
+
+impl Relay {
+    fn new(
+        uplink: Rc<Uplink>,
+        children: Vec<Vec<usize>>,
+        relays_tree: impl Fn(usize) -> bool,
+        ring: usize,
+    ) -> Rc<Relay> {
+        let trees = children
+            .into_iter()
+            .enumerate()
+            .map(|(t, kids)| (relays_tree(t).then(|| RepairRing::new(ring)), kids));
+        Rc::new(Relay {
+            uplink,
+            trees: RefCell::new(trees.collect()),
+            grafts_in: StdCell::new(0),
+            divisor: StdCell::new(1),
+            max_divisor: StdCell::new(1),
+            p8_skips: StdCell::new(0),
+        })
+    }
+
+    /// Keeps `slice` in its stripe's clawback ring — unless this member
+    /// is a leaf of that tree, or P8 is shedding this segment. Returns
+    /// whether live children are waiting for [`Relay::forward`].
+    fn keep(&self, slice: &Slice) -> bool {
+        let mut trees = self.trees.borrow_mut();
+        let k = trees.len().max(1) as u32;
+        let Some((Some(ring), children)) = trees.get_mut(slice.tree as usize) else {
+            return false;
+        };
+        let div = self.divisor.get();
+        if div > 1 && !(slice.seq / k).is_multiple_of(div) {
+            self.p8_skips.set(self.p8_skips.get() + 1);
+            return false;
+        }
+        ring.push(slice.clone());
+        !children.is_empty()
+    }
+
+    /// Queues one copy of `slice`, stamped now, for each live child of
+    /// its tree.
+    fn forward(&self, slice: &Slice) {
+        let tree = slice.tree as usize;
+        let sent = now().as_nanos();
+        for &dest in &self.trees.borrow()[tree].1 {
+            self.uplink.push(tree, dest, slice.retimed(sent));
+        }
+    }
+
+    /// Adopts `orphan` as a child on `tree` and replays the clawback
+    /// ring to it from `resume_from`.
+    fn adopt(&self, tree: usize, orphan: usize, resume_from: u32) {
+        self.grafts_in.set(self.grafts_in.get() + 1);
+        let mut trees = self.trees.borrow_mut();
+        let (ring, children) = &mut trees[tree];
+        if !children.contains(&orphan) {
+            children.push(orphan);
+        }
+        let sent = now().as_nanos();
+        for s in ring.iter().flat_map(|r| r.replay_from(resume_from)) {
+            self.uplink.push(tree, orphan, s.retimed(sent));
+        }
+    }
+}
+
 /// Everything one viewer's setup closure needs, shipped to its shard.
 struct NodeSeat {
     member: usize,
     interior: Option<usize>,
     children: Vec<Vec<usize>>,
+    /// The hub's graft orders.
+    ctl: Ingress<Msg>,
+    /// Stripe inputs: primary edges, then backup edges.
     ins: Vec<Ingress<Msg>>,
     outs: Vec<(usize, usize, Egress<Msg>)>,
     report: Egress<Hello>,
@@ -502,58 +604,42 @@ struct NodeSeat {
 }
 
 fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
-    let NodeSeat {
-        member,
-        interior,
-        children,
-        ins,
-        outs,
-        report,
-        cfg,
-    } = seat;
-    let k = cfg.trees;
+    let (member, interior, cfg) = (seat.member, seat.interior, seat.cfg);
 
-    let rxs: Vec<Receiver<Msg>> = ins.into_iter().map(|i| env.bind_ingress(i)).collect();
-    let rpt_tx = env.open_egress(report);
+    // The PRI ALT's guard order: the command channel first (P4), so a
+    // graft never queues behind a stripe backlog.
+    let rxs: Vec<Receiver<Msg>> = std::iter::once(seat.ctl)
+        .chain(seat.ins)
+        .map(|i| env.bind_ingress(i))
+        .collect();
+    let rpt_tx = env.open_egress(seat.report);
 
-    let dead = Rc::new(StdCell::new(false));
-    let receiver = Rc::new(RefCell::new(StripeReceiver::new(k, cfg.playout.as_nanos())));
-    let ring = Rc::new(RefCell::new(RepairRing::new(cfg.ring)));
-    let active = Rc::new(RefCell::new(children));
-    let divisor = Rc::new(StdCell::new(1u32));
-    let max_divisor = Rc::new(StdCell::new(1u32));
-    let p8_skips = Rc::new(StdCell::new(0u64));
-    let grafts_in = Rc::new(StdCell::new(0u64));
-
-    let (uplink, link_ctl) = spawn_uplink(env, member, cfg.uplink_cps, &cfg, outs, dead.clone());
+    let receiver = Rc::new(RefCell::new(StripeReceiver::new(
+        cfg.trees,
+        cfg.playout.as_nanos(),
+    )));
+    let (uplink, link_ctl) = spawn_uplink(env, member, cfg.uplink_cps, &cfg, seat.outs);
     let fault_trace = install_uplink_cap(env, member, &cfg, &link_ctl);
+    let relay = Relay::new(uplink, seat.children, |t| interior == Some(t), cfg.ring);
 
-    if let Some(crash) = cfg.crash {
-        if crash.member == member {
-            let crash_dead = dead.clone();
-            env.spawner()
-                .spawn(&format!("ovl:crash{member}"), async move {
-                    delay(crash.at).await;
-                    crash_dead.set(true);
-                });
-        }
+    if let Some(crash) = cfg.crash.filter(|c| c.member == member) {
+        let crashed = relay.clone();
+        env.spawner()
+            .spawn(&format!("ovl:crash{member}"), async move {
+                delay(crash.at).await;
+                crashed.uplink.dead.set(true);
+            });
     }
 
     // The relay proper: deliver, dedupe, and forward its interior
     // stripe (clawback ring, P8 divisor, P3 uplink queue).
-    let main_dead = dead.clone();
+    let main = relay.clone();
     let main_rx = receiver.clone();
-    let main_ring = ring.clone();
-    let main_active = active.clone();
-    let main_div = divisor.clone();
-    let main_p8 = p8_skips.clone();
-    let main_grafts = grafts_in.clone();
-    let main_up = uplink.clone();
     env.spawner()
         .spawn(&format!("ovl:node{member}"), async move {
             let refs: Vec<&Receiver<Msg>> = rxs.iter().collect();
             while let Some(Ok((_, msg))) = alt_many(&refs).await {
-                if main_dead.get() {
+                if main.uplink.dead.get() {
                     continue;
                 }
                 match msg {
@@ -562,55 +648,24 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
                         if let Accept::Duplicate = main_rx.borrow_mut().accept(&slice, arrived) {
                             continue;
                         }
-                        let tree = slice.tree as usize;
-                        if interior != Some(tree) {
-                            continue;
-                        }
-                        let div = main_div.get();
-                        if div > 1 && !(slice.seq / k.max(1) as u32).is_multiple_of(div) {
-                            main_p8.set(main_p8.get() + 1);
-                            continue;
-                        }
-                        main_ring.borrow_mut().push(slice.clone());
-                        let kids: Vec<usize> = main_active.borrow()[tree].clone();
-                        if kids.is_empty() {
-                            continue;
-                        }
-                        delay(cfg.relay_cost).await;
-                        let sent = now().as_nanos();
-                        for dest in kids {
-                            main_up.push(tree, dest, slice.retimed(sent));
+                        if main.keep(&slice) {
+                            delay(cfg.relay_cost).await;
+                            main.forward(&slice);
                         }
                     }
                     Msg::Graft {
                         tree,
                         orphan,
                         resume_from,
-                    } => {
-                        main_grafts.set(main_grafts.get() + 1);
-                        {
-                            let mut a = main_active.borrow_mut();
-                            if !a[tree].contains(&orphan) {
-                                a[tree].push(orphan);
-                            }
-                        }
-                        let replay = main_ring.borrow().replay_from(resume_from);
-                        let sent = now().as_nanos();
-                        for s in replay {
-                            main_up.push(tree, orphan, s.retimed(sent));
-                        }
-                    }
+                    } => main.adopt(tree, orphan, resume_from),
                 }
             }
         });
 
     // Heartbeat: liveness + resume points to the hub, and the local P8
     // window observation.
-    let hb_dead = dead.clone();
+    let hb = relay.clone();
     let hb_rx = receiver.clone();
-    let hb_up = uplink.clone();
-    let hb_div = divisor.clone();
-    let hb_max = max_divisor.clone();
     env.spawner().spawn(&format!("ovl:hb{member}"), async move {
         let mut adapt = AdaptMachine::new(
             MediaClass::Video,
@@ -621,17 +676,17 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
         );
         loop {
             delay(cfg.heartbeat).await;
-            if hb_dead.get() {
+            if hb.uplink.dead.get() {
                 break;
             }
             rpt_tx.send(Hello {
                 node: member,
                 next: hb_rx.borrow().next_expected().to_vec(),
             });
-            let sample = hb_up.take_window();
+            let sample = hb.uplink.take_window();
             if let Some(AdaptAction::SetDivisor(d)) = adapt.observe(&sample) {
-                hb_div.set(d);
-                hb_max.set(hb_max.get().max(d));
+                hb.divisor.set(d);
+                hb.max_divisor.set(hb.max_divisor.get().max(d));
             }
         }
     });
@@ -652,15 +707,15 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
             r.gap_skips(),
             r.lost(cfg.segments),
             r.late(),
-            uplink.enqueued.get(),
-            uplink.drops.get(),
-            p8_skips.get(),
-            grafts_in.get(),
-            max_divisor.get(),
+            relay.uplink.enqueued.get(),
+            relay.uplink.drops.get(),
+            relay.p8_skips.get(),
+            relay.grafts_in.get(),
+            relay.max_divisor.get(),
             r.gap_max_nanos() / 1_000,
             r.stripe_gap_max_nanos() / 1_000,
             r.hop_max_nanos() / 1_000,
-            u64::from(dead.get()),
+            u64::from(relay.uplink.dead.get()),
             buckets,
         )];
         if let Some(trace) = &fault_trace {
@@ -683,43 +738,28 @@ struct HubSeat {
 }
 
 fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
-    let HubSeat {
-        src_children,
-        outs,
-        ctls,
-        reports,
-        plan,
-        cfg,
-    } = seat;
+    let cfg = seat.cfg;
     let k = cfg.trees;
 
-    let ctl_txs: BTreeMap<usize, PortSender<Msg>> = ctls
+    let ctl_txs: BTreeMap<usize, PortSender<Msg>> = seat
+        .ctls
         .into_iter()
         .map(|(v, egress)| (v, env.open_egress(egress)))
         .collect();
     // Every member's report port on one queue, in merge-key order: a
     // `Hello` names its own node, so the ear needs no per-port guard.
-    let hello_rx = env.bind_ingress_merged(reports);
+    let hello_rx = env.bind_ingress_merged(seat.reports);
 
-    let dead = Rc::new(StdCell::new(false)); // the source never dies
-    let (uplink, _link_ctl) = spawn_uplink(env, 0, cfg.source_uplink_cps, &cfg, outs, dead.clone());
-
-    let rings = Rc::new(RefCell::new(
-        (0..k)
-            .map(|_| RepairRing::new(cfg.ring))
-            .collect::<Vec<_>>(),
-    ));
-    let active = Rc::new(RefCell::new(src_children));
-    let engine = Rc::new(RefCell::new(RepairEngine::new(plan, cfg.lease)));
-    let src_grafts = Rc::new(StdCell::new(0u64));
+    // The source is the root relay of every tree, and never dies.
+    let (uplink, _link_ctl) = spawn_uplink(env, 0, cfg.source_uplink_cps, &cfg, seat.outs);
+    let relay = Relay::new(uplink, seat.src_children, |_| true, cfg.ring);
+    let engine = Rc::new(RefCell::new(RepairEngine::new(seat.plan, cfg.lease)));
     let slab_bytes = cfg.payload_bytes.max(64);
     let slab = ByteSlab::new(4, slab_bytes);
 
     // The source: one slab write and one gather per segment, then Arc
     // clones all the way down the trees.
-    let src_up = uplink.clone();
-    let src_rings = rings.clone();
-    let src_active = active.clone();
+    let src = relay.clone();
     let src_slab = slab.clone();
     env.spawner().spawn("ovl:src", async move {
         let cells_per = cells_per_segment(cfg.payload_bytes) as u32;
@@ -755,10 +795,8 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
                 sent: stamp,
                 burst: Arc::new(burst),
             };
-            src_rings.borrow_mut()[tree].push(slice.clone());
-            let kids: Vec<usize> = src_active.borrow()[tree].clone();
-            for dest in kids {
-                src_up.push(tree, dest, slice.retimed(stamp));
+            if src.keep(&slice) {
+                src.forward(&slice);
             }
             delay(cfg.segment_interval).await;
         }
@@ -777,10 +815,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     // each death's orphans are grafted — remotely via the control plane,
     // or locally when the source itself is the backup.
     let sweep_engine = engine.clone();
-    let sweep_rings = rings.clone();
-    let sweep_active = active.clone();
-    let sweep_up = uplink.clone();
-    let sweep_grafts = src_grafts.clone();
+    let sweep_relay = relay.clone();
     env.spawner().spawn("ovl:hub:sweep", async move {
         // First sweep half a beat after the first hellos are due, so a
         // healthy member is never missed on startup jitter.
@@ -789,18 +824,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
             let grafts = sweep_engine.borrow_mut().sweep(now().as_nanos());
             for g in grafts {
                 if g.backup == 0 {
-                    sweep_grafts.set(sweep_grafts.get() + 1);
-                    {
-                        let mut a = sweep_active.borrow_mut();
-                        if !a[g.tree].contains(&g.orphan) {
-                            a[g.tree].push(g.orphan);
-                        }
-                    }
-                    let replay = sweep_rings.borrow()[g.tree].replay_from(g.resume_from);
-                    let sent = now().as_nanos();
-                    for s in replay {
-                        sweep_up.push(g.tree, g.orphan, s.retimed(sent));
-                    }
+                    sweep_relay.adopt(g.tree, g.orphan, g.resume_from);
                 } else if let Some(tx) = ctl_txs.get(&g.backup) {
                     tx.send(Msg::Graft {
                         tree: g.tree,
@@ -816,11 +840,11 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     env.on_finish(move || {
         let mut lines = vec![format!(
             "node0000 src fwd={} p3={} slabin={} slabout={} srcgraft={}",
-            uplink.enqueued.get(),
-            uplink.drops.get(),
+            relay.uplink.enqueued.get(),
+            relay.uplink.drops.get(),
             slab.copied_in_bytes(),
             slab.copied_out_bytes(),
-            src_grafts.get(),
+            relay.grafts_in.get(),
         )];
         let e = engine.borrow();
         lines.push(format!(
@@ -845,9 +869,10 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
 ///
 /// # Errors
 ///
-/// [`BuildError::Plan`] when the planner refuses the shape,
-/// [`BuildError::Admission`] when a member's relay charge does not fit
-/// its uplink budget.
+/// [`BuildError::FaultTarget`] when a scripted crash or uplink cap names
+/// a member that is not a viewer, [`BuildError::Plan`] when the planner
+/// refuses the shape, [`BuildError::Admission`] when a member's relay
+/// charge does not fit its uplink budget — all before a port exists.
 ///
 /// # Panics
 ///
@@ -857,6 +882,15 @@ pub fn build_overlay_broadcast(
     cfg: &OverlayConfig,
     shards: usize,
 ) -> Result<OverlayBuild, BuildError> {
+    let fault_targets = [
+        ("crash", cfg.crash.map(|c| c.member)),
+        ("uplink_cap", cfg.uplink_cap.map(|c| c.member)),
+    ];
+    for (plan, member) in fault_targets {
+        if let Some(member) = member.filter(|m| !(1..=cfg.viewers).contains(m)) {
+            return Err(BuildError::FaultTarget { plan, member });
+        }
+    }
     let plan = plan_for(cfg).map_err(BuildError::Plan)?;
     let relay_tx_cps = charge_relay_admission(&plan, cfg)?;
     let n = plan.members();
@@ -866,33 +900,29 @@ pub fn build_overlay_broadcast(
 
     let mut ins: Vec<Vec<Ingress<Msg>>> = (0..n).map(|_| Vec::new()).collect();
     let mut outs: Vec<Vec<(usize, usize, Egress<Msg>)>> = (0..n).map(|_| Vec::new()).collect();
-    // Primary tree edges.
-    for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
-        for t in 0..k {
-            let Some(p) = plan.parent(t, v) else { continue };
-            let (eg, ing) =
-                cluster.port::<Msg>(place(p), place(v), cfg.hop_latency, &format!("e{t}.{v}"));
-            outs[p].push((t, v, eg));
-            ins_v.push(ing);
-        }
-    }
-    // Backup (graft) edges: grandparent → grandchild, pre-wired so a
-    // repair needs no new ports mid-run.
-    for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
-        for t in 0..k {
-            let Some(g) = plan.backup(t, v) else { continue };
-            let (eg, ing) =
-                cluster.port::<Msg>(place(g), place(v), cfg.hop_latency, &format!("b{t}.{v}"));
-            outs[g].push((t, v, eg));
-            ins_v.push(ing);
+    // Primary tree edges, then backup (graft) edges: grandparent →
+    // grandchild, pre-wired so a repair needs no new ports mid-run.
+    type Upstream = fn(&TreePlan, usize, usize) -> Option<usize>;
+    for (prefix, upstream) in [("e", TreePlan::parent as Upstream), ("b", TreePlan::backup)] {
+        for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
+            for t in 0..k {
+                let Some(p) = upstream(&plan, t, v) else {
+                    continue;
+                };
+                let name = format!("{prefix}{t}.{v}");
+                let (eg, ing) = cluster.port::<Msg>(place(p), place(v), cfg.hop_latency, &name);
+                outs[p].push((t, v, eg));
+                ins_v.push(ing);
+            }
         }
     }
     // Control plane: hub → member grafts, member → hub heartbeats.
     let mut ctls: Vec<(usize, Egress<Msg>)> = Vec::with_capacity(n.saturating_sub(1));
-    for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
+    let mut ctl_ins: Vec<Ingress<Msg>> = Vec::with_capacity(n.saturating_sub(1));
+    for v in 1..n {
         let (eg, ing) = cluster.port::<Msg>(place(0), place(v), cfg.ctl_latency, &format!("c{v}"));
         ctls.push((v, eg));
-        ins_v.push(ing);
+        ctl_ins.push(ing);
     }
     let mut reports: Vec<Ingress<Hello>> = Vec::with_capacity(n.saturating_sub(1));
     let mut report_eg: Vec<Egress<Hello>> = Vec::with_capacity(n.saturating_sub(1));
@@ -904,29 +934,28 @@ pub fn build_overlay_broadcast(
     }
 
     // Setups in member order: the merge key order of the finish report.
-    let mut outs_iter = outs.into_iter();
-    let mut ins_iter = ins.into_iter();
+    let mut outs = outs.into_iter();
     let hub = HubSeat {
         src_children: (0..k).map(|t| plan.children(t, 0).to_vec()).collect(),
-        outs: outs_iter.next().unwrap_or_default(),
+        outs: outs.next().unwrap_or_default(),
         ctls,
         reports,
         plan: plan.clone(),
         cfg: *cfg,
     };
-    let _ = ins_iter.next();
     cluster.setup(0, move |env| hub_setup(env, hub));
-    let mut report_iter = report_eg.into_iter();
-    for v in 1..n {
-        let (Some(v_ins), Some(v_outs), Some(report)) =
-            (ins_iter.next(), outs_iter.next(), report_iter.next())
-        else {
-            break;
-        };
+    let viewers = ins
+        .into_iter()
+        .skip(1)
+        .zip(outs)
+        .zip(ctl_ins)
+        .zip(report_eg);
+    for (v, (((v_ins, v_outs), ctl), report)) in (1..n).zip(viewers) {
         let seat = NodeSeat {
             member: v,
             interior: plan.interior_tree(v),
             children: (0..k).map(|t| plan.children(t, v).to_vec()).collect(),
+            ctl,
             ins: v_ins,
             outs: v_outs,
             report,
@@ -1203,6 +1232,93 @@ mod tests {
             "repair gap {}us exceeds playout",
             s.stripe_gap_max_us_alive
         );
+    }
+
+    /// P4 on the overlay: with the control port last in the relay's PRI
+    /// ALT, a backup parent whose stripe inputs never go idle never
+    /// hears the hub's graft orders at all.
+    #[test]
+    fn graft_is_applied_within_one_relay_cost_however_deep_the_stripe_backlog() {
+        let mut cfg = small_cfg();
+        cfg.segments = 200;
+        // Dearer than the 12 ms stripe interval: every relay's interior
+        // stripe input backs up for good.
+        cfg.relay_cost = SimDuration::from_millis(13);
+        let plan = plan_for(&cfg).expect("plan");
+        // A relay two levels down: its orphans' backup is a viewer, so
+        // the grafts cross the control plane.
+        let victim = (1..plan.members())
+            .find(|&v| {
+                plan.interior_tree(v).is_some_and(|t| {
+                    !plan.children(t, v).is_empty() && plan.parent(t, v) != Some(0)
+                })
+            })
+            .expect("no interior relay below the first level");
+        cfg.crash = Some(CrashPlan {
+            member: victim,
+            at: SimDuration::from_millis(60),
+        });
+        let run_to = |deadline: SimTime| {
+            let built = build_overlay_broadcast(&cfg, 1).expect("build");
+            built.cluster.run(deadline).merged_lines()
+        };
+
+        // When the hub issued the grafts, from its own log.
+        let issued: Vec<u64> = run_to(SimTime::from_millis(500))
+            .iter()
+            .filter_map(|l| {
+                l.strip_prefix("hub t=")?
+                    .split_once(" graft ")?
+                    .0
+                    .parse()
+                    .ok()
+            })
+            .collect();
+        assert!(!issued.is_empty(), "the crash orphaned nobody");
+        // A graft arrives one control hop later; the backup may be inside
+        // one slice's relay cost, and must take the graft next.
+        let applied_by = SimTime::from_nanos(issued.iter().max().copied().unwrap_or(0))
+            + cfg.ctl_latency
+            + cfg.relay_cost
+            + SimDuration::from_micros(1);
+        let s = OverlaySummary::parse(&run_to(applied_by));
+        assert_eq!(s.hub_grafts, issued.len() as u64);
+        assert_eq!(s.grafts_in, s.hub_grafts, "grafts starved behind stripes");
+    }
+
+    #[test]
+    fn fault_plans_must_name_a_viewer() {
+        let viewers = small_cfg().viewers;
+        for (member, valid) in [(0, false), (viewers + 1, false), (viewers, true)] {
+            let crash = OverlayConfig {
+                crash: Some(CrashPlan {
+                    member,
+                    at: SimDuration::from_millis(10),
+                }),
+                ..small_cfg()
+            };
+            let cap = OverlayConfig {
+                uplink_cap: Some(UplinkCapPlan {
+                    member,
+                    at: SimDuration::from_millis(10),
+                    hold: SimDuration::from_millis(10),
+                    permille: 500,
+                }),
+                ..small_cfg()
+            };
+            for (what, cfg) in [("crash", crash), ("uplink_cap", cap)] {
+                match build_overlay_broadcast(&cfg, 1) {
+                    Ok(_) => assert!(valid, "{what} on member {member} was accepted"),
+                    Err(BuildError::FaultTarget {
+                        plan, member: m, ..
+                    }) => {
+                        assert!(!valid, "{what} on viewer {member} was refused");
+                        assert_eq!((plan, m), (what, member));
+                    }
+                    Err(e) => panic!("{what} on member {member}: {e}"),
+                }
+            }
+        }
     }
 
     #[test]

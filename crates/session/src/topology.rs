@@ -1,17 +1,23 @@
-//! Topology builders: conference stars and point-to-point calls over
-//! the ATM fabric.
+//! The star topology: conferences and point-to-point calls over the ATM
+//! fabric.
 //!
 //! A [`Star`] attaches `n` Pandora's Boxes and one controller to a
 //! central VCI-routed cell switch, each over its own full-duplex
 //! multi-hop path. The well-known control circuits are installed at
 //! build time; everything else — stream routes, splits, sinks — is
 //! installed and removed live by the [`Controller`].
+//!
+//! Each wiring fact is stated once here — attachment naming, seeds and
+//! fault-control names (`attach`), the fabric with its control circuits
+//! and directory (`spawn_fabric`), the port pump, a box's agent and
+//! [`StarNode`] — and placed twice: on one executor by [`Star::build`],
+//! over a sharded cluster by [`crate::build_sharded_star`].
 
 use std::rc::Rc;
 
 use pandora::{BoxConfig, PandoraBox};
-use pandora_atm::{build_duplex_path, HopConfig, PathControl, Switch, Vci};
-use pandora_sim::Spawner;
+use pandora_atm::{build_duplex_path, Cell, DuplexPath, HopConfig, PathControl, Switch, Vci};
+use pandora_sim::{LinkSender, Receiver, Spawner};
 
 use crate::control::{spawn_agent, AgentStats, Controller, ControllerConfig};
 use crate::directory::{Capabilities, Directory, EndpointId, EndpointRecord};
@@ -26,40 +32,11 @@ pub const CONTROL_VCI_BASE: u32 = 0x7F00;
 pub const REPLY_VCI_BASE: u32 = 0x7E00;
 
 /// Box `i`'s well-known (control, reply) circuit pair.
-pub(crate) fn control_vcis(i: usize) -> (Vci, Vci) {
+fn control_vcis(i: usize) -> (Vci, Vci) {
     (
         Vci(CONTROL_VCI_BASE + i as u32),
         Vci(REPLY_VCI_BASE + i as u32),
     )
-}
-
-/// Seed of attachment `i` (box `i`, or the controller at `i == n`) under
-/// the star's master seed.
-pub(crate) fn attachment_seed(master: u64, i: usize) -> u64 {
-    master.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9)
-}
-
-/// Installs box `i`'s well-known control circuits on the fabric —
-/// controller → box `i`, and box `i`'s replies → the controller's port
-/// `n` — and registers the box in the directory.
-pub(crate) fn install_control_circuit(
-    switch: &Switch,
-    directory: &mut Directory,
-    i: usize,
-    n: usize,
-    name: &str,
-    caps: Capabilities,
-) -> EndpointId {
-    let (control_vci, reply_vci) = control_vcis(i);
-    switch.route(control_vci, i, control_vci);
-    switch.route(reply_vci, n, reply_vci);
-    directory.register(EndpointRecord {
-        name: name.to_string(),
-        caps,
-        port: i,
-        control_vci,
-        reply_vci,
-    })
 }
 
 /// Parameters of a [`Star`] conference fabric.
@@ -94,15 +71,127 @@ impl Default for StarConfig {
     }
 }
 
-/// One endpoint of a [`Star`]: the box, its directory id and its
-/// agent's admission state.
+/// One endpoint of a star: the box, its directory id, its agent's
+/// admission state and the fault controls of its attachment — what
+/// [`Star::build`] returns per box and what [`crate::build_sharded_star`]
+/// hands each box's hook.
 pub struct StarNode {
+    /// Box index (port number on the fabric).
+    pub index: usize,
+    /// The box's generated name (`node{index}`).
+    pub name: &'static str,
     /// The box itself.
     pub boxy: Rc<PandoraBox>,
     /// The endpoint's directory id.
     pub endpoint: EndpointId,
     /// The box agent's admission statistics.
     pub agent: AgentStats,
+    /// Fault controls of this attachment (`node{i}.ab` / `node{i}.ba`).
+    pub path_controls: Vec<(String, PathControl)>,
+}
+
+impl StarNode {
+    /// Spawns the agent of box `index` on its well-known circuits and
+    /// assembles the node. The directory numbers endpoints in
+    /// registration order, which [`spawn_fabric`] keeps equal to box
+    /// order, so the id needs no lookup — a box on another shard than the
+    /// directory has nothing to look it up in.
+    pub(crate) fn start(
+        spawner: &Spawner,
+        index: usize,
+        name: &'static str,
+        caps: Capabilities,
+        boxy: Rc<PandoraBox>,
+        path_controls: Vec<(String, PathControl)>,
+    ) -> StarNode {
+        let (control_vci, reply_vci) = control_vcis(index);
+        let agent = spawn_agent(spawner, boxy.clone(), caps, control_vci, reply_vci);
+        StarNode {
+            index,
+            name,
+            boxy,
+            endpoint: EndpointId(index as u32),
+            agent,
+            path_controls,
+        }
+    }
+}
+
+/// Attachment `i`'s name in an `n`-box star: `node{i}`, or `controller`
+/// for the last.
+fn attachment_name(i: usize, n: usize) -> String {
+    if i == n {
+        "controller".to_string()
+    } else {
+        format!("node{i}")
+    }
+}
+
+/// Builds attachment `i` of an `n`-box star — box `i`, or the controller
+/// at `i == n`: names it, derives its seed from the master seed, spawns
+/// its duplex path — the A side is the endpoint's, the B side the
+/// switch's — and names the path's two fault controls (`{name}.ab` /
+/// `{name}.ba`).
+pub(crate) fn attach(
+    spawner: &Spawner,
+    i: usize,
+    n: usize,
+    config: &StarConfig,
+) -> (&'static str, Vec<(String, PathControl)>, DuplexPath) {
+    let name: &'static str = Box::leak(attachment_name(i, n).into_boxed_str());
+    let seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
+    let duplex = build_duplex_path(spawner, name, &config.hops, seed);
+    let path_controls = vec![
+        (format!("{name}.ab"), duplex.a_to_b_ctrl.clone()),
+        (format!("{name}.ba"), duplex.b_to_a_ctrl.clone()),
+    ];
+    (name, path_controls, duplex)
+}
+
+/// Spawns the pump from fabric output `i` back toward its endpoint.
+pub(crate) fn spawn_port_pump(
+    spawner: &Spawner,
+    i: usize,
+    port_rx: Receiver<Cell>,
+    b_tx: LinkSender<Cell>,
+) {
+    spawner.spawn(&format!("star:port{i}"), async move {
+        while let Ok(cell) = port_rx.recv().await {
+            if b_tx.send(cell).await.is_err() {
+                return;
+            }
+        }
+    });
+}
+
+/// Spawns the central switch over the attachments' switch-side receivers
+/// (`inputs`: box order, the controller's last), installs every box's
+/// well-known control circuits — controller → box `i`, and box `i`'s
+/// replies → the controller's port `n` — and registers the boxes in a
+/// fresh directory. Returns the switch, its output ports in input order,
+/// and the directory.
+pub(crate) fn spawn_fabric(
+    spawner: &Spawner,
+    inputs: Vec<Receiver<Cell>>,
+    n: usize,
+    config: &StarConfig,
+) -> (Rc<Switch>, Vec<Receiver<Cell>>, Directory) {
+    let (switch, port_rxs) = Switch::spawn(spawner, "star", inputs, n + 1, config.port_queue);
+    let mut directory = Directory::new();
+    for i in 0..n {
+        let (control_vci, reply_vci) = control_vcis(i);
+        switch.route(control_vci, i, control_vci);
+        switch.route(reply_vci, n, reply_vci);
+        let endpoint = directory.register(EndpointRecord {
+            name: attachment_name(i, n),
+            caps: config.caps,
+            port: i,
+            control_vci,
+            reply_vci,
+        });
+        debug_assert_eq!(endpoint, EndpointId(i as u32));
+    }
+    (Rc::new(switch), port_rxs, directory)
 }
 
 /// A conference star: `n` boxes and a controller around one cell
@@ -114,7 +203,7 @@ pub struct Star {
     pub controller: Rc<Controller>,
     /// The central fabric switch.
     pub switch: Rc<Switch>,
-    path_controls: Vec<(String, PathControl)>,
+    controller_paths: Vec<(String, PathControl)>,
 }
 
 impl Star {
@@ -126,77 +215,49 @@ impl Star {
     /// Panics if `n` is zero.
     pub fn build(spawner: &Spawner, n: usize, config: StarConfig) -> Star {
         assert!(n > 0, "a star needs at least one box");
-        let mut inputs = Vec::new();
-        let mut box_sides = Vec::new();
-        let mut path_controls = Vec::new();
-        // Attachment i: the box (or controller) is the A side, the
-        // switch the B side.
+        let mut inputs = Vec::with_capacity(n + 1);
+        let mut ends = Vec::with_capacity(n + 1);
         for i in 0..=n {
-            let name: &'static str = if i == n {
-                "controller"
-            } else {
-                Box::leak(format!("node{i}").into_boxed_str())
-            };
-            let duplex =
-                build_duplex_path(spawner, name, &config.hops, attachment_seed(config.seed, i));
+            let (name, path_controls, duplex) = attach(spawner, i, n, &config);
             inputs.push(duplex.b_rx);
-            path_controls.push((format!("{name}.ab"), duplex.a_to_b_ctrl));
-            path_controls.push((format!("{name}.ba"), duplex.b_to_a_ctrl));
-            box_sides.push((name, duplex.a_tx, duplex.a_rx, duplex.b_tx));
+            ends.push((name, path_controls, duplex.a_tx, duplex.a_rx, duplex.b_tx));
         }
-        let (switch, port_rxs) = Switch::spawn(spawner, "star", inputs, n + 1, config.port_queue);
-        let switch = Rc::new(switch);
-        let mut directory = Directory::new();
-        let mut pending_agents = Vec::new();
-        let mut controller_side = None;
-        for (i, ((name, a_tx, a_rx, b_tx), port_rx)) in
-            box_sides.into_iter().zip(port_rxs).enumerate()
+        let (switch, port_rxs, directory) = spawn_fabric(spawner, inputs, n, &config);
+        // Each port's pump, then its box: the controller's attachment
+        // (the last) has a pump and no box.
+        let mut boxes = Vec::with_capacity(n);
+        let mut controller_end = None;
+        for (i, ((name, path_controls, a_tx, a_rx, b_tx), port_rx)) in
+            ends.into_iter().zip(port_rxs).enumerate()
         {
-            // Pump the switch's output port back toward the endpoint.
-            spawner.spawn(&format!("star:port{i}"), async move {
-                while let Ok(cell) = port_rx.recv().await {
-                    if b_tx.send(cell).await.is_err() {
-                        return;
-                    }
-                }
-            });
+            spawn_port_pump(spawner, i, port_rx, b_tx);
             if i == n {
-                controller_side = Some((a_tx, a_rx));
-                continue;
+                controller_end = Some((path_controls, a_tx, a_rx));
+            } else {
+                let box_config = (config.box_config)(name);
+                let boxy = Rc::new(PandoraBox::new(spawner, box_config, a_tx, a_rx));
+                boxes.push((name, boxy, path_controls));
             }
-            let endpoint =
-                install_control_circuit(&switch, &mut directory, i, n, name, config.caps);
-            let boxy = Rc::new(PandoraBox::new(
-                spawner,
-                (config.box_config)(name),
-                a_tx,
-                a_rx,
-            ));
-            pending_agents.push((boxy, endpoint));
         }
-        let (ctl_tx, ctl_rx) = controller_side.expect("controller attachment missing");
-        let controller = Controller::spawn(
+        let (controller_paths, ctl_tx, ctl_rx) =
+            controller_end.expect("controller attachment missing");
+        let controller = Rc::new(Controller::spawn(
             spawner,
             directory,
             switch.clone(),
             ctl_tx,
             ctl_rx,
             config.controller,
-        );
-        let nodes = pending_agents
+        ));
+        // The agents sit between the controller and its probes in spawn
+        // order, which decides same-instant run order.
+        let nodes = boxes
             .into_iter()
             .enumerate()
-            .map(|(i, (boxy, endpoint))| {
-                let (control_vci, reply_vci) = control_vcis(i);
-                let agent = spawn_agent(spawner, boxy.clone(), config.caps, control_vci, reply_vci);
-                StarNode {
-                    boxy,
-                    endpoint,
-                    agent,
-                }
+            .map(|(i, (name, boxy, path_controls))| {
+                StarNode::start(spawner, i, name, config.caps, boxy, path_controls)
             })
             .collect();
-        let controller = Rc::new(controller);
         // Failure detection is opt-in: with a lease config the
         // controller probes every box on the command path and
         // reconverges conferences around crashes.
@@ -207,7 +268,7 @@ impl Star {
             nodes,
             controller,
             switch,
-            path_controls,
+            controller_paths,
         }
     }
 
@@ -215,8 +276,11 @@ impl Star {
     /// `node<i>.ab` / `node<i>.ba` / `controller.ab` / `controller.ba`
     /// — register these with a `pandora-faults` plan to disturb the
     /// signalling or media paths.
-    pub fn path_controls(&self) -> &[(String, PathControl)] {
-        &self.path_controls
+    pub fn path_controls(&self) -> impl Iterator<Item = &(String, PathControl)> {
+        self.nodes
+            .iter()
+            .flat_map(|node| &node.path_controls)
+            .chain(&self.controller_paths)
     }
 }
 

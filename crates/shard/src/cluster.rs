@@ -222,6 +222,15 @@ impl Cluster {
     }
 }
 
+/// The shard that owns member `i` of `members` when a topology is placed
+/// by contiguous index ranges: member 0 on shard 0, and monotonic in `i`,
+/// so reports merged in shard order come out in member order at every
+/// shard count.
+pub fn shard_of(i: usize, members: usize, shards: usize) -> usize {
+    debug_assert!(i < members);
+    i * shards / members
+}
+
 /// The in-shard face of the cluster, handed to setup closures: spawn
 /// tasks, open and bind port halves, read the blackboard, register
 /// end-of-run reporters.

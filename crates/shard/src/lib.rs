@@ -47,16 +47,20 @@
 //! The OS threads live in [`runtime`] — the one sanctioned exception to
 //! the workspace's no-threads determinism rule, and the only module
 //! with an os-thread waiver in `pandora-check`.
+//!
+//! The crate ships no topology: the stars are built by
+//! `pandora_session::build_sharded_star`, the broadcast by
+//! `pandora_overlay::build_overlay_broadcast`, and the equivalence
+//! suite runs those. [`shard_of`] is the contiguous-range placement
+//! the broadcast uses; a star takes its placement as a function.
 
 mod cluster;
 mod exchange;
 mod hub;
 mod runtime;
 
-pub mod broadcast;
-
 #[cfg(test)]
 mod tests;
 
-pub use cluster::{Blackboard, Cluster, Egress, Ingress, PortSender, ShardEnv};
+pub use cluster::{shard_of, Blackboard, Cluster, Egress, Ingress, PortSender, ShardEnv};
 pub use runtime::RunReport;

@@ -7,7 +7,6 @@ use std::rc::Rc;
 
 use pandora_sim::{delay, now, SimDuration, SimTime};
 
-use crate::broadcast::{self, BroadcastConfig};
 use crate::Cluster;
 
 /// Two boxes ping-ponging a counter across one duplex link, placed
@@ -176,30 +175,6 @@ fn setup_panic_propagates_without_hanging_other_shards() {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_default();
     assert!(msg.contains("boom in setup"), "unexpected payload: {msg}");
-}
-
-#[test]
-fn broadcast_trace_is_identical_across_shard_counts() {
-    let cfg = BroadcastConfig {
-        boxes: 25,
-        fanout: 3,
-        segment_interval: SimDuration::from_millis(2),
-        segments: 8,
-        hop_latency: SimDuration::from_micros(200),
-        relay_cost: SimDuration::from_micros(40),
-    };
-    let deadline = SimTime::from_millis(40);
-    let baseline = broadcast::build(&cfg, 1).run(deadline).merged_lines();
-    assert_eq!(baseline.len(), cfg.boxes);
-    // Every relay saw every segment by the deadline.
-    assert!(
-        baseline.iter().skip(1).all(|l| l.contains("recv=8")),
-        "incomplete broadcast: {baseline:?}"
-    );
-    for shards in [2, 4, 8] {
-        let got = broadcast::build(&cfg, shards).run(deadline).merged_lines();
-        assert_eq!(got, baseline, "shard count {shards} diverged");
-    }
 }
 
 /// Two ports into one merged receiver. The sender deliberately uses the
