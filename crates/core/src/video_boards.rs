@@ -1,7 +1,8 @@
 //! The capture board and the mixer (display) board for video (§3.6).
 //!
-//! Capture: a camera task refreshes the framestore at the full 25 Hz rate;
-//! one task per video stream reads its rectangle at the stream's
+//! Capture: a camera task scans the framestore at the full 25 Hz rate (a
+//! frame's pixels are developed when first read, see [`Camera`]); one
+//! task per video stream reads its rectangle at the stream's
 //! fractional rate, timing reads to dodge the camera scan, compresses
 //! line-by-line and emits placement-carrying segments. Display: segments
 //! are decompressed (with the per-stream last-line cache), whole frames
@@ -89,45 +90,77 @@ fn push_through_compression(
     Ok((n_slices, DUMMY_FLUSH_LINES as u64))
 }
 
-/// A shared framestore refreshed by the camera task.
+/// A camera scanning a shared framestore at 25 Hz.
+///
+/// The paper's camera writes the framestore "continuously on a second
+/// port" and costs the box's processors nothing (§3.6), so an unread
+/// camera costs nothing here either: the `camera:*` task only counts
+/// frame periods, and a frame's pixels are developed the first time a
+/// reader looks at them — [`Camera::with_frame`] is the only way to the
+/// store, so an undeveloped frame cannot be read.
 #[derive(Clone)]
 pub struct Camera {
-    store: Rc<RefCell<FrameStore>>,
-    frames: Rc<Cell<u64>>,
+    inner: Rc<CameraInner>,
+}
+
+struct CameraInner {
+    pattern: TestPattern,
+    store: RefCell<FrameStore>,
+    /// Frame periods scanned so far.
+    frames: Cell<u64>,
+    /// Frames developed into the store.
+    rendered: Cell<u64>,
 }
 
 impl Camera {
-    /// Spawns the camera: writes a fresh [`TestPattern`] frame every 40 ms.
+    /// Spawns the camera: scans a fresh [`TestPattern`] frame every 40 ms.
     pub fn spawn(spawner: &Spawner, name: &str, width: u32, height: u32) -> Camera {
-        let store = Rc::new(RefCell::new(FrameStore::new(width, height)));
-        let frames = Rc::new(Cell::new(0u64));
         let cam = Camera {
-            store: store.clone(),
-            frames: frames.clone(),
+            inner: Rc::new(CameraInner {
+                pattern: TestPattern::new(width, height),
+                store: RefCell::new(FrameStore::new(width, height)),
+                frames: Cell::new(0),
+                rendered: Cell::new(0),
+            }),
         };
-        let pattern = TestPattern::new(width, height);
+        let scan = cam.inner.clone();
         spawner.spawn(&format!("camera:{name}"), async move {
-            let mut n: u64 = 0;
             loop {
-                store
-                    .borrow_mut()
-                    .write_frame_with(|pixels| pattern.render_into(n, pixels));
-                frames.set(n + 1);
-                n += 1;
+                scan.frames.set(scan.frames.get() + 1);
                 pandora_sim::delay(SimDuration::from_nanos(FRAME_PERIOD_NANOS)).await;
             }
         });
         cam
     }
 
-    /// The shared framestore.
-    pub fn store(&self) -> Rc<RefCell<FrameStore>> {
-        self.store.clone()
+    /// Reads the framestore as it stands now: frame `frames() - 1` of
+    /// the test pattern, developed here if no earlier read of this frame
+    /// period did it (at most one render per scanned frame), or the
+    /// zeroed store before the first scan.
+    pub fn with_frame<R>(&self, read: impl FnOnce(&FrameStore) -> R) -> R {
+        let cam = &*self.inner;
+        let frames = cam.frames.get();
+        let mut store = cam.store.borrow_mut();
+        if store.generation() < frames {
+            store.write_frame_with(frames, |pixels| cam.pattern.render_into(frames - 1, pixels));
+            cam.rendered.set(cam.rendered.get() + 1);
+        }
+        read(&store)
     }
 
-    /// Camera frames written so far.
+    /// Lines in the framestore (geometry only: develops nothing).
+    pub fn height(&self) -> u32 {
+        self.inner.store.borrow().height()
+    }
+
+    /// Camera frame periods scanned so far.
     pub fn frames(&self) -> u64 {
-        self.frames.get()
+        self.inner.frames.get()
+    }
+
+    /// Frames developed into the store because someone read them.
+    pub fn rendered(&self) -> u64 {
+        self.inner.rendered.get()
     }
 }
 
@@ -205,8 +238,8 @@ pub fn spawn_video_capture(
         divisor: Rc::new(Cell::new(1)),
     };
     let h = handle.clone();
-    let store = camera.store();
-    let scan = ScanModel::new(store.borrow().height(), FRAME_PERIOD_NANOS);
+    let camera = camera.clone();
+    let scan = ScanModel::new(camera.height(), FRAME_PERIOD_NANOS);
     spawner.spawn(&format!("video-capture:{name}:{stream}"), async move {
         let mut frame_no: u64 = 0;
         let mut seq = SequenceNumber(0);
@@ -245,10 +278,8 @@ pub fn spawn_video_capture(
             let cost = config.rect.height as u64 * costs.capture_per_line_ns;
             cpu.claim(SimDuration::from_nanos(cost)).await;
             let ts = Timestamp::from_nanos(frame_time.as_nanos());
-            let segments = {
-                let store = store.borrow();
-                capture_rect(&store, &config, frame_no as u32, seq, ts)
-            };
+            let segments =
+                camera.with_frame(|store| capture_rect(store, &config, frame_no as u32, seq, ts));
             for _ in 0..segments.len() {
                 seq = seq.next();
             }
@@ -446,6 +477,13 @@ mod tests {
     }
 
     fn rig(rate: RateFraction) -> (Simulation, VideoCaptureHandle, DisplaySink) {
+        let (sim, handle, sink, _camera) = rig_with_camera(rate);
+        (sim, handle, sink)
+    }
+
+    fn rig_with_camera(
+        rate: RateFraction,
+    ) -> (Simulation, VideoCaptureHandle, DisplaySink, Camera) {
         let mut sim = Simulation::new();
         let spawner = sim.spawner();
         let camera = Camera::spawn(&spawner, "t", 128, 96);
@@ -473,26 +511,114 @@ mod tests {
         );
         // Let the camera run.
         sim.run_for(SimDuration::from_millis(1));
-        (sim, handle, sink)
+        (sim, handle, sink, camera)
+    }
+
+    const WHOLE: Rect = Rect::new(0, 0, 128, 96);
+
+    /// Asserts the store reads as camera frame `frame` (0-based) and is
+    /// stamped with the scan count.
+    fn assert_holds(camera: &Camera, pattern: &TestPattern, frame: u64) {
+        assert_eq!(camera.frames(), frame + 1);
+        camera.with_frame(|store| {
+            assert_eq!(store.generation(), frame + 1);
+            assert!(
+                store.read_rect(WHOLE) == pattern.frame(frame),
+                "store is not frame {frame}"
+            );
+        });
     }
 
     #[test]
-    fn camera_writes_one_frame_per_period_in_place() {
+    fn camera_shows_one_frame_per_period_in_place() {
         let mut sim = Simulation::new();
         let camera = Camera::spawn(&sim.spawner(), "t", 128, 96);
         let pattern = TestPattern::new(128, 96);
-        let whole = Rect::new(0, 0, 128, 96);
+        camera.with_frame(|store| assert_eq!(store.generation(), 0));
         for k in 0..30u64 {
             sim.run_until(SimTime::from_nanos(k * FRAME_PERIOD_NANOS + 1));
-            assert_eq!(camera.frames(), k + 1);
-            let store = camera.store();
-            let store = store.borrow();
-            assert_eq!(store.generation(), k + 1);
-            assert!(
-                store.read_rect(whole) == pattern.frame(k),
-                "store after {k} periods is not frame {k}"
-            );
+            assert_holds(&camera, &pattern, k);
         }
+        assert_eq!(camera.rendered(), 30);
+    }
+
+    #[test]
+    fn unread_camera_scans_but_develops_nothing() {
+        let mut sim = Simulation::new();
+        let camera = Camera::spawn(&sim.spawner(), "t", 128, 96);
+        sim.run_until(SimTime::from_secs(1));
+        // Scans at 0, 40, …, 1000 ms, exactly as the eager camera counted.
+        assert_eq!(camera.frames(), 26);
+        assert_eq!(camera.rendered(), 0);
+    }
+
+    #[test]
+    fn capture_develops_one_frame_per_frame_captured() {
+        let (mut sim, handle, _sink, camera) = rig_with_camera(RateFraction::new(2, 5));
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(camera.frames(), 51);
+        assert!(handle.frames() >= 19, "captured {}", handle.frames());
+        assert!(
+            (handle.frames()..=handle.frames() + 1).contains(&camera.rendered()),
+            "{} renders for {} captured frames",
+            camera.rendered(),
+            handle.frames()
+        );
+    }
+
+    #[test]
+    fn readers_at_any_instant_see_what_the_eager_camera_held() {
+        let mut sim = Simulation::new();
+        let spawner = sim.spawner();
+        // `early` arms its 80 ms timer at t = 0, before the camera arms
+        // its own at 40 ms, so at the boundary it runs first and must
+        // still see the second frame; `late` arms the same instant from
+        // 47 ms, runs after the scan and must see the third.
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let reader = |name: &'static str, camera: Camera, wakes: Vec<SimTime>| {
+            let seen = seen.clone();
+            async move {
+                for at in wakes {
+                    pandora_sim::delay_until(at).await;
+                    let twice = [(); 2].map(|()| {
+                        camera.with_frame(|store| (store.generation(), store.read_rect(WHOLE)))
+                    });
+                    assert!(twice[0] == twice[1]);
+                    let [(generation, pixels), _] = twice;
+                    assert_eq!(generation, camera.frames());
+                    seen.borrow_mut().push((name, at, generation, pixels));
+                }
+            }
+        };
+        let cam = Camera::spawn(&spawner, "t", 128, 96);
+        spawner.spawn(
+            "early",
+            reader("early", cam.clone(), vec![SimTime::from_millis(80)]),
+        );
+        let irregular = [1, 39_999_999, 47_000_000, 80_000_000, 413_000_007]
+            .map(SimTime::from_nanos)
+            .to_vec();
+        spawner.spawn("late", reader("late", cam.clone(), irregular));
+        sim.run_until(SimTime::from_millis(500));
+
+        let pattern = TestPattern::new(128, 96);
+        let expected = [
+            ("late", 1u64, 0u64),
+            ("late", 39_999_999, 0),
+            ("late", 47_000_000, 1),
+            ("early", 80_000_000, 1),
+            ("late", 80_000_000, 2),
+            ("late", 413_000_007, 10),
+        ];
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), expected.len());
+        for ((name, at, generation, pixels), (who, when, frame)) in seen.iter().zip(expected) {
+            assert_eq!((*name, at.as_nanos()), (who, when));
+            assert_eq!(*generation, frame + 1, "{who} at {when} ns");
+            assert!(*pixels == pattern.frame(frame), "{who} at {when} ns");
+        }
+        // Twelve reads of four distinct frames.
+        assert_eq!(cam.rendered(), 4);
     }
 
     #[test]

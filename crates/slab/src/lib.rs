@@ -2,10 +2,15 @@
 //!
 //! The byte-level half of the §3.4 allocator. Where [`pandora-buffers`]'
 //! `Pool` reference-counts *descriptors* (indices of typed values), this
-//! crate owns the payload *bytes* themselves: an arena of fixed-capacity
-//! slab regions, all allocated once at construction and never resized,
-//! handed out as refcounted [`SlabRef`] slices. Cloning a `SlabRef` bumps a counter; subslicing is
-//! O(1); nothing is memcpy'd until a device boundary is crossed.
+//! crate owns the payload *bytes* themselves: an arena of a fixed number
+//! of fixed-capacity slab regions, each backed with memory the first
+//! time it is handed out and kept from then on, handed out as refcounted
+//! [`SlabRef`] slices. The free list is LIFO, so an arena backs exactly
+//! its high-water mark of concurrently live regions and allocates
+//! nothing once that mark is reached — an idle box does not pay for the
+//! streams it could carry. Cloning a `SlabRef` bumps a counter;
+//! subslicing is O(1); nothing is memcpy'd until a device boundary is
+//! crossed.
 //!
 //! The paper's two-copy invariant — segment data is "copied once on input
 //! and once on output", everything in between moves buffer indices — is
@@ -59,10 +64,11 @@ impl std::error::Error for SlabError {}
 struct Slot {
     refs: u32,
     len: usize,
-    /// The region's bytes, allocated once at arena construction. `None`
-    /// only while a [`SlabWriter`] owns the buffer outright — writers
-    /// take it out so the append hot path indexes a plain slice with no
-    /// per-call borrow of shared state.
+    /// The region's bytes, allocated the first time the slot is grabbed
+    /// and never given back. `None` before that (the slot is then free,
+    /// `refs == 0`) and while a [`SlabWriter`] owns the buffer outright
+    /// (`refs >= 1`) — writers take it out so the append hot path indexes
+    /// a plain slice with no per-call borrow of shared state.
     buf: Option<Box<[u8]>>,
 }
 
@@ -74,6 +80,8 @@ struct SlabInner {
     /// (`SlabRef`s keep the `Rc` alive, so `Drop` of the inner cannot be
     /// the trigger as it is for the descriptor pool).
     handles: Cell<usize>,
+    /// Slots ever given their buffer.
+    backed: Cell<usize>,
     allocations: Cell<u64>,
     alloc_failures: Cell<u64>,
     copied_in: Cell<u64>,
@@ -121,8 +129,9 @@ pub fn take_slab_leak_report() -> Option<SlabLeakReport> {
     LAST_SLAB_LEAK.with(|l| l.borrow_mut().take())
 }
 
-/// A fixed arena of `count` byte slabs of `slab_bytes` each, allocated
-/// once at construction. Cloning the handle shares the same arena.
+/// A fixed arena of at most `count` byte slabs of `slab_bytes` each, a
+/// slab's memory allocated when it is first used. Cloning the handle
+/// shares the same arena.
 pub struct ByteSlab {
     inner: Rc<SlabInner>,
 }
@@ -185,6 +194,9 @@ impl fmt::Debug for ByteSlab {
 
 impl ByteSlab {
     /// Creates an arena of `count` slabs of `slab_bytes` bytes each.
+    /// Only the slot table is reserved here: `count` caps how many
+    /// regions can be live at once, and a slot gets its `slab_bytes` the
+    /// first time it is handed out (see [`ByteSlab::backed`]).
     ///
     /// # Panics
     ///
@@ -192,20 +204,20 @@ impl ByteSlab {
     pub fn new(count: usize, slab_bytes: usize) -> ByteSlab {
         assert!(count > 0, "slab count must be non-zero");
         assert!(slab_bytes > 0, "slab size must be non-zero");
-        let mut slots = Vec::with_capacity(count);
-        for _ in 0..count {
-            slots.push(Slot {
+        let slots = (0..count)
+            .map(|_| Slot {
                 refs: 0,
                 len: 0,
-                buf: Some(vec![0u8; slab_bytes].into_boxed_slice()),
-            });
-        }
+                buf: None,
+            })
+            .collect();
         ByteSlab {
             inner: Rc::new(SlabInner {
                 slots: RefCell::new(slots),
                 free: RefCell::new((0..count).rev().collect()),
                 slab_bytes,
                 handles: Cell::new(1),
+                backed: Cell::new(0),
                 allocations: Cell::new(0),
                 alloc_failures: Cell::new(0),
                 copied_in: Cell::new(0),
@@ -222,6 +234,13 @@ impl ByteSlab {
                 let slot = &mut slots[index];
                 slot.refs = 1;
                 slot.len = 0;
+                if slot.buf.is_none() {
+                    // First use of this slot: a free slot without its
+                    // buffer has never been grabbed (only a writer takes
+                    // a buffer out, and it puts it back before freeing).
+                    slot.buf = Some(vec![0u8; self.inner.slab_bytes].into_boxed_slice());
+                    self.inner.backed.set(self.inner.backed.get() + 1);
+                }
                 self.inner.allocations.set(self.inner.allocations.get() + 1);
                 Ok(index)
             }
@@ -250,7 +269,7 @@ impl ByteSlab {
         {
             let mut slots = self.inner.slots.borrow_mut();
             let slot = &mut slots[index];
-            // check:allow(no-unwrap): free-listed slots always hold their buffer.
+            // check:allow(no-unwrap): grabbed slots always hold their buffer.
             let buf = slot.buf.as_mut().expect("allocated slab owns its buffer");
             buf[..data.len()].copy_from_slice(data);
             slot.len = data.len();
@@ -277,7 +296,7 @@ impl ByteSlab {
         let buf = self.inner.slots.borrow_mut()[index]
             .buf
             .take()
-            // check:allow(no-unwrap): free-listed slots always hold their buffer.
+            // check:allow(no-unwrap): grabbed slots always hold their buffer.
             .expect("allocated slab owns its buffer");
         Ok(SlabWriter {
             inner: self.inner.clone(),
@@ -296,6 +315,13 @@ impl ByteSlab {
     /// Total slabs in the arena.
     pub fn capacity(&self) -> usize {
         self.inner.slots.borrow().len()
+    }
+
+    /// Slabs ever backed with memory: the high-water mark of regions
+    /// live at once, since the LIFO free list reuses a backed slot
+    /// before it touches a fresh one.
+    pub fn backed(&self) -> usize {
+        self.inner.backed.get()
     }
 
     /// Slabs currently free.
@@ -699,6 +725,83 @@ mod tests {
             drop(clone);
         }
         assert!(take_slab_leak_report().is_none());
+    }
+
+    #[test]
+    fn backs_exactly_the_high_water_mark_of_live_regions() {
+        let slab = ByteSlab::new(288, 256);
+        assert_eq!(slab.backed(), 0);
+        let mut live: Vec<SlabRef> = Vec::new();
+        let mut high_water = 0;
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for op in 0..10_000 {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let draw = (rng >> 33) as usize;
+            // Climb to 64 live regions early, then churn below the mark.
+            let ceiling = if op < 2_000 { 64 } else { 32 };
+            if live.len() < ceiling && (live.is_empty() || !draw.is_multiple_of(3)) {
+                live.push(if draw.is_multiple_of(2) {
+                    slab.try_alloc_copy(&[op as u8]).unwrap()
+                } else {
+                    let mut w = slab.try_writer().unwrap();
+                    w.append(&[op as u8]).unwrap();
+                    w.freeze()
+                });
+            } else {
+                live.swap_remove(draw % live.len());
+            }
+            high_water = high_water.max(live.len());
+            assert_eq!(slab.backed(), high_water, "after op {op}");
+        }
+        assert_eq!(high_water, 64);
+        assert_eq!(slab.alloc_failures(), 0);
+        drop(live);
+        assert_eq!(slab.free_count(), 288);
+        assert_eq!(slab.backed(), 64);
+    }
+
+    #[test]
+    fn exhaustion_is_set_by_count_not_by_backing() {
+        let slab = ByteSlab::new(3, 8);
+        let held: Vec<SlabRef> = (0..3).map(|i| slab.try_alloc_copy(&[i]).unwrap()).collect();
+        assert_eq!(slab.backed(), 3);
+        assert_eq!(slab.try_alloc_copy(&[9]).unwrap_err(), SlabError::Exhausted);
+        assert_eq!(slab.try_writer().unwrap_err(), SlabError::Exhausted);
+        assert_eq!(slab.alloc_failures(), 2);
+        assert_eq!(slab.backed(), 3);
+        drop(held);
+    }
+
+    #[test]
+    fn a_slot_first_used_by_a_writer_behaves_like_any_other() {
+        let _ = take_slab_leak_report();
+        {
+            let slab = ByteSlab::new(4, 8);
+            // Abandoned first use: the buffer goes back, the slot frees
+            // and stays backed.
+            drop(slab.try_writer().unwrap());
+            assert_eq!((slab.backed(), slab.free_count()), (1, 4));
+            // Frozen first use of a fresh slot (the abandoned one is
+            // held so the free list cannot hand it out again).
+            let reused = slab.try_alloc_copy(&[7]).unwrap();
+            assert_eq!(reused.slab_index(), 0);
+            let mut w = slab.try_writer().unwrap();
+            assert_eq!(slab.backed(), 2);
+            assert_eq!(w.remaining(), 8);
+            w.append(&[1, 2, 3]).unwrap();
+            let r = w.freeze();
+            assert_eq!(r.slab_index(), 1);
+            r.with(|b| assert_eq!(b, &[1, 2, 3]));
+            assert_eq!(r.slice(1, 2).copy_to_vec(), vec![2, 3]);
+            assert_eq!(slab.copied_in_bytes(), 4);
+            // Leak it: slots 2 and 3 were never backed and must not show.
+            std::mem::forget(r);
+        }
+        let report = take_slab_leak_report().expect("slab leak audit must fire");
+        assert_eq!(report.capacity, 4);
+        assert_eq!(report.leaked, vec![(1, 1)]);
     }
 
     #[test]

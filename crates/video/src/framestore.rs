@@ -71,7 +71,8 @@ pub struct FrameStore {
     width: u32,
     height: u32,
     pixels: Vec<u8>,
-    /// Generation counter: bumped by each camera frame write.
+    /// Generation counter: the camera frame number the store holds,
+    /// counted from 1 (0 is the zeroed store before any write).
     generation: u64,
 }
 
@@ -110,7 +111,8 @@ impl FrameStore {
         self.height
     }
 
-    /// Frames written so far.
+    /// The camera frame the store holds: frames scanned when it was last
+    /// written (0 before any write).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -122,14 +124,17 @@ impl FrameStore {
     /// Panics if `frame` is not exactly `width * height` bytes.
     pub fn write_frame(&mut self, frame: &[u8]) {
         assert_eq!(frame.len(), self.pixels.len(), "frame size mismatch");
-        self.write_frame_with(|pixels| pixels.copy_from_slice(frame));
+        self.write_frame_with(self.generation + 1, |pixels| pixels.copy_from_slice(frame));
     }
 
-    /// Overwrites the whole store in place: `render` is handed the
-    /// store's `width * height` pixels, row-major, and must fill them.
-    pub fn write_frame_with(&mut self, render: impl FnOnce(&mut [u8])) {
+    /// Overwrites the whole store in place as camera frame `generation`:
+    /// `render` is handed the store's `width * height` pixels, row-major,
+    /// and must fill them. A camera that develops only the frames someone
+    /// reads skips generations; the store then still names the frame it
+    /// holds.
+    pub fn write_frame_with(&mut self, generation: u64, render: impl FnOnce(&mut [u8])) {
         render(&mut self.pixels);
-        self.generation += 1;
+        self.generation = generation;
     }
 
     /// Reads a rectangle, row-major.

@@ -11,6 +11,13 @@ fn clean_hop() -> HopConfig {
     HopConfig::clean(50_000_000)
 }
 
+const GOLDEN_DISPLAY_HASHES: [u64; 4] = [
+    4912067482786329231,
+    5785782895990733851,
+    9121002930579966320,
+    14499312449978399563,
+];
+
 #[test]
 fn audio_and_video_call_end_to_end() {
     let mut sim = Simulation::new();
@@ -32,7 +39,19 @@ fn audio_and_video_call_end_to_end() {
             mode: LineMode::Dpcm,
         },
     );
-    sim.run_until(SimTime::from_secs(3));
+    // Pixel golden: FNV-1a of the displayed rectangle at four instants,
+    // recorded before the camera became lazy (PR 18). The benchmark's
+    // digests count segments, not pixels; this is the pixel-level proof
+    // that what a reader sees did not change.
+    let mut shown = Vec::new();
+    for ms in [750, 1_500, 2_250, 3_000] {
+        sim.run_until(SimTime::from_millis(ms));
+        let pixels = pair.b.display.read_display(Rect::new(0, 0, 128, 96));
+        shown.push(pixels.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &p| {
+            (h ^ u64::from(p)).wrapping_mul(0x0000_0100_0000_01b3)
+        }));
+    }
+    assert_eq!(shown, GOLDEN_DISPLAY_HASHES, "displayed pixels moved");
     assert!(pair.b.speaker.segments_received() > 700);
     assert_eq!(pair.b.speaker.segments_lost(), 0);
     assert!(pair.b.display.frames_shown() > 25);

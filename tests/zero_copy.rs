@@ -5,9 +5,10 @@
 
 use pandora::{connect_pair, open_audio_shout, open_video_stream, BoxConfig, PandoraBox};
 use pandora_atm::{cells_gather, HopConfig, SlabReassembler, Vci};
-use pandora_audio::gen::Tone;
+use pandora_audio::gen::{Speech, Tone};
 use pandora_buffers::ByteSlab;
 use pandora_segment::{wire, AudioSegment, Segment, SequenceNumber, SlabSegment, Timestamp};
+use pandora_session::{Star, StarConfig, StreamClass};
 use pandora_sim::{SimTime, Simulation};
 use pandora_video::dpcm::LineMode;
 use pandora_video::{CaptureConfig, RateFraction, Rect};
@@ -117,4 +118,52 @@ fn steady_state_hop_stays_within_two_copies() {
     // byte at most twice.
     assert_two_copy_bound("a", &pair.a, a_cells + b_cells);
     assert_two_copy_bound("b", &pair.b, a_cells + b_cells);
+}
+
+/// An idle box is free and a busy one stops allocating: the slab backs a
+/// slot the first time it is used, so a conference box holds its
+/// high-water mark of live regions — a handful, not the arena's 288 —
+/// and none after warm-up. (`pandora-check`'s `hot-path-alloc` rule
+/// cannot see this: the backing is a `vec![…]`.)
+#[test]
+fn conference_boxes_back_a_few_slabs_and_none_after_warm_up() {
+    let mut sim = Simulation::new();
+    let star = Star::build(&sim.spawner(), 4, StarConfig::default());
+    for node in &star.nodes {
+        assert_eq!(
+            node.boxy.slab.backed(),
+            0,
+            "{}: backed before use",
+            node.name
+        );
+    }
+    let listener = star.nodes[0].endpoint;
+    let calls: Vec<_> = (1..4)
+        .map(|i| {
+            let mic = star.nodes[i]
+                .boxy
+                .start_audio_source(Box::new(Speech::new(i as u64)));
+            (star.nodes[i].endpoint, mic)
+        })
+        .collect();
+    let controller = star.controller.clone();
+    sim.spawn("host", async move {
+        for (speaker, mic) in calls {
+            let s = controller.open(speaker, mic, StreamClass::Audio).unwrap();
+            controller.add_listener(s, listener).await.unwrap();
+        }
+    });
+    sim.run_until(SimTime::from_secs(1));
+    let warm: Vec<usize> = star.nodes.iter().map(|n| n.boxy.slab.backed()).collect();
+    sim.run_until(SimTime::from_secs(2));
+    assert!(star.nodes[0].boxy.speaker.segments_received() > 1_000);
+    for (node, warm) in star.nodes.iter().zip(warm) {
+        let backed = node.boxy.slab.backed();
+        assert!(
+            (1..=32).contains(&backed),
+            "{}: {backed} slabs backed",
+            node.name
+        );
+        assert_eq!(backed, warm, "{}: backed a slab after warm-up", node.name);
+    }
 }
