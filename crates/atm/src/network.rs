@@ -16,8 +16,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_sim::{
-    buffered, channel, link_controlled, LinkConfig, LinkControl, LinkSender, Receiver, Sender,
-    SimDuration, Spawner,
+    buffered, channel, link_controlled, AltSet, LinkConfig, LinkControl, LinkSender, Receiver,
+    Sender, SimDuration, Spawner,
 };
 
 use crate::cell::{Cell, Vci};
@@ -676,7 +676,8 @@ pub struct Switch {
 
 impl Switch {
     /// Spawns a switch over the given input ports; returns the handle and
-    /// one receiver per output port.
+    /// one receiver per output port. The task ends when every input has
+    /// closed — at once if there are none.
     ///
     /// `port_queue` bounds each output port's queue in cells.
     pub fn spawn(
@@ -688,12 +689,9 @@ impl Switch {
     ) -> (Switch, Vec<Receiver<Cell>>) {
         let (core, port_rxs) = SwitchCore::new(output_ports, port_queue);
         let task_core = core.clone();
+        let mut inputs = AltSet::new(inputs);
         spawner.spawn(&format!("switch:{name}"), async move {
-            loop {
-                let guards: Vec<&Receiver<Cell>> = inputs.iter().collect();
-                let Some(Ok((_port, cell))) = pandora_sim::alt_many(&guards).await else {
-                    return;
-                };
+            while let Ok((_port, cell)) = inputs.recv().await {
                 task_core.dispatch_cell(cell);
             }
         });
@@ -890,6 +888,17 @@ mod tests {
         // Port 1 saw all its cells despite port 0 being wedged.
         assert_eq!(delivered.get(), 10);
         assert_eq!(sw.overflow(), 10 - 2, "port 0 kept 2, dropped 8");
+    }
+
+    #[test]
+    fn switch_without_inputs_ends_its_task() {
+        // No input can ever carry a cell: the task must finish, not sit
+        // in an ALT over nothing for the deadlock detector to report.
+        let mut sim = Simulation::new();
+        let (_sw, _outs) = Switch::spawn(&sim.spawner(), "s", Vec::new(), 2, 4);
+        sim.run_until_idle();
+        assert_eq!(sim.live_tasks(), 0);
+        assert!(sim.deadlock_report().is_none());
     }
 
     #[test]

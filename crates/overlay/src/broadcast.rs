@@ -49,8 +49,7 @@ use pandora_recover::{
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
 use pandora_shard::{shard_of, Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
-    alt_many, delay, link_controlled, now, unbounded, LinkConfig, Receiver, Sender, SimDuration,
-    WireSize,
+    delay, link_controlled, now, unbounded, AltSet, LinkConfig, Sender, SimDuration, WireSize,
 };
 use pandora_slab::ByteSlab;
 
@@ -608,10 +607,12 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
 
     // The PRI ALT's guard order: the command channel first (P4), so a
     // graft never queues behind a stripe backlog.
-    let rxs: Vec<Receiver<Msg>> = std::iter::once(seat.ctl)
-        .chain(seat.ins)
-        .map(|i| env.bind_ingress(i))
-        .collect();
+    let mut ins = AltSet::new(
+        std::iter::once(seat.ctl)
+            .chain(seat.ins)
+            .map(|i| env.bind_ingress(i))
+            .collect(),
+    );
     let rpt_tx = env.open_egress(seat.report);
 
     let receiver = Rc::new(RefCell::new(StripeReceiver::new(
@@ -637,8 +638,7 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
     let main_rx = receiver.clone();
     env.spawner()
         .spawn(&format!("ovl:node{member}"), async move {
-            let refs: Vec<&Receiver<Msg>> = rxs.iter().collect();
-            while let Some(Ok((_, msg))) = alt_many(&refs).await {
+            while let Ok((_, msg)) = ins.recv().await {
                 if main.uplink.dead.get() {
                     continue;
                 }

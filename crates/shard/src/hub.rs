@@ -1,9 +1,9 @@
 //! Per-shard ingress: the deterministic merge heap and its dispatcher.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -45,25 +45,34 @@ impl Ord for HeapEntry {
 /// shard count or thread interleaving.
 pub(crate) struct IngressHub {
     heap: RefCell<BinaryHeap<Reverse<HeapEntry>>>,
+    /// Indexed by port id — ids are dense and creation-ordered, and the
+    /// cluster's port count is fixed before any shard starts. `None` for
+    /// a port that is not bound here (yet, or because it ends on another
+    /// shard).
     #[allow(clippy::type_complexity)]
-    sinks: RefCell<HashMap<u32, Box<dyn Fn(Box<dyn Any + Send>)>>>,
+    sinks: RefCell<Vec<Option<Box<dyn Fn(Box<dyn Any + Send>)>>>>,
     waker: RefCell<Option<TaskWaker>>,
+    /// The instant the dispatcher's timer is armed for, if one is.
+    armed: Cell<Option<u64>>,
 }
 
 impl IngressHub {
-    /// Creates an empty hub with no sinks and no pending entries.
-    pub fn new() -> Rc<IngressHub> {
+    /// Creates an empty hub for a cluster of `ports` ports: no sinks
+    /// bound, no pending entries.
+    pub fn new(ports: usize) -> Rc<IngressHub> {
         Rc::new(IngressHub {
             heap: RefCell::new(BinaryHeap::new()),
-            sinks: RefCell::new(HashMap::new()),
+            sinks: RefCell::new((0..ports).map(|_| None).collect()),
             waker: RefCell::new(None),
+            armed: Cell::new(None),
         })
     }
 
     /// Registers the delivery closure of one ingress port.
     pub fn register_sink(&self, port: u32, sink: Box<dyn Fn(Box<dyn Any + Send>)>) {
-        let previous = self.sinks.borrow_mut().insert(port, sink);
-        assert!(previous.is_none(), "ingress port {port} bound twice");
+        let slot = &mut self.sinks.borrow_mut()[port as usize];
+        assert!(slot.is_none(), "ingress port {port} bound twice");
+        *slot = Some(sink);
     }
 
     /// Queues one entry without waking the dispatcher — the slice-start
@@ -77,11 +86,17 @@ impl IngressHub {
         }));
     }
 
-    /// Queues one loopback entry mid-slice and wakes the dispatcher so a
-    /// same-slice due time is honoured.
+    /// Queues one loopback entry mid-slice, and wakes the dispatcher if
+    /// the entry is due before the instant its timer is armed for (or no
+    /// timer is armed): only then does the head move and the timer need
+    /// re-arming. An entry due at or after that instant is found by the
+    /// poll the armed timer brings.
     pub fn push(&self, entry: RawEntry) {
+        let due = entry.due;
         self.push_raw(entry);
-        self.wake();
+        if self.armed.get().is_none_or(|at| due < at) {
+            self.wake();
+        }
     }
 
     /// Wakes the dispatcher task (no-op before its first poll, which is
@@ -107,7 +122,8 @@ impl IngressHub {
             let Some(entry) = entry else { return };
             let sinks = self.sinks.borrow();
             let sink = sinks
-                .get(&entry.port)
+                .get(entry.port as usize)
+                .and_then(Option::as_ref)
                 .unwrap_or_else(|| panic!("ingress port {} has no bound sink", entry.port));
             sink(entry.payload);
         }
@@ -120,13 +136,15 @@ impl IngressHub {
 
 /// The dispatcher task body: an endless future that delivers matured
 /// entries and sleeps on the executor's *late* timer lane until the
-/// next due time. Spurious wakes (slice boundaries, loopback pushes
-/// already covered by the armed timer) deliver nothing and are inert —
-/// they never perturb the ordering of ordinary timers, because the late
-/// lane sorts after every normal timer at the same instant.
+/// next due time, which it posts in the hub's `armed` so that a loopback
+/// push can tell whether it moves the head. Spurious wakes (slice
+/// boundaries, abandoned timers) deliver nothing and are inert — they
+/// never perturb the ordering of ordinary timers, because the late lane
+/// sorts after every normal timer at the same instant.
 pub(crate) struct Dispatcher {
     hub: Rc<IngressHub>,
-    sleep: Option<(u64, Delay)>,
+    /// The timer for the instant in `hub.armed`.
+    sleep: Option<Delay>,
 }
 
 impl Dispatcher {
@@ -147,23 +165,21 @@ impl Future for Dispatcher {
             .get_or_insert_with(pandora_sim::waker);
         loop {
             this.hub.deliver_matured();
-            let Some(due) = this.hub.next_due() else {
-                this.sleep = None;
-                return Poll::Pending;
-            };
+            let head = this.hub.next_due();
             // (Re)arm only when the head changed; an abandoned timer
             // just fires a harmless spurious wake later.
-            if this.sleep.as_ref().map(|(d, _)| *d) != Some(due) {
-                this.sleep = Some((due, delay_until_late(SimTime::from_nanos(due))));
+            if this.hub.armed.get() != head {
+                this.hub.armed.set(head);
+                this.sleep = head.map(|due| delay_until_late(SimTime::from_nanos(due)));
             }
-            let (_, delay) = this.sleep.as_mut().expect("sleep just armed");
-            match Pin::new(delay).poll(cx) {
-                Poll::Ready(()) => {
-                    this.sleep = None;
-                    continue;
-                }
-                Poll::Pending => return Poll::Pending,
+            let Some(delay) = this.sleep.as_mut() else {
+                return Poll::Pending;
+            };
+            if Pin::new(delay).poll(cx).is_pending() {
+                return Poll::Pending;
             }
+            this.hub.armed.set(None);
+            this.sleep = None;
         }
     }
 }

@@ -49,6 +49,8 @@ struct ShardArgs {
     setups: Vec<SetupFn>,
     exchange: Arc<Exchange>,
     blackboard: crate::Blackboard,
+    /// Ports in the whole cluster: the size of the hub's sink table.
+    ports: usize,
     /// Cross-shard in-edges as `(from shard, lookahead window ns)` —
     /// one entry per neighbour, with the *smallest* latency among that
     /// neighbour's ports (the binding constraint).
@@ -102,6 +104,7 @@ impl Cluster {
             }
         }
 
+        let ports = self.ports.len();
         let mut args: Vec<ShardArgs> = self
             .setups
             .into_iter()
@@ -113,6 +116,7 @@ impl Cluster {
                 setups,
                 exchange,
                 blackboard: self.blackboard.clone(),
+                ports,
                 in_edges,
                 horizons: horizons.clone(),
                 gate: gate.clone(),
@@ -200,7 +204,7 @@ fn drive_body(args: &ShardArgs, setups: Vec<SetupFn>) -> ShardOutcome {
     }
 
     let mut sim = Simulation::new();
-    let hub = IngressHub::new();
+    let hub = IngressHub::new(args.ports);
     sim.spawn_prio(
         "shard:dispatch",
         Priority::High,

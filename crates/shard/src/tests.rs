@@ -102,7 +102,7 @@ fn hub_wake_between_slices_is_honoured_by_the_next_slice() {
     // What the runner does at every slice start: entries pushed and the
     // dispatcher woken from outside any poll, then `run_until`.
     let mut sim = pandora_sim::Simulation::new();
-    let hub = crate::hub::IngressHub::new();
+    let hub = crate::hub::IngressHub::new(8);
     let seen = Rc::new(Cell::new(0u64));
     let s = seen.clone();
     hub.register_sink(7, Box::new(move |_| s.set(now().as_nanos())));
@@ -117,6 +117,88 @@ fn hub_wake_between_slices_is_honoured_by_the_next_slice() {
     hub.wake();
     sim.run_until(SimTime::from_millis(3));
     assert_eq!(seen.get(), 2_000_000, "delivered at its due time");
+}
+
+/// One shard, one loopback port per latency in `latencies` (µs), all
+/// merged into one sink that logs `t=<ns> <value>`; `script` drives the
+/// senders from a task of its own. Returns the run's report.
+fn loopback_rig<F, Fut>(latencies: &[u64], deadline: SimTime, script: F) -> crate::RunReport
+where
+    F: FnOnce(Vec<crate::PortSender<&'static str>>) -> Fut + Send + 'static,
+    Fut: std::future::Future<Output = ()> + 'static,
+{
+    let mut cluster = Cluster::new(1);
+    let (egresses, ingresses): (Vec<_>, Vec<_>) = latencies
+        .iter()
+        .map(|&us| cluster.port::<&'static str>(0, 0, SimDuration::from_micros(us), "loop"))
+        .unzip();
+    cluster.setup(0, move |env| {
+        let txs = egresses.into_iter().map(|e| env.open_egress(e)).collect();
+        let rx = env.bind_ingress_merged(ingresses);
+        env.spawner().spawn("src", script(txs));
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let seen2 = seen.clone();
+        env.spawner().spawn("sink", async move {
+            while let Ok(v) = rx.recv().await {
+                seen2
+                    .borrow_mut()
+                    .push(format!("t={} {v}", now().as_nanos()));
+            }
+        });
+        env.on_finish(move || seen.borrow().clone());
+    });
+    cluster.run(deadline)
+}
+
+#[test]
+fn loopback_send_due_after_the_armed_head_does_not_poll_the_dispatcher() {
+    const SENDS: u64 = 100;
+    // Stops before anything falls due, so every poll counted is one of:
+    // the dispatcher's first poll and the one the head's send brings
+    // (it arms for 10 ms), the sink's first poll, and the script's
+    // first poll plus one per delay. None of the later sends — all due
+    // after the armed instant — costs the dispatcher a poll.
+    let report = loopback_rig(
+        &[10_000, 20_000],
+        SimTime::from_millis(1),
+        |txs| async move {
+            txs[0].send("head");
+            for _ in 0..SENDS {
+                delay(SimDuration::from_micros(1)).await;
+                txs[1].send("later");
+            }
+        },
+    );
+    assert_eq!(report.ctx_switches, [2 + 1 + 1 + SENDS]);
+}
+
+#[test]
+fn loopback_send_due_before_the_armed_head_rearms_and_arrives_at_its_own_instant() {
+    let report = loopback_rig(
+        &[5_000, 1_000],
+        SimTime::from_millis(10),
+        |txs| async move {
+            txs[0].send("far"); // due 5 ms: the dispatcher arms for it
+            delay(SimDuration::from_millis(1)).await;
+            txs[1].send("near"); // due 2 ms: the head moves
+        },
+    );
+    assert_eq!(report.merged_lines(), ["t=2000000 near", "t=5000000 far"]);
+}
+
+#[test]
+fn zero_latency_loopback_is_delivered_in_the_instant_it_was_sent() {
+    let report = loopback_rig(&[0, 5_000], SimTime::from_millis(10), |txs| async move {
+        txs[0].send("z0"); // nothing armed
+        delay(SimDuration::from_millis(1)).await;
+        txs[1].send("far"); // due 6 ms
+        delay(SimDuration::from_millis(2)).await;
+        txs[0].send("z3"); // armed for 6 ms, due now
+    });
+    assert_eq!(
+        report.merged_lines(),
+        ["t=0 z0", "t=3000000 z3", "t=6000000 far"]
+    );
 }
 
 #[test]

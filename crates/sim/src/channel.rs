@@ -11,13 +11,14 @@
 //! to model hardware FIFOs and report channels. [`unbounded`] never blocks
 //! the sender.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
+use crate::alt::AltShared;
 use crate::executor::{waker, with_current, TaskWaker};
 
 /// Error returned by `send` when the receiver has been dropped.
@@ -69,17 +70,35 @@ thread_local! {
     static ACCEPT_VISITS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// What a channel's two ends mutate, behind one borrow flag.
+struct Shared<T> {
+    queue: VecDeque<QEntry<T>>,
+    recv_waker: Option<TaskWaker>,
+}
+
+/// One per channel, so its size is a cost every scenario pays: sixteen
+/// more bytes put it in malloc's next size class, and a sixteen-box
+/// conference's peak RSS then read 19.5 MB instead of 16.9 in eight runs
+/// of twelve (one of twelve without). The set link's two words are the
+/// borrow flag the waker no longer has to itself and the half word
+/// `senders` gave up beside `receiver_alive`.
 pub(crate) struct ChanState<T> {
-    queue: RefCell<VecDeque<QEntry<T>>>,
+    shared: RefCell<Shared<T>>,
     capacity: usize,
-    recv_waker: RefCell<Option<TaskWaker>>,
-    senders: Cell<usize>,
+    /// Set when the receiver becomes a guard of an [`crate::AltSet`]: the
+    /// set's shared state and this guard's index in it. From then on a
+    /// push reports to the set, not to `recv_waker`.
+    guard_of: OnceCell<(Rc<AltShared>, usize)>,
+    senders: Cell<u32>,
     receiver_alive: Cell<bool>,
 }
 
 impl<T> ChanState<T> {
+    /// Called on every push and on the last sender's drop.
     fn wake_receiver(&self) {
-        if let Some(w) = self.recv_waker.borrow_mut().take() {
+        if let Some((set, index)) = self.guard_of.get() {
+            set.mark_ready(*index);
+        } else if let Some(w) = self.shared.borrow_mut().recv_waker.take() {
             w.wake();
         }
     }
@@ -99,8 +118,9 @@ impl<T> ChanState<T> {
         #[cfg(test)]
         ACCEPT_VISITS.with(|n| n.set(n.get() + 1));
         if let Some(p) = self
-            .queue
+            .shared
             .borrow()
+            .queue
             .get(last)
             .and_then(|e| e.pending.as_ref())
         {
@@ -110,7 +130,7 @@ impl<T> ChanState<T> {
     }
 
     fn pop(&self) -> Option<T> {
-        let entry = self.queue.borrow_mut().pop_front()?;
+        let entry = self.shared.borrow_mut().queue.pop_front()?;
         if let Some(p) = entry.pending {
             p.done.set(true);
             p.wake();
@@ -119,15 +139,23 @@ impl<T> ChanState<T> {
         Some(entry.value)
     }
 
-    fn poll_take(&self) -> Poll<Result<T, RecvError>> {
+    /// The head value, the closure, or `Pending` with nothing registered.
+    fn take(&self) -> Poll<Result<T, RecvError>> {
         if let Some(v) = self.pop() {
             return Poll::Ready(Ok(v));
         }
         if self.senders.get() == 0 {
             return Poll::Ready(Err(RecvError));
         }
-        with_current(|i| i.register(&mut self.recv_waker.borrow_mut()));
         Poll::Pending
+    }
+
+    fn poll_take(&self) -> Poll<Result<T, RecvError>> {
+        let taken = self.take();
+        if taken.is_pending() {
+            with_current(|i| i.register(&mut self.shared.borrow_mut().recv_waker));
+        }
+        taken
     }
 }
 
@@ -150,9 +178,12 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
 
 fn with_capacity<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(ChanState {
-        queue: RefCell::new(VecDeque::new()),
+        shared: RefCell::new(Shared {
+            queue: VecDeque::new(),
+            recv_waker: None,
+        }),
         capacity,
-        recv_waker: RefCell::new(None),
+        guard_of: OnceCell::new(),
         senders: Cell::new(1),
         receiver_alive: Cell::new(true),
     });
@@ -171,7 +202,10 @@ pub struct Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        self.state.senders.set(self.state.senders.get() + 1);
+        let Some(senders) = self.state.senders.get().checked_add(1) else {
+            panic!("more than 2^32 senders of one channel");
+        };
+        self.state.senders.set(senders);
         Sender {
             state: self.state.clone(),
         }
@@ -209,8 +243,8 @@ impl<T> Sender<T> {
         if !self.state.receiver_alive.get() {
             return Err(TrySendError::Closed(value));
         }
-        if self.state.queue.borrow().len() < self.state.capacity {
-            self.state.queue.borrow_mut().push_back(QEntry {
+        if self.state.shared.borrow().queue.len() < self.state.capacity {
+            self.state.shared.borrow_mut().queue.push_back(QEntry {
                 value,
                 pending: None,
             });
@@ -223,7 +257,7 @@ impl<T> Sender<T> {
 
     /// Number of values queued and not yet received.
     pub fn len(&self) -> usize {
-        self.state.queue.borrow().len()
+        self.state.shared.borrow().queue.len()
     }
 
     /// Returns `true` when no values are queued.
@@ -282,9 +316,9 @@ impl<T> Future for SendFuture<'_, T> {
         if !this.chan.receiver_alive.get() {
             return Poll::Ready(Err(SendError));
         }
-        let within_capacity = this.chan.queue.borrow().len() < this.chan.capacity;
+        let within_capacity = this.chan.shared.borrow().queue.len() < this.chan.capacity;
         if within_capacity {
-            this.chan.queue.borrow_mut().push_back(QEntry {
+            this.chan.shared.borrow_mut().queue.push_back(QEntry {
                 value,
                 pending: None,
             });
@@ -295,7 +329,7 @@ impl<T> Future for SendFuture<'_, T> {
             done: Cell::new(false),
             waker: RefCell::new(Some(waker())),
         });
-        this.chan.queue.borrow_mut().push_back(QEntry {
+        this.chan.shared.borrow_mut().queue.push_back(QEntry {
             value,
             pending: Some(pending.clone()),
         });
@@ -310,7 +344,7 @@ impl<T> Drop for SendFuture<'_, T> {
         // A cancelled send must not deliver its value: withdraw the entry.
         if let Some(p) = &self.pending {
             if !p.done.get() {
-                let mut queue = self.chan.queue.borrow_mut();
+                let queue = &mut self.chan.shared.borrow_mut().queue;
                 if let Some(pos) = queue
                     .iter()
                     .position(|e| e.pending.as_ref().is_some_and(|q| Rc::ptr_eq(q, p)))
@@ -331,7 +365,7 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         self.state.receiver_alive.set(false);
         // Wake every blocked sender so it can observe the closure.
-        for entry in self.state.queue.borrow().iter() {
+        for entry in self.state.shared.borrow().queue.iter() {
             if let Some(p) = &entry.pending {
                 p.wake();
             }
@@ -352,7 +386,7 @@ impl<T> Receiver<T> {
 
     /// Number of values queued.
     pub fn len(&self) -> usize {
-        self.state.queue.borrow().len()
+        self.state.shared.borrow().queue.len()
     }
 
     /// Returns `true` when no values are queued.
@@ -367,6 +401,26 @@ impl<T> Receiver<T> {
 
     pub(crate) fn poll_take(&self) -> Poll<Result<T, RecvError>> {
         self.state.poll_take()
+    }
+
+    /// Makes this receiver guard `index` of an ALT set: from now on its
+    /// pushes mark that bit in `set`, which wakes the set's owner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver is a guard of a set already — it would go
+    /// on reporting to the first, and the second would wait forever.
+    pub(crate) fn join_set(&self, set: Rc<AltShared>, index: usize) {
+        assert!(
+            self.state.guard_of.set((set, index)).is_ok(),
+            "receiver is already a guard of an ALT set"
+        );
+    }
+
+    /// A set's visit to this guard: [`Self::poll_take`] without the
+    /// registration, which the set does once for all its guards.
+    pub(crate) fn take(&self) -> Poll<Result<T, RecvError>> {
+        self.state.take()
     }
 }
 
@@ -675,6 +729,25 @@ mod tests {
         // remaining queue, N²/2 = 50 M for this drain.
         let visits = ACCEPT_VISITS.with(Cell::get) - before;
         assert!(visits <= u64::from(N), "drain visited {visits} entries");
+    }
+
+    #[test]
+    fn chan_state_is_the_size_it_was_before_it_could_be_a_guard() {
+        // queue 40, capacity 8, waker slot 24, senders 8, alive 8 (padded).
+        assert!(std::mem::size_of::<ChanState<u64>>() <= 88);
+    }
+
+    #[test]
+    #[should_panic(expected = "receiver is already a guard of an ALT set")]
+    fn a_receiver_cannot_join_two_alt_sets() {
+        let (_tx, rx) = channel::<u32>();
+        // A set owns its guards and a `Receiver` is not `Clone`, so only
+        // a forged second handle gets this far.
+        let twin = Receiver {
+            state: rx.state.clone(),
+        };
+        let _first = crate::AltSet::new(vec![rx]);
+        let _second = crate::AltSet::new(vec![twin]);
     }
 
     /// Minimal two-future race for tests (first to complete wins, other dropped).

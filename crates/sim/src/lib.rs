@@ -13,9 +13,10 @@
 //! * **rendezvous channels** ([`channel`]) with Occam semantics — a send
 //!   completes only when received — plus [`buffered`] and [`unbounded`]
 //!   variants for hardware FIFOs and report sinks;
-//! * **PRI ALT** ([`alt2`], [`alt3`], [`alt_many`], [`recv_deadline`]) —
+//! * **PRI ALT** ([`alt2`], [`alt3`], [`AltSet`], [`recv_deadline`]) —
 //!   prioritized alternation so command channels can never be starved
-//!   (Principle 4);
+//!   (Principle 4); an [`AltSet`] owns any number of same-typed guards
+//!   and polls only the ones that fired;
 //! * **virtual CPUs** ([`Cpu`]) with non-preemptive priority dispatch and
 //!   context-switch surcharges, so overload behaviour (the subject of the
 //!   paper's principles) emerges from resource exhaustion;
@@ -56,8 +57,8 @@ mod ticker;
 mod time;
 
 pub use alt::{
-    alt2, alt2_deadline, alt3, alt3_deadline, alt4, alt4_deadline, alt_many, alt_many_deadline,
-    recv_deadline, Alt2, Alt3, Alt4, AltMany, Either2, Either3, Either4, RecvDeadline,
+    alt2, alt2_deadline, alt3, alt3_deadline, alt4, alt4_deadline, recv_deadline, Alt2, Alt3, Alt4,
+    AltSet, Either2, Either3, Either4, RecvDeadline,
 };
 pub use channel::{
     buffered, channel, unbounded, Receiver, RecvError, RecvFuture, SendError, SendFuture, Sender,

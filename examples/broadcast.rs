@@ -36,7 +36,7 @@ const MAX_TASKS_PER_MEMBER: f64 = 5.5;
 
 /// Floor: executor events (task polls, summed over shards) per slice
 /// delivered to a viewer.
-const MAX_EVENTS_PER_SLICE: f64 = 7.1;
+const MAX_EVENTS_PER_SLICE: f64 = 6.3;
 
 fn soak_config() -> OverlayConfig {
     OverlayConfig {
