@@ -10,10 +10,12 @@
 //! * [`cells_gather`] / [`SlabReassembler`] — the zero-copy variants:
 //!   scatter-gather segmentation straight from a header region plus a
 //!   slab payload, and reassembly directly into slab regions;
-//! * [`build_path_controlled`] / [`HopConfig`] — multi-hop paths with
-//!   bandwidth, latency, seeded [`JitterModel`]s (including the paper's
-//!   "2 ms usually, 20 ms under video load" bursty shape), Bernoulli
-//!   loss and runtime fault controls;
+//! * [`build_path_controlled`] / [`HopConfig`] — multi-hop paths, two
+//!   tasks a hop: a wire (bandwidth, latency, a `LinkControl`) and a
+//!   release stage (a seeded [`JitterModel`] — including the paper's
+//!   "2 ms usually, 20 ms under video load" bursty shape — Bernoulli
+//!   loss, and on the last hop the runtime fault controls of
+//!   [`PathControl`]); an ill-formed hop is refused at build time;
 //! * [`Switch`] — a VCI-routed switch whose full output ports drop rather
 //!   than stall other ports (Principle 5 at the fabric level): a
 //!   [`SwitchCore`] (route table, counters, `dispatch_cell`) plus the task
@@ -32,6 +34,6 @@ pub use aal::{cells_gather, segment_to_cells, Reassembler, SlabReassembler};
 pub use burst::{burst_gather, CellBurst};
 pub use cell::{Cell, Vci, CELL_BYTES, CELL_PAYLOAD};
 pub use network::{
-    build_duplex_path, build_path_controlled, jitter_stage, loss_stage, DuplexPath, FabricCounters,
-    HopConfig, JitterModel, PathControl, StageStats, Switch, SwitchCore,
+    build_duplex_path, build_path_controlled, DuplexPath, FabricCounters, HopConfig, JitterModel,
+    PathControl, StageStats, Switch, SwitchCore,
 };

@@ -1,4 +1,4 @@
-//! The simulated ATM fabric: links, jitter/loss stages, switches.
+//! The simulated ATM fabric: paths of hops, and switches.
 //!
 //! The clawback experiments need realistic network disturbance processes.
 //! The models here reproduce the conditions the paper reports: "with our
@@ -6,6 +6,11 @@
 //! there are large blocks of video being transmitted through the same
 //! network interface" (§3.7.2), and the SuperJanet trial's multi-hop
 //! "several networks and protocol conversions" path.
+//!
+//! A hop is two tasks: a wire (`link:{path}.{i}`, a [`long_line`]) that
+//! serialises cells and stamps each with its arrival instant, and a
+//! release stage (`hop:{path}.{i}`) that applies the hop's jitter and
+//! loss and hands the cell on — see [`build_path_controlled`].
 
 use std::cell::Cell as StdCell;
 use std::cell::RefCell;
@@ -16,8 +21,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_sim::{
-    buffered, channel, link_controlled, AltSet, LinkConfig, LinkControl, LinkSender, Receiver,
-    Sender, SimDuration, Spawner,
+    buffered, channel, delay_until, long_line, AltSet, LinkConfig, LinkControl, LinkSender,
+    Receiver, Sender, SimDuration, SimTime, Spawner,
 };
 
 use crate::cell::{Cell, Vci};
@@ -121,85 +126,20 @@ impl FabricCounters {
 /// [`FabricCounters`]).
 pub type StageStats = FabricCounters;
 
-/// Spawns a FIFO-preserving jitter stage: each item is delayed by a fresh
-/// sample, but never reordered (delivery time is clamped to be monotonic,
-/// like queueing behind cross-traffic).
-pub fn jitter_stage<T: 'static>(
-    spawner: &Spawner,
-    name: &str,
-    model: JitterModel,
-    seed: u64,
-    input: Receiver<T>,
-) -> Receiver<T> {
-    let (tx, rx) = channel::<T>();
-    // Two subprocesses: a stamper that records every item's true arrival
-    // time immediately (so jitter is measured from arrival, not from when
-    // the delayer got around to it — otherwise jitter would accumulate
-    // into unbounded delay), and a delayer that releases items at
-    // max(arrival + sample, previous release) to stay FIFO.
-    let (stamped_tx, stamped_rx) = pandora_sim::unbounded::<(pandora_sim::SimTime, T)>();
-    spawner.spawn(&format!("jitter:{name}:stamp"), async move {
-        while let Ok(item) = input.recv().await {
-            if stamped_tx.send((pandora_sim::now(), item)).await.is_err() {
-                return;
-            }
-        }
-    });
-    spawner.spawn(&format!("jitter:{name}"), async move {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut last_delivery = pandora_sim::SimTime::ZERO;
-        while let Ok((arrival, item)) = stamped_rx.recv().await {
-            let due = (arrival + model.sample(&mut rng)).max(last_delivery);
-            pandora_sim::delay_until(due).await;
-            last_delivery = due;
-            if tx.send(item).await.is_err() {
-                return;
-            }
-        }
-    });
-    rx
-}
-
-/// Spawns a Bernoulli loss stage dropping each item with probability `p`.
-pub fn loss_stage<T: 'static>(
-    spawner: &Spawner,
-    name: &str,
-    p: f64,
-    seed: u64,
-    input: Receiver<T>,
-) -> (Receiver<T>, StageStats) {
-    assert!((0.0..=1.0).contains(&p), "loss probability out of range");
-    let (tx, rx) = channel::<T>();
-    let stats = StageStats::default();
-    let s = stats.clone();
-    let name = format!("loss:{name}");
-    spawner.spawn(&name, async move {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        while let Ok(item) = input.recv().await {
-            if rng.gen_bool(p) {
-                s.count_dropped(1);
-                continue;
-            }
-            s.count_forwarded(1);
-            if tx.send(item).await.is_err() {
-                return;
-            }
-        }
-    });
-    (rx, stats)
-}
-
-/// One hop of an ATM path: a bandwidth-limited cell link followed by
-/// optional jitter and loss.
+/// One hop of an ATM path: a bandwidth-limited cell link, its
+/// propagation latency, and the jitter and loss of whatever the hop
+/// crosses.
 #[derive(Debug, Clone, Copy)]
 pub struct HopConfig {
     /// Link rate in bits per second.
     pub bits_per_sec: u64,
     /// Propagation/processing latency of the hop.
     pub latency: SimDuration,
-    /// Jitter process of the hop.
+    /// Jitter process of the hop: each cell is held for a fresh sample
+    /// past its arrival, but never released before its predecessor (like
+    /// queueing behind cross-traffic).
     pub jitter: JitterModel,
-    /// Per-cell loss probability.
+    /// Per-cell loss probability, in 0..=1.
     pub loss: f64,
 }
 
@@ -213,8 +153,24 @@ impl HopConfig {
             loss: 0.0,
         }
     }
+
+    /// Refuses a hop whose probabilities no generator could draw from.
+    fn validate(&self, path: &str, index: usize) {
+        assert!(
+            (0.0..=1.0).contains(&self.loss),
+            "hop {path}.{index}: loss probability {} out of range",
+            self.loss
+        );
+        if let JitterModel::Bursty { burst_prob, .. } = self.jitter {
+            assert!(
+                (0.0..=1.0).contains(&burst_prob),
+                "hop {path}.{index}: burst probability {burst_prob} out of range"
+            );
+        }
+    }
 }
 
+#[derive(Default)]
 struct PathCtlState {
     loss: StdCell<f64>,
     corrupt: StdCell<f64>,
@@ -237,24 +193,13 @@ pub struct PathControl {
 }
 
 impl PathControl {
-    /// Wraps already-built hop links in a control handle, for topologies
-    /// that assemble their own links (the overlay's relay uplinks) but
-    /// still want to register with `pandora-faults` as a named path. The
-    /// egress disturbance knobs start at zero, exactly as
-    /// [`build_path_controlled`] leaves them.
+    /// Wraps hop links in a control handle whose egress disturbance knobs
+    /// start at zero. [`build_path_controlled`] makes its own this way;
+    /// topologies that assemble their own links (the overlay's relay
+    /// uplinks) do it to register with `pandora-faults` as a named path.
     pub fn from_links(links: Vec<LinkControl>) -> Self {
-        PathControl::new(links)
-    }
-
-    fn new(links: Vec<LinkControl>) -> Self {
         PathControl {
-            state: Rc::new(PathCtlState {
-                loss: StdCell::new(0.0),
-                corrupt: StdCell::new(0.0),
-                extra_delay_ns: StdCell::new(0),
-                injected_drops: StdCell::new(0),
-                injected_corruptions: StdCell::new(0),
-            }),
+            state: Rc::default(),
             links: Rc::new(links),
         }
     }
@@ -315,10 +260,17 @@ impl PathControl {
 ///
 /// This is the E15 "SuperJanet" substrate: chain several hops with bursty
 /// jitter to model a Cambridge-to-London path crossing "several networks
-/// and protocol conversions". Every hop link gets a [`LinkControl`] and
-/// the egress carries a seeded fault stage, all reachable through the
-/// returned [`PathControl`]; left untouched, the controls pass every cell
-/// through at its arrival time.
+/// and protocol conversions". Hop `i` is two tasks: its wire,
+/// `link:{name}.{i}` — a [`long_line`], whose [`LinkControl`] the returned
+/// [`PathControl`] reaches — and its release stage, `hop:{name}.{i}`,
+/// which feeds the next hop's wire. The last hop's stage is also the
+/// path's fault stage and feeds the egress; left untouched, the controls
+/// pass every cell through at its release instant.
+///
+/// # Panics
+///
+/// Panics if `hops` is empty, or — naming the hop — if a `loss` or a
+/// [`JitterModel::Bursty`] `burst_prob` is outside `0..=1` (NaN included).
 pub fn build_path_controlled(
     spawner: &Spawner,
     name: &str,
@@ -330,40 +282,116 @@ pub fn build_path_controlled(
     Vec<StageStats>,
     PathControl,
 ) {
-    assert!(!hops.is_empty(), "a path needs at least one hop");
-    let mut stats = Vec::new();
-    let mut link_ctls = Vec::new();
-    let first = LinkConfig::new(leak_name(format!("{name}.0")), hops[0].bits_per_sec)
-        .with_latency(hops[0].latency);
-    let (ingress, mut rx, lc) = link_controlled::<Cell>(spawner, first);
-    link_ctls.push(lc);
-    rx = apply_disturbance(spawner, name, 0, &hops[0], seed, rx, &mut stats);
-    for (i, hop) in hops.iter().enumerate().skip(1) {
-        let cfg = LinkConfig::new(leak_name(format!("{name}.{i}")), hop.bits_per_sec)
-            .with_latency(hop.latency);
-        let (tx, next_rx, lc) = link_controlled::<Cell>(spawner, cfg);
-        link_ctls.push(lc);
-        let pump_in = rx;
-        spawner.spawn(&format!("hop:{name}.{i}"), async move {
-            while let Ok(cell) = pump_in.recv().await {
-                if tx.send(cell).await.is_err() {
-                    return;
-                }
-            }
-        });
-        rx = apply_disturbance(
+    let mut wires = Vec::with_capacity(hops.len());
+    let mut link_ctls = Vec::with_capacity(hops.len());
+    for (i, hop) in hops.iter().enumerate() {
+        hop.validate(name, i);
+        // LinkConfig wants a &'static str name; paths are built once per
+        // simulation, so leaking the handful of hop names is fine.
+        let wire_name = Box::leak(format!("{name}.{i}").into_boxed_str());
+        let (tx, stamped, lc) = long_line::<Cell>(
             spawner,
-            name,
-            i,
-            hop,
-            seed.wrapping_add(i as u64),
-            next_rx,
-            &mut stats,
+            LinkConfig::new(wire_name, hop.bits_per_sec),
+            hop.latency,
         );
+        wires.push((tx, stamped));
+        link_ctls.push(lc);
     }
-    let ctrl = PathControl::new(link_ctls);
-    let rx = fault_stage(spawner, name, seed ^ 0xFA17, ctrl.clone(), rx);
-    (ingress, rx, stats, ctrl)
+    let ctrl = PathControl::from_links(link_ctls);
+    let stats: Vec<StageStats> = hops.iter().map(|_| StageStats::default()).collect();
+    let (egress_tx, egress_rx) = channel::<Cell>();
+    // From the egress backwards: each stage owns the sender into the wire
+    // after it, and the one left over at the end is hop 0's — the ingress.
+    let mut next = Next::Egress {
+        tx: egress_tx,
+        ctrl: ctrl.state.clone(),
+        rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
+    };
+    for (i, (tx, stamped)) in wires.into_iter().enumerate().rev() {
+        let seed = seed.wrapping_add(i as u64);
+        spawner.spawn(
+            &format!("hop:{name}.{i}"),
+            release_stage(stamped, hops[i], seed, stats[i].clone(), next),
+        );
+        next = Next::Hop(tx);
+    }
+    let Next::Hop(ingress) = next else {
+        panic!("a path needs at least one hop");
+    };
+    (ingress, egress_rx, stats, ctrl)
+}
+
+/// Where a release stage sends: the next hop's wire, or — the last hop —
+/// the path's egress, through the disturbance a fault plan sets on the
+/// [`PathControl`] and this stage draws from `rng`.
+enum Next {
+    Hop(LinkSender<Cell>),
+    Egress {
+        tx: Sender<Cell>,
+        ctrl: Rc<PathCtlState>,
+        rng: SmallRng,
+    },
+}
+
+/// The `hop:*` task: one sequential loop doing what a stamper and a
+/// delayer per stage (jitter, loss, faults) did, because each delayer
+/// reached cell *k* at `max(arrival_k, release_{k-1})` — which is where a
+/// loop is after cell *k − 1* (DESIGN.md §5). Every release is computed
+/// from the wire's arrival stamp, never from `now`: measured from when
+/// the loop got around to a cell, jitter and a standing extra delay would
+/// compound into unbounded delay instead of shifting cells by a constant.
+async fn release_stage(
+    stamped: Receiver<(SimTime, Cell)>,
+    hop: HopConfig,
+    seed: u64,
+    stats: StageStats,
+    mut next: Next,
+) {
+    let mut jitter_rng = SmallRng::seed_from_u64(seed ^ 0xA5A5);
+    let mut loss_rng = SmallRng::seed_from_u64(seed ^ 0x5A5A);
+    let (mut released, mut egressed) = (SimTime::ZERO, SimTime::ZERO);
+    while let Ok((arrival, mut cell)) = stamped.recv().await {
+        // Held for a fresh sample, never released before its predecessor.
+        let due = (arrival + hop.jitter.sample(&mut jitter_rng)).max(released);
+        released = due;
+        // A lossless hop counts nothing, as when it had no loss stage.
+        if hop.loss > 0.0 {
+            if loss_rng.gen_bool(hop.loss) {
+                stats.count_dropped(1);
+                continue;
+            }
+            stats.count_forwarded(1);
+        }
+        delay_until(due).await;
+        let sent = match &mut next {
+            Next::Hop(tx) => tx.send(cell).await,
+            // The controls are read only now, after the jitter wait: a
+            // cell is disturbed by what the plan says as it leaves the
+            // network, not as it entered the hop.
+            Next::Egress { tx, ctrl, rng } => {
+                let loss = ctrl.loss.get();
+                if loss > 0.0 && rng.gen_bool(loss) {
+                    ctrl.injected_drops.set(ctrl.injected_drops.get() + 1);
+                    continue;
+                }
+                // One byte XORed, so the frame fails to decode downstream
+                // rather than vanishing.
+                let corrupt = ctrl.corrupt.get();
+                if corrupt > 0.0 && rng.gen_bool(corrupt) && cell.payload_len > 0 {
+                    let i = rng.gen_range(0..cell.payload_len as usize);
+                    cell.payload[i] ^= 0xFF;
+                    ctrl.injected_corruptions
+                        .set(ctrl.injected_corruptions.get() + 1);
+                }
+                egressed = (due + SimDuration(ctrl.extra_delay_ns.get())).max(egressed);
+                delay_until(egressed).await;
+                tx.send(cell).await
+            }
+        };
+        if sent.is_err() {
+            return;
+        }
+    }
 }
 
 /// The two directions of a [`build_duplex_path`] connection, from the
@@ -412,102 +440,6 @@ pub fn build_duplex_path(
         a_to_b_ctrl,
         b_to_a_ctrl,
     }
-}
-
-/// The controllable egress disturbance of [`build_path_controlled`]:
-/// seeded Bernoulli loss, payload corruption (one byte XORed, so the frame
-/// fails to decode downstream rather than vanishing) and a constant extra
-/// delay with FIFO-monotone release.
-fn fault_stage(
-    spawner: &Spawner,
-    name: &str,
-    seed: u64,
-    ctrl: PathControl,
-    input: Receiver<Cell>,
-) -> Receiver<Cell> {
-    let (tx, rx) = channel::<Cell>();
-    // Same stamper/delayer split as `jitter_stage`: arrival times are
-    // recorded immediately so a standing extra delay shifts cells by a
-    // constant instead of compounding through the rendezvous chain.
-    let (stamped_tx, stamped_rx) = pandora_sim::unbounded::<(pandora_sim::SimTime, Cell)>();
-    spawner.spawn(&format!("faults:path:{name}:stamp"), async move {
-        while let Ok(cell) = input.recv().await {
-            if stamped_tx.send((pandora_sim::now(), cell)).await.is_err() {
-                return;
-            }
-        }
-    });
-    spawner.spawn(&format!("faults:path:{name}"), async move {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut last_due = pandora_sim::SimTime::ZERO;
-        while let Ok((arrival, mut cell)) = stamped_rx.recv().await {
-            let loss = ctrl.state.loss.get();
-            if loss > 0.0 && rng.gen_bool(loss) {
-                ctrl.state
-                    .injected_drops
-                    .set(ctrl.state.injected_drops.get() + 1);
-                continue;
-            }
-            let corrupt = ctrl.state.corrupt.get();
-            if corrupt > 0.0 && rng.gen_bool(corrupt) && cell.payload_len > 0 {
-                let i = rng.gen_range(0..cell.payload_len as usize);
-                cell.payload[i] ^= 0xFF;
-                ctrl.state
-                    .injected_corruptions
-                    .set(ctrl.state.injected_corruptions.get() + 1);
-            }
-            let extra = ctrl.state.extra_delay_ns.get();
-            let due = (arrival + SimDuration(extra)).max(last_due);
-            if due > pandora_sim::now() {
-                pandora_sim::delay_until(due).await;
-            }
-            last_due = due;
-            if tx.send(cell).await.is_err() {
-                return;
-            }
-        }
-    });
-    rx
-}
-
-fn apply_disturbance(
-    spawner: &Spawner,
-    name: &str,
-    index: usize,
-    hop: &HopConfig,
-    seed: u64,
-    mut rx: Receiver<Cell>,
-    stats: &mut Vec<StageStats>,
-) -> Receiver<Cell> {
-    if !matches!(hop.jitter, JitterModel::None) {
-        rx = jitter_stage(
-            spawner,
-            &format!("{name}.{index}"),
-            hop.jitter,
-            seed ^ 0xA5A5,
-            rx,
-        );
-    }
-    if hop.loss > 0.0 {
-        let (lrx, s) = loss_stage(
-            spawner,
-            &format!("{name}.{index}"),
-            hop.loss,
-            seed ^ 0x5A5A,
-            rx,
-        );
-        stats.push(s);
-        lrx
-    } else {
-        stats.push(StageStats::default());
-        rx
-    }
-}
-
-// LinkConfig wants a &'static str name; paths are built once per
-// simulation, so leaking the handful of hop names is fine.
-fn leak_name(s: String) -> &'static str {
-    Box::leak(s.into_boxed_str())
 }
 
 // Each routed VCI carries a list of copy destinations: (output port,
@@ -785,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn loss_stage_drops_expected_fraction() {
+    fn hop_loss_drops_expected_fraction() {
         let mut sim = Simulation::new();
         let (tx, rx0, stats, _ctrl) = build_path_controlled(
             &sim.spawner(),
@@ -1108,6 +1040,84 @@ mod tests {
         ctrl.link(0).expect("hop 0").set_up(true);
         sim.run_until_idle();
         assert_eq!(n.get(), 10);
+    }
+
+    #[test]
+    fn long_hop_holds_more_than_257_cells_in_flight() {
+        // 1 Gb/s x 1 ms is 2,358 cells of bandwidth-delay product. With a
+        // bounded propagation queue behind the wire, cell 258 on arrived
+        // 891,032 ns late; latency must not cost throughput.
+        let mut sim = Simulation::new();
+        let hop = HopConfig {
+            latency: SimDuration::from_millis(1),
+            ..HopConfig::clean(1_000_000_000)
+        };
+        let (tx, rx, _stats, _ctrl) = build_path_controlled(&sim.spawner(), "p", &[hop], 1);
+        sim.spawn("send", async move {
+            for i in 0..3_000 {
+                tx.send(Cell::new(Vci(1), i, false, &[])).await.unwrap();
+            }
+        });
+        let times = Rc::new(StdRefCell::new(Vec::new()));
+        let t = times.clone();
+        sim.spawn("recv", async move {
+            while let Ok(c) = rx.recv().await {
+                t.borrow_mut().push((c.seq, pandora_sim::now().as_nanos()));
+            }
+        });
+        sim.run_until_idle();
+        let times = times.borrow();
+        assert_eq!(times.len(), 3_000);
+        let first = times[0].1;
+        assert_eq!(first, 424 + 1_000_000);
+        for (k, &(seq, at)) in times.iter().enumerate() {
+            assert_eq!(seq, k as u32);
+            assert_eq!(at, first + k as u64 * 424, "cell {k}");
+        }
+    }
+
+    #[test]
+    fn ill_formed_hops_are_refused_at_build_time() {
+        let bursty = |burst_prob| JitterModel::Bursty {
+            base: SimDuration::from_millis(2),
+            burst: SimDuration::from_millis(20),
+            burst_prob,
+        };
+        let lossy = |loss| HopConfig {
+            loss,
+            ..HopConfig::clean(1_000_000)
+        };
+        let jittery = |burst_prob| HopConfig {
+            jitter: bursty(burst_prob),
+            ..HopConfig::clean(1_000_000)
+        };
+        let bad = [
+            (lossy(1.5), "loss probability"),
+            (lossy(-0.1), "loss probability"),
+            (lossy(f64::NAN), "loss probability"),
+            (jittery(1.5), "burst probability"),
+            (jittery(-0.5), "burst probability"),
+            (jittery(f64::NAN), "burst probability"),
+        ];
+        for (hop, what) in bad {
+            let refused = std::panic::catch_unwind(|| {
+                let sim = Simulation::new();
+                // The bad hop is the second, and the message must say so.
+                let _ = build_path_controlled(&sim.spawner(), "p", &[lossy(0.0), hop], 0);
+            });
+            let message = match refused {
+                Ok(()) => panic!("{hop:?} was accepted"),
+                Err(payload) => *payload.downcast::<String>().unwrap(),
+            };
+            assert!(
+                message.contains("hop p.1") && message.contains(what),
+                "{hop:?}: {message}"
+            );
+        }
+        // The ends of the range are probabilities like any other.
+        let sim = Simulation::new();
+        let _ = build_path_controlled(&sim.spawner(), "p", &[lossy(1.0), jittery(0.0)], 0);
+        let _ = build_path_controlled(&sim.spawner(), "q", &[lossy(0.0), jittery(1.0)], 0);
     }
 
     #[test]

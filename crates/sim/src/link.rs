@@ -7,6 +7,10 @@
 //! not yet consumed the previous message) the next sender is held back —
 //! this back-pressure is how overload propagates toward the source
 //! (Principle 5's failure mode, handled by decoupling buffers).
+//!
+//! [`long_line`] is the one link that is not inside a box: the wire of a
+//! network hop, which serialises like the others but hands what it carried
+//! to an unbounded queue, stamped with its arrival instant.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -14,8 +18,8 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::channel::{buffered, Receiver, SendError, Sender};
-use crate::executor::{delay, spawn_prio, waker, Priority, Spawner, TaskWaker};
+use crate::channel::{buffered, unbounded, Receiver, SendError, Sender};
+use crate::executor::{delay, now, waker, Priority, Spawner, TaskWaker};
 use crate::time::{SimDuration, SimTime};
 
 /// Items that know their size on the wire.
@@ -42,26 +46,14 @@ pub struct LinkConfig {
     /// Transfer rate in bits per second (e.g. `20_000_000` for the 20 Mbit/s
     /// audio link of figure 1.2).
     pub bits_per_sec: u64,
-    /// Fixed per-message latency added after the transfer completes.
-    pub latency: SimDuration,
     /// Diagnostic name.
     pub name: &'static str,
 }
 
 impl LinkConfig {
-    /// A link at `bits_per_sec` with no fixed latency.
+    /// A link at `bits_per_sec`.
     pub fn new(name: &'static str, bits_per_sec: u64) -> Self {
-        LinkConfig {
-            bits_per_sec,
-            latency: SimDuration::ZERO,
-            name,
-        }
-    }
-
-    /// Sets the fixed per-message latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
+        LinkConfig { bits_per_sec, name }
     }
 
     /// Time to clock `bytes` through this link.
@@ -126,53 +118,20 @@ pub fn link<T: 'static>(spawner: &Spawner, config: LinkConfig) -> (LinkSender<T>
     // previous transfer is still delivering; the *second* hand-off blocks.
     let (tx, pump_rx) = buffered::<(T, usize)>(1);
     let (out_tx, out_rx) = crate::channel::channel::<T>();
-    if config.latency.as_nanos() == 0 {
-        // Pure serial link (in-box Inmos links and FIFOs): the writer is
-        // blocked until the receiver has consumed — exact back-pressure.
-        spawner.spawn_prio(
-            &format!("link:{}", config.name),
-            Priority::High,
-            async move {
-                while let Ok((value, bytes)) = pump_rx.recv().await {
-                    delay(config.transfer_time(bytes)).await;
-                    if out_tx.send(value).await.is_err() {
-                        return;
-                    }
+    // Pure serial link (in-box Inmos links and FIFOs): the writer is
+    // blocked until the receiver has consumed — exact back-pressure.
+    spawner.spawn_prio(
+        &format!("link:{}", config.name),
+        Priority::High,
+        async move {
+            while let Ok((value, bytes)) = pump_rx.recv().await {
+                delay(config.transfer_time(bytes)).await;
+                if out_tx.send(value).await.is_err() {
+                    return;
                 }
-            },
-        );
-    } else {
-        // A long line: serialisation (wire occupancy) and propagation are
-        // separate stages so latency does not reduce throughput. The
-        // in-flight window is bounded, so a stalled receiver still
-        // back-pressures the sender eventually.
-        let (prop_tx, prop_rx) = buffered::<(crate::time::SimTime, T)>(256);
-        spawner.spawn_prio(
-            &format!("link:{}", config.name),
-            Priority::High,
-            async move {
-                while let Ok((value, bytes)) = pump_rx.recv().await {
-                    delay(config.transfer_time(bytes)).await;
-                    let due = crate::executor::now() + config.latency;
-                    if prop_tx.send((due, value)).await.is_err() {
-                        return;
-                    }
-                }
-            },
-        );
-        spawner.spawn_prio(
-            &format!("link:{}:prop", config.name),
-            Priority::High,
-            async move {
-                while let Ok((due, value)) = prop_rx.recv().await {
-                    crate::executor::delay_until(due).await;
-                    if out_tx.send(value).await.is_err() {
-                        return;
-                    }
-                }
-            },
-        );
-    }
+            }
+        },
+    );
     (LinkSender { tx }, out_rx)
 }
 
@@ -183,7 +142,7 @@ struct LinkCtlState {
     downs: Cell<u64>,
 }
 
-/// Runtime control handle for a [`link_controlled`] link.
+/// Runtime control handle for a [`link_controlled`] link or a [`long_line`].
 ///
 /// Fault injection uses it to flap the link (`set_up`) or collapse its
 /// effective bandwidth (`set_rate_permille`). While the link is down no new
@@ -286,71 +245,57 @@ pub fn link_controlled<T: 'static>(
     let (tx, pump_rx) = buffered::<(T, usize)>(1);
     let (out_tx, out_rx) = crate::channel::channel::<T>();
     let c = ctrl.clone();
-    if config.latency.as_nanos() == 0 {
-        spawner.spawn_prio(
-            &format!("link:{}", config.name),
-            Priority::High,
-            async move {
-                while let Ok((value, bytes)) = pump_rx.recv().await {
-                    c.wait_up().await;
-                    delay(c.scaled(config.transfer_time(bytes))).await;
-                    c.wait_up().await;
-                    if out_tx.send(value).await.is_err() {
-                        return;
-                    }
-                }
-            },
-        );
-    } else {
-        let (prop_tx, prop_rx) = buffered::<(crate::time::SimTime, T)>(256);
-        spawner.spawn_prio(
-            &format!("link:{}", config.name),
-            Priority::High,
-            async move {
-                while let Ok((value, bytes)) = pump_rx.recv().await {
-                    c.wait_up().await;
-                    delay(c.scaled(config.transfer_time(bytes))).await;
-                    c.wait_up().await;
-                    let due = crate::executor::now() + config.latency;
-                    if prop_tx.send((due, value)).await.is_err() {
-                        return;
-                    }
-                }
-            },
-        );
-        spawner.spawn_prio(
-            &format!("link:{}:prop", config.name),
-            Priority::High,
-            async move {
-                while let Ok((due, value)) = prop_rx.recv().await {
-                    crate::executor::delay_until(due).await;
-                    if out_tx.send(value).await.is_err() {
-                        return;
-                    }
-                }
-            },
-        );
-    }
-    (LinkSender { tx }, out_rx, ctrl)
-}
-
-/// Creates a link from inside a running task (zero-latency serial form).
-pub fn link_here<T: 'static>(config: LinkConfig) -> (LinkSender<T>, Receiver<T>) {
-    let (tx, pump_rx) = buffered::<(T, usize)>(1);
-    let (out_tx, out_rx) = crate::channel::channel::<T>();
-    spawn_prio(
+    spawner.spawn_prio(
         &format!("link:{}", config.name),
         Priority::High,
         async move {
             while let Ok((value, bytes)) = pump_rx.recv().await {
-                delay(config.transfer_time(bytes) + config.latency).await;
+                c.wait_up().await;
+                delay(c.scaled(config.transfer_time(bytes))).await;
+                c.wait_up().await;
                 if out_tx.send(value).await.is_err() {
                     return;
                 }
             }
         },
     );
-    (LinkSender { tx }, out_rx)
+    (LinkSender { tx }, out_rx, ctrl)
+}
+
+/// A long line: the wire of one network hop, as a serialiser only.
+///
+/// The `link:{name}` task clocks one message at a time through the wire
+/// exactly as [`link_controlled`] does (up-check, scaled transfer,
+/// up-check) and then, instead of delivering it, pushes it onto an
+/// **unbounded** queue stamped with the instant its last bit reaches the
+/// far end (`now + latency`). Whoever reads the queue decides when to
+/// release the message; the wire never waits for them, so neither latency
+/// nor a slow reader costs throughput, and only a downed link (or an idle
+/// sender) idles it. Stamps are non-decreasing.
+pub fn long_line<T: 'static>(
+    spawner: &Spawner,
+    config: LinkConfig,
+    latency: SimDuration,
+) -> (LinkSender<T>, Receiver<(SimTime, T)>, LinkControl) {
+    let ctrl = LinkControl::new();
+    let (tx, pump_rx) = buffered::<(T, usize)>(1);
+    let (out_tx, out_rx) = unbounded::<(SimTime, T)>();
+    let c = ctrl.clone();
+    spawner.spawn_prio(
+        &format!("link:{}", config.name),
+        Priority::High,
+        async move {
+            while let Ok((value, bytes)) = pump_rx.recv().await {
+                c.wait_up().await;
+                delay(c.scaled(config.transfer_time(bytes))).await;
+                c.wait_up().await;
+                if out_tx.send((now() + latency, value)).await.is_err() {
+                    return;
+                }
+            }
+        },
+    );
+    (LinkSender { tx }, out_rx, ctrl)
 }
 
 /// Helper: the time at which a periodic process pacing at `period` with a
@@ -407,19 +352,78 @@ mod tests {
     #[test]
     fn latency_added() {
         let mut sim = Simulation::new();
-        let cfg = LinkConfig::new("l", 8_000_000).with_latency(SimDuration::from_millis(3));
-        let (tx, rx) = link::<Vec<u8>>(&sim.spawner(), cfg);
+        let (tx, rx, _ctrl) = long_line::<Vec<u8>>(
+            &sim.spawner(),
+            LinkConfig::new("l", 8_000_000),
+            SimDuration::from_millis(3),
+        );
         sim.spawn("sender", async move {
             tx.send(vec![0u8; 1000]).await.unwrap();
         });
-        let at = Rc::new(RefCell::new(SimTime::ZERO));
-        let a = at.clone();
-        sim.spawn("receiver", async move {
-            rx.recv().await.unwrap();
-            *a.borrow_mut() = crate::now();
-        });
         sim.run_until_idle();
-        assert_eq!(*at.borrow(), SimTime::from_millis(4));
+        // Stamp = transfer (1 ms) + latency; queued when the transfer ends.
+        assert_eq!(sim.now(), SimTime::from_millis(1));
+        let (stamp, v) = rx.try_recv().unwrap();
+        assert_eq!(stamp, SimTime::from_millis(4));
+        assert_eq!(v.len(), 1000);
+    }
+
+    #[test]
+    fn long_line_stamps_are_transfer_apart_whatever_the_latency() {
+        // Bandwidth x delay is not capped: 1,000 messages of 1 us each
+        // are all in flight inside 5 ms of latency.
+        for latency_us in [0, 300, 5_000] {
+            let mut sim = Simulation::new();
+            let (tx, rx, _ctrl) = long_line::<Vec<u8>>(
+                &sim.spawner(),
+                LinkConfig::new("l", 8_000_000),
+                SimDuration::from_micros(latency_us),
+            );
+            sim.spawn("sender", async move {
+                for _ in 0..1_000 {
+                    tx.send(vec![0u8; 1]).await.unwrap(); // 1 us at 8 Mbit/s
+                }
+            });
+            sim.run_until_idle();
+            for k in 1..=1_000 {
+                let (stamp, _) = rx.try_recv().unwrap();
+                assert_eq!(stamp, SimTime::from_micros(k + latency_us));
+            }
+        }
+    }
+
+    #[test]
+    fn long_line_stalls_for_a_downed_link_not_for_an_idle_reader() {
+        let mut sim = Simulation::new();
+        let (tx, rx, ctrl) = long_line::<Vec<u8>>(
+            &sim.spawner(),
+            LinkConfig::new("l", 8_000_000),
+            SimDuration::from_millis(2),
+        );
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let s = sent.clone();
+        sim.spawn("sender", async move {
+            for _ in 0..6 {
+                tx.send(vec![0u8; 1000]).await.unwrap(); // 1 ms each
+                s.borrow_mut().push(crate::now().as_millis());
+            }
+        });
+        // Nobody reads `rx`: hand-offs still complete at the wire's pace.
+        sim.run_until(SimTime::from_micros(3_500));
+        assert_eq!(*sent.borrow(), vec![0, 0, 1, 2, 3]);
+        ctrl.set_up(false); // mid-transfer of the fourth message
+        sim.run_until(SimTime::from_millis(10));
+        assert_eq!(sent.borrow().len(), 5, "a downed link takes nothing");
+        assert_eq!(rx.len(), 3);
+        ctrl.set_up(true);
+        sim.run_until_idle();
+        // The fourth had clocked its bytes and lands on recovery; the
+        // rest drain at the wire rate, each stamped 2 ms after its end.
+        assert_eq!(*sent.borrow(), vec![0, 0, 1, 2, 3, 10]);
+        let stamps: Vec<u64> = std::iter::from_fn(|| rx.try_recv())
+            .map(|(stamp, _)| stamp.as_millis())
+            .collect();
+        assert_eq!(stamps, vec![3, 4, 5, 12, 13, 14]);
     }
 
     #[test]

@@ -70,6 +70,8 @@ impl Rect {
 pub struct FrameStore {
     width: u32,
     height: u32,
+    /// Row-major, `width * height` once written; empty (and owning no
+    /// memory) while the store still holds its initial zeroes.
     pixels: Vec<u8>,
     /// Generation counter: the camera frame number the store holds,
     /// counted from 1 (0 is the zeroed store before any write).
@@ -86,14 +88,29 @@ pub const FULL_FRAME_RATE_HZ: u32 = 25;
 pub const FRAME_PERIOD_NANOS: u64 = 1_000_000_000 / FULL_FRAME_RATE_HZ as u64;
 
 impl FrameStore {
-    /// Creates a zeroed framestore.
+    /// Creates a zeroed framestore. Its pixels are backed by memory on
+    /// the first write: a box that never captures or displays video pays
+    /// nothing for the two stores it is built with.
     pub fn new(width: u32, height: u32) -> Self {
         FrameStore {
             width,
             height,
-            pixels: vec![0; width as usize * height as usize],
+            pixels: Vec::new(),
             generation: 0,
         }
+    }
+
+    /// Pixels in a whole frame.
+    fn area(&self) -> usize {
+        self.width as usize * self.height as usize
+    }
+
+    /// The pixels, backed with zeroes if this is the first write.
+    fn backed(&mut self) -> &mut [u8] {
+        if self.pixels.is_empty() {
+            self.pixels = vec![0; self.area()];
+        }
+        &mut self.pixels
     }
 
     /// Creates the default-geometry framestore.
@@ -123,7 +140,7 @@ impl FrameStore {
     ///
     /// Panics if `frame` is not exactly `width * height` bytes.
     pub fn write_frame(&mut self, frame: &[u8]) {
-        assert_eq!(frame.len(), self.pixels.len(), "frame size mismatch");
+        assert_eq!(frame.len(), self.area(), "frame size mismatch");
         self.write_frame_with(self.generation + 1, |pixels| pixels.copy_from_slice(frame));
     }
 
@@ -133,7 +150,7 @@ impl FrameStore {
     /// reads skips generations; the store then still names the frame it
     /// holds.
     pub fn write_frame_with(&mut self, generation: u64, render: impl FnOnce(&mut [u8])) {
-        render(&mut self.pixels);
+        render(self.backed());
         self.generation = generation;
     }
 
@@ -147,6 +164,9 @@ impl FrameStore {
             rect.fits(self.width, self.height),
             "rect out of range: {rect:?}"
         );
+        if self.pixels.is_empty() {
+            return vec![0; rect.area()];
+        }
         let mut out = Vec::with_capacity(rect.area());
         for row in rect.y..rect.y + rect.height {
             let start = row as usize * self.width as usize + rect.x as usize;
@@ -166,10 +186,12 @@ impl FrameStore {
             "rect out of range: {rect:?}"
         );
         assert_eq!(data.len(), rect.area(), "data size mismatch for {rect:?}");
+        let width = self.width as usize;
+        let pixels = self.backed();
         for (i, row) in (rect.y..rect.y + rect.height).enumerate() {
-            let start = row as usize * self.width as usize + rect.x as usize;
+            let start = row as usize * width + rect.x as usize;
             let src = i * rect.width as usize;
-            self.pixels[start..start + rect.width as usize]
+            pixels[start..start + rect.width as usize]
                 .copy_from_slice(&data[src..src + rect.width as usize]);
         }
     }
@@ -286,6 +308,22 @@ mod tests {
         assert_eq!(fs.read_rect(rect), data);
         // Outside the rect is untouched.
         assert_eq!(fs.read_rect(Rect::new(0, 0, 2, 2)), vec![0; 4]);
+    }
+
+    #[test]
+    fn unwritten_store_owns_no_memory_and_reads_zero() {
+        let mut fs = FrameStore::standard();
+        assert_eq!(fs.pixels.capacity(), 0);
+        assert_eq!(fs.read_rect(Rect::new(700, 200, 68, 88)), vec![0; 68 * 88]);
+        assert_eq!(fs.pixels.capacity(), 0, "a read backed the store");
+        // One write backs it: what was written, zeroes around it.
+        fs.write_rect(Rect::new(1, 1, 2, 2), &[9, 8, 7, 6]);
+        assert_eq!(fs.pixels.len(), 768 * 288);
+        assert_eq!(
+            fs.read_rect(Rect::new(0, 0, 4, 4)),
+            vec![0, 0, 0, 0, 0, 9, 8, 0, 0, 7, 6, 0, 0, 0, 0, 0]
+        );
+        assert_eq!(fs.read_rect(Rect::new(0, 287, 768, 1)), vec![0; 768]);
     }
 
     #[test]
