@@ -10,8 +10,9 @@
 //! * [`cells_gather`] / [`SlabReassembler`] — the zero-copy variants:
 //!   scatter-gather segmentation straight from a header region plus a
 //!   slab payload, and reassembly directly into slab regions;
-//! * [`build_path_controlled`] / [`HopConfig`] — multi-hop paths, two
-//!   tasks a hop: a wire (bandwidth, latency, a `LinkControl`) and a
+//! * [`build_path_over`] / [`HopConfig`] — multi-hop paths over the
+//!   queue they drain ([`build_path_controlled`]: over one of their own),
+//!   two tasks a hop: a wire (bandwidth, latency, a `LinkControl`) and a
 //!   release stage (a seeded [`JitterModel`] — including the paper's
 //!   "2 ms usually, 20 ms under video load" bursty shape — Bernoulli
 //!   loss, and on the last hop the runtime fault controls of
@@ -34,6 +35,6 @@ pub use aal::{cells_gather, segment_to_cells, Reassembler, SlabReassembler};
 pub use burst::{burst_gather, CellBurst};
 pub use cell::{Cell, Vci, CELL_BYTES, CELL_PAYLOAD};
 pub use network::{
-    build_duplex_path, build_path_controlled, DuplexPath, FabricCounters, HopConfig, JitterModel,
-    PathControl, StageStats, Switch, SwitchCore,
+    build_duplex_path, build_path_controlled, build_path_over, DuplexPath, FabricCounters,
+    HopConfig, JitterModel, PathControl, StageStats, Switch, SwitchCore,
 };

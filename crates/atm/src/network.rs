@@ -10,7 +10,9 @@
 //! A hop is two tasks: a wire (`link:{path}.{i}`, a [`long_line`]) that
 //! serialises cells and stamps each with its arrival instant, and a
 //! release stage (`hop:{path}.{i}`) that applies the hop's jitter and
-//! loss and hands the cell on — see [`build_path_controlled`].
+//! loss and hands the cell on — see [`build_path_over`]. Hop 0's wire
+//! drains whatever queue the path is built over: a switch's output port
+//! feeds its attachment with no task in between.
 
 use std::cell::Cell as StdCell;
 use std::cell::RefCell;
@@ -21,8 +23,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_sim::{
-    buffered, channel, delay_until, long_line, AltSet, LinkConfig, LinkControl, LinkSender,
-    Receiver, Sender, SimDuration, SimTime, Spawner,
+    buffered, channel, delay_until, link_queue, long_line, AltSet, LinkConfig, LinkControl,
+    LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner,
 };
 
 use crate::cell::{Cell, Vci};
@@ -179,7 +181,7 @@ struct PathCtlState {
     injected_corruptions: StdCell<u64>,
 }
 
-/// Runtime fault-injection handle for a [`build_path_controlled`] path.
+/// Runtime fault-injection handle for a [`build_path_over`] path.
 ///
 /// A fault plan can superimpose cell loss, payload corruption and a
 /// latency step on the path's egress, and reach the per-hop
@@ -194,7 +196,7 @@ pub struct PathControl {
 
 impl PathControl {
     /// Wraps hop links in a control handle whose egress disturbance knobs
-    /// start at zero. [`build_path_controlled`] makes its own this way;
+    /// start at zero. [`build_path_over`] makes its own this way;
     /// topologies that assemble their own links (the overlay's relay
     /// uplinks) do it to register with `pandora-faults` as a named path.
     pub fn from_links(links: Vec<LinkControl>) -> Self {
@@ -248,15 +250,10 @@ impl PathControl {
     pub fn link(&self, i: usize) -> Option<&LinkControl> {
         self.links.get(i)
     }
-
-    /// Control handles of every hop link, in hop order.
-    pub fn links(&self) -> &[LinkControl] {
-        &self.links
-    }
 }
 
-/// Builds a multi-hop ATM path; returns the ingress sender, the egress
-/// receiver, per-hop loss stats and the path's fault controls.
+/// Builds a multi-hop ATM path whose first wire drains `source`; returns
+/// the egress receiver, per-hop loss stats and the path's fault controls.
 ///
 /// This is the E15 "SuperJanet" substrate: chain several hops with bursty
 /// jitter to model a Cambridge-to-London path crossing "several networks
@@ -271,6 +268,61 @@ impl PathControl {
 ///
 /// Panics if `hops` is empty, or — naming the hop — if a `loss` or a
 /// [`JitterModel::Bursty`] `burst_prob` is outside `0..=1` (NaN included).
+pub fn build_path_over(
+    spawner: &Spawner,
+    name: &str,
+    hops: &[HopConfig],
+    seed: u64,
+    source: Receiver<Cell>,
+) -> (Receiver<Cell>, Vec<StageStats>, PathControl) {
+    assert!(!hops.is_empty(), "a path needs at least one hop");
+    // Wire 0 drains the caller's queue; every later wire a hand-off slot
+    // of its own, which the stage before it fills.
+    let mut source = Some(source);
+    let mut feeds = Vec::with_capacity(hops.len() - 1);
+    let mut arrivals = Vec::with_capacity(hops.len());
+    let mut link_ctls = Vec::with_capacity(hops.len());
+    for (i, hop) in hops.iter().enumerate() {
+        let source = source.take().unwrap_or_else(|| {
+            let (feed, slot) = link_queue();
+            feeds.push(feed);
+            slot
+        });
+        hop.validate(name, i);
+        // LinkConfig wants a &'static str name; paths are built once per
+        // simulation, so leaking the handful of hop names is fine.
+        let wire_name = Box::leak(format!("{name}.{i}").into_boxed_str());
+        let config = LinkConfig::new(wire_name, hop.bits_per_sec);
+        let (stamped, lc) = long_line(spawner, config, hop.latency, source);
+        arrivals.push(stamped);
+        link_ctls.push(lc);
+    }
+    let ctrl = PathControl::from_links(link_ctls);
+    let stats: Vec<StageStats> = hops.iter().map(|_| StageStats::default()).collect();
+    let (egress_tx, egress_rx) = channel::<Cell>();
+    // From the egress backwards: each stage owns the sender into the wire
+    // after it.
+    let mut next = Next::Egress {
+        tx: egress_tx,
+        ctrl: ctrl.state.clone(),
+        rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
+    };
+    for (i, stamped) in arrivals.into_iter().enumerate().rev() {
+        let seed = seed.wrapping_add(i as u64);
+        spawner.spawn(
+            &format!("hop:{name}.{i}"),
+            release_stage(stamped, hops[i], seed, stats[i].clone(), next),
+        );
+        next = match feeds.pop() {
+            Some(tx) => Next::Hop(tx),
+            None => break,
+        };
+    }
+    (egress_rx, stats, ctrl)
+}
+
+/// [`build_path_over`] a fresh [`link_queue`], whose sender — the path's
+/// ingress — comes first in the result.
 pub fn build_path_controlled(
     spawner: &Spawner,
     name: &str,
@@ -282,42 +334,8 @@ pub fn build_path_controlled(
     Vec<StageStats>,
     PathControl,
 ) {
-    let mut wires = Vec::with_capacity(hops.len());
-    let mut link_ctls = Vec::with_capacity(hops.len());
-    for (i, hop) in hops.iter().enumerate() {
-        hop.validate(name, i);
-        // LinkConfig wants a &'static str name; paths are built once per
-        // simulation, so leaking the handful of hop names is fine.
-        let wire_name = Box::leak(format!("{name}.{i}").into_boxed_str());
-        let (tx, stamped, lc) = long_line::<Cell>(
-            spawner,
-            LinkConfig::new(wire_name, hop.bits_per_sec),
-            hop.latency,
-        );
-        wires.push((tx, stamped));
-        link_ctls.push(lc);
-    }
-    let ctrl = PathControl::from_links(link_ctls);
-    let stats: Vec<StageStats> = hops.iter().map(|_| StageStats::default()).collect();
-    let (egress_tx, egress_rx) = channel::<Cell>();
-    // From the egress backwards: each stage owns the sender into the wire
-    // after it, and the one left over at the end is hop 0's — the ingress.
-    let mut next = Next::Egress {
-        tx: egress_tx,
-        ctrl: ctrl.state.clone(),
-        rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
-    };
-    for (i, (tx, stamped)) in wires.into_iter().enumerate().rev() {
-        let seed = seed.wrapping_add(i as u64);
-        spawner.spawn(
-            &format!("hop:{name}.{i}"),
-            release_stage(stamped, hops[i], seed, stats[i].clone(), next),
-        );
-        next = Next::Hop(tx);
-    }
-    let Next::Hop(ingress) = next else {
-        panic!("a path needs at least one hop");
-    };
+    let (ingress, source) = link_queue();
+    let (egress_rx, stats, ctrl) = build_path_over(spawner, name, hops, seed, source);
     (ingress, egress_rx, stats, ctrl)
 }
 
@@ -394,16 +412,15 @@ async fn release_stage(
     }
 }
 
-/// The two directions of a [`build_duplex_path`] connection, from the
-/// perspective of one endpoint: `a` holds the A-side ingress/egress,
-/// `b` the B-side, with per-direction hop stats and fault controls.
+/// The two directions of a [`build_duplex_path`] connection: `a` holds
+/// the A-side ingress/egress, `b` the B-side egress — what feeds the B
+/// side is the queue the connection was built over — with per-direction
+/// hop stats and fault controls.
 pub struct DuplexPath {
     /// A-side sender (into the a→b direction).
     pub a_tx: LinkSender<Cell>,
     /// A-side receiver (egress of the b→a direction).
     pub a_rx: Receiver<Cell>,
-    /// B-side sender (into the b→a direction).
-    pub b_tx: LinkSender<Cell>,
     /// B-side receiver (egress of the a→b direction).
     pub b_rx: Receiver<Cell>,
     /// Per-hop loss stats of the a→b direction.
@@ -417,23 +434,30 @@ pub struct DuplexPath {
 }
 
 /// Builds a full-duplex connection: two independent controlled paths with
-/// the same hop profile, one per direction. The b→a direction derives its
-/// seed from `seed` so a single seed reproduces the whole connection, yet
-/// the two directions see independent disturbance processes.
+/// the same hop profile, one per direction. The b→a direction drains
+/// `b_source` — a switch's output port, or the [`link_queue`] whose sender
+/// the B endpoint holds — and derives its seed from `seed`, so a single
+/// seed reproduces the whole connection, yet the two directions see
+/// independent disturbance processes.
 pub fn build_duplex_path(
     spawner: &Spawner,
     name: &str,
     hops: &[HopConfig],
     seed: u64,
+    b_source: Receiver<Cell>,
 ) -> DuplexPath {
     let (a_tx, b_rx, a_to_b, a_to_b_ctrl) =
         build_path_controlled(spawner, &format!("{name}.ab"), hops, seed);
-    let (b_tx, a_rx, b_to_a, b_to_a_ctrl) =
-        build_path_controlled(spawner, &format!("{name}.ba"), hops, seed ^ 0xDEAD);
+    let (a_rx, b_to_a, b_to_a_ctrl) = build_path_over(
+        spawner,
+        &format!("{name}.ba"),
+        hops,
+        seed ^ 0xDEAD,
+        b_source,
+    );
     DuplexPath {
         a_tx,
         a_rx,
-        b_tx,
         b_rx,
         a_to_b,
         b_to_a,
@@ -607,19 +631,17 @@ pub struct Switch {
 }
 
 impl Switch {
-    /// Spawns a switch over the given input ports; returns the handle and
-    /// one receiver per output port. The task ends when every input has
-    /// closed — at once if there are none.
-    ///
-    /// `port_queue` bounds each output port's queue in cells.
+    /// Spawns the switch task over `core` and the given input ports. The
+    /// ports are the caller's to make ([`SwitchCore::new`]) because a
+    /// fabric's outputs may have to exist before its inputs do: a star's
+    /// attachments drain the one and feed the other. The task ends when
+    /// every input has closed — at once if there are none.
     pub fn spawn(
         spawner: &Spawner,
         name: &str,
+        core: SwitchCore,
         inputs: Vec<Receiver<Cell>>,
-        output_ports: usize,
-        port_queue: usize,
-    ) -> (Switch, Vec<Receiver<Cell>>) {
-        let (core, port_rxs) = SwitchCore::new(output_ports, port_queue);
+    ) -> Switch {
         let task_core = core.clone();
         let mut inputs = AltSet::new(inputs);
         spawner.spawn(&format!("switch:{name}"), async move {
@@ -627,7 +649,7 @@ impl Switch {
                 task_core.dispatch_cell(cell);
             }
         });
-        (Switch { core }, port_rxs)
+        Switch { core }
     }
 }
 
@@ -644,6 +666,17 @@ mod tests {
     use super::*;
     use pandora_sim::{SimTime, Simulation};
     use std::cell::RefCell as StdRefCell;
+
+    /// A switch over a fresh core of `ports` ports of `queue` cells.
+    fn switch(
+        sim: &Simulation,
+        inputs: Vec<Receiver<Cell>>,
+        ports: usize,
+        queue: usize,
+    ) -> (Switch, Vec<Receiver<Cell>>) {
+        let (core, outs) = SwitchCore::new(ports, queue);
+        (Switch::spawn(&sim.spawner(), "s", core, inputs), outs)
+    }
 
     #[test]
     fn clean_path_delivers_in_order() {
@@ -755,7 +788,7 @@ mod tests {
     fn switch_routes_by_vci() {
         let mut sim = Simulation::new();
         let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 2, 64);
+        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 64);
         sw.route(Vci(1), 0, Vci(101));
         sw.route(Vci(2), 1, Vci(102));
         sim.spawn("send", async move {
@@ -779,7 +812,7 @@ mod tests {
     fn unroute_port_tears_down_only_the_dead_legs() {
         let sim = Simulation::new();
         let (_in_tx, in_rx) = channel::<Cell>();
-        let (sw, _outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 3, 64);
+        let (sw, _outs) = switch(&sim, vec![in_rx], 3, 64);
         sw.route(Vci(10), 0, Vci(10));
         sw.route_add(Vci(10), 2, Vci(10)); // A split: ports 0 and 2.
         sw.route(Vci(11), 2, Vci(11)); // Unicast to the dying port.
@@ -799,7 +832,7 @@ mod tests {
     fn switch_full_port_drops_without_stalling_others() {
         let mut sim = Simulation::new();
         let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 2, 2);
+        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 2);
         sw.route(Vci(1), 0, Vci(1)); // Nobody drains port 0.
         sw.route(Vci(2), 1, Vci(2));
         sim.spawn("send", async move {
@@ -827,7 +860,7 @@ mod tests {
         // No input can ever carry a cell: the task must finish, not sit
         // in an ALT over nothing for the deadlock detector to report.
         let mut sim = Simulation::new();
-        let (_sw, _outs) = Switch::spawn(&sim.spawner(), "s", Vec::new(), 2, 4);
+        let (_sw, _outs) = switch(&sim, Vec::new(), 2, 4);
         sim.run_until_idle();
         assert_eq!(sim.live_tasks(), 0);
         assert!(sim.deadlock_report().is_none());
@@ -837,7 +870,7 @@ mod tests {
     fn switch_multicast_copies_to_every_port() {
         let mut sim = Simulation::new();
         let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 3, 64);
+        let (sw, mut outs) = switch(&sim, vec![in_rx], 3, 64);
         sw.route(Vci(7), 0, Vci(100));
         sw.route_add(Vci(7), 1, Vci(101));
         sw.route_add(Vci(7), 2, Vci(102));
@@ -861,7 +894,7 @@ mod tests {
     fn switch_route_remove_leaves_other_copies() {
         let mut sim = Simulation::new();
         let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 2, 64);
+        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 64);
         sw.route(Vci(7), 0, Vci(100));
         sw.route_add(Vci(7), 1, Vci(101));
         sw.route_remove(Vci(7), 0);
@@ -881,8 +914,10 @@ mod tests {
     #[test]
     fn duplex_path_carries_both_directions() {
         let mut sim = Simulation::new();
-        let d = build_duplex_path(&sim.spawner(), "d", &[HopConfig::clean(100_000_000)], 3);
-        let (a_tx, b_tx) = (d.a_tx, d.b_tx);
+        let (b_tx, b_source) = link_queue();
+        let hops = [HopConfig::clean(100_000_000)];
+        let d = build_duplex_path(&sim.spawner(), "d", &hops, 3, b_source);
+        let a_tx = d.a_tx;
         sim.spawn("a-send", async move {
             a_tx.send(Cell::new(Vci(1), 0, true, &[1])).await.unwrap();
         });
@@ -912,7 +947,7 @@ mod tests {
     fn unroute_stops_forwarding() {
         let mut sim = Simulation::new();
         let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, _outs) = Switch::spawn(&sim.spawner(), "s", vec![in_rx], 1, 8);
+        let (sw, _outs) = switch(&sim, vec![in_rx], 1, 8);
         sw.route(Vci(1), 0, Vci(1));
         sw.unroute(Vci(1));
         sim.spawn("send", async move {

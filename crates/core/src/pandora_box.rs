@@ -13,9 +13,15 @@ use std::rc::Rc;
 
 use pandora_atm::Vci;
 use pandora_audio::{gen::Signal, Muting};
-use pandora_buffers::{ByteSlab, Descriptor, Pool, ReadyGate, Report, ReportClass};
+use pandora_buffers::{
+    ByteSlab, DecouplingHandle, Descriptor, Pool, ReadyGate, Report, ReportClass,
+};
+use pandora_metrics::RateLimiter;
 use pandora_segment::{AudioSegment, Segment, SlabSegment, StreamId, VideoSegment};
-use pandora_sim::{link, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimTime, Spawner};
+use pandora_sim::{
+    link_over, link_queue, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimDuration, SimTime,
+    Spawner,
+};
 use pandora_video::CaptureConfig;
 
 use crate::audio_board::{
@@ -26,7 +32,7 @@ use crate::config::BoxConfig;
 use crate::hostlog::ReportLog;
 use crate::msg::{OutputId, SegMsg, StreamKind, SwitchCommand, SwitchEntry};
 use crate::network_board::{spawn_net_in, spawn_net_out, NetInStats, NetOutConfig, NetOutStats};
-use crate::server_board::{spawn_switch, NetMsg, SwitchOutputs, SwitchStats};
+use crate::server_board::{spawn_switch, SwitchOutputs, SwitchStats};
 use crate::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
@@ -41,6 +47,87 @@ fn alloc_slab_segment(
 ) -> Option<Descriptor> {
     let slabseg = SlabSegment::from_segment(segment, slab).ok()?;
     pool.try_alloc(slabseg).ok()
+}
+
+/// What the output side of a box is built with: every decoupling buffer
+/// and device link downstream of the switch comes out of one of these.
+struct Outputs<'a> {
+    spawner: &'a Spawner,
+    name: &'static str,
+    ready_mode: bool,
+    pool: Pool<SlabSegment>,
+    reports: Sender<Report>,
+    report_min_period: SimDuration,
+    buffers: Rc<RefCell<Vec<DecouplingHandle>>>,
+}
+
+impl Outputs<'_> {
+    /// Spawns the decoupling buffer `{name}:{label}` (§3.7.1); returns the
+    /// switch's gate into it and the receiver it drains to.
+    fn gate<T: 'static>(&self, label: &str, cap: usize) -> (ReadyGate<T>, Receiver<T>) {
+        let task = format!("{}:{label}", self.name);
+        let (in_tx, in_rx) = pandora_sim::channel::<T>();
+        let (out_tx, out_rx) = pandora_sim::channel::<T>();
+        let reports = self.reports.clone();
+        let gate = if self.ready_mode {
+            let (h, ready) = pandora_buffers::spawn_decoupling_ready(
+                self.spawner,
+                &task,
+                cap,
+                in_rx,
+                out_tx,
+                reports,
+            );
+            self.buffers.borrow_mut().push(h);
+            ReadyGate::new(in_tx, ready)
+        } else {
+            let h =
+                pandora_buffers::spawn_decoupling(self.spawner, &task, cap, in_rx, out_tx, reports);
+            self.buffers.borrow_mut().push(h);
+            ReadyGate::blocking(in_tx)
+        };
+        (gate, out_rx)
+    }
+
+    /// Spawns the link `wire` to a board and the output handler
+    /// `{name}:{handler}` that feeds it what `buffered` delivers: the
+    /// segments `pick` accepts leave the slab here — the second (and last)
+    /// payload copy of the hop — and any other kind is reported, at most
+    /// once per `report_min_period` (§3.8).
+    fn device_link<T: 'static>(
+        &self,
+        handler: &'static str,
+        wire: LinkConfig,
+        buffered: Receiver<SegMsg>,
+        pick: fn(Segment) -> Option<T>,
+        size: fn(&T) -> usize,
+    ) -> Receiver<(StreamId, T)> {
+        let (wire_tx, source) = link_queue::<(StreamId, T)>();
+        let (wire_rx, _) = link_over(self.spawner, wire, source, move |(_, seg)| size(seg));
+        let pool = self.pool.clone();
+        let reports = self.reports.clone();
+        let mut limiter = RateLimiter::new(self.report_min_period.as_nanos());
+        self.spawner
+            .spawn(&format!("{}:{handler}", self.name), async move {
+                while let Ok(m) = buffered.recv().await {
+                    let seg = pool.with(m.desc, |s| s.to_segment());
+                    pool.release(m.desc);
+                    if let Some(seg) = pick(seg) {
+                        if wire_tx.send((m.stream, seg)).await.is_err() {
+                            return;
+                        }
+                    } else {
+                        let now = pandora_sim::now();
+                        if limiter.allow("kind", now.as_nanos()) {
+                            let message = format!("segment of the wrong kind ({})", m.stream);
+                            let report = Report::new(now, handler, ReportClass::Error, message);
+                            let _ = reports.send(report).await;
+                        }
+                    }
+                }
+            });
+        wire_rx
+    }
 }
 
 /// One Pandora's Box: boards, switch, buffers, instrumentation.
@@ -109,79 +196,27 @@ impl PandoraBox {
         let mixer_cpu = Cpu::new(&format!("{name}.mixer"), config.switch_cost);
 
         // --- Output decoupling buffers (downstream of the switch, §3.7.1).
-        let buffer_handles: Rc<RefCell<Vec<pandora_buffers::DecouplingHandle>>> =
-            Rc::new(RefCell::new(Vec::new()));
-        let bh = buffer_handles.clone();
-        let ready_mode = config.ready_mode;
-        let mk_net_gate = move |label: &str, cap: usize| {
-            let (in_tx, in_rx) = pandora_sim::channel::<NetMsg>();
-            let (out_tx, out_rx) = pandora_sim::channel::<NetMsg>();
-            if ready_mode {
-                let (h, ready) = pandora_buffers::spawn_decoupling_ready(
-                    spawner,
-                    &format!("{name}:{label}"),
-                    cap,
-                    in_rx,
-                    out_tx,
-                    reports.clone(),
-                );
-                bh.borrow_mut().push(h);
-                (ReadyGate::new(in_tx, ready), out_rx)
-            } else {
-                let h = pandora_buffers::spawn_decoupling(
-                    spawner,
-                    &format!("{name}:{label}"),
-                    cap,
-                    in_rx,
-                    out_tx,
-                    reports.clone(),
-                );
-                bh.borrow_mut().push(h);
-                (ReadyGate::blocking(in_tx), out_rx)
-            }
+        let outputs = Outputs {
+            spawner,
+            name,
+            ready_mode: config.ready_mode,
+            pool: pool.clone(),
+            reports: reports.clone(),
+            report_min_period: config.report_min_period,
+            buffers: Rc::default(),
         };
-        let (net_audio_gate, net_audio_rx) = mk_net_gate("net-audio", config.audio_net_buffer);
-        let (net_video_gate, net_video_rx) = mk_net_gate("net-video", config.decoupling_capacity);
-
-        let reports = log.sender();
-        let bh = buffer_handles.clone();
-        let mk_seg_gate = move |label: &str, cap: usize| {
-            let (in_tx, in_rx) = pandora_sim::channel::<SegMsg>();
-            let (out_tx, out_rx) = pandora_sim::channel::<SegMsg>();
-            if ready_mode {
-                let (h, ready) = pandora_buffers::spawn_decoupling_ready(
-                    spawner,
-                    &format!("{name}:{label}"),
-                    cap,
-                    in_rx,
-                    out_tx,
-                    reports.clone(),
-                );
-                bh.borrow_mut().push(h);
-                (ReadyGate::new(in_tx, ready), out_rx)
-            } else {
-                let h = pandora_buffers::spawn_decoupling(
-                    spawner,
-                    &format!("{name}:{label}"),
-                    cap,
-                    in_rx,
-                    out_tx,
-                    reports.clone(),
-                );
-                bh.borrow_mut().push(h);
-                (ReadyGate::blocking(in_tx), out_rx)
-            }
-        };
-        let (audio_gate, audio_out_rx) = mk_seg_gate("audio-out", config.decoupling_capacity);
-        let (mixer_gate, mixer_out_rx) = mk_seg_gate("mixer-out", config.decoupling_capacity);
-        let (repo_gate, repo_out_rx) = mk_seg_gate("repo-out", config.decoupling_capacity);
-        let (session_gate, session_out_rx) = mk_seg_gate("session-out", config.decoupling_capacity);
-        let reports = log.sender();
+        let (net_audio_gate, net_audio_rx) = outputs.gate("net-audio", config.audio_net_buffer);
+        let (net_video_gate, net_video_rx) = outputs.gate("net-video", config.decoupling_capacity);
+        let (audio_gate, audio_out_rx) = outputs.gate("audio-out", config.decoupling_capacity);
+        let (mixer_gate, mixer_out_rx) = outputs.gate("mixer-out", config.decoupling_capacity);
+        let (repo_gate, repo_out_rx) = outputs.gate("repo-out", config.decoupling_capacity);
+        let (session_gate, session_out_rx) =
+            outputs.gate("session-out", config.decoupling_capacity);
 
         // --- The switch.
         let (to_switch, switch_in_rx) = pandora_sim::channel::<SegMsg>();
         let (switch_cmd, switch_cmd_rx) = pandora_sim::unbounded::<SwitchCommand>();
-        let outputs = SwitchOutputs {
+        let switch_outputs = SwitchOutputs {
             net_audio: Some(net_audio_gate),
             net_video: Some(net_video_gate),
             audio: Some(audio_gate),
@@ -196,7 +231,7 @@ impl PandoraBox {
             switch_in_rx,
             switch_cmd_rx,
             config.command_priority,
-            outputs,
+            switch_outputs,
             pool.clone(),
             server_cpu.clone(),
             pandora_sim::SimDuration::from_nanos(config.video_costs.switch_per_segment_ns),
@@ -238,47 +273,19 @@ impl PandoraBox {
         } else {
             None
         };
-        let audio_link_cfg = LinkConfig::new(
-            Box::leak(format!("{name}.audio-link").into_boxed_str()),
-            config.audio_link_bps,
+        let audio_link_rx = outputs.device_link(
+            "audio-out-handler",
+            LinkConfig::new(
+                Box::leak(format!("{name}.audio-link").into_boxed_str()),
+                config.audio_link_bps,
+            ),
+            audio_out_rx,
+            |seg| match seg {
+                Segment::Audio(a) => Some(a),
+                _ => None,
+            },
+            AudioSegment::wire_bytes,
         );
-        let (audio_link_tx, audio_link_rx) =
-            link::<(StreamId, AudioSegment)>(spawner, audio_link_cfg);
-        // Pump: SegMsg → concrete audio segments over the link.
-        {
-            let pool = pool.clone();
-            let reports = reports.clone();
-            spawner.spawn(&format!("{name}:audio-out-handler"), async move {
-                while let Ok(m) = audio_out_rx.recv().await {
-                    // Device output: the second (and last) payload copy of
-                    // the hop leaves the slab here.
-                    let seg = pool.with(m.desc, |s| s.to_segment());
-                    pool.release(m.desc);
-                    match seg {
-                        Segment::Audio(a) => {
-                            let bytes = a.wire_bytes();
-                            if audio_link_tx
-                                .send_sized((m.stream, a), bytes)
-                                .await
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        _ => {
-                            let _ = reports
-                                .send(Report::new(
-                                    pandora_sim::now(),
-                                    "audio-out-handler",
-                                    ReportClass::Error,
-                                    format!("non-audio segment on audio output ({})", m.stream),
-                                ))
-                                .await;
-                        }
-                    }
-                }
-            });
-        }
         let playback_config = PlaybackConfig {
             clawback: config.clawback,
             pool_blocks: config.clawback_pool_blocks,
@@ -304,44 +311,19 @@ impl PandoraBox {
         );
 
         // --- Mixer board: server → (100 Mbit/s fifo) → display.
-        let video_fifo_cfg = LinkConfig::new(
-            Box::leak(format!("{name}.video-fifo").into_boxed_str()),
-            config.video_fifo_bps,
+        let video_fifo_rx = outputs.device_link(
+            "mixer-out-handler",
+            LinkConfig::new(
+                Box::leak(format!("{name}.video-fifo").into_boxed_str()),
+                config.video_fifo_bps,
+            ),
+            mixer_out_rx,
+            |seg| match seg {
+                Segment::Video(v) => Some(v),
+                _ => None,
+            },
+            VideoSegment::wire_bytes,
         );
-        let (video_fifo_tx, video_fifo_rx) =
-            link::<(StreamId, VideoSegment)>(spawner, video_fifo_cfg);
-        {
-            let pool = pool.clone();
-            let reports = reports.clone();
-            spawner.spawn(&format!("{name}:mixer-out-handler"), async move {
-                while let Ok(m) = mixer_out_rx.recv().await {
-                    let seg = pool.with(m.desc, |s| s.to_segment());
-                    pool.release(m.desc);
-                    match seg {
-                        Segment::Video(v) => {
-                            let bytes = v.wire_bytes();
-                            if video_fifo_tx
-                                .send_sized((m.stream, v), bytes)
-                                .await
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        _ => {
-                            let _ = reports
-                                .send(Report::new(
-                                    pandora_sim::now(),
-                                    "mixer-out-handler",
-                                    ReportClass::Error,
-                                    format!("non-video segment on mixer output ({})", m.stream),
-                                ))
-                                .await;
-                        }
-                    }
-                }
-            });
-        }
         let display = spawn_video_display(
             spawner,
             name,
@@ -420,7 +402,7 @@ impl PandoraBox {
             capture_cpu,
             mixer_cpu,
             spawner: spawner.clone(),
-            buffer_handles,
+            buffer_handles: outputs.buffers,
             switch_cmd,
             to_switch,
             muting,
@@ -503,7 +485,14 @@ impl PandoraBox {
             Box::leak(format!("{name}.mic-link:{stream}").into_boxed_str()),
             self.config.audio_link_bps,
         );
-        let (mic_link_tx, mic_link_rx) = link::<AudioSegment>(&self.spawner, link_cfg);
+        // The capture task's own output channel is what the link drains.
+        let (seg_tx, seg_rx) = pandora_sim::channel::<AudioSegment>();
+        let (mic_link_rx, _) = link_over(&self.spawner, link_cfg, seg_rx, AudioSegment::wire_bytes);
+        self.spawn_input(
+            format!("server-audio-in:{stream}"),
+            mic_link_rx,
+            move |seg| (stream, Segment::Audio(seg)),
+        );
         let stats = spawn_audio_capture(
             &self.spawner,
             &format!("{name}:{stream}"),
@@ -518,50 +507,7 @@ impl PandoraBox {
             },
             self.muting.clone(),
             self.audio_cpu.clone(),
-            {
-                // Bridge: AudioSegment → link → pool → switch.
-                let (seg_tx, seg_rx) = pandora_sim::channel::<AudioSegment>();
-                let to_switch = self.to_switch.clone();
-                let pool = self.pool.clone();
-                let slab = self.slab.clone();
-                let reports = self.log.sender();
-                self.spawner
-                    .spawn(&format!("{name}:audio-in-handler:{stream}"), async move {
-                        while let Ok(seg) = seg_rx.recv().await {
-                            let bytes = seg.wire_bytes();
-                            if mic_link_tx.send_sized(seg, bytes).await.is_err() {
-                                return;
-                            }
-                        }
-                    });
-                let reports2 = reports.clone();
-                self.spawner
-                    .spawn(&format!("{name}:server-audio-in:{stream}"), async move {
-                        while let Ok(seg) = mic_link_rx.recv().await {
-                            // Input handlers run lossless to the switch; only
-                            // pool/slab exhaustion (serious fault) discards.
-                            match alloc_slab_segment(&pool, &slab, &Segment::Audio(seg)) {
-                                Some(desc) => {
-                                    if to_switch.send(SegMsg { stream, desc }).await.is_err() {
-                                        return;
-                                    }
-                                }
-                                None => {
-                                    let now = pandora_sim::now();
-                                    let _ = reports2
-                                        .send(Report::new(
-                                            now,
-                                            "server-audio-in",
-                                            ReportClass::Fault,
-                                            "pool exhausted on audio input",
-                                        ))
-                                        .await;
-                                }
-                            }
-                        }
-                    });
-                seg_tx
-            },
+            seg_tx,
         );
         self.mic_stats.borrow_mut().push(stats);
         stream
@@ -575,8 +521,9 @@ impl PandoraBox {
             Box::leak(format!("{name}.capture-fifo:{stream}").into_boxed_str()),
             self.config.video_fifo_bps,
         );
-        let (fifo_tx, fifo_rx) = link::<(StreamId, VideoSegment)>(&self.spawner, fifo_cfg);
+        // The capture task's own output channel is what the FIFO drains.
         let (seg_tx, seg_rx) = pandora_sim::channel::<(StreamId, VideoSegment)>();
+        let (fifo_rx, _) = link_over(&self.spawner, fifo_cfg, seg_rx, |(_, seg)| seg.wire_bytes());
         let handle = spawn_video_capture(
             &self.spawner,
             name,
@@ -587,46 +534,11 @@ impl PandoraBox {
             self.capture_cpu.clone(),
             seg_tx,
         );
-        {
-            self.spawner
-                .spawn(&format!("{name}:capture-fifo-pump:{stream}"), async move {
-                    while let Ok((sid, seg)) = seg_rx.recv().await {
-                        let bytes = seg.wire_bytes();
-                        if fifo_tx.send_sized((sid, seg), bytes).await.is_err() {
-                            return;
-                        }
-                    }
-                });
-        }
-        {
-            let to_switch = self.to_switch.clone();
-            let pool = self.pool.clone();
-            let slab = self.slab.clone();
-            let reports = self.log.sender();
-            self.spawner
-                .spawn(&format!("{name}:server-video-in:{stream}"), async move {
-                    while let Ok((sid, seg)) = fifo_rx.recv().await {
-                        match alloc_slab_segment(&pool, &slab, &Segment::Video(seg)) {
-                            Some(desc) => {
-                                if to_switch.send(SegMsg { stream: sid, desc }).await.is_err() {
-                                    return;
-                                }
-                            }
-                            None => {
-                                let now = pandora_sim::now();
-                                let _ = reports
-                                    .send(Report::new(
-                                        now,
-                                        "server-video-in",
-                                        ReportClass::Fault,
-                                        "pool exhausted on video input",
-                                    ))
-                                    .await;
-                            }
-                        }
-                    }
-                });
-        }
+        self.spawn_input(
+            format!("server-video-in:{stream}"),
+            fifo_rx,
+            |(sid, seg)| (sid, Segment::Video(seg)),
+        );
         // The health monitor throttles every capture stream (P8).
         if let Some(h) = &self.health {
             h.register_capture(handle.clone());
@@ -661,20 +573,45 @@ impl PandoraBox {
     /// (e.g. repository playback). Each call spawns a fresh handler task.
     pub fn injector(&self) -> Sender<(StreamId, Segment)> {
         let (tx, rx) = pandora_sim::channel::<(StreamId, Segment)>();
+        self.spawn_input("injector".to_string(), rx, |tagged| tagged);
+        tx
+    }
+
+    /// Spawns the input handler `{name}:{task}` (figure 3.3) over what a
+    /// device delivers: each segment is copied into the slab, pooled and
+    /// launched into the switch under the stream `tag` gives it. Input
+    /// handlers run lossless to the switch; only pool or slab exhaustion —
+    /// the paper's "serious fault" — discards, and the handler reports it
+    /// under its task name at most once per `report_min_period` (§3.8).
+    fn spawn_input<T: 'static>(
+        &self,
+        task: String,
+        device: Receiver<T>,
+        tag: impl Fn(T) -> (StreamId, Segment) + 'static,
+    ) {
+        let to_switch = self.to_switch.clone();
         let pool = self.pool.clone();
         let slab = self.slab.clone();
-        let to_switch = self.to_switch.clone();
+        let reports = self.log.sender();
+        let mut limiter = RateLimiter::new(self.config.report_min_period.as_nanos());
         let name = self.config.name;
-        self.spawner.spawn(&format!("{name}:injector"), async move {
-            while let Ok((stream, segment)) = rx.recv().await {
+        self.spawner.spawn(&format!("{name}:{task}"), async move {
+            while let Ok(item) = device.recv().await {
+                let (stream, segment) = tag(item);
                 if let Some(desc) = alloc_slab_segment(&pool, &slab, &segment) {
                     if to_switch.send(SegMsg { stream, desc }).await.is_err() {
                         return;
                     }
+                } else {
+                    let now = pandora_sim::now();
+                    if limiter.allow("pool", now.as_nanos()) {
+                        let message = "segment pool exhausted, discarding";
+                        let report = Report::new(now, &task, ReportClass::Fault, message);
+                        let _ = reports.send(report).await;
+                    }
                 }
             }
         });
-        tx
     }
 
     /// The muting state machine, when enabled.
@@ -722,9 +659,10 @@ pub fn connect_pair(
     hops: &[pandora_atm::HopConfig],
     seed: u64,
 ) -> BoxPair {
-    let duplex = pandora_atm::build_duplex_path(spawner, "pair", hops, seed);
+    let (b_tx, b_source) = link_queue();
+    let duplex = pandora_atm::build_duplex_path(spawner, "pair", hops, seed, b_source);
     let a = PandoraBox::new(spawner, cfg_a, duplex.a_tx, duplex.a_rx);
-    let b = PandoraBox::new(spawner, cfg_b, duplex.b_tx, duplex.b_rx);
+    let b = PandoraBox::new(spawner, cfg_b, b_tx, duplex.b_rx);
     BoxPair {
         a,
         b,
@@ -872,6 +810,63 @@ mod tests {
             "b free {}",
             pair.b.pool.free_count()
         );
+    }
+
+    #[test]
+    fn an_exhausted_pool_is_reported_once_a_period_by_every_input_handler() {
+        // §3.8: "a minimum period between reports for any particular sort
+        // of error". Two descriptors, and a camera routed into an
+        // attachment whose link is down: everything after the first two
+        // segments finds the pool empty.
+        let mut sim = Simulation::new();
+        let mut cfg = BoxConfig::standard("tiny");
+        cfg.pool_buffers = 2;
+        let period = cfg.report_min_period;
+        let pair = connect_pair(
+            &sim.spawner(),
+            cfg,
+            BoxConfig::standard("boxb"),
+            &[HopConfig::clean(50_000_000)],
+            7,
+        );
+        pair.a_to_b_ctrl.link(0).expect("hop 0").set_up(false);
+        open_video_stream(
+            &pair.a,
+            &pair.b,
+            CaptureConfig {
+                rect: Rect::new(0, 0, 256, 192),
+                rate: RateFraction::FULL,
+                lines_per_segment: 32,
+                mode: LineMode::Dpcm,
+            },
+        );
+        let injector = pair.a.injector();
+        let stream = pair.a.alloc_stream();
+        sim.spawn("inject", async move {
+            pandora_sim::delay(SimDuration::from_secs(1)).await;
+            let seg = AudioSegment::from_blocks(
+                pandora_segment::SequenceNumber(0),
+                pandora_segment::Timestamp(0),
+                vec![0u8; 32],
+            );
+            injector.send((stream, Segment::Audio(seg))).await.unwrap();
+        });
+        let elapsed = SimDuration::from_secs(2);
+        sim.run_until(SimTime::ZERO + elapsed);
+        assert_eq!(pair.a.pool.free_count(), 0, "the pool never ran dry");
+        let from_camera = pair.a.log.from_source("server-video-in").len() as u64;
+        let allowed = elapsed.as_nanos() / period.as_nanos() + 1;
+        assert!(
+            (1..=allowed).contains(&from_camera),
+            "{from_camera} reports in {elapsed}, one per {period} allowed"
+        );
+        let from_injector = pair.a.log.from_source("injector");
+        assert_eq!(
+            from_injector.len(),
+            1,
+            "the injector's drop went unreported"
+        );
+        assert_eq!(from_injector[0].class, ReportClass::Fault);
     }
 
     #[test]

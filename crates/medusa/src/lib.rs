@@ -28,7 +28,7 @@ use pandora::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
 use pandora::VideoCosts;
-use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, Vci};
+use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, SwitchCore, Vci};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
 use pandora_buffers::Report;
@@ -57,7 +57,8 @@ impl Fabric {
             ports_tx.push(tx);
             ingress_rx.push(rx);
         }
-        let (switch, port_rxs) = Switch::spawn(spawner, "medusa", ingress_rx, n_ports, 256);
+        let (core, port_rxs) = SwitchCore::new(n_ports, 256);
+        let switch = Switch::spawn(spawner, "medusa", core, ingress_rx);
         Fabric {
             switch,
             ports_tx,

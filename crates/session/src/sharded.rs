@@ -19,12 +19,12 @@ use std::rc::Rc;
 
 use pandora::PandoraBox;
 use pandora_atm::{Cell, PathControl, Switch};
-use pandora_shard::{Cluster, Egress, Ingress, ShardEnv};
-use pandora_sim::{LinkSender, Receiver, SimDuration};
+use pandora_shard::{Cluster, Egress, ShardEnv};
+use pandora_sim::{Receiver, SimDuration};
 
 use crate::control::Controller;
 use crate::directory::EndpointId;
-use crate::topology::{attach, spawn_fabric, spawn_port_pump, StarConfig, StarNode};
+use crate::topology::{attach, fabric_ports, spawn_fabric, StarConfig, StarNode};
 
 /// The hub's view of a sharded star, handed to `on_hub` during shard 0's
 /// setup.
@@ -72,7 +72,9 @@ pub fn build_sharded_star(
     // ingress is a switch input and every att{i}.out egress a fabric
     // pump — all on shard 0. The matching outer halves (in egress, out
     // ingress) go to the attachment's owner: box i, or the hub itself
-    // for the controller's pair.
+    // for the controller's pair. The owner pumps its path's switch-side
+    // egress into att{i}.in (`star:uplink{i}`) and builds the path back
+    // over att{i}.out's bound ingress.
     let mut switch_ins = Vec::with_capacity(n + 1);
     let mut fabric_outs = Vec::with_capacity(n + 1);
     let mut attachments = Vec::with_capacity(n + 1);
@@ -91,10 +93,11 @@ pub fn build_sharded_star(
         let config = hub_config;
         let spawner = env.spawner().clone();
 
-        // The controller's own attachment: a duplex path plus the same
-        // loopback port pumps every box attachment gets.
-        let (_, path_controls, duplex) = attach(&spawner, n, n, &config);
-        pump_attachment(env, n, ctl_in_eg, ctl_out_in, duplex.b_rx, duplex.b_tx);
+        // The controller's own attachment: a duplex path over the same
+        // loopback ports every box attachment gets.
+        let from_switch = env.bind_ingress(ctl_out_in);
+        let (_, path_controls, duplex) = attach(&spawner, n, n, &config, from_switch);
+        pump_into_port(env, &format!("star:uplink{n}"), duplex.b_rx, ctl_in_eg);
 
         // Fabric: inputs are the att{i}.in ingress receivers (box order,
         // controller last), outputs are pumped into att{i}.out.
@@ -102,7 +105,8 @@ pub fn build_sharded_star(
             .into_iter()
             .map(|ing| env.bind_ingress(ing))
             .collect();
-        let (switch, port_rxs, directory) = spawn_fabric(&spawner, inputs, n, &config);
+        let (core, port_rxs) = fabric_ports(n);
+        let (switch, directory) = spawn_fabric(&spawner, core, inputs, n, &config);
         for (i, (port_rx, out_eg)) in port_rxs.into_iter().zip(fabric_outs).enumerate() {
             pump_into_port(env, &format!("star:fabric{i}"), port_rx, out_eg);
         }
@@ -134,8 +138,9 @@ pub fn build_sharded_star(
         let config = config.clone();
         cluster.setup(place(i), move |env| {
             let spawner = env.spawner().clone();
-            let (name, path_controls, duplex) = attach(&spawner, i, n, &config);
-            pump_attachment(env, i, in_eg, out_in, duplex.b_rx, duplex.b_tx);
+            let from_switch = env.bind_ingress(out_in);
+            let (name, path_controls, duplex) = attach(&spawner, i, n, &config, from_switch);
+            pump_into_port(env, &format!("star:uplink{i}"), duplex.b_rx, in_eg);
             let box_config = (config.box_config)(name);
             let boxy = Rc::new(PandoraBox::new(
                 &spawner,
@@ -147,21 +152,6 @@ pub fn build_sharded_star(
             hook(env, &node);
         });
     }
-}
-
-/// Binds attachment `i`'s two cluster-port halves on the current shard:
-/// the path's switch-side egress is pumped into `att{i}.in`, and
-/// `att{i}.out` is pumped into the path's switch-side sender.
-fn pump_attachment(
-    env: &ShardEnv,
-    i: usize,
-    in_eg: Egress<Cell>,
-    out_in: Ingress<Cell>,
-    b_rx: Receiver<Cell>,
-    b_tx: LinkSender<Cell>,
-) {
-    pump_into_port(env, &format!("star:uplink{i}"), b_rx, in_eg);
-    spawn_port_pump(env.spawner(), i, env.bind_ingress(out_in), b_tx);
 }
 
 /// Opens `egress` and spawns the task that pumps `rx` into it.

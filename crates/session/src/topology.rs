@@ -9,15 +9,21 @@
 //!
 //! Each wiring fact is stated once here — attachment naming, seeds and
 //! fault-control names (`attach`), the fabric with its control circuits
-//! and directory (`spawn_fabric`), the port pump, a box's agent and
-//! [`StarNode`] — and placed twice: on one executor by [`Star::build`],
-//! over a sharded cluster by [`crate::build_sharded_star`].
+//! and directory (`spawn_fabric`), a box's agent and [`StarNode`] — and
+//! placed twice: on one executor by [`Star::build`], over a sharded
+//! cluster by [`crate::build_sharded_star`]. In both, the path from the
+//! switch back to an endpoint is built over the queue the cells are
+//! already in (`attach`'s `from_switch`): here output port `i` itself,
+//! made before the attachments (`fabric_ports`) so that the switch task,
+//! which reads what they deliver, can still be spawned after them.
 
 use std::rc::Rc;
 
 use pandora::{BoxConfig, PandoraBox};
-use pandora_atm::{build_duplex_path, Cell, DuplexPath, HopConfig, PathControl, Switch, Vci};
-use pandora_sim::{LinkSender, Receiver, Spawner};
+use pandora_atm::{
+    build_duplex_path, Cell, DuplexPath, HopConfig, PathControl, Switch, SwitchCore, Vci,
+};
+use pandora_sim::{Receiver, Spawner};
 
 use crate::control::{spawn_agent, AgentStats, Controller, ControllerConfig};
 use crate::directory::{Capabilities, Directory, EndpointId, EndpointRecord};
@@ -30,6 +36,11 @@ pub const CONTROL_VCI_BASE: u32 = 0x7F00;
 /// (`REPLY_VCI_BASE + port`). Distinct per box so the controller's
 /// reassembler never interleaves two agents' frames on one circuit.
 pub const REPLY_VCI_BASE: u32 = 0x7E00;
+
+/// Cell capacity of each fabric output port. Jitter bursts on an
+/// attachment can release many cells back-to-back; the port queue must
+/// absorb such a burst or drop (P5: drop, never block).
+const PORT_QUEUE_CELLS: usize = 2_048;
 
 /// Box `i`'s well-known (control, reply) circuit pair.
 fn control_vcis(i: usize) -> (Vci, Vci) {
@@ -52,10 +63,6 @@ pub struct StarConfig {
     pub controller: ControllerConfig,
     /// Builds each box's configuration from its generated name.
     pub box_config: fn(&'static str) -> BoxConfig,
-    /// Cell capacity of each fabric output port. Jitter bursts on an
-    /// attachment can release many cells back-to-back; the port queue
-    /// must absorb such a burst or drop (P5: drop, never block).
-    pub port_queue: usize,
 }
 
 impl Default for StarConfig {
@@ -66,7 +73,6 @@ impl Default for StarConfig {
             caps: Capabilities::standard(),
             controller: ControllerConfig::default(),
             box_config: BoxConfig::standard,
-            port_queue: 2_048,
         }
     }
 }
@@ -130,17 +136,19 @@ fn attachment_name(i: usize, n: usize) -> String {
 /// Builds attachment `i` of an `n`-box star — box `i`, or the controller
 /// at `i == n`: names it, derives its seed from the master seed, spawns
 /// its duplex path — the A side is the endpoint's, the B side the
-/// switch's — and names the path's two fault controls (`{name}.ab` /
+/// switch's, whose cells for the endpoint the path takes straight out of
+/// `from_switch` — and names the path's two fault controls (`{name}.ab` /
 /// `{name}.ba`).
 pub(crate) fn attach(
     spawner: &Spawner,
     i: usize,
     n: usize,
     config: &StarConfig,
+    from_switch: Receiver<Cell>,
 ) -> (&'static str, Vec<(String, PathControl)>, DuplexPath) {
     let name: &'static str = Box::leak(attachment_name(i, n).into_boxed_str());
     let seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-    let duplex = build_duplex_path(spawner, name, &config.hops, seed);
+    let duplex = build_duplex_path(spawner, name, &config.hops, seed, from_switch);
     let path_controls = vec![
         (format!("{name}.ab"), duplex.a_to_b_ctrl.clone()),
         (format!("{name}.ba"), duplex.b_to_a_ctrl.clone()),
@@ -148,35 +156,25 @@ pub(crate) fn attach(
     (name, path_controls, duplex)
 }
 
-/// Spawns the pump from fabric output `i` back toward its endpoint.
-pub(crate) fn spawn_port_pump(
-    spawner: &Spawner,
-    i: usize,
-    port_rx: Receiver<Cell>,
-    b_tx: LinkSender<Cell>,
-) {
-    spawner.spawn(&format!("star:port{i}"), async move {
-        while let Ok(cell) = port_rx.recv().await {
-            if b_tx.send(cell).await.is_err() {
-                return;
-            }
-        }
-    });
+/// The switch core of an `n`-box star and its output ports, box order,
+/// the controller's last.
+pub(crate) fn fabric_ports(n: usize) -> (SwitchCore, Vec<Receiver<Cell>>) {
+    SwitchCore::new(n + 1, PORT_QUEUE_CELLS)
 }
 
-/// Spawns the central switch over the attachments' switch-side receivers
-/// (`inputs`: box order, the controller's last), installs every box's
-/// well-known control circuits — controller → box `i`, and box `i`'s
-/// replies → the controller's port `n` — and registers the boxes in a
-/// fresh directory. Returns the switch, its output ports in input order,
-/// and the directory.
+/// Spawns the central switch over `core` and the attachments' switch-side
+/// receivers (`inputs`: box order, the controller's last), installs every
+/// box's well-known control circuits — controller → box `i`, and box
+/// `i`'s replies → the controller's port `n` — and registers the boxes in
+/// a fresh directory. Returns the switch and the directory.
 pub(crate) fn spawn_fabric(
     spawner: &Spawner,
+    core: SwitchCore,
     inputs: Vec<Receiver<Cell>>,
     n: usize,
     config: &StarConfig,
-) -> (Rc<Switch>, Vec<Receiver<Cell>>, Directory) {
-    let (switch, port_rxs) = Switch::spawn(spawner, "star", inputs, n + 1, config.port_queue);
+) -> (Rc<Switch>, Directory) {
+    let switch = Switch::spawn(spawner, "star", core, inputs);
     let mut directory = Directory::new();
     for i in 0..n {
         let (control_vci, reply_vci) = control_vcis(i);
@@ -191,7 +189,7 @@ pub(crate) fn spawn_fabric(
         });
         debug_assert_eq!(endpoint, EndpointId(i as u32));
     }
-    (Rc::new(switch), port_rxs, directory)
+    (Rc::new(switch), directory)
 }
 
 /// A conference star: `n` boxes and a controller around one cell
@@ -215,32 +213,26 @@ impl Star {
     /// Panics if `n` is zero.
     pub fn build(spawner: &Spawner, n: usize, config: StarConfig) -> Star {
         assert!(n > 0, "a star needs at least one box");
+        let (core, port_rxs) = fabric_ports(n);
         let mut inputs = Vec::with_capacity(n + 1);
         let mut ends = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            let (name, path_controls, duplex) = attach(spawner, i, n, &config);
+        for (i, port_rx) in port_rxs.into_iter().enumerate() {
+            let (name, path_controls, duplex) = attach(spawner, i, n, &config, port_rx);
             inputs.push(duplex.b_rx);
-            ends.push((name, path_controls, duplex.a_tx, duplex.a_rx, duplex.b_tx));
+            ends.push((name, path_controls, duplex.a_tx, duplex.a_rx));
         }
-        let (switch, port_rxs, directory) = spawn_fabric(spawner, inputs, n, &config);
-        // Each port's pump, then its box: the controller's attachment
-        // (the last) has a pump and no box.
-        let mut boxes = Vec::with_capacity(n);
-        let mut controller_end = None;
-        for (i, ((name, path_controls, a_tx, a_rx, b_tx), port_rx)) in
-            ends.into_iter().zip(port_rxs).enumerate()
-        {
-            spawn_port_pump(spawner, i, port_rx, b_tx);
-            if i == n {
-                controller_end = Some((path_controls, a_tx, a_rx));
-            } else {
+        let (switch, directory) = spawn_fabric(spawner, core, inputs, n, &config);
+        // The controller's attachment (the last) has no box.
+        let (_, controller_paths, ctl_tx, ctl_rx) =
+            ends.pop().expect("controller attachment missing");
+        let boxes: Vec<_> = ends
+            .into_iter()
+            .map(|(name, path_controls, a_tx, a_rx)| {
                 let box_config = (config.box_config)(name);
                 let boxy = Rc::new(PandoraBox::new(spawner, box_config, a_tx, a_rx));
-                boxes.push((name, boxy, path_controls));
-            }
-        }
-        let (controller_paths, ctl_tx, ctl_rx) =
-            controller_end.expect("controller attachment missing");
+                (name, boxy, path_controls)
+            })
+            .collect();
         let controller = Rc::new(Controller::spawn(
             spawner,
             directory,
@@ -287,4 +279,60 @@ impl Star {
 /// A two-box star — the videophone's point-to-point call fabric.
 pub fn point_to_point(spawner: &Spawner, config: StarConfig) -> Star {
     Star::build(spawner, 2, config)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pandora_sim::{delay, SimDuration, Simulation};
+    use std::cell::RefCell;
+
+    #[test]
+    fn a_port_takes_2048_cells_and_its_wire_one_more() {
+        // Nothing stands between a port and the wire that drains it: with
+        // the wire stopped, the fabric accepts the queue (2,048) and the
+        // one cell the wire had already taken, and counts every cell
+        // after that as overflow.
+        let mut sim = Simulation::new();
+        let spawner = sim.spawner();
+        let (core, mut port_rxs) = fabric_ports(1);
+        let _controller_port = port_rxs.pop();
+        let from_switch = port_rxs.pop().expect("port 0");
+        let (_, controls, duplex) = attach(&spawner, 0, 1, &StarConfig::default(), from_switch);
+        let (name, to_endpoint) = &controls[1];
+        assert_eq!(name, "node0.ba");
+        let first_link = to_endpoint.link(0).expect("hop 0");
+        first_link.set_up(false);
+
+        core.route(Vci(9), 0, Vci(9));
+        let offered = 3_000;
+        let fabric = core.clone();
+        spawner.spawn("flood", async move {
+            for seq in 0..offered {
+                fabric.dispatch_cell(Cell::new(Vci(9), seq, false, &[]));
+                delay(SimDuration::from_micros(1)).await;
+            }
+        });
+        let arrived = Rc::new(RefCell::new(Vec::new()));
+        let a = arrived.clone();
+        let a_rx = duplex.a_rx;
+        spawner.spawn("endpoint", async move {
+            while let Ok(cell) = a_rx.recv().await {
+                a.borrow_mut().push(cell.seq);
+            }
+        });
+        sim.run_until_idle();
+        assert_eq!(core.forwarded(), 2_048 + 1);
+        assert_eq!(core.forwarded() + core.overflow(), u64::from(offered));
+        assert!(arrived.borrow().is_empty(), "delivered over a downed link");
+
+        first_link.set_up(true);
+        sim.run_until_idle();
+        let accepted: Vec<u32> = (0..2_048 + 1).collect();
+        assert_eq!(
+            *arrived.borrow(),
+            accepted,
+            "accepted cells lost or reordered"
+        );
+    }
 }

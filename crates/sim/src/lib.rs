@@ -20,9 +20,10 @@
 //! * **virtual CPUs** ([`Cpu`]) with non-preemptive priority dispatch and
 //!   context-switch surcharges, so overload behaviour (the subject of the
 //!   paper's principles) emerges from resource exhaustion;
-//! * **links** ([`link`], [`link_controlled`]) with bandwidth-limited,
-//!   back-pressured transfer (Inmos links and board FIFOs), and the
-//!   network's [`long_line`] — the same serialiser, which stamps what it
+//! * **links** ([`link`], [`link_controlled`], [`link_over`]) with
+//!   bandwidth-limited, back-pressured transfer (Inmos links and board
+//!   FIFOs) out of the queue in front of them, and the network's
+//!   [`long_line`] — the same serialiser, which stamps what it
 //!   carried with its arrival instant and queues it instead of
 //!   delivering it, so nothing downstream can hold the wire;
 //! * **tickers** ([`ticker`]) modelling the event-pin-driven codec FIFO,
@@ -74,7 +75,8 @@ pub use executor::{
     TaskId, TaskWaker,
 };
 pub use link::{
-    drifted_tick, link, link_controlled, long_line, LinkConfig, LinkControl, LinkSender, WireSize,
+    drifted_tick, link, link_controlled, link_over, link_queue, long_line, LinkConfig, LinkControl,
+    LinkSender, WireSize,
 };
 pub use ticker::{ticker, Tick, TickerHandle};
 pub use time::{SimDuration, SimTime};

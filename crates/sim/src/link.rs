@@ -8,6 +8,13 @@
 //! this back-pressure is how overload propagates toward the source
 //! (Principle 5's failure mode, handled by decoupling buffers).
 //!
+//! There is one engine. A wire drains the queue in front of it — the
+//! process that has a message outputs to the link and is held back while
+//! the link is busy; no process stands between them. [`link_over`] takes
+//! any queue as that source, with a function giving an item's size;
+//! [`link`] and [`link_controlled`] are it over a [`link_queue`] of their
+//! own, for items that are [`WireSize`].
+//!
 //! [`long_line`] is the one link that is not inside a box: the wire of a
 //! network hop, which serialises like the others but hands what it carried
 //! to an unbounded queue, stamped with its arrival instant.
@@ -18,7 +25,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::channel::{buffered, unbounded, Receiver, SendError, Sender};
+use crate::channel::{buffered, channel, unbounded, Receiver, SendError, Sender};
 use crate::executor::{delay, now, waker, Priority, Spawner, TaskWaker};
 use crate::time::{SimDuration, SimTime};
 
@@ -65,9 +72,10 @@ impl LinkConfig {
     }
 }
 
-/// The sending end of a link.
+/// The sending end of a [`link_queue`]: the one message of hand-off room
+/// in front of a wire.
 pub struct LinkSender<T> {
-    tx: Sender<(T, usize)>,
+    tx: Sender<T>,
 }
 
 impl<T> Clone for LinkSender<T> {
@@ -78,61 +86,23 @@ impl<T> Clone for LinkSender<T> {
     }
 }
 
-impl<T: WireSize> LinkSender<T> {
-    /// Sends a value whose size comes from [`WireSize`].
+impl<T> LinkSender<T> {
+    /// Sends a value.
     ///
     /// Completes when the link engine has accepted the message — i.e. when
     /// the link is free of the previous message (DMA hand-off semantics).
     pub async fn send(&self, value: T) -> Result<(), SendError> {
-        let bytes = value.wire_bytes();
-        self.send_sized(value, bytes).await
+        self.tx.send(value).await
     }
 }
 
-impl<T> LinkSender<T> {
-    /// Sends a value with an explicit wire size in bytes.
-    pub async fn send_sized(&self, value: T, bytes: usize) -> Result<(), SendError> {
-        self.tx.send((value, bytes)).await
-    }
-
-    /// Number of messages handed to the link engine but not yet delivered.
-    pub fn backlog(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// Returns `true` if the receiving end has been dropped.
-    pub fn is_closed(&self) -> bool {
-        self.tx.is_closed()
-    }
-}
-
-/// Creates a bandwidth-limited link inside the simulation.
+/// The queue a wire gets when its input sits in no queue already.
 ///
-/// Returns the sending end and the delivery channel. A pump task (spawned
-/// at high priority, like link DMA engines that run independently of the
-/// CPUs) accepts one message at a time, waits the transfer time, then
-/// performs a rendezvous delivery: if the receiver is slow the link stays
-/// occupied, blocking subsequent senders.
-pub fn link<T: 'static>(spawner: &Spawner, config: LinkConfig) -> (LinkSender<T>, Receiver<T>) {
-    // Capacity 1: one message may be handed to the DMA engine while a
-    // previous transfer is still delivering; the *second* hand-off blocks.
-    let (tx, pump_rx) = buffered::<(T, usize)>(1);
-    let (out_tx, out_rx) = crate::channel::channel::<T>();
-    // Pure serial link (in-box Inmos links and FIFOs): the writer is
-    // blocked until the receiver has consumed — exact back-pressure.
-    spawner.spawn_prio(
-        &format!("link:{}", config.name),
-        Priority::High,
-        async move {
-            while let Ok((value, bytes)) = pump_rx.recv().await {
-                delay(config.transfer_time(bytes)).await;
-                if out_tx.send(value).await.is_err() {
-                    return;
-                }
-            }
-        },
-    );
-    (LinkSender { tx }, out_rx)
+/// Capacity 1: one message may be handed to the DMA engine while a
+/// previous transfer is still delivering; the *second* hand-off blocks.
+pub fn link_queue<T>() -> (LinkSender<T>, Receiver<T>) {
+    let (tx, source) = buffered(1);
+    (LinkSender { tx }, source)
 }
 
 struct LinkCtlState {
@@ -142,13 +112,16 @@ struct LinkCtlState {
     downs: Cell<u64>,
 }
 
-/// Runtime control handle for a [`link_controlled`] link or a [`long_line`].
+/// Runtime control handle of a link.
 ///
 /// Fault injection uses it to flap the link (`set_up`) or collapse its
 /// effective bandwidth (`set_rate_permille`). While the link is down no new
 /// transfer starts and no delivery completes; traffic already handed to the
 /// engine queues behind the outage and drains on recovery, exactly the
 /// back-pressure path Principle 5's decoupling buffers exist to absorb.
+/// Left untouched it costs nothing: the up-check resolves immediately and
+/// the nominal rate is unscaled, so schedules (and determinism) are those
+/// of a link without one.
 #[derive(Clone)]
 pub struct LinkControl {
     state: Rc<LinkCtlState>,
@@ -208,18 +181,16 @@ impl LinkControl {
         }
     }
 
-    fn wait_up(&self) -> WaitUp {
-        WaitUp {
-            state: self.state.clone(),
-        }
+    fn wait_up(&self) -> WaitUp<'_> {
+        WaitUp { state: &self.state }
     }
 }
 
-struct WaitUp {
-    state: Rc<LinkCtlState>,
+struct WaitUp<'a> {
+    state: &'a LinkCtlState,
 }
 
-impl Future for WaitUp {
+impl Future for WaitUp<'_> {
     type Output = ();
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.state.up.get() {
@@ -231,71 +202,96 @@ impl Future for WaitUp {
     }
 }
 
-/// Like [`link`], but returns a [`LinkControl`] so a fault plan can flap
-/// the link or collapse its bandwidth mid-run.
-///
-/// With the control untouched the link behaves identically to [`link`]:
-/// the up-check resolves immediately and the nominal rate is unscaled, so
-/// schedules (and determinism) are unchanged.
-pub fn link_controlled<T: 'static>(
+/// The link engine: the `link:{name}` task every wire is. High priority,
+/// like link DMA engines that run independently of the CPUs, it takes one
+/// message at a time from `source`, holds it for its (scaled) transfer
+/// time with an up-check on either side, and sends what `arrive` makes of
+/// it to `far` — whose capacity decides whether the wire then waits for
+/// its reader.
+fn spawn_wire<T: 'static, U: 'static>(
     spawner: &Spawner,
     config: LinkConfig,
-) -> (LinkSender<T>, Receiver<T>, LinkControl) {
+    source: Receiver<T>,
+    size: impl Fn(&T) -> usize + 'static,
+    far: Sender<U>,
+    arrive: impl Fn(T) -> U + 'static,
+) -> LinkControl {
     let ctrl = LinkControl::new();
-    let (tx, pump_rx) = buffered::<(T, usize)>(1);
-    let (out_tx, out_rx) = crate::channel::channel::<T>();
     let c = ctrl.clone();
     spawner.spawn_prio(
         &format!("link:{}", config.name),
         Priority::High,
         async move {
-            while let Ok((value, bytes)) = pump_rx.recv().await {
+            while let Ok(value) = source.recv().await {
                 c.wait_up().await;
-                delay(c.scaled(config.transfer_time(bytes))).await;
+                delay(c.scaled(config.transfer_time(size(&value)))).await;
                 c.wait_up().await;
-                if out_tx.send(value).await.is_err() {
+                if far.send(arrive(value)).await.is_err() {
                     return;
                 }
             }
         },
     );
-    (LinkSender { tx }, out_rx, ctrl)
+    ctrl
+}
+
+/// A bandwidth-limited serial link (in-box Inmos links and FIFOs) draining
+/// `source`, each item occupying it for the time its `size` in bytes takes.
+///
+/// Delivery is a rendezvous: if the receiver is slow the link stays
+/// occupied, and `source` fills behind it — exact back-pressure. Any
+/// queue can be the source: whoever fills it is held back by its capacity
+/// and by nothing else.
+pub fn link_over<T: 'static>(
+    spawner: &Spawner,
+    config: LinkConfig,
+    source: Receiver<T>,
+    size: impl Fn(&T) -> usize + 'static,
+) -> (Receiver<T>, LinkControl) {
+    let (far, out_rx) = channel::<T>();
+    let ctrl = spawn_wire(spawner, config, source, size, far, |value| value);
+    (out_rx, ctrl)
+}
+
+/// [`link_over`] a fresh [`link_queue`], for items that know their size:
+/// returns the sending end, the delivery channel and the control handle.
+pub fn link_controlled<T: WireSize + 'static>(
+    spawner: &Spawner,
+    config: LinkConfig,
+) -> (LinkSender<T>, Receiver<T>, LinkControl) {
+    let (tx, source) = link_queue();
+    let (out_rx, ctrl) = link_over(spawner, config, source, T::wire_bytes);
+    (tx, out_rx, ctrl)
+}
+
+/// [`link_controlled`] for a link nothing will ever flap.
+pub fn link<T: WireSize + 'static>(
+    spawner: &Spawner,
+    config: LinkConfig,
+) -> (LinkSender<T>, Receiver<T>) {
+    let (tx, out_rx, _) = link_controlled(spawner, config);
+    (tx, out_rx)
 }
 
 /// A long line: the wire of one network hop, as a serialiser only.
 ///
-/// The `link:{name}` task clocks one message at a time through the wire
-/// exactly as [`link_controlled`] does (up-check, scaled transfer,
-/// up-check) and then, instead of delivering it, pushes it onto an
-/// **unbounded** queue stamped with the instant its last bit reaches the
-/// far end (`now + latency`). Whoever reads the queue decides when to
+/// It clocks one message at a time out of `source` exactly as
+/// [`link_over`] does and then, instead of delivering it, pushes it onto
+/// an **unbounded** queue stamped with the instant its last bit reaches
+/// the far end (`now + latency`). Whoever reads the queue decides when to
 /// release the message; the wire never waits for them, so neither latency
-/// nor a slow reader costs throughput, and only a downed link (or an idle
-/// sender) idles it. Stamps are non-decreasing.
-pub fn long_line<T: 'static>(
+/// nor a slow reader costs throughput, and only a downed link (or an empty
+/// source) idles it. Stamps are non-decreasing.
+pub fn long_line<T: WireSize + 'static>(
     spawner: &Spawner,
     config: LinkConfig,
     latency: SimDuration,
-) -> (LinkSender<T>, Receiver<(SimTime, T)>, LinkControl) {
-    let ctrl = LinkControl::new();
-    let (tx, pump_rx) = buffered::<(T, usize)>(1);
-    let (out_tx, out_rx) = unbounded::<(SimTime, T)>();
-    let c = ctrl.clone();
-    spawner.spawn_prio(
-        &format!("link:{}", config.name),
-        Priority::High,
-        async move {
-            while let Ok((value, bytes)) = pump_rx.recv().await {
-                c.wait_up().await;
-                delay(c.scaled(config.transfer_time(bytes))).await;
-                c.wait_up().await;
-                if out_tx.send((now() + latency, value)).await.is_err() {
-                    return;
-                }
-            }
-        },
-    );
-    (LinkSender { tx }, out_rx, ctrl)
+    source: Receiver<T>,
+) -> (Receiver<(SimTime, T)>, LinkControl) {
+    let (far, out_rx) = unbounded::<(SimTime, T)>();
+    let stamp = move |value| (now() + latency, value);
+    let ctrl = spawn_wire(spawner, config, source, T::wire_bytes, far, stamp);
+    (out_rx, ctrl)
 }
 
 /// Helper: the time at which a periodic process pacing at `period` with a
@@ -352,10 +348,12 @@ mod tests {
     #[test]
     fn latency_added() {
         let mut sim = Simulation::new();
-        let (tx, rx, _ctrl) = long_line::<Vec<u8>>(
+        let (tx, source) = link_queue::<Vec<u8>>();
+        let (rx, _ctrl) = long_line(
             &sim.spawner(),
             LinkConfig::new("l", 8_000_000),
             SimDuration::from_millis(3),
+            source,
         );
         sim.spawn("sender", async move {
             tx.send(vec![0u8; 1000]).await.unwrap();
@@ -374,10 +372,12 @@ mod tests {
         // are all in flight inside 5 ms of latency.
         for latency_us in [0, 300, 5_000] {
             let mut sim = Simulation::new();
-            let (tx, rx, _ctrl) = long_line::<Vec<u8>>(
+            let (tx, source) = link_queue::<Vec<u8>>();
+            let (rx, _ctrl) = long_line(
                 &sim.spawner(),
                 LinkConfig::new("l", 8_000_000),
                 SimDuration::from_micros(latency_us),
+                source,
             );
             sim.spawn("sender", async move {
                 for _ in 0..1_000 {
@@ -395,10 +395,12 @@ mod tests {
     #[test]
     fn long_line_stalls_for_a_downed_link_not_for_an_idle_reader() {
         let mut sim = Simulation::new();
-        let (tx, rx, ctrl) = long_line::<Vec<u8>>(
+        let (tx, source) = link_queue::<Vec<u8>>();
+        let (rx, ctrl) = long_line(
             &sim.spawner(),
             LinkConfig::new("l", 8_000_000),
             SimDuration::from_millis(2),
+            source,
         );
         let sent = Rc::new(RefCell::new(Vec::new()));
         let s = sent.clone();
@@ -544,6 +546,58 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(*times.borrow(), vec![4, 8]);
+    }
+
+    #[test]
+    fn a_callers_queue_and_a_link_sender_deliver_at_the_same_instants() {
+        // The same six messages through a wire behind a `LinkSender` and
+        // through one draining a queue the caller filled itself, with the
+        // link taken down and its rate quartered mid-run.
+        let run = |own_queue: bool| {
+            let mut sim = Simulation::new();
+            let cfg = LinkConfig::new("l", 8_000_000);
+            let (rx, ctrl) = if own_queue {
+                let (tx, rx, ctrl) = link_controlled::<Vec<u8>>(&sim.spawner(), cfg);
+                sim.spawn("sender", async move {
+                    for i in 0..6u8 {
+                        tx.send(vec![i; 1000]).await.unwrap(); // 1 ms each
+                    }
+                });
+                (rx, ctrl)
+            } else {
+                let (tx, source) = unbounded::<Vec<u8>>();
+                for i in 0..6u8 {
+                    tx.try_send(vec![i; 1000]).unwrap();
+                }
+                link_over(&sim.spawner(), cfg, source, Vec::len)
+            };
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = got.clone();
+            sim.spawn("receiver", async move {
+                while let Ok(v) = rx.recv().await {
+                    g.borrow_mut().push((v[0], crate::now().as_micros()));
+                }
+            });
+            sim.run_until(SimTime::from_micros(1_500));
+            ctrl.set_up(false); // mid-transfer of the second message
+            sim.run_until(SimTime::from_millis(5));
+            ctrl.set_up(true);
+            ctrl.set_rate_permille(250);
+            sim.run_until(SimTime::from_millis(20));
+            got.take()
+        };
+        let behind_a_sender = run(true);
+        assert_eq!(
+            behind_a_sender,
+            vec![
+                (0, 1_000),
+                (1, 5_000), // had clocked its bytes: lands on recovery
+                (2, 9_000), // 4 ms each at a quarter rate
+                (3, 13_000),
+                (4, 17_000),
+            ]
+        );
+        assert_eq!(run(false), behind_a_sender);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The path builder's fold (one wire task and one release task per hop)
 //! pinned from outside: a golden history recorded on the last commit that
-//! still ran stamper/delayer pairs, and the task census of three paths.
+//! still ran stamper/delayer pairs, the task census of three paths, and
+//! that of a star's attachments and the links of its boxes' input devices.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pandora_atm::{build_path_controlled, Cell, HopConfig, JitterModel, Vci};
+use pandora_audio::gen::Tone;
 use pandora_faults::{install, FaultKind, FaultPlan, FaultTargets};
+use pandora_session::{point_to_point, StarConfig};
 use pandora_sim::{SimDuration, SimTime, Simulation};
+use pandora_video::dpcm::LineMode;
+use pandora_video::{CaptureConfig, RateFraction, Rect};
 
 fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {
@@ -246,4 +251,43 @@ fn a_hop_costs_two_tasks_whatever_it_models() {
             hops.len()
         );
     }
+}
+
+#[test]
+fn a_star_attachment_is_four_tasks_and_no_task_stands_before_a_wire() {
+    let sim = Simulation::new();
+    let star = point_to_point(&sim.spawner(), StarConfig::default());
+    for node in &star.nodes {
+        node.boxy
+            .start_audio_source(Box::new(Tone::new(440.0, 8_000.0)));
+        node.boxy.start_video_capture(CaptureConfig {
+            rect: Rect::new(0, 0, 128, 96),
+            rate: RateFraction::new(2, 5),
+            lines_per_segment: 32,
+            mode: LineMode::Dpcm,
+        });
+    }
+    let names: Vec<String> = sim.dump_tasks().into_iter().map(|(name, _)| name).collect();
+    let count = |pred: &dyn Fn(&str) -> bool| names.iter().filter(|n| pred(n)).count();
+    // One-hop attachments: a wire and a release stage each way.
+    for attachment in ["node0", "node1", "controller"] {
+        let of_path = |n: &str| {
+            n.strip_prefix("link:")
+                .or(n.strip_prefix("hop:"))
+                .and_then(|rest| rest.strip_prefix(attachment))
+                .is_some_and(|rest| rest.starts_with(".ab.") || rest.starts_with(".ba."))
+        };
+        assert_eq!(count(&of_path), 4, "{attachment}: {names:?}");
+    }
+    // The microphones and cameras are wired ...
+    assert_eq!(count(&|n| n.contains(".mic-link:")), 2, "{names:?}");
+    assert_eq!(count(&|n| n.contains(".capture-fifo:")), 2, "{names:?}");
+    // ... and the tasks whose whole body was `recv -> send` into a wire
+    // are gone: three port pumps, two microphone and two camera pumps.
+    let pump = |n: &str| {
+        n.starts_with("star:port")
+            || n.contains(":audio-in-handler:")
+            || n.contains(":capture-fifo-pump:")
+    };
+    assert_eq!(count(&pump), 0, "{names:?}");
 }
