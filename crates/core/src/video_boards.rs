@@ -15,6 +15,7 @@ use std::rc::Rc;
 use pandora_metrics::Histogram;
 use pandora_segment::{SequenceNumber, StreamId, Timestamp, VideoSegment};
 use pandora_sim::{Cpu, Receiver, Sender, SimDuration, Spawner};
+use pandora_video::dpcm::{compressed_line_bytes, LineMode};
 use pandora_video::{
     capture_rect, interp::LineCache, AssembledFrame, CaptureConfig, FrameAssembler, FrameStore,
     ScanModel, TestPattern, FRAME_PERIOD_NANOS,
@@ -38,8 +39,8 @@ fn push_through_compression(
     use pandora_video::slice::{slice_segment, SliceDesc, DUMMY_FLUSH_LINES};
     let width = seg.video.width as usize;
     let line_len = |d: &[u8]| {
-        let mode = pandora_video::dpcm::LineMode::from_header(*d.first()?)?;
-        Some(pandora_video::dpcm::compressed_line_bytes(width, mode))
+        let mode = LineMode::from_header(*d.first()?)?;
+        Some(compressed_line_bytes(width, mode))
     };
     let slices = slice_segment(&seg.data, seg.video.lines, LINES_PER_SLICE, line_len).ok_or(())?;
     // Head description first, then the data slices, then the tail marker.
@@ -410,6 +411,13 @@ pub fn spawn_video_display(
             Default::default();
         while let Ok((stream, seg)) = segments.recv().await {
             s.inner.borrow_mut().segments += 1;
+            // `width` and `lines` are off the wire: a payload too short for
+            // them is refused, as the decoder will, before they are charged.
+            let shortest = compressed_line_bytes(seg.video.width as usize, LineMode::DpcmSub2);
+            if seg.video.lines as usize > seg.data.len() / shortest {
+                s.inner.borrow_mut().decode_errors += 1;
+                continue;
+            }
             let cost = seg.video.lines as u64 * costs.display_per_line_ns;
             cpu.claim(SimDuration::from_nanos(cost)).await;
             let Some(lines) = pandora_video::interp::decode_segment(&seg, stream, &mut cache)
@@ -464,7 +472,6 @@ pub fn spawn_video_display(
 mod tests {
     use super::*;
     use pandora_sim::{channel, SimTime, Simulation};
-    use pandora_video::dpcm::LineMode;
     use pandora_video::{RateFraction, Rect};
 
     fn capture_config(rate: RateFraction) -> CaptureConfig {
@@ -648,19 +655,27 @@ mod tests {
             segs.remove(0)
         };
         // x_offset + width is 60 if summed in u32, which would fit.
-        let mut hostile = capture(0);
-        hostile.video.x_offset = u32::MAX - 3;
+        let mut placed = capture(0);
+        placed.video.x_offset = u32::MAX - 3;
+        // Geometry the payload cannot hold: `lines` would be charged as
+        // 11.9 simulated hours of mixer CPU, `width` sizes a 4 GB buffer.
+        let mut tall = capture(0);
+        tall.video.lines = u32::MAX;
+        let mut wide = capture(0);
+        (wide.video.width, wide.video.lines) = (u32::MAX, 1);
         let good = capture(1);
         spawner.spawn("feed", async move {
-            tx.send((StreamId(1), hostile))
-                .await
-                .expect("display alive");
-            tx.send((StreamId(1), good)).await.expect("display alive");
+            for seg in [placed, tall, wide, good] {
+                tx.send((StreamId(1), seg)).await.expect("display alive");
+            }
         });
         sim.run_until(SimTime::from_millis(200));
-        assert_eq!(sink.segments(), 2);
-        assert_eq!(sink.decode_errors(), 1);
+        assert_eq!(sink.segments(), 4);
+        assert_eq!(sink.decode_errors(), 3);
         assert_eq!(sink.frames_shown(), 1);
+        // Shown at the instant it was with only `placed` ahead of it:
+        // refusing a segment costs the display no time.
+        assert_eq!(sink.latency_ns().max(), 961_400.0);
         let shown = sink.last_frame().expect("the good frame");
         assert_eq!(shown.frame_number, 1);
         assert_eq!(shown.rect, config.rect);

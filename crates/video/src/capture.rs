@@ -12,7 +12,7 @@ use pandora_segment::{
     PixelFormat, SequenceNumber, Timestamp, VideoCompression, VideoHeader, VideoSegment,
 };
 
-use crate::dpcm::{compress_slice, LineMode};
+use crate::dpcm::{compress_rows, LineMode};
 use crate::framestore::{FrameStore, Rect};
 
 /// A frame rate expressed as a fraction of the full 25 Hz rate.
@@ -79,7 +79,17 @@ pub fn capture_rect(
     timestamp: Timestamp,
 ) -> Vec<VideoSegment> {
     let rect = config.rect;
-    let pixels = store.read_rect(rect);
+    let width = rect.width as usize;
+    // The rectangle is coded where it lies in the store, a stored line
+    // apart; an unwritten store is one line of zeroes read `height` times.
+    let zeroes;
+    let (pixels, stride) = match store.rect_lines(rect) {
+        Some(lines) => lines,
+        None => {
+            zeroes = vec![0; width];
+            (&zeroes[..], 0)
+        }
+    };
     let lines_per_segment = config.lines_per_segment.max(1);
     let segment_count = rect.height.div_ceil(lines_per_segment);
     let mut out = Vec::with_capacity(segment_count as usize);
@@ -87,11 +97,8 @@ pub fn capture_rect(
     for s in 0..segment_count {
         let start_line = s * lines_per_segment;
         let lines = lines_per_segment.min(rect.height - start_line);
-        // The segment's rows are contiguous in the captured rectangle, so
-        // the whole slice compresses in one row-chunked pass.
-        let off = start_line as usize * rect.width as usize;
-        let len = lines as usize * rect.width as usize;
-        let data = compress_slice(&pixels[off..off + len], rect.width as usize, config.mode);
+        let rows = &pixels[start_line as usize * stride..];
+        let data = compress_rows(rows, stride, width, lines as usize, config.mode);
         let header = VideoHeader {
             frame_number,
             segments_in_frame: segment_count,
@@ -115,6 +122,7 @@ pub fn capture_rect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpcm::compress_line;
     use crate::pattern::TestPattern;
 
     fn store_with_pattern() -> FrameStore {
@@ -165,6 +173,72 @@ mod tests {
             assert_eq!(s.video.x_offset, 8);
             assert_eq!(s.video.width, 32);
         }
+    }
+
+    /// What the per-line oracle makes of `read_rect`'s copy of the
+    /// rectangle, segment by segment.
+    fn per_line_oracle(fs: &FrameStore, cfg: &CaptureConfig) -> Vec<Vec<u8>> {
+        let width = cfg.rect.width as usize;
+        fs.read_rect(cfg.rect)
+            .chunks(cfg.lines_per_segment as usize * width)
+            .map(|seg| {
+                seg.chunks(width)
+                    .flat_map(|row| compress_line(row, cfg.mode))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn strided_capture_matches_the_per_line_codec_over_a_copy() {
+        // A rectangle narrower than the store and off its left edge, so
+        // rows are a stride apart; 23 lines in sevens leave 7, 7, 7, 2:
+        // whole groups of four and leftovers of three and two.
+        let fs = store_with_pattern();
+        for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
+            for rect in [Rect::new(5, 3, 31, 23), Rect::new(63, 47, 1, 1)] {
+                let cfg = CaptureConfig {
+                    rect,
+                    rate: RateFraction::FULL,
+                    lines_per_segment: 7,
+                    mode,
+                };
+                let segs = capture_rect(&fs, &cfg, 0, SequenceNumber(0), Timestamp(0));
+                let data: Vec<Vec<u8>> = segs.into_iter().map(|s| s.data).collect();
+                assert_eq!(data, per_line_oracle(&fs, &cfg), "{rect:?} {mode:?}");
+            }
+            // No lines, below the last one: nothing to read, nothing read.
+            // No columns, right of the last one: five headers.
+            let empty = |rect| CaptureConfig {
+                rect,
+                rate: RateFraction::FULL,
+                lines_per_segment: 7,
+                mode,
+            };
+            let capture = |cfg| capture_rect(&fs, &cfg, 0, SequenceNumber(0), Timestamp(0));
+            assert!(capture(empty(Rect::new(64, 48, 0, 0))).is_empty());
+            let narrow = capture(empty(Rect::new(64, 43, 0, 5)));
+            assert_eq!(narrow[0].data, [mode.header(); 5]);
+        }
+    }
+
+    #[test]
+    fn an_unwritten_store_captures_as_zeroes_and_stays_unbacked() {
+        let fs = FrameStore::new(64, 48);
+        let mut written = FrameStore::new(64, 48);
+        written.write_frame(&[0; 64 * 48]);
+        for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
+            let cfg = CaptureConfig {
+                rect: Rect::new(8, 8, 33, 10),
+                rate: RateFraction::FULL,
+                lines_per_segment: 6,
+                mode,
+            };
+            let capture = |fs| capture_rect(fs, &cfg, 0, SequenceNumber(0), Timestamp(0));
+            assert_eq!(capture(&fs), capture(&written), "{mode:?}");
+            assert_eq!(capture(&fs)[1].data, per_line_oracle(&written, &cfg)[1]);
+        }
+        assert!(fs.rect_lines(Rect::new(0, 0, 64, 48)).is_none());
     }
 
     #[test]

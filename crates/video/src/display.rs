@@ -20,10 +20,20 @@ use crate::framestore::Rect;
 pub struct FrameAssembler {
     current_frame: Option<u32>,
     expected_segments: u32,
-    received: HashMap<u32, VideoSegment>,
+    received: HashMap<u32, Piece>,
     /// Frames abandoned because a newer frame arrived first.
     dropped_incomplete: u64,
     completed: u64,
+}
+
+/// One segment of the frame being assembled: the rectangle its header
+/// claims on the display (`lines` high), where that starts within the
+/// frame, and its decompressed pixels.
+#[derive(Debug)]
+struct Piece {
+    rect: Rect,
+    start_line: u32,
+    pixels: Vec<u8>,
 }
 
 /// A fully assembled frame ready to blit.
@@ -55,35 +65,33 @@ impl FrameAssembler {
         }
     }
 
-    /// Feeds one decoded segment (already decompressed to `lines` of raw
-    /// pixels). Returns the assembled frame when the last piece lands.
+    /// Feeds one decoded segment (`pixels` is what [`decode_segment`]
+    /// made of it: `lines × width`, row-major). Returns the assembled
+    /// frame when the last piece lands.
+    ///
+    /// [`decode_segment`]: crate::interp::decode_segment
     ///
     /// A segment from a newer frame abandons the current incomplete frame
     /// (it can never complete once its successor starts arriving in a
     /// FIFO transport) — the abandonment is counted, never displayed.
-    pub fn push(&mut self, segment: &VideoSegment, lines: Vec<Vec<u8>>) -> Option<AssembledFrame> {
+    pub fn push(&mut self, segment: &VideoSegment, pixels: Vec<u8>) -> Option<AssembledFrame> {
         let frame = segment.video.frame_number;
-        match self.current_frame {
-            Some(f) if f == frame => {}
-            Some(f) => {
-                // Newer frame (or wrap): drop the partial one.
-                if !self.received.is_empty() {
-                    self.dropped_incomplete += 1;
-                }
-                self.received.clear();
-                self.current_frame = Some(frame);
-                self.expected_segments = segment.video.segments_in_frame;
-                let _ = f;
+        if self.current_frame != Some(frame) {
+            // Newer frame (or wrap): drop the partial one, if any.
+            if !self.received.is_empty() {
+                self.dropped_incomplete += 1;
             }
-            None => {
-                self.current_frame = Some(frame);
-                self.expected_segments = segment.video.segments_in_frame;
-            }
+            self.received.clear();
+            self.current_frame = Some(frame);
+            self.expected_segments = segment.video.segments_in_frame;
         }
-        let mut seg = segment.clone();
-        // Replace compressed payload with raw pixels for composition.
-        seg.data = lines.concat();
-        self.received.insert(segment.video.segment_number, seg);
+        let v = &segment.video;
+        let piece = Piece {
+            rect: Rect::new(v.x_offset, v.y_offset, v.width, v.lines),
+            start_line: v.start_line,
+            pixels,
+        };
+        self.received.insert(v.segment_number, piece);
         if self.received.len() as u32 == self.expected_segments {
             let frame = self.compose()?;
             self.received.clear();
@@ -96,21 +104,20 @@ impl FrameAssembler {
     }
 
     fn compose(&self) -> Option<AssembledFrame> {
-        let any = self.received.values().next()?;
-        let width = any.video.width;
-        let total_lines: u32 = self.received.values().map(|s| s.video.lines).sum();
-        let rect = Rect::new(any.video.x_offset, any.video.y_offset, width, total_lines);
+        let any = self.received.values().next()?.rect;
+        let total_lines: u32 = self.received.values().map(|p| p.rect.height).sum();
+        let rect = Rect::new(any.x, any.y, any.width, total_lines);
         let mut pixels = vec![0u8; rect.area()];
-        for seg in self.received.values() {
-            let start = seg.video.start_line as usize * width as usize;
-            let len = seg.video.lines as usize * width as usize;
-            if seg.data.len() != len || start + len > pixels.len() {
+        for piece in self.received.values() {
+            let start = piece.start_line as usize * rect.width as usize;
+            let len = piece.rect.height as usize * rect.width as usize;
+            if piece.pixels.len() != len || start + len > pixels.len() {
                 return None;
             }
-            pixels[start..start + len].copy_from_slice(&seg.data);
+            pixels[start..start + len].copy_from_slice(&piece.pixels);
         }
         Some(AssembledFrame {
-            frame_number: any.video.frame_number,
+            frame_number: self.current_frame?,
             rect,
             pixels,
         })
@@ -149,7 +156,7 @@ mod tests {
         capture_rect(&fs, &cfg, frame_number, SequenceNumber(0), Timestamp(0))
     }
 
-    fn decode(seg: &VideoSegment, cache: &mut LineCache) -> Vec<Vec<u8>> {
+    fn decode(seg: &VideoSegment, cache: &mut LineCache) -> Vec<u8> {
         decode_segment(seg, StreamId(1), cache).unwrap()
     }
 

@@ -112,11 +112,11 @@ pub fn compress_line(pixels: &[u8], mode: LineMode) -> Vec<u8> {
     let mut out = vec![mode.header()];
     match mode {
         LineMode::Raw => out.extend_from_slice(pixels),
-        LineMode::Dpcm => out.extend_from_slice(&dpcm_encode(pixels)),
+        LineMode::Dpcm => dpcm_encode_into(pixels, &mut out),
         LineMode::DpcmSub2 => {
             let mut sub = Vec::with_capacity(pixels.len().div_ceil(2));
             subsample2_into(pixels, &mut sub);
-            out.extend_from_slice(&dpcm_encode(&sub));
+            dpcm_encode_into(&sub, &mut out);
         }
     }
     out
@@ -158,14 +158,8 @@ pub fn decompress_line(data: &[u8], width: usize) -> Option<Vec<u8>> {
     }
 }
 
-fn dpcm_encode(pixels: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(pixels.len().div_ceil(2));
-    dpcm_encode_into(pixels, &mut out);
-    out
-}
-
-// The chunked encode pass: two pixels per iteration, each pair packed
-// and pushed straight into `out` with no intermediate code buffer. The
+// The per-line encode pass, the oracle of `encode_lanes`: two pixels per
+// iteration, each pair packed and pushed straight into `out`. The
 // predictor follows the *decoder's* reconstruction so errors do not
 // accumulate.
 fn dpcm_encode_into(pixels: &[u8], out: &mut Vec<u8>) {
@@ -224,12 +218,75 @@ fn subsample2_into(pixels: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+// The slice encoder's `quantise` then `dequantise` as one load: the code
+// for a prediction error and the signed step the decoder will add for
+// it, indexed by err + 255.
+const FUSED: [(u8, i16); 511] = {
+    let mut t = [(0u8, 0i16); 511];
+    let mut i = 0;
+    while i < 511 {
+        let code = quantise_reference(i as i32 - 255);
+        t[i] = (code, dequantise_reference(code) as i16);
+        i += 1;
+    }
+    t
+};
+
+// Rows the slice encoder runs in lock-step: a line's header restarts the
+// predictor (§3.6), so a segment's lines are independent dependency
+// chains. Past four the lanes spill registers (lane table: DESIGN.md §14).
+const LANES: usize = 4;
+
+// One encoder step: the code for `pixel`, and the predictor moved to the
+// decoder's reconstruction. No clamp: the quantiser picks the largest
+// step <= |err|, so `pred + step` lies between `pred` and `pixel`.
+#[inline(always)]
+fn encode_step(pred: &mut i32, pixel: u8) -> u8 {
+    let (code, step) = FUSED[(pixel as i32 - *pred + 255) as usize];
+    *pred += step as i32;
+    code
+}
+
+// Encodes rows `src[l * stride..][..width]`, `l < N`, pixel pair by pixel
+// pair across the rows, into the payloads of the `N` records of `out`.
+fn encode_lanes<const N: usize>(src: &[u8], stride: usize, width: usize, out: &mut [u8]) {
+    let rows: [&[u8]; N] = std::array::from_fn(|l| &src[l * stride..][..width]);
+    let mut records = out.chunks_exact_mut(out.len() / N);
+    let payloads: [&mut [u8]; N] =
+        std::array::from_fn(|_| &mut records.next().expect("N records")[1..]);
+    let mut pred = [128i32; N];
+    for i in 0..width / 2 {
+        for l in 0..N {
+            let hi = encode_step(&mut pred[l], rows[l][2 * i]);
+            let lo = encode_step(&mut pred[l], rows[l][2 * i + 1]);
+            payloads[l][i] = (hi << 4) | lo;
+        }
+    }
+    if width % 2 == 1 {
+        for l in 0..N {
+            payloads[l][width / 2] = encode_step(&mut pred[l], rows[l][width - 1]) << 4;
+        }
+    }
+}
+
+// DPCM-codes rows a `stride` apart into the records of `out` (`r × (1 +
+// ⌈w/2⌉)` apart, headers in place): `LANES` rows at a time, the leftover
+// rows one lane wide.
+fn encode_rows(src: &[u8], stride: usize, width: usize, out: &mut [u8]) {
+    let record = compressed_line_bytes(width, LineMode::Dpcm);
+    let whole = out.len() / record / LANES * LANES;
+    let mut groups = out.chunks_exact_mut(LANES * record);
+    for (g, group) in groups.by_ref().enumerate() {
+        encode_lanes::<LANES>(&src[g * LANES * stride..], stride, width, group);
+    }
+    for (r, rec) in (whole..).zip(groups.into_remainder().chunks_exact_mut(record)) {
+        encode_lanes::<1>(&src[r * stride..], stride, width, rec);
+    }
+}
+
 /// Compresses a whole slice (`pixels.len() / width` lines of `width`
-/// pixels) in one row-chunked pass: one output buffer sized up front,
-/// the sub-sampling scratch reused across rows, and the predict/encode
-/// loop running back to back over the rows instead of through one
-/// `compress_line` call (and its fresh allocations) per line. The output
-/// is byte-identical to concatenating [`compress_line`] over the rows.
+/// pixels) in one pass; byte-identical to concatenating
+/// [`compress_line`] over the rows.
 ///
 /// # Panics
 ///
@@ -239,19 +296,33 @@ pub fn compress_slice(pixels: &[u8], width: usize, mode: LineMode) -> Vec<u8> {
         width > 0 && pixels.len().is_multiple_of(width),
         "slice is not whole lines"
     );
-    let lines = pixels.len() / width;
-    let mut out = Vec::with_capacity(lines * compressed_line_bytes(width, mode));
-    let mut sub = Vec::with_capacity(width.div_ceil(2));
-    for row in pixels.chunks_exact(width) {
-        out.push(mode.header());
-        match mode {
-            LineMode::Raw => out.extend_from_slice(row),
-            LineMode::Dpcm => dpcm_encode_into(row, &mut out),
-            LineMode::DpcmSub2 => {
-                sub.clear();
-                subsample2_into(row, &mut sub);
-                dpcm_encode_into(&sub, &mut out);
+    compress_rows(pixels, width, width, pixels.len() / width, mode)
+}
+
+// `compress_slice` over rows a `stride` apart (a rectangle where it lies
+// in a framestore): one output sized up front, every record opening with
+// the header, the DPCM payloads coded `LANES` rows in lock-step.
+pub(crate) fn compress_rows(
+    src: &[u8],
+    stride: usize,
+    width: usize,
+    lines: usize,
+    mode: LineMode,
+) -> Vec<u8> {
+    let record = compressed_line_bytes(width, mode);
+    let mut out = vec![mode.header(); lines * record];
+    match mode {
+        LineMode::Raw => {
+            for (r, rec) in out.chunks_exact_mut(record).enumerate() {
+                rec[1..].copy_from_slice(&src[r * stride..][..width]);
             }
+        }
+        LineMode::Dpcm => encode_rows(src, stride, width, &mut out),
+        LineMode::DpcmSub2 => {
+            let half = width.div_ceil(2);
+            let mut sub = Vec::with_capacity(lines * half);
+            (0..lines).for_each(|r| subsample2_into(&src[r * stride..][..width], &mut sub));
+            encode_rows(&sub, half, half, &mut out);
         }
     }
     out
@@ -261,10 +332,16 @@ pub fn compress_slice(pixels: &[u8], width: usize, mode: LineMode) -> Vec<u8> {
 /// pixel buffer, the row-chunked counterpart of calling
 /// [`decompress_line`] per record. Per-line modes may vary (each record
 /// carries its own header). Returns `None` on an unknown header or a
-/// truncated record, like the per-line decoder.
+/// truncated record, like the per-line decoder — and, before anything is
+/// sized from them, on a `width` and `lines` (they come off the wire)
+/// that `data` could not hold even as the shortest records there are.
 pub fn decompress_slice(data: &[u8], width: usize, lines: usize) -> Option<Vec<u8>> {
+    let shortest = compressed_line_bytes(width, LineMode::DpcmSub2);
+    if lines > data.len() / shortest {
+        return None;
+    }
     let mut out = Vec::with_capacity(lines * width);
-    let mut sub = Vec::with_capacity(width.div_ceil(2));
+    let mut sub = Vec::new();
     let mut off = 0;
     for _ in 0..lines {
         let mode = LineMode::from_header(*data.get(off)?)?;
@@ -412,6 +489,38 @@ mod tests {
         for code in 0u8..16 {
             assert_eq!(dequantise(code), dequantise_reference(code));
         }
+    }
+
+    #[test]
+    fn fused_step_is_the_clamped_two_table_step_for_every_predictor_and_pixel() {
+        for pred in 0..=255i32 {
+            for pixel in 0..=255u8 {
+                let code = quantise(pixel as i32 - pred);
+                let sum = pred + dequantise(code);
+                assert!(
+                    (0..=255).contains(&sum),
+                    "the oracle's clamp does something at pred {pred}, pixel {pixel}: {sum}"
+                );
+                let mut next = pred;
+                assert_eq!(encode_step(&mut next, pixel), code, "{pred} {pixel}");
+                assert_eq!(next, sum.clamp(0, 255), "pred {pred}, pixel {pixel}");
+            }
+        }
+    }
+
+    #[test]
+    fn forged_geometry_is_refused_before_it_sizes_anything() {
+        let max = u32::MAX as usize;
+        assert_eq!(decompress_slice(&[1, 2, 3], max, max), None); // lines * width overflows.
+        assert_eq!(decompress_slice(&[1, 2, 3], max, 1), None); // A 4 GB line.
+        assert_eq!(decompress_slice(&[1, 2, 3], 1, max), None);
+        assert_eq!(decompress_slice(&[1, 2, 3], max, 0), Some(vec![]));
+        // The bound is the shortest record, so it refuses nothing real:
+        // four sub-sampled lines of five pixels in 4 * (1 + 2) bytes.
+        let wire = compress_slice(&[9; 20], 5, LineMode::DpcmSub2);
+        assert_eq!(wire.len(), 12);
+        assert!(decompress_slice(&wire, 5, 4).is_some());
+        assert_eq!(decompress_slice(&wire, 5, 5), None);
     }
 
     #[test]

@@ -175,6 +175,25 @@ impl FrameStore {
         out
     }
 
+    /// The lines under `rect` where they lie: the pixels from the
+    /// rectangle's first one on and the distance between the starts of
+    /// consecutive lines, or `None` while the store still holds its
+    /// initial zeroes (and owns nothing to borrow).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rectangle does not fit the store.
+    pub(crate) fn rect_lines(&self, rect: Rect) -> Option<(&[u8], usize)> {
+        assert!(
+            rect.fits(self.width, self.height),
+            "rect out of range: {rect:?}"
+        );
+        let stride = self.width as usize;
+        let first = rect.y as usize * stride + rect.x as usize;
+        // (A rectangle of no lines may start below the last one.)
+        (!self.pixels.is_empty()).then(|| (self.pixels.get(first..).unwrap_or(&[]), stride))
+    }
+
     /// Writes a rectangle (the display mixer's blit).
     ///
     /// # Panics

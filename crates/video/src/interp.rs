@@ -19,14 +19,27 @@ use pandora_segment::{StreamId, VideoSegment};
 
 use crate::dpcm::decompress_slice;
 
-/// Vertical filter weight: each output line is
-/// `(prev_line + 3 * line) / 4`, the smoothing the interpolation hardware
-/// applies between adjacent lines.
-fn vertical_filter(prev: &[u8], line: &[u8]) -> Vec<u8> {
-    prev.iter()
-        .zip(line.iter())
-        .map(|(&p, &l)| ((p as u16 + 3 * l as u16) / 4) as u8)
-        .collect()
+/// Runs the vertical filter down `pixels` (rows of `width`) in place:
+/// each output line is `(prev_line + 3 * line) / 4`, the smoothing the
+/// interpolation hardware applies between adjacent lines. `prev` is the
+/// line above the first row on entry and the last *unfiltered* row on
+/// return, so a stream's cached line is reloaded and refreshed where it
+/// lies. A `prev` of another width seeds nothing: the first row passes
+/// through (the hardware would be loaded with the line directly).
+fn vertical_filter(pixels: &mut [u8], width: usize, prev: &mut Vec<u8>) {
+    let mut rows = pixels.chunks_exact_mut(width.max(1));
+    if prev.len() != width {
+        let Some(first) = rows.next() else { return };
+        prev.clear();
+        prev.extend_from_slice(first);
+    }
+    for row in rows {
+        for (p, l) in prev.iter_mut().zip(row) {
+            let raw = *l;
+            *l = ((*p as u16 + 3 * raw as u16) / 4) as u8;
+            *p = raw;
+        }
+    }
 }
 
 /// The per-stream software cache of the last processed line.
@@ -67,63 +80,37 @@ impl LineCache {
     }
 }
 
-/// Decompresses a video segment into raw lines, applying the vertical
-/// filter seeded from `cache` (choice 3 of §3.6), and updates the cache
-/// with the segment's last line.
+/// Decompresses a video segment into `lines × width` raw pixels,
+/// row-major, applying the vertical filter seeded from `cache` (choice 3
+/// of §3.6), and updates the cache with the segment's last line.
 ///
 /// Returns `None` if any line fails to decode.
 pub fn decode_segment(
     segment: &VideoSegment,
     stream: StreamId,
     cache: &mut LineCache,
-) -> Option<Vec<Vec<u8>>> {
-    let width = segment.video.width as usize;
-    let lines = segment.video.lines as usize;
-    // One row-chunked pass decodes every line of the segment; the
-    // vertical filter then runs over the decoded rows.
-    let raw_all = decompress_slice(&segment.data, width, lines)?;
-    let mut out = Vec::with_capacity(lines);
-    let mut prev: Option<Vec<u8>> = cache.get(stream).map(|l| l.to_vec());
-    for i in 0..lines {
-        let raw = &raw_all[i * width..(i + 1) * width];
-        let filtered = match &prev {
-            Some(p) if p.len() == raw.len() => vertical_filter(p, raw),
-            // First line of a brand-new stream: seed with itself (the
-            // hardware would be loaded with the line directly).
-            _ => raw.to_vec(),
-        };
-        prev = Some(raw.to_vec());
-        out.push(filtered);
-    }
-    if let Some(last) = prev {
-        cache.store(stream, last);
-    }
-    Some(out)
+) -> Option<Vec<u8>> {
+    let mut pixels = decode_rows(segment)?;
+    let prev = cache.lines.entry(stream).or_default();
+    vertical_filter(&mut pixels, segment.video.width as usize, prev);
+    Some(pixels)
 }
 
 /// Decodes a segment *without* consulting the cache — the broken
 /// interleaving the paper's choice 3 exists to prevent. The first line is
 /// filtered against whatever stale line is passed in (e.g. another
 /// stream's), producing a seam.
-pub fn decode_segment_stale(
-    segment: &VideoSegment,
-    stale_prev: Option<&[u8]>,
-) -> Option<Vec<Vec<u8>>> {
-    let width = segment.video.width as usize;
-    let lines = segment.video.lines as usize;
-    let raw_all = decompress_slice(&segment.data, width, lines)?;
-    let mut out = Vec::with_capacity(lines);
-    let mut prev: Option<Vec<u8>> = stale_prev.map(|l| l.to_vec());
-    for i in 0..lines {
-        let raw = &raw_all[i * width..(i + 1) * width];
-        let filtered = match &prev {
-            Some(p) if p.len() == raw.len() => vertical_filter(p, raw),
-            _ => raw.to_vec(),
-        };
-        prev = Some(raw.to_vec());
-        out.push(filtered);
-    }
-    Some(out)
+pub fn decode_segment_stale(segment: &VideoSegment, stale_prev: Option<&[u8]>) -> Option<Vec<u8>> {
+    let mut pixels = decode_rows(segment)?;
+    let mut prev = stale_prev.unwrap_or_default().to_vec();
+    vertical_filter(&mut pixels, segment.video.width as usize, &mut prev);
+    Some(pixels)
+}
+
+// One row-chunked pass decodes every line of the segment into one buffer.
+fn decode_rows(segment: &VideoSegment) -> Option<Vec<u8>> {
+    let (width, lines) = (segment.video.width, segment.video.lines);
+    decompress_slice(&segment.data, width as usize, lines as usize)
 }
 
 #[cfg(test)]
@@ -155,7 +142,7 @@ mod tests {
         for s in &segs {
             total += decode_segment(s, StreamId(1), &mut cache).unwrap().len();
         }
-        assert_eq!(total, 16);
+        assert_eq!(total, 16 * 32);
         assert_eq!(cache.len(), 1);
     }
 
@@ -183,19 +170,19 @@ mod tests {
         );
 
         // Without the cache: first line filtered against stream B's line.
-        let a1_bad = decode_segment_stale(&segs_a[1], Some(b0.last().unwrap())).unwrap();
-        let seam = line_error(&a1_bad[0], &a1_truth[0]);
+        let a1_bad = decode_segment_stale(&segs_a[1], b0.chunks(32).last()).unwrap();
+        let seam = line_error(&a1_bad[..32], &a1_truth[..32]);
         assert!(seam > 2.0, "expected a visible seam, got error {seam}");
         // Later lines are unaffected — the seam is only at the boundary.
-        assert_eq!(a1_bad[3], a1_truth[3]);
+        assert_eq!(a1_bad[32..], a1_truth[32..]);
     }
 
     #[test]
     fn fresh_stream_needs_no_cache() {
         let segs = make_segments(1, 16);
         let mut cache = LineCache::new();
-        let lines = decode_segment(&segs[0], StreamId(5), &mut cache).unwrap();
-        assert_eq!(lines.len(), 16);
+        let pixels = decode_segment(&segs[0], StreamId(5), &mut cache).unwrap();
+        assert_eq!(pixels.len(), 16 * 32);
     }
 
     #[test]

@@ -172,40 +172,64 @@ fn q15_scaled_mix_is_deterministic_and_exact_on_exact_gains() {
 
 #[test]
 fn dpcm_slice_codec_matches_per_line_codec() {
+    let check = |pixels: &[u8], width: usize, what: &str| {
+        let lines = pixels.len() / width;
+        for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
+            let batched = compress_slice(pixels, width, mode);
+            let per_line: Vec<u8> = pixels
+                .chunks_exact(width)
+                .flat_map(|row| compress_line(row, mode))
+                .collect();
+            assert_eq!(batched, per_line, "{what} {width}x{lines} {mode:?}");
+
+            let slice_decoded = decompress_slice(&batched, width, lines);
+            let mut line_decoded = Vec::with_capacity(width * lines);
+            let mut off = 0;
+            let mut ok = true;
+            for _ in 0..lines {
+                match decompress_line(&per_line[off..], width) {
+                    Some(px) => {
+                        let mode_here = LineMode::from_header(per_line[off]).expect("header");
+                        off += pandora_video::dpcm::compressed_line_bytes(width, mode_here);
+                        line_decoded.extend(px);
+                    }
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            let want = ok.then_some(line_decoded);
+            assert_eq!(slice_decoded, want, "{what} {width}x{lines} {mode:?}");
+        }
+    };
     for seed in SEEDS {
         let mut g = Gen::new(seed);
         for _ in 0..6 {
             let width = g.range(1, 80);
             let lines = g.range(1, 12);
             let pixels: Vec<u8> = (0..width * lines).map(|_| g.byte()).collect();
-            for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
-                let batched = compress_slice(&pixels, width, mode);
-                let per_line: Vec<u8> = pixels
-                    .chunks_exact(width)
-                    .flat_map(|row| compress_line(row, mode))
-                    .collect();
-                assert_eq!(batched, per_line, "seed {seed} {width}x{lines} {mode:?}");
-
-                let slice_decoded = decompress_slice(&batched, width, lines);
-                let mut line_decoded = Vec::with_capacity(width * lines);
-                let mut off = 0;
-                let mut ok = true;
-                for _ in 0..lines {
-                    match decompress_line(&per_line[off..], width) {
-                        Some(px) => {
-                            let mode_here = LineMode::from_header(per_line[off]).expect("header");
-                            off += pandora_video::dpcm::compressed_line_bytes(width, mode_here);
-                            line_decoded.extend(px);
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                let want = ok.then_some(line_decoded);
-                assert_eq!(slice_decoded, want, "seed {seed} {width}x{lines} {mode:?}");
-            }
+            check(&pixels, width, &format!("seed {seed}"));
+        }
+    }
+    // The slice encoder runs four rows in lock-step and the leftover rows
+    // one at a time, pixel pairs then an odd tail: every line count
+    // around two groups, widths either side of a pair and of a byte's
+    // worth of pixels, on noise and on the rows that pin the predictor
+    // to either rail or swing it between them.
+    let mut g = Gen::new(SEEDS[0]);
+    for width in [1, 2, 3, 255, 256, 257] {
+        for lines in 1..=9 {
+            let noise: Vec<u8> = (0..width * lines).map(|_| g.byte()).collect();
+            check(&noise, width, "noise");
+            check(&vec![0; width * lines], width, "all 0");
+            check(&vec![255; width * lines], width, "all 255");
+            let swing: Vec<u8> = (0..width * lines).map(|i| (i % 2 * 255) as u8).collect();
+            check(&swing, width, "0/255 pixels");
+            let rows: Vec<u8> = (0..width * lines)
+                .map(|i| (i / width % 2 * 255) as u8)
+                .collect();
+            check(&rows, width, "0/255 rows");
         }
     }
 }
