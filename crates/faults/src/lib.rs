@@ -851,11 +851,8 @@ mod tests {
     fn uplink_cap_applies_and_auto_reverts() {
         fn run() -> String {
             let mut sim = Simulation::new();
-            let (_tx, _rx, lc) = pandora_sim::link_controlled::<Cell>(
-                &sim.spawner(),
-                pandora_sim::LinkConfig::new("up", 1_000_000),
-            );
             let mut targets = FaultTargets::new();
+            let lc = pandora_sim::LinkControl::default();
             targets.register_path("node7.up", PathControl::from_links(vec![lc]));
             let plan = FaultPlan::scripted(Vec::new()).uplink_cap(
                 "node7.up",

@@ -38,8 +38,11 @@
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::rc::Rc;
 use std::sync::Arc;
+use std::task::Poll;
 
 use pandora_atm::{burst_gather, PathControl, Vci};
 use pandora_faults::{install, FaultPlan, FaultTargets, FaultTrace};
@@ -49,7 +52,7 @@ use pandora_recover::{
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
 use pandora_shard::{shard_of, Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
-    delay, link_controlled, now, unbounded, AltSet, LinkConfig, Sender, SimDuration, WireSize,
+    delay, now, waker, AltSet, LinkConfig, LinkControl, Priority, SimDuration, TaskWaker, WireSize,
 };
 use pandora_slab::ByteSlab;
 
@@ -265,12 +268,6 @@ struct UpItem {
     slice: Slice,
 }
 
-impl WireSize for UpItem {
-    fn wire_bytes(&self) -> usize {
-        self.slice.wire_bytes()
-    }
-}
-
 /// Cells one segment gathers into (header plus payload, 48-byte AAL
 /// payload per cell).
 pub fn cells_per_segment(payload_bytes: usize) -> u64 {
@@ -357,13 +354,22 @@ fn charge_relay_admission(plan: &TreePlan, cfg: &OverlayConfig) -> Result<u64, B
     Ok(total)
 }
 
-/// The P3 uplink: a bounded queue draining into a serializing link.
-/// Overflow drops the *oldest* copy; the windows feed the P8 machine.
+/// Copies out of a member's P3 queue at once, the one on the wire first:
+/// three, because a pump task once stood between queue and wire — the copy
+/// on the wire, the one in its one-message slot, the one the pump held.
+/// When a copy leaves decides P3 drops, P8 late counts and crash discards.
+const HANDOFF: usize = 3;
+
+/// The P3 uplink: a bounded queue the member's wire drains. Overflow drops
+/// the *oldest* copy; the windows feed the P8 machine.
 struct Uplink {
     q: RefCell<VecDeque<UpItem>>,
+    /// Copies out of `q`, oldest first; the front one is on the wire.
+    handed: RefCell<VecDeque<UpItem>>,
+    /// The wire, while `handed` has room: the next push wakes it.
+    wire: StdCell<Option<TaskWaker>>,
     cap: usize,
     late_bound_nanos: u64,
-    kick: Sender<()>,
     /// Set when the member crashes: its uplink falls silent.
     dead: StdCell<bool>,
     enqueued: StdCell<u64>,
@@ -374,12 +380,13 @@ struct Uplink {
 }
 
 impl Uplink {
-    fn new(cap: usize, late_bound_nanos: u64, kick: Sender<()>) -> Rc<Uplink> {
+    fn new(cap: usize, late_bound_nanos: u64) -> Rc<Uplink> {
         Rc::new(Uplink {
             q: RefCell::new(VecDeque::with_capacity(cap)),
+            handed: RefCell::new(VecDeque::with_capacity(HANDOFF)),
+            wire: StdCell::new(None),
             cap: cap.max(1),
             late_bound_nanos,
-            kick,
             dead: StdCell::new(false),
             enqueued: StdCell::new(0),
             drops: StdCell::new(0),
@@ -405,17 +412,31 @@ impl Uplink {
         drop(q);
         self.enqueued.set(self.enqueued.get() + 1);
         self.window_enq.set(self.window_enq.get() + 1);
-        let _ = self.kick.try_send(());
+        // Once the pushing poll returns: a whole batch lands first.
+        if let Some(wire) = self.wire.take() {
+            wire.wake();
+        }
     }
 
-    fn pop(&self) -> Option<UpItem> {
-        let item = self.q.borrow_mut().pop_front();
-        if let Some(it) = &item {
-            if now().as_nanos().saturating_sub(it.queued_at) > self.late_bound_nanos {
+    /// Run by the wire on every poll: takes copies out of the queue (P8
+    /// reads each one's wait as it leaves; a dead member's are discarded)
+    /// until [`HANDOFF`] are out, waits for a push while there is room, and
+    /// returns the wire size of the front copy.
+    fn refill(&self) -> Option<usize> {
+        let mut handed = self.handed.borrow_mut();
+        while handed.len() < HANDOFF {
+            let Some(item) = self.q.borrow_mut().pop_front() else {
+                break;
+            };
+            if now().as_nanos().saturating_sub(item.queued_at) > self.late_bound_nanos {
                 self.window_late.set(self.window_late.get() + 1);
             }
+            if !self.dead.get() {
+                handed.push_back(item);
+            }
         }
-        item
+        self.wire.set((handed.len() < HANDOFF).then(waker));
+        handed.front().map(|it| it.slice.wire_bytes())
     }
 
     /// Closes one P8 observation window: enqueues as received, P3 drops
@@ -433,57 +454,48 @@ impl Uplink {
     }
 }
 
-/// Spawns the uplink machinery shared by relays and the source: the
-/// bounded queue, the pump that serializes copies through a
-/// bandwidth-limited link, and the router that hands each arriving copy
-/// to the egress of its (tree, child) edge (`outs`, opened here). Returns
-/// the queue handle and the link control (for fault registration).
+/// Spawns the uplink shared by relays and the source: the bounded queue and
+/// its wire, a high-priority link engine that holds each copy for its
+/// [`LinkControl::transfer`] (refilling whenever a push wakes it) and then
+/// hands it to the egress of its (tree, child) edge (`outs`, opened here).
+/// Returns the queue handle and the link control (for fault registration).
 fn spawn_uplink(
     env: &ShardEnv,
     member: usize,
     uplink_cps: u64,
     cfg: &OverlayConfig,
     outs: Vec<(usize, usize, Egress<Msg>)>,
-) -> (Rc<Uplink>, pandora_sim::LinkControl) {
+) -> (Rc<Uplink>, LinkControl) {
     let child_txs: BTreeMap<(usize, usize), PortSender<Msg>> = outs
         .into_iter()
         .map(|(tree, dest, egress)| ((tree, dest), env.open_egress(egress)))
         .collect();
-    let (kick_tx, kick_rx) = unbounded::<()>();
     // A copy that waits longer than one stripe interval (its own
     // forwarding cadence) marks the uplink persistently backlogged;
     // shorter waits — a graft replay burst, say — are transient.
     let late_bound = cfg.segment_interval.as_nanos() * cfg.trees.max(1) as u64;
-    let uplink = Uplink::new(cfg.uplink_queue, late_bound, kick_tx);
-    let (link_tx, link_rx, link_ctl) = link_controlled::<UpItem>(
-        env.spawner(),
-        LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS),
-    );
-    let pump_up = uplink.clone();
-    env.spawner().spawn(&format!("ovl:up{member}"), async move {
-        while kick_rx.recv().await.is_ok() {
-            while let Some(item) = pump_up.pop() {
-                if pump_up.dead.get() {
-                    continue;
-                }
-                if link_tx.send(item).await.is_err() {
-                    return;
-                }
-            }
-        }
-    });
-    let out_up = uplink.clone();
-    env.spawner()
-        .spawn(&format!("ovl:out{member}"), async move {
-            while let Ok(item) = link_rx.recv().await {
-                if out_up.dead.get() {
-                    continue;
-                }
+    let uplink = Uplink::new(cfg.uplink_queue, late_bound);
+    let config = LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS);
+    let link_ctl = LinkControl::default();
+    let (up, ctl) = (uplink.clone(), link_ctl.clone());
+    let name = &format!("link:ovl-up{member}");
+    env.spawner().spawn_prio(name, Priority::High, async move {
+        loop {
+            let bytes = poll_fn(|_| up.refill().map_or(Poll::Pending, Poll::Ready)).await;
+            let mut transfer = pin!(ctl.transfer(&config, bytes));
+            poll_fn(|cx| {
+                up.refill();
+                transfer.as_mut().poll(cx)
+            })
+            .await;
+            let item = up.handed.borrow_mut().pop_front();
+            if let Some(item) = item.filter(|_| !up.dead.get()) {
                 if let Some(tx) = child_txs.get(&(item.tree, item.dest)) {
                     tx.send(Msg::Slice(item.slice));
                 }
             }
-        });
+        }
+    });
     (uplink, link_ctl)
 }
 
@@ -493,7 +505,7 @@ fn install_uplink_cap(
     env: &ShardEnv,
     member: usize,
     cfg: &OverlayConfig,
-    link_ctl: &pandora_sim::LinkControl,
+    link_ctl: &LinkControl,
 ) -> Option<FaultTrace> {
     let cap = cfg.uplink_cap?;
     if cap.member != member {
@@ -1321,42 +1333,137 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the merged report, `\n` after each line: the
+    /// benchmark's history digest.
+    fn digest(lines: &[String]) -> String {
+        let bytes = lines.iter().flat_map(|l| l.bytes().chain([b'\n']));
+        let h = bytes.fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+        format!("{h:016x}")
+    }
+
+    /// `(uplink_queue, cap ‰, relay_cost µs, crash)` — the first interior
+    /// relay with two or more children capped from 30 ms for 80 ms and, in
+    /// half the rows, crashed at 70 ms, mid-cap — then the digest of the
+    /// merged report and `(p3, p8, max divisor, lost, forwarded)`. Recorded
+    /// on the last commit whose uplink was a pump, a link and a router
+    /// task; the instant a copy leaves the P3 queue shows in all of it.
+    #[rustfmt::skip]
+    #[allow(clippy::type_complexity)]
+    const OVERLOAD: [((usize, u64, u64, bool), &str, [u64; 5]); 12] = [
+        ((4, 40, 2_000, false), "2ece6843dce85d49", [7, 6, 8, 25, 1_462]),
+        ((4, 40, 20, true), "3cd63191b088165c", [18, 2, 2, 86, 1_439]),
+        ((4, 100, 20, false), "a215f14087ccc524", [1, 3, 2, 10, 1_471]),
+        ((4, 100, 2_000, true), "998f0a1599f4da57", [16, 2, 2, 86, 1_438]),
+        ((8, 40, 20, false), "ca3b070e80998308", [3, 3, 2, 12, 1_471]),
+        ((8, 40, 2_000, true), "f173d18e73550796", [8, 0, 1, 32, 1_490]),
+        ((8, 100, 2_000, false), "ff6c1e641484767f", [0, 4, 4, 12, 1_468]),
+        ((8, 100, 20, true), "237ce262df9db71d", [2, 0, 1, 25, 1_484]),
+        ((64, 40, 2_000, false), "bb45fd4432e88b7a", [0, 5, 4, 15, 1_465]),
+        ((64, 40, 20, true), "18df623d27339ab5", [0, 0, 1, 23, 1_487]),
+        ((64, 100, 20, false), "ae18d09a80d3ccf7", [0, 3, 2, 9, 1_471]),
+        ((64, 100, 2_000, true), "049264c00734816d", [0, 0, 1, 24, 1_486]),
+    ];
+
     #[test]
     fn uplink_cap_drives_p3_and_p8_then_recovers() {
-        let mut cfg = small_cfg();
-        cfg.uplink_queue = 8;
-        let plan = match plan_for(&cfg) {
-            Ok(p) => p,
-            Err(e) => panic!("plan: {e}"),
-        };
-        let victim = (1..plan.members())
+        let mut got = Vec::new();
+        for ((queue, permille, relay_us, crash), ..) in OVERLOAD {
+            let mut cfg = OverlayConfig {
+                uplink_queue: queue,
+                relay_cost: SimDuration::from_micros(relay_us),
+                ..small_cfg()
+            };
+            let victim = busy_relay(&plan_for(&cfg).expect("plan"));
+            cfg.uplink_cap = Some(UplinkCapPlan {
+                member: victim,
+                at: SimDuration::from_millis(30),
+                hold: SimDuration::from_millis(80),
+                permille,
+            });
+            cfg.crash = crash.then_some(CrashPlan {
+                member: victim,
+                at: SimDuration::from_millis(70),
+            });
+            let (lines, _) = run(&cfg, 1);
+            let s = OverlaySummary::parse(&lines);
+            let text = lines.join("\n");
+            for step in ["apply", "revert"] {
+                let line = format!("{step} bandwidth-collapse path=relay.up");
+                assert!(text.contains(&line), "{text}");
+            }
+            got.push((
+                (queue, permille, relay_us, crash),
+                digest(&lines),
+                [
+                    s.p3_drops,
+                    s.p8_skips,
+                    s.max_divisor,
+                    s.lost_total,
+                    s.forwarded,
+                ],
+            ));
+        }
+        let want: Vec<_> = OVERLOAD.map(|(k, d, c)| (k, d.to_string(), c)).to_vec();
+        assert_eq!(got, want);
+    }
+
+    /// The relay [`uplink_cap_drives_p3_and_p8_then_recovers`] squeezes:
+    /// the first interior relay with two or more children.
+    fn busy_relay(plan: &TreePlan) -> usize {
+        (1..plan.members())
             .find(|&v| {
                 plan.interior_tree(v)
                     .is_some_and(|t| plan.children(t, v).len() >= 2)
             })
-            .expect("no busy relay");
-        cfg.uplink_cap = Some(UplinkCapPlan {
-            member: victim,
-            at: SimDuration::from_millis(30),
-            hold: SimDuration::from_millis(80),
-            permille: 40,
-        });
-        let (lines, _) = run(&cfg, 1);
-        let s = OverlaySummary::parse(&lines);
-        assert!(
-            s.p3_drops > 0 || s.p8_skips > 0,
-            "cap produced no local degradation: {lines:?}"
-        );
-        assert!(s.max_divisor >= 2, "P8 never stepped: {lines:?}");
-        let text = lines.join("\n");
-        assert!(
-            text.contains("apply bandwidth-collapse path=relay.up"),
-            "{text}"
-        );
-        assert!(
-            text.contains("revert bandwidth-collapse path=relay.up"),
-            "{text}"
-        );
+            .expect("no busy relay")
+    }
+
+    /// Pins [`HANDOFF`]. A relay capped to 1 ‰ from 1 ms takes 583 ms a
+    /// copy, so for the rest of a 540 ms run what it took in and never
+    /// dropped is its full queue, the copies out of the queue and any copy
+    /// it started before the cap: none for a relay two levels down, one
+    /// for the source's first child in tree 0 (the source's one-copy queue
+    /// starves that child at depth 1, hence no row).
+    #[test]
+    fn a_stalled_uplink_holds_its_queue_and_the_hand_off() {
+        let cfg = OverlayConfig {
+            segments: 100,
+            ..small_cfg()
+        };
+        let plan = plan_for(&cfg).expect("plan");
+        let first_child = plan.children(0, 0)[0];
+        let rows = [1, 4, 8, 64].map(|q| (busy_relay(&plan), q, 0));
+        let rows = rows
+            .into_iter()
+            .chain([4, 8, 64].map(|q| (first_child, q, 1)));
+        for (victim, queue, started) in rows {
+            let cfg = OverlayConfig {
+                uplink_queue: queue,
+                uplink_cap: Some(UplinkCapPlan {
+                    member: victim,
+                    at: SimDuration::from_millis(1),
+                    hold: SimDuration::from_secs(1),
+                    permille: 1,
+                }),
+                ..cfg
+            };
+            let own = format!("node{victim:04} recv=");
+            let (lines, _) = run(&cfg, 1);
+            let s = OverlaySummary::parse(
+                &lines
+                    .into_iter()
+                    .filter(|l| l.starts_with(&own))
+                    .collect::<Vec<_>>(),
+            );
+            assert!(s.p3_drops > 0, "member {victim}, queue {queue}: never full");
+            assert_eq!(
+                s.forwarded - s.p3_drops,
+                (queue + HANDOFF + started) as u64,
+                "member {victim}, queue {queue}"
+            );
+        }
     }
 
     #[test]

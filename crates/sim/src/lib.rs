@@ -20,7 +20,7 @@
 //! * **virtual CPUs** ([`Cpu`]) with non-preemptive priority dispatch and
 //!   context-switch surcharges, so overload behaviour (the subject of the
 //!   paper's principles) emerges from resource exhaustion;
-//! * **links** ([`link`], [`link_controlled`], [`link_over`]) with
+//! * **links** ([`link`], [`link_over`], [`LinkControl::transfer`]) with
 //!   bandwidth-limited, back-pressured transfer (Inmos links and board
 //!   FIFOs) out of the queue in front of them, and the network's
 //!   [`long_line`] — the same serialiser, which stamps what it
@@ -75,8 +75,8 @@ pub use executor::{
     TaskId, TaskWaker,
 };
 pub use link::{
-    drifted_tick, link, link_controlled, link_over, link_queue, long_line, LinkConfig, LinkControl,
-    LinkSender, WireSize,
+    drifted_tick, link, link_over, link_queue, long_line, LinkConfig, LinkControl, LinkSender,
+    WireSize,
 };
 pub use ticker::{ticker, Tick, TickerHandle};
 pub use time::{SimDuration, SimTime};

@@ -8,12 +8,12 @@
 //! this back-pressure is how overload propagates toward the source
 //! (Principle 5's failure mode, handled by decoupling buffers).
 //!
-//! There is one engine. A wire drains the queue in front of it — the
-//! process that has a message outputs to the link and is held back while
-//! the link is busy; no process stands between them. [`link_over`] takes
-//! any queue as that source, with a function giving an item's size;
-//! [`link`] and [`link_controlled`] are it over a [`link_queue`] of their
-//! own, for items that are [`WireSize`].
+//! A wire drains the queue in front of it — the process that has a message
+//! outputs to the link and is held back while the link is busy; no process
+//! stands between them — and holds each message for
+//! [`LinkControl::transfer`]. [`link_over`] takes any queue as that source,
+//! with a function giving an item's size; [`link`] is it over a
+//! [`link_queue`] of its own, for items that are [`WireSize`].
 //!
 //! [`long_line`] is the one link that is not inside a box: the wire of a
 //! network hop, which serialises like the others but hands what it carried
@@ -127,8 +127,8 @@ pub struct LinkControl {
     state: Rc<LinkCtlState>,
 }
 
-impl LinkControl {
-    fn new() -> Self {
+impl Default for LinkControl {
+    fn default() -> Self {
         LinkControl {
             state: Rc::new(LinkCtlState {
                 up: Cell::new(true),
@@ -138,7 +138,9 @@ impl LinkControl {
             }),
         }
     }
+}
 
+impl LinkControl {
     /// Takes the link down (`false`) or brings it back up (`true`).
     pub fn set_up(&self, up: bool) {
         let was = self.state.up.replace(up);
@@ -172,6 +174,15 @@ impl LinkControl {
         self.state.downs.get()
     }
 
+    /// Holds the wire for one message of `bytes`: up-check, the transfer
+    /// time at the rate scale in force as it starts, up-check. Every wire
+    /// does this; a loop of a caller's own calls it.
+    pub async fn transfer(&self, config: &LinkConfig, bytes: usize) {
+        self.wait_up().await;
+        delay(self.scaled(config.transfer_time(bytes))).await;
+        self.wait_up().await;
+    }
+
     fn scaled(&self, d: SimDuration) -> SimDuration {
         let p = self.state.rate_permille.get();
         if p == 1000 {
@@ -202,12 +213,12 @@ impl Future for WaitUp<'_> {
     }
 }
 
-/// The link engine: the `link:{name}` task every wire is. High priority,
-/// like link DMA engines that run independently of the CPUs, it takes one
-/// message at a time from `source`, holds it for its (scaled) transfer
-/// time with an up-check on either side, and sends what `arrive` makes of
-/// it to `far` — whose capacity decides whether the wire then waits for
-/// its reader.
+/// The link engine: the `link:{name}` task every channel-fed wire is. High
+/// priority, like link DMA engines that run independently of the CPUs, it
+/// takes one message at a time from `source`, holds it for its
+/// [`LinkControl::transfer`] — spelled out: awaiting that future makes every
+/// wire's 48 bytes larger — and sends what `arrive` makes of it to `far`,
+/// whose capacity decides whether the wire then waits for its reader.
 fn spawn_wire<T: 'static, U: 'static>(
     spawner: &Spawner,
     config: LinkConfig,
@@ -216,7 +227,7 @@ fn spawn_wire<T: 'static, U: 'static>(
     far: Sender<U>,
     arrive: impl Fn(T) -> U + 'static,
 ) -> LinkControl {
-    let ctrl = LinkControl::new();
+    let ctrl = LinkControl::default();
     let c = ctrl.clone();
     spawner.spawn_prio(
         &format!("link:{}", config.name),
@@ -253,23 +264,14 @@ pub fn link_over<T: 'static>(
     (out_rx, ctrl)
 }
 
-/// [`link_over`] a fresh [`link_queue`], for items that know their size:
-/// returns the sending end, the delivery channel and the control handle.
-pub fn link_controlled<T: WireSize + 'static>(
-    spawner: &Spawner,
-    config: LinkConfig,
-) -> (LinkSender<T>, Receiver<T>, LinkControl) {
-    let (tx, source) = link_queue();
-    let (out_rx, ctrl) = link_over(spawner, config, source, T::wire_bytes);
-    (tx, out_rx, ctrl)
-}
-
-/// [`link_controlled`] for a link nothing will ever flap.
+/// [`link_over`] a fresh [`link_queue`], for items that know their size,
+/// on a link nothing will ever flap.
 pub fn link<T: WireSize + 'static>(
     spawner: &Spawner,
     config: LinkConfig,
 ) -> (LinkSender<T>, Receiver<T>) {
-    let (tx, out_rx, _) = link_controlled(spawner, config);
+    let (tx, source) = link_queue();
+    let (out_rx, _) = link_over(spawner, config, source, T::wire_bytes);
     (tx, out_rx)
 }
 
@@ -311,6 +313,16 @@ mod tests {
     use crate::time::SimTime;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// A wire over a hand-off slot of its own, with its control handle.
+    fn controlled(
+        sim: &Simulation,
+        config: LinkConfig,
+    ) -> (LinkSender<Vec<u8>>, Receiver<Vec<u8>>, LinkControl) {
+        let (tx, source) = link_queue();
+        let (rx, ctrl) = link_over(&sim.spawner(), config, source, Vec::len);
+        (tx, rx, ctrl)
+    }
 
     #[test]
     fn transfer_time_math() {
@@ -480,8 +492,7 @@ mod tests {
     #[test]
     fn controlled_link_matches_plain_link_when_untouched() {
         let mut sim = Simulation::new();
-        let (tx, rx, ctrl) =
-            link_controlled::<Vec<u8>>(&sim.spawner(), LinkConfig::new("l", 8_000_000));
+        let (tx, rx, ctrl) = controlled(&sim, LinkConfig::new("l", 8_000_000));
         assert!(ctrl.is_up());
         sim.spawn("sender", async move {
             tx.send(vec![0u8; 1000]).await.unwrap(); // 1ms at 8Mbit/s
@@ -500,8 +511,7 @@ mod tests {
     #[test]
     fn link_flap_holds_traffic_until_recovery() {
         let mut sim = Simulation::new();
-        let (tx, rx, ctrl) =
-            link_controlled::<Vec<u8>>(&sim.spawner(), LinkConfig::new("l", 8_000_000));
+        let (tx, rx, ctrl) = controlled(&sim, LinkConfig::new("l", 8_000_000));
         sim.spawn("sender", async move {
             for _ in 0..3 {
                 let _ = tx.send(vec![0u8; 1000]).await; // 1ms each
@@ -529,8 +539,7 @@ mod tests {
     #[test]
     fn bandwidth_collapse_stretches_transfers() {
         let mut sim = Simulation::new();
-        let (tx, rx, ctrl) =
-            link_controlled::<Vec<u8>>(&sim.spawner(), LinkConfig::new("l", 8_000_000));
+        let (tx, rx, ctrl) = controlled(&sim, LinkConfig::new("l", 8_000_000));
         ctrl.set_rate_permille(250); // quarter rate: 1ms messages take 4ms
         sim.spawn("sender", async move {
             for _ in 0..2 {
@@ -557,7 +566,7 @@ mod tests {
             let mut sim = Simulation::new();
             let cfg = LinkConfig::new("l", 8_000_000);
             let (rx, ctrl) = if own_queue {
-                let (tx, rx, ctrl) = link_controlled::<Vec<u8>>(&sim.spawner(), cfg);
+                let (tx, rx, ctrl) = controlled(&sim, cfg);
                 sim.spawn("sender", async move {
                     for i in 0..6u8 {
                         tx.send(vec![i; 1000]).await.unwrap(); // 1 ms each

@@ -29,14 +29,15 @@ use pandora_overlay::{
 };
 use pandora_sim::{SimDuration, SimTime};
 
-/// Floor: tasks the whole run may spawn per member. A member is five
-/// tasks (relay, heartbeat, uplink pump, uplink router, link); a task per
-/// cluster port made it fifteen.
-const MAX_TASKS_PER_MEMBER: f64 = 5.5;
+/// Floor: tasks the whole run may spawn per member. A member is three
+/// tasks (relay, heartbeat, the uplink's wire); an uplink pump and router
+/// in front of and behind the wire made it five, a task per cluster port
+/// fifteen.
+const MAX_TASKS_PER_MEMBER: f64 = 3.5;
 
 /// Floor: executor events (task polls, summed over shards) per slice
 /// delivered to a viewer.
-const MAX_EVENTS_PER_SLICE: f64 = 6.3;
+const MAX_EVENTS_PER_SLICE: f64 = 3.5;
 
 fn soak_config() -> OverlayConfig {
     OverlayConfig {

@@ -434,11 +434,11 @@ fn overlay_crash_replays_identically(
     let run = |shards: usize| {
         let built = build_overlay_broadcast(&cfg, shards).expect("build");
         let report = built.cluster.run(deadline);
-        // A member is five tasks (relay, heartbeat, uplink pump, uplink
-        // router, link) and a cluster port is none; the hub's own
-        // handful — source, ear, sweep, the crash script — and one
-        // dispatcher per shard are all that may come on top.
-        let bound = 5 * plan.members() as u64 + 8 + shards as u64;
+        // A member is three tasks (relay, heartbeat, the uplink's wire)
+        // and a cluster port is none; the hub's own handful — source,
+        // ear, sweep, the crash script — and one dispatcher per shard
+        // are all that may come on top.
+        let bound = 3 * plan.members() as u64 + 8 + shards as u64;
         assert!(
             report.spawned_total <= bound,
             "{shards} shards spawned {} tasks for {} members (bound {bound})",
