@@ -389,16 +389,14 @@ impl Default for Config {
             // "repository" and "metrics" feed deterministic replays too:
             // recorded clips and counter snapshots are compared
             // byte-for-byte across runs.
-            // "shard" is the sharded parallel executor: its whole
-            // contract is that same-seed runs are byte-identical at any
-            // shard count, so determinism violations there break every
-            // cross-executor equivalence test. Its one sanctioned
-            // `thread::spawn` site carries a `check:allow(os-thread)`
-            // waiver (pinned by a fixture test).
+            // "shard" is the cluster's one event loop and its ingress
+            // merge: every port delivery is ordered by `(due, port, seq)`
+            // there, so a stray wall-clock read or thread would reorder
+            // what every star and overlay box observes.
             // "overlay" plans broadcast trees from a seed and replays
-            // repair byte-identically across shard counts; a wall-clock
-            // read or unseeded RNG there breaks both the plan digest
-            // and the soak's trace-equality acceptance gate.
+            // repair byte-identically; a wall-clock read or unseeded RNG
+            // there breaks both the plan digest and the soak's
+            // trace-equality acceptance gate.
             deterministic_crates: v(&[
                 "sim",
                 "buffers",

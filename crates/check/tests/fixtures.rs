@@ -285,46 +285,6 @@ fn deleting_a_decode_arm_breaks_wire_exhaustive() {
     assert!(wire[0].message.contains("no decode arm"));
 }
 
-/// The sharded runtime's one sanctioned `thread::spawn` site is waived
-/// in place: the waiver must sit on the spawn line itself, it must be
-/// the only OS-thread site in the crate, and stripping it re-arms
-/// `os-thread` at exactly that line — pinning both the location and the
-/// justification.
-#[test]
-fn shard_worker_spawn_waiver_is_pinned() {
-    let root = workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let runtime = std::fs::read_to_string(root.join("crates/shard/src/runtime.rs")).unwrap();
-    let spawn_lines: Vec<(usize, &str)> = runtime
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| l.contains("thread::spawn"))
-        .collect();
-    assert_eq!(
-        spawn_lines.len(),
-        1,
-        "the shard crate must have exactly one OS-thread site"
-    );
-    let (idx, line) = spawn_lines[0];
-    assert!(
-        line.contains("check:allow(os-thread)"),
-        "the waiver must sit on the spawn line itself: {line}"
-    );
-    // Stripping the waiver re-arms PC003 at that exact line.
-    let without = runtime.replace("check:allow(os-thread)", "waiver stripped for test");
-    assert_ne!(runtime, without);
-    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("os-thread-waiver");
-    std::fs::create_dir_all(tmp.join("crates/shard/src")).unwrap();
-    std::fs::write(tmp.join("crates/shard/src/runtime.rs"), &without).unwrap();
-    let diags = run_checks(&tmp, &Config::default()).unwrap();
-    let hits: Vec<_> = diags.iter().filter(|d| d.rule == Rule::OsThread).collect();
-    assert_eq!(hits.len(), 1, "{diags:?}");
-    assert_eq!(
-        hits[0].line,
-        idx + 1,
-        "waiver moved away from the spawn site"
-    );
-}
-
 /// The intact workspace has zero non-baselined findings: the binary
 /// (with the committed baseline) exits 0.
 #[test]

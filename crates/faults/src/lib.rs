@@ -191,27 +191,6 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-impl FaultKind {
-    /// The name of the target this fault aims at — a path, ticker or CPU
-    /// registration name, a task prefix, or a box name. Sharded runners
-    /// use this to decide which shard owns an event (the one whose
-    /// topology slice registered the target), so a plan can be installed
-    /// with [`install_scoped`] on every shard without double-actuation.
-    pub fn target_name(&self) -> &str {
-        match self {
-            FaultKind::CellLossBurst { path, .. }
-            | FaultKind::CellCorruption { path, .. }
-            | FaultKind::LatencyStep { path, .. }
-            | FaultKind::LinkDown { path, .. }
-            | FaultKind::BandwidthCollapse { path, .. } => path,
-            FaultKind::PauseTasks { prefix } => prefix,
-            FaultKind::BoxCrash { name } | FaultKind::BoxRestart { name } => name,
-            FaultKind::DriftChange { ticker, .. } | FaultKind::ClockStep { ticker, .. } => ticker,
-            FaultKind::CpuLoad { cpu, .. } => cpu,
-        }
-    }
-}
-
 /// One scheduled fault: what happens, when, and for how long.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
@@ -738,52 +717,15 @@ fn actuate(
 /// topology that only exposes some of its targets.
 pub fn install(spawner: &Spawner, plan: &FaultPlan, targets: &FaultTargets) -> FaultTrace {
     let header = format!("install seed={} events={}", plan.seed, plan.events.len());
-    install_inner(spawner, plan, targets, Some(header), |_| true)
-}
-
-/// Like [`install`], but for one shard of a partitioned topology: only
-/// events whose kind `owns` accepts are scheduled, and no `install`
-/// header line is logged. Install the same plan on every shard, each
-/// scoping to the targets its topology slice registered (see
-/// [`FaultKind::target_name`]): the per-shard traces, concatenated and
-/// sorted by time, are then byte-identical to the trace a single-shard
-/// run produces from the same plan via the same function with an
-/// all-owning scope — which is exactly how the cross-executor
-/// equivalence suite compares fault schedules.
-pub fn install_scoped(
-    spawner: &Spawner,
-    plan: &FaultPlan,
-    targets: &FaultTargets,
-    owns: impl Fn(&FaultKind) -> bool + 'static,
-) -> FaultTrace {
-    install_inner(spawner, plan, targets, None, owns)
-}
-
-fn install_inner(
-    spawner: &Spawner,
-    plan: &FaultPlan,
-    targets: &FaultTargets,
-    header: Option<String>,
-    owns: impl Fn(&FaultKind) -> bool + 'static,
-) -> FaultTrace {
     let trace = FaultTrace::default();
     let mut events: Vec<FaultEvent> = plan.events.clone();
     events.sort_by_key(|e| e.at); // Stable: same-instant keeps plan order.
-                                  // Enumerate before scoping so revert-task names are stable across
-                                  // partitionings.
-    let events: Vec<(usize, FaultEvent)> = events
-        .into_iter()
-        .enumerate()
-        .filter(|(_, ev)| owns(&ev.kind))
-        .collect();
     let tr = trace.clone();
     let targets = targets.clone();
     spawner.spawn_prio("faults:driver", Priority::High, async move {
         let start = pandora_sim::now();
-        if let Some(header) = header {
-            tr.log(start, header);
-        }
-        for (idx, ev) in events {
+        tr.log(start, header);
+        for (idx, ev) in events.into_iter().enumerate() {
             pandora_sim::delay_until(start + ev.at).await;
             match actuate(&targets, &ev.kind, false, ev.duration) {
                 Ok(line) => {

@@ -2,7 +2,7 @@
 //! every viewer a potential relay.
 //!
 //! [`build_overlay_broadcast`] turns an [`OverlayConfig`] into a
-//! sharded cluster wired per a [`TreePlan`]: `k` striped trees whose
+//! cluster wired per a [`TreePlan`]: `k` striped trees whose
 //! edges are latency-stamped ports, one bandwidth-limited uplink per
 //! member (every copy a relay forwards is serialized through it), a
 //! heartbeat/graft control plane rooted at the source's hub, and the
@@ -34,7 +34,7 @@
 //! inputs (P4), so a graft is applied at once however deep the stripe
 //! backlog. Everything is driven by virtual time and deterministic
 //! channel selection, so a run's merged report is byte-identical across
-//! replays and shard counts.
+//! replays.
 
 use std::cell::{Cell as StdCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
@@ -50,7 +50,7 @@ use pandora_recover::{
     AdaptAction, AdaptMachine, HealthConfig, LeaseConfig, MediaClass, WindowSample,
 };
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
-use pandora_shard::{shard_of, Cluster, Egress, Ingress, PortSender, ShardEnv};
+use pandora_shard::{Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
     delay, now, waker, AltSet, LinkConfig, LinkControl, Priority, SimDuration, TaskWaker, WireSize,
 };
@@ -113,8 +113,7 @@ pub struct OverlayConfig {
     /// Payload bytes per segment (gathered once into cells at the
     /// source).
     pub payload_bytes: usize,
-    /// Propagation latency of every tree edge — also the cross-shard
-    /// lookahead window, so it must be positive.
+    /// Propagation latency of every tree edge.
     pub hop_latency: SimDuration,
     /// Per-relay processing cost before forwarding a slice.
     pub relay_cost: SimDuration,
@@ -222,7 +221,7 @@ impl std::fmt::Display for BuildError {
 
 /// A built overlay, ready to run.
 pub struct OverlayBuild {
-    /// The sharded cluster; run it to a deadline and parse the merged
+    /// The cluster; run it to a deadline and parse the merged
     /// report with [`OverlaySummary::parse`].
     pub cluster: Cluster,
     /// The tree plan the topology was wired from.
@@ -600,7 +599,7 @@ impl Relay {
     }
 }
 
-/// Everything one viewer's setup closure needs, shipped to its shard.
+/// Everything one viewer's setup closure needs.
 struct NodeSeat {
     member: usize,
     interior: Option<usize>,
@@ -872,12 +871,14 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     });
 }
 
-/// Builds the overlay broadcast over `shards` shards.
+/// Builds the overlay broadcast. `shards` is range-checked and has no
+/// other effect: the fenced benchmark harness still passes 1 and 2, and
+/// ROADMAP item 4 deletes the argument with `_sh2` and the `shard.*` rows.
 ///
 /// Ports are created in one canonical order (primary edges, backup
-/// edges, control, reports — each in member-then-tree order) and setups
-/// are registered in member order, so the merged report is
-/// byte-identical at every shard count.
+/// edges, control, reports — each in member-then-tree order), the merge
+/// key order of same-instant deliveries, and setups are registered in
+/// member order, the order of the finish report.
 ///
 /// # Errors
 ///
@@ -888,8 +889,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
 ///
 /// # Panics
 ///
-/// Panics if `hop_latency` or `ctl_latency` is zero with more than one
-/// shard (port latency is the cross-shard lookahead window).
+/// Panics if `shards` is zero.
 pub fn build_overlay_broadcast(
     cfg: &OverlayConfig,
     shards: usize,
@@ -908,42 +908,34 @@ pub fn build_overlay_broadcast(
     let n = plan.members();
     let k = plan.trees();
     let mut cluster = Cluster::new(shards);
-    let place = |member: usize| shard_of(member, n, shards);
 
     let mut ins: Vec<Vec<Ingress<Msg>>> = (0..n).map(|_| Vec::new()).collect();
     let mut outs: Vec<Vec<(usize, usize, Egress<Msg>)>> = (0..n).map(|_| Vec::new()).collect();
     // Primary tree edges, then backup (graft) edges: grandparent →
     // grandchild, pre-wired so a repair needs no new ports mid-run.
     type Upstream = fn(&TreePlan, usize, usize) -> Option<usize>;
-    for (prefix, upstream) in [("e", TreePlan::parent as Upstream), ("b", TreePlan::backup)] {
+    for upstream in [TreePlan::parent as Upstream, TreePlan::backup] {
         for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
             for t in 0..k {
                 let Some(p) = upstream(&plan, t, v) else {
                     continue;
                 };
-                let name = format!("{prefix}{t}.{v}");
-                let (eg, ing) = cluster.port::<Msg>(place(p), place(v), cfg.hop_latency, &name);
+                let (eg, ing) = cluster.port::<Msg>(cfg.hop_latency);
                 outs[p].push((t, v, eg));
                 ins_v.push(ing);
             }
         }
     }
     // Control plane: hub → member grafts, member → hub heartbeats.
-    let mut ctls: Vec<(usize, Egress<Msg>)> = Vec::with_capacity(n.saturating_sub(1));
-    let mut ctl_ins: Vec<Ingress<Msg>> = Vec::with_capacity(n.saturating_sub(1));
-    for v in 1..n {
-        let (eg, ing) = cluster.port::<Msg>(place(0), place(v), cfg.ctl_latency, &format!("c{v}"));
-        ctls.push((v, eg));
-        ctl_ins.push(ing);
-    }
-    let mut reports: Vec<Ingress<Hello>> = Vec::with_capacity(n.saturating_sub(1));
-    let mut report_eg: Vec<Egress<Hello>> = Vec::with_capacity(n.saturating_sub(1));
-    for v in 1..n {
-        let (eg, ing) =
-            cluster.port::<Hello>(place(v), place(0), cfg.ctl_latency, &format!("r{v}"));
-        report_eg.push(eg);
-        reports.push(ing);
-    }
+    let (ctls, ctl_ins): (Vec<_>, Vec<_>) = (1..n)
+        .map(|v| {
+            let (eg, ing) = cluster.port::<Msg>(cfg.ctl_latency);
+            ((v, eg), ing)
+        })
+        .unzip();
+    let (report_eg, reports): (Vec<_>, Vec<_>) = (1..n)
+        .map(|_| cluster.port::<Hello>(cfg.ctl_latency))
+        .unzip();
 
     // Setups in member order: the merge key order of the finish report.
     let mut outs = outs.into_iter();
@@ -973,7 +965,7 @@ pub fn build_overlay_broadcast(
             report,
             cfg: *cfg,
         };
-        cluster.setup(place(v), move |env| node_setup(env, seat));
+        cluster.setup(0, move |env| node_setup(env, seat));
     }
 
     Ok(OverlayBuild {
@@ -1172,8 +1164,8 @@ mod tests {
         }
     }
 
-    fn run(cfg: &OverlayConfig, shards: usize) -> (Vec<String>, TreePlan) {
-        let built = match build_overlay_broadcast(cfg, shards) {
+    fn run(cfg: &OverlayConfig) -> (Vec<String>, TreePlan) {
+        let built = match build_overlay_broadcast(cfg, 1) {
             Ok(b) => b,
             Err(e) => panic!("build failed: {e}"),
         };
@@ -1188,7 +1180,7 @@ mod tests {
     #[test]
     fn clean_run_delivers_everything_on_time() {
         let cfg = small_cfg();
-        let (lines, plan) = run(&cfg, 1);
+        let (lines, plan) = run(&cfg);
         let s = OverlaySummary::parse(&lines);
         assert_eq!(s.viewers, 40);
         assert_eq!(s.delivered, 40 * 40, "{lines:?}");
@@ -1209,8 +1201,8 @@ mod tests {
     #[test]
     fn replay_is_byte_identical() {
         let cfg = small_cfg();
-        let (a, _) = run(&cfg, 1);
-        let (b, _) = run(&cfg, 1);
+        let (a, _) = run(&cfg);
+        let (b, _) = run(&cfg);
         assert_eq!(a, b);
     }
 
@@ -1231,7 +1223,7 @@ mod tests {
             member: victim,
             at: SimDuration::from_millis(60),
         });
-        let (lines, _) = run(&cfg, 1);
+        let (lines, _) = run(&cfg);
         let s = OverlaySummary::parse(&lines);
         assert_eq!(s.crashed, 1, "{lines:?}");
         assert_eq!(s.hub_deaths, 1);
@@ -1386,7 +1378,7 @@ mod tests {
                 member: victim,
                 at: SimDuration::from_millis(70),
             });
-            let (lines, _) = run(&cfg, 1);
+            let (lines, _) = run(&cfg);
             let s = OverlaySummary::parse(&lines);
             let text = lines.join("\n");
             for step in ["apply", "revert"] {
@@ -1450,7 +1442,7 @@ mod tests {
                 ..cfg
             };
             let own = format!("node{victim:04} recv=");
-            let (lines, _) = run(&cfg, 1);
+            let (lines, _) = run(&cfg);
             let s = OverlaySummary::parse(
                 &lines
                     .into_iter()

@@ -20,9 +20,7 @@
 //!   downstream-first order, so ongoing streams never glitch
 //!   (Principle 6) and splits stay upstream-independent (Principle 5);
 //! - one star topology ([`Star`]; [`point_to_point`] is its two-box
-//!   case) assembling the fabric the controller manages, placed on one
-//!   executor by [`Star::build`] or over a sharded cluster by
-//!   [`build_sharded_star`];
+//!   case) assembling the fabric the controller manages;
 //! - failure recovery (opt-in via [`ControllerConfig::lease`]):
 //!   heartbeat probes renew per-box leases from `pandora-recover`, and
 //!   a dead lease triggers crash reconvergence — surviving streams
@@ -33,7 +31,6 @@ pub mod admission;
 pub mod control;
 pub mod directory;
 pub mod proto;
-pub mod sharded;
 pub mod topology;
 
 pub use admission::{AdmissionController, Decision, MIN_VIDEO_RATE_PERMILLE};
@@ -41,5 +38,4 @@ pub use control::{spawn_agent, Admitted, AgentStats, Controller, ControllerConfi
 pub use directory::{Capabilities, Directory, EndpointId, EndpointRecord};
 pub use pandora_recover::{LeaseConfig, LeaseState};
 pub use proto::{RejectReason, SessionMsg, StreamClass, CONTROL_BYTES, CONTROL_MAGIC};
-pub use sharded::{build_sharded_star, HubSeat, NodeHook};
 pub use topology::{point_to_point, Star, StarConfig, StarNode, CONTROL_VCI_BASE, REPLY_VCI_BASE};

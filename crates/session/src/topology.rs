@@ -7,15 +7,11 @@
 //! build time; everything else — stream routes, splits, sinks — is
 //! installed and removed live by the [`Controller`].
 //!
-//! Each wiring fact is stated once here — attachment naming, seeds and
-//! fault-control names (`attach`), the fabric with its control circuits
-//! and directory (`spawn_fabric`), a box's agent and [`StarNode`] — and
-//! placed twice: on one executor by [`Star::build`], over a sharded
-//! cluster by [`crate::build_sharded_star`]. In both, the path from the
-//! switch back to an endpoint is built over the queue the cells are
-//! already in (`attach`'s `from_switch`): here output port `i` itself,
-//! made before the attachments (`fabric_ports`) so that the switch task,
-//! which reads what they deliver, can still be spawned after them.
+//! [`Star::build`] is the one star builder. The path from the switch back
+//! to an endpoint is built over the queue the cells are already in
+//! (`attach`'s `from_switch`): output port `i` itself, made before the
+//! attachments so that the switch task, which reads what they deliver,
+//! can still be spawned after them.
 
 use std::rc::Rc;
 
@@ -41,14 +37,6 @@ pub const REPLY_VCI_BASE: u32 = 0x7E00;
 /// attachment can release many cells back-to-back; the port queue must
 /// absorb such a burst or drop (P5: drop, never block).
 const PORT_QUEUE_CELLS: usize = 2_048;
-
-/// Box `i`'s well-known (control, reply) circuit pair.
-fn control_vcis(i: usize) -> (Vci, Vci) {
-    (
-        Vci(CONTROL_VCI_BASE + i as u32),
-        Vci(REPLY_VCI_BASE + i as u32),
-    )
-}
 
 /// Parameters of a [`Star`] conference fabric.
 #[derive(Clone)]
@@ -79,8 +67,7 @@ impl Default for StarConfig {
 
 /// One endpoint of a star: the box, its directory id, its agent's
 /// admission state and the fault controls of its attachment — what
-/// [`Star::build`] returns per box and what [`crate::build_sharded_star`]
-/// hands each box's hook.
+/// [`Star::build`] returns per box.
 pub struct StarNode {
     /// Box index (port number on the fabric).
     pub index: usize,
@@ -96,57 +83,25 @@ pub struct StarNode {
     pub path_controls: Vec<(String, PathControl)>,
 }
 
-impl StarNode {
-    /// Spawns the agent of box `index` on its well-known circuits and
-    /// assembles the node. The directory numbers endpoints in
-    /// registration order, which [`spawn_fabric`] keeps equal to box
-    /// order, so the id needs no lookup — a box on another shard than the
-    /// directory has nothing to look it up in.
-    pub(crate) fn start(
-        spawner: &Spawner,
-        index: usize,
-        name: &'static str,
-        caps: Capabilities,
-        boxy: Rc<PandoraBox>,
-        path_controls: Vec<(String, PathControl)>,
-    ) -> StarNode {
-        let (control_vci, reply_vci) = control_vcis(index);
-        let agent = spawn_agent(spawner, boxy.clone(), caps, control_vci, reply_vci);
-        StarNode {
-            index,
-            name,
-            boxy,
-            endpoint: EndpointId(index as u32),
-            agent,
-            path_controls,
-        }
-    }
-}
-
-/// Attachment `i`'s name in an `n`-box star: `node{i}`, or `controller`
-/// for the last.
-fn attachment_name(i: usize, n: usize) -> String {
-    if i == n {
-        "controller".to_string()
-    } else {
-        format!("node{i}")
-    }
-}
-
 /// Builds attachment `i` of an `n`-box star — box `i`, or the controller
 /// at `i == n`: names it, derives its seed from the master seed, spawns
 /// its duplex path — the A side is the endpoint's, the B side the
 /// switch's, whose cells for the endpoint the path takes straight out of
 /// `from_switch` — and names the path's two fault controls (`{name}.ab` /
 /// `{name}.ba`).
-pub(crate) fn attach(
+fn attach(
     spawner: &Spawner,
     i: usize,
     n: usize,
     config: &StarConfig,
     from_switch: Receiver<Cell>,
 ) -> (&'static str, Vec<(String, PathControl)>, DuplexPath) {
-    let name: &'static str = Box::leak(attachment_name(i, n).into_boxed_str());
+    let name = if i == n {
+        "controller".to_string()
+    } else {
+        format!("node{i}")
+    };
+    let name: &'static str = Box::leak(name.into_boxed_str());
     let seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
     let duplex = build_duplex_path(spawner, name, &config.hops, seed, from_switch);
     let path_controls = vec![
@@ -154,42 +109,6 @@ pub(crate) fn attach(
         (format!("{name}.ba"), duplex.b_to_a_ctrl.clone()),
     ];
     (name, path_controls, duplex)
-}
-
-/// The switch core of an `n`-box star and its output ports, box order,
-/// the controller's last.
-pub(crate) fn fabric_ports(n: usize) -> (SwitchCore, Vec<Receiver<Cell>>) {
-    SwitchCore::new(n + 1, PORT_QUEUE_CELLS)
-}
-
-/// Spawns the central switch over `core` and the attachments' switch-side
-/// receivers (`inputs`: box order, the controller's last), installs every
-/// box's well-known control circuits — controller → box `i`, and box
-/// `i`'s replies → the controller's port `n` — and registers the boxes in
-/// a fresh directory. Returns the switch and the directory.
-pub(crate) fn spawn_fabric(
-    spawner: &Spawner,
-    core: SwitchCore,
-    inputs: Vec<Receiver<Cell>>,
-    n: usize,
-    config: &StarConfig,
-) -> (Rc<Switch>, Directory) {
-    let switch = Switch::spawn(spawner, "star", core, inputs);
-    let mut directory = Directory::new();
-    for i in 0..n {
-        let (control_vci, reply_vci) = control_vcis(i);
-        switch.route(control_vci, i, control_vci);
-        switch.route(reply_vci, n, reply_vci);
-        let endpoint = directory.register(EndpointRecord {
-            name: attachment_name(i, n),
-            caps: config.caps,
-            port: i,
-            control_vci,
-            reply_vci,
-        });
-        debug_assert_eq!(endpoint, EndpointId(i as u32));
-    }
-    (Rc::new(switch), directory)
 }
 
 /// A conference star: `n` boxes and a controller around one cell
@@ -213,7 +132,7 @@ impl Star {
     /// Panics if `n` is zero.
     pub fn build(spawner: &Spawner, n: usize, config: StarConfig) -> Star {
         assert!(n > 0, "a star needs at least one box");
-        let (core, port_rxs) = fabric_ports(n);
+        let (core, port_rxs) = SwitchCore::new(n + 1, PORT_QUEUE_CELLS);
         let mut inputs = Vec::with_capacity(n + 1);
         let mut ends = Vec::with_capacity(n + 1);
         for (i, port_rx) in port_rxs.into_iter().enumerate() {
@@ -221,7 +140,26 @@ impl Star {
             inputs.push(duplex.b_rx);
             ends.push((name, path_controls, duplex.a_tx, duplex.a_rx));
         }
-        let (switch, directory) = spawn_fabric(spawner, core, inputs, n, &config);
+        // The fabric: every box's well-known control circuits —
+        // controller → box `i`, and box `i`'s replies → the controller's
+        // port `n` — and a directory of the boxes in port order.
+        let switch = Rc::new(Switch::spawn(spawner, "star", core, inputs));
+        let mut directory = Directory::new();
+        let mut circuits = Vec::with_capacity(n);
+        for (i, (name, ..)) in ends[..n].iter().enumerate() {
+            let control_vci = Vci(CONTROL_VCI_BASE + i as u32);
+            let reply_vci = Vci(REPLY_VCI_BASE + i as u32);
+            switch.route(control_vci, i, control_vci);
+            switch.route(reply_vci, n, reply_vci);
+            let endpoint = directory.register(EndpointRecord {
+                name: name.to_string(),
+                caps: config.caps,
+                port: i,
+                control_vci,
+                reply_vci,
+            });
+            circuits.push((endpoint, control_vci, reply_vci));
+        }
         // The controller's attachment (the last) has no box.
         let (_, controller_paths, ctl_tx, ctl_rx) =
             ends.pop().expect("controller attachment missing");
@@ -245,10 +183,21 @@ impl Star {
         // order, which decides same-instant run order.
         let nodes = boxes
             .into_iter()
+            .zip(circuits)
             .enumerate()
-            .map(|(i, (name, boxy, path_controls))| {
-                StarNode::start(spawner, i, name, config.caps, boxy, path_controls)
-            })
+            .map(
+                |(index, ((name, boxy, path_controls), (endpoint, control, reply)))| {
+                    let agent = spawn_agent(spawner, boxy.clone(), config.caps, control, reply);
+                    StarNode {
+                        index,
+                        name,
+                        boxy,
+                        endpoint,
+                        agent,
+                        path_controls,
+                    }
+                },
+            )
             .collect();
         // Failure detection is opt-in: with a lease config the
         // controller probes every box on the command path and
@@ -295,7 +244,7 @@ mod tests {
         // after that as overflow.
         let mut sim = Simulation::new();
         let spawner = sim.spawner();
-        let (core, mut port_rxs) = fabric_ports(1);
+        let (core, mut port_rxs) = SwitchCore::new(2, PORT_QUEUE_CELLS);
         let _controller_port = port_rxs.pop();
         let from_switch = port_rxs.pop().expect("port 0");
         let (_, controls, duplex) = attach(&spawner, 0, 1, &StarConfig::default(), from_switch);

@@ -1,4 +1,4 @@
-//! Per-shard ingress: the deterministic merge heap and its dispatcher.
+//! Ingress: the deterministic merge heap and its dispatcher.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -11,46 +11,42 @@ use std::task::{Context, Poll};
 
 use pandora_sim::{delay_until_late, now, Delay, SimTime, TaskWaker};
 
-use crate::exchange::RawEntry;
-
-struct HeapEntry {
-    due: u64,
-    port: u32,
-    seq: u64,
-    payload: Box<dyn Any + Send>,
+/// One stamped value: the merge key `(due, port, seq)` plus the
+/// type-erased payload.
+pub(crate) struct Entry {
+    pub due: u64,
+    pub port: u32,
+    pub seq: u64,
+    pub payload: Box<dyn Any>,
 }
 
-impl PartialEq for HeapEntry {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         (self.due, self.port, self.seq) == (other.due, other.port, other.seq)
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.due, self.port, self.seq).cmp(&(other.due, other.port, other.seq))
     }
 }
 
-/// One shard's ingress hub: every entry bound for this shard — from
-/// neighbours via the exchange, or from loopback ports directly — lands
-/// in one heap keyed `(due, port, seq)`, and a single dispatcher task
-/// delivers matured entries in exactly that order. The fixed merge
-/// order is what makes same-seed runs byte-identical regardless of the
-/// shard count or thread interleaving.
+/// The ingress hub: every port's entries land in one heap keyed `(due,
+/// port, seq)`, and a single dispatcher task delivers matured entries in
+/// exactly that order.
 pub(crate) struct IngressHub {
-    heap: RefCell<BinaryHeap<Reverse<HeapEntry>>>,
+    heap: RefCell<BinaryHeap<Reverse<Entry>>>,
     /// Indexed by port id — ids are dense and creation-ordered, and the
-    /// cluster's port count is fixed before any shard starts. `None` for
-    /// a port that is not bound here (yet, or because it ends on another
-    /// shard).
+    /// cluster's port count is fixed before setup runs. `None` for a port
+    /// that is not bound (yet).
     #[allow(clippy::type_complexity)]
-    sinks: RefCell<Vec<Option<Box<dyn Fn(Box<dyn Any + Send>)>>>>,
+    sinks: RefCell<Vec<Option<Box<dyn Fn(Box<dyn Any>)>>>>,
     waker: RefCell<Option<TaskWaker>>,
     /// The instant the dispatcher's timer is armed for, if one is.
     armed: Cell<Option<u64>>,
@@ -69,41 +65,25 @@ impl IngressHub {
     }
 
     /// Registers the delivery closure of one ingress port.
-    pub fn register_sink(&self, port: u32, sink: Box<dyn Fn(Box<dyn Any + Send>)>) {
+    pub fn register_sink(&self, port: u32, sink: Box<dyn Fn(Box<dyn Any>)>) {
         let slot = &mut self.sinks.borrow_mut()[port as usize];
         assert!(slot.is_none(), "ingress port {port} bound twice");
         *slot = Some(sink);
     }
 
-    /// Queues one entry without waking the dispatcher — the slice-start
-    /// batch path; the runner wakes once after draining the exchange.
-    pub fn push_raw(&self, entry: RawEntry) {
-        self.heap.borrow_mut().push(Reverse(HeapEntry {
-            due: entry.due,
-            port: entry.port,
-            seq: entry.seq,
-            payload: entry.payload,
-        }));
-    }
-
-    /// Queues one loopback entry mid-slice, and wakes the dispatcher if
-    /// the entry is due before the instant its timer is armed for (or no
-    /// timer is armed): only then does the head move and the timer need
-    /// re-arming. An entry due at or after that instant is found by the
-    /// poll the armed timer brings.
-    pub fn push(&self, entry: RawEntry) {
+    /// Queues one entry, and wakes the dispatcher if the entry is due
+    /// before the instant its timer is armed for (or no timer is armed):
+    /// only then does the head move and the timer need re-arming. An
+    /// entry due at or after that instant is found by the poll the armed
+    /// timer brings. Before the dispatcher's first poll there is no waker
+    /// to wake, which is fine: that poll drains everything queued.
+    pub fn push(&self, entry: Entry) {
         let due = entry.due;
-        self.push_raw(entry);
+        self.heap.borrow_mut().push(Reverse(entry));
         if self.armed.get().is_none_or(|at| due < at) {
-            self.wake();
-        }
-    }
-
-    /// Wakes the dispatcher task (no-op before its first poll, which is
-    /// fine: the first poll drains everything already queued).
-    pub fn wake(&self) {
-        if let Some(w) = self.waker.borrow().as_ref() {
-            w.wake();
+            if let Some(w) = self.waker.borrow().as_ref() {
+                w.wake();
+            }
         }
     }
 
@@ -136,11 +116,11 @@ impl IngressHub {
 
 /// The dispatcher task body: an endless future that delivers matured
 /// entries and sleeps on the executor's *late* timer lane until the
-/// next due time, which it posts in the hub's `armed` so that a loopback
-/// push can tell whether it moves the head. Spurious wakes (slice
-/// boundaries, abandoned timers) deliver nothing and are inert — they
-/// never perturb the ordering of ordinary timers, because the late lane
-/// sorts after every normal timer at the same instant.
+/// next due time, which it posts in the hub's `armed` so that a push can
+/// tell whether it moves the head. Spurious wakes (abandoned timers)
+/// deliver nothing and are inert — they never perturb the ordering of
+/// ordinary timers, because the late lane sorts after every normal timer
+/// at the same instant.
 pub(crate) struct Dispatcher {
     hub: Rc<IngressHub>,
     /// The timer for the instant in `hub.armed`.
@@ -148,7 +128,7 @@ pub(crate) struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates the dispatcher driving `hub`; spawn exactly one per shard.
+    /// Creates the dispatcher driving `hub`; spawn exactly one.
     pub fn new(hub: Rc<IngressHub>) -> Dispatcher {
         Dispatcher { hub, sleep: None }
     }

@@ -1,76 +1,15 @@
-//! Unit tests: determinism of the cluster primitives themselves. The
-//! full topology equivalence suite lives in tests/sharded_equivalence.rs
-//! at the workspace root.
+//! Unit tests: the cluster's ports and their deterministic merge.
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use pandora_sim::{delay, now, SimDuration, SimTime};
 
 use crate::Cluster;
 
-/// Two boxes ping-ponging a counter across one duplex link, placed
-/// either together (1 shard) or apart (2 shards). Returns the merged
-/// trace lines.
-fn ping_pong(shards: usize, rounds: u32) -> Vec<String> {
-    assert!(shards == 1 || shards == 2);
-    let mut cluster = Cluster::new(shards);
-    let lat = SimDuration::from_micros(50);
-    let shard_b = shards - 1;
-    let (a2b_tx, a2b_rx) = cluster.port::<u32>(0, shard_b, lat, "a2b");
-    let (b2a_tx, b2a_rx) = cluster.port::<u32>(shard_b, 0, lat, "b2a");
-
-    cluster.setup(0, move |env| {
-        let tx = env.open_egress(a2b_tx);
-        let rx = env.bind_ingress(b2a_rx);
-        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let log2 = log.clone();
-        env.spawner().spawn("box:a", async move {
-            tx.send(0);
-            while let Ok(v) = rx.recv().await {
-                log2.borrow_mut()
-                    .push(format!("a t={} v={v}", now().as_nanos()));
-                if v >= rounds {
-                    break;
-                }
-                tx.send(v + 1);
-            }
-        });
-        env.on_finish(move || log.borrow().clone());
-    });
-    cluster.setup(shard_b, move |env| {
-        let tx = env.open_egress(b2a_tx);
-        let rx = env.bind_ingress(a2b_rx);
-        let log = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let log2 = log.clone();
-        env.spawner().spawn("box:b", async move {
-            while let Ok(v) = rx.recv().await {
-                log2.borrow_mut()
-                    .push(format!("b t={} v={v}", now().as_nanos()));
-                delay(SimDuration::from_micros(10)).await;
-                tx.send(v + 1);
-            }
-        });
-        env.on_finish(move || log.borrow().clone());
-    });
-
-    let report = cluster.run(SimTime::from_millis(50));
-    report.merged_lines()
-}
-
-#[test]
-fn two_shard_ping_pong_matches_single_shard() {
-    let single = ping_pong(1, 40);
-    let sharded = ping_pong(2, 40);
-    assert!(!single.is_empty(), "trace must not be empty");
-    assert_eq!(single, sharded);
-}
-
 #[test]
 fn loopback_port_delivers_at_stamped_latency() {
     let mut cluster = Cluster::new(1);
-    let (tx_half, rx_half) =
-        cluster.port::<&'static str>(0, 0, SimDuration::from_millis(3), "loop");
+    let (tx_half, rx_half) = cluster.port::<&'static str>(SimDuration::from_millis(3));
     cluster.setup(0, move |env| {
         let tx = env.open_egress(tx_half);
         let rx = env.bind_ingress(rx_half);
@@ -97,40 +36,18 @@ fn loopback_port_delivers_at_stamped_latency() {
     );
 }
 
-#[test]
-fn hub_wake_between_slices_is_honoured_by_the_next_slice() {
-    // What the runner does at every slice start: entries pushed and the
-    // dispatcher woken from outside any poll, then `run_until`.
-    let mut sim = pandora_sim::Simulation::new();
-    let hub = crate::hub::IngressHub::new(8);
-    let seen = Rc::new(Cell::new(0u64));
-    let s = seen.clone();
-    hub.register_sink(7, Box::new(move |_| s.set(now().as_nanos())));
-    sim.spawn("dispatch", crate::hub::Dispatcher::new(hub.clone()));
-    sim.run_until(SimTime::from_millis(1));
-    hub.push_raw(crate::exchange::RawEntry {
-        due: 2_000_000,
-        port: 7,
-        seq: 0,
-        payload: Box::new(()),
-    });
-    hub.wake();
-    sim.run_until(SimTime::from_millis(3));
-    assert_eq!(seen.get(), 2_000_000, "delivered at its due time");
-}
-
-/// One shard, one loopback port per latency in `latencies` (µs), all
-/// merged into one sink that logs `t=<ns> <value>`; `script` drives the
-/// senders from a task of its own. Returns the run's report.
+/// One port per latency in `latencies` (µs), all merged into one sink
+/// that logs `t=<ns> <value>`; `script` drives the senders from a task of
+/// its own. Returns the run's report.
 fn loopback_rig<F, Fut>(latencies: &[u64], deadline: SimTime, script: F) -> crate::RunReport
 where
-    F: FnOnce(Vec<crate::PortSender<&'static str>>) -> Fut + Send + 'static,
+    F: FnOnce(Vec<crate::PortSender<&'static str>>) -> Fut + 'static,
     Fut: std::future::Future<Output = ()> + 'static,
 {
     let mut cluster = Cluster::new(1);
     let (egresses, ingresses): (Vec<_>, Vec<_>) = latencies
         .iter()
-        .map(|&us| cluster.port::<&'static str>(0, 0, SimDuration::from_micros(us), "loop"))
+        .map(|&us| cluster.port::<&'static str>(SimDuration::from_micros(us)))
         .unzip();
     cluster.setup(0, move |env| {
         let txs = egresses.into_iter().map(|e| env.open_egress(e)).collect();
@@ -169,7 +86,7 @@ fn loopback_send_due_after_the_armed_head_does_not_poll_the_dispatcher() {
             }
         },
     );
-    assert_eq!(report.ctx_switches, [2 + 1 + 1 + SENDS]);
+    assert_eq!(report.events(), 2 + 1 + 1 + SENDS);
 }
 
 #[test]
@@ -201,105 +118,22 @@ fn zero_latency_loopback_is_delivered_in_the_instant_it_was_sent() {
     );
 }
 
-#[test]
-fn idle_shard_still_publishes_horizons() {
-    // Shard 1 has no tasks at all; shard 0 depends on it through a port
-    // that never carries traffic. The run must still reach the deadline.
-    let mut cluster = Cluster::new(2);
-    let (_quiet_tx, quiet_rx) = cluster.port::<u8>(1, 0, SimDuration::from_micros(100), "quiet");
-    cluster.setup(0, move |env| {
-        let _rx = env.bind_ingress(quiet_rx);
-        let ticks = Rc::new(Cell::new(0u32));
-        let ticks2 = ticks.clone();
-        env.spawner().spawn("ticker", async move {
-            loop {
-                delay(SimDuration::from_millis(1)).await;
-                ticks2.set(ticks2.get() + 1);
-            }
-        });
-        env.on_finish(move || vec![format!("ticks={}", ticks.get())]);
-    });
-    // Opening the egress with a sender we never use keeps the port
-    // honest.
-    cluster.setup(1, move |env| {
-        let _tx = env.open_egress(_quiet_tx);
-    });
-    let report = cluster.run(SimTime::from_millis(20));
-    assert_eq!(report.merged_lines(), vec!["ticks=20".to_string()]);
-}
-
-#[test]
-#[should_panic(expected = "zero-latency cross-shard link rejected")]
-fn zero_latency_cross_shard_port_is_rejected() {
-    let mut cluster = Cluster::new(2);
-    let _ = cluster.port::<u8>(0, 1, SimDuration::ZERO, "bad");
-}
-
-#[test]
-fn setup_panic_propagates_without_hanging_other_shards() {
-    let result = std::panic::catch_unwind(|| {
-        let mut cluster = Cluster::new(2);
-        let (tx, rx) = cluster.port::<u8>(0, 1, SimDuration::from_micros(1), "p");
-        cluster.setup(0, move |env| {
-            let _tx = env.open_egress(tx);
-        });
-        cluster.setup(1, move |env| {
-            let _rx = env.bind_ingress(rx);
-            panic!("boom in setup");
-        });
-        cluster.run(SimTime::from_millis(1));
-    });
-    let payload = result.expect_err("run must re-raise the shard panic");
-    let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .map(String::from)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    assert!(msg.contains("boom in setup"), "unexpected payload: {msg}");
-}
-
 /// Two ports into one merged receiver. The sender deliberately uses the
 /// later-created port first, and the two latencies differ so that values
-/// sent at different instants fall due together. Returns the arrivals as
-/// `t=<ns> <value>` lines.
-fn merged_fan_in(shards: usize) -> Vec<String> {
-    assert!(shards == 1 || shards == 2);
-    let mut cluster = Cluster::new(shards);
-    let from = shards - 1;
-    let (a_tx, a_rx) = cluster.port::<&'static str>(from, 0, SimDuration::from_micros(300), "a");
-    let (b_tx, b_rx) = cluster.port::<&'static str>(from, 0, SimDuration::from_micros(100), "b");
-    cluster.setup(from, move |env| {
-        let (a, b) = (env.open_egress(a_tx), env.open_egress(b_tx));
-        env.spawner().spawn("src", async move {
-            b.send("b0"); // due 100 µs
-            a.send("a0"); // due 300 µs
-            delay(SimDuration::from_micros(200)).await;
-            b.send("b1"); // due 300 µs, with a0
-            b.send("b2");
-            a.send("a1"); // due 500 µs
-        });
-    });
-    cluster.setup(0, move |env| {
-        let rx = env.bind_ingress_merged([a_rx, b_rx]);
-        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
-        let seen2 = seen.clone();
-        env.spawner().spawn("sink", async move {
-            while let Ok(v) = rx.recv().await {
-                seen2
-                    .borrow_mut()
-                    .push(format!("t={} {v}", now().as_nanos()));
-            }
-        });
-        env.on_finish(move || seen.borrow().clone());
-    });
-    cluster.run(SimTime::from_millis(2)).merged_lines()
-}
-
+/// sent at different instants fall due together.
 #[test]
 fn merged_receiver_orders_by_due_then_port_then_send_order() {
+    let report = loopback_rig(&[300, 100], SimTime::from_millis(2), |txs| async move {
+        let (a, b) = (&txs[0], &txs[1]);
+        b.send("b0"); // due 100 µs
+        a.send("a0"); // due 300 µs
+        delay(SimDuration::from_micros(200)).await;
+        b.send("b1"); // due 300 µs, with a0
+        b.send("b2");
+        a.send("a1"); // due 500 µs
+    });
     assert_eq!(
-        merged_fan_in(1),
+        report.merged_lines(),
         vec![
             "t=100000 b0",
             // Equal due times: port-creation order (a before b), then
@@ -313,8 +147,23 @@ fn merged_receiver_orders_by_due_then_port_then_send_order() {
 }
 
 #[test]
-fn merged_receiver_is_identical_over_loopback_and_exchange() {
-    assert_eq!(merged_fan_in(1), merged_fan_in(2));
+fn setups_and_finish_lines_keep_registration_order_whatever_the_shard_argument() {
+    let mut cluster = Cluster::new(2);
+    for (shard, name) in [(1, "first"), (0, "second"), (1, "third")] {
+        cluster.setup(shard, move |env| {
+            env.on_finish(move || vec![name.to_string()])
+        });
+    }
+    let report = cluster.run(SimTime::ZERO);
+    assert_eq!(report.merged_lines(), ["first", "second", "third"]);
+    // The dispatcher is spawned; a zero deadline polls nothing.
+    assert_eq!((report.spawned_total, report.events()), (1, 0));
+}
+
+#[test]
+#[should_panic(expected = "setup shard 2 out of range")]
+fn a_setup_shard_out_of_range_panics() {
+    Cluster::new(2).setup(2, |_| {});
 }
 
 #[test]
@@ -323,11 +172,10 @@ fn binding_an_ingress_twice_panics() {
     use crate::Ingress;
     use std::marker::PhantomData;
     let mut cluster = Cluster::new(1);
-    let (_tx, rx) = cluster.port::<u8>(0, 0, SimDuration::ZERO, "p");
+    let (_tx, rx) = cluster.port::<u8>(SimDuration::ZERO);
     cluster.setup(0, move |env| {
         let again = Ingress::<u8> {
             port: rx.port,
-            to: rx.to,
             _payload: PhantomData,
         };
         let _rx = env.bind_ingress_merged([rx, again]);
@@ -339,7 +187,7 @@ fn binding_an_ingress_twice_panics() {
 #[should_panic(expected = "not inside a simulation")]
 fn port_send_outside_a_task_panics() {
     let mut cluster = Cluster::new(1);
-    let (tx, _rx) = cluster.port::<u8>(0, 0, SimDuration::from_micros(1), "p");
+    let (tx, _rx) = cluster.port::<u8>(SimDuration::from_micros(1));
     // Setup runs before the clock exists: there is no instant to stamp.
     cluster.setup(0, move |env| env.open_egress(tx).send(1));
     cluster.run(SimTime::from_millis(1));

@@ -117,12 +117,10 @@ impl Wake for InertWaker {
 ///
 /// All [`Normal`] timers at an instant fire before any [`Late`] timer at
 /// the same instant, regardless of registration order. The late lane
-/// exists for the sharded runtime's ingress dispatchers: a delivery
-/// timer re-registered at host-dependent moments (cross-shard entries
-/// arrive whenever a neighbour thread gets there) must never perturb
-/// the ordering of the ordinary timers the workload itself registered,
-/// or same-seed runs would stop being byte-identical across shard
-/// counts.
+/// exists for the cluster's ingress dispatcher (`pandora-shard`): its
+/// delivery timer is re-registered whenever a send moves the head of the
+/// ingress heap, and those re-registrations must never perturb the
+/// ordering of the ordinary timers the workload itself registered.
 ///
 /// [`Normal`]: TimerLane::Normal
 /// [`Late`]: TimerLane::Late
@@ -780,10 +778,9 @@ pub fn delay_until(deadline: SimTime) -> Delay {
 
 /// Future that completes at an absolute virtual time, *after* every
 /// ordinary timer registered for the same instant — even ordinary timers
-/// registered later. The sharded runtime's ingress dispatchers sleep on
-/// this lane so cross-shard deliveries at an instant always interleave
-/// identically with that instant's local work, no matter when the
-/// entries physically crossed the thread boundary.
+/// registered later. The cluster's ingress dispatcher sleeps on this
+/// lane, so port deliveries at an instant always come after that
+/// instant's ordinary timers, whenever the dispatcher last re-armed.
 pub fn delay_until_late(deadline: SimTime) -> Delay {
     Delay {
         deadline,

@@ -8,7 +8,7 @@
 //! display frame buffer as soon as possible, care being taken to avoid the
 //! scan of the display controller."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pandora_segment::VideoSegment;
 
@@ -20,7 +20,8 @@ use crate::framestore::Rect;
 pub struct FrameAssembler {
     current_frame: Option<u32>,
     expected_segments: u32,
-    received: HashMap<u32, Piece>,
+    /// Pieces by segment number.
+    received: BTreeMap<u32, Piece>,
     /// Frames abandoned because a newer frame arrived first.
     dropped_incomplete: u64,
     completed: u64,
@@ -59,7 +60,7 @@ impl FrameAssembler {
         FrameAssembler {
             current_frame: None,
             expected_segments: 0,
-            received: HashMap::new(),
+            received: BTreeMap::new(),
             dropped_incomplete: 0,
             completed: 0,
         }
@@ -103,15 +104,23 @@ impl FrameAssembler {
         }
     }
 
+    /// Places the pieces in one rectangle. Its `x`, `y` and `width` come
+    /// from the piece with the lowest `start_line`; a piece that disagrees
+    /// with them, or whose pixels are not `lines × width` or fall outside
+    /// the rectangle, refuses the frame.
     fn compose(&self) -> Option<AssembledFrame> {
-        let any = self.received.values().next()?.rect;
+        let top = self.received.values().min_by_key(|p| p.start_line)?.rect;
         let total_lines: u32 = self.received.values().map(|p| p.rect.height).sum();
-        let rect = Rect::new(any.x, any.y, any.width, total_lines);
+        let rect = Rect::new(top.x, top.y, top.width, total_lines);
         let mut pixels = vec![0u8; rect.area()];
         for piece in self.received.values() {
             let start = piece.start_line as usize * rect.width as usize;
             let len = piece.rect.height as usize * rect.width as usize;
-            if piece.pixels.len() != len || start + len > pixels.len() {
+            let r = piece.rect;
+            if (r.x, r.y, r.width) != (top.x, top.y, top.width)
+                || piece.pixels.len() != len
+                || start + len > pixels.len()
+            {
                 return None;
             }
             pixels[start..start + len].copy_from_slice(&piece.pixels);
@@ -221,6 +230,46 @@ mod tests {
         let frame = asm.push(&segs[0], decode(&segs[0], &mut cache)).unwrap();
         // First line exact; subsequent lines are vertically filtered.
         assert_eq!(&frame.pixels[..24], &expected[..24]);
+    }
+
+    /// ROADMAP items 1(a) and 5(a): a frame's `x`, `y` and `width` came
+    /// from whichever piece `HashMap` iteration yielded first, so a piece
+    /// disagreeing on them could assemble or not by hash seed. The lowest
+    /// `start_line` decides now, and a disagreeing piece refuses the frame
+    /// in either push order.
+    #[test]
+    fn pieces_disagreeing_on_geometry_refuse_the_frame_in_either_push_order() {
+        let segs = captured_frame(0, 6); // 2 segments.
+        let mut cache = LineCache::new();
+        let pixels: Vec<Vec<u8>> = segs.iter().map(|s| decode(s, &mut cache)).collect();
+        let assemble = |segs: &[VideoSegment], order: [usize; 2]| {
+            let mut asm = FrameAssembler::new();
+            let [first, last] = order.map(|i| asm.push(&segs[i], pixels[i].clone()));
+            assert!(first.is_none(), "released before its last piece");
+            last
+        };
+        let whole = assemble(&segs, [0, 1]).expect("agreeing pieces assemble");
+        assert_eq!(whole.rect, Rect::new(4, 2, 24, 12));
+        assert_eq!(assemble(&segs, [1, 0]), Some(whole));
+
+        let nudges: [fn(&mut VideoSegment); 3] = [
+            |s| s.video.x_offset += 1,
+            |s| s.video.y_offset += 1,
+            |s| s.video.width += 1,
+        ];
+        for (field, nudge) in ["x", "y", "width"].into_iter().zip(nudges) {
+            for odd in 0..2 {
+                let mut disagreeing = segs.clone();
+                nudge(&mut disagreeing[odd]);
+                for order in [[0, 1], [1, 0]] {
+                    assert_eq!(
+                        assemble(&disagreeing, order),
+                        None,
+                        "piece {odd} off on {field}, pushed in order {order:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl LineCache {
         self.lines.get(&stream).map(|v| v.as_slice())
     }
 
-    /// Stores `line` as the last processed line of `stream` (the "reload").
-    pub fn store(&mut self, stream: StreamId, line: Vec<u8>) {
-        self.lines.insert(stream, line);
-    }
-
     /// Forgets a stream (stream closed).
     pub fn remove(&mut self, stream: StreamId) {
         self.lines.remove(&stream);
@@ -187,12 +182,16 @@ mod tests {
 
     #[test]
     fn cache_lifecycle() {
+        let segs = make_segments(1, 16);
         let mut cache = LineCache::new();
         assert!(cache.is_empty());
-        cache.store(StreamId(1), vec![1, 2, 3]);
-        assert_eq!(cache.get(StreamId(1)), Some(&[1u8, 2, 3][..]));
+        decode_segment(&segs[0], StreamId(1), &mut cache).unwrap();
+        // The cached line is the segment's last row before filtering.
+        let raw = decode_rows(&segs[0]).unwrap();
+        assert_eq!(cache.get(StreamId(1)), Some(&raw[raw.len() - 32..]));
         cache.remove(StreamId(1));
         assert!(cache.get(StreamId(1)).is_none());
+        assert!(cache.is_empty());
     }
 
     #[test]

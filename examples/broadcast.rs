@@ -35,7 +35,7 @@ use pandora_sim::{SimDuration, SimTime};
 /// fifteen.
 const MAX_TASKS_PER_MEMBER: f64 = 3.5;
 
-/// Floor: executor events (task polls, summed over shards) per slice
+/// Floor: executor events (task polls) per slice
 /// delivered to a viewer.
 const MAX_EVENTS_PER_SLICE: f64 = 3.5;
 
@@ -99,7 +99,7 @@ fn main() {
         );
     }
 
-    let built = match build_overlay_broadcast(&cfg, 4) {
+    let built = match build_overlay_broadcast(&cfg, 1) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("build failed: {e}");

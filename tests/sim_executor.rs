@@ -302,80 +302,3 @@ fn dropping_a_simulation_with_wakers_outstanding_frees_its_tasks() {
     // The channel still holds the dead task's waker; using it is inert.
     assert!(tx.try_send(held.clone()).is_err());
 }
-
-// ---------------------------------------------------------------------
-// Shard-boundary semantics (ISSUE 7 satellite): the sharded runtime's
-// build-time contract and lookahead behaviour, exercised from outside
-// the pandora-shard crate.
-// ---------------------------------------------------------------------
-
-#[test]
-fn zero_latency_cross_shard_link_is_rejected_at_build_time() {
-    use pandora_shard::Cluster;
-    // Rejected while *wiring*, not at run time: the link latency is the
-    // conservative-lookahead window, and a zero window cannot guarantee
-    // progress.
-    let err = std::panic::catch_unwind(|| {
-        let mut cluster = Cluster::new(2);
-        let _ = cluster.port::<u32>(0, 1, SimDuration::ZERO, "bad");
-    })
-    .expect_err("zero-latency cross-shard port must be refused");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        msg.contains("zero-latency cross-shard link rejected"),
-        "unexpected panic message: {msg}"
-    );
-    // Loopback ports may be instantaneous — they never gate lookahead.
-    let mut cluster = Cluster::new(2);
-    let _ = cluster.port::<u32>(1, 1, SimDuration::ZERO, "loop");
-}
-
-#[test]
-fn lookahead_stalls_at_the_horizon_and_releases_when_the_peer_idles() {
-    use pandora_shard::Cluster;
-    let run = || {
-        let mut cluster = Cluster::new(2);
-        let (egress, ingress) = cluster.port::<u64>(1, 0, SimDuration::from_millis(1), "x");
-        cluster.setup(1, move |env| {
-            // One late message, then idle: shard 0 must neither see the
-            // value early (stall side) nor be wedged behind an idle
-            // peer (release side).
-            let tx = env.open_egress(egress);
-            env.spawner().spawn("sender", async move {
-                delay(SimDuration::from_millis(7)).await;
-                tx.send(now().as_millis());
-            });
-        });
-        cluster.setup(0, move |env| {
-            let rx = env.bind_ingress(ingress);
-            let seen = Rc::new(RefCell::new(Vec::new()));
-            let ticks = Rc::new(Cell::new(0u32));
-            let (s, t) = (seen.clone(), ticks.clone());
-            env.spawner().spawn("receiver", async move {
-                while let Ok(sent) = rx.recv().await {
-                    s.borrow_mut().push((sent, now().as_millis()));
-                }
-            });
-            env.spawner().spawn("ticker", async move {
-                loop {
-                    delay(SimDuration::from_millis(1)).await;
-                    t.set(t.get() + 1);
-                }
-            });
-            env.on_finish(move || vec![format!("seen={:?} ticks={}", seen.borrow(), ticks.get())]);
-        });
-        cluster.run(SimTime::from_millis(20)).merged_lines()
-    };
-    let lines = run();
-    // Sent at 7 ms, link latency 1 ms: delivered at exactly 8 ms — the
-    // receiver's clock never outran the sender's horizon plus lookahead.
-    // And the ticker reached the full 20 ms deadline even though the
-    // sending shard went idle at 7 ms: idle shards keep publishing
-    // horizons, so the lookahead gate releases instead of deadlocking.
-    assert_eq!(lines, vec!["seen=[(7, 8)] ticks=20".to_string()]);
-    assert_eq!(
-        run(),
-        lines,
-        "shard-boundary schedule must be deterministic"
-    );
-}
