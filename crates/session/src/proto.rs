@@ -445,6 +445,51 @@ mod tests {
         assert_eq!(SessionMsg::decode(&bytes), None);
     }
 
+    /// Seeded hostile payloads of 0–40 bytes. Half of them carry the
+    /// magic, a kind in 0–12 (three past the last) and, mostly, the
+    /// right length, with words small enough to hit the class tags and
+    /// reason codes. Decoding never panics, and whatever decodes
+    /// re-encodes to 29 bytes that decode to the same message.
+    #[test]
+    fn decode_survives_seeded_hostile_payloads() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x5E55_10C0);
+        let (mut decoded, mut kinds) = (0, 0u16);
+        for _ in 0..100_000 {
+            let structured = rng.gen_bool(0.5);
+            let len = if structured && rng.gen_bool(0.75) {
+                CONTROL_BYTES
+            } else {
+                rng.gen_range(0..=40usize)
+            };
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+            if structured {
+                for at in (5..len.saturating_sub(3)).step_by(4) {
+                    if rng.gen_bool(0.5) {
+                        bytes[at..at + 4].copy_from_slice(&rng.gen_range(0..=3u32).to_be_bytes());
+                    }
+                }
+                let head = CONTROL_MAGIC.into_iter().chain([rng.gen_range(0..=12u8)]);
+                for (byte, value) in bytes.iter_mut().zip(head) {
+                    *byte = value;
+                }
+            }
+            let Some(msg) = SessionMsg::decode(&bytes) else {
+                continue;
+            };
+            decoded += 1;
+            kinds |= 1 << msg.kind_code();
+            let again = msg.encode();
+            assert_eq!(again.len(), CONTROL_BYTES, "{bytes:?}");
+            assert_eq!(SessionMsg::decode(&again), Some(msg), "{bytes:?}");
+        }
+        // The sweep reaches every decode arm, not just the length check.
+        assert_eq!(kinds, 0b11_1111_1110);
+        assert!(decoded > 10_000, "{decoded} decoded");
+    }
+
     #[test]
     fn demand_estimates_scale_with_rate() {
         assert_eq!(StreamClass::Audio.demand_cps(), 500);

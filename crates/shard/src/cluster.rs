@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use pandora_sim::{unbounded, Receiver, SimDuration, Spawner};
 
-use crate::hub::{Entry, IngressHub};
+use crate::hub::{IngressHub, TypedLane};
 
 /// A typed, one-way, latency-stamped port: the egress half.
 pub struct Egress<T> {
@@ -19,6 +19,7 @@ pub struct Egress<T> {
 /// The ingress half of a port.
 pub struct Ingress<T> {
     pub(crate) port: u32,
+    pub(crate) latency: SimDuration,
     pub(crate) _payload: PhantomData<fn() -> T>,
 }
 
@@ -26,16 +27,16 @@ pub struct Ingress<T> {
 pub struct PortSender<T> {
     port: u32,
     latency: SimDuration,
+    lane: Rc<TypedLane<T>>,
     hub: Rc<IngressHub>,
     seq: Cell<u64>,
-    _payload: PhantomData<fn(T)>,
 }
 
 impl<T: 'static> PortSender<T> {
     /// Sends `value` down the port: stamps it `(now + latency, port,
-    /// seq)` and queues it on the ingress heap. Never blocks and never
-    /// fails; a port whose ingress receiver was dropped discards on
-    /// delivery.
+    /// seq)` and queues it on the port's lane of the ingress hub. Never
+    /// blocks and never fails; a port whose ingress receiver was dropped
+    /// discards on delivery.
     ///
     /// # Panics
     ///
@@ -47,12 +48,8 @@ impl<T: 'static> PortSender<T> {
         let due = (pandora_sim::now() + self.latency).as_nanos();
         let seq = self.seq.get();
         self.seq.set(seq + 1);
-        self.hub.push(Entry {
-            due,
-            port: self.port,
-            seq,
-            payload: Box::new(value),
-        });
+        self.lane.push((due, self.port, seq), value);
+        self.hub.queued(due);
     }
 }
 
@@ -99,6 +96,7 @@ impl Cluster {
             },
             Ingress {
                 port,
+                latency,
                 _payload: PhantomData,
             },
         )
@@ -141,9 +139,9 @@ impl ShardEnv {
         PortSender {
             port: egress.port,
             latency: egress.latency,
+            lane: self.hub.lane(egress.latency),
             hub: self.hub.clone(),
             seq: Cell::new(0),
-            _payload: PhantomData,
         }
     }
 
@@ -174,17 +172,8 @@ impl ShardEnv {
         ingresses: impl IntoIterator<Item = Ingress<T>>,
     ) -> Receiver<T> {
         let (tx, rx) = unbounded::<T>();
-        for ingress in ingresses {
-            let tx = tx.clone();
-            self.hub.register_sink(
-                ingress.port,
-                Box::new(move |payload| {
-                    let value = payload.downcast::<T>().expect("port payload type mismatch");
-                    // Delivery into an unbounded queue never blocks; a
-                    // dropped receiver just discards the rest of the stream.
-                    let _ = tx.try_send(*value);
-                }),
-            );
+        for Ingress { port, latency, .. } in ingresses {
+            self.hub.lane(latency).bind(port, tx.clone());
         }
         rx
     }

@@ -1,85 +1,138 @@
-//! Ingress: the deterministic merge heap and its dispatcher.
+//! Ingress: one typed lane per (latency, payload type), and the
+//! dispatcher that merges their heads.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use pandora_sim::{delay_until_late, now, Delay, SimTime, TaskWaker};
+use pandora_sim::{delay_until_late, now, Delay, Sender, SimDuration, SimTime, TaskWaker};
 
-/// One stamped value: the merge key `(due, port, seq)` plus the
-/// type-erased payload.
-pub(crate) struct Entry {
-    pub due: u64,
-    pub port: u32,
-    pub seq: u64,
-    pub payload: Box<dyn Any>,
-}
+/// The merge key of one stamped value: `(due, port, seq)`.
+type Key = (u64, u32, u64);
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.port, self.seq) == (other.due, other.port, other.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.port, self.seq).cmp(&(other.due, other.port, other.seq))
-    }
-}
-
-/// The ingress hub: every port's entries land in one heap keyed `(due,
-/// port, seq)`, and a single dispatcher task delivers matured entries in
-/// exactly that order.
-pub(crate) struct IngressHub {
-    heap: RefCell<BinaryHeap<Reverse<Entry>>>,
+/// The queued values of every port of one latency and payload type, in
+/// key order, and the receivers those ports are bound to.
+pub(crate) struct TypedLane<T> {
+    queue: RefCell<VecDeque<(Key, T)>>,
     /// Indexed by port id — ids are dense and creation-ordered, and the
     /// cluster's port count is fixed before setup runs. `None` for a port
-    /// that is not bound (yet).
-    #[allow(clippy::type_complexity)]
-    sinks: RefCell<Vec<Option<Box<dyn Fn(Box<dyn Any>)>>>>,
+    /// of another lane, or one not bound (yet).
+    sinks: RefCell<Vec<Option<Sender<T>>>>,
+}
+
+impl<T> TypedLane<T> {
+    /// Queues one value, keeping the lane in key order. The lane's ports
+    /// share one latency and the clock only moves forward, so a value is
+    /// never due before the lane's tail: it is appended, unless values
+    /// sent earlier in this same instant have a larger port id — then it
+    /// is filed in among them.
+    pub fn push(&self, key: Key, value: T) {
+        let mut queue = self.queue.borrow_mut();
+        let at = queue
+            .iter()
+            .rposition(|(k, _)| *k < key)
+            .map_or(0, |i| i + 1);
+        queue.insert(at, (key, value));
+    }
+
+    /// Binds one of the lane's ports to the receiver behind `tx`.
+    pub fn bind(&self, port: u32, tx: Sender<T>) {
+        let slot = &mut self.sinks.borrow_mut()[port as usize];
+        assert!(slot.is_none(), "ingress port {port} bound twice");
+        *slot = Some(tx);
+    }
+}
+
+/// What the dispatcher needs of a lane, whatever its payload type.
+trait Lane: Any {
+    /// The key of the lane's first value, if it holds one.
+    fn head(&self) -> Option<Key>;
+
+    /// Delivers, in order, the lane's values due by `t` and keyed below
+    /// `bound` (the least key of the other lanes' heads).
+    fn deliver(&self, t: u64, bound: Option<Key>);
+}
+
+impl<T: 'static> Lane for TypedLane<T> {
+    fn head(&self) -> Option<Key> {
+        self.queue.borrow().front().map(|(key, _)| *key)
+    }
+
+    fn deliver(&self, t: u64, bound: Option<Key>) {
+        let mut queue = self.queue.borrow_mut();
+        let sinks = self.sinks.borrow();
+        while let Some(((_, port, _), value)) =
+            queue.pop_front_if(|(key, _)| key.0 <= t && bound.is_none_or(|b| *key < b))
+        {
+            let sink = sinks
+                .get(port as usize)
+                .and_then(Option::as_ref)
+                .unwrap_or_else(|| panic!("ingress port {port} has no bound sink"));
+            // Delivery into an unbounded queue never blocks; a dropped
+            // receiver just discards the rest of the stream.
+            let _ = sink.try_send(value);
+        }
+    }
+}
+
+/// A lane under its key, `(latency in ns, payload type)`.
+type KeyedLane = ((u64, TypeId), Rc<dyn Lane>);
+
+/// The ingress hub: one lane per (latency, payload type), and a single
+/// dispatcher task that delivers matured values across the lanes in
+/// exactly `(due, port, seq)` order.
+pub(crate) struct IngressHub {
+    /// In the order setup first asked for each.
+    lanes: RefCell<Vec<KeyedLane>>,
+    ports: usize,
     waker: RefCell<Option<TaskWaker>>,
     /// The instant the dispatcher's timer is armed for, if one is.
     armed: Cell<Option<u64>>,
 }
 
 impl IngressHub {
-    /// Creates an empty hub for a cluster of `ports` ports: no sinks
-    /// bound, no pending entries.
+    /// Creates an empty hub for a cluster of `ports` ports: no lanes, no
+    /// pending values.
     pub fn new(ports: usize) -> Rc<IngressHub> {
         Rc::new(IngressHub {
-            heap: RefCell::new(BinaryHeap::new()),
-            sinks: RefCell::new((0..ports).map(|_| None).collect()),
+            lanes: RefCell::new(Vec::new()),
+            ports,
             waker: RefCell::new(None),
             armed: Cell::new(None),
         })
     }
 
-    /// Registers the delivery closure of one ingress port.
-    pub fn register_sink(&self, port: u32, sink: Box<dyn Fn(Box<dyn Any>)>) {
-        let slot = &mut self.sinks.borrow_mut()[port as usize];
-        assert!(slot.is_none(), "ingress port {port} bound twice");
-        *slot = Some(sink);
+    /// The lane of the ports with this `latency` and payload type,
+    /// created on first use.
+    pub fn lane<T: 'static>(&self, latency: SimDuration) -> Rc<TypedLane<T>> {
+        let key = (latency.as_nanos(), TypeId::of::<T>());
+        let mut lanes = self.lanes.borrow_mut();
+        let lane: Rc<dyn Any> = match lanes.iter().find(|(k, _)| *k == key) {
+            Some((_, lane)) => lane.clone(),
+            None => {
+                let lane = Rc::new(TypedLane::<T> {
+                    queue: RefCell::new(VecDeque::new()),
+                    sinks: RefCell::new(vec![None; self.ports]),
+                });
+                lanes.push((key, lane.clone()));
+                lane
+            }
+        };
+        lane.downcast().expect("keyed by payload type")
     }
 
-    /// Queues one entry, and wakes the dispatcher if the entry is due
-    /// before the instant its timer is armed for (or no timer is armed):
-    /// only then does the head move and the timer need re-arming. An
-    /// entry due at or after that instant is found by the poll the armed
-    /// timer brings. Before the dispatcher's first poll there is no waker
-    /// to wake, which is fine: that poll drains everything queued.
-    pub fn push(&self, entry: Entry) {
-        let due = entry.due;
-        self.heap.borrow_mut().push(Reverse(entry));
+    /// Called after a value due at `due` is queued: wakes the dispatcher
+    /// if the value is due before the instant its timer is armed for (or
+    /// no timer is armed), since only then does the head move and the
+    /// timer need re-arming. A value due at or after that instant is found
+    /// by the poll the armed timer brings. Before the dispatcher's first
+    /// poll there is no waker to wake, which is fine: that poll drains
+    /// everything queued.
+    pub fn queued(&self, due: u64) {
         if self.armed.get().is_none_or(|at| due < at) {
             if let Some(w) = self.waker.borrow().as_ref() {
                 w.wake();
@@ -87,40 +140,38 @@ impl IngressHub {
         }
     }
 
-    /// Delivers every entry with `due <= now`, in `(due, port, seq)`
-    /// order.
-    fn deliver_matured(&self) {
+    /// Delivers every value with `due <= now`, in `(due, port, seq)`
+    /// order — the lane holding the least head delivers up to the next
+    /// lane's head, and again — and returns the next value's due time.
+    fn deliver_matured(&self) -> Option<u64> {
         let t = now().as_nanos();
+        let lanes = self.lanes.borrow();
         loop {
-            let entry = {
-                let mut heap = self.heap.borrow_mut();
-                match heap.peek() {
-                    Some(Reverse(e)) if e.due <= t => heap.pop().map(|Reverse(e)| e),
-                    _ => None,
+            let mut first: Option<(Key, &dyn Lane)> = None;
+            let mut second: Option<Key> = None;
+            for head in lanes.iter().filter_map(|(_, l)| Some((l.head()?, &**l))) {
+                if first.is_none_or(|(least, _)| head.0 < least) {
+                    second = first.map(|(least, _)| least);
+                    first = Some(head);
+                } else if second.is_none_or(|s| head.0 < s) {
+                    second = Some(head.0);
                 }
-            };
-            let Some(entry) = entry else { return };
-            let sinks = self.sinks.borrow();
-            let sink = sinks
-                .get(entry.port as usize)
-                .and_then(Option::as_ref)
-                .unwrap_or_else(|| panic!("ingress port {} has no bound sink", entry.port));
-            sink(entry.payload);
+            }
+            match first {
+                Some((head, lane)) if head.0 <= t => lane.deliver(t, second),
+                _ => return first.map(|((due, _, _), _)| due),
+            }
         }
-    }
-
-    fn next_due(&self) -> Option<u64> {
-        self.heap.borrow().peek().map(|Reverse(e)| e.due)
     }
 }
 
 /// The dispatcher task body: an endless future that delivers matured
-/// entries and sleeps on the executor's *late* timer lane until the
-/// next due time, which it posts in the hub's `armed` so that a push can
-/// tell whether it moves the head. Spurious wakes (abandoned timers)
-/// deliver nothing and are inert — they never perturb the ordering of
-/// ordinary timers, because the late lane sorts after every normal timer
-/// at the same instant.
+/// values and sleeps on the executor's *late* timer lane until the next
+/// due time, which it posts in the hub's `armed` so that a send can tell
+/// whether it moves the head. Spurious wakes (abandoned timers) deliver
+/// nothing and are inert — they never perturb the ordering of ordinary
+/// timers, because the late lane sorts after every normal timer at the
+/// same instant.
 pub(crate) struct Dispatcher {
     hub: Rc<IngressHub>,
     /// The timer for the instant in `hub.armed`.
@@ -144,8 +195,7 @@ impl Future for Dispatcher {
             .borrow_mut()
             .get_or_insert_with(pandora_sim::waker);
         loop {
-            this.hub.deliver_matured();
-            let head = this.hub.next_due();
+            let head = this.hub.deliver_matured();
             // (Re)arm only when the head changed; an abandoned timer
             // just fires a harmless spurious wake later.
             if this.hub.armed.get() != head {

@@ -16,11 +16,13 @@
 //!    [`ShardEnv::bind_ingress_merged`] for any number of same-typed ports
 //!    on one queue).
 //! 2. **Ingress is merged deterministically.** Every stamped value lands
-//!    in one heap, and one dispatcher task (`shard:dispatch`) delivers it
-//!    at its due time on the executor's *late* timer lane, in exactly
-//!    `(due, port, seq)` order. Port ids are assigned in creation order,
-//!    so what a fan-in task reads is a pure function of the stamps, never
-//!    of which port's queue a scan happened to visit first.
+//!    in its port's lane — one typed FIFO per (latency, payload type),
+//!    kept in stamp order — and one dispatcher task (`shard:dispatch`)
+//!    merges the lanes' heads and delivers each value at its due time on
+//!    the executor's *late* timer lane, in exactly `(due, port, seq)`
+//!    order. Port ids are assigned in creation order, so what a fan-in
+//!    task reads is a pure function of the stamps, never of which port's
+//!    queue a scan happened to visit first.
 //!
 //! The name and the shard arguments of [`Cluster::new`] and
 //! [`Cluster::setup`] are what is left of the threaded runtime that used

@@ -2,7 +2,7 @@
 
 use std::rc::Rc;
 
-use pandora_sim::{delay, now, SimDuration, SimTime};
+use pandora_sim::{delay, delay_until, now, Priority, SimDuration, SimTime};
 
 use crate::Cluster;
 
@@ -39,20 +39,26 @@ fn loopback_port_delivers_at_stamped_latency() {
 /// One port per latency in `latencies` (µs), all merged into one sink
 /// that logs `t=<ns> <value>`; `script` drives the senders from a task of
 /// its own. Returns the run's report.
-fn loopback_rig<F, Fut>(latencies: &[u64], deadline: SimTime, script: F) -> crate::RunReport
+///
+/// The script runs at high priority and sleeps on ordinary timers, so in
+/// an instant where it and the dispatcher both wake it acts first: every
+/// send of an instant is queued before that instant's deliveries, a
+/// zero-latency one included.
+fn loopback_rig<T, F, Fut>(latencies: &[u64], deadline: SimTime, script: F) -> crate::RunReport
 where
-    F: FnOnce(Vec<crate::PortSender<&'static str>>) -> Fut + 'static,
+    T: std::fmt::Display + 'static,
+    F: FnOnce(Vec<crate::PortSender<T>>) -> Fut + 'static,
     Fut: std::future::Future<Output = ()> + 'static,
 {
     let mut cluster = Cluster::new(1);
     let (egresses, ingresses): (Vec<_>, Vec<_>) = latencies
         .iter()
-        .map(|&us| cluster.port::<&'static str>(SimDuration::from_micros(us)))
+        .map(|&us| cluster.port::<T>(SimDuration::from_micros(us)))
         .unzip();
     cluster.setup(0, move |env| {
         let txs = egresses.into_iter().map(|e| env.open_egress(e)).collect();
         let rx = env.bind_ingress_merged(ingresses);
-        env.spawner().spawn("src", script(txs));
+        env.spawner().spawn_prio("src", Priority::High, script(txs));
         let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
         let seen2 = seen.clone();
         env.spawner().spawn("sink", async move {
@@ -146,6 +152,88 @@ fn merged_receiver_orders_by_due_then_port_then_send_order() {
     );
 }
 
+/// Ports of one latency share a lane; sends made in one instant to them
+/// out of port order still arrive in port order, each port's in send
+/// order.
+#[test]
+fn same_latency_sends_in_one_instant_arrive_in_port_order() {
+    let report = loopback_rig(
+        &[100, 100, 100],
+        SimTime::from_millis(1),
+        |txs| async move {
+            let (a, b, c) = (&txs[0], &txs[1], &txs[2]);
+            c.send("c0");
+            a.send("a0");
+            b.send("b0");
+            a.send("a1");
+        },
+    );
+    assert_eq!(
+        report.merged_lines(),
+        ["t=100000 a0", "t=100000 a1", "t=100000 b0", "t=100000 c0"]
+    );
+}
+
+/// Seeded schedules over six ports, two or more of them sharing a
+/// latency: what arrives is the stable sort of the sends by `(due, port,
+/// seq)`, each value at its due instant.
+#[test]
+fn generated_schedules_deliver_in_merge_key_order() {
+    const PORTS: usize = 6;
+    const SENDS: usize = 300;
+    const LATENCIES_US: [u64; 4] = [0, 100, 300, 500];
+    for seed in 1..=64u64 {
+        // xorshift64; the seed is mixed so that small seeds diverge.
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let mut latencies: Vec<u64> = (0..PORTS).map(|_| LATENCIES_US[next(4) as usize]).collect();
+        // Six ports over four latencies always share one; make sure the
+        // shared pair is not always the same two ports.
+        let shared = next(PORTS as u64) as usize;
+        latencies[(shared + 1) % PORTS] = latencies[shared];
+        // (send instant µs, port): a third of the sends share the previous
+        // send's instant.
+        let mut at = 0;
+        let schedule: Vec<(u64, usize)> = (0..SENDS)
+            .map(|_| {
+                if next(3) != 0 {
+                    at += 1 + next(400);
+                }
+                (at, next(PORTS as u64) as usize)
+            })
+            .collect();
+
+        let mut keyed: Vec<((u64, usize, usize), usize)> = Vec::with_capacity(SENDS);
+        let mut seqs = [0usize; PORTS];
+        for (i, &(at, port)) in schedule.iter().enumerate() {
+            keyed.push(((at + latencies[port], port, seqs[port]), i));
+            seqs[port] += 1;
+        }
+        keyed.sort_by_key(|&(key, _)| key);
+        let expected: Vec<String> = keyed
+            .iter()
+            .map(|&((due, _, _), i)| format!("t={} {i}", due * 1_000))
+            .collect();
+
+        let deadline = SimTime::from_micros(at + 1_000);
+        let report = loopback_rig(&latencies, deadline, move |txs| async move {
+            for (i, (at, port)) in schedule.into_iter().enumerate() {
+                let when = SimTime::from_micros(at);
+                if when > now() {
+                    delay_until(when).await;
+                }
+                txs[port].send(i);
+            }
+        });
+        assert_eq!(report.merged_lines(), expected, "seed {seed}");
+    }
+}
+
 #[test]
 fn setups_and_finish_lines_keep_registration_order_whatever_the_shard_argument() {
     let mut cluster = Cluster::new(2);
@@ -176,6 +264,7 @@ fn binding_an_ingress_twice_panics() {
     cluster.setup(0, move |env| {
         let again = Ingress::<u8> {
             port: rx.port,
+            latency: rx.latency,
             _payload: PhantomData,
         };
         let _rx = env.bind_ingress_merged([rx, again]);
