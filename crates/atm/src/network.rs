@@ -16,7 +16,7 @@
 
 use std::cell::Cell as StdCell;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
@@ -468,7 +468,7 @@ pub fn build_duplex_path(
 
 // Each routed VCI carries a list of copy destinations: (output port,
 // rewritten VCI).
-type RouteTable = Rc<RefCell<HashMap<Vci, Vec<(usize, Vci)>>>>;
+type RouteTable = Rc<RefCell<BTreeMap<Vci, Vec<(usize, Vci)>>>>;
 
 /// The synchronous dispatch core of the switch: route table, unified
 /// counters and the bounded per-port output queues.

@@ -171,7 +171,6 @@ fn spawn_inner<T: 'static>(
     // conduit only while the writer is idle (writer_busy false) and
     // receives feedback only while it is busy, so the rendezvous loop can
     // never have both parties blocked sending at once.
-    // check:allow(channel-cycle): strict alternation, argued above.
     spawner.spawn_prio(&writer_name, Priority::High, async move {
         while let Ok(item) = conduit_rx.recv().await {
             if output.send(item).await.is_err() {

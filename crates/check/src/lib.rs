@@ -4,26 +4,20 @@
 //! Pandora's correctness leans on properties rustc has no lint for:
 //!
 //! * the deterministic crates must never consult the wall clock or OS
-//!   scheduler, or the simulation stops being reproducible;
+//!   scheduler, or the simulation stops being reproducible — nor iterate
+//!   a hash map, whose order changes from run to run;
 //! * every `unsafe` block must carry a written justification;
 //! * the hot-path crates must not panic via `unwrap`/`expect` outside
 //!   test code — buffer exhaustion and channel closure are *reported*
 //!   conditions in the paper, not crashes;
 //! * the public wire-format and allocator APIs must stay documented;
-//! * files that declare themselves transport hot paths must not allocate
-//!   per segment — payload bytes live in the slab arena (DESIGN.md §9);
-//! * every variant of a wire-marked enum must be encodable and decodable
-//!   somewhere in the workspace — a kind code without a decode arm is a
-//!   silent protocol hole (DESIGN.md §12);
-//! * rendezvous channel topologies wired inside one function must not
-//!   form wait-for cycles, pools must be acquired in one global order,
-//!   and only the control plane may touch the well-known command VCIs.
+//! * only the control plane may touch the well-known command VCIs.
 //!
-//! The analyzer runs in two stages (see DESIGN.md §12). Stage one masks
-//! each file into lexical channels ([`mask`]) and runs the per-file token
-//! rules. Stage two parses the masked code into an item-level model
-//! ([`parse`]), aggregates it across files ([`model`]), and runs the
-//! cross-file protocol rules. Pure `std`, no registry dependencies.
+//! The analyzer is one pass (see DESIGN.md §6): each file is masked into
+//! lexical channels ([`mask`]) and the token rules run over them, one
+//! file at a time. Pure `std`, no registry dependencies. Wire-enum
+//! exhaustiveness, which once needed a cross-file model here, is rustc's
+//! job now: a test in `pandora-session` and `clippy::wildcard_enum_match_arm`.
 //!
 //! Every diagnostic carries a stable `PCxxx` code and a severity. A
 //! violation can be waived in place with a comment
@@ -36,8 +30,6 @@ use std::path::{Path, PathBuf};
 
 pub mod baseline;
 pub mod mask;
-pub mod model;
-pub mod parse;
 mod rules;
 mod walk;
 
@@ -56,25 +48,15 @@ pub enum Rule {
     NoUnwrap,
     /// Public item without a doc comment in a documented crate.
     MissingDocs,
-    /// `Vec::new`/`to_vec()` outside test code in a file that opted into
-    /// the hot-path marker — the transport data path allocates from the
-    /// slab arena, never per segment.
-    HotPathAlloc,
     /// A std `Waker` (`cx.waker()`, `task::Waker`) outside the executor:
     /// the `Context` waker is inert, tasks wake through `pandora_sim::waker()`.
     StdWaker,
-    /// A variant of a `check:wire-enum` marked enum lacking an encode
-    /// match arm, or (for full obligations) a decode arm constructing it
-    /// from a literal kind code.
-    WireExhaustive,
-    /// Tasks wired in one function form a wait-for cycle over rendezvous
-    /// channels — a static deadlock candidate.
-    ChannelCycle,
+    /// `HashMap`/`HashSet` outside the allowlist: their iteration order is
+    /// seeded per process, so any iteration can reorder a replay.
+    HashOrder,
     /// A crate outside the control plane references the well-known
     /// command VCIs (`CONTROL_VCI_BASE`, `Vci(0x7F..)`).
     CommandPath,
-    /// Two pools acquired in opposite orders in different places.
-    PoolOrder,
 }
 
 /// How a diagnostic affects the exit status.
@@ -97,18 +79,15 @@ impl Severity {
 }
 
 /// Every rule, in code order — the `--help`/`--explain` catalogue.
-pub const ALL_RULES: [Rule; 11] = [
+pub const ALL_RULES: [Rule; 8] = [
     Rule::SafetyComment,
     Rule::WallClock,
     Rule::OsThread,
     Rule::NoUnwrap,
     Rule::MissingDocs,
-    Rule::HotPathAlloc,
     Rule::StdWaker,
-    Rule::WireExhaustive,
-    Rule::ChannelCycle,
+    Rule::HashOrder,
     Rule::CommandPath,
-    Rule::PoolOrder,
 ];
 
 impl Rule {
@@ -120,17 +99,15 @@ impl Rule {
             Rule::OsThread => "os-thread",
             Rule::NoUnwrap => "no-unwrap",
             Rule::MissingDocs => "missing-docs",
-            Rule::HotPathAlloc => "hot-path-alloc",
             Rule::StdWaker => "std-waker",
-            Rule::WireExhaustive => "wire-exhaustive",
-            Rule::ChannelCycle => "channel-cycle",
+            Rule::HashOrder => "hash-order",
             Rule::CommandPath => "command-path",
-            Rule::PoolOrder => "pool-order",
         }
     }
 
-    /// The stable diagnostic code. `PC0xx` are the per-file token rules,
-    /// `PC1xx` the cross-file protocol rules. Codes never get reused.
+    /// The stable diagnostic code. Codes never get reused: PC006, PC101,
+    /// PC102 and PC104 are retired (DESIGN.md §6). PC103 keeps the code
+    /// it had as a cross-file rule.
     pub fn code(self) -> &'static str {
         match self {
             Rule::SafetyComment => "PC001",
@@ -138,26 +115,17 @@ impl Rule {
             Rule::OsThread => "PC003",
             Rule::NoUnwrap => "PC004",
             Rule::MissingDocs => "PC005",
-            Rule::HotPathAlloc => "PC006",
             Rule::StdWaker => "PC007",
-            Rule::WireExhaustive => "PC101",
-            Rule::ChannelCycle => "PC102",
+            Rule::HashOrder => "PC008",
             Rule::CommandPath => "PC103",
-            Rule::PoolOrder => "PC104",
         }
     }
 
-    /// How a finding of this rule affects the exit status.
-    ///
-    /// `pool-order` warns rather than denies: the analysis is a textual
-    /// over-approximation (acquisition order within one function body,
-    /// ignoring control flow), so a conflicting order deserves review,
-    /// not an unconditional red build.
+    /// How a finding of this rule affects the exit status. Every live
+    /// rule denies; the warn tier is for a rule whose analysis
+    /// over-approximates, as the retired PC104 did.
     pub fn severity(self) -> Severity {
-        match self {
-            Rule::PoolOrder => Severity::Warn,
-            _ => Severity::Deny,
-        }
+        Severity::Deny
     }
 
     /// Resolves a `PCxxx` code (case-insensitive) or a kebab-case name.
@@ -201,12 +169,6 @@ impl Rule {
                  API surface (wire formats, allocator contracts, session protocol) \
                  and must carry doc comments stating their invariants."
             }
-            Rule::HotPathAlloc => {
-                "A file whose comments carry `check:hot-path` promises to allocate \
-                 payload bytes from the slab arena only. `Vec::new(` and `.to_vec()` \
-                 are per-segment heap allocations (usually with a copy) on the data \
-                 path the two-copy invariant (DESIGN.md §9) protects."
-            }
             Rule::StdWaker => {
                 "Tasks are woken through `pandora_sim::waker()`: a `TaskWaker` is a \
                  task id plus an `Rc` on its simulation's wake queue, so a wake costs \
@@ -216,23 +178,13 @@ impl Rule {
                  `crates/sim/src/executor.rs`, which builds that inert waker, may \
                  name `task::Waker`."
             }
-            Rule::WireExhaustive => {
-                "An enum marked `check:wire-enum` is part of the wire protocol: \
-                 every variant must appear in a non-test match *pattern* somewhere \
-                 (encode evidence) and — unless the marker says `(encode)` only — be \
-                 constructed in the body of a literal-pattern match arm (decode \
-                 evidence, the shape of a kind-code decoder). A variant with a kind \
-                 code but no decode arm is a message the peer can send and this node \
-                 silently drops. The diagnostic fires at the variant definition."
-            }
-            Rule::ChannelCycle => {
-                "Rendezvous channels (`pandora_sim::channel`) block the sender until \
-                 the receiver takes the value, like Occam's links in the paper. If \
-                 the tasks wired inside one function form a directed cycle of \
-                 sender→receiver edges over rendezvous channels, every task in the \
-                 cycle can end up waiting on its successor: a static deadlock \
-                 candidate. Break the cycle with a `buffered` stage (decoupling in \
-                 the paper's terms) or restructure the pipeline."
+            Rule::HashOrder => {
+                "`HashMap` and `HashSet` iterate in an order seeded per process, so a \
+                 loop over one that picks a victim, breaks a tie or emits events \
+                 can reorder a replay (the P3 drop tie once fell to hash order). \
+                 The deterministic code uses `BTreeMap`/`BTreeSet`, whose order is \
+                 the key order. Waive a map that is only ever looked up, never \
+                 iterated, in place with a reason."
             }
             Rule::CommandPath => {
                 "The well-known command circuits (`CONTROL_VCI_BASE`, \
@@ -240,14 +192,6 @@ impl Rule {
                  plane. Only the control-plane crates (`command_plane_crates`) may \
                  reference them; a media crate writing to a command VCI bypasses \
                  admission control and fault reporting."
-            }
-            Rule::PoolOrder => {
-                "Pools, slabs and arenas must be acquired in one globally \
-                 consistent order. Two call sites acquiring the same pair of pools \
-                 in opposite orders can deadlock under exhaustion-blocking, exactly \
-                 like inconsistent lock order. The analysis compares the textual \
-                 acquisition sequences of every function; it over-approximates \
-                 control flow, so this rule warns rather than denies."
             }
         }
     }
@@ -368,7 +312,8 @@ pub struct Config {
     /// Crate directory names whose public items must be documented.
     pub documented_crates: Vec<String>,
     /// Path prefixes (relative, `/`-separated) exempt from the
-    /// determinism rules — the deliberately wall-clock code.
+    /// determinism rules (wall clock, OS threads, hash order) — the
+    /// deliberately wall-clock code.
     pub wall_clock_allowlist: Vec<String>,
     /// Crate directory names allowed to reference the command VCIs.
     pub command_plane_crates: Vec<String>,
@@ -434,30 +379,21 @@ impl Default for Config {
     }
 }
 
-/// Runs every rule over all workspace `.rs` files under `root`.
-///
-/// Stage one applies the per-file token rules to each masked file; stage
-/// two builds the [`model::WorkspaceModel`] and applies the cross-file
-/// protocol rules. Returns diagnostics sorted by path, then line, then
-/// code. `root` is typically the workspace root; fixture trees in tests
-/// pass their own root.
+/// Runs every rule over all workspace `.rs` files under `root`, one file
+/// at a time. Returns diagnostics sorted by path, then line, then code.
+/// `root` is typically the workspace root; fixture trees in tests pass
+/// their own root.
 ///
 /// # Errors
 ///
 /// Returns an error when the tree cannot be walked or a file read.
 pub fn run_checks(root: &Path, config: &Config) -> std::io::Result<Vec<Diagnostic>> {
-    let mut files = Vec::new();
+    let mut diagnostics = Vec::new();
     for file in walk::rust_sources(root)? {
         let source = std::fs::read_to_string(&file)?;
-        let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
-        files.push(model::AnalyzedFile::analyze(rel, &source));
+        let rel = file.strip_prefix(root).unwrap_or(&file);
+        rules::check_file(rel, &source, config, &mut diagnostics);
     }
-    let mut diagnostics = Vec::new();
-    for file in &files {
-        rules::check_file(file, config, &mut diagnostics);
-    }
-    let workspace = model::WorkspaceModel::build(&files);
-    rules::check_workspace(&files, &workspace, config, &mut diagnostics);
     diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.rule.code()).cmp(&(&b.path, b.line, b.rule.code())));
     Ok(diagnostics)
@@ -503,13 +439,13 @@ mod tests {
         let d = Diagnostic {
             path: PathBuf::from("crates/x/src/a.rs"),
             line: 1,
-            rule: Rule::PoolOrder,
+            rule: Rule::HashOrder,
             message: "say \"hi\"".to_string(),
         };
         let json = render_json(std::slice::from_ref(&d));
         assert!(json.contains("\"total\": 1"));
-        assert!(json.contains("\"warn\": 1"));
+        assert!(json.contains("\"deny\": 1"));
         assert!(json.contains("\\\"hi\\\""));
-        assert!(json.contains("\"code\":\"PC104\""));
+        assert!(json.contains("\"code\":\"PC008\""));
     }
 }

@@ -25,25 +25,57 @@ OPTIONS:
   --explain <code>    print the rationale for a PCxxx code (or rule name)
   -h, --help          this text
 
-Stage one masks every .rs file and runs the per-file token rules; stage
-two parses the masked code into a workspace model and runs the
-cross-file protocol rules:
+One pass: every .rs file is masked into code and comment channels and
+the token rules run over it, one file at a time:
 
   PC001 safety-comment   unsafe requires a SAFETY: justification
   PC002 wall-clock       no Instant::now/SystemTime outside the allowlist
   PC003 os-thread        no thread::spawn/sleep outside the allowlist
   PC004 no-unwrap        no unwrap/expect outside tests in hot-path crates
   PC005 missing-docs     public items documented in the API crates
-  PC006 hot-path-alloc   no Vec::new/to_vec in files marked check:hot-path
   PC007 std-waker        no cx.waker()/task::Waker outside the sim executor
-  PC101 wire-exhaustive  every wire-enum variant has encode+decode arms
-  PC102 channel-cycle    no rendezvous wait-for cycles among sim tasks
+  PC008 hash-order       no HashMap/HashSet outside the allowlist
   PC103 command-path     only the control plane touches command VCIs
-  PC104 pool-order       pools acquired in one global order (warn)
+
+Retired, never reused (--explain names what covers each now):
+PC006 hot-path-alloc, PC101 wire-exhaustive, PC102 channel-cycle,
+PC104 pool-order.
 
 Waive a finding in place with: // check:allow(rule-name): reason
 Tolerate a legacy finding by listing `PCxxx path:line` in check.baseline.
 Exits 0 when clean, 1 on new findings, 2 on usage or I/O errors.";
+
+/// Retired codes: `(code, name, what covers the obligation now)`.
+const RETIRED: [(&str, &str, &str); 4] = [
+    (
+        "PC006",
+        "hot-path-alloc",
+        "It could not see `vec![..]`, and its only findings were its own fixtures. \
+         tests/zero_copy.rs pins the property it guarded: a conference boxes back \
+         a few slabs and none after warm-up.",
+    ),
+    (
+        "PC101",
+        "wire-exhaustive",
+        "rustc enforces it. `pandora-session`'s proto test maps every SessionMsg, \
+         StreamClass and RejectReason variant through a match with no `_` arm and \
+         round-trips each through decode(encode(m)); `pandora` and \
+         `pandora-faults` deny clippy::wildcard_enum_match_arm, so a catch-all \
+         over StreamKind or FaultKind fails `cargo clippy -D warnings`.",
+    ),
+    (
+        "PC102",
+        "channel-cycle",
+        "Its one real-tree hit was the waived decoupling conduit. Deadlocks are \
+         caught at run time by the executor's deadlock detector, and recorded \
+         schedules are the determinism oracle.",
+    ),
+    (
+        "PC104",
+        "pool-order",
+        "It never fired on the real tree; its only findings were its own fixtures.",
+    ),
+];
 
 struct Options {
     root: Option<PathBuf>,
@@ -132,17 +164,26 @@ fn explain(code: &str) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        None => {
-            eprintln!(
-                "pandora-check: unknown code `{code}`; known codes: {}",
-                ALL_RULES
-                    .iter()
-                    .map(|r| r.code())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-            ExitCode::from(2)
-        }
+        None => match RETIRED
+            .iter()
+            .find(|(c, name, _)| c.eq_ignore_ascii_case(code) || *name == code)
+        {
+            Some((c, name, why)) => {
+                println!("{c} {name} (retired)\n\n{why}");
+                ExitCode::SUCCESS
+            }
+            None => {
+                eprintln!(
+                    "pandora-check: unknown code `{code}`; known codes: {}",
+                    ALL_RULES
+                        .iter()
+                        .map(|r| r.code())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                );
+                ExitCode::from(2)
+            }
+        },
     }
 }
 

@@ -1,81 +1,64 @@
-//! The lint rules: per-file token rules over the masked channels, and
-//! cross-file protocol rules over the workspace model.
+//! The lint rules: token rules over one file's masked channels.
 
-mod command;
-mod cycle;
-mod pool_order;
-mod wire;
+use std::path::Path;
 
 use crate::mask::MaskedFile;
-use crate::model::{AnalyzedFile, WorkspaceModel};
 use crate::{Config, Diagnostic, Rule};
 
-/// Runs every applicable per-file rule on one file, appending to `out`.
-pub fn check_file(file: &AnalyzedFile, config: &Config, out: &mut Vec<Diagnostic>) {
+/// Runs every applicable rule on one file, appending to `out`. `rel` is
+/// the file's path relative to the analyzed root.
+pub fn check_file(rel: &Path, source: &str, config: &Config, out: &mut Vec<Diagnostic>) {
+    let rel_str = rel.to_string_lossy().replace('\\', "/");
     let ctx = FileContext {
-        file,
-        in_src: file.rel_str.contains("/src/"),
-        testish: file.testish(),
+        rel,
+        masked: MaskedFile::parse(source),
+        crate_name: rel_str
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split('/').next()),
+        in_src: rel_str.contains("/src/"),
+        testish: rel_str
+            .split('/')
+            .any(|c| matches!(c, "tests" | "benches" | "examples")),
+        rel_str: &rel_str,
     };
     safety_comment_rule(&ctx, out);
     determinism_rules(&ctx, config, out);
     no_unwrap_rule(&ctx, config, out);
     missing_docs_rule(&ctx, config, out);
-    hot_path_alloc_rule(&ctx, out);
     std_waker_rule(&ctx, out);
+    command_path_rule(&ctx, config, out);
 }
 
-/// Runs the cross-file protocol rules over the aggregated model.
-pub fn check_workspace(
-    files: &[AnalyzedFile],
-    workspace: &WorkspaceModel,
-    config: &Config,
-    out: &mut Vec<Diagnostic>,
-) {
-    wire::wire_exhaustive_rule(files, workspace, out);
-    cycle::channel_cycle_rule(files, workspace, out);
-    command::command_path_rule(files, workspace, config, out);
-    pool_order::pool_order_rule(files, workspace, out);
-}
-
-pub(crate) struct FileContext<'a> {
-    pub file: &'a AnalyzedFile,
-    pub in_src: bool,
-    pub testish: bool,
+struct FileContext<'a> {
+    rel: &'a Path,
+    /// `rel` with forward slashes.
+    rel_str: &'a str,
+    masked: MaskedFile,
+    /// `crates/<name>/...` -> `<name>`.
+    crate_name: Option<&'a str>,
+    in_src: bool,
+    /// Integration tests, benches and examples.
+    testish: bool,
 }
 
 impl FileContext<'_> {
-    fn masked(&self) -> &MaskedFile {
-        &self.file.masked
-    }
-
-    fn crate_name(&self) -> Option<&str> {
-        self.file.crate_name()
+    /// Appends a diagnostic at 0-based `line`.
+    fn push(&self, out: &mut Vec<Diagnostic>, line: usize, rule: Rule, message: impl Into<String>) {
+        out.push(Diagnostic {
+            path: self.rel.to_path_buf(),
+            line: line + 1,
+            rule,
+            message: message.into(),
+        });
     }
 }
 
 /// True when line `l` (or the line above) carries `check:allow(rule)`.
-pub(crate) fn waived(file: &MaskedFile, line: usize, rule: Rule) -> bool {
+fn waived(file: &MaskedFile, line: usize, rule: Rule) -> bool {
     let marker = format!("check:allow({})", rule.name());
     let here = file.comment.get(line).is_some_and(|c| c.contains(&marker));
     let above = line > 0 && file.comment[line - 1].contains(&marker);
     here || above
-}
-
-/// Appends a diagnostic for `file` at 0-based `line`.
-pub(crate) fn push(
-    out: &mut Vec<Diagnostic>,
-    file: &AnalyzedFile,
-    line: usize,
-    rule: Rule,
-    message: impl Into<String>,
-) {
-    out.push(Diagnostic {
-        path: file.rel.clone(),
-        line: line + 1,
-        rule,
-        message: message.into(),
-    });
 }
 
 /// Finds `needle` in `haystack` as a whole word (identifier boundaries).
@@ -103,7 +86,7 @@ fn is_ident_byte(b: u8) -> bool {
 /// justification — a `SAFETY:` comment on the same line or in the
 /// comment block immediately above, or a `# Safety` doc section.
 fn safety_comment_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    let file = ctx.masked();
+    let file = &ctx.masked;
     for line in 0..file.len() {
         if !contains_word(&file.code[line], "unsafe") {
             continue;
@@ -115,9 +98,8 @@ fn safety_comment_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         if has_safety_justification(file, line) || waived(file, line, Rule::SafetyComment) {
             continue;
         }
-        push(
+        ctx.push(
             out,
-            ctx.file,
             line,
             Rule::SafetyComment,
             "`unsafe` without a preceding `// SAFETY:` justification",
@@ -152,32 +134,32 @@ fn has_safety_justification(file: &MaskedFile, line: usize) -> bool {
     false
 }
 
-/// Rules `wall-clock` and `os-thread`: nothing under `crates/` may read
-/// real time or touch the OS scheduler, except the explicit allowlist
-/// (the binaries that time their own run). Test code and `macro_rules!`
-/// bodies are skipped: tests run on the host clock by design, and a
-/// macro template's expansion context (very often test code) is
-/// invisible to a lexical pass.
+/// Rules `wall-clock`, `os-thread` and `hash-order`: nothing under
+/// `crates/` may read real time, touch the OS scheduler or hold a hash
+/// map, except the explicit allowlist (the binaries that time their own
+/// run). Test code and `macro_rules!` bodies are skipped: tests run on the
+/// host clock by design, and a macro template's expansion context (very
+/// often test code) is invisible to a lexical pass.
 fn determinism_rules(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnostic>) {
-    if !ctx.file.rel_str.starts_with("crates/") || ctx.testish {
+    if !ctx.rel_str.starts_with("crates/") || ctx.testish {
         return;
     }
     if config
         .wall_clock_allowlist
         .iter()
-        .any(|prefix| ctx.file.rel_str.starts_with(prefix.as_str()))
+        .any(|prefix| ctx.rel_str.starts_with(prefix.as_str()))
     {
         return;
     }
     let deterministic = ctx
-        .crate_name()
+        .crate_name
         .is_some_and(|c| config.deterministic_crates.iter().any(|d| d == c));
     let zone = if deterministic {
         "deterministic crate"
     } else {
         "non-allowlisted crate"
     };
-    let file = ctx.masked();
+    let file = &ctx.masked;
     for line in 0..file.len() {
         if file.in_test[line] || file.in_macro[line] {
             continue;
@@ -185,9 +167,8 @@ fn determinism_rules(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagn
         let code = &file.code[line];
         for pattern in ["Instant::now", "SystemTime"] {
             if contains_word(code, pattern) && !waived(file, line, Rule::WallClock) {
-                push(
+                ctx.push(
                     out,
-                    ctx.file,
                     line,
                     Rule::WallClock,
                     format!("wall-clock `{pattern}` in {zone}; use the sim clock"),
@@ -196,12 +177,21 @@ fn determinism_rules(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagn
         }
         for pattern in ["thread::spawn", "thread::sleep"] {
             if code.contains(pattern) && !waived(file, line, Rule::OsThread) {
-                push(
+                ctx.push(
                     out,
-                    ctx.file,
                     line,
                     Rule::OsThread,
                     format!("OS scheduling `{pattern}` in {zone}; spawn sim tasks instead"),
+                );
+            }
+        }
+        for pattern in ["HashMap", "HashSet"] {
+            if contains_word(code, pattern) && !waived(file, line, Rule::HashOrder) {
+                ctx.push(
+                    out,
+                    line,
+                    Rule::HashOrder,
+                    format!("`{pattern}` iterates in hash order in {zone}; use the `BTree` twin"),
                 );
             }
         }
@@ -212,12 +202,12 @@ fn determinism_rules(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagn
 /// outside test code; exhaustion and closure are reported faults.
 fn no_unwrap_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnostic>) {
     let hot = ctx
-        .crate_name()
+        .crate_name
         .is_some_and(|c| config.hot_path_crates.iter().any(|h| h == c));
     if !hot || !ctx.in_src || ctx.testish {
         return;
     }
-    let file = ctx.masked();
+    let file = &ctx.masked;
     for line in 0..file.len() {
         if file.in_test[line] || file.in_macro[line] {
             continue;
@@ -225,14 +215,13 @@ fn no_unwrap_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnost
         let code = &file.code[line];
         let hit = code.contains(".unwrap()") || code.contains(".expect(");
         if hit && !waived(file, line, Rule::NoUnwrap) {
-            push(
+            ctx.push(
                 out,
-                ctx.file,
                 line,
                 Rule::NoUnwrap,
                 format!(
                     "`unwrap`/`expect` outside test code in hot-path crate `{}`",
-                    ctx.crate_name().unwrap_or("?")
+                    ctx.crate_name.unwrap_or("?")
                 ),
             );
         }
@@ -243,12 +232,12 @@ fn no_unwrap_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnost
 /// comments — these are the workspace's stable API surface.
 fn missing_docs_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnostic>) {
     let documented = ctx
-        .crate_name()
+        .crate_name
         .is_some_and(|c| config.documented_crates.iter().any(|d| d == c));
     if !documented || !ctx.in_src || ctx.testish {
         return;
     }
-    let file = ctx.masked();
+    let file = &ctx.masked;
     for line in 0..file.len() {
         if file.in_test[line] || file.in_macro[line] {
             continue;
@@ -285,9 +274,8 @@ fn missing_docs_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagn
         if is_documented(file, line) || waived(file, line, Rule::MissingDocs) {
             continue;
         }
-        push(
+        ctx.push(
             out,
-            ctx.file,
             line,
             Rule::MissingDocs,
             format!("public `{keyword}` item without a doc comment"),
@@ -295,54 +283,15 @@ fn missing_docs_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagn
     }
 }
 
-/// The comment marker by which a file opts into [`hot_path_alloc_rule`].
-/// Kept as a string literal so the analyzer never trips over its own
-/// source: the marker scan reads the comment channel only.
-const HOT_PATH_MARKER: &str = "check:hot-path";
-
-/// Rule `hot-path-alloc`: a file whose comments carry the hot-path
-/// marker promises to allocate payload bytes from the slab arena only.
-/// `Vec::new(` and `.to_vec()` outside test code break that promise —
-/// each is a per-segment heap allocation (and usually a copy) on the
-/// data path the two-copy invariant (§3.4) protects. Waivable where the
-/// copy *is* the contract (the legacy owned decode, `copy_to_vec`).
-fn hot_path_alloc_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.testish {
-        return;
-    }
-    let file = ctx.masked();
-    let marked = (0..file.len()).any(|l| file.comment[l].contains(HOT_PATH_MARKER));
-    if !marked {
-        return;
-    }
-    for line in 0..file.len() {
-        if file.in_test[line] || file.in_macro[line] {
-            continue;
-        }
-        let code = &file.code[line];
-        for pattern in ["Vec::new(", ".to_vec()"] {
-            if code.contains(pattern) && !waived(file, line, Rule::HotPathAlloc) {
-                push(
-                    out,
-                    ctx.file,
-                    line,
-                    Rule::HotPathAlloc,
-                    format!("`{pattern}` allocates on a declared hot path; use the slab arena"),
-                );
-            }
-        }
-    }
-}
-
 /// Rule `std-waker`: under `crates/`, only the executor may touch the
 /// std waker. Everything else registers `pandora_sim::waker()`; the
 /// waker inside a task's `Context` is inert and panics when woken.
 fn std_waker_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    let rel = ctx.file.rel_str.as_str();
+    let rel = ctx.rel_str;
     if !rel.starts_with("crates/") || rel == "crates/sim/src/executor.rs" || ctx.testish {
         return;
     }
-    let file = ctx.masked();
+    let file = &ctx.masked;
     for line in 0..file.len() {
         if file.in_test[line] || file.in_macro[line] {
             continue;
@@ -350,14 +299,54 @@ fn std_waker_rule(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
         let code = &file.code[line];
         let hit = code.contains("cx.waker()") || contains_word(code, "Waker");
         if hit && !waived(file, line, Rule::StdWaker) {
-            push(
+            ctx.push(
                 out,
-                ctx.file,
                 line,
                 Rule::StdWaker,
                 "tasks are woken through `pandora_sim::waker()`; the `Context` waker is inert",
             );
         }
+    }
+}
+
+/// Rule `command-path`: only the control-plane crates may name the
+/// well-known command circuits (`CONTROL_VCI_BASE` = 0x7F00 and its reply
+/// window). A media or transport crate referencing them bypasses
+/// admission control: its cells would land on the command path without a
+/// session. Test-support trees (`tests/`, `benches/`, `examples/`) and
+/// test code are exempt.
+fn command_path_rule(ctx: &FileContext<'_>, config: &Config, out: &mut Vec<Diagnostic>) {
+    let allowed = ctx
+        .crate_name
+        .is_some_and(|c| config.command_plane_crates.iter().any(|p| p == c));
+    if allowed || ctx.testish {
+        return;
+    }
+    let file = &ctx.masked;
+    for line in 0..file.len() {
+        if file.in_test[line] {
+            continue;
+        }
+        let code = &file.code[line];
+        let hit = ["CONTROL_VCI_BASE", "REPLY_VCI_BASE"]
+            .into_iter()
+            .find(|t| contains_word(code, t))
+            .or_else(|| code.contains("Vci(0x7F").then_some("Vci(0x7F..)"));
+        let Some(what) = hit else { continue };
+        if waived(file, line, Rule::CommandPath) {
+            continue;
+        }
+        ctx.push(
+            out,
+            line,
+            Rule::CommandPath,
+            format!(
+                "`{what}` referenced outside the control plane (crate `{}`); only {} may \
+                 address the command VCIs",
+                ctx.crate_name.unwrap_or("?"),
+                config.command_plane_crates.join("/"),
+            ),
+        );
     }
 }
 
@@ -370,7 +359,7 @@ fn is_documented(file: &MaskedFile, item_line: usize) -> bool {
             return true;
         }
         // Attributes (possibly stacked) and plain comments — e.g. a
-        // `check:wire-enum` marker or a waiver — sit between the docs
+        // waiver — sit between the docs
         // and the item without breaking the attachment.
         if raw.starts_with("#[") || raw.starts_with("//") {
             continue;
@@ -400,12 +389,10 @@ fn is_documented(file: &MaskedFile, item_line: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn diags(rel: &str, source: &str) -> Vec<Diagnostic> {
-        let file = AnalyzedFile::analyze(PathBuf::from(rel), source);
         let mut out = Vec::new();
-        check_file(&file, &Config::default(), &mut out);
+        check_file(Path::new(rel), source, &Config::default(), &mut out);
         out
     }
 
@@ -572,7 +559,7 @@ mod tests {
         // break doc attachment (mask FP fix).
         let out = diags(
             "crates/segment/src/x.rs",
-            "/// Documented.\n// check:wire-enum: wire tags.\n#[derive(Debug)]\npub enum E { A }\n",
+            "/// Documented.\n// check:allow(no-unwrap): a waiver.\n#[derive(Debug)]\npub enum E { A }\n",
         );
         assert!(out.is_empty(), "{out:?}");
     }
@@ -613,39 +600,26 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_alloc_fires_in_marked_file() {
-        let src = "// check:hot-path: the data path.\nfn f() { let v: Vec<u8> = Vec::new(); }\n";
-        let out = diags("crates/core/src/x.rs", src);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::HotPathAlloc);
-        assert_eq!(out[0].line, 2);
+    fn hash_order_fires_where_the_wall_clock_rule_does() {
+        let src = "use std::collections::HashMap;\nfn f(s: &std::collections::HashSet<u8>) {}\n";
+        for path in ["crates/core/src/x.rs", "crates/sim/src/x.rs"] {
+            let out = diags(path, src);
+            assert_eq!(out.len(), 2, "{path}: {out:?}");
+            assert!(out.iter().all(|d| d.rule == Rule::HashOrder));
+            assert_eq!((out[0].line, out[1].line), (1, 2));
+        }
+        for exempt in [
+            "crates/bench/src/bin/repro.rs",
+            "crates/core/tests/x.rs",
+            "src/x.rs",
+        ] {
+            assert!(diags(exempt, src).is_empty(), "{exempt}");
+        }
     }
 
     #[test]
-    fn hot_path_alloc_flags_to_vec() {
-        let src = "// check:hot-path\nfn f(b: &[u8]) -> Vec<u8> { b.to_vec() }\n";
-        let out = diags("crates/core/src/x.rs", src);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, Rule::HotPathAlloc);
-    }
-
-    #[test]
-    fn hot_path_alloc_silent_without_marker() {
-        let src = "fn f() { let v: Vec<u8> = Vec::new(); g(v.to_vec()); }\n";
-        let out = diags("crates/core/src/x.rs", src);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn hot_path_alloc_ignores_test_code_and_vecdeque() {
-        let src = "// check:hot-path\nfn f(q: &mut std::collections::VecDeque<u8>) { q.clear(); }\n#[cfg(test)]\nmod tests {\n    fn t() { let v: Vec<u8> = Vec::new(); }\n}\n";
-        let out = diags("crates/core/src/x.rs", src);
-        assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn hot_path_alloc_waiver_suppresses() {
-        let src = "// check:hot-path\n// check:allow(hot-path-alloc): the copy is the contract here.\nfn f(b: &[u8]) -> Vec<u8> { b.to_vec() }\n";
+    fn hash_order_skips_test_code_and_btree_and_honours_waivers() {
+        let src = "use std::collections::BTreeMap;\n// check:allow(hash-order): lookups only.\nstruct S(std::collections::HashMap<u8, u8>);\n#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
         let out = diags("crates/core/src/x.rs", src);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -664,9 +638,36 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_marker_in_string_does_not_arm() {
-        let src = "fn f() { g(\"check:hot-path\"); let v: Vec<u8> = Vec::new(); }\n";
-        let out = diags("crates/core/src/x.rs", src);
-        assert!(out.is_empty(), "{out:?}");
+    fn command_vci_outside_the_control_plane_fires() {
+        let out = diags(
+            "crates/video/src/push.rs",
+            "fn f() { let vci = CONTROL_VCI_BASE + 3; }\n",
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, Rule::CommandPath);
+        assert!(out[0].message.contains("CONTROL_VCI_BASE"));
+        let out = diags(
+            "crates/atm/src/switch.rs",
+            "fn f() { let vci = Vci(0x7F00 + 2); }\n",
+        );
+        assert_eq!(out.len(), 1);
+        assert!(out[0].message.contains("Vci(0x7F..)"));
+    }
+
+    #[test]
+    fn command_vci_allowed_in_the_control_plane_and_test_code() {
+        let src = "fn f() { let vci = CONTROL_VCI_BASE; }\n";
+        for path in [
+            "crates/session/src/topology.rs",
+            "crates/recover/src/lease.rs",
+            "crates/video/tests/e2e.rs",
+        ] {
+            assert!(diags(path, src).is_empty(), "{path}");
+        }
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { let v = CONTROL_VCI_BASE; }\n}\n";
+        assert!(diags("crates/video/src/push.rs", in_test).is_empty());
+        let waived =
+            "fn f() {\n    // check:allow(command-path): read-only probe.\n    let vci = CONTROL_VCI_BASE;\n}\n";
+        assert!(diags("crates/video/src/push.rs", waived).is_empty());
     }
 }

@@ -9,7 +9,7 @@ fn strings() -> &'static str {
 }
 
 fn raw_strings() -> &'static str {
-    r#"SystemTime thread::sleep Vci(0x7F00) check:hot-path Vec::new("#
+    r#"SystemTime thread::sleep Vci(0x7F00) HashMap HashSet"#
 }
 
 fn char_then_string() -> u8 {
@@ -32,5 +32,6 @@ mod tests {
     fn host_clock_and_unwrap_are_fine_in_tests() {
         let _t = std::time::Instant::now();
         let _ = Some(1).unwrap();
+        let _ = std::collections::HashMap::<u8, u8>::new();
     }
 }

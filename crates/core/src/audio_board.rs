@@ -226,9 +226,9 @@ struct SpeakerInner {
     /// Latency from source timestamp to mix, per delivered block.
     latency: Histogram,
     /// Per-stream segment arrival jitter.
-    jitter: std::collections::HashMap<StreamId, JitterTracker>,
+    jitter: std::collections::BTreeMap<StreamId, JitterTracker>,
     /// Per-stream sequence trackers.
-    seq: std::collections::HashMap<StreamId, SeqTracker>,
+    seq: std::collections::BTreeMap<StreamId, SeqTracker>,
     /// Blocks concealed by replay.
     concealed: u64,
     /// Current clawback delay per stream (ns), sampled each tick.
@@ -397,7 +397,7 @@ pub fn spawn_audio_playback(
     spawner.spawn(&task_name, async move {
         let pool = ClawbackPool::new(config.pool_blocks);
         let mut bank: ClawbackBank<TimedBlock> = ClawbackBank::new(config.clawback, pool);
-        let mut concealers: std::collections::HashMap<StreamId, Concealer> = Default::default();
+        let mut concealers: std::collections::BTreeMap<StreamId, Concealer> = Default::default();
         let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         let start = pandora_sim::now();
         let mut tick_no: u64 = 0;
@@ -510,7 +510,7 @@ pub fn spawn_audio_playback(
 #[allow(clippy::too_many_arguments)]
 async fn handle_segment(
     bank: &mut ClawbackBank<TimedBlock>,
-    concealers: &mut std::collections::HashMap<StreamId, Concealer>,
+    concealers: &mut std::collections::BTreeMap<StreamId, Concealer>,
     sink: &SpeakerSink,
     config: &PlaybackConfig,
     stream: StreamId,

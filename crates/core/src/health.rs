@@ -109,7 +109,7 @@ impl HealthBoard {
                 match inner.audio.observe(&audio_sample) {
                     Some(AdaptAction::Mute) => speaker.set_muted(true),
                     Some(AdaptAction::Unmute) => speaker.set_muted(false),
-                    _ => {}
+                    Some(AdaptAction::SetDivisor(_)) | None => {}
                 }
                 if let Some(AdaptAction::SetDivisor(d)) = inner.video.observe(&video_sample) {
                     for h in &inner.captures {

@@ -27,6 +27,11 @@
 //! Start with [`connect_pair`] and [`open_audio_shout`] /
 //! [`open_video_stream`], or the examples in the repository root.
 
+// A catch-all arm over `StreamKind` would route a newly added class
+// without a priority decision: every match over this crate's enums names
+// each variant.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 pub mod audio_board;
 pub mod config;
 pub mod health;

@@ -6,9 +6,6 @@ use pandora_segment::{SegmentType, StreamId};
 use pandora_sim::SimTime;
 
 /// The class of traffic on a stream (drives Principle 2).
-// check:wire-enum(encode): every class must be named in the routing and
-// scheduling matches — a catch-all arm would silently misroute a newly
-// added class instead of forcing a priority decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
     /// An audio stream.

@@ -12,10 +12,8 @@
 //!   following audio segments, introducing up to 20ms of jitter";
 //!   [`TxMode::Interleaved`] is the cell-level round-robin ablation.
 
-// check:hot-path: every transmitted and received segment passes through here.
-
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use pandora_atm::{cells_gather, SlabReassembler, Vci};
@@ -40,7 +38,7 @@ struct NetOutInner {
     video_segments: u64,
     cells: u64,
     /// Video segments dropped by the P3 (oldest-first) policy, per stream.
-    p3_drops: HashMap<StreamId, u64>,
+    p3_drops: BTreeMap<StreamId, u64>,
     /// Time audio segments waited from arrival at the scheduler to the
     /// start of transmission (the §4.2 hold-up).
     audio_wait_ns: Histogram,
@@ -142,13 +140,13 @@ pub fn spawn_net_out(
     let proc_name = format!("net-out:{name}");
     let task_name = proc_name.clone();
     spawner.spawn(&task_name, async move {
-        let mut cell_seq: HashMap<Vci, u32> = HashMap::new();
+        let mut cell_seq: BTreeMap<Vci, u32> = BTreeMap::new();
         // Reusable header scratch region: headers are encoded here and
         // scatter-gathered with the slab payload, so no contiguous wire
         // image of the segment is ever built.
         let mut scratch: Vec<u8> = Vec::with_capacity(128);
         let mut audio_q: VecDeque<(NetMsg, SimTime)> = VecDeque::new();
-        let mut video_q: HashMap<StreamId, VideoQueue> = HashMap::new();
+        let mut video_q: BTreeMap<StreamId, VideoQueue> = BTreeMap::new();
         let mut video_backlog = 0usize;
         let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         // In interleaved mode, the cells of the segment currently being
@@ -246,7 +244,7 @@ pub fn spawn_net_out(
                     )
                     .await
                 }
-                _ => return,
+                Some(Err(_)) | None => return,
             }
         }
     });
@@ -261,7 +259,7 @@ pub fn spawn_net_out(
 fn segment_cells(
     m: &NetMsg,
     pool: &Pool<SlabSegment>,
-    cell_seq: &mut HashMap<Vci, u32>,
+    cell_seq: &mut BTreeMap<Vci, u32>,
     scratch: &mut Vec<u8>,
 ) -> Vec<pandora_atm::Cell> {
     let cells = pool.with(m.desc, |seg| {
@@ -282,7 +280,7 @@ fn segment_cells(
 #[allow(clippy::too_many_arguments)]
 async fn admit_video(
     m: NetMsg,
-    video_q: &mut HashMap<StreamId, VideoQueue>,
+    video_q: &mut BTreeMap<StreamId, VideoQueue>,
     backlog: &mut usize,
     cap: usize,
     oldest_first: bool,
@@ -302,7 +300,7 @@ async fn admit_video(
     while *backlog > cap {
         // Principle 3: degrade the stream that has been open the longest
         // (disabled: the newest stream takes the hit instead). Ties on
-        // `opened_at` break on the stream id, not on the map's hash order.
+        // `opened_at` break on the stream id.
         let candidates = video_q.iter().filter(|(_, q)| !q.segments.is_empty());
         let victim = if oldest_first {
             candidates.min_by_key(|(&id, q)| (q.opened_at, id))
@@ -335,7 +333,7 @@ async fn admit_video(
     }
 }
 
-fn pop_video(video_q: &mut HashMap<StreamId, VideoQueue>, backlog: &mut usize) -> Option<NetMsg> {
+fn pop_video(video_q: &mut BTreeMap<StreamId, VideoQueue>, backlog: &mut usize) -> Option<NetMsg> {
     // Serve streams round-robin-ish by taking from the newest stream
     // first (the complement of the drop rule keeps new calls lively).
     let id = video_q
@@ -747,7 +745,7 @@ mod tests {
                     .unwrap(); // New.
             }
         });
-        let delivered = Rc::new(RefCell::new(HashMap::<Vci, u64>::new()));
+        let delivered = Rc::new(RefCell::new(BTreeMap::<Vci, u64>::new()));
         let d = delivered.clone();
         let rx = r.wire_rx;
         r.sim.spawn("wire", async move {
@@ -857,10 +855,9 @@ mod tests {
 
     #[test]
     fn p3_ties_on_opened_at_break_on_stream_id_not_hash_order() {
-        // Two streams opened at the same instant, driven past the cap.
-        // Every rig builds a fresh `HashMap` with its own `RandomState`
-        // keys, so a tie left to iteration order shows up within a few
-        // of the 32 builds.
+        // Two streams opened at the same instant, driven past the cap:
+        // the tie breaks on the stream id, so every one of 32 builds
+        // drops and sends alike.
         let run = |oldest_first: bool| {
             let mut r = rig_cfg(
                 NetOutConfig {

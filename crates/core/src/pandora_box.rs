@@ -8,7 +8,7 @@
 //! done with the streams, and they then run continuously until stopped."
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora_atm::Vci;
@@ -170,7 +170,7 @@ pub struct PandoraBox {
     to_switch: Sender<SegMsg>,
     muting: Option<Rc<RefCell<Muting>>>,
     next_stream: Cell<u32>,
-    opened: RefCell<HashMap<StreamId, SimTime>>,
+    opened: RefCell<BTreeMap<StreamId, SimTime>>,
     mic_stats: RefCell<Vec<CaptureStats>>,
     repository_rx: RefCell<Option<Receiver<(StreamId, Segment)>>>,
     session_rx: RefCell<Option<Receiver<(StreamId, Segment)>>>,
@@ -282,7 +282,7 @@ impl PandoraBox {
             audio_out_rx,
             |seg| match seg {
                 Segment::Audio(a) => Some(a),
-                _ => None,
+                Segment::Video(_) | Segment::Test(_) => None,
             },
             AudioSegment::wire_bytes,
         );
@@ -320,7 +320,7 @@ impl PandoraBox {
             mixer_out_rx,
             |seg| match seg {
                 Segment::Video(v) => Some(v),
-                _ => None,
+                Segment::Audio(_) | Segment::Test(_) => None,
             },
             VideoSegment::wire_bytes,
         );
@@ -407,7 +407,7 @@ impl PandoraBox {
             to_switch,
             muting,
             next_stream: Cell::new(1),
-            opened: RefCell::new(HashMap::new()),
+            opened: RefCell::new(BTreeMap::new()),
             mic_stats: RefCell::new(Vec::new()),
             repository_rx: RefCell::new(Some(repo_rx)),
             session_rx: RefCell::new(Some(session_rx)),

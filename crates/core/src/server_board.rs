@@ -16,7 +16,7 @@
 //! table changing during the processing of a segment" (Principle 6).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora_atm::Vci;
@@ -145,7 +145,7 @@ pub fn spawn_switch<T: 'static>(
     let proc_name = format!("switch:{name}");
     let task_name = proc_name.clone();
     spawner.spawn(&task_name, async move {
-        let mut table: HashMap<StreamId, SwitchEntry> = HashMap::new();
+        let mut table: BTreeMap<StreamId, SwitchEntry> = BTreeMap::new();
         let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         loop {
             // PRI ALT: commands first (Principle 4). With the principle
@@ -155,13 +155,13 @@ pub fn spawn_switch<T: 'static>(
                 match alt2(&commands, &input).await {
                     Some(Ok(Either2::A(cmd))) => (Some(cmd), None),
                     Some(Ok(Either2::B(msg))) => (None, Some(msg)),
-                    _ => return,
+                    Some(Err(_)) | None => return,
                 }
             } else {
                 match alt2(&input, &commands).await {
                     Some(Ok(Either2::A(msg))) => (None, Some(msg)),
                     Some(Ok(Either2::B(cmd))) => (Some(cmd), None),
-                    _ => return,
+                    Some(Err(_)) | None => return,
                 }
             };
             match next {
@@ -289,7 +289,7 @@ async fn offer_plain(
 }
 
 async fn apply_command(
-    table: &mut HashMap<StreamId, SwitchEntry>,
+    table: &mut BTreeMap<StreamId, SwitchEntry>,
     cmd: SwitchCommand,
     reports: &Sender<Report>,
     proc_name: &str,

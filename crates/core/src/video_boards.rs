@@ -407,7 +407,7 @@ pub fn spawn_video_display(
     let scan = ScanModel::new(display_height, FRAME_PERIOD_NANOS);
     spawner.spawn(&format!("video-display:{name}"), async move {
         let mut cache = LineCache::new();
-        let mut assemblers: std::collections::HashMap<StreamId, FrameAssembler> =
+        let mut assemblers: std::collections::BTreeMap<StreamId, FrameAssembler> =
             Default::default();
         while let Ok((stream, seg)) = segments.recv().await {
             s.inner.borrow_mut().segments += 1;

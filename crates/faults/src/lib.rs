@@ -22,6 +22,10 @@
 //! executor. A run's injected faults are therefore part of its
 //! reproducible output, exactly like its metrics.
 
+// A catch-all arm over `FaultKind` would let a new fault silently no-op
+// in replays: every match over this crate's enums names each variant.
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -36,9 +40,6 @@ use pandora_sim::{Cpu, Priority, SimDuration, SimTime, Spawner, TickerHandle};
 /// by task-name prefix).
 ///
 /// [`PauseTasks`]: FaultKind::PauseTasks
-// check:wire-enum(encode): every fault kind must be named in the
-// injection and trace-formatting matches; a catch-all would let a new
-// fault silently no-op in replays.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Superimposed Bernoulli cell loss on a path's egress.

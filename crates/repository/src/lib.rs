@@ -14,7 +14,7 @@
 //! repository CPU at a higher priority than playback tasks.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora_buffers::{Report, ReportClass};
@@ -96,7 +96,7 @@ const PRIO_RECORD: pandora_sim::ClaimPriority = 14;
 const PRIO_PLAYBACK: pandora_sim::ClaimPriority = 6;
 
 struct RepoInner {
-    recordings: RefCell<HashMap<RecordingId, Recording>>,
+    recordings: RefCell<BTreeMap<RecordingId, Recording>>,
     next_id: Cell<u64>,
     cpu: Cpu,
     costs: RepositoryCosts,
@@ -146,7 +146,7 @@ impl Repository {
     ) -> Self {
         Repository {
             inner: Rc::new(RepoInner {
-                recordings: RefCell::new(HashMap::new()),
+                recordings: RefCell::new(BTreeMap::new()),
                 next_id: Cell::new(1),
                 cpu: Cpu::new(&format!("repo:{name}"), SimDuration::from_nanos(700)),
                 costs,

@@ -14,8 +14,6 @@
 //! [`encode`] and [`decode`] remain as the owned-`Vec` compatibility
 //! wrappers over the same code.
 
-// check:hot-path: the per-segment codec runs for every hop.
-
 use bytes::Buf;
 use pandora_slab::SlabRef;
 
@@ -271,7 +269,6 @@ pub fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
 /// move out of `data`).
 pub fn decode(data: &[u8]) -> Result<Segment, WireError> {
     let view = decode_view(data)?;
-    // check:allow(hot-path-alloc): the legacy owned path copies here by contract.
     Ok(view.header.into_segment(view.payload.to_vec()))
 }
 

@@ -52,7 +52,7 @@
 //! re-enter conferences through the normal admission path.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora::{OutputId, PandoraBox, StreamKind};
@@ -184,9 +184,9 @@ struct RecoveryStats {
 
 struct CtlInner {
     directory: Directory,
-    sessions: HashMap<u32, SessionRec>,
-    pending: HashMap<u32, Sender<SessionMsg>>,
-    cell_seq: HashMap<Vci, u32>,
+    sessions: BTreeMap<u32, SessionRec>,
+    pending: BTreeMap<u32, Sender<SessionMsg>>,
+    cell_seq: BTreeMap<Vci, u32>,
     next_session: u32,
     next_txn: u32,
     next_vci: u32,
@@ -224,9 +224,9 @@ impl Controller {
     ) -> Controller {
         let inner = Rc::new(RefCell::new(CtlInner {
             directory,
-            sessions: HashMap::new(),
-            pending: HashMap::new(),
-            cell_seq: HashMap::new(),
+            sessions: BTreeMap::new(),
+            pending: BTreeMap::new(),
+            cell_seq: BTreeMap::new(),
             next_session: 1,
             next_txn: 1,
             // Sink VCIs sit far above box-local stream numbers (which
@@ -944,9 +944,9 @@ impl Controller {
 struct AgentInner {
     admission: AdmissionController,
     // Granted sinks by VCI (value = granted class, for the refund).
-    sinks: HashMap<Vci, StreamClass>,
+    sinks: BTreeMap<Vci, StreamClass>,
     // Charged source copies by (stream, vci).
-    sources: HashMap<(StreamId, Vci), StreamClass>,
+    sources: BTreeMap<(StreamId, Vci), StreamClass>,
     handled: u64,
 }
 
@@ -1018,8 +1018,8 @@ pub fn spawn_agent(
     let stats = AgentStats {
         inner: Rc::new(RefCell::new(AgentInner {
             admission: AdmissionController::new(caps),
-            sinks: HashMap::new(),
-            sources: HashMap::new(),
+            sinks: BTreeMap::new(),
+            sources: BTreeMap::new(),
             handled: 0,
         })),
     };

@@ -24,8 +24,6 @@ pub const CONTROL_MAGIC: [u8; 4] = *b"PSC1";
 pub const CONTROL_BYTES: usize = 29;
 
 /// Why an admission request was refused.
-// check:wire-enum: reason codes cross the wire in Reject; a code
-// without a decode arm would surface as a protocol error at the peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The endpoint is at its sink capacity for the stream class
@@ -54,8 +52,6 @@ impl RejectReason {
 }
 
 /// The class of stream a request concerns, with the requested quality.
-// check:wire-enum: class tags ride in every control message; encode and
-// decode must cover each class or admission breaks asymmetrically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamClass {
     /// 2-block µ-law audio (68-byte segments every 4 ms). Audio is never
@@ -113,8 +109,6 @@ impl StreamClass {
 
 /// A control-plane message. `txn` matches replies to requests; `session`
 /// is the controller's conference/stream identifier.
-// check:wire-enum: each kind code (1..=9) must have an encode arm and a
-// literal-pattern decode arm, or a peer's message is silently dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionMsg {
     /// Request: admit and install a sink for a stream arriving on `vci`
@@ -423,15 +417,55 @@ mod tests {
         ]
     }
 
+    /// The wire enums' exhaustiveness oracle. Each index `match` has no
+    /// `_` arm, so a new variant does not compile until it is listed
+    /// here; `all_messages()` must then carry it, and every message must
+    /// survive `decode(encode(m))` — a kind code without a decode arm
+    /// fails here.
     #[test]
-    fn roundtrip_through_bytes_and_segments() {
+    fn every_wire_variant_is_listed_and_round_trips() {
+        let mut msgs = [false; 9];
+        let mut classes = [false; 2];
+        let mut reasons = [false; 2];
+        let mut class_seen = |class: StreamClass| {
+            classes[match class {
+                StreamClass::Audio => 0,
+                StreamClass::Video { .. } => 1,
+            }] = true;
+        };
         for msg in all_messages() {
+            msgs[match msg {
+                SessionMsg::OpenSink { class, .. } => {
+                    class_seen(class);
+                    0
+                }
+                SessionMsg::Accept { .. } => 1,
+                SessionMsg::Reject { reason, .. } => {
+                    reasons[match reason {
+                        RejectReason::SinkBudget => 0,
+                        RejectReason::LinkBudget => 1,
+                    }] = true;
+                    2
+                }
+                SessionMsg::AddDest { class, .. } => {
+                    class_seen(class);
+                    3
+                }
+                SessionMsg::RemoveDest { .. } => 4,
+                SessionMsg::CloseSink { .. } => 5,
+                SessionMsg::Done { .. } => 6,
+                SessionMsg::Ping { .. } => 7,
+                SessionMsg::Pong { .. } => 8,
+            }] = true;
             let bytes = msg.encode();
             assert_eq!(bytes.len(), CONTROL_BYTES);
             assert_eq!(SessionMsg::decode(&bytes), Some(msg), "{msg:?}");
             let seg = msg.to_segment(42);
             assert_eq!(SessionMsg::from_segment(&seg), Some(msg), "{msg:?}");
         }
+        assert_eq!(msgs, [true; 9], "a SessionMsg variant is missing");
+        assert_eq!(classes, [true; 2], "a StreamClass variant is missing");
+        assert_eq!(reasons, [true; 2], "a RejectReason variant is missing");
     }
 
     #[test]

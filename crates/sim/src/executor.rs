@@ -119,7 +119,7 @@ impl Wake for InertWaker {
 /// the same instant, regardless of registration order. The late lane
 /// exists for the cluster's ingress dispatcher (`pandora-shard`): its
 /// delivery timer is re-registered whenever a send moves the head of the
-/// ingress heap, and those re-registrations must never perturb the
+/// ingress lanes, and those re-registrations must never perturb the
 /// ordering of the ordinary timers the workload itself registered.
 ///
 /// [`Normal`]: TimerLane::Normal

@@ -25,8 +25,6 @@
 //! leaked slab indices are reported on stderr and recorded for
 //! [`take_slab_leak_report`].
 
-// check:hot-path: the transport data path allocates from this arena only.
-
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -472,7 +470,6 @@ impl SlabRef {
 
     /// Copies the bytes into a fresh `Vec` — the sanctioned *output* copy.
     pub fn copy_to_vec(&self) -> Vec<u8> {
-        // check:allow(hot-path-alloc): this IS the counted output copy.
         self.copy_out_with(|b| b.to_vec())
     }
 }

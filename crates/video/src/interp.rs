@@ -13,7 +13,7 @@
 //! the right line produces measurable seams; with the [`LineCache`] it is
 //! seamless.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pandora_segment::{StreamId, VideoSegment};
 
@@ -45,7 +45,7 @@ fn vertical_filter(pixels: &mut [u8], width: usize, prev: &mut Vec<u8>) {
 /// The per-stream software cache of the last processed line.
 #[derive(Debug, Default)]
 pub struct LineCache {
-    lines: HashMap<StreamId, Vec<u8>>,
+    lines: BTreeMap<StreamId, Vec<u8>>,
 }
 
 impl LineCache {

@@ -123,8 +123,7 @@ fn steady_state_hop_stays_within_two_copies() {
 /// An idle box is free and a busy one stops allocating: the slab backs a
 /// slot the first time it is used, so a conference box holds its
 /// high-water mark of live regions — a handful, not the arena's 288 —
-/// and none after warm-up. (`pandora-check`'s `hot-path-alloc` rule
-/// cannot see this: the backing is a `vec![…]`.)
+/// and none after warm-up.
 #[test]
 fn conference_boxes_back_a_few_slabs_and_none_after_warm_up() {
     let mut sim = Simulation::new();
