@@ -3,10 +3,10 @@
 
 use pandora_audio::gen::{Signal, Speech, Tone, Violin};
 use pandora_audio::{quality, recovery, Block, MuteStage, Muting, MutingConfig};
-use pandora_buffers::{spawn_decoupling_ready, BufferCommand, ReadyGate, Report};
+use pandora_buffers::{decoupling, Report};
 use pandora_metrics::{Table, TimeSeries};
 use pandora_segment::{AudioSegment, SequenceNumber, Timestamp};
-use pandora_sim::{channel, unbounded, SimDuration, SimTime, Simulation};
+use pandora_sim::{unbounded, SimDuration, SimTime, Simulation};
 
 /// Result of the E8 muting-trace experiment.
 pub struct MutingResult {
@@ -234,21 +234,17 @@ pub struct DecouplingResult {
     pub table: Table,
 }
 
-/// E16 (§3.7.1): the ready-channel protocol never blocks upstream, drops
+/// E16 (§3.7.1): a ready-mode buffer never blocks upstream, drops
 /// are counted at the buffer, and a live resize loses nothing.
 pub fn decoupling_mechanics() -> DecouplingResult {
     // (a) Stalled consumer: upstream stays live, drops counted.
     let mut sim = Simulation::new();
-    let (in_tx, in_rx) = channel::<u64>();
-    let (out_tx, out_rx) = channel::<u64>();
     let (rep_tx, _rep_rx) = unbounded::<Report>();
-    let (_handle, ready_rx) =
-        spawn_decoupling_ready(&sim.spawner(), "e16", 8, in_rx, out_tx, rep_tx.clone());
+    let (mut gate, out_rx, _handle) = decoupling::<u64>("e16", 8, true, rep_tx);
     let stats = std::rc::Rc::new(std::cell::Cell::new((0u64, 0u64, 0u64)));
     {
         let stats = stats.clone();
         sim.spawn("producer", async move {
-            let mut gate = ReadyGate::new(in_tx, ready_rx);
             let mut blocked_ns = 0u64;
             for i in 0..1_000u64 {
                 let before = pandora_sim::now();
@@ -275,25 +271,19 @@ pub fn decoupling_mechanics() -> DecouplingResult {
 
     // (b) Live resize without loss.
     let mut sim2 = Simulation::new();
-    let (in_tx2, in_rx2) = channel::<u64>();
-    let (out_tx2, out_rx2) = channel::<u64>();
     let (rep_tx2, _r) = unbounded::<Report>();
-    let handle2 =
-        pandora_buffers::spawn_decoupling(&sim2.spawner(), "rsz", 16, in_rx2, out_tx2, rep_tx2);
-    {
-        let h = handle2.clone();
-        sim2.spawn("producer", async move {
-            for i in 0..500u64 {
-                in_tx2.send(i).await.unwrap();
-                if i == 250 {
-                    h.command(BufferCommand::SetCapacity(2)).await;
-                }
-                if i == 400 {
-                    h.command(BufferCommand::SetCapacity(64)).await;
-                }
+    let (mut gate2, out_rx2, handle2) = decoupling::<u64>("rsz", 16, false, rep_tx2);
+    sim2.spawn("producer", async move {
+        for i in 0..500u64 {
+            gate2.offer(i).await;
+            if i == 250 {
+                handle2.set_capacity(2);
             }
-        });
-    }
+            if i == 400 {
+                handle2.set_capacity(64);
+            }
+        }
+    });
     let received = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     {
         let received = received.clone();

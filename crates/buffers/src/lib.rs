@@ -2,11 +2,11 @@
 //!
 //! The buffering machinery at the heart of the paper (§3.4, §3.7):
 //!
-//! * [`spawn_decoupling`] / [`spawn_decoupling_ready`] — circular-buffer
-//!   processes "inserted to allow some concurrency between processes or
-//!   independent hardware units", with the figure 3.6 ready-channel
-//!   protocol ([`ReadyGate`]) so upstream can drop instead of block
-//!   (Principle 5), dynamic no-loss resizing, and status reports;
+//! * [`decoupling`] — bounded queues "inserted to allow some concurrency
+//!   between processes or independent hardware units": upstream offers
+//!   through a [`ReadyGate`] that drops instead of blocking on a full
+//!   buffer (figure 3.6, Principle 5), and a [`DecouplingHandle`] resizes
+//!   without loss and reports;
 //! * [`Clawback`] / [`ClawbackBank`] — per-stream destination jitter
 //!   buffers with silence insertion on underrun, a slow fixed clawback
 //!   rate (2 ms per 8 s) that also covers 1e-5 clock drift, the 120 ms
@@ -32,9 +32,7 @@ pub use clawback::{
     Arrival, Clawback, ClawbackBank, ClawbackConfig, ClawbackPool, ClawbackStats,
     MultiRateClawback, MultiRateConfig,
 };
-pub use decoupling::{
-    spawn_decoupling, spawn_decoupling_ready, BufferCommand, DecouplingHandle, ReadyGate,
-};
+pub use decoupling::{decoupling, DecouplingHandle, ReadyGate};
 pub use pool::{take_leak_report, Alloc, Descriptor, LeakReport, Pool};
 pub use report::{Report, ReportClass};
 

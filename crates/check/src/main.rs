@@ -66,9 +66,10 @@ const RETIRED: [(&str, &str, &str); 4] = [
     (
         "PC102",
         "channel-cycle",
-        "Its one real-tree hit was the waived decoupling conduit. Deadlocks are \
-         caught at run time by the executor's deadlock detector, and recorded \
-         schedules are the determinism oracle.",
+        "Its one real-tree hit was the waived conduit of the decoupling buffer \
+         process, since deleted: a buffer is a queue. Deadlocks are caught at \
+         run time by the executor's deadlock detector, and recorded schedules \
+         are the determinism oracle.",
     ),
     (
         "PC104",

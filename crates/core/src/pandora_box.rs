@@ -62,31 +62,14 @@ struct Outputs<'a> {
 }
 
 impl Outputs<'_> {
-    /// Spawns the decoupling buffer `{name}:{label}` (§3.7.1); returns the
-    /// switch's gate into it and the receiver it drains to.
+    /// Builds the decoupling buffer `{name}:{label}` (§3.7.1); returns the
+    /// switch's gate into it and the queue its output handler drains.
     fn gate<T: 'static>(&self, label: &str, cap: usize) -> (ReadyGate<T>, Receiver<T>) {
-        let task = format!("{}:{label}", self.name);
-        let (in_tx, in_rx) = pandora_sim::channel::<T>();
-        let (out_tx, out_rx) = pandora_sim::channel::<T>();
-        let reports = self.reports.clone();
-        let gate = if self.ready_mode {
-            let (h, ready) = pandora_buffers::spawn_decoupling_ready(
-                self.spawner,
-                &task,
-                cap,
-                in_rx,
-                out_tx,
-                reports,
-            );
-            self.buffers.borrow_mut().push(h);
-            ReadyGate::new(in_tx, ready)
-        } else {
-            let h =
-                pandora_buffers::spawn_decoupling(self.spawner, &task, cap, in_rx, out_tx, reports);
-            self.buffers.borrow_mut().push(h);
-            ReadyGate::blocking(in_tx)
-        };
-        (gate, out_rx)
+        let name = format!("{}:{label}", self.name);
+        let (gate, queue, handle) =
+            pandora_buffers::decoupling(&name, cap, self.ready_mode, self.reports.clone());
+        self.buffers.borrow_mut().push(handle);
+        (gate, queue)
     }
 
     /// Spawns the link `wire` to a board and the output handler

@@ -333,7 +333,7 @@ async fn apply_command(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora_buffers::{spawn_decoupling_ready, ClawbackConfig};
+    use pandora_buffers::decoupling;
     use pandora_segment::{AudioSegment, Segment, SequenceNumber, Timestamp};
     use pandora_sim::{channel, unbounded, SimTime, Simulation};
 
@@ -363,26 +363,12 @@ mod tests {
         let (cmd_tx, cmd_rx) = unbounded::<SwitchCommand>();
         let (rep_tx, _rep_rx) = unbounded::<Report>();
 
-        // Audio output with a decoupling buffer.
-        let (a_in_tx, a_in_rx) = channel::<SegMsg>();
-        let (a_out_tx, audio_out) = channel::<SegMsg>();
-        let (_h, a_ready) = spawn_decoupling_ready(
-            &spawner,
-            "audio",
-            audio_capacity,
-            a_in_rx,
-            a_out_tx,
-            rep_tx.clone(),
-        );
-        // Test output likewise.
-        let (t_in_tx, t_in_rx) = channel::<SegMsg>();
-        let (t_out_tx, test_out) = channel::<SegMsg>();
-        let (_h2, t_ready) =
-            spawn_decoupling_ready(&spawner, "test", 16, t_in_rx, t_out_tx, rep_tx.clone());
-
+        // Audio and test outputs, each with a ready-mode decoupling buffer.
+        let (audio, audio_out, _) = decoupling("audio", audio_capacity, true, rep_tx.clone());
+        let (test, test_out, _) = decoupling("test", 16, true, rep_tx.clone());
         let outputs = SwitchOutputs {
-            audio: Some(ReadyGate::new(a_in_tx, a_ready)),
-            test: Some(ReadyGate::new(t_in_tx, t_ready)),
+            audio: Some(audio),
+            test: Some(test),
             ..SwitchOutputs::none()
         };
         let cpu = Cpu::new("server", SimDuration::ZERO);
@@ -399,7 +385,6 @@ mod tests {
             rep_tx,
             SimDuration::from_millis(100),
         );
-        let _ = ClawbackConfig::default();
         Rig {
             sim,
             pool,

@@ -21,7 +21,6 @@ use crate::lease::{Lease, LeaseConfig, LeaseEvent, LeaseTable};
 #[derive(Debug, Default)]
 pub struct PassiveBeat {
     table: LeaseTable,
-    config: BTreeMap<u32, LeaseConfig>,
     fresh: BTreeMap<u32, bool>,
 }
 
@@ -35,7 +34,6 @@ impl PassiveBeat {
     /// history (the [`LeaseTable::grant`] contract).
     pub fn enroll(&mut self, peer: u32, config: LeaseConfig) {
         self.table.grant(peer, config);
-        self.config.insert(peer, config);
         self.fresh.entry(peer).or_insert(true);
     }
 

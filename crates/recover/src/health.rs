@@ -1,9 +1,10 @@
 //! Per-stream health monitoring and the P8 local-adaptation policy.
 //!
-//! A [`StreamHealth`] accumulates sequence-gap and late-segment counts
-//! into fixed tumbling windows of virtual time and feeds each closed
-//! window to an [`AdaptMachine`], which turns sustained trouble into
-//! [`AdaptAction`]s:
+//! The caller closes fixed tumbling windows of virtual time — a box's
+//! health board (`pandora::health`) takes the deltas of its own
+//! sequence-gap and late-segment counters — and feeds each closed
+//! [`WindowSample`] to an [`AdaptMachine`], which turns sustained trouble
+//! into [`AdaptAction`]s:
 //!
 //! * **Video** steps its rate divisor down (divisor ×2 per sustained-loss
 //!   period, capped) — degrade-to-fit, the P2/P3 ordering: the cheap,
@@ -243,78 +244,6 @@ impl AdaptMachine {
     }
 }
 
-/// Tumbling-window accumulator feeding an [`AdaptMachine`].
-///
-/// The caller reports raw events ([`StreamHealth::record_received`] and
-/// friends) and periodically calls [`StreamHealth::advance`] with the
-/// current virtual time; every window boundary crossed closes a window
-/// into the machine. Time only moves forward; the caller owns the clock
-/// so the whole pipeline replays byte-identically.
-#[derive(Debug, Clone)]
-pub struct StreamHealth {
-    window_nanos: u64,
-    window_start: u64,
-    cur: WindowSample,
-    machine: AdaptMachine,
-    windows_closed: u64,
-}
-
-impl StreamHealth {
-    /// A monitor whose first window opens at `now_nanos`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured window is zero.
-    pub fn new(class: MediaClass, config: HealthConfig, now_nanos: u64) -> StreamHealth {
-        assert!(config.window.as_nanos() > 0, "zero-length health window");
-        StreamHealth {
-            window_nanos: config.window.as_nanos(),
-            window_start: now_nanos,
-            cur: WindowSample::default(),
-            machine: AdaptMachine::new(class, config),
-            windows_closed: 0,
-        }
-    }
-
-    /// Records `n` received segments in the open window.
-    pub fn record_received(&mut self, n: u64) {
-        self.cur.received += n;
-    }
-
-    /// Records `n` segments detected missing.
-    pub fn record_gap(&mut self, n: u64) {
-        self.cur.gaps += n;
-    }
-
-    /// Closes every window boundary crossed by `now_nanos`, feeding each
-    /// to the machine; returns the actions to apply, in order. All the
-    /// accumulated counts land in the first closed window (the events
-    /// happened before the first boundary the caller reported past);
-    /// subsequent catch-up windows are idle.
-    pub fn advance(&mut self, now_nanos: u64) -> Vec<AdaptAction> {
-        let mut actions = Vec::new();
-        while now_nanos >= self.window_start + self.window_nanos {
-            let sample = std::mem::take(&mut self.cur);
-            self.windows_closed += 1;
-            self.window_start += self.window_nanos;
-            if let Some(a) = self.machine.observe(&sample) {
-                actions.push(a);
-            }
-        }
-        actions
-    }
-
-    /// Windows closed so far.
-    pub fn windows_closed(&self) -> u64 {
-        self.windows_closed
-    }
-
-    /// The adaptation machine (state, counters, digest).
-    pub fn machine(&self) -> &AdaptMachine {
-        &self.machine
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,24 +346,6 @@ mod tests {
         };
         let _ = m.observe(&late);
         assert_eq!(m.observe(&late), Some(AdaptAction::SetDivisor(2)));
-    }
-
-    #[test]
-    fn stream_health_closes_windows_on_virtual_time() {
-        let mut h = StreamHealth::new(MediaClass::Audio, cfg(), 0);
-        h.record_received(90);
-        h.record_gap(10);
-        assert!(h.advance(99_999_999).is_empty(), "window still open");
-        assert!(h.advance(100_000_000).is_empty(), "first bad window");
-        h.record_received(90);
-        h.record_gap(10);
-        let actions = h.advance(200_000_000);
-        assert_eq!(actions, vec![AdaptAction::Mute]);
-        assert_eq!(h.windows_closed(), 2);
-        // A long idle stretch closes clean catch-up windows: recovery.
-        let actions = h.advance(700_000_000);
-        assert_eq!(actions, vec![AdaptAction::Unmute]);
-        assert_eq!(h.windows_closed(), 7);
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   volunteer hellos on their own cadence and one sweep per interval
 //!   renews or misses every lease at once. The overlay broadcast hub
 //!   watches a thousand relays this way without per-peer probe tasks.
-//! * [`StreamHealth`] / [`AdaptMachine`] — a sliding-window monitor of
-//!   sequence-gap and late-segment rates per stream, driving the P8
-//!   local-adaptation policy: sustained video loss steps the rate
-//!   divisor down (degrade-to-fit, the P2/P3 ordering — video gives way
-//!   first), sustained audio loss engages muting rather than degrading
+//! * [`AdaptMachine`] — the P8 local-adaptation policy over windows of
+//!   sequence-gap and late-segment rates per stream ([`WindowSample`]):
+//!   sustained video loss steps the rate divisor down (degrade-to-fit,
+//!   the P2/P3 ordering — video gives way first), sustained audio loss
+//!   engages muting rather than degrading
 //!   (audio is never sent at reduced quality, P2), and recovery
 //!   hysteresis restores full quality only after the trouble has
 //!   demonstrably cleared.
@@ -36,7 +36,5 @@ pub mod health;
 pub mod lease;
 
 pub use beat::PassiveBeat;
-pub use health::{
-    AdaptAction, AdaptMachine, AdaptState, HealthConfig, MediaClass, StreamHealth, WindowSample,
-};
+pub use health::{AdaptAction, AdaptMachine, AdaptState, HealthConfig, MediaClass, WindowSample};
 pub use lease::{Lease, LeaseConfig, LeaseEvent, LeaseState, LeaseTable};

@@ -60,9 +60,7 @@ use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, Vci};
 use pandora_metrics::{Histogram, StateTimeline, Table};
 use pandora_recover::{LeaseConfig, LeaseEvent, LeaseState, LeaseTable};
 use pandora_segment::{wire, StreamId};
-use pandora_sim::{
-    alt2_deadline, Either2, LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner,
-};
+use pandora_sim::{recv_deadline, LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -204,8 +202,6 @@ pub struct Controller {
     inner: Rc<RefCell<CtlInner>>,
     switch: Rc<Switch>,
     tx: LinkSender<Cell>,
-    never_rx: Receiver<SessionMsg>,
-    _never_tx: Sender<SessionMsg>,
     config: ControllerConfig,
 }
 
@@ -258,13 +254,10 @@ impl Controller {
                 }
             }
         });
-        let (never_tx, never_rx) = pandora_sim::channel::<SessionMsg>();
         Controller {
             inner,
             switch,
             tx,
-            never_rx,
-            _never_tx: never_tx,
             config,
         }
     }
@@ -908,15 +901,17 @@ impl Controller {
         };
         self.send_control(target, &build(txn)).await?;
         let deadline = pandora_sim::now() + wait;
-        match alt2_deadline(&reply_rx, &self.never_rx, deadline).await {
-            Some(Ok(Either2::A(reply))) => Ok(reply),
+        // Only the dispatcher drops a waiter's sender, and only after
+        // queueing its reply: the reply channel never closes empty.
+        match recv_deadline(&reply_rx, deadline).await {
+            Some(Ok(reply)) => Ok(reply),
             None => {
                 let mut inner = self.inner.borrow_mut();
                 inner.pending.remove(&txn);
                 inner.stats.timeouts += 1;
                 Err(SessionError::Timeout)
             }
-            _ => Err(SessionError::Closed),
+            Some(Err(_)) => Err(SessionError::Closed),
         }
     }
 

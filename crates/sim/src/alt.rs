@@ -9,9 +9,9 @@
 //!
 //! Guards are polled strictly in argument order, so the first listed
 //! channel always wins when several are ready — put the command channel
-//! first. [`alt2`]–[`alt4`] take a few channels of different types and
-//! look at each on every poll; [`AltSet`] takes any number of one type
-//! and looks only at those that fired.
+//! first. [`alt2`] takes two channels of different types and looks at
+//! both on every poll; [`AltSet`] takes any number of one type and looks
+//! only at those that fired. [`recv_deadline`] is one guard and a timeout.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -32,56 +32,24 @@ pub enum Either2<A, B> {
     B(B),
 }
 
-/// Outcome of a three-way alternation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either3<A, B, C> {
-    /// The first (highest priority) guard fired.
-    A(A),
-    /// The second guard fired.
-    B(B),
-    /// The third guard fired.
-    C(C),
-}
-
 /// Waits on two channels, preferring `a` when both are ready.
 ///
 /// A closed guard (all senders dropped) is skipped; if every guard is
 /// closed the alternation resolves to `Err(RecvError)`.
 pub fn alt2<'a, A, B>(a: &'a Receiver<A>, b: &'a Receiver<B>) -> Alt2<'a, A, B> {
-    Alt2 {
-        a,
-        b,
-        deadline: None,
-        registered: false,
-    }
+    Alt2 { a, b }
 }
 
-/// Like [`alt2`] with a timeout guard of lowest priority; `None` on expiry.
-pub fn alt2_deadline<'a, A, B>(
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    deadline: SimTime,
-) -> Alt2<'a, A, B> {
-    Alt2 {
-        a,
-        b,
-        deadline: Some(deadline),
-        registered: false,
-    }
-}
-
-/// Future returned by [`alt2`] / [`alt2_deadline`].
+/// Future returned by [`alt2`].
 pub struct Alt2<'a, A, B> {
     a: &'a Receiver<A>,
     b: &'a Receiver<B>,
-    deadline: Option<SimTime>,
-    registered: bool,
 }
 
 impl<A, B> Future for Alt2<'_, A, B> {
     type Output = Option<Result<Either2<A, B>, RecvError>>;
 
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
         match self.a.poll_take() {
             Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either2::A(v)))),
@@ -96,164 +64,7 @@ impl<A, B> Future for Alt2<'_, A, B> {
         if closed == 2 {
             return Poll::Ready(Some(Err(RecvError)));
         }
-        poll_deadline(self.deadline, &mut self.registered)
-    }
-}
-
-/// Waits on three channels with priority a > b > c.
-pub fn alt3<'a, A, B, C>(
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-) -> Alt3<'a, A, B, C> {
-    Alt3 {
-        a,
-        b,
-        c,
-        deadline: None,
-        registered: false,
-    }
-}
-
-/// Like [`alt3`] with a timeout guard of lowest priority; `None` on expiry.
-pub fn alt3_deadline<'a, A, B, C>(
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-    deadline: SimTime,
-) -> Alt3<'a, A, B, C> {
-    Alt3 {
-        a,
-        b,
-        c,
-        deadline: Some(deadline),
-        registered: false,
-    }
-}
-
-/// Future returned by [`alt3`] / [`alt3_deadline`].
-pub struct Alt3<'a, A, B, C> {
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-    deadline: Option<SimTime>,
-    registered: bool,
-}
-
-impl<A, B, C> Future for Alt3<'_, A, B, C> {
-    type Output = Option<Result<Either3<A, B, C>, RecvError>>;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut closed = 0;
-        match self.a.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::A(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        match self.b.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::B(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        match self.c.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either3::C(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        if closed == 3 {
-            return Poll::Ready(Some(Err(RecvError)));
-        }
-        poll_deadline(self.deadline, &mut self.registered)
-    }
-}
-
-/// Outcome of a four-way alternation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Either4<A, B, C, D> {
-    /// The first (highest priority) guard fired.
-    A(A),
-    /// The second guard fired.
-    B(B),
-    /// The third guard fired.
-    C(C),
-    /// The fourth guard fired.
-    D(D),
-}
-
-/// Waits on four channels with priority a > b > c > d.
-pub fn alt4<'a, A, B, C, D>(
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-    d: &'a Receiver<D>,
-) -> Alt4<'a, A, B, C, D> {
-    Alt4 {
-        a,
-        b,
-        c,
-        d,
-        deadline: None,
-        registered: false,
-    }
-}
-
-/// Like [`alt4`] with a timeout guard of lowest priority; `None` on expiry.
-pub fn alt4_deadline<'a, A, B, C, D>(
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-    d: &'a Receiver<D>,
-    deadline: SimTime,
-) -> Alt4<'a, A, B, C, D> {
-    Alt4 {
-        a,
-        b,
-        c,
-        d,
-        deadline: Some(deadline),
-        registered: false,
-    }
-}
-
-/// Future returned by [`alt4`] / [`alt4_deadline`].
-pub struct Alt4<'a, A, B, C, D> {
-    a: &'a Receiver<A>,
-    b: &'a Receiver<B>,
-    c: &'a Receiver<C>,
-    d: &'a Receiver<D>,
-    deadline: Option<SimTime>,
-    registered: bool,
-}
-
-impl<A, B, C, D> Future for Alt4<'_, A, B, C, D> {
-    type Output = Option<Result<Either4<A, B, C, D>, RecvError>>;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut closed = 0;
-        match self.a.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::A(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        match self.b.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::B(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        match self.c.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::C(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        match self.d.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either4::D(v)))),
-            Poll::Ready(Err(RecvError)) => closed += 1,
-            Poll::Pending => {}
-        }
-        if closed == 4 {
-            return Poll::Ready(Some(Err(RecvError)));
-        }
-        poll_deadline(self.deadline, &mut self.registered)
+        Poll::Pending
     }
 }
 
@@ -381,31 +192,18 @@ impl<T> Future for RecvDeadline<'_, T> {
     type Output = Option<Result<T, RecvError>>;
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.rx.poll_take() {
-            Poll::Ready(r) => return Poll::Ready(Some(r)),
-            Poll::Pending => {}
+        if let Poll::Ready(r) = self.rx.poll_take() {
+            return Poll::Ready(Some(r));
         }
-        let deadline = Some(self.deadline);
-        match poll_deadline::<()>(deadline, &mut self.registered) {
-            Poll::Ready(_) => Poll::Ready(None),
-            Poll::Pending => Poll::Pending,
-        }
-    }
-}
-
-/// Shared tail for deadline guards: `Ready(None)` on expiry, else registers
-/// a timer once and stays pending.
-fn poll_deadline<V>(deadline: Option<SimTime>, registered: &mut bool) -> Poll<Option<V>> {
-    if let Some(d) = deadline {
-        if now() >= d {
+        if now() >= self.deadline {
             return Poll::Ready(None);
         }
-        if !*registered {
-            with_current(|i| i.register_timer(d));
-            *registered = true;
+        if !self.registered {
+            with_current(|i| i.register_timer(self.deadline));
+            self.registered = true;
         }
+        Poll::Pending
     }
-    Poll::Pending
 }
 
 #[cfg(test)]
@@ -459,45 +257,6 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(*got.borrow(), Some(7));
-    }
-
-    #[test]
-    fn alt_deadline_fires_when_nothing_ready() {
-        let mut sim = Simulation::new();
-        let (_txa, rxa) = channel::<u32>();
-        let (_txb, rxb) = channel::<u32>();
-        let expired = Rc::new(RefCell::new(false));
-        let e = expired.clone();
-        sim.spawn("alt", async move {
-            let r = alt2_deadline(&rxa, &rxb, SimTime::from_millis(5)).await;
-            assert!(r.is_none());
-            assert_eq!(crate::now(), SimTime::from_millis(5));
-            *e.borrow_mut() = true;
-        });
-        sim.run_until_idle();
-        assert!(*expired.borrow());
-    }
-
-    #[test]
-    fn alt3_priority_order() {
-        let mut sim = Simulation::new();
-        let (txa, rxa) = unbounded::<u8>();
-        let (txb, rxb) = unbounded::<u8>();
-        let (txc, rxc) = unbounded::<u8>();
-        txc.try_send(3).unwrap();
-        txb.try_send(2).unwrap();
-        txa.try_send(1).unwrap();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let o = order.clone();
-        sim.spawn("alt", async move {
-            for _ in 0..3 {
-                match alt3(&rxa, &rxb, &rxc).await.unwrap().unwrap() {
-                    Either3::A(v) | Either3::B(v) | Either3::C(v) => o.borrow_mut().push(v),
-                }
-            }
-        });
-        sim.run_until_idle();
-        assert_eq!(*order.borrow(), [1, 2, 3]);
     }
 
     /// `n` unbounded channels: the senders, and the receivers as one set.
@@ -771,50 +530,6 @@ mod tests {
         });
         sim.run_until_idle();
         assert_eq!(*log.borrow(), ["None@2", "Some(Ok(9))@5"]);
-    }
-
-    #[test]
-    fn alt4_priority_order() {
-        let mut sim = Simulation::new();
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded::<u8>()).unzip();
-        for (i, tx) in txs.iter().enumerate().rev() {
-            tx.try_send(i as u8).unwrap();
-        }
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let o = order.clone();
-        sim.spawn("alt", async move {
-            for _ in 0..4 {
-                match alt4(&rxs[0], &rxs[1], &rxs[2], &rxs[3])
-                    .await
-                    .unwrap()
-                    .unwrap()
-                {
-                    Either4::A(v) | Either4::B(v) | Either4::C(v) | Either4::D(v) => {
-                        o.borrow_mut().push(v)
-                    }
-                }
-            }
-        });
-        sim.run_until_idle();
-        assert_eq!(*order.borrow(), [0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn alt4_deadline_expires() {
-        let mut sim = Simulation::new();
-        let (_t1, r1) = channel::<u8>();
-        let (_t2, r2) = channel::<u8>();
-        let (_t3, r3) = channel::<u8>();
-        let (_t4, r4) = channel::<u8>();
-        let done = Rc::new(RefCell::new(false));
-        let d = done.clone();
-        sim.spawn("alt", async move {
-            let r = alt4_deadline(&r1, &r2, &r3, &r4, SimTime::from_millis(3)).await;
-            assert!(r.is_none());
-            *d.borrow_mut() = true;
-        });
-        sim.run_until_idle();
-        assert!(*done.borrow());
     }
 
     #[test]

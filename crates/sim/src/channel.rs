@@ -84,7 +84,7 @@ struct Shared<T> {
 /// `senders` gave up beside `receiver_alive`.
 pub(crate) struct ChanState<T> {
     shared: RefCell<Shared<T>>,
-    capacity: usize,
+    capacity: Cell<usize>,
     /// Set when the receiver becomes a guard of an [`crate::AltSet`]: the
     /// set's shared state and this guard's index in it. From then on a
     /// push reports to the set, not to `recv_waker`.
@@ -106,13 +106,14 @@ impl<T> ChanState<T> {
     /// Accepts the one entry a `pop_front` moved inside the capacity.
     ///
     /// Entries are pushed accepted while `len < capacity` and pending at
-    /// an index `>= capacity` otherwise, and a cancelled send withdraws
-    /// only its own still-pending entry — so everything before index
-    /// `capacity` is always accepted already, and after a pop the only
-    /// newcomer is the entry now at `capacity - 1`. (Walking the whole
-    /// prefix instead made draining an unbounded queue quadratic.)
+    /// an index `>= capacity` otherwise, a cancelled send withdraws only
+    /// its own still-pending entry, and [`Sender::set_capacity`] accepts
+    /// what growth brings inside — so everything before index `capacity`
+    /// is always accepted already, and after a pop the only newcomer is
+    /// the entry now at `capacity - 1`. (Walking the whole prefix instead
+    /// made draining an unbounded queue quadratic.)
     fn accept_within_capacity(&self) {
-        let Some(last) = self.capacity.checked_sub(1) else {
+        let Some(last) = self.capacity.get().checked_sub(1) else {
             return; // rendezvous: nothing is ever accepted while queued
         };
         #[cfg(test)]
@@ -182,7 +183,7 @@ fn with_capacity<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             recv_waker: None,
         }),
-        capacity,
+        capacity: Cell::new(capacity),
         guard_of: OnceCell::new(),
         senders: Cell::new(1),
         receiver_alive: Cell::new(true),
@@ -243,7 +244,7 @@ impl<T> Sender<T> {
         if !self.state.receiver_alive.get() {
             return Err(TrySendError::Closed(value));
         }
-        if self.state.shared.borrow().queue.len() < self.state.capacity {
+        if self.state.shared.borrow().queue.len() < self.state.capacity.get() {
             self.state.shared.borrow_mut().queue.push_back(QEntry {
                 value,
                 pending: None,
@@ -268,6 +269,25 @@ impl<T> Sender<T> {
     /// Returns `true` if the receiver has been dropped.
     pub fn is_closed(&self) -> bool {
         !self.state.receiver_alive.get()
+    }
+
+    /// How many sends complete without waiting for the receiver.
+    pub fn capacity(&self) -> usize {
+        self.state.capacity.get()
+    }
+
+    /// Resizes the channel. Nothing queued is lost: a shrink below the
+    /// occupancy only holds later sends back, and growth completes the
+    /// blocked sends it makes room for, oldest first.
+    pub fn set_capacity(&self, capacity: usize) {
+        let old = self.state.capacity.replace(capacity);
+        let shared = self.state.shared.borrow();
+        for entry in shared.queue.iter().take(capacity).skip(old) {
+            if let Some(p) = &entry.pending {
+                p.done.set(true);
+                p.wake();
+            }
+        }
     }
 }
 
@@ -316,7 +336,7 @@ impl<T> Future for SendFuture<'_, T> {
         if !this.chan.receiver_alive.get() {
             return Poll::Ready(Err(SendError));
         }
-        let within_capacity = this.chan.shared.borrow().queue.len() < this.chan.capacity;
+        let within_capacity = this.chan.shared.borrow().queue.len() < this.chan.capacity.get();
         if within_capacity {
             this.chan.shared.borrow_mut().queue.push_back(QEntry {
                 value,
@@ -729,6 +749,36 @@ mod tests {
         // remaining queue, N²/2 = 50 M for this drain.
         let visits = ACCEPT_VISITS.with(Cell::get) - before;
         assert!(visits <= u64::from(N), "drain visited {visits} entries");
+    }
+
+    #[test]
+    fn resizing_loses_nothing_and_growth_releases_blocked_sends() {
+        let mut sim = Simulation::new();
+        let (tx, rx) = buffered::<u32>(3);
+        let done = StdRc::new(RefCell::new(Vec::new()));
+        for i in 0..6u32 {
+            let (tx, d) = (tx.clone(), done.clone());
+            sim.spawn(&format!("sender{i}"), async move {
+                tx.send(i).await.unwrap();
+                d.borrow_mut().push(i);
+            });
+        }
+        sim.run_until_idle();
+        assert_eq!(*done.borrow(), [0, 1, 2]);
+        // A shrink below the occupancy keeps every value.
+        tx.set_capacity(1);
+        assert_eq!(rx.try_recv(), Some(0));
+        sim.run_until_idle();
+        assert_eq!(*done.borrow(), [0, 1, 2], "two queued, one slot");
+        tx.set_capacity(4);
+        assert_eq!(tx.capacity(), 4);
+        sim.run_until_idle();
+        assert_eq!(*done.borrow(), [0, 1, 2, 3, 4], "the oldest two released");
+        let mut got = Vec::new();
+        while let Some(v) = rx.try_recv() {
+            got.push(v);
+        }
+        assert_eq!(got, [1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * **rendezvous channels** ([`channel`]) with Occam semantics — a send
 //!   completes only when received — plus [`buffered`] and [`unbounded`]
 //!   variants for hardware FIFOs and report sinks;
-//! * **PRI ALT** ([`alt2`], [`alt3`], [`AltSet`], [`recv_deadline`]) —
+//! * **PRI ALT** ([`alt2`], [`AltSet`], [`recv_deadline`]) —
 //!   prioritized alternation so command channels can never be starved
 //!   (Principle 4); an [`AltSet`] owns any number of same-typed guards
 //!   and polls only the ones that fired;
@@ -60,10 +60,7 @@ mod link;
 mod ticker;
 mod time;
 
-pub use alt::{
-    alt2, alt2_deadline, alt3, alt3_deadline, alt4, alt4_deadline, recv_deadline, Alt2, Alt3, Alt4,
-    AltSet, Either2, Either3, Either4, RecvDeadline,
-};
+pub use alt::{alt2, recv_deadline, Alt2, AltSet, Either2, RecvDeadline};
 pub use channel::{
     buffered, channel, unbounded, Receiver, RecvError, RecvFuture, SendError, SendFuture, Sender,
     TrySendError,
