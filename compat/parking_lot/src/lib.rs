@@ -45,6 +45,7 @@ impl<T: ?Sized> Mutex<T> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests a mutex across threads")]
 mod tests {
     use super::Mutex;
     use std::sync::Arc;

@@ -26,6 +26,8 @@
 //!   fabric one at a time; there is no per-burst switch or reassembly
 //!   path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod aal;
 mod burst;
 mod cell;

@@ -79,23 +79,6 @@ impl SegmentAssembler {
         }
     }
 
-    /// Changes the grouping factor for subsequent segments.
-    ///
-    /// "We can alter this dynamically if the recipient cannot handle the
-    /// arrival rate." Takes effect at the next segment boundary; any
-    /// accumulated blocks are kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks_per_segment` is zero.
-    pub fn set_blocks_per_segment(&mut self, blocks_per_segment: usize) {
-        assert!(
-            blocks_per_segment > 0,
-            "blocks_per_segment must be non-zero"
-        );
-        self.blocks_per_segment = blocks_per_segment;
-    }
-
     /// Current grouping factor.
     pub fn blocks_per_segment(&self) -> usize {
         self.blocks_per_segment
@@ -178,20 +161,6 @@ mod tests {
         }
         let seg = asm.push(Block::SILENCE, ts(11)).unwrap();
         assert_eq!(seg.duration_nanos(), 24_000_000);
-    }
-
-    #[test]
-    fn dynamic_regrouping_takes_effect() {
-        let mut asm = SegmentAssembler::new(2);
-        asm.push(Block::SILENCE, ts(0));
-        asm.set_blocks_per_segment(1);
-        // The pending block plus this one: group of 1 means this push
-        // completes immediately with both? No: group boundary check uses
-        // the new factor, so the pending single block already satisfies it.
-        let seg = asm.push(Block::SILENCE, ts(1)).unwrap();
-        assert_eq!(seg.block_count(), 2);
-        let seg2 = asm.push(Block::SILENCE, ts(2)).unwrap();
-        assert_eq!(seg2.block_count(), 1);
     }
 
     #[test]

@@ -99,12 +99,6 @@ pub fn decode_reference(byte: u8) -> i32 {
 /// µ-law silence: the encoding of linear zero.
 pub const SILENCE: u8 = 0xFF;
 
-/// A 256-entry decode table for fast per-sample paths (the hardware codec
-/// and the muting lookup tables of §4.3 work in the µ-law domain).
-pub fn decode_table() -> [i32; 256] {
-    DECODE_LUT
-}
-
 /// Builds a µ-law → µ-law table that scales samples by `factor` in the
 /// linear domain — exactly the paper's muting implementation: "the muting
 /// is performed by lookup tables that directly scale the 8-bit µ-law
@@ -130,16 +124,6 @@ pub fn scaling_table_q15(gain: crate::q15::Q15) -> [u8; 256] {
         *slot = encode(linear.clamp(i16::MIN as i32, i16::MAX as i32) as i16);
     }
     t
-}
-
-/// Encodes a slice of linear samples.
-pub fn encode_slice(pcm: &[i16]) -> Vec<u8> {
-    pcm.iter().map(|&s| encode(s)).collect()
-}
-
-/// Decodes a slice of µ-law bytes.
-pub fn decode_slice(bytes: &[u8]) -> Vec<i32> {
-    bytes.iter().map(|&b| decode(b)).collect()
 }
 
 #[cfg(test)]
@@ -231,24 +215,6 @@ mod tests {
         let t = scaling_table(1.0);
         for b in 0u16..=255 {
             assert_eq!(decode(t[b as usize]), decode(b as u8));
-        }
-    }
-
-    #[test]
-    fn slice_helpers() {
-        let pcm: Vec<i16> = vec![0, 1000, -1000, 20000];
-        let enc = encode_slice(&pcm);
-        let dec = decode_slice(&enc);
-        assert_eq!(dec.len(), 4);
-        assert_eq!(dec[0], 0);
-        assert!(dec[3] > 18_000);
-    }
-
-    #[test]
-    fn decode_table_matches_decode() {
-        let t = decode_table();
-        for b in 0u16..=255 {
-            assert_eq!(t[b as usize], decode(b as u8));
         }
     }
 

@@ -7,8 +7,9 @@
 //! threshold, muting factors and delay times are all dynamically
 //! alterable, but our default values are shown in figure 4.1." The default
 //! schedule is 100 % → 20 % while the threshold is exceeded (and for 22 ms
-//! after), then 50 % for a further 22 ms, then back to 100 %. Muting is
-//! applied by lookup tables that scale µ-law bytes directly.
+//! after), then 50 % for a further 22 ms, then back to 100 %. Here the
+//! parameters are fixed when a [`Muting`] is built. Muting is applied by
+//! lookup tables that scale µ-law bytes directly.
 
 use crate::block::Block;
 use crate::mulaw;
@@ -108,13 +109,6 @@ impl Muting {
             MuteStage::Deep => Q15::from_f64(self.config.deep_factor),
             MuteStage::Half => Q15::from_f64(self.config.half_factor),
         }
-    }
-
-    /// Replaces the parameters ("dynamically alterable").
-    pub fn set_config(&mut self, config: MutingConfig) {
-        self.deep_table = mulaw::scaling_table_q15(Q15::from_f64(config.deep_factor));
-        self.half_table = mulaw::scaling_table_q15(Q15::from_f64(config.half_factor));
-        self.config = config;
     }
 
     /// Observes one 2 ms speaker block about to be played and advances the
@@ -260,9 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn config_is_dynamically_alterable() {
-        let mut m = Muting::new(MutingConfig::default());
-        m.set_config(MutingConfig {
+    fn a_lower_threshold_mutes_quieter_speech() {
+        let mut m = Muting::new(MutingConfig {
             threshold: 100,
             ..MutingConfig::default()
         });

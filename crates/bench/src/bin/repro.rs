@@ -10,6 +10,7 @@
 use pandora_bench::{ablations, audio_exps, clawback_exps, media_exps, policy_exps};
 
 fn main() {
+    #[allow(clippy::disallowed_methods, reason = "repro times its own run")]
     let t0 = std::time::Instant::now();
     println!("Pandora reproduction — regenerating all paper results");
     println!("(Jones & Hopper, \"Handling Audio and Video Streams in a");

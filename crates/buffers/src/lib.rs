@@ -23,6 +23,8 @@
 //!   checkable via copy counters;
 //! * [`Report`] — the report messages all of these emit.
 
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used)]
+
 mod clawback;
 mod decoupling;
 mod pool;

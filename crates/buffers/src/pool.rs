@@ -228,14 +228,6 @@ impl<T> Pool<T> {
         }
     }
 
-    /// Clones the buffer contents behind `d` (for copy-out device handlers).
-    pub fn get_clone(&self, d: Descriptor) -> T
-    where
-        T: Clone,
-    {
-        self.with(d, |v| v.clone())
-    }
-
     /// Current reference count of `d` (0 if free).
     pub fn refs(&self, d: Descriptor) -> u32 {
         self.inner.slots.borrow()[d.0].refs
@@ -413,15 +405,6 @@ mod tests {
         let d = pool.try_alloc(1u8).unwrap();
         pool.release(d);
         pool.add_refs(d, 1);
-    }
-
-    #[test]
-    fn get_clone_copies_out() {
-        let pool = Pool::new(1);
-        let d = pool.try_alloc(vec![1, 2, 3]).unwrap();
-        assert_eq!(pool.get_clone(d), vec![1, 2, 3]);
-        // Still allocated.
-        assert_eq!(pool.refs(d), 1);
     }
 
     #[test]

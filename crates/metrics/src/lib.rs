@@ -16,6 +16,8 @@
 //! All values are plain `f64`/`u64`; time units are whatever the caller
 //! uses consistently (the simulator uses nanoseconds).
 
+#![deny(missing_docs)]
+
 mod counter;
 mod histogram;
 mod jitter;

@@ -69,11 +69,6 @@ impl TimeSeries {
         }
     }
 
-    /// First time at which the value satisfies `pred`, if any.
-    pub fn first_time_where<F: Fn(f64) -> bool>(&self, pred: F) -> Option<u64> {
-        self.points.iter().find(|&&(_, v)| pred(v)).map(|&(t, _)| t)
-    }
-
     /// Last recorded value, if any.
     pub fn last_value(&self) -> Option<f64> {
         self.points.last().map(|&(_, v)| v)
@@ -118,16 +113,6 @@ mod tests {
         s.push(10, 1.0);
         s.push(5, 2.0);
         assert_eq!(s.points(), &[(10, 1.0), (10, 2.0)]);
-    }
-
-    #[test]
-    fn first_time_where_finds_threshold() {
-        let mut s = TimeSeries::new("x");
-        s.push(0, 1.0);
-        s.push(10, 0.5);
-        s.push(20, 0.2);
-        assert_eq!(s.first_time_where(|v| v < 0.4), Some(20));
-        assert_eq!(s.first_time_where(|v| v < 0.1), None);
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!   admission charge for every relay's fan-out, and the merged-report
 //!   parser ([`OverlaySummary`]).
 
+#![deny(missing_docs)]
+
 pub mod broadcast;
 pub mod plan;
 pub mod repair;

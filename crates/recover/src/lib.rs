@@ -31,6 +31,8 @@
 //! exercised by `pandora-faults` crash/pause/flap plans in the
 //! conformance suite.
 
+#![deny(missing_docs)]
+
 pub mod beat;
 pub mod health;
 pub mod lease;

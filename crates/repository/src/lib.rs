@@ -13,6 +13,8 @@
 //! present greater difficulties." Recording tasks therefore claim the
 //! repository CPU at a higher priority than playback tasks.
 
+#![deny(missing_docs)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -342,11 +344,6 @@ impl Repository {
         self.inner.dropped_playback.get()
     }
 
-    /// Number of recordings held.
-    pub fn recording_count(&self) -> usize {
-        self.inner.recordings.borrow().len()
-    }
-
     /// Storage saving factor of the 40 ms format vs a live recording:
     /// `1 - repo_bytes / live_bytes`.
     pub fn resegmentation_saving(&self, live: RecordingId, repo: RecordingId) -> Option<f64> {
@@ -357,31 +354,6 @@ impl Repository {
         }
         Some(1.0 - b / a)
     }
-}
-
-/// Plays recordings held by *different* repositories together, aligned on
-/// their absolute timestamps — the paper's GPS future-work mode (§3.2):
-/// "they will be synchronised to a global time standard: GPS time … this
-/// will release us from the present requirement that streams to be
-/// synchronised during playback must have been recorded on the same
-/// repository."
-///
-/// Requires the recording boxes' clocks to be GPS-disciplined (drift-free
-/// against the global clock); with free-running crystals the offsets are
-/// incomparable, which is exactly why the paper needed the same-repository
-/// restriction before GPS.
-pub fn playback_synced_global(
-    plays: Vec<(&Repository, RecordingId, StreamId)>,
-    out: Sender<(StreamId, Segment)>,
-) -> Option<()> {
-    let base = plays
-        .iter()
-        .filter_map(|(repo, id, _)| repo.get(*id).map(|r| r.timestamp_offset))
-        .min()?;
-    for (repo, id, stream) in plays {
-        repo.playback(id, stream, out.clone(), base)?;
-    }
-    Some(())
 }
 
 /// Checks a repository-format audio recording's invariants: every segment
@@ -478,7 +450,11 @@ mod tests {
         assert_eq!(live, reseg);
         let saving = repo.resegmentation_saving(handle.id(), repo_id).unwrap();
         assert!(saving > 0.45, "saving {saving}");
-        assert_eq!(repo.recording_count(), 2);
+        assert_ne!(
+            repo_id,
+            handle.id(),
+            "resegmenting stores a second recording"
+        );
     }
 
     #[test]
@@ -598,59 +574,6 @@ mod tests {
         assert_eq!(h1.recorded(), 100, "recording lost data under load");
         // Playback was degraded instead.
         assert!(repo.dropped_playback() > 0, "playback never degraded");
-    }
-
-    #[test]
-    fn gps_mode_syncs_across_repositories() {
-        // Two separate repositories record streams whose timestamps come
-        // from the same (GPS-disciplined) clock, 30ms apart; global
-        // playback preserves the relative timing — impossible with the
-        // per-repository offsets alone.
-        let mut sim = Simulation::new();
-        let (rep_tx, _r) = unbounded::<Report>();
-        let repo_a = Repository::new(
-            &sim.spawner(),
-            "a",
-            RepositoryCosts::default(),
-            rep_tx.clone(),
-        );
-        let repo_b = Repository::new(&sim.spawner(), "b", RepositoryCosts::default(), rep_tx);
-        let (tx_a, rx_a) = channel::<(StreamId, Segment)>();
-        let (tx_b, rx_b) = channel::<(StreamId, Segment)>();
-        let ha = repo_a.record(rx_a, StreamId(1));
-        let hb = repo_b.record(rx_b, StreamId(2));
-        sim.spawn("feed", async move {
-            for (i, seg) in live_audio_stream(10).into_iter().enumerate() {
-                tx_a.send((StreamId(1), seg.clone())).await.unwrap();
-                if i >= 7 {
-                    // Stream at repo B starts 7 segments (28ms) later.
-                    tx_b.send((StreamId(2), seg)).await.unwrap();
-                }
-            }
-        });
-        sim.run_until_idle();
-        let (out_tx, out_rx) = channel::<(StreamId, Segment)>();
-        playback_synced_global(
-            vec![
-                (&repo_a, ha.id(), StreamId(10)),
-                (&repo_b, hb.id(), StreamId(20)),
-            ],
-            out_tx,
-        )
-        .unwrap();
-        let arrivals = Rc::new(RefCell::new(Vec::new()));
-        let a = arrivals.clone();
-        sim.spawn("sink", async move {
-            while let Ok((sid, _)) = out_rx.recv().await {
-                a.borrow_mut().push((sid, pandora_sim::now().as_millis()));
-            }
-        });
-        sim.run_until_idle();
-        let arrivals = arrivals.borrow();
-        let first_a = arrivals.iter().find(|(s, _)| *s == StreamId(10)).unwrap().1;
-        let first_b = arrivals.iter().find(|(s, _)| *s == StreamId(20)).unwrap().1;
-        let gap = first_b as i64 - first_a as i64;
-        assert!((26..=30).contains(&gap), "gap {gap}ms");
     }
 
     #[test]

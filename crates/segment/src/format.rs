@@ -415,14 +415,6 @@ impl Segment {
             _ => None,
         }
     }
-
-    /// Returns the video segment, if this is one.
-    pub fn as_video(&self) -> Option<&VideoSegment> {
-        match self {
-            Segment::Video(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// The headers of a segment, split from its payload bytes.
@@ -605,7 +597,6 @@ mod tests {
         ));
         assert_eq!(a.segment_type(), SegmentType::Audio);
         assert!(a.as_audio().is_some());
-        assert!(a.as_video().is_none());
         assert_eq!(a.common().sequence, SequenceNumber(1));
     }
 

@@ -18,6 +18,8 @@
 //! * [`SeqTracker`] — sequence-number loss detection (§3.8);
 //! * [`reseg`] — the repository's 2 ms-block → 40 ms-segment rewriter.
 
+#![deny(missing_docs)]
+
 mod format;
 mod ids;
 pub mod reseg;

@@ -82,11 +82,6 @@ pub fn to_repository_format(segments: &[AudioSegment]) -> Vec<AudioSegment> {
     merge_blocks(&blocks, REPOSITORY_BLOCKS_PER_SEGMENT, SequenceNumber(0))
 }
 
-/// Total wire bytes of a set of segments (header plus data).
-pub fn total_wire_bytes(segments: &[AudioSegment]) -> usize {
-    segments.iter().map(|s| s.wire_bytes()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,8 +176,8 @@ mod tests {
         // format has 36/356 = 10%.
         let live = live_stream(40, 2);
         let repo = to_repository_format(&live);
-        let live_bytes = total_wire_bytes(&live);
-        let repo_bytes = total_wire_bytes(&repo);
+        let wire_bytes = |segs: &[AudioSegment]| segs.iter().map(|s| s.wire_bytes()).sum::<usize>();
+        let (live_bytes, repo_bytes) = (wire_bytes(&live), wire_bytes(&repo));
         assert_eq!(live_bytes, 20 * 68);
         assert_eq!(repo_bytes, 2 * 356);
         let saving = 1.0 - repo_bytes as f64 / live_bytes as f64;

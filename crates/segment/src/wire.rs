@@ -1,11 +1,10 @@
 //! Wire encoding and decoding of Pandora segments.
 //!
 //! All header fields are big-endian 32-bit words, matching the paper's
-//! "each field in the header is 32 bits in length". Within a box, segments
-//! travel with a stream-number word prepended ("streams within pandora
-//! pass the stream number in an extra field preceding the segment
-//! header", §3.4); [`encode_tagged`] / [`decode_tagged`] handle that
-//! framing.
+//! "each field in the header is 32 bits in length". The paper's in-box
+//! stream-number word ("streams within pandora pass the stream number in
+//! an extra field preceding the segment header", §3.4) is not part of the
+//! wire image here: a box's descriptor carries it beside the segment.
 //!
 //! The zero-copy entry points are [`encode_header_into`] (headers into a
 //! caller-provided region, so the payload can be scatter-gathered from
@@ -22,7 +21,7 @@ use crate::format::{
     VideoCompression, VideoHeader, AUDIO_FULL_HEADER_BYTES, COMMON_HEADER_BYTES, VERSION_ID,
     VIDEO_FIXED_HEADER_BYTES,
 };
-use crate::ids::{SequenceNumber, StreamId, Timestamp};
+use crate::ids::{SequenceNumber, Timestamp};
 use crate::slabseg::SlabSegment;
 
 /// Errors produced while decoding a segment.
@@ -108,16 +107,6 @@ pub fn encode(segment: &Segment) -> Vec<u8> {
     let header = SegmentHeader::of_segment(segment);
     let mut out = vec![0u8; segment.wire_bytes()];
     let hdr = encode_header_into(&header, &mut out);
-    out[hdr..].copy_from_slice(segment.payload());
-    out
-}
-
-/// Encodes a segment preceded by its in-box stream number word.
-pub fn encode_tagged(stream: StreamId, segment: &Segment) -> Vec<u8> {
-    let header = SegmentHeader::of_segment(segment);
-    let mut out = vec![0u8; 4 + segment.wire_bytes()];
-    out[..4].copy_from_slice(&stream.0.to_be_bytes());
-    let hdr = 4 + encode_header_into(&header, &mut out[4..]);
     out[hdr..].copy_from_slice(segment.payload());
     out
 }
@@ -284,19 +273,6 @@ pub fn decode_slab(frame: &SlabRef) -> Result<SlabSegment, WireError> {
     Ok(SlabSegment { header, payload })
 }
 
-/// Decodes a stream-number-tagged segment.
-pub fn decode_tagged(data: &[u8]) -> Result<(StreamId, Segment), WireError> {
-    if data.len() < 4 {
-        return Err(WireError::Truncated {
-            needed: 4,
-            available: data.len(),
-        });
-    }
-    let stream = StreamId(u32::from_be_bytes([data[0], data[1], data[2], data[3]]));
-    let segment = decode(&data[4..])?;
-    Ok((stream, segment))
-}
-
 fn put_u32(buf: &mut [u8], at: &mut usize, value: u32) {
     buf[*at..*at + 4].copy_from_slice(&value.to_be_bytes());
     *at += 4;
@@ -398,15 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_round_trip() {
-        let seg = sample_audio();
-        let bytes = encode_tagged(StreamId(17), &seg);
-        let (stream, out) = decode_tagged(&bytes).unwrap();
-        assert_eq!(stream, StreamId(17));
-        assert_eq!(out, seg);
-    }
-
-    #[test]
     fn view_decodes_header_and_borrows_payload() {
         for seg in [sample_audio(), sample_video()] {
             let bytes = encode(&seg);
@@ -496,6 +463,72 @@ mod tests {
         // The audio data_length field is at offset 32..36.
         bytes[35] = bytes[35].wrapping_add(1);
         assert!(matches!(decode(&bytes), Err(WireError::BadLength { .. })));
+    }
+
+    /// Seeded hostile payloads of 0–120 bytes. Half of them start with a
+    /// valid common header — `VERSION_ID`, a type code in 0–3 (0 is
+    /// unknown) and a `length` no longer than the buffer — followed by
+    /// small words and, half the time, the `data_length` that `length`
+    /// implies. Decoding never panics, and whatever decodes re-encodes to
+    /// the input's first `length` bytes.
+    #[test]
+    fn decode_survives_seeded_hostile_payloads() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn put(bytes: &mut [u8], at: usize, value: u32) {
+            if let Some(word) = bytes.get_mut(at..at + 4) {
+                word.copy_from_slice(&value.to_be_bytes());
+            }
+        }
+        fn word(bytes: &[u8], at: usize) -> u32 {
+            bytes
+                .get(at..at + 4)
+                .map_or(0, |w| u32::from_be_bytes(w.try_into().unwrap()))
+        }
+        let mut rng = SmallRng::seed_from_u64(0x5E6_3E47);
+        let (mut decoded, mut types) = (0, 0u8);
+        for _ in 0..100_000 {
+            let structured = rng.gen_bool(0.5);
+            let shortest = if structured { COMMON_HEADER_BYTES } else { 0 };
+            let len = rng.gen_range(shortest..=120);
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+            if structured {
+                for at in (COMMON_HEADER_BYTES..len).step_by(4) {
+                    if rng.gen_bool(0.5) {
+                        put(&mut bytes, at, rng.gen_range(0..=3u32));
+                    }
+                }
+                let (type_code, length) = (rng.gen_range(0..=3u32), rng.gen_range(0..=len));
+                put(&mut bytes, 0, VERSION_ID);
+                put(&mut bytes, 12, type_code);
+                put(&mut bytes, 16, length as u32);
+                // The `data_length` word sits just before the payload; a
+                // video header's argument count is its word at byte 48.
+                let video_args = 4 * word(&bytes, 48) as usize;
+                let payload_at = match type_code {
+                    1 => AUDIO_FULL_HEADER_BYTES,
+                    2 => COMMON_HEADER_BYTES + VIDEO_FIXED_HEADER_BYTES + video_args,
+                    _ => 0,
+                };
+                if payload_at > 0 && payload_at <= length && rng.gen_bool(0.5) {
+                    put(&mut bytes, payload_at - 4, (length - payload_at) as u32);
+                }
+            }
+            let Ok(view) = decode_view(&bytes) else {
+                continue;
+            };
+            decoded += 1;
+            types |= 1 << view.header.common().segment_type.code();
+            let length = word(&bytes, 16) as usize;
+            let mut again = vec![0u8; length];
+            let at = encode_header_into(&view.header, &mut again);
+            again[at..].copy_from_slice(view.payload);
+            assert_eq!(again, bytes[..length], "{bytes:?}");
+        }
+        // The sweep reaches every decode arm, not just the common header.
+        assert_eq!(types, 0b1110);
+        assert!(decoded > 5_000, "{decoded} decoded");
     }
 
     #[test]

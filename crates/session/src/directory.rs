@@ -98,14 +98,15 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{CONTROL_VCI_BASE, REPLY_VCI_BASE};
 
     fn rec(name: &str, port: usize) -> EndpointRecord {
         EndpointRecord {
             name: name.to_string(),
             caps: Capabilities::standard(),
             port,
-            control_vci: Vci(0x7F00 + port as u32),
-            reply_vci: Vci(0x7E00 + port as u32),
+            control_vci: Vci(CONTROL_VCI_BASE + port as u32),
+            reply_vci: Vci(REPLY_VCI_BASE + port as u32),
         }
     }
 

@@ -27,6 +27,8 @@
 //!   never glitch, budgets are refunded, and a restarted box settles
 //!   its stale state before re-admission.
 
+#![deny(missing_docs)]
+
 pub mod admission;
 pub mod control;
 pub mod directory;
@@ -38,4 +40,4 @@ pub use control::{spawn_agent, Admitted, AgentStats, Controller, ControllerConfi
 pub use directory::{Capabilities, Directory, EndpointId, EndpointRecord};
 pub use pandora_recover::{LeaseConfig, LeaseState};
 pub use proto::{RejectReason, SessionMsg, StreamClass, CONTROL_BYTES, CONTROL_MAGIC};
-pub use topology::{point_to_point, Star, StarConfig, StarNode, CONTROL_VCI_BASE, REPLY_VCI_BASE};
+pub use topology::{point_to_point, Star, StarConfig, StarNode};

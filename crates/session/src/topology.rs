@@ -26,12 +26,12 @@ use crate::directory::{Capabilities, Directory, EndpointId, EndpointRecord};
 
 /// Base of the well-known VCIs on which each box's agent receives
 /// control (`CONTROL_VCI_BASE + port`).
-pub const CONTROL_VCI_BASE: u32 = 0x7F00;
+pub(crate) const CONTROL_VCI_BASE: u32 = 0x7F00;
 
 /// Base of the well-known VCIs on which each box's agent replies
 /// (`REPLY_VCI_BASE + port`). Distinct per box so the controller's
 /// reassembler never interleaves two agents' frames on one circuit.
-pub const REPLY_VCI_BASE: u32 = 0x7E00;
+pub(crate) const REPLY_VCI_BASE: u32 = 0x7E00;
 
 /// Cell capacity of each fabric output port. Jitter bursts on an
 /// attachment can release many cells back-to-back; the port queue must

@@ -28,6 +28,8 @@
 //! [`Cluster::setup`] are what is left of the threaded runtime that used
 //! to split this loop across OS threads; ROADMAP item 4 deletes them.
 
+#![deny(missing_docs)]
+
 mod cluster;
 mod hub;
 mod runtime;

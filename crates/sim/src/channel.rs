@@ -266,11 +266,6 @@ impl<T> Sender<T> {
         self.len() == 0
     }
 
-    /// Returns `true` if the receiver has been dropped.
-    pub fn is_closed(&self) -> bool {
-        !self.state.receiver_alive.get()
-    }
-
     /// How many sends complete without waiting for the receiver.
     pub fn capacity(&self) -> usize {
         self.state.capacity.get()
@@ -412,11 +407,6 @@ impl<T> Receiver<T> {
     /// Returns `true` when no values are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Returns `true` when every sender has been dropped.
-    pub fn is_closed(&self) -> bool {
-        self.state.senders.get() == 0
     }
 
     pub(crate) fn poll_take(&self) -> Poll<Result<T, RecvError>> {

@@ -155,15 +155,6 @@ impl Cpu {
     pub fn switches(&self) -> u64 {
         self.state.switches.get()
     }
-
-    /// Utilisation over `elapsed`: busy time divided by the window.
-    pub fn utilisation(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.as_nanos() == 0 {
-            0.0
-        } else {
-            self.busy_time().as_nanos() as f64 / elapsed.as_nanos() as f64
-        }
-    }
 }
 
 impl CpuState {
@@ -334,7 +325,7 @@ mod tests {
         }
         sim.run_until_idle();
         assert_eq!(*log.borrow(), vec![(0, 100), (1, 200), (2, 300)]);
-        assert_eq!(cpu.utilisation(SimDuration::from_micros(300)), 1.0);
+        assert_eq!(cpu.busy_time(), SimDuration::from_micros(300));
     }
 
     #[test]
@@ -411,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_fraction() {
+    fn busy_time_counts_claims_not_delays() {
         let mut sim = Simulation::new();
         let cpu = Cpu::new("t", SimDuration::ZERO);
         let c = cpu.clone();
@@ -420,6 +411,6 @@ mod tests {
             crate::delay(SimDuration::from_millis(6)).await;
         });
         sim.run_until_idle();
-        assert!((cpu.utilisation(SimDuration::from_millis(8)) - 0.25).abs() < 1e-9);
+        assert_eq!(cpu.busy_time(), SimDuration::from_millis(2));
     }
 }

@@ -23,6 +23,9 @@
 //! foreign leaf future that registers `cx.waker()` fails loudly on its
 //! first wake-up instead of hanging.
 
+#![allow(clippy::disallowed_types, reason = "builds the inert std waker")]
+#![allow(clippy::disallowed_methods, reason = "tests the inert waker")]
+
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

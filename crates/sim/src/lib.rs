@@ -52,6 +52,8 @@
 //! assert_eq!(sim.now().as_millis(), 2);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 mod alt;
 mod channel;
 mod cpu;

@@ -153,11 +153,6 @@ impl LinkControl {
         }
     }
 
-    /// Whether the link is currently up.
-    pub fn is_up(&self) -> bool {
-        self.state.up.get()
-    }
-
     /// Scales the effective bandwidth: 1000 is nominal, 250 collapses the
     /// link to a quarter rate. Clamped to at least 1 (never free-running).
     pub fn set_rate_permille(&self, permille: u64) {
@@ -493,7 +488,7 @@ mod tests {
     fn controlled_link_matches_plain_link_when_untouched() {
         let mut sim = Simulation::new();
         let (tx, rx, ctrl) = controlled(&sim, LinkConfig::new("l", 8_000_000));
-        assert!(ctrl.is_up());
+        assert!(ctrl.state.up.get());
         sim.spawn("sender", async move {
             tx.send(vec![0u8; 1000]).await.unwrap(); // 1ms at 8Mbit/s
         });

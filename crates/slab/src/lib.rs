@@ -25,6 +25,8 @@
 //! leaked slab indices are reported on stderr and recorded for
 //! [`take_slab_leak_report`].
 
+#![deny(missing_docs, clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
@@ -267,7 +269,7 @@ impl ByteSlab {
         {
             let mut slots = self.inner.slots.borrow_mut();
             let slot = &mut slots[index];
-            // check:allow(no-unwrap): grabbed slots always hold their buffer.
+            #[allow(clippy::expect_used, reason = "grabbed slots always hold their buffer")]
             let buf = slot.buf.as_mut().expect("allocated slab owns its buffer");
             buf[..data.len()].copy_from_slice(data);
             slot.len = data.len();
@@ -291,10 +293,10 @@ impl ByteSlab {
     #[inline]
     pub fn try_writer(&self) -> Result<SlabWriter, SlabError> {
         let index = self.grab_slot()?;
+        #[allow(clippy::expect_used, reason = "grabbed slots always hold their buffer")]
         let buf = self.inner.slots.borrow_mut()[index]
             .buf
             .take()
-            // check:allow(no-unwrap): grabbed slots always hold their buffer.
             .expect("allocated slab owns its buffer");
         Ok(SlabWriter {
             inner: self.inner.clone(),
@@ -345,12 +347,6 @@ impl ByteSlab {
     /// Bytes copied *out of* the arena (the output copies).
     pub fn copied_out_bytes(&self) -> u64 {
         self.inner.copied_out.get()
-    }
-
-    /// Zeroes both copy counters (for scoped measurements in tests).
-    pub fn reset_copy_counters(&self) {
-        self.inner.copied_in.set(0);
-        self.inner.copied_out.set(0);
     }
 }
 
@@ -449,10 +445,10 @@ impl SlabRef {
         // `SlabRef`s are only minted by `try_alloc_copy` and `freeze`,
         // both of which leave the buffer in the slot; a writer (the
         // only taker of a buffer) holds no `SlabRef`.
+        #[allow(clippy::expect_used, reason = "refs exist only for buffered slots")]
         let buf = slots[self.index]
             .buf
             .as_ref()
-            // check:allow(no-unwrap): refs exist only for buffered slots.
             .expect("referenced slab owns its buffer");
         f(&buf[self.offset..self.offset + self.len])
     }
@@ -685,9 +681,6 @@ mod tests {
         assert_eq!(v.len(), 7);
         a.copy_out_with(|bytes| assert_eq!(bytes.len(), 10));
         assert_eq!(slab.copied_out_bytes(), 17);
-        slab.reset_copy_counters();
-        assert_eq!(slab.copied_in_bytes(), 0);
-        assert_eq!(slab.copied_out_bytes(), 0);
     }
 
     #[test]
