@@ -5,7 +5,7 @@ use pandora::pandora_box::{connect_pair, open_audio_shout};
 use pandora::BoxConfig;
 use pandora_atm::{segment_to_cells, HopConfig, Vci};
 use pandora_audio::gen::Tone;
-use pandora_buffers::Report;
+use pandora_buffers::{Report, Reporter};
 use pandora_metrics::Table;
 use pandora_segment::{wire, AudioSegment, Segment, SequenceNumber, StreamId, Timestamp};
 use pandora_sim::{channel, link, unbounded, Cpu, LinkConfig, SimDuration, SimTime, Simulation};
@@ -42,8 +42,7 @@ fn capacity_run(streams: usize, full: bool, seconds: u64) -> (f64, f64) {
         None,
         cpu.clone(),
         rx,
-        rep_tx,
-        SimDuration::from_millis(500),
+        &Reporter::new(rep_tx, "host", SimDuration::from_millis(500)),
     );
     if full {
         // The §4.2 full case includes "an outgoing stream": a capture path

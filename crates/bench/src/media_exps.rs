@@ -3,7 +3,7 @@
 
 use pandora_audio::gen::{Signal, Speech, Tone, Violin};
 use pandora_audio::{quality, recovery, Block, MuteStage, Muting, MutingConfig};
-use pandora_buffers::{decoupling, Report};
+use pandora_buffers::{decoupling, Report, Reporter};
 use pandora_metrics::{Table, TimeSeries};
 use pandora_segment::{AudioSegment, SequenceNumber, Timestamp};
 use pandora_sim::{unbounded, SimDuration, SimTime, Simulation};
@@ -240,7 +240,12 @@ pub fn decoupling_mechanics() -> DecouplingResult {
     // (a) Stalled consumer: upstream stays live, drops counted.
     let mut sim = Simulation::new();
     let (rep_tx, _rep_rx) = unbounded::<Report>();
-    let (mut gate, out_rx, _handle) = decoupling::<u64>("e16", 8, true, rep_tx);
+    let (mut gate, out_rx, _handle) = decoupling::<u64>(
+        "e16",
+        8,
+        true,
+        &Reporter::new(rep_tx, "host", SimDuration::from_millis(500)),
+    );
     let stats = std::rc::Rc::new(std::cell::Cell::new((0u64, 0u64, 0u64)));
     {
         let stats = stats.clone();
@@ -272,7 +277,12 @@ pub fn decoupling_mechanics() -> DecouplingResult {
     // (b) Live resize without loss.
     let mut sim2 = Simulation::new();
     let (rep_tx2, _r) = unbounded::<Report>();
-    let (mut gate2, out_rx2, handle2) = decoupling::<u64>("rsz", 16, false, rep_tx2);
+    let (mut gate2, out_rx2, handle2) = decoupling::<u64>(
+        "rsz",
+        16,
+        false,
+        &Reporter::new(rep_tx2, "host", SimDuration::from_millis(500)),
+    );
     sim2.spawn("producer", async move {
         for i in 0..500u64 {
             gate2.offer(i).await;

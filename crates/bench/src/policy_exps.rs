@@ -5,7 +5,7 @@ use pandora::pandora_box::{connect_pair, open_audio_shout, open_video_stream};
 use pandora::{BoxConfig, OutputId, StreamKind, TxMode};
 use pandora_atm::HopConfig;
 use pandora_audio::gen::Tone;
-use pandora_buffers::Report;
+use pandora_buffers::{Report, Reporter};
 use pandora_metrics::Table;
 use pandora_segment::{AudioSegment, StreamId};
 use pandora_sim::{channel, unbounded, Cpu, SimDuration, SimTime, Simulation};
@@ -122,8 +122,7 @@ pub fn overload_policy() -> OverloadPolicyResult {
             None,
             cpu.clone(),
             rx,
-            rep_tx,
-            SimDuration::from_millis(500),
+            &Reporter::new(rep_tx, "host", SimDuration::from_millis(500)),
         );
         let (mic_tx, mic_rx) = channel::<AudioSegment>();
         let cstats = pandora::audio_board::spawn_audio_capture(

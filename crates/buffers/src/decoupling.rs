@@ -26,12 +26,13 @@ use std::rc::Rc;
 
 use pandora_sim::{buffered, yield_now, Receiver, Sender, TrySendError};
 
-use crate::report::{Report, ReportClass};
+use crate::report::Reporter;
 
 /// Builds the decoupling buffer `name` of `capacity` slots. Returns the
 /// gate upstream offers into — dropping when the buffer is full in
 /// `ready_mode`, waiting for room otherwise — the queue downstream drains,
-/// and the handle commands and statistics go through. Spawns nothing.
+/// and the handle commands and statistics go through; the buffer reports
+/// under its name on the log of `reports`. Spawns nothing.
 ///
 /// # Panics
 ///
@@ -40,14 +41,13 @@ pub fn decoupling<T: 'static>(
     name: &str,
     capacity: usize,
     ready_mode: bool,
-    reports: Sender<Report>,
+    reports: &Reporter,
 ) -> (ReadyGate<T>, Receiver<T>, DecouplingHandle) {
     assert!(capacity > 0, "decoupling buffer capacity must be non-zero");
     let (tx, rx) = buffered::<T>(capacity + 1);
     let shared = Rc::new(Shared {
-        name: name.to_string(),
         queue: Box::new(tx.clone()),
-        reports,
+        reports: reports.named(name),
         accepted: Cell::new(0),
         high_watermark: Cell::new(0),
     });
@@ -82,10 +82,9 @@ impl<T> Occupancy for Sender<T> {
 }
 
 struct Shared {
-    name: String,
     /// The queue; its channel capacity counts the output slot.
     queue: Box<dyn Occupancy>,
-    reports: Sender<Report>,
+    reports: Reporter,
     /// Segments that entered the queue — the "in" pointer position.
     accepted: Cell<u64>,
     high_watermark: Cell<usize>,
@@ -130,14 +129,12 @@ impl DecouplingHandle {
     pub fn query(&self) {
         let s = &self.shared;
         let (len, accepted) = (s.queue.len(), s.accepted.get());
-        let msg = format!(
+        s.reports.reply(format_args!(
             "len={len} capacity={} in={accepted} out={} hwm={}",
             self.capacity(),
             accepted - len as u64,
             s.high_watermark.get()
-        );
-        let report = Report::new(pandora_sim::now(), &s.name, ReportClass::Info, msg);
-        let _ = s.reports.try_send(report);
+        ));
     }
 }
 
@@ -192,6 +189,7 @@ impl<T> ReadyGate<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Report;
     use pandora_sim::{unbounded, SimDuration, SimTime, Simulation};
     use std::cell::RefCell;
 
@@ -205,7 +203,8 @@ mod tests {
         Receiver<Report>,
     ) {
         let (rep_tx, rep_rx) = unbounded::<Report>();
-        let (gate, rx, handle) = decoupling("test", capacity, ready_mode, rep_tx);
+        let reports = Reporter::new(rep_tx, "rig", SimDuration::from_millis(100));
+        let (gate, rx, handle) = decoupling("test", capacity, ready_mode, &reports);
         (gate, rx, handle, rep_rx)
     }
 

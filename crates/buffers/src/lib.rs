@@ -21,7 +21,8 @@
 //!   byte-level half of the same allocator: refcounted slab regions that
 //!   own payload bytes end to end, making the paper's two-copy invariant
 //!   checkable via copy counters;
-//! * [`Report`] — the report messages all of these emit.
+//! * [`Report`] — the report messages all of these emit, each made by a
+//!   process's [`Reporter`], which holds §3.8's minimum period per key.
 
 #![deny(missing_docs, clippy::unwrap_used, clippy::expect_used)]
 
@@ -36,7 +37,7 @@ pub use clawback::{
 };
 pub use decoupling::{decoupling, DecouplingHandle, ReadyGate};
 pub use pool::{take_leak_report, Alloc, Descriptor, LeakReport, Pool};
-pub use report::{Report, ReportClass};
+pub use report::{Report, ReportClass, Reporter};
 
 pub use pandora_slab::{
     take_slab_leak_report, ByteSlab, SlabError, SlabLeakReport, SlabRef, SlabWriter,

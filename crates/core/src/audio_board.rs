@@ -18,8 +18,8 @@ use pandora_audio::{
     gen::Signal, mix_blocks, segment_blocks, Block, Concealer, Concealment, CpuProfile, Muting,
     SegmentAssembler,
 };
-use pandora_buffers::{ClawbackBank, ClawbackConfig, ClawbackPool, Report, ReportClass};
-use pandora_metrics::{Histogram, JitterTracker, RateLimiter};
+use pandora_buffers::{ClawbackBank, ClawbackConfig, ClawbackPool, ReportClass, Reporter};
+use pandora_metrics::{Histogram, JitterTracker};
 use pandora_segment::{
     AudioSegment, SeqEvent, SeqTracker, StreamId, Timestamp, BLOCK_DURATION_NANOS,
 };
@@ -378,8 +378,8 @@ impl SpeakerSink {
 ///
 /// `segments` delivers `(stream, segment)` pairs from the server board;
 /// the task mixes every 2 ms and exposes everything through the returned
-/// [`SpeakerSink`].
-#[allow(clippy::too_many_arguments)] // mirrors the board's full wiring harness
+/// [`SpeakerSink`], and reports gaps and clawback overflows on the log of
+/// `reports`.
 pub fn spawn_audio_playback(
     spawner: &Spawner,
     name: &str,
@@ -387,18 +387,16 @@ pub fn spawn_audio_playback(
     muting: Option<Rc<RefCell<Muting>>>,
     cpu: Cpu,
     segments: Receiver<(StreamId, AudioSegment)>,
-    reports: Sender<Report>,
-    report_min_period: SimDuration,
+    reports: &Reporter,
 ) -> SpeakerSink {
     let sink = SpeakerSink::new();
     let s = sink.clone();
     let proc_name = format!("audio:{name}:playback");
-    let task_name = proc_name.clone();
-    spawner.spawn(&task_name, async move {
+    let mut reports = reports.named(&proc_name);
+    spawner.spawn(&proc_name, async move {
         let pool = ClawbackPool::new(config.pool_blocks);
         let mut bank: ClawbackBank<TimedBlock> = ClawbackBank::new(config.clawback, pool);
         let mut concealers: std::collections::BTreeMap<StreamId, Concealer> = Default::default();
-        let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         let start = pandora_sim::now();
         let mut tick_no: u64 = 0;
         loop {
@@ -421,11 +419,8 @@ pub fn spawn_audio_playback(
                             &config,
                             stream,
                             seg,
-                            &reports,
-                            &mut limiter,
-                            &proc_name,
-                        )
-                        .await;
+                            &mut reports,
+                        );
                     }
                     Some(Err(_)) => return,
                     None => break, // Tick time.
@@ -507,17 +502,14 @@ pub fn spawn_audio_playback(
     sink
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn handle_segment(
+fn handle_segment(
     bank: &mut ClawbackBank<TimedBlock>,
     concealers: &mut std::collections::BTreeMap<StreamId, Concealer>,
     sink: &SpeakerSink,
     config: &PlaybackConfig,
     stream: StreamId,
     seg: AudioSegment,
-    reports: &Sender<Report>,
-    limiter: &mut RateLimiter,
-    proc_name: &str,
+    reports: &mut Reporter,
 ) {
     let now = pandora_sim::now();
     {
@@ -560,17 +552,11 @@ async fn handle_segment(
                 },
             );
         }
-        let key = format!("gap:{stream}");
-        if limiter.allow(&key, now.as_nanos()) {
-            let _ = reports
-                .send(Report::new(
-                    now,
-                    proc_name,
-                    ReportClass::Error,
-                    format!("{stream}: {missing} segment(s) lost, concealed {conceal} block(s)"),
-                ))
-                .await;
-        }
+        reports.report(
+            &format!("gap:{stream}"),
+            ReportClass::Error,
+            format_args!("{stream}: {missing} segment(s) lost, concealed {conceal} block(s)"),
+        );
     }
     if event == SeqEvent::Stale {
         return;
@@ -586,17 +572,11 @@ async fn handle_segment(
             },
         );
         if outcome == pandora_buffers::Arrival::OverLimit {
-            let key = format!("overlimit:{stream}");
-            if limiter.allow(&key, now.as_nanos()) {
-                let _ = reports
-                    .send(Report::new(
-                        now,
-                        proc_name,
-                        ReportClass::Fault,
-                        format!("{stream}: clawback buffer at 120ms cap, dropping"),
-                    ))
-                    .await;
-            }
+            reports.report(
+                &format!("overlimit:{stream}"),
+                ReportClass::Fault,
+                format_args!("{stream}: clawback buffer at 120ms cap, dropping"),
+            );
         }
     }
 }
@@ -647,6 +627,7 @@ pub fn spawn_stream_generators(
 mod tests {
     use super::*;
     use pandora_audio::MutingConfig;
+    use pandora_buffers::Report;
     use pandora_sim::{channel, unbounded, Simulation};
 
     fn playback_rig(
@@ -668,8 +649,7 @@ mod tests {
             None,
             cpu.clone(),
             rx,
-            rep_tx,
-            SimDuration::from_millis(100),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(100)),
         );
         (sim, tx, sink, cpu)
     }
@@ -834,8 +814,7 @@ mod tests {
             Some(muting.clone()),
             cpu.clone(),
             seg_rx,
-            rep_tx,
-            SimDuration::from_millis(100),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(100)),
         );
         // Loud far-end audio.
         let tx2 = seg_tx.clone();
@@ -910,8 +889,7 @@ mod tests {
             None,
             cpu,
             rx,
-            rep_tx,
-            SimDuration::from_millis(1),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(1)),
         );
         sim.spawn("feed", async move {
             let mut sig = pandora_audio::gen::Tone::new(440.0, 8_000.0);

@@ -10,28 +10,29 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pandora_buffers::{Report, ReportClass};
-use pandora_sim::{unbounded, Sender, Spawner};
+use pandora_buffers::{Report, ReportClass, Reporter};
+use pandora_sim::{unbounded, SimDuration, Spawner};
 
 /// A handle onto the collected host log.
-#[derive(Clone)]
 pub struct ReportLog {
     entries: Rc<RefCell<Vec<Report>>>,
-    tx: Sender<Report>,
+    reports: Reporter,
 }
 
 impl ReportLog {
-    /// Spawns the multiplexing collector and returns the log handle.
+    /// Spawns the multiplexing collector of box `name` and returns the log
+    /// handle.
     ///
-    /// Every process clones [`ReportLog::sender`] as its report channel;
-    /// sends never block (the host link is modelled as an unbounded sink,
-    /// report volume being tiny next to stream traffic).
-    pub fn spawn(spawner: &Spawner, name: &str) -> ReportLog {
+    /// Every process reports through a [`ReportLog::reporter`] of its own,
+    /// allowing one report per `min_period` for each sort of error (§3.8);
+    /// reports never block (the host link is modelled as an unbounded
+    /// sink, report volume being tiny next to stream traffic).
+    pub fn spawn(spawner: &Spawner, name: &str, min_period: SimDuration) -> ReportLog {
         let (tx, rx) = unbounded::<Report>();
         let entries = Rc::new(RefCell::new(Vec::new()));
         let log = ReportLog {
             entries: entries.clone(),
-            tx,
+            reports: Reporter::new(tx, name, min_period),
         };
         spawner.spawn(&format!("hostlog:{name}"), async move {
             while let Ok(r) = rx.recv().await {
@@ -41,9 +42,9 @@ impl ReportLog {
         log
     }
 
-    /// The sender processes use as their report channel.
-    pub fn sender(&self) -> Sender<Report> {
-        self.tx.clone()
+    /// A reporter onto this log for the process `source`.
+    pub fn reporter(&self, source: &str) -> Reporter {
+        self.reports.named(source)
     }
 
     /// All reports collected so far.
@@ -94,30 +95,16 @@ impl ReportLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora_sim::{SimTime, Simulation};
+    use pandora_sim::Simulation;
 
     #[test]
     fn collects_and_filters() {
         let mut sim = Simulation::new();
-        let log = ReportLog::spawn(&sim.spawner(), "boxa");
-        let tx = log.sender();
+        let log = ReportLog::spawn(&sim.spawner(), "boxa", SimDuration::from_millis(500));
+        let (mut switch, mut clawback) = (log.reporter("switch"), log.reporter("clawback"));
         sim.spawn("proc", async move {
-            tx.send(Report::new(
-                SimTime::ZERO,
-                "switch",
-                ReportClass::Overload,
-                "dropped 3",
-            ))
-            .await
-            .unwrap();
-            tx.send(Report::new(
-                SimTime::ZERO,
-                "clawback",
-                ReportClass::Fault,
-                "limit",
-            ))
-            .await
-            .unwrap();
+            switch.report("drop", ReportClass::Overload, "dropped 3");
+            clawback.report("drop", ReportClass::Fault, "limit");
         });
         sim.run_until_idle();
         assert_eq!(log.len(), 2);

@@ -17,10 +17,10 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use pandora_atm::{cells_gather, SlabReassembler, Vci};
-use pandora_buffers::{ByteSlab, Pool, Report, ReportClass};
-use pandora_metrics::{Histogram, RateLimiter};
+use pandora_buffers::{ByteSlab, Pool, ReportClass, Reporter};
+use pandora_metrics::Histogram;
 use pandora_segment::{wire, SlabSegment, StreamId};
-use pandora_sim::{alt2, Either2, LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner};
+use pandora_sim::{alt2, Either2, LinkSender, Receiver, Sender, SimTime, Spawner};
 
 use crate::config::TxMode;
 use crate::msg::SegMsg;
@@ -116,7 +116,8 @@ impl NetOutConfig {
 /// Spawns the network output process.
 ///
 /// `audio` and `video` are the drains of the fig 3.7 decoupling buffers;
-/// `link` is the box's ATM attachment.
+/// `link` is the box's ATM attachment; the process reports on the log of
+/// `reports`.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_net_out(
     spawner: &Spawner,
@@ -126,8 +127,7 @@ pub fn spawn_net_out(
     video: Receiver<NetMsg>,
     link: LinkSender<pandora_atm::Cell>,
     pool: Pool<SlabSegment>,
-    reports: Sender<Report>,
-    report_min_period: SimDuration,
+    reports: &Reporter,
 ) -> NetOutStats {
     let NetOutConfig {
         mode,
@@ -138,8 +138,8 @@ pub fn spawn_net_out(
     let stats = NetOutStats::default();
     let s = stats.clone();
     let proc_name = format!("net-out:{name}");
-    let task_name = proc_name.clone();
-    spawner.spawn(&task_name, async move {
+    let mut reports = reports.named(&proc_name);
+    spawner.spawn(&proc_name, async move {
         let mut cell_seq: BTreeMap<Vci, u32> = BTreeMap::new();
         // Reusable header scratch region: headers are encoded here and
         // scatter-gathered with the slab payload, so no contiguous wire
@@ -148,7 +148,6 @@ pub fn spawn_net_out(
         let mut audio_q: VecDeque<(NetMsg, SimTime)> = VecDeque::new();
         let mut video_q: BTreeMap<StreamId, VideoQueue> = BTreeMap::new();
         let mut video_backlog = 0usize;
-        let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         // In interleaved mode, the cells of the segment currently being
         // transmitted; audio may preempt between cells.
         let mut in_flight: VecDeque<pandora_atm::Cell> = VecDeque::new();
@@ -172,11 +171,8 @@ pub fn spawn_net_out(
                     p3_oldest_first,
                     &pool,
                     &s,
-                    &reports,
-                    &mut limiter,
-                    &proc_name,
-                )
-                .await;
+                    &mut reports,
+                );
             }
             // In non-interleaved mode a started segment finishes before
             // anything else is considered — the §4.2 hold-up.
@@ -228,23 +224,18 @@ pub fn spawn_net_out(
             }
             // Nothing pending: block until either input produces.
             match alt2(&audio, &video).await {
-                Some(Ok(Either2::A(m))) => audio_q.push_back((m, pandora_sim::now())),
-                Some(Ok(Either2::B(m))) => {
-                    admit_video(
-                        m,
-                        &mut video_q,
-                        &mut video_backlog,
-                        video_backlog_cap,
-                        p3_oldest_first,
-                        &pool,
-                        &s,
-                        &reports,
-                        &mut limiter,
-                        &proc_name,
-                    )
-                    .await
-                }
-                Some(Err(_)) | None => return,
+                Ok(Either2::A(m)) => audio_q.push_back((m, pandora_sim::now())),
+                Ok(Either2::B(m)) => admit_video(
+                    m,
+                    &mut video_q,
+                    &mut video_backlog,
+                    video_backlog_cap,
+                    p3_oldest_first,
+                    &pool,
+                    &s,
+                    &mut reports,
+                ),
+                Err(_) => return,
             }
         }
     });
@@ -278,7 +269,7 @@ fn segment_cells(
 }
 
 #[allow(clippy::too_many_arguments)]
-async fn admit_video(
+fn admit_video(
     m: NetMsg,
     video_q: &mut BTreeMap<StreamId, VideoQueue>,
     backlog: &mut usize,
@@ -286,9 +277,7 @@ async fn admit_video(
     oldest_first: bool,
     pool: &Pool<SlabSegment>,
     s: &NetOutStats,
-    reports: &Sender<Report>,
-    limiter: &mut RateLimiter,
-    proc_name: &str,
+    reports: &mut Reporter,
 ) {
     let q = video_q.entry(m.stream).or_insert_with(|| VideoQueue {
         opened_at: m.opened_at,
@@ -314,21 +303,14 @@ async fn admit_video(
             pool.release(dropped.desc);
             *backlog -= 1;
             *s.inner.borrow_mut().p3_drops.entry(victim).or_insert(0) += 1;
-            let now = pandora_sim::now();
-            let key = format!("p3:{victim}");
-            if limiter.allow(&key, now.as_nanos()) {
-                let total = s.p3_drops(victim);
-                let _ = reports
-                    .send(Report::new(
-                        now,
-                        proc_name,
-                        ReportClass::Overload,
-                        format!(
-                            "video backlog over {cap}: degraded stream {victim} ({total} dropped)"
-                        ),
-                    ))
-                    .await;
-            }
+            reports.report(
+                &format!("p3:{victim}"),
+                ReportClass::Overload,
+                format_args!(
+                    "video backlog over {cap}: degraded stream {victim} ({} dropped)",
+                    s.p3_drops(victim)
+                ),
+            );
         }
     }
 }
@@ -392,8 +374,7 @@ impl NetInStats {
 /// in place as a refcounted slice. The input handler is lossless up to
 /// the switch (drops happen at the decoupling buffers downstream,
 /// §3.7.1); only pool or slab exhaustion — the paper's "serious fault" —
-/// discards here, with a report.
-#[allow(clippy::too_many_arguments)]
+/// discards here, with a report on the log of `reports`.
 pub fn spawn_net_in(
     spawner: &Spawner,
     name: &str,
@@ -401,16 +382,14 @@ pub fn spawn_net_in(
     to_switch: Sender<SegMsg>,
     pool: Pool<SlabSegment>,
     slab: ByteSlab,
-    reports: Sender<Report>,
-    report_min_period: SimDuration,
+    reports: &Reporter,
 ) -> NetInStats {
     let stats = NetInStats::default();
     let s = stats.clone();
     let proc_name = format!("net-in:{name}");
-    let task_name = proc_name.clone();
-    spawner.spawn(&task_name, async move {
+    let mut reports = reports.named(&proc_name);
+    spawner.spawn(&proc_name, async move {
         let mut reasm = SlabReassembler::new(slab);
-        let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         let mut last_discarded = 0u64;
         let mut last_alloc_failures = 0u64;
         while let Ok(cell) = cells.recv().await {
@@ -422,31 +401,13 @@ pub fn spawn_net_in(
                     last_discarded = d;
                     s.inner.borrow_mut().frames_discarded = d;
                     s.inner.borrow_mut().pool_exhausted += 1;
-                    let now = pandora_sim::now();
-                    if limiter.allow("pool", now.as_nanos()) {
-                        let _ = reports
-                            .send(Report::new(
-                                now,
-                                &proc_name,
-                                ReportClass::Fault,
-                                "reassembly slab exhausted, discarding",
-                            ))
-                            .await;
-                    }
+                    let message = "reassembly slab exhausted, discarding";
+                    reports.report("pool", ReportClass::Fault, message);
                 } else if d != last_discarded {
                     last_discarded = d;
                     s.inner.borrow_mut().frames_discarded = d;
-                    let now = pandora_sim::now();
-                    if limiter.allow("reasm", now.as_nanos()) {
-                        let _ = reports
-                            .send(Report::new(
-                                now,
-                                &proc_name,
-                                ReportClass::Error,
-                                format!("cell loss: {d} frames discarded"),
-                            ))
-                            .await;
-                    }
+                    let message = format_args!("cell loss: {d} frames discarded");
+                    reports.report("reasm", ReportClass::Error, message);
                 }
                 continue;
             };
@@ -454,17 +415,8 @@ pub fn spawn_net_in(
                 Ok(seg) => seg,
                 Err(e) => {
                     s.inner.borrow_mut().decode_errors += 1;
-                    let now = pandora_sim::now();
-                    if limiter.allow("decode", now.as_nanos()) {
-                        let _ = reports
-                            .send(Report::new(
-                                now,
-                                &proc_name,
-                                ReportClass::Error,
-                                format!("segment decode failed: {e}"),
-                            ))
-                            .await;
-                    }
+                    let message = format_args!("segment decode failed: {e}");
+                    reports.report("decode", ReportClass::Error, message);
                     continue;
                 }
             };
@@ -484,17 +436,8 @@ pub fn spawn_net_in(
                 }
                 Err(_) => {
                     s.inner.borrow_mut().pool_exhausted += 1;
-                    let now = pandora_sim::now();
-                    if limiter.allow("pool", now.as_nanos()) {
-                        let _ = reports
-                            .send(Report::new(
-                                now,
-                                &proc_name,
-                                ReportClass::Fault,
-                                "segment pool exhausted, discarding",
-                            ))
-                            .await;
-                    }
+                    let message = "segment pool exhausted, discarding";
+                    reports.report("pool", ReportClass::Fault, message);
                 }
             }
         }
@@ -506,8 +449,9 @@ pub fn spawn_net_in(
 mod tests {
     use super::*;
     use pandora_atm::{segment_to_cells, Cell};
+    use pandora_buffers::Report;
     use pandora_segment::{AudioSegment, Segment, SequenceNumber, Timestamp};
-    use pandora_sim::{channel, link, unbounded, LinkConfig, Simulation};
+    use pandora_sim::{channel, link, unbounded, LinkConfig, SimDuration, Simulation};
 
     fn audio_seg(seq: u32) -> Segment {
         Segment::Audio(AudioSegment::from_blocks(
@@ -556,8 +500,7 @@ mod tests {
             video_rx,
             wire_tx,
             pool.clone(),
-            rep_tx,
-            SimDuration::from_millis(100),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(100)),
         );
         Rig {
             sim,
@@ -631,8 +574,7 @@ mod tests {
             sw_tx,
             pool.clone(),
             ByteSlab::new(8, 4096),
-            rep_tx,
-            SimDuration::from_millis(100),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(100)),
         );
         sim.spawn("feed", async move {
             let bytes = wire::encode(&audio_seg(7));
@@ -921,8 +863,7 @@ mod tests {
             sw_tx,
             pool.clone(),
             ByteSlab::new(8, 4096),
-            rep_tx,
-            SimDuration::from_millis(1),
+            &Reporter::new(rep_tx, "rig", SimDuration::from_millis(1)),
         );
         sim.spawn("feed", async move {
             // An intact first segment establishes the cell counter.

@@ -14,13 +14,11 @@ use std::rc::Rc;
 use pandora_atm::Vci;
 use pandora_audio::{gen::Signal, Muting};
 use pandora_buffers::{
-    ByteSlab, DecouplingHandle, Descriptor, Pool, ReadyGate, Report, ReportClass,
+    ByteSlab, DecouplingHandle, Descriptor, Pool, ReadyGate, ReportClass, Reporter,
 };
-use pandora_metrics::RateLimiter;
 use pandora_segment::{AudioSegment, Segment, SlabSegment, StreamId, VideoSegment};
 use pandora_sim::{
-    link_over, link_queue, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimDuration, SimTime,
-    Spawner,
+    link_over, link_queue, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimTime, Spawner,
 };
 use pandora_video::CaptureConfig;
 
@@ -56,8 +54,7 @@ struct Outputs<'a> {
     name: &'static str,
     ready_mode: bool,
     pool: Pool<SlabSegment>,
-    reports: Sender<Report>,
-    report_min_period: SimDuration,
+    reports: &'a Reporter,
     buffers: Rc<RefCell<Vec<DecouplingHandle>>>,
 }
 
@@ -67,7 +64,7 @@ impl Outputs<'_> {
     fn gate<T: 'static>(&self, label: &str, cap: usize) -> (ReadyGate<T>, Receiver<T>) {
         let name = format!("{}:{label}", self.name);
         let (gate, queue, handle) =
-            pandora_buffers::decoupling(&name, cap, self.ready_mode, self.reports.clone());
+            pandora_buffers::decoupling(&name, cap, self.ready_mode, self.reports);
         self.buffers.borrow_mut().push(handle);
         (gate, queue)
     }
@@ -75,8 +72,8 @@ impl Outputs<'_> {
     /// Spawns the link `wire` to a board and the output handler
     /// `{name}:{handler}` that feeds it what `buffered` delivers: the
     /// segments `pick` accepts leave the slab here — the second (and last)
-    /// payload copy of the hop — and any other kind is reported, at most
-    /// once per `report_min_period` (§3.8).
+    /// payload copy of the hop — and any other kind is reported under
+    /// `handler` (§3.8).
     fn device_link<T: 'static>(
         &self,
         handler: &'static str,
@@ -88,8 +85,7 @@ impl Outputs<'_> {
         let (wire_tx, source) = link_queue::<(StreamId, T)>();
         let (wire_rx, _) = link_over(self.spawner, wire, source, move |(_, seg)| size(seg));
         let pool = self.pool.clone();
-        let reports = self.reports.clone();
-        let mut limiter = RateLimiter::new(self.report_min_period.as_nanos());
+        let mut reports = self.reports.named(handler);
         self.spawner
             .spawn(&format!("{}:{handler}", self.name), async move {
                 while let Ok(m) = buffered.recv().await {
@@ -100,12 +96,8 @@ impl Outputs<'_> {
                             return;
                         }
                     } else {
-                        let now = pandora_sim::now();
-                        if limiter.allow("kind", now.as_nanos()) {
-                            let message = format!("segment of the wrong kind ({})", m.stream);
-                            let report = Report::new(now, handler, ReportClass::Error, message);
-                            let _ = reports.send(report).await;
-                        }
+                        let message = format_args!("segment of the wrong kind ({})", m.stream);
+                        reports.report("kind", ReportClass::Error, message);
                     }
                 }
             });
@@ -168,8 +160,8 @@ impl PandoraBox {
         net_rx: Receiver<pandora_atm::Cell>,
     ) -> PandoraBox {
         let name = config.name;
-        let log = ReportLog::spawn(spawner, name);
-        let reports = log.sender();
+        let log = ReportLog::spawn(spawner, name, config.report_min_period);
+        let reports = log.reporter(name);
         let pool: Pool<SlabSegment> = Pool::new(config.pool_buffers);
         let slab = ByteSlab::new(config.slab_buffers, config.slab_bytes);
 
@@ -184,8 +176,7 @@ impl PandoraBox {
             name,
             ready_mode: config.ready_mode,
             pool: pool.clone(),
-            reports: reports.clone(),
-            report_min_period: config.report_min_period,
+            reports: &reports,
             buffers: Rc::default(),
         };
         let (net_audio_gate, net_audio_rx) = outputs.gate("net-audio", config.audio_net_buffer);
@@ -218,8 +209,7 @@ impl PandoraBox {
             pool.clone(),
             server_cpu.clone(),
             pandora_sim::SimDuration::from_nanos(config.video_costs.switch_per_segment_ns),
-            reports.clone(),
-            config.report_min_period,
+            &reports,
         );
 
         // --- Network board.
@@ -236,8 +226,7 @@ impl PandoraBox {
             net_video_rx,
             net_tx,
             pool.clone(),
-            reports.clone(),
-            config.report_min_period,
+            &reports,
         );
         let net_in_stats = spawn_net_in(
             spawner,
@@ -246,8 +235,7 @@ impl PandoraBox {
             to_switch.clone(),
             pool.clone(),
             slab.clone(),
-            reports.clone(),
-            config.report_min_period,
+            &reports,
         );
 
         // --- Audio board: server → (20 Mbit/s link) → clawback/mixer.
@@ -289,8 +277,7 @@ impl PandoraBox {
             muting.clone(),
             audio_cpu.clone(),
             audio_link_rx,
-            reports.clone(),
-            config.report_min_period,
+            &reports,
         );
 
         // --- Mixer board: server → (100 Mbit/s fifo) → display.
@@ -565,7 +552,7 @@ impl PandoraBox {
     /// launched into the switch under the stream `tag` gives it. Input
     /// handlers run lossless to the switch; only pool or slab exhaustion —
     /// the paper's "serious fault" — discards, and the handler reports it
-    /// under its task name at most once per `report_min_period` (§3.8).
+    /// under its task name (§3.8).
     fn spawn_input<T: 'static>(
         &self,
         task: String,
@@ -575,8 +562,7 @@ impl PandoraBox {
         let to_switch = self.to_switch.clone();
         let pool = self.pool.clone();
         let slab = self.slab.clone();
-        let reports = self.log.sender();
-        let mut limiter = RateLimiter::new(self.config.report_min_period.as_nanos());
+        let mut reports = self.log.reporter(&task);
         let name = self.config.name;
         self.spawner.spawn(&format!("{name}:{task}"), async move {
             while let Ok(item) = device.recv().await {
@@ -586,12 +572,8 @@ impl PandoraBox {
                         return;
                     }
                 } else {
-                    let now = pandora_sim::now();
-                    if limiter.allow("pool", now.as_nanos()) {
-                        let message = "segment pool exhausted, discarding";
-                        let report = Report::new(now, &task, ReportClass::Fault, message);
-                        let _ = reports.send(report).await;
-                    }
+                    let message = "segment pool exhausted, discarding";
+                    reports.report("pool", ReportClass::Fault, message);
                 }
             }
         });

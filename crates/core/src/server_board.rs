@@ -20,10 +20,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora_atm::Vci;
-use pandora_buffers::{Descriptor, Pool, ReadyGate, Report, ReportClass};
-use pandora_metrics::{CounterSet, RateLimiter};
+use pandora_buffers::{Descriptor, Pool, ReadyGate, ReportClass, Reporter};
+use pandora_metrics::CounterSet;
 use pandora_segment::StreamId;
-use pandora_sim::{alt2, Cpu, Either2, Receiver, Sender, SimDuration, Spawner};
+use pandora_sim::{alt2, Cpu, Either2, Receiver, SimDuration, Spawner};
 
 use crate::msg::{OutputId, SegMsg, StreamKind, SwitchCommand, SwitchEntry};
 
@@ -125,7 +125,8 @@ impl SwitchStats {
 /// * `pool` — the server board's segment buffer pool (the switch never
 ///   inspects segment contents, so it works over any pooled type —
 ///   descriptors move, bytes do not);
-/// * `cpu` — the server transputer (each segment pays a switching cost).
+/// * `cpu` — the server transputer (each segment pays a switching cost);
+/// * `reports` — the log drops and query replies are reported on.
 #[allow(clippy::too_many_arguments)]
 pub fn spawn_switch<T: 'static>(
     spawner: &Spawner,
@@ -137,36 +138,29 @@ pub fn spawn_switch<T: 'static>(
     pool: Pool<T>,
     cpu: Cpu,
     per_segment_cost: SimDuration,
-    reports: Sender<Report>,
-    report_min_period: SimDuration,
+    reports: &Reporter,
 ) -> SwitchStats {
     let stats = SwitchStats::default();
     let s = stats.clone();
     let proc_name = format!("switch:{name}");
-    let task_name = proc_name.clone();
-    spawner.spawn(&task_name, async move {
+    let mut reports = reports.named(&proc_name);
+    spawner.spawn(&proc_name, async move {
         let mut table: BTreeMap<StreamId, SwitchEntry> = BTreeMap::new();
-        let mut limiter = RateLimiter::new(report_min_period.as_nanos());
         loop {
             // PRI ALT: commands first (Principle 4). With the principle
             // disabled, data is polled first and a busy input starves the
             // command channel.
             let next = if command_priority {
-                match alt2(&commands, &input).await {
-                    Some(Ok(Either2::A(cmd))) => (Some(cmd), None),
-                    Some(Ok(Either2::B(msg))) => (None, Some(msg)),
-                    Some(Err(_)) | None => return,
-                }
+                alt2(&commands, &input).await
             } else {
-                match alt2(&input, &commands).await {
-                    Some(Ok(Either2::A(msg))) => (None, Some(msg)),
-                    Some(Ok(Either2::B(cmd))) => (Some(cmd), None),
-                    Some(Err(_)) | None => return,
-                }
+                alt2(&input, &commands).await.map(|next| match next {
+                    Either2::A(msg) => Either2::B(msg),
+                    Either2::B(cmd) => Either2::A(cmd),
+                })
             };
             match next {
-                (Some(cmd), _) => apply_command(&mut table, cmd, &reports, &proc_name).await,
-                (_, Some(msg)) => {
+                Ok(Either2::A(cmd)) => apply_command(&mut table, cmd, &reports),
+                Ok(Either2::B(msg)) => {
                     cpu.claim(per_segment_cost).await;
                     let Some(entry) = table.get(&msg.stream) else {
                         s.inner.borrow_mut().no_route += 1;
@@ -195,26 +189,20 @@ pub fn spawn_switch<T: 'static>(
                                 pool.release(msg.desc);
                                 let key = format!("{}->{}", msg.stream, output_name);
                                 s.inner.borrow_mut().dropped.incr(&key);
-                                let now = pandora_sim::now();
-                                if limiter.allow(&key, now.as_nanos()) {
-                                    let total = s.inner.borrow().dropped.get(&key);
-                                    let _ = reports
-                                        .send(Report::new(
-                                            now,
-                                            &proc_name,
-                                            ReportClass::Overload,
-                                            format!(
-                                                "output {output_name} full: dropped {total} of {}",
-                                                msg.stream
-                                            ),
-                                        ))
-                                        .await;
-                                }
+                                let total = s.inner.borrow().dropped.get(&key);
+                                reports.report(
+                                    &key,
+                                    ReportClass::Overload,
+                                    format_args!(
+                                        "output {output_name} full: dropped {total} of {}",
+                                        msg.stream
+                                    ),
+                                );
                             }
                         }
                     }
                 }
-                (None, None) => unreachable!("alt2 always yields one side"),
+                Err(_) => return,
             }
         }
     });
@@ -288,11 +276,10 @@ async fn offer_plain(
     }
 }
 
-async fn apply_command(
+fn apply_command(
     table: &mut BTreeMap<StreamId, SwitchEntry>,
     cmd: SwitchCommand,
-    reports: &Sender<Report>,
-    proc_name: &str,
+    reports: &Reporter,
 ) {
     match cmd {
         SwitchCommand::SetRoute { stream, entry } => {
@@ -313,29 +300,23 @@ async fn apply_command(
         SwitchCommand::DropRoute { stream } => {
             table.remove(&stream);
         }
-        SwitchCommand::Query { stream } => {
-            let msg = match table.get(&stream) {
-                Some(e) => format!("{stream}: kind={:?} dests={}", e.kind, e.dests.len()),
-                None => format!("{stream}: no route"),
-            };
-            let _ = reports
-                .send(Report::new(
-                    pandora_sim::now(),
-                    proc_name,
-                    ReportClass::Info,
-                    msg,
-                ))
-                .await;
-        }
+        SwitchCommand::Query { stream } => match table.get(&stream) {
+            Some(e) => reports.reply(format_args!(
+                "{stream}: kind={:?} dests={}",
+                e.kind,
+                e.dests.len()
+            )),
+            None => reports.reply(format_args!("{stream}: no route")),
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora_buffers::decoupling;
+    use pandora_buffers::{decoupling, Report};
     use pandora_segment::{AudioSegment, Segment, SequenceNumber, Timestamp};
-    use pandora_sim::{channel, unbounded, SimTime, Simulation};
+    use pandora_sim::{channel, unbounded, Sender, SimTime, Simulation};
 
     fn seg() -> Segment {
         Segment::Audio(AudioSegment::from_blocks(
@@ -362,10 +343,11 @@ mod tests {
         let (in_tx, in_rx) = channel::<SegMsg>();
         let (cmd_tx, cmd_rx) = unbounded::<SwitchCommand>();
         let (rep_tx, _rep_rx) = unbounded::<Report>();
+        let reports = Reporter::new(rep_tx, "rig", SimDuration::from_millis(100));
 
         // Audio and test outputs, each with a ready-mode decoupling buffer.
-        let (audio, audio_out, _) = decoupling("audio", audio_capacity, true, rep_tx.clone());
-        let (test, test_out, _) = decoupling("test", 16, true, rep_tx.clone());
+        let (audio, audio_out, _) = decoupling("audio", audio_capacity, true, &reports);
+        let (test, test_out, _) = decoupling("test", 16, true, &reports);
         let outputs = SwitchOutputs {
             audio: Some(audio),
             test: Some(test),
@@ -382,8 +364,7 @@ mod tests {
             pool.clone(),
             cpu,
             SimDuration::from_micros(20),
-            rep_tx,
-            SimDuration::from_millis(100),
+            &reports,
         );
         Rig {
             sim,

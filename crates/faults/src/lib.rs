@@ -2,15 +2,15 @@
 //!
 //! The paper's principles (P1–P8, §2) are promises about behaviour *under
 //! error and overload*: where loss lands when links drop cells, consumers
-//! stall and clocks step. This crate turns those adversities into
+//! stall and boxes crash. This crate turns those adversities into
 //! first-class, replayable inputs:
 //!
 //! * a [`FaultPlan`] declares *what* goes wrong and *when* — scripted
 //!   event by event, or generated from a seed by [`FaultPlan::random`];
 //! * [`FaultTargets`] names the injection points a topology exposes:
-//!   [`PathControl`]s from `pandora_atm::build_path_controlled`,
-//!   [`TickerHandle`]s, [`Cpu`]s — plus task-name prefixes for
-//!   pause/resume, which need no registration;
+//!   [`PathControl`]s from `pandora_atm::build_path_controlled` and
+//!   [`Cpu`]s — plus task-name prefixes for pause/resume, which need no
+//!   registration;
 //! * [`install`] spawns a driver task that actuates each event at its
 //!   virtual time and logs every application and reversion into a
 //!   [`FaultTrace`].
@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_atm::PathControl;
-use pandora_sim::{Cpu, Priority, SimDuration, SimTime, Spawner, TickerHandle};
+use pandora_sim::{Cpu, Priority, SimDuration, SimTime, Spawner};
 
 /// One kind of injectable fault. Targets are referred to by the names they
 /// were registered under in [`FaultTargets`] (or, for [`PauseTasks`],
@@ -116,23 +116,6 @@ pub enum FaultKind {
         /// The box's configured name.
         name: String,
     },
-    /// Changes a ticker crystal's relative drift; reverting restores 0.
-    DriftChange {
-        /// Registered ticker name.
-        ticker: String,
-        /// New relative drift (e.g. `1e-4`).
-        drift: f64,
-    },
-    /// Steps a ticker's local clock; reverting steps it back.
-    ClockStep {
-        /// Registered ticker name.
-        ticker: String,
-        /// `true` steps the clock forward (a burst of early ticks),
-        /// `false` backward (a gap).
-        forward: bool,
-        /// Step magnitude.
-        by: SimDuration,
-    },
     /// Rogue CPU load: `claimants` tasks each claim the CPU for `cost` in
     /// a tight loop at normal priority, saturating it until the event's
     /// duration elapses (P1's adversary: competing work that must not
@@ -171,18 +154,6 @@ impl std::fmt::Display for FaultKind {
             FaultKind::PauseTasks { prefix } => write!(f, "pause-tasks prefix={prefix}"),
             FaultKind::BoxCrash { name } => write!(f, "box-crash name={name}"),
             FaultKind::BoxRestart { name } => write!(f, "box-restart name={name}"),
-            FaultKind::DriftChange { ticker, drift } => {
-                write!(f, "drift-change ticker={ticker} drift={drift:e}")
-            }
-            FaultKind::ClockStep {
-                ticker,
-                forward,
-                by,
-            } => write!(
-                f,
-                "clock-step ticker={ticker} dir={} by={by}",
-                if *forward { "forward" } else { "backward" }
-            ),
             FaultKind::CpuLoad {
                 cpu,
                 claimants,
@@ -230,8 +201,6 @@ pub struct RandomProfile {
     pub paths: Vec<String>,
     /// Task-name prefixes eligible for pause/resume faults.
     pub pause_prefixes: Vec<String>,
-    /// Ticker names eligible for drift/step faults.
-    pub tickers: Vec<String>,
     /// CPU names eligible for rogue-load faults.
     pub cpus: Vec<String>,
     /// Upper bound on injected cell-loss probability.
@@ -251,7 +220,6 @@ impl RandomProfile {
             events,
             paths: Vec::new(),
             pause_prefixes: Vec::new(),
-            tickers: Vec::new(),
             cpus: Vec::new(),
             max_loss: 0.3,
             max_corruption: 0.2,
@@ -292,8 +260,6 @@ impl FaultPlan {
             LinkDown(&'a str),
             Bandwidth(&'a str),
             Pause(&'a str),
-            Drift(&'a str),
-            Step(&'a str),
             Load(&'a str),
         }
         let mut menu: Vec<Menu> = Vec::new();
@@ -306,10 +272,6 @@ impl FaultPlan {
         }
         for p in &profile.pause_prefixes {
             menu.push(Menu::Pause(p));
-        }
-        for t in &profile.tickers {
-            menu.push(Menu::Drift(t));
-            menu.push(Menu::Step(t));
         }
         for c in &profile.cpus {
             menu.push(Menu::Load(c));
@@ -372,22 +334,6 @@ impl FaultPlan {
                     },
                     Some(SimDuration(dur.min(h / 20).max(1))),
                 ),
-                Menu::Drift(t) => (
-                    FaultKind::DriftChange {
-                        ticker: t.to_string(),
-                        drift: if rng.gen_bool(0.5) { 1.0 } else { -1.0 }
-                            * (1e-5 + unit(&mut rng) * 1e-3),
-                    },
-                    Some(SimDuration(dur)),
-                ),
-                Menu::Step(t) => (
-                    FaultKind::ClockStep {
-                        ticker: t.to_string(),
-                        forward: rng.gen_bool(0.5),
-                        by: SimDuration(rng.gen_range(1_000_000..=50_000_000)),
-                    },
-                    Some(SimDuration(dur)),
-                ),
                 Menu::Load(c) => (
                     FaultKind::CpuLoad {
                         cpu: c.to_string(),
@@ -406,12 +352,6 @@ impl FaultPlan {
         FaultPlan { seed, events }
     }
 
-    /// Appends a crash of box `name` at `crash_at` and its restart
-    /// `down_for` later — the standard crash/recover scenario the
-    /// conformance suite replays. The crash is permanent (no auto-revert)
-    /// so the downtime is owned entirely by the paired
-    /// [`FaultKind::BoxRestart`]; both land in the [`FaultTrace`] as
-    /// ordinary apply lines, replayable byte-identically.
     /// Appends an uplink capacity cap: the first hop of path `name`
     /// (an overlay relay's uplink registers itself as a one-hop path)
     /// drops to `permille`/1000 of nominal bandwidth at `at` and reverts
@@ -430,6 +370,12 @@ impl FaultPlan {
         )
     }
 
+    /// Appends a crash of box `name` at `crash_at` and its restart
+    /// `down_for` later — the standard crash/recover scenario the
+    /// conformance suite replays. The crash is permanent (no auto-revert)
+    /// so the downtime is owned entirely by the paired
+    /// [`FaultKind::BoxRestart`]; both land in the [`FaultTrace`] as
+    /// ordinary apply lines, replayable byte-identically.
     pub fn crash_restart(self, name: &str, crash_at: SimDuration, down_for: SimDuration) -> Self {
         self.event(
             crash_at,
@@ -499,7 +445,6 @@ pub fn box_task_prefixes(name: &str) -> Vec<String> {
 #[derive(Clone, Default)]
 pub struct FaultTargets {
     paths: Vec<(String, PathControl)>,
-    tickers: Vec<(String, TickerHandle)>,
     cpus: Vec<(String, Cpu)>,
 }
 
@@ -521,10 +466,6 @@ impl FaultTargets {
 
     fn path(&self, name: &str) -> Option<&PathControl> {
         self.paths.iter().find(|(n, _)| n == name).map(|(_, c)| c)
-    }
-
-    fn ticker(&self, name: &str) -> Option<&TickerHandle> {
-        self.tickers.iter().find(|(n, _)| n == name).map(|(_, h)| h)
     }
 
     fn cpu(&self, name: &str) -> Option<&Cpu> {
@@ -652,27 +593,6 @@ fn actuate(
             }
             return Ok(format!("{phase} {kind} tasks={n}"));
         }
-        FaultKind::DriftChange { ticker, drift } => {
-            let Some(h) = targets.ticker(ticker) else {
-                return Err(format!("unknown ticker {ticker}"));
-            };
-            h.set_drift(if revert { 0.0 } else { *drift });
-        }
-        FaultKind::ClockStep {
-            ticker,
-            forward,
-            by,
-        } => {
-            let Some(h) = targets.ticker(ticker) else {
-                return Err(format!("unknown ticker {ticker}"));
-            };
-            // Reverting a step steps the clock back the other way.
-            if *forward != revert {
-                h.step_forward(*by);
-            } else {
-                h.step_backward(*by);
-            }
-        }
         FaultKind::CpuLoad {
             cpu,
             claimants,
@@ -768,7 +688,6 @@ mod tests {
         let mut p = RandomProfile::new(SimDuration::from_secs(20), 8);
         p.paths = vec!["a-b".into(), "b-a".into()];
         p.pause_prefixes = vec!["b:mixer".into()];
-        p.tickers = vec!["mic".into()];
         p.cpus = vec!["audio".into()];
         p
     }

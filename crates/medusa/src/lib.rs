@@ -31,9 +31,9 @@ use pandora::VideoCosts;
 use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, SwitchCore, Vci};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
-use pandora_buffers::Report;
+use pandora_buffers::Reporter;
 use pandora_segment::{wire, Segment, StreamId, Timestamp, BLOCK_DURATION_NANOS};
-use pandora_sim::{link, Cpu, LinkConfig, LinkSender, Receiver, Sender, SimDuration, Spawner};
+use pandora_sim::{link, Cpu, LinkConfig, LinkSender, Receiver, SimDuration, Spawner};
 use pandora_video::CaptureConfig;
 
 /// The ATM switch fabric joining Medusa units.
@@ -172,13 +172,14 @@ pub fn spawn_mic_unit(
     cpu
 }
 
-/// A speaker unit: cells → segments → the Pandora clawback/mixing path.
+/// A speaker unit: cells → segments → the Pandora clawback/mixing path,
+/// which reports on the log of `reports`.
 pub fn spawn_speaker_unit(
     spawner: &Spawner,
     name: &str,
     cells: Receiver<Cell>,
     config: PlaybackConfig,
-    reports: Sender<Report>,
+    reports: &Reporter,
 ) -> (SpeakerSink, Cpu) {
     let cpu = Cpu::new(
         &format!("medusa-speaker:{name}"),
@@ -206,7 +207,6 @@ pub fn spawn_speaker_unit(
         cpu.clone(),
         seg_rx,
         reports,
-        SimDuration::from_millis(500),
     );
     (sink, cpu)
 }
@@ -327,16 +327,23 @@ pub fn spawn_filter_unit(
 mod tests {
     use super::*;
     use pandora_audio::gen::Tone;
+    use pandora_buffers::Report;
     use pandora_sim::{unbounded, SimTime, Simulation};
     use pandora_video::dpcm::LineMode;
     use pandora_video::{RateFraction, Rect};
+
+    /// A reporter onto a log nobody reads.
+    fn reports() -> Reporter {
+        let (tx, _) = unbounded::<Report>();
+        Reporter::new(tx, "host", SimDuration::from_millis(500))
+    }
 
     #[test]
     fn mic_to_speaker_across_fabric() {
         let mut sim = Simulation::new();
         let spawner = sim.spawner();
         let mut fabric = Fabric::new(&spawner, 4, 100_000_000);
-        let (rep_tx, _rep_rx) = unbounded::<Report>();
+        let reports = reports();
         // Mic on port 0 → speaker on port 1, VCI 10.
         fabric.route(Vci(10), 1);
         spawn_mic_unit(
@@ -352,7 +359,7 @@ mod tests {
             "s0",
             fabric.take_port_rx(1),
             PlaybackConfig::default(),
-            rep_tx,
+            &reports,
         );
         sim.run_until(SimTime::from_secs(1));
         assert!(
@@ -383,7 +390,7 @@ mod tests {
         let mut sim = Simulation::new();
         let spawner = sim.spawner();
         let mut fabric = Fabric::new(&spawner, 4, 100_000_000);
-        let (rep_tx, _rep_rx) = unbounded::<Report>();
+        let reports = reports();
         // Mic on port 0 announces to speakers on ports 1 and 2 (tannoy).
         fabric.route(Vci(10), 1);
         fabric.route_add(Vci(10), 2);
@@ -400,14 +407,14 @@ mod tests {
             "s1",
             fabric.take_port_rx(1),
             PlaybackConfig::default(),
-            rep_tx.clone(),
+            &reports,
         );
         let (sink2, _cpu) = spawn_speaker_unit(
             &spawner,
             "s2",
             fabric.take_port_rx(2),
             PlaybackConfig::default(),
-            rep_tx,
+            &reports,
         );
         sim.run_until(SimTime::from_millis(500));
         // Shrink: drop the port-2 copy; the port-1 copy must not glitch.
@@ -433,7 +440,7 @@ mod tests {
         let mut sim = Simulation::new();
         let spawner = sim.spawner();
         let mut fabric = Fabric::new(&spawner, 4, 100_000_000);
-        let (rep_tx, _rep_rx) = unbounded::<Report>();
+        let reports = reports();
         for (i, port) in [0usize, 1, 2].iter().enumerate() {
             let vci = Vci(10 + i as u32);
             fabric.route(vci, 3);
@@ -451,7 +458,7 @@ mod tests {
             "s0",
             fabric.take_port_rx(3),
             PlaybackConfig::default(),
-            rep_tx,
+            &reports,
         );
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sink.max_active_streams(), 3);

@@ -1,4 +1,4 @@
-//! Event counters and the report rate limiter.
+//! Event counters.
 
 use std::collections::BTreeMap;
 
@@ -83,51 +83,6 @@ impl CounterSet {
     }
 }
 
-/// Gate enforcing "a minimum period between reports for any particular sort
-/// of error" (§3.8).
-///
-/// Call [`RateLimiter::allow`] with the current time; it returns `true` (and
-/// arms the gate) only if at least the configured period has elapsed since
-/// the last allowed event for that key.
-#[derive(Debug, Clone)]
-pub struct RateLimiter {
-    period: u64,
-    last: BTreeMap<String, u64>,
-    suppressed: CounterSet,
-}
-
-impl RateLimiter {
-    /// Creates a limiter allowing one event per `period` time units per key.
-    pub fn new(period: u64) -> Self {
-        Self {
-            period,
-            last: BTreeMap::new(),
-            suppressed: CounterSet::new(),
-        }
-    }
-
-    /// Returns `true` if an event with class `key` may fire at time `now`.
-    ///
-    /// The first event for a key is always allowed.
-    pub fn allow(&mut self, key: &str, now: u64) -> bool {
-        match self.last.get(key) {
-            Some(&t) if now.saturating_sub(t) < self.period => {
-                self.suppressed.incr(key);
-                false
-            }
-            _ => {
-                self.last.insert(key.to_string(), now);
-                true
-            }
-        }
-    }
-
-    /// How many events were suppressed for `key` so far.
-    pub fn suppressed(&self, key: &str) -> u64 {
-        self.suppressed.get(key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,23 +118,5 @@ mod tests {
         assert_eq!(s.total(), 3);
         let names: Vec<_> = s.iter().map(|(n, _)| n.to_string()).collect();
         assert_eq!(names, ["drops.audio", "drops.video"]);
-    }
-
-    #[test]
-    fn rate_limiter_enforces_period() {
-        let mut r = RateLimiter::new(100);
-        assert!(r.allow("overflow", 0));
-        assert!(!r.allow("overflow", 50));
-        assert!(!r.allow("overflow", 99));
-        assert!(r.allow("overflow", 100));
-        assert_eq!(r.suppressed("overflow"), 2);
-    }
-
-    #[test]
-    fn rate_limiter_keys_are_independent() {
-        let mut r = RateLimiter::new(100);
-        assert!(r.allow("a", 0));
-        assert!(r.allow("b", 10));
-        assert!(!r.allow("a", 10));
     }
 }

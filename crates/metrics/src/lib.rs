@@ -7,7 +7,6 @@
 //! * [`Histogram`] — sample-recording distribution with quantiles.
 //! * [`JitterTracker`] — inter-arrival jitter relative to a nominal period.
 //! * [`Counter`] and [`CounterSet`] — named event counters.
-//! * [`RateLimiter`] — minimum-period gating used by report channels.
 //! * [`TimeSeries`] — (time, value) traces for figure-style output.
 //! * [`StateTimeline`] — (time, entity, state) transition traces for
 //!   failure-recovery assertions.
@@ -25,7 +24,7 @@ mod series;
 mod table;
 mod timeline;
 
-pub use counter::{Counter, CounterSet, RateLimiter};
+pub use counter::{Counter, CounterSet};
 pub use histogram::Histogram;
 pub use jitter::JitterTracker;
 pub use series::TimeSeries;

@@ -19,7 +19,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pandora_buffers::{Report, ReportClass};
+use pandora_buffers::{ReportClass, Reporter};
 use pandora_segment::{reseg, AudioSegment, Segment, StreamId, REPOSITORY_BLOCKS_PER_SEGMENT};
 use pandora_sim::{Cpu, Receiver, Sender, SimDuration, SimTime, Spawner};
 
@@ -102,7 +102,8 @@ struct RepoInner {
     next_id: Cell<u64>,
     cpu: Cpu,
     costs: RepositoryCosts,
-    reports: Sender<Report>,
+    /// Playback's reporter: one report per playback stream per period.
+    reports: RefCell<Reporter>,
     dropped_playback: Cell<u64>,
 }
 
@@ -139,20 +140,16 @@ impl RecorderHandle {
 }
 
 impl Repository {
-    /// Creates a repository with its own CPU.
-    pub fn new(
-        spawner: &Spawner,
-        name: &str,
-        costs: RepositoryCosts,
-        reports: Sender<Report>,
-    ) -> Self {
+    /// Creates a repository with its own CPU, reporting on the log of
+    /// `reports`.
+    pub fn new(spawner: &Spawner, name: &str, costs: RepositoryCosts, reports: &Reporter) -> Self {
         Repository {
             inner: Rc::new(RepoInner {
                 recordings: RefCell::new(BTreeMap::new()),
                 next_id: Cell::new(1),
                 cpu: Cpu::new(&format!("repo:{name}"), SimDuration::from_nanos(700)),
                 costs,
-                reports,
+                reports: RefCell::new(reports.named("repo-playback")),
                 dropped_playback: Cell::new(0),
             }),
             spawner: spawner.clone(),
@@ -265,7 +262,8 @@ impl Repository {
     /// Playback claims the repository CPU at low priority; when the CPU
     /// cannot keep up (recordings in progress), playback despatch slips
     /// and late segments are *dropped* (counted), not accumulated — the
-    /// degradation the reversed Principle 1 prescribes.
+    /// degradation the reversed Principle 1 prescribes — and reported at
+    /// most once per period for each destination stream (§3.8).
     pub fn playback(
         &self,
         id: RecordingId,
@@ -298,17 +296,13 @@ impl Repository {
                     };
                     if lateness > seg_duration {
                         inner.dropped_playback.set(inner.dropped_playback.get() + 1);
-                        let _ = inner
-                            .reports
-                            .send(Report::new(
-                                now,
-                                "repo-playback",
-                                ReportClass::Overload,
-                                format!(
-                                    "playback of {dest_stream} degraded (late by {lateness}ns)"
-                                ),
-                            ))
-                            .await;
+                        inner.reports.borrow_mut().report(
+                            &format!("late:{dest_stream}"),
+                            ReportClass::Overload,
+                            format_args!(
+                                "playback of {dest_stream} degraded (late by {lateness}ns)"
+                            ),
+                        );
                         continue;
                     }
                     let mut segment = stored.segment.clone();
@@ -373,8 +367,12 @@ pub fn is_repository_format(rec: &Recording) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_buffers::Report;
     use pandora_segment::{SequenceNumber, Timestamp, BLOCK_DURATION_NANOS};
     use pandora_sim::{channel, unbounded, Simulation};
+
+    /// The §3.8 period the tests' reporters run at.
+    const PERIOD: SimDuration = SimDuration::from_millis(500);
 
     fn live_audio_stream(n_segments: u32) -> Vec<Segment> {
         (0..n_segments)
@@ -391,7 +389,8 @@ mod tests {
     fn rig() -> (Simulation, Repository) {
         let sim = Simulation::new();
         let (rep_tx, _rep_rx) = unbounded::<Report>();
-        let repo = Repository::new(&sim.spawner(), "r", RepositoryCosts::default(), rep_tx);
+        let reports = Reporter::new(rep_tx, "host", PERIOD);
+        let repo = Repository::new(&sim.spawner(), "r", RepositoryCosts::default(), &reports);
         (sim, repo)
     }
 
@@ -533,15 +532,21 @@ mod tests {
     fn recording_beats_playback_under_contention() {
         // Reversed Principle 1: saturate the repository CPU with both a
         // recording and playbacks; the recording must stay lossless while
-        // playback degrades.
+        // playback degrades, reporting it at most once a period per
+        // playback stream (§3.8).
         let mut sim = Simulation::new();
-        let (rep_tx, _rep_rx) = unbounded::<Report>();
+        let (rep_tx, rep_rx) = unbounded::<Report>();
         // An expensive repository so contention is real.
         let costs = RepositoryCosts {
             record_per_segment: SimDuration::from_millis(2),
             playback_per_segment: SimDuration::from_millis(2),
         };
-        let repo = Repository::new(&sim.spawner(), "slow", costs, rep_tx);
+        let repo = Repository::new(
+            &sim.spawner(),
+            "slow",
+            costs,
+            &Reporter::new(rep_tx, "host", PERIOD),
+        );
         // Pre-load a recording to play back.
         let (tx0, rx0) = channel::<(StreamId, Segment)>();
         let h0 = repo.record(rx0, StreamId(1));
@@ -572,8 +577,23 @@ mod tests {
         sim.run_until_idle();
         // Everything offered to the recorder was committed.
         assert_eq!(h1.recorded(), 100, "recording lost data under load");
-        // Playback was degraded instead.
-        assert!(repo.dropped_playback() > 0, "playback never degraded");
+        // Playback was degraded instead, and every drop counted.
+        assert_eq!(repo.dropped_playback(), 399, "playback drops");
+        // The report channel heard of it once a period per stream, not
+        // once a drop.
+        let reports: Vec<Report> = std::iter::from_fn(|| rep_rx.try_recv()).collect();
+        for stream in [StreamId(30), StreamId(31)] {
+            let at: Vec<SimTime> = reports
+                .iter()
+                .filter(|r| r.message.starts_with(&format!("playback of {stream} ")))
+                .inspect(|r| assert_eq!(r.source, "repo-playback"))
+                .map(|r| r.time)
+                .collect();
+            assert!(!at.is_empty(), "{stream}: degraded without a report");
+            for pair in at.windows(2) {
+                assert!(pair[1] - pair[0] >= PERIOD, "{stream}: reports at {at:?}");
+            }
+        }
     }
 
     #[test]

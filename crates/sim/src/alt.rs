@@ -47,22 +47,22 @@ pub struct Alt2<'a, A, B> {
 }
 
 impl<A, B> Future for Alt2<'_, A, B> {
-    type Output = Option<Result<Either2<A, B>, RecvError>>;
+    type Output = Result<Either2<A, B>, RecvError>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
         let mut closed = 0;
         match self.a.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either2::A(v)))),
+            Poll::Ready(Ok(v)) => return Poll::Ready(Ok(Either2::A(v))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
         match self.b.poll_take() {
-            Poll::Ready(Ok(v)) => return Poll::Ready(Some(Ok(Either2::B(v)))),
+            Poll::Ready(Ok(v)) => return Poll::Ready(Ok(Either2::B(v))),
             Poll::Ready(Err(RecvError)) => closed += 1,
             Poll::Pending => {}
         }
         if closed == 2 {
-            return Poll::Ready(Some(Err(RecvError)));
+            return Poll::Ready(Err(RecvError));
         }
         Poll::Pending
     }
@@ -226,11 +226,11 @@ mod tests {
         let o = out.clone();
         sim.spawn("alt", async move {
             // Both ready: guard A must win, then B.
-            match alt2(&rxa, &rxb).await.unwrap().unwrap() {
+            match alt2(&rxa, &rxb).await.unwrap() {
                 Either2::A(v) => o.borrow_mut().push(format!("a{v}")),
                 Either2::B(v) => o.borrow_mut().push(format!("b{v}")),
             }
-            match alt2(&rxa, &rxb).await.unwrap().unwrap() {
+            match alt2(&rxa, &rxb).await.unwrap() {
                 Either2::A(v) => o.borrow_mut().push(format!("a{v}")),
                 Either2::B(v) => o.borrow_mut().push(format!("b{v}")),
             }
@@ -247,7 +247,7 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         sim.spawn("alt", async move {
-            if let Some(Ok(Either2::A(v))) = alt2(&rxa, &rxb).await {
+            if let Ok(Either2::A(v)) = alt2(&rxa, &rxb).await {
                 *g.borrow_mut() = Some(v);
             }
         });
@@ -546,7 +546,7 @@ mod tests {
         let first = Rc::new(RefCell::new(None));
         let f = first.clone();
         sim.spawn("process", async move {
-            match alt2(&cmd_rx, &data_rx).await.unwrap().unwrap() {
+            match alt2(&cmd_rx, &data_rx).await.unwrap() {
                 Either2::A(c) => *f.borrow_mut() = Some(format!("cmd:{c}")),
                 Either2::B(d) => *f.borrow_mut() = Some(format!("data:{d}")),
             }

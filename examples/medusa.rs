@@ -9,6 +9,7 @@
 use pandora::audio_board::PlaybackConfig;
 use pandora_atm::Vci;
 use pandora_audio::gen::Speech;
+use pandora_buffers::Reporter;
 use pandora_medusa::{
     spawn_camera_unit, spawn_display_unit, spawn_filter_unit, spawn_mic_unit, spawn_speaker_unit,
     Fabric,
@@ -23,6 +24,7 @@ fn main() {
     // Six fabric ports: 2 mics, 1 camera, 1 filter, 1 speaker, 1 display.
     let mut fabric = Fabric::new(&spawner, 6, 100_000_000);
     let (rep_tx, _rep_rx) = unbounded();
+    let reports = Reporter::new(rep_tx, "host", SimDuration::from_millis(500));
 
     // Two microphone units stream straight to the speaker unit (VCIs 10/11
     // → port 4).
@@ -49,7 +51,7 @@ fn main() {
         "speaker",
         fabric.take_port_rx(4),
         PlaybackConfig::default(),
-        rep_tx,
+        &reports,
     );
 
     // The camera streams to a face-tracker-style filter unit (VCI 20 →

@@ -25,7 +25,7 @@ fn main() {
         &sim.spawner(),
         "archive",
         RepositoryCosts::default(),
-        pair.a.log.sender(),
+        &pair.a.log.reporter("repository"),
     );
 
     // Record 5 seconds of the sender's microphone via the repository tap.

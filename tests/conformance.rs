@@ -346,7 +346,9 @@ fn videophone_profile(horizon: SimDuration, events: usize) -> RandomProfile {
     p
 }
 
-fn deterministic_run(seed: u64) -> (String, String) {
+/// A faulted videophone pair run for 10 s: the fault trace, the metric
+/// snapshot, and both boxes' host logs rendered one after the other.
+fn deterministic_run(seed: u64) -> (String, String, String) {
     let mut sim = Simulation::new();
     let (pair, targets) = pair_with(
         &sim,
@@ -360,21 +362,41 @@ fn deterministic_run(seed: u64) -> (String, String) {
     let plan = FaultPlan::random(seed, &videophone_profile(SimDuration::from_secs(8), 4));
     let trace = install(&sim.spawner(), &plan, &targets);
     sim.run_until(SimTime::from_secs(10));
-    (trace.to_text(), support::snapshot(&pair))
+    let log = pair.a.log.render() + &pair.b.log.render();
+    (trace.to_text(), support::snapshot(&pair), log)
 }
 
 #[test]
 fn same_seed_replays_byte_identically() {
-    let (trace_1, snap_1) = deterministic_run(1234);
-    let (trace_2, snap_2) = deterministic_run(1234);
+    let (trace_1, snap_1, _) = deterministic_run(1234);
+    let (trace_2, snap_2, _) = deterministic_run(1234);
     assert!(!trace_1.is_empty(), "seeded plan injected nothing");
     assert_eq!(trace_1, trace_2, "fault trace diverged between replays");
     assert_eq!(
         snap_1, snap_2,
         "conformance metrics diverged between replays"
     );
-    let (trace_3, _) = deterministic_run(4321);
+    let (trace_3, _, _) = deterministic_run(4321);
     assert_ne!(trace_1, trace_3, "different seeds produced the same trace");
+}
+
+/// The host log across commits, not just across replays: FNV-1a of both
+/// boxes' rendered logs under seed 1234 (seven lines from the switch,
+/// `net-in` and audio playback), recorded while every process still kept
+/// its own rate limiter and awaited its report sends. Every source, class,
+/// message and instant must survive a change to how reports are made.
+#[test]
+fn seeded_host_log_matches_the_recording() {
+    let (_, _, log) = deterministic_run(1234);
+    let digest = log.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        digest,
+        0x53db_9968_b25d_2e08,
+        "host log moved ({} lines):\n{log}",
+        log.lines().count()
+    );
 }
 
 // --- Seeded sweeps -------------------------------------------------------

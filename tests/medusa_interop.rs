@@ -81,7 +81,7 @@ fn pandora_box_feeds_a_medusa_speaker() {
         "standalone-speaker",
         fabric.take_port_rx(1),
         pandora::PlaybackConfig::default(),
-        boxy.log.sender(),
+        &boxy.log.reporter("medusa"),
     );
     sim.run_until(SimTime::from_secs(2));
     assert!(

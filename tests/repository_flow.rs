@@ -21,7 +21,7 @@ fn record_resegment_playback_across_boxes() {
         &sim.spawner(),
         "r",
         RepositoryCosts::default(),
-        pair.a.log.sender(),
+        &pair.a.log.reporter("repository"),
     );
 
     // Record 2 seconds of microphone.
@@ -72,7 +72,7 @@ fn two_streams_recorded_together_stay_synchronised() {
         &sim.spawner(),
         "r",
         RepositoryCosts::default(),
-        pair.a.log.sender(),
+        &pair.a.log.reporter("repository"),
     );
     // First mic starts now; second joins 200ms later (same repository —
     // "streams to be synchronised during playback must have been recorded
