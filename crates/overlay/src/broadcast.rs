@@ -379,10 +379,12 @@ struct Uplink {
 }
 
 impl Uplink {
+    /// Both queues start empty and grow on use: most viewers relay to
+    /// nobody and never push a copy.
     fn new(cap: usize, late_bound_nanos: u64) -> Rc<Uplink> {
         Rc::new(Uplink {
-            q: RefCell::new(VecDeque::with_capacity(cap)),
-            handed: RefCell::new(VecDeque::with_capacity(HANDOFF)),
+            q: RefCell::new(VecDeque::new()),
+            handed: RefCell::new(VecDeque::new()),
             wire: StdCell::new(None),
             cap: cap.max(1),
             late_bound_nanos,
@@ -521,14 +523,14 @@ fn install_uplink_cap(
 /// ring of the stripe and the live children. The source is the root
 /// relay of all `k` trees; a viewer relays its interior stripe only and
 /// is a leaf (no ring) elsewhere. Shared by the member's tasks (relay or
-/// source loop, heartbeat or hub sweep) and its finish report.
+/// source loop, hub sweep), its [`Beat`] and its finish report.
 struct Relay {
     uplink: Rc<Uplink>,
     /// Per tree: the ring (`None` on a leaf), and the plan's children
     /// plus every adopted orphan.
     trees: RefCell<Vec<(Option<RepairRing>, Vec<usize>)>>,
     grafts_in: StdCell<u64>,
-    /// The P8 rate divisor the heartbeat's [`AdaptMachine`] last set.
+    /// The P8 rate divisor the [`Beat`]'s [`AdaptMachine`] last set.
     divisor: StdCell<u32>,
     max_divisor: StdCell<u32>,
     p8_skips: StdCell<u64>,
@@ -599,6 +601,39 @@ impl Relay {
     }
 }
 
+/// A viewer's heartbeat: what one beat reads and writes. No task of its
+/// own — one `ovl:beat` task beats every viewer in member order (see
+/// [`build_overlay_broadcast`] for where it must run).
+struct Beat {
+    member: usize,
+    report: PortSender<Hello>,
+    receiver: Rc<RefCell<StripeReceiver>>,
+    relay: Rc<Relay>,
+    adapt: AdaptMachine,
+}
+
+impl Beat {
+    /// Sends the hub a `Hello` (liveness and resume points), then closes
+    /// the uplink's P8 window. A dead member sends nothing: returns
+    /// false, and it is never beaten again.
+    fn beat(&mut self) -> bool {
+        let relay = &self.relay;
+        if relay.uplink.dead.get() {
+            return false;
+        }
+        self.report.send(Hello {
+            node: self.member,
+            next: self.receiver.borrow().next_expected().to_vec(),
+        });
+        let sample = relay.uplink.take_window();
+        if let Some(AdaptAction::SetDivisor(d)) = self.adapt.observe(&sample) {
+            relay.divisor.set(d);
+            relay.max_divisor.set(relay.max_divisor.get().max(d));
+        }
+        true
+    }
+}
+
 /// Everything one viewer's setup closure needs.
 struct NodeSeat {
     member: usize,
@@ -610,6 +645,8 @@ struct NodeSeat {
     ins: Vec<Ingress<Msg>>,
     outs: Vec<(usize, usize, Egress<Msg>)>,
     report: Egress<Hello>,
+    /// Where the setup leaves the viewer's [`Beat`] for `ovl:beat`.
+    beats: Rc<RefCell<Vec<Beat>>>,
     cfg: OverlayConfig,
 }
 
@@ -624,7 +661,6 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
             .map(|i| env.bind_ingress(i))
             .collect(),
     );
-    let rpt_tx = env.open_egress(seat.report);
 
     let receiver = Rc::new(RefCell::new(StripeReceiver::new(
         cfg.trees,
@@ -673,33 +709,18 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
             }
         });
 
-    // Heartbeat: liveness + resume points to the hub, and the local P8
-    // window observation.
-    let hb = relay.clone();
-    let hb_rx = receiver.clone();
-    env.spawner().spawn(&format!("ovl:hb{member}"), async move {
-        let mut adapt = AdaptMachine::new(
+    seat.beats.borrow_mut().push(Beat {
+        member,
+        report: env.open_egress(seat.report),
+        receiver: receiver.clone(),
+        relay: relay.clone(),
+        adapt: AdaptMachine::new(
             MediaClass::Video,
             HealthConfig {
                 window: cfg.heartbeat,
                 ..HealthConfig::default()
             },
-        );
-        loop {
-            delay(cfg.heartbeat).await;
-            if hb.uplink.dead.get() {
-                break;
-            }
-            rpt_tx.send(Hello {
-                node: member,
-                next: hb_rx.borrow().next_expected().to_vec(),
-            });
-            let sample = hb.uplink.take_window();
-            if let Some(AdaptAction::SetDivisor(d)) = adapt.observe(&sample) {
-                hb.divisor.set(d);
-                hb.max_divisor.set(hb.max_divisor.get().max(d));
-            }
-        }
+        ),
     });
 
     env.on_finish(move || {
@@ -878,7 +899,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
 /// Ports are created in one canonical order (primary edges, backup
 /// edges, control, reports — each in member-then-tree order), the merge
 /// key order of same-instant deliveries, and setups are registered in
-/// member order, the order of the finish report.
+/// member order, the order of the finish report, then the heartbeat's.
 ///
 /// # Errors
 ///
@@ -948,6 +969,7 @@ pub fn build_overlay_broadcast(
         cfg: *cfg,
     };
     cluster.setup(0, move |env| hub_setup(env, hub));
+    let beats: Rc<RefCell<Vec<Beat>>> = Rc::default();
     let viewers = ins
         .into_iter()
         .skip(1)
@@ -963,10 +985,35 @@ pub fn build_overlay_broadcast(
             ins: v_ins,
             outs: v_outs,
             report,
+            beats: beats.clone(),
             cfg: *cfg,
         };
         cluster.setup(0, move |env| node_setup(env, seat));
     }
+    // One task beats for every viewer, from a setup registered after all
+    // of theirs — the place a heartbeat task per member had. Each of those
+    // armed its timer in member order, at t = 0 and then at each beat, so
+    // at every beat instant their polls already ran as one contiguous
+    // block: behind the high-priority wires and the dispatcher, ahead of
+    // every other low-priority task due then. Only timers armed at t = 0
+    // came before the block: the crash and fault scripts, and any probe a
+    // caller registers after this. (At the first beat a member's scripts
+    // ran just ahead of its own heartbeat, not the whole block; they touch
+    // only that member, so it is the same.) This task arms its first
+    // timer after every one of those and re-arms at each beat, so it runs
+    // in exactly that place. Spawned ahead of the members' setups, it
+    // would beat before a crash due on a beat instant, and the member
+    // dying at the first beat would send one more hello.
+    let period = cfg.heartbeat;
+    cluster.setup(0, move |env| {
+        let mut beats = beats.take();
+        env.spawner().spawn("ovl:beat", async move {
+            while !beats.is_empty() {
+                delay(period).await;
+                beats.retain_mut(Beat::beat);
+            }
+        });
+    });
 
     Ok(OverlayBuild {
         cluster,
@@ -1410,6 +1457,68 @@ mod tests {
                     .is_some_and(|t| plan.children(t, v).len() >= 2)
             })
             .expect("no busy relay")
+    }
+
+    /// `(crash ms, capped)` — the last interior relay with children crashed
+    /// on a beat instant, and in half the rows [`busy_relay`] capped to
+    /// 50 ‰ from the second beat for 80 ms, which moves its P8 divisor —
+    /// then the digest of the merged report and the highest divisor.
+    /// Recorded while every viewer had a heartbeat task of its own: where
+    /// a beat runs against a crash, a fault script and the uplink's
+    /// windows shows in all of it. The control hop is 6 ms, longer than
+    /// half a beat, so the first beat's hellos land after the first sweep:
+    /// at the default 200 µs a hello at the first beat is masked by the
+    /// lease's fresh enrolment, and one more hello from the member dying
+    /// there would move nothing.
+    #[rustfmt::skip]
+    const BEAT_ORDER: [((u64, bool), &str, u64); 10] = [
+        ((0, false), "34990e300781ce20", 1),
+        ((0, true), "b94789d14e1f558f", 8),
+        ((10, false), "999424ec8b7e3498", 1),
+        ((10, true), "e9dcb4900725cedb", 8),
+        ((20, false), "2995ca4609ef00c4", 1),
+        ((20, true), "65836c9c4b30feec", 8),
+        ((60, false), "2fcc1cf415019fa6", 1),
+        ((60, true), "23715dba8bf716e1", 8),
+        ((150, false), "6ee2c941623992c5", 1),
+        ((150, true), "89ee0c70c4b88756", 8),
+    ];
+
+    #[test]
+    fn beats_keep_the_order_of_a_heartbeat_task_per_member() {
+        let plan = plan_for(&small_cfg()).expect("plan");
+        let victim = (1..plan.members())
+            .rev()
+            .find(|&v| {
+                plan.interior_tree(v)
+                    .is_some_and(|t| !plan.children(t, v).is_empty())
+            })
+            .expect("no interior relay with children");
+        let capped = busy_relay(&plan);
+        assert_ne!(victim, capped);
+        let mut got = Vec::new();
+        for ((crash_ms, cap), ..) in BEAT_ORDER {
+            let cfg = OverlayConfig {
+                crash: Some(CrashPlan {
+                    member: victim,
+                    at: SimDuration::from_millis(crash_ms),
+                }),
+                uplink_cap: cap.then_some(UplinkCapPlan {
+                    member: capped,
+                    at: SimDuration::from_millis(20),
+                    hold: SimDuration::from_millis(80),
+                    permille: 50,
+                }),
+                ctl_latency: SimDuration::from_millis(6),
+                ..small_cfg()
+            };
+            let (lines, _) = run(&cfg);
+            let s = OverlaySummary::parse(&lines);
+            assert_eq!((s.crashed, s.hub_deaths), (1, 1), "{lines:?}");
+            got.push(((crash_ms, cap), digest(&lines), s.max_divisor));
+        }
+        let want: Vec<_> = BEAT_ORDER.map(|(k, d, m)| (k, d.to_string(), m)).to_vec();
+        assert_eq!(got, want);
     }
 
     /// Pins [`HANDOFF`]. A relay capped to 1 ‰ from 1 ms takes 583 ms a

@@ -161,7 +161,7 @@ mod tests {
     use crate::plan::{Member, PlanConfig};
     use pandora_sim::SimDuration;
 
-    fn engine(n: usize) -> RepairEngine {
+    fn engine(n: usize, degree: usize) -> RepairEngine {
         let members: Vec<Member> = (0..n)
             .map(|i| Member {
                 name: format!("m{i}"),
@@ -172,7 +172,7 @@ mod tests {
             &members,
             &PlanConfig {
                 trees: 2,
-                degree: 4,
+                degree,
                 seed: 3,
                 stripe_cps: 1_000,
             },
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn silent_interior_dies_and_every_orphan_gets_a_graft() {
-        let mut e = engine(40);
+        let mut e = engine(40, 4);
         let (dead, tree) = victim(&e);
         let orphans: Vec<usize> = e.plan().children(tree, dead).to_vec();
         // Resume points come from the orphans' last hellos.
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn repair_log_replays_byte_identically() {
         let run = || {
-            let mut e = engine(40);
+            let mut e = engine(40, 4);
             let (dead, _) = victim(&e);
             for sweep in 0..6u64 {
                 for m in 1..40 {
@@ -256,6 +256,88 @@ mod tests {
         let a = run();
         assert!(a.contains("graft"), "{a}");
         assert_eq!(a, run());
+    }
+
+    /// One beat: a hello from every member but the `silent`, then a sweep.
+    fn beat(e: &mut RepairEngine, silent: &[usize], sweep: u64) -> Vec<Graft> {
+        for m in 1..e.plan().members() {
+            if !silent.contains(&m) {
+                e.hello(m, &[4, 5]);
+            }
+        }
+        e.sweep(sweep)
+    }
+
+    /// The second-failure shape: 200 members, two trees, degree 3. In
+    /// tree 0, `191 → 59 → {79, 1, 27}` and `1 → {192, 194, 197}`.
+    fn second_failure_engine() -> RepairEngine {
+        let e = engine(200, 3);
+        let plan = e.plan();
+        assert_eq!(plan.interior_tree(1), Some(0));
+        assert_eq!(plan.parent(0, 1), Some(59));
+        assert_eq!(plan.children(0, 1), [192, 194, 197]);
+        assert_eq!(plan.parent(0, 59), Some(191));
+        assert_eq!(plan.children(0, 59), [79, 1, 27]);
+        e
+    }
+
+    /// What repair owes the `orphans` once every member in `dead` has
+    /// died: each is grafted exactly once, onto a live ancestor in tree 0,
+    /// and no dead member is grafted or adopts.
+    fn assert_every_orphan_lands_on_a_live_ancestor(
+        e: &RepairEngine,
+        grafts: &[Graft],
+        dead: &[usize],
+        orphans: &[usize],
+    ) {
+        let mut grafted: Vec<usize> = grafts.iter().map(|g| g.orphan).collect();
+        grafted.sort_unstable();
+        let mut want = orphans.to_vec();
+        want.sort_unstable();
+        assert_eq!(grafted, want, "grafted orphans: {grafts:?}");
+        for g in grafts {
+            let ancestors: Vec<usize> =
+                std::iter::successors(e.plan().parent(0, g.orphan), |&a| e.plan().parent(0, a))
+                    .collect();
+            assert!(!dead.contains(&g.backup), "grafted onto the dead: {g:?}");
+            assert!(ancestors.contains(&g.backup), "not an ancestor: {g:?}");
+        }
+        assert_eq!(e.unrepairable(), 0);
+    }
+
+    /// ROADMAP item 1(b): parent and grandparent silent in one lease
+    /// window. Both die in one sweep, 1 first: today its orphans 192, 194
+    /// and 197 are grafted onto the dead 59, the dead 1 is grafted onto
+    /// 191, and `unrepairable` stays 0.
+    #[test]
+    #[ignore = "ROADMAP item 11: grafts come from the static plan"]
+    fn parent_and_grandparent_dead_in_one_window_graft_onto_the_living() {
+        let mut e = second_failure_engine();
+        let dead = [1, 59];
+        let grafts: Vec<Graft> = (0..6).flat_map(|s| beat(&mut e, &dead, s)).collect();
+        assert_eq!(e.deaths(), 2);
+        assert_every_orphan_lands_on_a_live_ancestor(&e, &grafts, &dead, &[192, 194, 197, 79, 27]);
+    }
+
+    /// ROADMAP item 1(b): a backup that adopted orphans, then dies. Its
+    /// adoptees must be grafted again with its own children; today they
+    /// are not (the grafts come from the plan's children of 59).
+    #[test]
+    #[ignore = "ROADMAP item 11: grafts come from the static plan"]
+    fn a_backup_that_adopted_then_dies_regrafts_its_adoptees() {
+        let mut e = second_failure_engine();
+        let first: Vec<Graft> = (0..6).flat_map(|s| beat(&mut e, &[1], s)).collect();
+        assert_eq!(
+            first
+                .iter()
+                .map(|g| (g.orphan, g.backup))
+                .collect::<Vec<_>>(),
+            [(192, 59), (194, 59), (197, 59)]
+        );
+        let dead = [1, 59];
+        let second: Vec<Graft> = (6..12).flat_map(|s| beat(&mut e, &dead, s)).collect();
+        assert_eq!(e.deaths(), 2);
+        assert_every_orphan_lands_on_a_live_ancestor(&e, &second, &dead, &[79, 27, 192, 194, 197]);
     }
 
     #[test]

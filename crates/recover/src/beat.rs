@@ -1,4 +1,4 @@
-//! Passive heartbeat bookkeeping over a [`LeaseTable`].
+//! Passive heartbeat bookkeeping: a dense book of [`Lease`]s.
 //!
 //! The session controller renews leases *actively*: its probe tasks send
 //! Ping and report each Pong through [`Lease::renew`]. A fan-out hub
@@ -9,19 +9,21 @@
 //! lease that did not. Same lease machine, same `Live → Suspect → Dead`
 //! walk, no per-peer tasks.
 //!
-//! Determinism: peers are swept in ascending id order (the `LeaseTable`
-//! contract), and the hello flags are plain counters — a sweep's event
-//! list is a pure function of which hellos landed between sweeps.
+//! Peers are dense small ids (the overlay's member numbers), so the book
+//! is a `Vec` indexed by id: a hello is one index, not a map lookup.
+//!
+//! Determinism: peers are swept in ascending id order, and the hello
+//! flags are plain booleans — a sweep's event list is a pure function of
+//! which hellos landed between sweeps.
 
-use std::collections::BTreeMap;
+use crate::lease::{Lease, LeaseConfig, LeaseEvent};
 
-use crate::lease::{Lease, LeaseConfig, LeaseEvent, LeaseTable};
-
-/// A lease table fed by volunteered heartbeats instead of probes.
+/// Leases fed by volunteered heartbeats instead of probes.
 #[derive(Debug, Default)]
 pub struct PassiveBeat {
-    table: LeaseTable,
-    fresh: BTreeMap<u32, bool>,
+    /// Per peer id: its lease and whether a hello landed since the last
+    /// sweep; `None` for an id never enrolled.
+    peers: Vec<Option<(Lease, bool)>>,
 }
 
 impl PassiveBeat {
@@ -30,21 +32,24 @@ impl PassiveBeat {
         PassiveBeat::default()
     }
 
-    /// Starts watching `peer` under `config`. Re-enrolling keeps lease
-    /// history (the [`LeaseTable::grant`] contract).
+    /// Starts watching `peer` under `config`, fresh for the next sweep.
+    /// Re-enrolling keeps the lease's history and its hello flag. The
+    /// book grows to `peer + 1` slots: ids are meant to be dense.
     pub fn enroll(&mut self, peer: u32, config: LeaseConfig) {
-        self.table.grant(peer, config);
-        self.fresh.entry(peer).or_insert(true);
+        let i = peer as usize;
+        if self.peers.len() <= i {
+            self.peers.resize_with(i + 1, || None);
+        }
+        self.peers[i].get_or_insert_with(|| (Lease::new(config), true));
     }
 
     /// Records a hello from `peer`. The renewal is applied immediately
     /// so a revival surfaces without waiting for the next sweep; the
     /// peer is also marked fresh for that sweep.
     pub fn hello(&mut self, peer: u32) -> Option<LeaseEvent> {
-        let lease = self.table.get_mut(peer)?;
-        let event = lease.renew();
-        self.fresh.insert(peer, true);
-        event
+        let (lease, fresh) = self.peers.get_mut(peer as usize)?.as_mut()?;
+        *fresh = true;
+        lease.renew()
     }
 
     /// One sweep: every enrolled peer without a hello since the last
@@ -52,13 +57,15 @@ impl PassiveBeat {
     /// peer order.
     pub fn sweep(&mut self) -> Vec<(u32, LeaseEvent)> {
         let mut events = Vec::new();
-        for (&peer, fresh) in self.fresh.iter_mut() {
-            if *fresh {
-                *fresh = false;
+        for (peer, slot) in self.peers.iter_mut().enumerate() {
+            let Some((lease, fresh)) = slot else {
+                continue;
+            };
+            if std::mem::take(fresh) {
                 continue;
             }
-            if let Some(event) = self.table.get_mut(peer).and_then(Lease::miss) {
-                events.push((peer, event));
+            if let Some(event) = lease.miss() {
+                events.push((peer as u32, event));
             }
         }
         events
@@ -66,17 +73,10 @@ impl PassiveBeat {
 
     /// Read access to the lease a peer holds.
     pub fn lease(&self, peer: u32) -> Option<&Lease> {
-        self.table.get(peer)
-    }
-
-    /// The underlying table, for state queries and digests.
-    pub fn table(&self) -> &LeaseTable {
-        &self.table
-    }
-
-    /// Deterministic multi-line digest (the table's).
-    pub fn digest(&self) -> String {
-        self.table.digest()
+        self.peers
+            .get(peer as usize)?
+            .as_ref()
+            .map(|(lease, _)| lease)
     }
 }
 
@@ -114,7 +114,46 @@ mod tests {
         beat.hello(1);
         beat.hello(3);
         assert_eq!(beat.sweep(), vec![(2, LeaseEvent::Died)]);
-        assert_eq!(beat.table().in_state(LeaseState::Dead), vec![2]);
+        let states = [1, 2, 3].map(|p| beat.lease(p).map(Lease::state));
+        assert_eq!(
+            states,
+            [LeaseState::Live, LeaseState::Dead, LeaseState::Live].map(Some)
+        );
+    }
+
+    /// Two peers fall silent together: their events come back in id
+    /// order, whatever order they enrolled in.
+    #[test]
+    fn simultaneous_deaths_come_back_in_peer_order() {
+        use LeaseEvent::{Died, Suspected};
+        let mut beat = PassiveBeat::new();
+        for p in [9u32, 4, 6] {
+            beat.enroll(p, cfg());
+        }
+        let mut events = Vec::new();
+        for _ in 0..4 {
+            beat.hello(6);
+            events.extend(beat.sweep());
+        }
+        assert_eq!(
+            events,
+            vec![(4, Suspected), (9, Suspected), (4, Died), (9, Died)]
+        );
+        assert!(
+            beat.lease(5).is_none(),
+            "an id never enrolled holds no lease"
+        );
+    }
+
+    #[test]
+    fn reenrolling_keeps_history() {
+        let mut beat = PassiveBeat::new();
+        beat.enroll(2, cfg());
+        for _ in 0..4 {
+            let _ = beat.sweep();
+        }
+        beat.enroll(2, cfg());
+        assert_eq!(beat.lease(2).map(Lease::deaths), Some(1));
     }
 
     #[test]
@@ -138,6 +177,8 @@ mod tests {
     fn hello_from_a_stranger_is_ignored() {
         let mut beat = PassiveBeat::new();
         assert_eq!(beat.hello(9), None);
+        beat.enroll(2, cfg());
+        assert_eq!(beat.hello(1), None, "a hole below an enrolled id");
         assert!(beat.sweep().is_empty());
     }
 }

@@ -14,8 +14,9 @@
 //!   dead lease is a *revival*, the signal to re-admit a restarted box.
 //! * [`PassiveBeat`] — the same lease machine fed passively: peers
 //!   volunteer hellos on their own cadence and one sweep per interval
-//!   renews or misses every lease at once. The overlay broadcast hub
-//!   watches a thousand relays this way without per-peer probe tasks.
+//!   renews or misses every lease at once, from a book indexed by peer
+//!   id. The overlay broadcast hub watches a thousand relays this way
+//!   without per-peer probe tasks.
 //! * [`AdaptMachine`] — the P8 local-adaptation policy over windows of
 //!   sequence-gap and late-segment rates per stream ([`WindowSample`]):
 //!   sustained video loss steps the rate divisor down (degrade-to-fit,

@@ -29,15 +29,15 @@ use pandora_overlay::{
 };
 use pandora_sim::{SimDuration, SimTime};
 
-/// Floor: tasks the whole run may spawn per member. A member is three
-/// tasks (relay, heartbeat, the uplink's wire); an uplink pump and router
-/// in front of and behind the wire made it five, a task per cluster port
-/// fifteen.
-const MAX_TASKS_PER_MEMBER: f64 = 3.5;
+/// Floor: tasks the whole run may spawn per member. A member is two
+/// tasks (relay, the uplink's wire) and one task beats for all of them;
+/// a heartbeat task per member made it three, an uplink pump and router
+/// in front of and behind the wire five, a task per cluster port fifteen.
+const MAX_TASKS_PER_MEMBER: f64 = 2.5;
 
-/// Floor: executor events (task polls) per slice
-/// delivered to a viewer.
-const MAX_EVENTS_PER_SLICE: f64 = 3.5;
+/// Floor: executor events (task polls) per slice delivered to a viewer
+/// (2.92 with a heartbeat task per member).
+const MAX_EVENTS_PER_SLICE: f64 = 2.6;
 
 fn soak_config() -> OverlayConfig {
     OverlayConfig {
