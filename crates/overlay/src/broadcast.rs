@@ -42,7 +42,7 @@ use std::future::{poll_fn, Future};
 use std::pin::pin;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::task::Poll;
+use std::task::{Context, Poll};
 
 use pandora_atm::{burst_gather, PathControl, Vci};
 use pandora_faults::{install, FaultPlan, FaultTargets, FaultTrace};
@@ -52,7 +52,8 @@ use pandora_recover::{
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
 use pandora_shard::{Cluster, Egress, Ingress, PortSender, ShardEnv};
 use pandora_sim::{
-    delay, now, waker, AltSet, LinkConfig, LinkControl, Priority, SimDuration, TaskWaker, WireSize,
+    delay, delay_until, now, waker, LinkConfig, LinkControl, Priority, SimDuration, SimTime,
+    TaskWaker, WireSize,
 };
 use pandora_slab::ByteSlab;
 
@@ -359,14 +360,38 @@ fn charge_relay_admission(plan: &TreePlan, cfg: &OverlayConfig) -> Result<u64, B
 /// When a copy leaves decides P3 drops, P8 late counts and crash discards.
 const HANDOFF: usize = 3;
 
-/// The P3 uplink: a bounded queue the member's wire drains. Overflow drops
+/// The wire engine's doorbell: the members whose uplink was pushed to while
+/// it had room, in push order, and the engine's waker.
+#[derive(Default)]
+struct Kicks {
+    members: RefCell<Vec<usize>>,
+    engine: RefCell<Option<TaskWaker>>,
+}
+
+impl Kicks {
+    fn kick(&self, member: usize) {
+        let mut members = self.members.borrow_mut();
+        members.push(member);
+        // The engine takes the whole list each poll: only the first kick
+        // since then has to wake it.
+        if members.len() == 1 {
+            if let Some(engine) = self.engine.borrow().as_ref() {
+                engine.wake();
+            }
+        }
+    }
+}
+
+/// The P3 uplink: a bounded queue the wire engine drains. Overflow drops
 /// the *oldest* copy; the windows feed the P8 machine.
 struct Uplink {
+    member: usize,
     q: RefCell<VecDeque<UpItem>>,
     /// Copies out of `q`, oldest first; the front one is on the wire.
     handed: RefCell<VecDeque<UpItem>>,
-    /// The wire, while `handed` has room: the next push wakes it.
-    wire: StdCell<Option<TaskWaker>>,
+    /// Set while `handed` has room: the next push kicks the engine.
+    wire: StdCell<bool>,
+    kicks: Rc<Kicks>,
     cap: usize,
     late_bound_nanos: u64,
     /// Set when the member crashes: its uplink falls silent.
@@ -381,11 +406,13 @@ struct Uplink {
 impl Uplink {
     /// Both queues start empty and grow on use: most viewers relay to
     /// nobody and never push a copy.
-    fn new(cap: usize, late_bound_nanos: u64) -> Rc<Uplink> {
+    fn new(member: usize, kicks: Rc<Kicks>, cap: usize, late_bound_nanos: u64) -> Rc<Uplink> {
         Rc::new(Uplink {
+            member,
             q: RefCell::new(VecDeque::new()),
             handed: RefCell::new(VecDeque::new()),
-            wire: StdCell::new(None),
+            wire: StdCell::new(true),
+            kicks,
             cap: cap.max(1),
             late_bound_nanos,
             dead: StdCell::new(false),
@@ -413,31 +440,30 @@ impl Uplink {
         drop(q);
         self.enqueued.set(self.enqueued.get() + 1);
         self.window_enq.set(self.window_enq.get() + 1);
-        // Once the pushing poll returns: a whole batch lands first.
-        if let Some(wire) = self.wire.take() {
-            wire.wake();
+        // Served once the pushing poll returns: a whole batch lands first.
+        if self.wire.replace(false) {
+            self.kicks.kick(self.member);
         }
     }
 
-    /// Run by the wire on every poll: takes copies out of the queue (P8
-    /// reads each one's wait as it leaves; a dead member's are discarded)
-    /// until [`HANDOFF`] are out, waits for a push while there is room, and
-    /// returns the wire size of the front copy.
-    fn refill(&self) -> Option<usize> {
+    /// Run by the engine whenever it looks at this uplink: takes copies out
+    /// of the queue (P8 reads each one's wait as it leaves; a dead member's
+    /// are discarded) until [`HANDOFF`] are out, and asks for a kick while
+    /// there is room.
+    fn refill(&self, now: u64) {
         let mut handed = self.handed.borrow_mut();
         while handed.len() < HANDOFF {
             let Some(item) = self.q.borrow_mut().pop_front() else {
                 break;
             };
-            if now().as_nanos().saturating_sub(item.queued_at) > self.late_bound_nanos {
+            if now.saturating_sub(item.queued_at) > self.late_bound_nanos {
                 self.window_late.set(self.window_late.get() + 1);
             }
             if !self.dead.get() {
                 handed.push_back(item);
             }
         }
-        self.wire.set((handed.len() < HANDOFF).then(waker));
-        handed.front().map(|it| it.slice.wire_bytes())
+        self.wire.set(handed.len() < HANDOFF);
     }
 
     /// Closes one P8 observation window: enqueues as received, P3 drops
@@ -455,49 +481,225 @@ impl Uplink {
     }
 }
 
-/// Spawns the uplink shared by relays and the source: the bounded queue and
-/// its wire, a high-priority link engine that holds each copy for its
-/// [`LinkControl::transfer`] (refilling whenever a push wakes it) and then
-/// hands it to the egress of its (tree, child) edge (`outs`, opened here).
-/// Returns the queue handle and the link control (for fault registration).
-fn spawn_uplink(
+/// Where a member's wire is with the front copy of its hand-off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireState {
+    /// Nothing handed: the next kick starts a copy.
+    Idle,
+    /// The front copy is on the wire until the instant it is filed under.
+    Busy,
+    /// The link was down as the front copy was to start.
+    DownAtStart,
+    /// The link was down as the front copy's hold ended.
+    DownAtEnd,
+}
+
+/// One member's uplink as the wire engine clocks it: the P3 queue, its link
+/// and the ports of its (tree, child) edges.
+struct Wire {
+    up: Rc<Uplink>,
+    link: LinkControl,
+    config: LinkConfig,
+    outs: BTreeMap<(usize, usize), PortSender<Msg>>,
+    state: WireState,
+    /// The link's flap count when the engine last asked to be woken by it.
+    flaps: u64,
+}
+
+impl Wire {
+    /// Waits for the link: the engine is woken when it comes up.
+    fn stall(&mut self, state: WireState) {
+        self.state = state;
+        self.flaps = self.link.flaps();
+        self.link.wake_when_up();
+    }
+}
+
+/// Arms a timer that wakes the task being polled at `at`: a [`Delay`]
+/// registers on its first poll, and its timer outlives it.
+fn arm(at: u64, cx: &mut Context<'_>) {
+    let _ = pin!(delay_until(SimTime::from_nanos(at))).poll(cx);
+}
+
+/// `ovl:wires`, the one high-priority task that clocks every member's
+/// uplink — the link DMA engines of §3.1, which cost a box no process.
+/// Per copy it does what a wire task per uplink did: it holds the front
+/// copy for [`LinkControl::hold`] at the rate in force as the copy starts,
+/// with the link up at the start and at the end, then pops it, sends it to
+/// its child's port unless the member is dead, refills, and starts the next.
+/// A kick refills an uplink and starts its wire if it is idle. Transfers are
+/// filed by the instant they end, so the engine is polled once an instant,
+/// not once a copy.
+///
+/// Why one engine keeps every history: each wire ran at high priority and
+/// touched only its own uplink, and its sends are filed by `(due, port,
+/// seq)`, so the order of wires within an instant never mattered. Two
+/// things did, and the engine keeps both. Every completion at an instant
+/// ran before the late-lane dispatcher and before every low task at that
+/// instant: the engine's timer is a normal-lane timer of a high task. And a
+/// push was served before the next low task ran: the kick wakes a high
+/// task. The only other high tasks are the fault scripts, and a copy reads
+/// its link's rate as it starts. A cap's apply is armed at t = 0, ahead of
+/// every completion. Its revert is armed at the apply: a wire whose copy
+/// ended with the revert ran after it if the copy was filed after the
+/// apply, and the engine runs where the instant's first copy was filed.
+/// The two differ only if some uplink's copy, filed before the apply,
+/// outlasts the cap's whole hold while the capped link clocks a whole,
+/// slowed copy inside it.
+struct WireEngine {
+    /// Indexed by member id.
+    wires: Vec<Wire>,
+    kicks: Rc<Kicks>,
+    /// Transfers in flight by the instant their hold ends; one timer each.
+    ends: BTreeMap<u64, Vec<usize>>,
+    /// Members whose link was down, waiting for it to come up.
+    down: Vec<usize>,
+}
+
+impl WireEngine {
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        let kicks = self.kicks.clone();
+        kicks.engine.borrow_mut().get_or_insert_with(waker);
+        let t = now().as_nanos();
+        loop {
+            // Completions first: they are what a timer at this instant woke.
+            while let Some(done) = self.ends.first_entry().filter(|e| *e.key() <= t) {
+                for member in done.remove() {
+                    self.end(member, t, cx);
+                }
+            }
+            for member in std::mem::take(&mut self.down) {
+                self.resume(member, t, cx);
+            }
+            // The engine never pushes, so the list holds still meanwhile.
+            let mut kicked = kicks.members.borrow_mut();
+            for &member in kicked.iter() {
+                let wire = &mut self.wires[member];
+                wire.up.refill(t);
+                if wire.state == WireState::Idle {
+                    self.start(member, t, cx);
+                }
+            }
+            kicked.clear();
+            // A zero-length transfer a kick started ends in this poll, as a
+            // `delay(0)` did.
+            if self.ends.first_key_value().is_none_or(|(&at, _)| at > t) {
+                return Poll::Pending;
+            }
+        }
+    }
+
+    /// Puts the front copy on the wire, if there is one and the link is up.
+    fn start(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
+        let wire = &mut self.wires[member];
+        let Some(bytes) = wire
+            .up
+            .handed
+            .borrow()
+            .front()
+            .map(|it| it.slice.wire_bytes())
+        else {
+            wire.state = WireState::Idle;
+            return;
+        };
+        if !wire.link.is_up() {
+            wire.stall(WireState::DownAtStart);
+            self.down.push(member);
+            return;
+        }
+        wire.state = WireState::Busy;
+        let at = t + wire.link.hold(&wire.config, bytes).as_nanos();
+        self.ends
+            .entry(at)
+            .or_insert_with(|| {
+                arm(at, cx);
+                Vec::new()
+            })
+            .push(member);
+    }
+
+    /// The front copy's hold is over: with the link up, it leaves.
+    fn end(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
+        let wire = &mut self.wires[member];
+        wire.up.refill(t);
+        if !wire.link.is_up() {
+            wire.stall(WireState::DownAtEnd);
+            self.down.push(member);
+            return;
+        }
+        self.send(member, t, cx);
+    }
+
+    /// Pops the front copy, sends it unless the member is dead, refills and
+    /// starts the next.
+    fn send(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
+        let wire = &self.wires[member];
+        let item = wire.up.handed.borrow_mut().pop_front();
+        if let Some(item) = item.filter(|_| !wire.up.dead.get()) {
+            if let Some(tx) = wire.outs.get(&(item.tree, item.dest)) {
+                tx.send(Msg::Slice(item.slice));
+            }
+        }
+        wire.up.refill(t);
+        self.start(member, t, cx);
+    }
+
+    /// A member whose link was down. Untouched until the link wakes the
+    /// engine, as its wire slept in the up-check; then it refills, and goes
+    /// on if the link is still up — or asks again if it fell meanwhile.
+    fn resume(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
+        let wire = &mut self.wires[member];
+        let up = wire.link.is_up();
+        if !up && wire.link.flaps() == wire.flaps {
+            self.down.push(member);
+            return;
+        }
+        wire.up.refill(t);
+        if !up {
+            wire.stall(wire.state);
+            self.down.push(member);
+            return;
+        }
+        match wire.state {
+            WireState::DownAtStart => self.start(member, t, cx),
+            WireState::DownAtEnd => self.send(member, t, cx),
+            WireState::Idle | WireState::Busy => {}
+        }
+    }
+}
+
+/// Opens a member's uplink: the bounded queue, its link (for fault
+/// registration, returned) and the egress of each of its (tree, child)
+/// edges (`outs`, opened here), registered with the wire engine under the
+/// member's id.
+fn open_uplink(
     env: &ShardEnv,
     member: usize,
     uplink_cps: u64,
-    cfg: &OverlayConfig,
+    roster: &Roster,
     outs: Vec<(usize, usize, Egress<Msg>)>,
 ) -> (Rc<Uplink>, LinkControl) {
-    let child_txs: BTreeMap<(usize, usize), PortSender<Msg>> = outs
-        .into_iter()
-        .map(|(tree, dest, egress)| ((tree, dest), env.open_egress(egress)))
-        .collect();
+    let cfg = &roster.cfg;
     // A copy that waits longer than one stripe interval (its own
     // forwarding cadence) marks the uplink persistently backlogged;
     // shorter waits — a graft replay burst, say — are transient.
     let late_bound = cfg.segment_interval.as_nanos() * cfg.trees.max(1) as u64;
-    let uplink = Uplink::new(cfg.uplink_queue, late_bound);
-    let config = LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS);
-    let link_ctl = LinkControl::default();
-    let (up, ctl) = (uplink.clone(), link_ctl.clone());
-    let name = &format!("link:ovl-up{member}");
-    env.spawner().spawn_prio(name, Priority::High, async move {
-        loop {
-            let bytes = poll_fn(|_| up.refill().map_or(Poll::Pending, Poll::Ready)).await;
-            let mut transfer = pin!(ctl.transfer(&config, bytes));
-            poll_fn(|cx| {
-                up.refill();
-                transfer.as_mut().poll(cx)
-            })
-            .await;
-            let item = up.handed.borrow_mut().pop_front();
-            if let Some(item) = item.filter(|_| !up.dead.get()) {
-                if let Some(tx) = child_txs.get(&(item.tree, item.dest)) {
-                    tx.send(Msg::Slice(item.slice));
-                }
-            }
-        }
+    let up = Uplink::new(member, roster.kicks.clone(), cfg.uplink_queue, late_bound);
+    let link = LinkControl::default();
+    let mut wires = roster.wires.borrow_mut();
+    assert_eq!(wires.len(), member, "uplinks register in member order");
+    wires.push(Wire {
+        up: up.clone(),
+        link: link.clone(),
+        config: LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS),
+        outs: outs
+            .into_iter()
+            .map(|(tree, dest, egress)| ((tree, dest), env.open_egress(egress)))
+            .collect(),
+        state: WireState::Idle,
+        flaps: 0,
     });
-    (uplink, link_ctl)
+    (up, link)
 }
 
 /// Installs the scripted uplink cap against this member's link, if the
@@ -634,6 +836,166 @@ impl Beat {
     }
 }
 
+/// A viewer's receive side, as the relay task drives it.
+struct Inbox {
+    relay: Rc<Relay>,
+    receiver: Rc<RefCell<StripeReceiver>>,
+    /// What arrived and is not drained yet, in delivery order, each under
+    /// its guard: the control port, then the primary edges, then the
+    /// backup edges.
+    pending: VecDeque<(usize, Msg)>,
+    /// The kept slice the viewer holds for the relay cost.
+    held: Option<Slice>,
+    /// On the relay task's woken list.
+    queued: bool,
+}
+
+impl Inbox {
+    /// The next message in PRI ALT order: the oldest under the lowest
+    /// guard. The control port is guard 0 (P4), so a graft never queues
+    /// behind a stripe backlog.
+    fn take(&mut self) -> Option<Msg> {
+        let pending = self.pending.iter().enumerate();
+        let (first, _) = pending.min_by_key(|(_, (guard, _))| *guard)?;
+        self.pending.remove(first).map(|(_, msg)| msg)
+    }
+}
+
+/// What the ports' sinks and the relay task share: every viewer's inbox,
+/// the viewers with something to drain, and the task's waker.
+#[derive(Default)]
+struct Inboxes {
+    viewers: RefCell<Vec<Inbox>>,
+    woken: RefCell<VecDeque<usize>>,
+    task: RefCell<Option<TaskWaker>>,
+}
+
+impl Inboxes {
+    /// A port's sink: files `msg` under its guard and queues the viewer
+    /// once, in delivery order — unless a hold has it, which drains it next.
+    fn deliver(&self, viewer: usize, guard: usize, msg: Msg) {
+        let mut viewers = self.viewers.borrow_mut();
+        let inbox = &mut viewers[viewer];
+        inbox.pending.push_back((guard, msg));
+        if inbox.queued || inbox.held.is_some() {
+            return;
+        }
+        inbox.queued = true;
+        let mut woken = self.woken.borrow_mut();
+        woken.push_back(viewer);
+        // The task drains the whole list each poll: only the first viewer
+        // queued since then has to wake it.
+        if woken.len() == 1 {
+            if let Some(task) = self.task.borrow().as_ref() {
+                task.wake();
+            }
+        }
+    }
+}
+
+/// `ovl:relay`, the one low-priority task that drives every viewer's
+/// receive side: deliver, dedupe, and forward its interior stripe
+/// (clawback ring, P8 divisor, P3 uplink queue). It drains a viewer in PRI
+/// ALT order until its inbox is empty or a kept slice holds it for the
+/// relay cost; holds form a FIFO, and at a hold's instant the task forwards
+/// the slice and drains the viewer again. A zero relay cost forwards within
+/// the drain. A dead viewer's messages are skipped as they are drained.
+///
+/// Why one task keeps every history: at an instant, the node tasks it
+/// replaces ran in two blocks, after every other low task a timer woke at
+/// that instant. First came the relay-cost completions, in arming order;
+/// each forwarded, then drained what had arrived. Then came the viewers the
+/// dispatcher woke, in wake order. The beat, the sweep, the source and the
+/// crash scripts armed their timers in earlier instants, so they ran first.
+/// This task arms its timer in the instant it takes the first hold due at
+/// that time — where the first node armed its own — and drains woken
+/// viewers after the holds. The argument does not cover another low task
+/// arming a timer exactly one relay cost long in the same instant as a
+/// hold: a node that armed after it ran after it, while this task runs
+/// every hold first (the 4 ms rows of `RELAY_ORDER` pin the source's
+/// case). Nor does it cover a relay cost longer than the heartbeat, which
+/// puts the beat after the holds but ahead of the woken viewers.
+struct RelayTask {
+    inboxes: Rc<Inboxes>,
+    cost: SimDuration,
+    /// `(instant, viewer)` of every hold, in the order they were taken.
+    holds: VecDeque<(u64, usize)>,
+}
+
+impl RelayTask {
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        let inboxes = self.inboxes.clone();
+        inboxes.task.borrow_mut().get_or_insert_with(waker);
+        let mut viewers = inboxes.viewers.borrow_mut();
+        let t = now();
+        while let Some(&(_, viewer)) = self.holds.front().filter(|(at, _)| *at <= t.as_nanos()) {
+            self.holds.pop_front();
+            let inbox = &mut viewers[viewer];
+            if let Some(slice) = inbox.held.take() {
+                inbox.relay.forward(&slice);
+            }
+            self.drain(inbox, viewer, t, cx);
+        }
+        loop {
+            let Some(viewer) = inboxes.woken.borrow_mut().pop_front() else {
+                return Poll::Pending;
+            };
+            let inbox = &mut viewers[viewer];
+            inbox.queued = false;
+            self.drain(inbox, viewer, t, cx);
+        }
+    }
+
+    fn drain(&mut self, inbox: &mut Inbox, viewer: usize, t: SimTime, cx: &mut Context<'_>) {
+        while inbox.held.is_none() {
+            let Some(msg) = inbox.take() else {
+                return;
+            };
+            if inbox.relay.uplink.dead.get() {
+                continue;
+            }
+            match msg {
+                Msg::Slice(slice) => {
+                    let arrived = t.as_nanos();
+                    if let Accept::Duplicate = inbox.receiver.borrow_mut().accept(&slice, arrived) {
+                        continue;
+                    }
+                    if !inbox.relay.keep(&slice) {
+                        continue;
+                    }
+                    if self.cost == SimDuration::ZERO {
+                        inbox.relay.forward(&slice);
+                        continue;
+                    }
+                    let at = (t + self.cost).as_nanos();
+                    if self.holds.back().is_none_or(|&(last, _)| last != at) {
+                        arm(at, cx);
+                    }
+                    self.holds.push_back((at, viewer));
+                    inbox.held = Some(slice);
+                }
+                Msg::Graft {
+                    tree,
+                    orphan,
+                    resume_from,
+                } => inbox.relay.adopt(tree, orphan, resume_from),
+            }
+        }
+    }
+}
+
+/// What each member's setup registers for the three tasks that serve every
+/// member — `ovl:beat`, `ovl:relay` and `ovl:wires` — which the last setup
+/// spawns.
+struct Roster {
+    cfg: OverlayConfig,
+    kicks: Rc<Kicks>,
+    /// Indexed by member id.
+    wires: RefCell<Vec<Wire>>,
+    inboxes: Rc<Inboxes>,
+    beats: RefCell<Vec<Beat>>,
+}
+
 /// Everything one viewer's setup closure needs.
 struct NodeSeat {
     member: usize,
@@ -645,28 +1007,18 @@ struct NodeSeat {
     ins: Vec<Ingress<Msg>>,
     outs: Vec<(usize, usize, Egress<Msg>)>,
     report: Egress<Hello>,
-    /// Where the setup leaves the viewer's [`Beat`] for `ovl:beat`.
-    beats: Rc<RefCell<Vec<Beat>>>,
-    cfg: OverlayConfig,
+    roster: Rc<Roster>,
 }
 
 fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
-    let (member, interior, cfg) = (seat.member, seat.interior, seat.cfg);
-
-    // The PRI ALT's guard order: the command channel first (P4), so a
-    // graft never queues behind a stripe backlog.
-    let mut ins = AltSet::new(
-        std::iter::once(seat.ctl)
-            .chain(seat.ins)
-            .map(|i| env.bind_ingress(i))
-            .collect(),
-    );
+    let (member, interior, roster) = (seat.member, seat.interior, seat.roster);
+    let cfg = roster.cfg;
 
     let receiver = Rc::new(RefCell::new(StripeReceiver::new(
         cfg.trees,
         cfg.playout.as_nanos(),
     )));
-    let (uplink, link_ctl) = spawn_uplink(env, member, cfg.uplink_cps, &cfg, seat.outs);
+    let (uplink, link_ctl) = open_uplink(env, member, cfg.uplink_cps, &roster, seat.outs);
     let fault_trace = install_uplink_cap(env, member, &cfg, &link_ctl);
     let relay = Relay::new(uplink, seat.children, |t| interior == Some(t), cfg.ring);
 
@@ -679,37 +1031,24 @@ fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
             });
     }
 
-    // The relay proper: deliver, dedupe, and forward its interior
-    // stripe (clawback ring, P8 divisor, P3 uplink queue).
-    let main = relay.clone();
-    let main_rx = receiver.clone();
-    env.spawner()
-        .spawn(&format!("ovl:node{member}"), async move {
-            while let Ok((_, msg)) = ins.recv().await {
-                if main.uplink.dead.get() {
-                    continue;
-                }
-                match msg {
-                    Msg::Slice(slice) => {
-                        let arrived = now().as_nanos();
-                        if let Accept::Duplicate = main_rx.borrow_mut().accept(&slice, arrived) {
-                            continue;
-                        }
-                        if main.keep(&slice) {
-                            delay(cfg.relay_cost).await;
-                            main.forward(&slice);
-                        }
-                    }
-                    Msg::Graft {
-                        tree,
-                        orphan,
-                        resume_from,
-                    } => main.adopt(tree, orphan, resume_from),
-                }
-            }
-        });
+    // Each port's sink files into the viewer's inbox under its guard.
+    let guards: Vec<_> = std::iter::once(seat.ctl).chain(seat.ins).collect();
+    let mut viewers = roster.inboxes.viewers.borrow_mut();
+    let viewer = viewers.len();
+    viewers.push(Inbox {
+        relay: relay.clone(),
+        receiver: receiver.clone(),
+        pending: VecDeque::new(),
+        held: None,
+        queued: false,
+    });
+    drop(viewers);
+    for (guard, ingress) in guards.into_iter().enumerate() {
+        let inboxes = roster.inboxes.clone();
+        env.bind_ingress_call(ingress, move |msg| inboxes.deliver(viewer, guard, msg));
+    }
 
-    seat.beats.borrow_mut().push(Beat {
+    roster.beats.borrow_mut().push(Beat {
         member,
         report: env.open_egress(seat.report),
         receiver: receiver.clone(),
@@ -766,11 +1105,11 @@ struct HubSeat {
     ctls: Vec<(usize, Egress<Msg>)>,
     reports: Vec<Ingress<Hello>>,
     plan: TreePlan,
-    cfg: OverlayConfig,
+    roster: Rc<Roster>,
 }
 
 fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
-    let cfg = seat.cfg;
+    let cfg = seat.roster.cfg;
     let k = cfg.trees;
 
     let ctl_txs: BTreeMap<usize, PortSender<Msg>> = seat
@@ -783,7 +1122,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     let hello_rx = env.bind_ingress_merged(seat.reports);
 
     // The source is the root relay of every tree, and never dies.
-    let (uplink, _link_ctl) = spawn_uplink(env, 0, cfg.source_uplink_cps, &cfg, seat.outs);
+    let (uplink, _link_ctl) = open_uplink(env, 0, cfg.source_uplink_cps, &seat.roster, seat.outs);
     let relay = Relay::new(uplink, seat.src_children, |_| true, cfg.ring);
     let engine = Rc::new(RefCell::new(RepairEngine::new(seat.plan, cfg.lease)));
     let slab_bytes = cfg.payload_bytes.max(64);
@@ -959,6 +1298,13 @@ pub fn build_overlay_broadcast(
         .unzip();
 
     // Setups in member order: the merge key order of the finish report.
+    let roster = Rc::new(Roster {
+        cfg: *cfg,
+        kicks: Rc::default(),
+        wires: RefCell::new(Vec::with_capacity(n)),
+        inboxes: Rc::default(),
+        beats: RefCell::new(Vec::with_capacity(n)),
+    });
     let mut outs = outs.into_iter();
     let hub = HubSeat {
         src_children: (0..k).map(|t| plan.children(t, 0).to_vec()).collect(),
@@ -966,10 +1312,9 @@ pub fn build_overlay_broadcast(
         ctls,
         reports,
         plan: plan.clone(),
-        cfg: *cfg,
+        roster: roster.clone(),
     };
     cluster.setup(0, move |env| hub_setup(env, hub));
-    let beats: Rc<RefCell<Vec<Beat>>> = Rc::default();
     let viewers = ins
         .into_iter()
         .skip(1)
@@ -985,8 +1330,7 @@ pub fn build_overlay_broadcast(
             ins: v_ins,
             outs: v_outs,
             report,
-            beats: beats.clone(),
-            cfg: *cfg,
+            roster: roster.clone(),
         };
         cluster.setup(0, move |env| node_setup(env, seat));
     }
@@ -1003,16 +1347,35 @@ pub fn build_overlay_broadcast(
     // timer after every one of those and re-arms at each beat, so it runs
     // in exactly that place. Spawned ahead of the members' setups, it
     // would beat before a crash due on a beat instant, and the member
-    // dying at the first beat would send one more hello.
-    let period = cfg.heartbeat;
+    // dying at the first beat would send one more hello. The relay task
+    // and the wire engine arm no timer at t = 0.
     cluster.setup(0, move |env| {
-        let mut beats = beats.take();
+        let period = roster.cfg.heartbeat;
+        let mut beats = roster.beats.take();
         env.spawner().spawn("ovl:beat", async move {
             while !beats.is_empty() {
                 delay(period).await;
                 beats.retain_mut(Beat::beat);
             }
         });
+        let mut relays = RelayTask {
+            inboxes: roster.inboxes.clone(),
+            cost: roster.cfg.relay_cost,
+            holds: VecDeque::new(),
+        };
+        env.spawner()
+            .spawn("ovl:relay", poll_fn(move |cx| relays.poll(cx)));
+        let mut wires = WireEngine {
+            wires: roster.wires.take(),
+            kicks: roster.kicks.clone(),
+            ends: BTreeMap::new(),
+            down: Vec::new(),
+        };
+        env.spawner().spawn_prio(
+            "ovl:wires",
+            Priority::High,
+            poll_fn(move |cx| wires.poll(cx)),
+        );
     });
 
     Ok(OverlayBuild {
@@ -1194,7 +1557,7 @@ impl OverlaySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pandora_sim::SimTime;
+    use pandora_sim::Simulation;
 
     fn small_cfg() -> OverlayConfig {
         OverlayConfig {
@@ -1565,6 +1928,320 @@ mod tests {
                 "member {victim}, queue {queue}"
             );
         }
+    }
+
+    /// `(relay_cost µs, hop_latency µs, ctl_latency µs, cap (‰, hold µs),
+    /// crash ns, uplink_queue)` — [`busy_relay`] capped from the second
+    /// beat and the last interior relay with children crashed — then the
+    /// digest of the merged report and `(p3, grafts)`. Recorded while every
+    /// viewer was a node task and every uplink a wire task: where the relay
+    /// task drains against the dispatcher, the beat, a crash and the wire
+    /// engine shows in all of it. The crashes land on a beat (20 and 30 ms),
+    /// on an instant a slice reaches the victim (26.741666 ms at a 50 µs
+    /// relay cost) and on the instant its 4 ms hold ends with a slice waiting
+    /// (34.691666 ms). A 4 ms relay cost is the source's period: the source
+    /// arms its timer in the instant each hold is taken.
+    #[rustfmt::skip]
+    #[allow(clippy::type_complexity)]
+    const RELAY_ORDER: [((u64, u64, u64, Option<(u64, u64)>, Option<u64>, usize), &str, [u64; 2]); 14] = [
+        ((0, 500, 200, None, None, 64), "d96af8e915b5496b", [0, 0]),
+        ((50, 500, 200, None, None, 64), "1f9ed8740b74cb92", [0, 0]),
+        ((4_000, 500, 200, None, None, 64), "2134f592d7158739", [0, 0]),
+        ((50, 0, 200, None, Some(20_000_000), 64), "d72d59162bd9dfb2", [0, 3]),
+        ((50, 500, 0, None, Some(20_000_000), 64), "ac2b2c7267abbd82", [0, 3]),
+        ((50, 500, 6_000, None, Some(20_000_000), 64), "81901d5df2dea6de", [0, 3]),
+        ((4_000, 500, 200, Some((50, 4_000)), Some(20_000_000), 64), "94492f01f69e6fcc", [0, 3]),
+        ((4_000, 500, 200, Some((50, 10)), Some(20_000_000), 64), "72b78fb578be7284", [0, 3]),
+        ((50, 500, 200, None, Some(30_000_000), 64), "d8b0818de9af3730", [0, 3]),
+        ((50, 500, 200, None, Some(26_741_666), 64), "838758ca72cdf1cb", [0, 3]),
+        ((4_000, 500, 200, None, Some(34_691_666), 64), "fc71b3dc9ae97f85", [0, 3]),
+        ((50, 500, 200, Some((50, 80_000)), None, 2), "cf609081daaf6dd7", [144, 0]),
+        ((0, 0, 0, Some((50, 80_000)), Some(30_000_000), 2), "b0668a24ead80311", [143, 3]),
+        ((4_000, 0, 6_000, Some((50, 4_000)), Some(26_791_666), 2), "62a388feff1b30ae", [152, 3]),
+    ];
+
+    #[test]
+    fn one_relay_task_keeps_the_order_of_a_node_task_per_viewer() {
+        let plan = plan_for(&small_cfg()).expect("plan");
+        let victim = (1..plan.members())
+            .rev()
+            .find(|&v| {
+                plan.interior_tree(v)
+                    .is_some_and(|t| !plan.children(t, v).is_empty())
+            })
+            .expect("no interior relay with children");
+        let capped = busy_relay(&plan);
+        let mut got = Vec::new();
+        for (row, ..) in RELAY_ORDER {
+            let (relay_us, hop_us, ctl_us, cap, crash_ns, queue) = row;
+            let cfg = OverlayConfig {
+                relay_cost: SimDuration::from_micros(relay_us),
+                hop_latency: SimDuration::from_micros(hop_us),
+                ctl_latency: SimDuration::from_micros(ctl_us),
+                uplink_queue: queue,
+                uplink_cap: cap.map(|(permille, hold_us)| UplinkCapPlan {
+                    member: capped,
+                    at: SimDuration::from_millis(20),
+                    hold: SimDuration::from_micros(hold_us),
+                    permille,
+                }),
+                crash: crash_ns.map(|at| CrashPlan {
+                    member: victim,
+                    at: SimDuration::from_nanos(at),
+                }),
+                ..small_cfg()
+            };
+            let (lines, _) = run(&cfg);
+            let s = OverlaySummary::parse(&lines);
+            got.push((row, digest(&lines), [s.p3_drops, s.hub_grafts]));
+        }
+        let want: Vec<_> = RELAY_ORDER.map(|(k, d, c)| (k, d.to_string(), c)).to_vec();
+        assert_eq!(got, want);
+    }
+
+    /// A slice on the one-tree stripe, its sequence number its place in
+    /// the order the model takes it.
+    fn probe_slice(seq: u32) -> Slice {
+        Slice {
+            tree: 0,
+            seq,
+            stamp: 0,
+            sent: 0,
+            burst: Arc::new(burst_gather(Vci(9), &[], &[0xAB; 96], seq * 2)),
+        }
+    }
+
+    /// One viewer, interior on a one-tree stripe with one child, nine
+    /// guards. A high-priority script delivers like the dispatcher; the
+    /// relay task drains. The model: deliveries due at an instant land
+    /// first; then, unless a hold is on, the oldest message of the lowest
+    /// non-empty guard is taken, and held for the relay cost before it is
+    /// forwarded. Each slice's seq is its place in the model's order, so a
+    /// slice taken out of order is a duplicate and never forwarded: the
+    /// uplink's queue must read `0, 1, 2, …`, each at its forward instant.
+    #[test]
+    fn relay_drain_matches_the_obvious_model_over_seeded_schedules() {
+        const GUARDS: usize = 9;
+        const MESSAGES: usize = 60;
+        for seed in 1..=64u64 {
+            // xorshift64; the seed is mixed so that small seeds diverge.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            let cost = [0, 1, 3, 7][next(4) as usize];
+            // (instant µs, guard), in delivery order; a third of them share
+            // the previous delivery's instant.
+            let mut at = 0;
+            let schedule: Vec<(u64, usize)> = (0..MESSAGES)
+                .map(|_| {
+                    if next(3) != 0 {
+                        at += next(6);
+                    }
+                    (at, next(GUARDS as u64) as usize)
+                })
+                .collect();
+
+            // The model: the take order of the messages, and when each is
+            // forwarded.
+            let mut guards: Vec<VecDeque<usize>> = vec![VecDeque::new(); GUARDS];
+            let (mut taken, mut held_until, mut i) = (Vec::new(), None, 0);
+            let mut instants: Vec<u64> = schedule.iter().map(|&(t, _)| t).collect();
+            while let Some(t) = instants.first().copied() {
+                instants.retain(|&u| u != t);
+                while schedule.get(i).is_some_and(|&(u, _)| u == t) {
+                    guards[schedule[i].1].push_back(i);
+                    i += 1;
+                }
+                if held_until == Some(t) {
+                    held_until = None;
+                }
+                while held_until.is_none() {
+                    let Some(m) = guards.iter_mut().find_map(VecDeque::pop_front) else {
+                        break;
+                    };
+                    taken.push((m, t + cost));
+                    if cost > 0 {
+                        held_until = Some(t + cost);
+                        instants.push(t + cost);
+                        instants.sort_unstable();
+                    }
+                }
+            }
+            assert_eq!(taken.len(), MESSAGES);
+            let mut seq_of = vec![0u32; MESSAGES];
+            for (place, &(m, _)) in taken.iter().enumerate() {
+                seq_of[m] = place as u32;
+            }
+            let want: Vec<(u32, u64)> = taken
+                .iter()
+                .enumerate()
+                .map(|(place, &(_, forwarded))| (place as u32, forwarded * 1_000))
+                .collect();
+
+            let mut sim = Simulation::new();
+            let uplink = Uplink::new(0, Rc::default(), MESSAGES, u64::MAX);
+            let inboxes = Rc::new(Inboxes::default());
+            inboxes.viewers.borrow_mut().push(Inbox {
+                relay: Relay::new(uplink.clone(), vec![vec![1]], |_| true, MESSAGES),
+                receiver: Rc::new(RefCell::new(StripeReceiver::new(1, u64::MAX))),
+                pending: VecDeque::new(),
+                held: None,
+                queued: false,
+            });
+            let mut relay = RelayTask {
+                inboxes: inboxes.clone(),
+                cost: SimDuration::from_micros(cost),
+                holds: VecDeque::new(),
+            };
+            sim.spawn("ovl:relay", poll_fn(move |cx| relay.poll(cx)));
+            sim.spawn_prio("script", Priority::High, async move {
+                for (m, &(at, guard)) in schedule.iter().enumerate() {
+                    delay_until(SimTime::from_micros(at)).await;
+                    inboxes.deliver(0, guard, Msg::Slice(probe_slice(seq_of[m])));
+                }
+            });
+            sim.run_until_idle();
+            let got: Vec<(u32, u64)> = uplink
+                .q
+                .borrow()
+                .iter()
+                .map(|it| (it.slice.seq, it.queued_at))
+                .collect();
+            assert_eq!(got, want, "seed {seed}, relay cost {cost} µs");
+        }
+    }
+
+    /// The wire engine holds a copy through a downed link exactly as a
+    /// wire task did: the script of `pandora-sim`'s
+    /// `a_callers_queue_and_a_link_sender_deliver_at_the_same_instants`,
+    /// six 1 ms copies with the link taken down mid-transfer of the second
+    /// and brought back at a quarter rate, delivers at the instants that
+    /// test pins for a wire.
+    #[test]
+    fn a_downed_uplink_holds_its_copy_as_a_wire_does() {
+        let mut cluster = Cluster::new(1);
+        let (egress, ingress) = cluster.port::<Msg>(SimDuration::ZERO);
+        cluster.setup(0, move |env| {
+            let kicks = Rc::new(Kicks::default());
+            let up = Uplink::new(0, kicks.clone(), 8, u64::MAX);
+            let link = LinkControl::default();
+            let bytes = probe_slice(0).wire_bytes() as u64;
+            let mut wires = WireEngine {
+                wires: vec![Wire {
+                    up: up.clone(),
+                    link: link.clone(),
+                    config: LinkConfig::new("ovl-up", bytes * 8 * 1_000),
+                    outs: BTreeMap::from([((0, 1), env.open_egress(egress))]),
+                    state: WireState::Idle,
+                    flaps: 0,
+                }],
+                kicks,
+                ends: BTreeMap::new(),
+                down: Vec::new(),
+            };
+            env.spawner().spawn_prio(
+                "ovl:wires",
+                Priority::High,
+                poll_fn(move |cx| wires.poll(cx)),
+            );
+            env.spawner().spawn("script", async move {
+                for seq in 0..6 {
+                    up.push(0, 1, probe_slice(seq));
+                }
+                delay_until(SimTime::from_micros(1_500)).await;
+                link.set_up(false);
+                delay_until(SimTime::from_millis(5)).await;
+                link.set_up(true);
+                link.set_rate_permille(250);
+            });
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = got.clone();
+            env.bind_ingress_call(ingress, move |msg| {
+                if let Msg::Slice(slice) = msg {
+                    g.borrow_mut()
+                        .push(format!("{} {}", slice.seq, now().as_micros()));
+                }
+            });
+            env.on_finish(move || got.take());
+        });
+        let lines = cluster.run(SimTime::from_millis(20)).merged_lines();
+        assert_eq!(lines, ["0 1000", "1 5000", "2 9000", "3 13000", "4 17000"]);
+    }
+
+    /// ROADMAP item 1(b), headroom violated: a viewer's uplink affords its
+    /// own `degree` copies (admission passes) but not twice that, and an
+    /// interior relay two levels down dies, so its backup — a viewer —
+    /// must carry its adoptees on top of its own children. Item 11's bar:
+    /// such a case reads `unrepairable > 0`. Today it reads 0: the backup
+    /// adopts every orphan, its uplink backs up, and the failure message
+    /// records what each orphan and the backup got.
+    #[test]
+    #[ignore = "ROADMAP item 11: a backup without repair headroom still adopts"]
+    fn a_backup_without_headroom_is_counted_unrepairable() {
+        let cfg = OverlayConfig {
+            uplink_cps: 2_000,
+            segments: 100,
+            ..small_cfg()
+        };
+        let copy = stripe_cps(&cfg);
+        assert!(cfg.degree as u64 * copy <= cfg.uplink_cps);
+        assert!(cfg.uplink_cps < 2 * cfg.degree as u64 * copy);
+        let plan = plan_for(&cfg).expect("plan");
+        let (victim, tree) = (1..plan.members())
+            .find_map(|v| {
+                let t = plan.interior_tree(v)?;
+                let deep = !plan.children(t, v).is_empty() && plan.parent(t, v) != Some(0);
+                deep.then_some((v, t))
+            })
+            .expect("no interior relay below the first level");
+        let backup = plan.parent(tree, victim).expect("a parent");
+        let cfg = OverlayConfig {
+            crash: Some(CrashPlan {
+                member: victim,
+                at: SimDuration::from_millis(60),
+            }),
+            ..cfg
+        };
+        let (lines, _) = run(&cfg);
+        let own = |m: usize| {
+            let name = format!("node{m:04} recv=");
+            let line: Vec<String> = lines
+                .iter()
+                .filter(|l| l.starts_with(&name))
+                .cloned()
+                .collect();
+            OverlaySummary::parse(&line)
+        };
+        let orphans: Vec<String> = plan
+            .children(tree, victim)
+            .iter()
+            .map(|&o| {
+                let s = own(o);
+                format!(
+                    "{o}: delivered {} lost {} late {}",
+                    s.delivered, s.lost_total, s.late_total
+                )
+            })
+            .collect();
+        let b = own(backup);
+        let s = OverlaySummary::parse(&lines);
+        assert!(
+            s.hub_unrepairable > 0,
+            "victim {victim} (tree {tree}), stripe copy {copy} cells/s, uplink {} cells/s; \
+             orphans [{}]; backup {backup}: p3 {} max divisor {}; unrepairable {}; \
+             survivors lost {} late {}",
+            cfg.uplink_cps,
+            orphans.join(", "),
+            b.p3_drops,
+            b.max_divisor,
+            s.hub_unrepairable,
+            s.lost_alive,
+            s.late_alive,
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use pandora_sim::{unbounded, Receiver, SimDuration, Spawner};
 
-use crate::hub::{IngressHub, TypedLane};
+use crate::hub::{IngressHub, Sink, TypedLane};
 
 /// A typed, one-way, latency-stamped port: the egress half.
 pub struct Egress<T> {
@@ -145,21 +145,26 @@ impl ShardEnv {
         }
     }
 
-    /// Binds the ingress half of a port, returning the receiver the
-    /// topology consumes the port's traffic on. Values arrive exactly at
-    /// their stamped due times, in deterministic merge order.
+    /// Binds the ingress half of a port to a call: the dispatcher hands
+    /// `sink` each value at its due instant, in `(due, port, seq)` merge
+    /// order, from inside its own poll. No channel and no task stand behind
+    /// the port: whatever `sink` does with the value — file it for a task
+    /// that serves many ports, say — is the whole of the delivery. `sink`
+    /// must not send on a port of the same latency and payload type.
     ///
     /// # Panics
     ///
     /// Panics if the port's ingress was already bound.
-    pub fn bind_ingress<T: 'static>(&self, ingress: Ingress<T>) -> Receiver<T> {
-        self.bind_ingress_merged([ingress])
+    pub fn bind_ingress_call<T: 'static>(&self, ingress: Ingress<T>, sink: impl Fn(T) + 'static) {
+        self.hub
+            .lane(ingress.latency)
+            .bind(ingress.port, Rc::new(sink));
     }
 
     /// Binds the ingress halves of any number of same-typed ports to
-    /// **one** receiver. The dispatcher feeds it in its `(due, port,
-    /// seq)` merge order, so values due at the same instant arrive in
-    /// port-creation order, then per-port send order. For a fan-in whose
+    /// **one** receiver: each port's sink is a call that pushes into the
+    /// receiver's unbounded channel. Values due at the same instant arrive
+    /// in port-creation order, then per-port send order. For a fan-in whose
     /// messages name their own origin (the overlay hub's heartbeats) this
     /// replaces a PRI ALT over one receiver per port, whose cost grows
     /// with the port count.
@@ -172,8 +177,13 @@ impl ShardEnv {
         ingresses: impl IntoIterator<Item = Ingress<T>>,
     ) -> Receiver<T> {
         let (tx, rx) = unbounded::<T>();
+        // Delivery into an unbounded queue never blocks; a dropped receiver
+        // just discards the rest of the stream.
+        let sink: Sink<T> = Rc::new(move |value| {
+            let _ = tx.try_send(value);
+        });
         for Ingress { port, latency, .. } in ingresses {
-            self.hub.lane(latency).bind(port, tx.clone());
+            self.hub.lane(latency).bind(port, sink.clone());
         }
         rx
     }

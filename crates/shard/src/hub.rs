@@ -9,19 +9,24 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use pandora_sim::{delay_until_late, now, Delay, Sender, SimDuration, SimTime, TaskWaker};
+use pandora_sim::{delay_until_late, now, Delay, SimDuration, SimTime, TaskWaker};
 
 /// The merge key of one stamped value: `(due, port, seq)`.
 type Key = (u64, u32, u64);
 
+/// Where a port's values go: a call the dispatcher makes at each value's
+/// due instant, in merge order. It must not send on a port of its own
+/// lane: the lane is borrowed while it delivers.
+pub(crate) type Sink<T> = Rc<dyn Fn(T)>;
+
 /// The queued values of every port of one latency and payload type, in
-/// key order, and the receivers those ports are bound to.
+/// key order, and the sinks those ports are bound to.
 pub(crate) struct TypedLane<T> {
     queue: RefCell<VecDeque<(Key, T)>>,
     /// Indexed by port id — ids are dense and creation-ordered, and the
     /// cluster's port count is fixed before setup runs. `None` for a port
     /// of another lane, or one not bound (yet).
-    sinks: RefCell<Vec<Option<Sender<T>>>>,
+    sinks: RefCell<Vec<Option<Sink<T>>>>,
 }
 
 impl<T> TypedLane<T> {
@@ -39,11 +44,11 @@ impl<T> TypedLane<T> {
         queue.insert(at, (key, value));
     }
 
-    /// Binds one of the lane's ports to the receiver behind `tx`.
-    pub fn bind(&self, port: u32, tx: Sender<T>) {
+    /// Binds one of the lane's ports to `sink`.
+    pub fn bind(&self, port: u32, sink: Sink<T>) {
         let slot = &mut self.sinks.borrow_mut()[port as usize];
         assert!(slot.is_none(), "ingress port {port} bound twice");
-        *slot = Some(tx);
+        *slot = Some(sink);
     }
 }
 
@@ -72,9 +77,7 @@ impl<T: 'static> Lane for TypedLane<T> {
                 .get(port as usize)
                 .and_then(Option::as_ref)
                 .unwrap_or_else(|| panic!("ingress port {port} has no bound sink"));
-            // Delivery into an unbounded queue never blocks; a dropped
-            // receiver just discards the rest of the stream.
-            let _ = sink.try_send(value);
+            sink(value);
         }
     }
 }

@@ -12,9 +12,10 @@
 //!    stamps the value `(due time, port id, per-port seq)` from inside
 //!    whichever task calls it — like the Inmos link engine it stands for,
 //!    crossing a link costs the box no process (§3.1). The receiving end
-//!    is a plain `Receiver` ([`ShardEnv::bind_ingress`], or
-//!    [`ShardEnv::bind_ingress_merged`] for any number of same-typed ports
-//!    on one queue).
+//!    is a call ([`ShardEnv::bind_ingress_call`]) that the dispatcher
+//!    makes with each value at its due instant, or a plain `Receiver`
+//!    ([`ShardEnv::bind_ingress_merged`]) for any number of same-typed
+//!    ports on one queue.
 //! 2. **Ingress is merged deterministically.** Every stamped value lands
 //!    in its port's lane — one typed FIFO per (latency, payload type),
 //!    kept in stamp order — and one dispatcher task (`shard:dispatch`)

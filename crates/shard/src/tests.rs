@@ -12,20 +12,19 @@ fn loopback_port_delivers_at_stamped_latency() {
     let (tx_half, rx_half) = cluster.port::<&'static str>(SimDuration::from_millis(3));
     cluster.setup(0, move |env| {
         let tx = env.open_egress(tx_half);
-        let rx = env.bind_ingress(rx_half);
         env.spawner().spawn("src", async move {
             tx.send("x");
             delay(SimDuration::from_millis(1)).await;
             tx.send("y");
         });
+        // The port's sink is a call, made at each value's due instant: no
+        // task stands behind it.
         let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
         let seen2 = seen.clone();
-        env.spawner().spawn("sink", async move {
-            while let Ok(v) = rx.recv().await {
-                seen2
-                    .borrow_mut()
-                    .push(format!("t={} v={v}", now().as_nanos()));
-            }
+        env.bind_ingress_call(rx_half, move |v| {
+            seen2
+                .borrow_mut()
+                .push(format!("t={} v={v}", now().as_nanos()));
         });
         env.on_finish(move || seen.borrow().clone());
     });
@@ -34,6 +33,8 @@ fn loopback_port_delivers_at_stamped_latency() {
         report.merged_lines(),
         vec!["t=3000000 v=x".to_string(), "t=4000000 v=y".to_string()]
     );
+    // The dispatcher and the source; nothing receives.
+    assert_eq!(report.spawned_total, 2);
 }
 
 /// One port per latency in `latencies` (µs), all merged into one sink

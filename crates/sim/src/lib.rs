@@ -20,9 +20,11 @@
 //! * **virtual CPUs** ([`Cpu`]) with non-preemptive priority dispatch and
 //!   context-switch surcharges, so overload behaviour (the subject of the
 //!   paper's principles) emerges from resource exhaustion;
-//! * **links** ([`link`], [`link_over`], [`LinkControl::transfer`]) with
+//! * **links** ([`link`], [`link_over`], [`LinkControl`]) with
 //!   bandwidth-limited, back-pressured transfer (Inmos links and board
-//!   FIFOs) out of the queue in front of them, and the network's
+//!   FIFOs) out of the queue in front of them, a synchronous face
+//!   ([`LinkControl::hold`]) for an engine that clocks many links from one
+//!   task, and the network's
 //!   [`long_line`] — the same serialiser, which stamps what it
 //!   carried with its arrival instant and queues it instead of
 //!   delivering it, so nothing downstream can hold the wire;

@@ -10,8 +10,11 @@
 //!
 //! A wire drains the queue in front of it — the process that has a message
 //! outputs to the link and is held back while the link is busy; no process
-//! stands between them — and holds each message for
-//! [`LinkControl::transfer`]. [`link_over`] takes any queue as that source,
+//! stands between them — and holds each message for its
+//! [`LinkControl::hold`] while the link is up. A caller that clocks its own
+//! queue drives the same three questions ([`LinkControl::is_up`],
+//! [`LinkControl::wake_when_up`], [`LinkControl::hold`]) itself, with no
+//! task per link. [`link_over`] takes any queue as that source,
 //! with a function giving an item's size; [`link`] is it over a
 //! [`link_queue`] of its own, for items that are [`WireSize`].
 //!
@@ -169,16 +172,27 @@ impl LinkControl {
         self.state.downs.get()
     }
 
-    /// Holds the wire for one message of `bytes`: up-check, the transfer
-    /// time at the rate scale in force as it starts, up-check. Every wire
-    /// does this; a loop of a caller's own calls it.
-    pub async fn transfer(&self, config: &LinkConfig, bytes: usize) {
-        self.wait_up().await;
-        delay(self.scaled(config.transfer_time(bytes))).await;
-        self.wait_up().await;
+    /// Whether the link is up. A message starts and ends its transfer only
+    /// while it is: a wire checks before it holds a message and again
+    /// when the hold is over.
+    pub fn is_up(&self) -> bool {
+        self.state.up.get()
     }
 
-    fn scaled(&self, d: SimDuration) -> SimDuration {
+    /// Wakes the task being polled when the link next comes up.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside a task poll, like [`waker`].
+    pub fn wake_when_up(&self) {
+        self.state.wakers.borrow_mut().push(waker());
+    }
+
+    /// How long the link holds a message of `bytes`: its transfer time at
+    /// the rate scale in force now. A wire reads it once the link is up,
+    /// as the message starts.
+    pub fn hold(&self, config: &LinkConfig, bytes: usize) -> SimDuration {
+        let d = config.transfer_time(bytes);
         let p = self.state.rate_permille.get();
         if p == 1000 {
             d
@@ -188,21 +202,21 @@ impl LinkControl {
     }
 
     fn wait_up(&self) -> WaitUp<'_> {
-        WaitUp { state: &self.state }
+        WaitUp { link: self }
     }
 }
 
 struct WaitUp<'a> {
-    state: &'a LinkCtlState,
+    link: &'a LinkControl,
 }
 
 impl Future for WaitUp<'_> {
     type Output = ();
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.state.up.get() {
+        if self.link.is_up() {
             Poll::Ready(())
         } else {
-            self.state.wakers.borrow_mut().push(waker());
+            self.link.wake_when_up();
             Poll::Pending
         }
     }
@@ -210,10 +224,10 @@ impl Future for WaitUp<'_> {
 
 /// The link engine: the `link:{name}` task every channel-fed wire is. High
 /// priority, like link DMA engines that run independently of the CPUs, it
-/// takes one message at a time from `source`, holds it for its
-/// [`LinkControl::transfer`] — spelled out: awaiting that future makes every
-/// wire's 48 bytes larger — and sends what `arrive` makes of it to `far`,
-/// whose capacity decides whether the wire then waits for its reader.
+/// takes one message at a time from `source`, waits for the link to be up,
+/// holds the message for its [`LinkControl::hold`], waits for the link to
+/// be up again, and sends what `arrive` makes of it to `far`, whose
+/// capacity decides whether the wire then waits for its reader.
 fn spawn_wire<T: 'static, U: 'static>(
     spawner: &Spawner,
     config: LinkConfig,
@@ -230,7 +244,7 @@ fn spawn_wire<T: 'static, U: 'static>(
         async move {
             while let Ok(value) = source.recv().await {
                 c.wait_up().await;
-                delay(c.scaled(config.transfer_time(size(&value)))).await;
+                delay(c.hold(&config, size(&value))).await;
                 c.wait_up().await;
                 if far.send(arrive(value)).await.is_err() {
                     return;
@@ -602,6 +616,65 @@ mod tests {
             ]
         );
         assert_eq!(run(false), behind_a_sender);
+    }
+
+    #[test]
+    fn a_task_asking_the_synchronous_face_delivers_at_the_wires_instants() {
+        // The script above, the link taken down mid-transfer of the second
+        // message and brought back at a quarter rate, played against a wire
+        // and against a task that asks the link's three questions itself.
+        let cfg = LinkConfig::new("l", 8_000_000);
+        let script = |sim: &mut Simulation, ctrl: &LinkControl| {
+            sim.run_until(SimTime::from_micros(1_500));
+            ctrl.set_up(false);
+            sim.run_until(SimTime::from_millis(5));
+            ctrl.set_up(true);
+            ctrl.set_rate_permille(250);
+            sim.run_until(SimTime::from_millis(20));
+        };
+
+        let mut sim = Simulation::new();
+        let (tx, source) = unbounded::<Vec<u8>>();
+        for i in 0..6u8 {
+            tx.try_send(vec![i; 1000]).unwrap();
+        }
+        let (rx, ctrl) = link_over(&sim.spawner(), cfg, source, Vec::len);
+        let wire = Rc::new(RefCell::new(Vec::new()));
+        let w = wire.clone();
+        sim.spawn("receiver", async move {
+            while let Ok(v) = rx.recv().await {
+                w.borrow_mut().push((v[0], crate::now().as_micros()));
+            }
+        });
+        script(&mut sim, &ctrl);
+
+        let mut sim = Simulation::new();
+        let ctrl = LinkControl::default();
+        let c = ctrl.clone();
+        let own = Rc::new(RefCell::new(Vec::new()));
+        let o = own.clone();
+        sim.spawn("own-wire", async move {
+            let up = || {
+                std::future::poll_fn(|_| {
+                    if c.is_up() {
+                        return Poll::Ready(());
+                    }
+                    c.wake_when_up();
+                    Poll::Pending
+                })
+            };
+            for i in 0..6u8 {
+                up().await;
+                delay(c.hold(&cfg, 1000)).await;
+                up().await;
+                o.borrow_mut().push((i, crate::now().as_micros()));
+            }
+        });
+        script(&mut sim, &ctrl);
+
+        let want = [(0, 1_000), (1, 5_000), (2, 9_000), (3, 13_000), (4, 17_000)];
+        assert_eq!(*wire.borrow(), want);
+        assert_eq!(*own.borrow(), want);
     }
 
     #[test]
