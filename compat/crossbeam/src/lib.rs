@@ -5,7 +5,7 @@
 //! it since the wall-clock runtime (`crates/core/src/rt.rs`) was
 //! deleted; the shim and the `crossbeam` line in `crates/core/Cargo.toml`
 //! stay only because dropping them rewrites the tracked
-//! `benchmark/Cargo.lock` (ROADMAP item 3).
+//! `benchmark/Cargo.lock` (ROADMAP item 9).
 
 /// Bounded blocking channels, mirroring `crossbeam::channel`.
 pub mod channel {

@@ -4,12 +4,17 @@
 //! counters and keep running — never panic, never wedge a circuit.
 
 use pandora_atm::{segment_to_cells, Cell, Reassembler, SlabReassembler, Vci};
+use pandora_prop::{check, replay, Rng, Tape};
 use pandora_slab::ByteSlab;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 fn feed(r: &mut Reassembler, cells: impl IntoIterator<Item = Cell>) -> Vec<(Vci, Vec<u8>)> {
     cells.into_iter().filter_map(|c| r.push(c)).collect()
+}
+
+fn feed_slab(r: &mut SlabReassembler, cells: Vec<Cell>) -> Vec<(Vci, Vec<u8>)> {
+    let done = cells.into_iter().filter_map(|c| r.push(c));
+    done.map(|(vci, frame)| (vci, frame.with(|b| b.to_vec())))
+        .collect()
 }
 
 #[test]
@@ -104,75 +109,117 @@ fn unmarked_cell_flood_is_refused_whole_and_circuit_recovers() {
     assert_eq!((owned.frames_ok(), owned.frames_discarded()), (1, 1));
 
     let mut slab = SlabReassembler::new(ByteSlab::new(2, 64 * 1024));
-    let done: Vec<Vec<u8>> = stream
-        .into_iter()
-        .filter_map(|c| slab.push(c))
-        .map(|(_, frame)| frame.with(|b| b.to_vec()))
-        .collect();
-    assert_eq!(done, vec![next]);
+    assert_eq!(feed_slab(&mut slab, stream), vec![(Vci(8), next)]);
     assert_eq!((slab.frames_ok(), slab.frames_discarded()), (1, 1));
 
     // The bound is the same on both: 64 KiB passes, one byte more does not.
     for (len, delivered) in [(64 * 1024, 1), (64 * 1024 + 1, 0)] {
         let cells = segment_to_cells(Vci(9), &vec![1u8; len], 0);
         assert_eq!(feed(&mut owned, cells.clone()).len(), delivered, "{len}");
-        let got = cells.into_iter().filter_map(|c| slab.push(c)).count();
-        assert_eq!(got, delivered, "{len}");
+        assert_eq!(feed_slab(&mut slab, cells).len(), delivered, "{len}");
     }
+}
+
+/// Sixty frames of 1–199 bytes over four circuits, then thirty random
+/// drops, duplicates, swaps and truncations of their cells.
+fn mutated_cells(rng: &mut Tape) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = Vec::new();
+    let mut seq = 0u32;
+    for i in 0..60u8 {
+        let len = rng.gen_range(1..200usize);
+        let frame = vec![i; len];
+        let burst = segment_to_cells(Vci(u32::from(i % 4)), &frame, seq);
+        seq = seq.wrapping_add(burst.len() as u32);
+        cells.extend(burst);
+    }
+    for _ in 0..30 {
+        if cells.len() < 4 {
+            break;
+        }
+        let k = rng.gen_range(0..cells.len());
+        match rng.gen_range(0..4u32) {
+            0 => {
+                cells.remove(k);
+            }
+            1 => {
+                let c = cells[k].clone();
+                cells.insert(k, c);
+            }
+            2 => {
+                let j = rng.gen_range(0..cells.len());
+                cells.swap(k, j);
+            }
+            _ => {
+                cells.truncate(cells.len() - 1);
+            }
+        }
+    }
+    cells
+}
+
+/// Feeds `cells` to an owned reassembler and to one with a two-region
+/// slab; returns both, and whether they delivered the same frames.
+fn reassemble_both(cells: &[Cell]) -> (Reassembler, SlabReassembler, bool) {
+    let mut owned = Reassembler::new();
+    let mut slab = SlabReassembler::new(ByteSlab::new(2, 64 * 1024));
+    let same = feed(&mut owned, cells.to_vec()) == feed_slab(&mut slab, cells.to_vec());
+    (owned, slab, same)
 }
 
 #[test]
 fn seeded_mutation_fuzz_never_panics() {
-    // Drop, duplicate, swap and truncate cells at random across a long
-    // cell stream; every outcome must land in a counter. Same seed,
-    // same verdicts — rerun twice and compare.
-    fn run(seed: u64) -> (u64, u64) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut cells: Vec<Cell> = Vec::new();
-        let mut seq = 0u32;
-        for i in 0..60u8 {
-            let len = rng.gen_range(1..200usize);
-            let frame = vec![i; len];
-            let burst = segment_to_cells(Vci(u32::from(i % 4)), &frame, seq);
-            seq = seq.wrapping_add(burst.len() as u32);
-            cells.extend(burst);
+    // Every outcome of a mutated cell stream lands in a counter, and both
+    // reassemblers count the same frames; they deliver the same ones
+    // unless the slab had no region free for one.
+    let mut unmutated = 0;
+    let name = "seeded_mutation_fuzz_never_panics";
+    check(name, 0, 10_000, mutated_cells, |cells| {
+        let (mut owned, mut slab, same) = reassemble_both(cells);
+        let (ok, bad) = (owned.frames_ok(), owned.frames_discarded());
+        assert_eq!(ok + bad, slab.frames_ok() + slab.frames_discarded());
+        if slab.alloc_failures() == 0 {
+            assert!(same);
+            assert_eq!(ok, slab.frames_ok());
         }
-        for _ in 0..30 {
-            if cells.len() < 4 {
-                break;
-            }
-            let k = rng.gen_range(0..cells.len());
-            match rng.gen_range(0..4u32) {
-                0 => {
-                    cells.remove(k);
-                }
-                1 => {
-                    let c = cells[k].clone();
-                    cells.insert(k, c);
-                }
-                2 => {
-                    let j = rng.gen_range(0..cells.len());
-                    cells.swap(k, j);
-                }
-                _ => {
-                    cells.truncate(cells.len() - 1);
-                }
-            }
-        }
-        let mut r = Reassembler::new();
-        for c in cells {
-            let _ = r.push(c);
-        }
-        let counts = (r.frames_ok(), r.frames_discarded());
-        // The reassembler must still work after the assault.
+        unmutated += u64::from(bad == 0);
+        // Both reassemblers must still work after the assault.
         let clean = segment_to_cells(Vci(99), &[5u8; 100], 0);
-        assert_eq!(feed(&mut r, clean).len(), 1, "reassembler wedged");
-        counts
-    }
-    for seed in 0..10u64 {
-        let (ok_1, bad_1) = run(seed);
-        let (ok_2, bad_2) = run(seed);
-        assert_eq!((ok_1, bad_1), (ok_2, bad_2), "seed {seed} diverged");
-        assert!(bad_1 > 0, "seed {seed} mutated nothing");
-    }
+        assert_eq!(feed(&mut owned, clean.clone()).len(), 1, "owned wedged");
+        assert_eq!(feed_slab(&mut slab, clean).len(), 1, "slab wedged");
+    });
+    assert_eq!(unmutated, 0, "a case mutated nothing");
+}
+
+/// The sweep's case 11, shrunk: a swapped cell opens a frame on a circuit
+/// that has seen nothing, so three frames are in progress at once and a
+/// two-region slab refuses one that `Reassembler` delivers.
+#[test]
+#[ignore = "a slab bounds the frames in progress at once and `Reassembler` does not: ROADMAP item 1(a)"]
+fn a_two_region_slab_refuses_a_third_frame_in_progress() {
+    #[rustfmt::skip]
+    let tape = [
+        3898567244341795309, 40298954477948832, 443644617830785178, 9107351178837648183,
+        11380599304835550099, 10066140519346745594, 11928464586178898920, 8200003043245113865,
+        6242547003419904081, 0, 5768432139579667494, 1686197201799782022,
+        2659337191023669442, 172599310036171576, 3625697733893678500, 0,
+        0, 8758818462297517939, 5517224517223003314, 14021465816550085446,
+        3464914864953066358, 1880245279717829199, 10564394335039852866, 1122281757911597177,
+        522592401384504979, 10728390756986686854, 1494333803955216051, 7472275672758400294,
+        9618029192932692926, 16507018325914609540, 2592516930339945322, 2504566372915275587,
+        5460445779381383966, 6117214836904653266, 134428699055163827, 3982232627594099445,
+        872171060665510627, 0, 116511147157741409, 13338035241951009143,
+        173096821984177545, 15832245110050256468, 2324940686929155593, 4556508452349002041,
+        9301548438429477588, 4171815694619036812, 11069802184351976391, 5462455806139688163,
+        5526924523977218768, 2134207517126794152, 0, 0,
+        0, 9069661827281773565, 0, 6679393073758667906,
+        0, 1952057524601862822, 157414408616952237, 1613724815160392389,
+        0, 5070308880008363686, 3183277695518992374, 84974303541159,
+        0, 0, 1012146371426348353, 0,
+        821673945082347673, 0, 3526221799811762381, 0,
+        4328082934489780005, 0, 3653761580624460489, 0,
+        0, 23998,
+    ];
+    replay(&tape, mutated_cells, |cells| {
+        assert!(reassemble_both(cells).2)
+    });
 }

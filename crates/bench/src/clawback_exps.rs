@@ -8,8 +8,6 @@ use pandora_audio::gen::Tone;
 use pandora_buffers::{Clawback, ClawbackConfig, MultiRateClawback, MultiRateConfig};
 use pandora_metrics::{Table, TimeSeries};
 use pandora_sim::{SimDuration, SimTime, Simulation};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Drives a clawback buffer with jittered arrivals in pure virtual time
 /// (no executor needed): arrivals are nominally every 2 ms with an extra
@@ -21,10 +19,8 @@ fn drive_clawback(
     seconds: u64,
     mut jitter_ns: impl FnMut(u64) -> u64,
     drift: f64,
-    seed: u64,
 ) -> TimeSeries {
     let mut series = TimeSeries::new("clawback_delay");
-    let _rng = SmallRng::seed_from_u64(seed);
     let block = 2_000_000u64;
     let end = seconds * 1_000_000_000;
     // Event-merge: arrival k is due at k*block/(1+drift) + jitter; ticks at
@@ -87,7 +83,6 @@ pub fn clawback_adaptation() -> ClawbackAdaptResult {
             }
         },
         0.0,
-        1,
     );
     // The jitter-epoch depth is a sawtooth (burst then drain): report the
     // mean and let the peak show in the trace.
@@ -246,7 +241,7 @@ pub fn clock_drift_tolerance() -> DriftResult {
     for drift in [1e-5f64, 5e-5, 1e-4, 2e-4, 3e-4, 5e-4] {
         let mut buf = Clawback::new(ClawbackConfig::default());
         let mut max_delay = 0f64;
-        let series = drive_clawback(&mut buf, 600, |_| 0, drift, 3);
+        let series = drive_clawback(&mut buf, 600, |_| 0, drift);
         for &(_, v) in series.points() {
             max_delay = max_delay.max(v);
         }

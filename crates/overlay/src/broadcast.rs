@@ -1557,6 +1557,7 @@ impl OverlaySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_prop::{check, Rng, Tape};
     use pandora_sim::Simulation;
 
     fn small_cfg() -> OverlayConfig {
@@ -2023,28 +2024,22 @@ mod tests {
     fn relay_drain_matches_the_obvious_model_over_seeded_schedules() {
         const GUARDS: usize = 9;
         const MESSAGES: usize = 60;
-        for seed in 1..=64u64 {
-            // xorshift64; the seed is mixed so that small seeds diverge.
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move |below: u64| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % below
-            };
-            let cost = [0, 1, 3, 7][next(4) as usize];
+        let case = |t: &mut Tape| {
+            let cost = [0, 1, 3, 7][t.gen_range(0..4usize)];
             // (instant µs, guard), in delivery order; a third of them share
             // the previous delivery's instant.
             let mut at = 0;
             let schedule: Vec<(u64, usize)> = (0..MESSAGES)
                 .map(|_| {
-                    if next(3) != 0 {
-                        at += next(6);
+                    if t.gen_range(0..3u32) != 0 {
+                        at += t.gen_range(0..6u64);
                     }
-                    (at, next(GUARDS as u64) as usize)
+                    (at, t.gen_range(0..GUARDS))
                 })
                 .collect();
-
+            (cost, schedule)
+        };
+        check("relay_drain_model", 1, 64, case, |&(cost, ref schedule)| {
             // The model: the take order of the messages, and when each is
             // forwarded.
             let mut guards: Vec<VecDeque<usize>> = vec![VecDeque::new(); GUARDS];
@@ -2082,6 +2077,7 @@ mod tests {
                 .map(|(place, &(_, forwarded))| (place as u32, forwarded * 1_000))
                 .collect();
 
+            let schedule = schedule.clone();
             let mut sim = Simulation::new();
             let uplink = Uplink::new(0, Rc::default(), MESSAGES, u64::MAX);
             let inboxes = Rc::new(Inboxes::default());
@@ -2111,8 +2107,8 @@ mod tests {
                 .iter()
                 .map(|it| (it.slice.seq, it.queued_at))
                 .collect();
-            assert_eq!(got, want, "seed {seed}, relay cost {cost} µs");
-        }
+            assert_eq!(got, want, "relay cost {cost} µs");
+        });
     }
 
     /// The wire engine holds a copy through a downed link exactly as a

@@ -473,8 +473,7 @@ mod tests {
     /// the input's first `length` bytes.
     #[test]
     fn decode_survives_seeded_hostile_payloads() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use pandora_prop::{check, Rng, Tape};
 
         fn put(bytes: &mut [u8], at: usize, value: u32) {
             if let Some(word) = bytes.get_mut(at..at + 4) {
@@ -486,20 +485,24 @@ mod tests {
                 .get(at..at + 4)
                 .map_or(0, |w| u32::from_be_bytes(w.try_into().unwrap()))
         }
-        let mut rng = SmallRng::seed_from_u64(0x5E6_3E47);
-        let (mut decoded, mut types) = (0, 0u8);
-        for _ in 0..100_000 {
-            let structured = rng.gen_bool(0.5);
+        // The draws the buffer's length does not count come first, and a
+        // draw of 0 makes `length` the buffer's: a shorter payload replays
+        // a prefix of the same tape, so shrinking it shrinks nothing else.
+        fn hostile(tape: &mut Tape) -> Vec<u8> {
+            let structured = tape.gen_bool(0.5);
             let shortest = if structured { COMMON_HEADER_BYTES } else { 0 };
-            let len = rng.gen_range(shortest..=120);
-            let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
-            if structured {
-                for at in (COMMON_HEADER_BYTES..len).step_by(4) {
-                    if rng.gen_bool(0.5) {
-                        put(&mut bytes, at, rng.gen_range(0..=3u32));
-                    }
+            let len = tape.gen_range(shortest..=120);
+            let (type_code, short_by) = (tape.gen_range(0..=3u32), tape.gen_range(0..=len));
+            let fill_data_length = tape.gen_bool(0.5);
+            let mut bytes = Vec::with_capacity(len);
+            for at in (0..len).step_by(4) {
+                bytes.extend((at..len.min(at + 4)).map(|_| tape.gen_range(0..=255u8)));
+                if structured && at >= COMMON_HEADER_BYTES && tape.gen_bool(0.5) {
+                    put(&mut bytes, at, tape.gen_range(0..=3u32));
                 }
-                let (type_code, length) = (rng.gen_range(0..=3u32), rng.gen_range(0..=len));
+            }
+            if structured {
+                let length = len - short_by;
                 put(&mut bytes, 0, VERSION_ID);
                 put(&mut bytes, 12, type_code);
                 put(&mut bytes, 16, length as u32);
@@ -511,21 +514,26 @@ mod tests {
                     2 => COMMON_HEADER_BYTES + VIDEO_FIXED_HEADER_BYTES + video_args,
                     _ => 0,
                 };
-                if payload_at > 0 && payload_at <= length && rng.gen_bool(0.5) {
+                if payload_at > 0 && payload_at <= length && fill_data_length {
                     put(&mut bytes, payload_at - 4, (length - payload_at) as u32);
                 }
             }
-            let Ok(view) = decode_view(&bytes) else {
-                continue;
+            bytes
+        }
+        let (mut decoded, mut types) = (0, 0u8);
+        let name = "decode_survives_seeded_hostile_payloads";
+        check(name, 0x5E6_3E47, 100_000, hostile, |bytes| {
+            let Ok(view) = decode_view(bytes) else {
+                return;
             };
             decoded += 1;
             types |= 1 << view.header.common().segment_type.code();
-            let length = word(&bytes, 16) as usize;
+            let length = word(bytes, 16) as usize;
             let mut again = vec![0u8; length];
             let at = encode_header_into(&view.header, &mut again);
             again[at..].copy_from_slice(view.payload);
-            assert_eq!(again, bytes[..length], "{bytes:?}");
-        }
+            assert_eq!(again, bytes[..length]);
+        });
         // The sweep reaches every decode arm, not just the common header.
         assert_eq!(types, 0b1110);
         assert!(decoded > 5_000, "{decoded} decoded");

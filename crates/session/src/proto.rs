@@ -486,12 +486,9 @@ mod tests {
     /// re-encodes to 29 bytes that decode to the same message.
     #[test]
     fn decode_survives_seeded_hostile_payloads() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
+        use pandora_prop::{check, Rng, Tape};
 
-        let mut rng = SmallRng::seed_from_u64(0x5E55_10C0);
-        let (mut decoded, mut kinds) = (0, 0u16);
-        for _ in 0..100_000 {
+        let hostile = |rng: &mut Tape| -> Vec<u8> {
             let structured = rng.gen_bool(0.5);
             let len = if structured && rng.gen_bool(0.75) {
                 CONTROL_BYTES
@@ -510,15 +507,20 @@ mod tests {
                     *byte = value;
                 }
             }
-            let Some(msg) = SessionMsg::decode(&bytes) else {
-                continue;
+            bytes
+        };
+        let (mut decoded, mut kinds) = (0, 0u16);
+        let name = "decode_survives_seeded_hostile_payloads";
+        check(name, 0x5E55_10C0, 100_000, hostile, |bytes| {
+            let Some(msg) = SessionMsg::decode(bytes) else {
+                return;
             };
             decoded += 1;
             kinds |= 1 << msg.kind_code();
             let again = msg.encode();
-            assert_eq!(again.len(), CONTROL_BYTES, "{bytes:?}");
-            assert_eq!(SessionMsg::decode(&again), Some(msg), "{bytes:?}");
-        }
+            assert_eq!(again.len(), CONTROL_BYTES);
+            assert_eq!(SessionMsg::decode(&again), Some(msg));
+        });
         // The sweep reaches every decode arm, not just the length check.
         assert_eq!(kinds, 0b11_1111_1110);
         assert!(decoded > 10_000, "{decoded} decoded");

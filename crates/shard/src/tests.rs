@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use pandora_prop::{check, Rng, Tape};
 use pandora_sim::{delay, delay_until, now, Priority, SimDuration, SimTime};
 
 use crate::Cluster;
@@ -183,32 +184,28 @@ fn generated_schedules_deliver_in_merge_key_order() {
     const PORTS: usize = 6;
     const SENDS: usize = 300;
     const LATENCIES_US: [u64; 4] = [0, 100, 300, 500];
-    for seed in 1..=64u64 {
-        // xorshift64; the seed is mixed so that small seeds diverge.
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move |below: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % below
-        };
-        let mut latencies: Vec<u64> = (0..PORTS).map(|_| LATENCIES_US[next(4) as usize]).collect();
+    let case = |t: &mut Tape| {
+        let mut latencies: Vec<u64> = (0..PORTS)
+            .map(|_| LATENCIES_US[t.gen_range(0..4usize)])
+            .collect();
         // Six ports over four latencies always share one; make sure the
         // shared pair is not always the same two ports.
-        let shared = next(PORTS as u64) as usize;
+        let shared = t.gen_range(0..PORTS);
         latencies[(shared + 1) % PORTS] = latencies[shared];
         // (send instant µs, port): a third of the sends share the previous
         // send's instant.
         let mut at = 0;
         let schedule: Vec<(u64, usize)> = (0..SENDS)
             .map(|_| {
-                if next(3) != 0 {
-                    at += 1 + next(400);
+                if t.gen_range(0..3u32) != 0 {
+                    at += 1 + t.gen_range(0..400u64);
                 }
-                (at, next(PORTS as u64) as usize)
+                (at, t.gen_range(0..PORTS))
             })
             .collect();
-
+        (latencies, schedule)
+    };
+    check("merge_key_order", 1, 64, case, |(latencies, schedule)| {
         let mut keyed: Vec<((u64, usize, usize), usize)> = Vec::with_capacity(SENDS);
         let mut seqs = [0usize; PORTS];
         for (i, &(at, port)) in schedule.iter().enumerate() {
@@ -221,8 +218,9 @@ fn generated_schedules_deliver_in_merge_key_order() {
             .map(|&((due, _, _), i)| format!("t={} {i}", due * 1_000))
             .collect();
 
-        let deadline = SimTime::from_micros(at + 1_000);
-        let report = loopback_rig(&latencies, deadline, move |txs| async move {
+        let deadline = SimTime::from_micros(schedule.last().map_or(0, |&(at, _)| at) + 1_000);
+        let schedule = schedule.clone();
+        let report = loopback_rig(latencies, deadline, move |txs| async move {
             for (i, (at, port)) in schedule.into_iter().enumerate() {
                 let when = SimTime::from_micros(at);
                 if when > now() {
@@ -231,8 +229,8 @@ fn generated_schedules_deliver_in_merge_key_order() {
                 txs[port].send(i);
             }
         });
-        assert_eq!(report.merged_lines(), expected, "seed {seed}");
-    }
+        assert_eq!(report.merged_lines(), expected);
+    });
 }
 
 #[test]

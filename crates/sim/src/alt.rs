@@ -212,6 +212,7 @@ mod tests {
     use crate::channel::{channel, unbounded};
     use crate::executor::Simulation;
     use crate::time::SimDuration;
+    use pandora_prop::{check, Rng, Tape};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -451,61 +452,56 @@ mod tests {
         // The model: a `VecDeque` per guard; a receive takes the head of
         // the lowest-indexed non-empty one.
         const GUARDS: usize = 1000;
-        let mut sim = Simulation::new();
-        let (mut senders, mut set): (Vec<Option<crate::Sender<u32>>>, _) = {
-            let (txs, set) = set_of(GUARDS);
-            (txs.into_iter().map(Some).collect(), set)
+        // 400 rounds, each a burst of pushes and the odd close (`true`).
+        let rounds = |t: &mut Tape| -> Vec<Vec<(usize, bool)>> {
+            let op = |t: &mut Tape| (t.gen_range(0..GUARDS), t.gen_range(0..10u32) == 0);
+            (0..400)
+                .map(|_| (0..t.gen_range(0..12u32)).map(|_| op(t)).collect())
+                .collect()
         };
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let g = got.clone();
-        sim.spawn("alt", async move {
-            loop {
-                let hit = set.recv().await;
-                g.borrow_mut().push(hit);
-                if hit.is_err() {
-                    return;
-                }
-            }
-        });
-        let mut model: Vec<std::collections::VecDeque<u32>> = vec![Default::default(); GUARDS];
-        let mut want = Vec::new();
-        let mut state = 0x1993_u64;
-        let mut next = |bound: usize| {
-            // SplitMix64: seeded, and no dependency to pull in.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
-        let mut value = 0;
-        for _round in 0..400 {
-            // A burst of pushes and the odd close, then the set's task
-            // runs until it waits again and must have drained the model.
-            for _ in 0..next(12) {
-                let i = next(GUARDS);
-                match next(10) {
-                    0 => senders[i] = None,
-                    _ => {
-                        if let Some(tx) = &senders[i] {
-                            value += 1;
-                            tx.try_send(value).unwrap();
-                            model[i].push_back(value);
-                        }
+        check("alt_set_model", 0x1993, 1, rounds, |rounds| {
+            let mut sim = Simulation::new();
+            let (mut senders, mut set): (Vec<Option<crate::Sender<u32>>>, _) = {
+                let (txs, set) = set_of(GUARDS);
+                (txs.into_iter().map(Some).collect(), set)
+            };
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = got.clone();
+            sim.spawn("alt", async move {
+                loop {
+                    let hit = set.recv().await;
+                    g.borrow_mut().push(hit);
+                    if hit.is_err() {
+                        return;
                     }
                 }
+            });
+            let mut model: Vec<std::collections::VecDeque<u32>> = vec![Default::default(); GUARDS];
+            let (mut want, mut value) = (Vec::new(), 0);
+            for round in rounds {
+                // A burst of pushes and the odd close, then the set's task
+                // runs until it waits again and must have drained the model.
+                for &(i, close) in round {
+                    if close {
+                        senders[i] = None;
+                    } else if let Some(tx) = &senders[i] {
+                        value += 1;
+                        tx.try_send(value).unwrap();
+                        model[i].push_back(value);
+                    }
+                }
+                sim.run_until_idle();
+                for (i, queue) in model.iter_mut().enumerate() {
+                    want.extend(queue.drain(..).map(|v| Ok((i, v))));
+                }
+                assert_eq!(*got.borrow(), want);
             }
+            senders.clear();
             sim.run_until_idle();
-            for (i, queue) in model.iter_mut().enumerate() {
-                want.extend(queue.drain(..).map(|v| Ok((i, v))));
-            }
+            want.push(Err(RecvError));
             assert_eq!(*got.borrow(), want);
-        }
-        senders.clear();
-        sim.run_until_idle();
-        want.push(Err(RecvError));
-        assert_eq!(*got.borrow(), want);
-        assert_eq!(sim.live_tasks(), 0);
+            assert_eq!(sim.live_tasks(), 0);
+        });
     }
 
     #[test]

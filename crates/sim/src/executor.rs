@@ -862,7 +862,28 @@ pub async fn yield_now() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_prop::Rng;
     use std::cell::Cell;
+
+    /// Tasks that panic while a property shrinks leave the thread's next
+    /// simulation usable.
+    #[test]
+    fn a_task_panic_under_a_shrinking_property_leaves_the_next_simulation_usable() {
+        let failed = std::panic::catch_unwind(|| {
+            let delay = |t: &mut pandora_prop::Tape| t.gen_range(0..1_000u64);
+            pandora_prop::check("task_panics", 1, 100, delay, |&ms| {
+                let mut sim = Simulation::new();
+                sim.spawn("late", async move { assert!(ms < 500, "woke at {ms} ms") });
+                sim.run_until_idle();
+            });
+        });
+        let report = *failed.unwrap_err().downcast::<String>().unwrap();
+        assert!(report.contains("to\n500\nwhich panicked"), "{report}");
+        let mut sim = Simulation::new();
+        sim.spawn("after", crate::delay(SimDuration::from_millis(1)));
+        sim.run_until_idle();
+        assert_eq!((sim.now(), sim.live_tasks()), (SimTime::from_millis(1), 0));
+    }
 
     #[test]
     fn paused_task_stops_and_resumes_with_pending_wake() {

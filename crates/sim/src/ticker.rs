@@ -22,46 +22,16 @@ pub struct Tick {
     pub seq: u64,
 }
 
-/// Handle exposing overrun statistics of a ticker, plus runtime control
-/// over its crystal for fault injection: drift changes and clock steps.
+/// Handle exposing overrun statistics of a ticker.
 #[derive(Clone)]
 pub struct TickerHandle {
     overruns: Rc<Cell<u64>>,
-    drift: Rc<Cell<f64>>,
-    step_ns: Rc<Cell<i64>>,
 }
 
 impl TickerHandle {
     /// Ticks dropped because the consumer's FIFO was full.
     pub fn overruns(&self) -> u64 {
         self.overruns.get()
-    }
-
-    /// Changes the crystal's relative drift from the next tick onward.
-    /// The cadence re-anchors at the last tick, so already-elapsed time is
-    /// not re-interpreted — only future periods stretch or shrink.
-    pub fn set_drift(&self, drift: f64) {
-        self.drift.set(drift);
-    }
-
-    /// Current relative drift of the driving crystal.
-    pub fn drift(&self) -> f64 {
-        self.drift.get()
-    }
-
-    /// Steps the local clock forward by `by`: every future tick fires that
-    /// much earlier, so ticks already due burst out immediately — the
-    /// "someone set the clock" fault of §3.7.2.
-    pub fn step_forward(&self, by: SimDuration) {
-        let ns = i64::try_from(by.as_nanos()).unwrap_or(i64::MAX);
-        self.step_ns.set(self.step_ns.get().saturating_add(ns));
-    }
-
-    /// Steps the local clock backward by `by`: a gap opens before the next
-    /// tick, as if the crystal froze for that long.
-    pub fn step_backward(&self, by: SimDuration) {
-        let ns = i64::try_from(by.as_nanos()).unwrap_or(i64::MAX);
-        self.step_ns.set(self.step_ns.get().saturating_sub(ns));
     }
 }
 
@@ -84,48 +54,16 @@ pub fn ticker(
 ) -> (Receiver<Tick>, TickerHandle) {
     let (tx, rx) = buffered::<Tick>(depth.max(1));
     let overruns = Rc::new(Cell::new(0u64));
-    let drift_cell = Rc::new(Cell::new(drift));
-    let step_cell = Rc::new(Cell::new(0i64));
     let handle = TickerHandle {
         overruns: overruns.clone(),
-        drift: drift_cell.clone(),
-        step_ns: step_cell.clone(),
     };
     let name = format!("ticker:{name}");
     spawner.spawn_prio(&name, Priority::High, async move {
         let start = crate::now();
-        // The cadence is anchored: tick n fires at
-        // `drifted_tick(anchor, period, drift, n - anchor_seq)`. Drift
-        // changes and clock steps re-anchor rather than rewrite history,
-        // so with the handle untouched this is the original schedule.
-        let mut anchor = start;
-        let mut anchor_seq: u64 = 0;
-        let mut cur_drift = drift_cell.get();
-        let mut last_at = start;
         let mut seq: u64 = 0;
         loop {
             seq += 1;
-            let d = drift_cell.get();
-            if d != cur_drift {
-                anchor = last_at;
-                anchor_seq = seq - 1;
-                cur_drift = d;
-            }
-            let s = step_cell.replace(0);
-            if s != 0 {
-                // Re-anchor at the last tick first, then shift: a forward
-                // step makes future ticks earlier (ticks now in the past
-                // burst out back-to-back), a backward step opens a gap.
-                anchor = last_at;
-                anchor_seq = seq - 1;
-                anchor = if s > 0 {
-                    SimTime(anchor.0.saturating_sub(s as u64))
-                } else {
-                    SimTime(anchor.0.saturating_add(s.unsigned_abs()))
-                };
-            }
-            let at = crate::link::drifted_tick(anchor, period, cur_drift, seq - anchor_seq);
-            last_at = at;
+            let at = crate::link::drifted_tick(start, period, drift, seq);
             delay_until(at).await;
             match tx.try_send(Tick { at, seq: seq - 1 }) {
                 Ok(()) => {}
@@ -175,61 +113,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         // 500 ticks generated, consumer absorbs ~50; FIFO depth 2.
         assert!(handle.overruns() > 400, "overruns = {}", handle.overruns());
-    }
-
-    #[test]
-    fn mid_run_drift_change_reanchors() {
-        let mut sim = Simulation::new();
-        let (rx, handle) = ticker(
-            &sim.spawner(),
-            "codec",
-            SimDuration::from_millis(2),
-            1 << 20,
-            0.0,
-        );
-        let count = Rc::new(Cell::new(0u64));
-        let c = count.clone();
-        sim.spawn("consumer", async move {
-            while rx.recv().await.is_ok() {
-                c.set(c.get() + 1);
-            }
-        });
-        sim.run_until(crate::SimTime::from_secs(10));
-        assert_eq!(count.get(), 5_000);
-        // Crystal now runs 1% fast: ~50 extra ticks over the next 10s.
-        handle.set_drift(1e-2);
-        sim.run_until(crate::SimTime::from_secs(20));
-        let n = count.get();
-        assert!((10_045..=10_055).contains(&n), "ticks = {n}");
-    }
-
-    #[test]
-    fn clock_step_forward_bursts_ticks() {
-        let mut sim = Simulation::new();
-        let (rx, handle) = ticker(
-            &sim.spawner(),
-            "codec",
-            SimDuration::from_millis(2),
-            1 << 20,
-            0.0,
-        );
-        let count = Rc::new(Cell::new(0u64));
-        let c = count.clone();
-        sim.spawn("consumer", async move {
-            while rx.recv().await.is_ok() {
-                c.set(c.get() + 1);
-            }
-        });
-        sim.run_until(crate::SimTime::from_secs(1));
-        assert_eq!(count.get(), 500);
-        // Clock leaps 100ms ahead: 50 ticks burst out, cadence continues.
-        handle.step_forward(SimDuration::from_millis(100));
-        sim.run_until(crate::SimTime::from_secs(2));
-        assert_eq!(count.get(), 1_050);
-        // And a backward step opens a matching gap.
-        handle.step_backward(SimDuration::from_millis(100));
-        sim.run_until(crate::SimTime::from_secs(3));
-        assert_eq!(count.get(), 1_500);
     }
 
     #[test]

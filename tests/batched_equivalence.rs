@@ -15,6 +15,7 @@ use pandora_atm::{
 };
 use pandora_audio::{mix_blocks, mix_blocks_scalar, mix_blocks_scaled, Block, Q15};
 use pandora_buffers::ByteSlab;
+use pandora_prop::{check, Rng, Tape};
 use pandora_sim::Simulation;
 use pandora_video::dpcm::{
     compress_line, compress_slice, decompress_line, decompress_slice, LineMode,
@@ -24,36 +25,15 @@ use std::rc::Rc;
 
 const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
 
-/// A small deterministic generator (xorshift64*), so the suite needs no
-/// RNG dependency and every seed reproduces exactly.
-struct Gen(u64);
+fn noise(t: &mut Tape, len: usize) -> Vec<u8> {
+    (0..len).map(|_| t.gen_range(0..=255u8)).collect()
+}
 
-impl Gen {
-    fn new(seed: u64) -> Gen {
-        Gen(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    fn byte(&mut self) -> u8 {
-        (self.next_u64() >> 56) as u8
-    }
-
-    fn range(&mut self, lo: usize, hi: usize) -> usize {
-        lo + (self.next_u64() as usize) % (hi - lo + 1)
-    }
-
-    fn frame(&mut self, max_len: usize) -> Vec<u8> {
-        let len = self.range(0, max_len);
-        (0..len).map(|_| self.byte()).collect()
-    }
+/// `count` blocks of noise.
+fn blocks(t: &mut Tape, count: usize) -> Vec<Block> {
+    (0..count)
+        .map(|_| Block(std::array::from_fn(|_| t.gen_range(0..=255u8))))
+        .collect()
 }
 
 #[test]
@@ -62,117 +42,100 @@ fn burst_reassembly_matches_under_loss_and_corruption_faults() {
     // corrupting path feed both reassemblers that exist — the owned one
     // (medusa, the session controller) and the slab one (every box);
     // they must deliver the same frames and count the same discards.
+    let frame = |t: &mut Tape| {
+        let len = t.gen_range(0..=300usize);
+        noise(t, len)
+    };
+    let burst = |t: &mut Tape| (0..40).map(|_| frame(t)).collect::<Vec<_>>();
     for seed in SEEDS {
-        let mut sim = Simulation::new();
-        let (tx, rx, _stats, ctrl) = build_path_controlled(
-            &sim.spawner(),
-            "eq",
-            &[HopConfig::clean(1_000_000_000)],
-            seed,
-        );
-        ctrl.set_loss(0.05);
-        ctrl.set_corruption(0.05);
-        let mut g = Gen::new(seed ^ 0xBEEF);
-        let mut all_cells = Vec::new();
-        let mut seq = 0u32;
-        for _ in 0..40 {
-            let frame = g.frame(300);
-            let cells = segment_to_cells(Vci(1), &frame, seq);
-            seq = seq.wrapping_add(cells.len() as u32);
-            all_cells.extend(cells);
-        }
-        sim.spawn("send", async move {
-            for cell in all_cells {
-                if tx.send(cell).await.is_err() {
-                    return;
+        check("burst_reassembly", seed, 1, burst, |frames| {
+            let mut sim = Simulation::new();
+            let (tx, rx, _stats, ctrl) = build_path_controlled(
+                &sim.spawner(),
+                "eq",
+                &[HopConfig::clean(1_000_000_000)],
+                seed,
+            );
+            ctrl.set_loss(0.05);
+            ctrl.set_corruption(0.05);
+            let mut all_cells = Vec::new();
+            let mut seq = 0u32;
+            for frame in frames {
+                let cells = segment_to_cells(Vci(1), frame, seq);
+                seq = seq.wrapping_add(cells.len() as u32);
+                all_cells.extend(cells);
+            }
+            sim.spawn("send", async move {
+                for cell in all_cells {
+                    if tx.send(cell).await.is_err() {
+                        return;
+                    }
                 }
+            });
+            let survivors: Rc<RefCell<Vec<Cell>>> = Rc::default();
+            let sink = survivors.clone();
+            sim.spawn("recv", async move {
+                while let Ok(cell) = rx.recv().await {
+                    sink.borrow_mut().push(cell);
+                }
+            });
+            sim.run_until_idle();
+            assert!(ctrl.injected_drops() > 0, "plan injected no loss");
+            // Cell by cell, both deliver the same frame or none.
+            let mut owned = Reassembler::new();
+            let mut slab = SlabReassembler::new(ByteSlab::new(2, 1024));
+            for cell in survivors.borrow().iter() {
+                let frame = slab.push(cell.clone());
+                let frame = frame.map(|(vci, frame)| (vci, frame.with(|b| b.to_vec())));
+                assert_eq!(owned.push(cell.clone()), frame);
             }
+            assert_eq!(owned.frames_ok(), slab.frames_ok());
+            assert_eq!(owned.frames_discarded(), slab.frames_discarded());
+            assert!(owned.frames_discarded() > 0, "nothing lost");
+            assert_eq!(slab.alloc_failures(), 0);
         });
-        let survivors: Rc<RefCell<Vec<Cell>>> = Rc::default();
-        let sink = survivors.clone();
-        sim.spawn("recv", async move {
-            while let Ok(cell) = rx.recv().await {
-                sink.borrow_mut().push(cell);
-            }
-        });
-        sim.run_until_idle();
-        let survivors = survivors.borrow();
-        assert!(
-            ctrl.injected_drops() > 0,
-            "seed {seed}: plan injected no loss"
-        );
-
-        let mut owned = Reassembler::new();
-        let owned_frames: Vec<Vec<u8>> = survivors
-            .iter()
-            .cloned()
-            .filter_map(|c| owned.push(c))
-            .map(|(_, frame)| frame)
-            .collect();
-        let mut slab = SlabReassembler::new(ByteSlab::new(2, 1024));
-        let slab_frames: Vec<Vec<u8>> = survivors
-            .iter()
-            .cloned()
-            .filter_map(|c| slab.push(c))
-            .map(|(_, frame)| frame.with(|b| b.to_vec()))
-            .collect();
-        assert_eq!(owned_frames, slab_frames, "seed {seed}");
-        assert_eq!(owned.frames_ok(), slab.frames_ok(), "seed {seed}");
-        assert_eq!(
-            owned.frames_discarded(),
-            slab.frames_discarded(),
-            "seed {seed}"
-        );
-        assert!(owned.frames_discarded() > 0, "seed {seed}: nothing lost");
-        assert_eq!(slab.alloc_failures(), 0, "seed {seed}");
     }
 }
 
 #[test]
 fn fast_mix_matches_scalar_oracle() {
     for seed in SEEDS {
-        let mut g = Gen::new(seed);
-        for _ in 0..20 {
-            let blocks: Vec<Block> = (0..g.range(0, 64))
-                .map(|_| Block(std::array::from_fn(|_| g.byte())))
-                .collect();
-            assert_eq!(
-                mix_blocks(blocks.iter()),
-                mix_blocks_scalar(blocks.iter()),
-                "seed {seed}"
-            );
-        }
+        let mix = |t: &mut Tape| {
+            let count = t.gen_range(0..=64usize);
+            blocks(t, count)
+        };
+        check("fast_mix", seed, 20, mix, |blocks| {
+            assert_eq!(mix_blocks(blocks.iter()), mix_blocks_scalar(blocks.iter()));
+        });
     }
 }
 
 #[test]
 fn q15_scaled_mix_is_deterministic_and_exact_on_exact_gains() {
-    for seed in SEEDS {
-        let mut g = Gen::new(seed);
-        let blocks: Vec<Block> = (0..8)
-            .map(|_| Block(std::array::from_fn(|_| g.byte())))
-            .collect();
+    let mix = |blocks: &[Block], gains: &[Q15]| {
+        mix_blocks_scaled(blocks.iter().zip(gains.iter().copied()))
+    };
+    let case = |t: &mut Tape| {
+        let blocks = blocks(t, 8);
         let gains: Vec<Q15> = (0..8)
-            .map(|_| Q15::from_raw(g.range(0, 1 << 15) as i32))
+            .map(|_| Q15::from_raw(t.gen_range(0..=1u32 << 15) as i32))
             .collect();
-        let mix = |blocks: &[Block], gains: &[Q15]| {
-            mix_blocks_scaled(blocks.iter().zip(gains.iter().copied()))
-        };
-        // Bit-identical on repeat evaluation (pure integer arithmetic).
-        assert_eq!(mix(&blocks, &gains), mix(&blocks, &gains), "seed {seed}");
-        // Unity gains reduce to the unscaled mixer exactly.
-        let unity = vec![Q15::ONE; blocks.len()];
-        assert_eq!(
-            mix(&blocks, &unity),
-            mix_blocks(blocks.iter()),
-            "seed {seed}"
-        );
+        (blocks, gains)
+    };
+    for seed in SEEDS {
+        check("q15_mix", seed, 1, case, |(blocks, gains)| {
+            // Bit-identical on repeat evaluation (pure integer arithmetic).
+            assert_eq!(mix(blocks, gains), mix(blocks, gains));
+            // Unity gains reduce to the unscaled mixer exactly.
+            let unity = vec![Q15::ONE; blocks.len()];
+            assert_eq!(mix(blocks, &unity), mix_blocks(blocks.iter()));
+        });
     }
 }
 
 #[test]
 fn dpcm_slice_codec_matches_per_line_codec() {
-    let check = |pixels: &[u8], width: usize, what: &str| {
+    let agree = |pixels: &[u8], width: usize, what: &str| {
         let lines = pixels.len() / width;
         for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
             let batched = compress_slice(pixels, width, mode);
@@ -203,33 +166,34 @@ fn dpcm_slice_codec_matches_per_line_codec() {
             assert_eq!(slice_decoded, want, "{what} {width}x{lines} {mode:?}");
         }
     };
+    let slice = |t: &mut Tape| {
+        let (width, lines) = (t.gen_range(1..=80usize), t.gen_range(1..=12usize));
+        (width, noise(t, width * lines))
+    };
     for seed in SEEDS {
-        let mut g = Gen::new(seed);
-        for _ in 0..6 {
-            let width = g.range(1, 80);
-            let lines = g.range(1, 12);
-            let pixels: Vec<u8> = (0..width * lines).map(|_| g.byte()).collect();
-            check(&pixels, width, &format!("seed {seed}"));
-        }
+        check("dpcm_slice", seed, 6, slice, |(width, pixels)| {
+            agree(pixels, *width, "noise")
+        });
     }
     // The slice encoder runs four rows in lock-step and the leftover rows
     // one at a time, pixel pairs then an odd tail: every line count
     // around two groups, widths either side of a pair and of a byte's
     // worth of pixels, on noise and on the rows that pin the predictor
     // to either rail or swing it between them.
-    let mut g = Gen::new(SEEDS[0]);
-    for width in [1, 2, 3, 255, 256, 257] {
-        for lines in 1..=9 {
-            let noise: Vec<u8> = (0..width * lines).map(|_| g.byte()).collect();
-            check(&noise, width, "noise");
-            check(&vec![0; width * lines], width, "all 0");
-            check(&vec![255; width * lines], width, "all 255");
-            let swing: Vec<u8> = (0..width * lines).map(|i| (i % 2 * 255) as u8).collect();
-            check(&swing, width, "0/255 pixels");
-            let rows: Vec<u8> = (0..width * lines)
-                .map(|i| (i / width % 2 * 255) as u8)
-                .collect();
-            check(&rows, width, "0/255 rows");
+    let sweep = |t: &mut Tape| noise(t, 257 * 9);
+    check("dpcm_edges", SEEDS[0], 1, sweep, |noise| {
+        for width in [1, 2, 3, 255, 256, 257] {
+            for lines in 1..=9 {
+                agree(&noise[..width * lines], width, "noise");
+                agree(&vec![0; width * lines], width, "all 0");
+                agree(&vec![255; width * lines], width, "all 255");
+                let swing: Vec<u8> = (0..width * lines).map(|i| (i % 2 * 255) as u8).collect();
+                agree(&swing, width, "0/255 pixels");
+                let rows: Vec<u8> = (0..width * lines)
+                    .map(|i| (i / width % 2 * 255) as u8)
+                    .collect();
+                agree(&rows, width, "0/255 rows");
+            }
         }
-    }
+    });
 }
