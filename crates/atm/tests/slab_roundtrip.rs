@@ -5,10 +5,8 @@
 //! their full encode → cells → reassemble → decode chain and must agree
 //! with each other and with the original.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use pandora_atm::{cells_gather, segment_to_cells, Reassembler, SlabReassembler, Vci};
+use pandora_prop::{check, Rng, Tape};
 use pandora_segment::{
     wire, AudioSegment, PixelFormat, Segment, SequenceNumber, SlabSegment, Timestamp,
     VideoCompression, VideoHeader, VideoSegment, BLOCK_BYTES,
@@ -63,7 +61,12 @@ fn assert_paths_agree(seg: &Segment, vci: Vci, seq: u32) {
     assert_eq!(slab, legacy, "slab path diverged from the legacy path");
 }
 
-fn random_audio(rng: &mut SmallRng, blocks: usize) -> Segment {
+/// `seg` on a random circuit, from a random cell sequence number.
+fn on_a_circuit(seg: Segment, t: &mut Tape) -> (Segment, Vci, u32) {
+    (seg, Vci(t.gen_range(1u32..1024)), t.gen_range(0..=u32::MAX))
+}
+
+fn random_audio(rng: &mut Tape, blocks: usize) -> Segment {
     let data: Vec<u8> = (0..blocks * BLOCK_BYTES)
         .map(|_| rng.gen_range(0u32..256) as u8)
         .collect();
@@ -76,19 +79,17 @@ fn random_audio(rng: &mut SmallRng, blocks: usize) -> Segment {
 
 #[test]
 fn audio_segments_round_trip_identically() {
-    let mut rng = SmallRng::seed_from_u64(0x5eed_a11d);
     // One block fits a single cell; two blocks is the standard 68-byte
     // shout segment; twelve blocks spans several cells.
     for blocks in [1usize, 2, 12] {
-        for case in 0..20u32 {
-            let seg = random_audio(&mut rng, blocks);
-            let vci = Vci(rng.gen_range(1u32..1024));
-            assert_paths_agree(&seg, vci, case.wrapping_mul(977));
-        }
+        let case = |t: &mut Tape| on_a_circuit(random_audio(t, blocks), t);
+        check("slab_audio", 0x5eed_a11d, 20, case, |(seg, vci, seq)| {
+            assert_paths_agree(seg, *vci, *seq)
+        });
     }
 }
 
-fn random_video_slice(rng: &mut SmallRng) -> Segment {
+fn random_video_slice(rng: &mut Tape) -> Segment {
     let width = rng.gen_range(2u32..16) * 16;
     let lines = rng.gen_range(1u32..48);
     let segments_in_frame = rng.gen_range(1u32..8);
@@ -122,10 +123,8 @@ fn random_video_slice(rng: &mut SmallRng) -> Segment {
 
 #[test]
 fn sliced_video_frames_round_trip_identically() {
-    let mut rng = SmallRng::seed_from_u64(0x51de0);
-    for case in 0..40u32 {
-        let seg = random_video_slice(&mut rng);
-        let vci = Vci(rng.gen_range(1u32..1024));
-        assert_paths_agree(&seg, vci, case.wrapping_mul(131));
-    }
+    let case = |t: &mut Tape| on_a_circuit(random_video_slice(t), t);
+    check("slab_video", 0x51de0, 40, case, |(seg, vci, seq)| {
+        assert_paths_agree(seg, *vci, *seq)
+    });
 }

@@ -28,7 +28,7 @@ mod mixer;
 mod muting;
 
 pub use block::{segment_blocks, Block, SegmentAssembler};
-pub use mixer::{mix_blocks, mix_blocks_scalar, mix_blocks_scaled, CpuProfile};
+pub use mixer::{mix_blocks, mix_blocks_scaled, CpuProfile};
 pub use muting::{MuteStage, Muting, MutingConfig};
 pub use q15::Q15;
 pub use recovery::{Concealer, Concealment};

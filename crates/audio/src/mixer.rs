@@ -19,7 +19,7 @@ use pandora_segment::BLOCK_BYTES;
 ///
 /// The whole 16-sample block is accumulated through the flat decode LUT
 /// and the branch-free encoder, fixed-size loops the autovectorizer can
-/// unroll; [`mix_blocks_scalar`] keeps the original per-sample code as
+/// unroll; `mix_blocks_scalar` keeps the original per-sample code as
 /// the conformance oracle and the two are byte-identical on every input.
 pub fn mix_blocks<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
     let mut acc = [0i32; BLOCK_BYTES];
@@ -37,6 +37,7 @@ pub fn mix_blocks<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
 
 /// The conformance oracle for [`mix_blocks`]: same accumulate/saturate
 /// semantics expressed through the reference (formula/loop) codec.
+#[cfg(test)]
 pub fn mix_blocks_scalar<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
     let mut acc = [0i32; BLOCK_BYTES];
     for block in blocks {
@@ -139,9 +140,17 @@ impl CpuProfile {
 mod tests {
     use super::*;
     use crate::mulaw::{decode, encode};
+    use pandora_prop::{check, Rng, Tape};
 
     fn block_of(pcm: i16) -> Block {
         Block([encode(pcm); BLOCK_BYTES])
+    }
+
+    /// `count` blocks of noise.
+    fn blocks(t: &mut Tape, count: usize) -> Vec<Block> {
+        (0..count)
+            .map(|_| Block(std::array::from_fn(|_| t.gen_range(0..=255u8))))
+            .collect()
     }
 
     #[test]
@@ -206,17 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn mix_blocks_matches_scalar_oracle() {
-        let mut rng = 0x9E37u32;
-        let mut step = move || {
-            rng = rng.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            (rng >> 16) as u8
-        };
-        for _ in 0..50 {
-            let blocks: Vec<Block> = (0..8)
-                .map(|_| Block(std::array::from_fn(|_| step())))
-                .collect();
-            assert_eq!(mix_blocks(blocks.iter()), mix_blocks_scalar(blocks.iter()));
+    fn fast_mix_matches_scalar_oracle() {
+        for seed in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
+            let mix = |t: &mut Tape| {
+                let count = t.gen_range(0..=64usize);
+                blocks(t, count)
+            };
+            check("fast_mix", seed, 20, mix, |blocks| {
+                assert_eq!(mix_blocks(blocks.iter()), mix_blocks_scalar(blocks.iter()));
+            });
         }
     }
 
@@ -238,42 +245,40 @@ mod tests {
 
     #[test]
     fn scaled_mix_golden_vs_old_float_path() {
-        let mut rng = 0xC0FFEEu32;
-        let mut step = move || {
-            rng = rng.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-            (rng >> 16) as u8
-        };
-        for seed in 0..10 {
-            let blocks: Vec<Block> = (0..4)
-                .map(|_| Block(std::array::from_fn(|_| step())))
-                .collect();
-            // Q15-exact gains: byte-identical to the old float path.
-            let exact = [
-                Q15::from_raw(1 << 14),
-                Q15::ONE,
-                Q15::from_raw(3 << 13),
-                Q15::ZERO,
-            ];
-            let q15_mix = mix_blocks_scaled(blocks.iter().zip(exact));
-            let f64_mix =
-                mix_blocks_scaled_f64(blocks.iter().zip(exact).map(|(b, g)| (b, g.to_f64())));
-            assert_eq!(q15_mix, f64_mix, "seed {seed}");
-            // The figure-4.1 factors are not Q15-exact; the decoded outputs
-            // stay within one quantisation step of the old float path.
-            let factors = [0.2f64, 0.5, 1.0, 0.2];
-            let q15_mix = mix_blocks_scaled(
-                blocks
-                    .iter()
-                    .zip(factors)
-                    .map(|(b, f)| (b, Q15::from_f64(f))),
-            );
-            let f64_mix = mix_blocks_scaled_f64(blocks.iter().zip(factors));
-            for (q, f) in q15_mix.0.iter().zip(f64_mix.0.iter()) {
-                let (dq, df) = (decode(*q), decode(*f));
-                let tol = 16 + df.abs() / 12;
-                assert!((dq - df).abs() <= tol, "seed {seed}: {dq} vs {df}");
-            }
-        }
+        check(
+            "scaled_mix",
+            0xC0FFEE,
+            10,
+            |t| blocks(t, 4),
+            |blocks| {
+                // Q15-exact gains: byte-identical to the old float path.
+                let exact = [
+                    Q15::from_raw(1 << 14),
+                    Q15::ONE,
+                    Q15::from_raw(3 << 13),
+                    Q15::ZERO,
+                ];
+                let q15_mix = mix_blocks_scaled(blocks.iter().zip(exact));
+                let f64_mix =
+                    mix_blocks_scaled_f64(blocks.iter().zip(exact).map(|(b, g)| (b, g.to_f64())));
+                assert_eq!(q15_mix, f64_mix);
+                // The figure-4.1 factors are not Q15-exact; the decoded outputs
+                // stay within one quantisation step of the old float path.
+                let factors = [0.2f64, 0.5, 1.0, 0.2];
+                let q15_mix = mix_blocks_scaled(
+                    blocks
+                        .iter()
+                        .zip(factors)
+                        .map(|(b, f)| (b, Q15::from_f64(f))),
+                );
+                let f64_mix = mix_blocks_scaled_f64(blocks.iter().zip(factors));
+                for (q, f) in q15_mix.0.iter().zip(f64_mix.0.iter()) {
+                    let (dq, df) = (decode(*q), decode(*f));
+                    let tol = 16 + df.abs() / 12;
+                    assert!((dq - df).abs() <= tol, "{dq} vs {df}");
+                }
+            },
+        );
     }
 
     #[test]

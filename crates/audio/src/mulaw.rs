@@ -8,7 +8,7 @@ const BIAS: i32 = 0x84;
 /// Encodes one 16-bit linear PCM sample to 8-bit µ-law.
 ///
 /// Branch-free: the data-dependent segment search of
-/// [`encode_reference`] becomes a `leading_zeros` (one instruction on
+/// `encode_reference` becomes a `leading_zeros` (one instruction on
 /// every target that matters), so the encoder pipelines cleanly inside
 /// the chunked mixing loops. Byte-identical to the reference for every
 /// input — pinned exhaustively by `encode_matches_reference`.
@@ -34,6 +34,7 @@ pub fn encode(pcm: i16) -> u8 {
 
 /// The original loop-based µ-law encoder, kept verbatim as the
 /// conformance oracle for [`encode`].
+#[cfg(test)]
 pub fn encode_reference(pcm: i16) -> u8 {
     let mut x = pcm as i32;
     let sign: u8 = if x < 0 {
@@ -92,6 +93,7 @@ pub fn decode(byte: u8) -> i32 {
 
 /// The formula-based µ-law decoder, kept as the conformance oracle for
 /// the [`decode`] LUT.
+#[cfg(test)]
 pub fn decode_reference(byte: u8) -> i32 {
     decode_formula(byte)
 }

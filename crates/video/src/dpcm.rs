@@ -78,6 +78,7 @@ const fn dequantise_reference(code: u8) -> i32 {
 // Prediction errors are bounded: predictor and pixel both live in
 // 0..=255, so err is in -255..=255 and the whole quantiser flattens to
 // one 511-entry compile-time LUT indexed by err + 255.
+#[cfg(test)]
 const QLUT: [u8; 511] = {
     let mut t = [0u8; 511];
     let mut i = 0;
@@ -99,6 +100,7 @@ const DEQ: [i32; 16] = {
     t
 };
 
+#[cfg(test)]
 fn quantise(err: i32) -> u8 {
     QLUT[(err + 255) as usize]
 }
@@ -108,6 +110,7 @@ fn dequantise(code: u8) -> i32 {
 }
 
 /// Compresses one line: returns the 1-byte header followed by the payload.
+#[cfg(test)]
 pub fn compress_line(pixels: &[u8], mode: LineMode) -> Vec<u8> {
     let mut out = vec![mode.header()];
     match mode {
@@ -162,6 +165,7 @@ pub fn decompress_line(data: &[u8], width: usize) -> Option<Vec<u8>> {
 // iteration, each pair packed and pushed straight into `out`. The
 // predictor follows the *decoder's* reconstruction so errors do not
 // accumulate.
+#[cfg(test)]
 fn dpcm_encode_into(pixels: &[u8], out: &mut Vec<u8>) {
     out.reserve(pixels.len().div_ceil(2));
     let mut pred = 128i32;
@@ -286,7 +290,7 @@ fn encode_rows(src: &[u8], stride: usize, width: usize, out: &mut [u8]) {
 
 /// Compresses a whole slice (`pixels.len() / width` lines of `width`
 /// pixels) in one pass; byte-identical to concatenating
-/// [`compress_line`] over the rows.
+/// `compress_line` over the rows.
 ///
 /// # Panics
 ///
@@ -398,6 +402,13 @@ pub fn line_error(a: &[u8], b: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_prop::{check, Rng, Tape};
+
+    const SEEDS: [u64; 10] = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89];
+
+    fn noise(t: &mut Tape, len: usize) -> Vec<u8> {
+        (0..len).map(|_| t.gen_range(0..=255u8)).collect()
+    }
 
     fn gradient(width: usize) -> Vec<u8> {
         (0..width).map(|i| (i * 255 / width.max(1)) as u8).collect()
@@ -583,5 +594,87 @@ mod tests {
         // The tail of each plateau should have converged.
         assert!((d[30] as i32) < 40, "low plateau {:?}", &d[24..32]);
         assert!((d[63] as i32) > 215, "high plateau {:?}", &d[56..64]);
+    }
+
+    #[test]
+    fn dpcm_round_trip_bounds() {
+        let line = |t: &mut Tape| {
+            let len = t.gen_range(1..256);
+            noise(t, len)
+        };
+        check("dpcm", 0, 256, line, |line| {
+            let width = line.len();
+            let raw = compress_line(line, LineMode::Raw);
+            assert_eq!(decompress_line(&raw, width).unwrap(), *line);
+            let d = decompress_line(&compress_line(line, LineMode::Dpcm), width).unwrap();
+            assert_eq!(d.len(), width);
+            let d2 = decompress_line(&compress_line(line, LineMode::DpcmSub2), width).unwrap();
+            assert_eq!(d2.len(), width);
+        });
+    }
+
+    #[test]
+    fn dpcm_slice_codec_matches_per_line_codec() {
+        let agree = |pixels: &[u8], width: usize, what: &str| {
+            let lines = pixels.len() / width;
+            for mode in [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2] {
+                let batched = compress_slice(pixels, width, mode);
+                let per_line: Vec<u8> = pixels
+                    .chunks_exact(width)
+                    .flat_map(|row| compress_line(row, mode))
+                    .collect();
+                assert_eq!(batched, per_line, "{what} {width}x{lines} {mode:?}");
+
+                let slice_decoded = decompress_slice(&batched, width, lines);
+                let mut line_decoded = Vec::with_capacity(width * lines);
+                let mut off = 0;
+                let mut ok = true;
+                for _ in 0..lines {
+                    match decompress_line(&per_line[off..], width) {
+                        Some(px) => {
+                            let mode_here = LineMode::from_header(per_line[off]).expect("header");
+                            off += compressed_line_bytes(width, mode_here);
+                            line_decoded.extend(px);
+                        }
+                        None => {
+                            ok = false;
+                            break;
+                        }
+                    }
+                }
+                let want = ok.then_some(line_decoded);
+                assert_eq!(slice_decoded, want, "{what} {width}x{lines} {mode:?}");
+            }
+        };
+        let slice = |t: &mut Tape| {
+            let (width, lines) = (t.gen_range(1..=80usize), t.gen_range(1..=12usize));
+            (width, noise(t, width * lines))
+        };
+        for seed in SEEDS {
+            check("dpcm_slice", seed, 6, slice, |(width, pixels)| {
+                agree(pixels, *width, "noise")
+            });
+        }
+        // The slice encoder runs four rows in lock-step and the leftover rows
+        // one at a time, pixel pairs then an odd tail: every line count
+        // around two groups, widths either side of a pair and of a byte's
+        // worth of pixels, on noise and on the rows that pin the predictor
+        // to either rail or swing it between them.
+        let sweep = |t: &mut Tape| noise(t, 257 * 9);
+        check("dpcm_edges", SEEDS[0], 1, sweep, |noise| {
+            for width in [1, 2, 3, 255, 256, 257] {
+                for lines in 1..=9 {
+                    agree(&noise[..width * lines], width, "noise");
+                    agree(&vec![0; width * lines], width, "all 0");
+                    agree(&vec![255; width * lines], width, "all 255");
+                    let swing: Vec<u8> = (0..width * lines).map(|i| (i % 2 * 255) as u8).collect();
+                    agree(&swing, width, "0/255 pixels");
+                    let rows: Vec<u8> = (0..width * lines)
+                        .map(|i| (i / width % 2 * 255) as u8)
+                        .collect();
+                    agree(&rows, width, "0/255 rows");
+                }
+            }
+        });
     }
 }

@@ -16,7 +16,6 @@ use pandora_segment::{
     reseg, wire, AudioSegment, Segment, SeqTracker, SequenceNumber, TestSegment, Timestamp,
     VideoCompression, VideoHeader, VideoSegment, BLOCK_BYTES,
 };
-use pandora_video::dpcm::{compress_line, decompress_line, LineMode};
 use pandora_video::RateFraction;
 
 /// Number of random cases drawn per property, and the seed they draw from.
@@ -241,22 +240,6 @@ fn histogram_percentile_properties() {
         let p90 = h.percentile(90.0);
         assert!(h.min() <= p10 && p10 <= p50 && p50 <= p90 && p90 <= h.max());
         assert_eq!(h.count(), values.len());
-    });
-}
-
-/// DPCM: any pixel line decompresses to the right width with bounded
-/// error (raw mode: exact).
-#[test]
-fn dpcm_round_trip_bounds() {
-    let line = |t: &mut Tape| vec_of(t, 1..256, byte);
-    check("dpcm", SEED, CASES, line, |line| {
-        let width = line.len();
-        let raw = compress_line(line, LineMode::Raw);
-        assert_eq!(decompress_line(&raw, width).unwrap(), *line);
-        let d = decompress_line(&compress_line(line, LineMode::Dpcm), width).unwrap();
-        assert_eq!(d.len(), width);
-        let d2 = decompress_line(&compress_line(line, LineMode::DpcmSub2), width).unwrap();
-        assert_eq!(d2.len(), width);
     });
 }
 
