@@ -24,7 +24,7 @@
 //!   with no controller round-trip.
 //!
 //! Repair is the hub's job: member heartbeats feed the
-//! [`RepairEngine`]'s leases, a dead interior relay's orphans are
+//! `RepairEngine`'s leases, a dead interior relay's orphans are
 //! grafted onto their precomputed backup parents, and each backup
 //! replays its clawback ring so the orphan's stripe refills inside the
 //! playout budget. The source is not a special case of any of this: it
@@ -36,7 +36,7 @@
 //! channel selection, so a run's merged report is byte-identical across
 //! replays.
 
-use std::cell::{Cell as StdCell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::{poll_fn, Future};
 use std::pin::pin;
@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use pandora_atm::{burst_gather, PathControl, Vci};
-use pandora_faults::{install, FaultPlan, FaultTargets, FaultTrace};
+use pandora_faults::{install, FaultPlan, FaultTargets};
 use pandora_recover::{
     AdaptAction, AdaptMachine, HealthConfig, LeaseConfig, MediaClass, WindowSample,
 };
@@ -57,9 +57,9 @@ use pandora_sim::{
 };
 use pandora_slab::ByteSlab;
 
-use crate::plan::{Member, PlanConfig, PlanError, TreePlan};
+use crate::plan::{PlanConfig, PlanError, TreePlan};
 use crate::repair::RepairEngine;
-use crate::stripe::{Accept, RepairRing, Slice, StripeReceiver, HOP_BUCKETS};
+use crate::stripe::{Accept, RepairRing, Slice, StripeReceiver, HOP_BUCKETS, MAX_TREES};
 
 /// Bytes one ATM cell occupies on the wire; a member's uplink budget in
 /// cells/second converts to link bits/second through this.
@@ -101,7 +101,7 @@ pub struct UplinkCapPlan {
 pub struct OverlayConfig {
     /// Viewers (members beyond the source).
     pub viewers: usize,
-    /// Striped trees `k`.
+    /// Striped trees `k`, at most eight.
     pub trees: usize,
     /// Maximum children per node `d`.
     pub degree: usize,
@@ -183,6 +183,12 @@ impl Default for OverlayConfig {
 /// Why a topology could not be built.
 #[derive(Debug)]
 pub enum BuildError {
+    /// More striped trees than a heartbeat carries resume points for
+    /// (eight).
+    Trees {
+        /// The trees asked for.
+        trees: usize,
+    },
     /// The planner refused (capacity, degenerate shape).
     Plan(PlanError),
     /// The admission controller refused a relay's fan-out charge — the
@@ -206,6 +212,12 @@ pub enum BuildError {
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            BuildError::Trees { trees } => {
+                write!(
+                    f,
+                    "{trees} striped trees: at most {MAX_TREES} are supported"
+                )
+            }
             BuildError::Plan(e) => write!(f, "plan: {e}"),
             BuildError::Admission { member, decision } => {
                 write!(
@@ -234,7 +246,7 @@ pub struct OverlayBuild {
 
 /// Messages on the overlay's data and control ports.
 #[derive(Debug, Clone)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// A striped segment travelling down its tree.
     Slice(Slice),
     /// Hub order to a backup parent: adopt `orphan` on `tree` and
@@ -250,22 +262,13 @@ pub enum Msg {
 }
 
 /// A member's heartbeat to the hub: liveness plus the per-tree resume
-/// points a graft would need.
-#[derive(Debug, Clone)]
-pub struct Hello {
+/// points a graft would need, inline — a beat allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hello {
     /// Reporting member.
-    pub node: usize,
-    /// Next expected global sequence per tree.
-    pub next: Vec<u32>,
-}
-
-/// One copy queued on a member's uplink, addressed to a child.
-#[derive(Debug, Clone)]
-struct UpItem {
-    tree: usize,
-    dest: usize,
-    queued_at: u64,
-    slice: Slice,
+    node: u32,
+    /// Next expected global sequence per tree; the first `k` are in use.
+    next: [u32; MAX_TREES],
 }
 
 /// Cells one segment gathers into (header plus payload, 48-byte AAL
@@ -276,7 +279,7 @@ pub fn cells_per_segment(payload_bytes: usize) -> u64 {
 
 /// Cell rate one stripe copy costs a forwarding uplink: each tree
 /// carries every k-th segment.
-pub fn stripe_cps(cfg: &OverlayConfig) -> u64 {
+pub(crate) fn stripe_cps(cfg: &OverlayConfig) -> u64 {
     let tree_interval_ns = cfg.segment_interval.as_nanos().max(1) * cfg.trees.max(1) as u64;
     (cells_per_segment(cfg.payload_bytes) * 1_000_000_000).div_ceil(tree_interval_ns)
 }
@@ -284,27 +287,11 @@ pub fn stripe_cps(cfg: &OverlayConfig) -> u64 {
 /// The stream class a stripe copy is admitted as. The rate rounds
 /// *down* so admission's demand never exceeds the planner's budget
 /// arithmetic — the plan and the charge agree by construction.
-pub fn stripe_class(cfg: &OverlayConfig) -> StreamClass {
+pub(crate) fn stripe_class(cfg: &OverlayConfig) -> StreamClass {
     let rate = (stripe_cps(cfg) * 1_000 / 2_600).max(1);
     StreamClass::Video {
         rate_permille: rate.min(u64::from(u32::MAX)) as u32,
     }
-}
-
-/// The membership the planner sees: member 0 is the source.
-pub fn members_for(cfg: &OverlayConfig) -> Vec<Member> {
-    let mut members = Vec::with_capacity(cfg.viewers + 1);
-    members.push(Member {
-        name: "src".to_string(),
-        uplink_cps: cfg.source_uplink_cps,
-    });
-    for v in 1..=cfg.viewers {
-        members.push(Member {
-            name: format!("v{v}"),
-            uplink_cps: cfg.uplink_cps,
-        });
-    }
-    members
 }
 
 /// The deterministic tree plan for `cfg`.
@@ -313,8 +300,11 @@ pub fn members_for(cfg: &OverlayConfig) -> Vec<Member> {
 ///
 /// Propagates the planner's [`PlanError`].
 pub fn plan_for(cfg: &OverlayConfig) -> Result<TreePlan, PlanError> {
+    // The membership the planner sees: member 0 is the source.
+    let mut uplinks = vec![cfg.uplink_cps; cfg.viewers + 1];
+    uplinks[0] = cfg.source_uplink_cps;
     TreePlan::compute(
-        &members_for(cfg),
+        &uplinks,
         &PlanConfig {
             trees: cfg.trees,
             degree: cfg.degree,
@@ -358,128 +348,392 @@ fn charge_relay_admission(plan: &TreePlan, cfg: &OverlayConfig) -> Result<u64, B
 /// three, because a pump task once stood between queue and wire — the copy
 /// on the wire, the one in its one-message slot, the one the pump held.
 /// When a copy leaves decides P3 drops, P8 late counts and crash discards.
-const HANDOFF: usize = 3;
+const HANDOFF: u8 = 3;
 
-/// The wire engine's doorbell: the members whose uplink was pushed to while
-/// it had room, in push order, and the engine's waker.
-#[derive(Default)]
-struct Kicks {
-    members: RefCell<Vec<usize>>,
-    engine: RefCell<Option<TaskWaker>>,
+/// A member id as the tables store it.
+type Id = u32;
+
+/// The end of a list of letters.
+const NIL: Id = Id::MAX;
+
+/// Guards in a viewer's PRI ALT: its control port, then at most one
+/// primary and one backup edge per tree. A port's tag is
+/// `viewer * GUARDS + guard`.
+const GUARDS: u32 = 1 + 2 * MAX_TREES as u32;
+
+/// One copy queued on a member's uplink, addressed to a child. A relay
+/// stamps a copy as it queues it, so it was queued at `slice.sent`.
+struct UpItem {
+    dest: Id,
+    slice: Slice,
 }
 
-impl Kicks {
-    fn kick(&self, member: usize) {
-        let mut members = self.members.borrow_mut();
-        members.push(member);
-        // The engine takes the whole list each poll: only the first kick
-        // since then has to wake it.
-        if members.len() == 1 {
-            if let Some(engine) = self.engine.borrow().as_ref() {
-                engine.wake();
+/// A member's P3 uplink: a bounded queue the wire engine drains. Overflow
+/// drops the oldest queued copy; the windows feed the P8 machine.
+struct Uplink {
+    /// The hand-off — the first `handed` copies, out of the queue, the
+    /// front one on the wire — then the queued copies, oldest first. It
+    /// starts empty and grows on use: most viewers relay to nobody.
+    queue: VecDeque<UpItem>,
+    enqueued: u64,
+    drops: u64,
+    window_enq: u64,
+    window_drops: u64,
+    window_late: u64,
+    handed: u8,
+    /// Set while the hand-off has room: the next push kicks the engine.
+    wire: bool,
+    /// Set when the member crashes: its uplink falls silent.
+    dead: bool,
+}
+
+/// Every member's uplink, indexed by member id, and the wire engine's
+/// doorbell: the members whose uplink was pushed to while its hand-off had
+/// room, in push order, and the engine's waker.
+struct Uplinks {
+    rows: Vec<Uplink>,
+    cap: usize,
+    late_bound_nanos: u64,
+    kicked: Vec<Id>,
+    engine: Option<TaskWaker>,
+}
+
+impl Uplinks {
+    fn new(members: usize, cap: usize, late_bound_nanos: u64) -> Uplinks {
+        let row = |_| Uplink {
+            queue: VecDeque::new(),
+            enqueued: 0,
+            drops: 0,
+            window_enq: 0,
+            window_drops: 0,
+            window_late: 0,
+            handed: 0,
+            wire: true,
+            dead: false,
+        };
+        Uplinks {
+            rows: (0..members).map(row).collect(),
+            cap: cap.max(1),
+            late_bound_nanos,
+            kicked: Vec::new(),
+            engine: None,
+        }
+    }
+
+    fn push(&mut self, member: usize, dest: Id, slice: Slice) {
+        let up = &mut self.rows[member];
+        let handed = usize::from(up.handed);
+        if up.queue.len() - handed >= self.cap {
+            up.queue.remove(handed);
+            up.drops += 1;
+            up.window_drops += 1;
+        }
+        up.queue.push_back(UpItem { dest, slice });
+        up.enqueued += 1;
+        up.window_enq += 1;
+        // Served once the pushing poll returns: a whole batch lands first.
+        if std::mem::replace(&mut up.wire, false) {
+            self.kicked.push(member as Id);
+            // The engine takes the whole list each poll: only the first
+            // kick since then has to wake it.
+            if self.kicked.len() == 1 {
+                if let Some(engine) = &self.engine {
+                    engine.wake();
+                }
             }
         }
     }
-}
 
-/// The P3 uplink: a bounded queue the wire engine drains. Overflow drops
-/// the *oldest* copy; the windows feed the P8 machine.
-struct Uplink {
-    member: usize,
-    q: RefCell<VecDeque<UpItem>>,
-    /// Copies out of `q`, oldest first; the front one is on the wire.
-    handed: RefCell<VecDeque<UpItem>>,
-    /// Set while `handed` has room: the next push kicks the engine.
-    wire: StdCell<bool>,
-    kicks: Rc<Kicks>,
-    cap: usize,
-    late_bound_nanos: u64,
-    /// Set when the member crashes: its uplink falls silent.
-    dead: StdCell<bool>,
-    enqueued: StdCell<u64>,
-    drops: StdCell<u64>,
-    window_enq: StdCell<u64>,
-    window_drops: StdCell<u64>,
-    window_late: StdCell<u64>,
-}
-
-impl Uplink {
-    /// Both queues start empty and grow on use: most viewers relay to
-    /// nobody and never push a copy.
-    fn new(member: usize, kicks: Rc<Kicks>, cap: usize, late_bound_nanos: u64) -> Rc<Uplink> {
-        Rc::new(Uplink {
-            member,
-            q: RefCell::new(VecDeque::new()),
-            handed: RefCell::new(VecDeque::new()),
-            wire: StdCell::new(true),
-            kicks,
-            cap: cap.max(1),
-            late_bound_nanos,
-            dead: StdCell::new(false),
-            enqueued: StdCell::new(0),
-            drops: StdCell::new(0),
-            window_enq: StdCell::new(0),
-            window_drops: StdCell::new(0),
-            window_late: StdCell::new(0),
-        })
-    }
-
-    fn push(&self, tree: usize, dest: usize, slice: Slice) {
-        let mut q = self.q.borrow_mut();
-        if q.len() >= self.cap {
-            q.pop_front();
-            self.drops.set(self.drops.get() + 1);
-            self.window_drops.set(self.window_drops.get() + 1);
-        }
-        q.push_back(UpItem {
-            tree,
-            dest,
-            queued_at: now().as_nanos(),
-            slice,
-        });
-        drop(q);
-        self.enqueued.set(self.enqueued.get() + 1);
-        self.window_enq.set(self.window_enq.get() + 1);
-        // Served once the pushing poll returns: a whole batch lands first.
-        if self.wire.replace(false) {
-            self.kicks.kick(self.member);
-        }
-    }
-
-    /// Run by the engine whenever it looks at this uplink: takes copies out
+    /// Run by the engine whenever it looks at an uplink: takes copies out
     /// of the queue (P8 reads each one's wait as it leaves; a dead member's
     /// are discarded) until [`HANDOFF`] are out, and asks for a kick while
     /// there is room.
-    fn refill(&self, now: u64) {
-        let mut handed = self.handed.borrow_mut();
-        while handed.len() < HANDOFF {
-            let Some(item) = self.q.borrow_mut().pop_front() else {
+    fn refill(&mut self, member: usize, now: u64) {
+        let up = &mut self.rows[member];
+        while up.handed < HANDOFF {
+            let Some(item) = up.queue.get(usize::from(up.handed)) else {
                 break;
             };
-            if now.saturating_sub(item.queued_at) > self.late_bound_nanos {
-                self.window_late.set(self.window_late.get() + 1);
+            if now.saturating_sub(item.slice.sent) > self.late_bound_nanos {
+                up.window_late += 1;
             }
-            if !self.dead.get() {
-                handed.push_back(item);
+            if up.dead {
+                up.queue.remove(usize::from(up.handed));
+            } else {
+                up.handed += 1;
             }
         }
-        self.wire.set(handed.len() < HANDOFF);
+        up.wire = up.handed < HANDOFF;
     }
 
     /// Closes one P8 observation window: enqueues as received, P3 drops
     /// as gaps, overdue queue waits as late.
-    fn take_window(&self) -> WindowSample {
-        let sample = WindowSample {
-            received: self.window_enq.get(),
-            gaps: self.window_drops.get(),
-            late: self.window_late.get(),
-        };
-        self.window_enq.set(0);
-        self.window_drops.set(0);
-        self.window_late.set(0);
-        sample
+    fn take_window(&mut self, member: usize) -> WindowSample {
+        let up = &mut self.rows[member];
+        WindowSample {
+            received: std::mem::take(&mut up.window_enq),
+            gaps: std::mem::take(&mut up.window_drops),
+            late: std::mem::take(&mut up.window_late),
+        }
     }
 }
+
+/// A member's P8 state and relay counters.
+#[derive(Clone, Copy)]
+struct Relay {
+    /// The P8 rate divisor the beat's [`AdaptMachine`] last set.
+    divisor: u32,
+    max_divisor: u32,
+    p8_skips: u64,
+    grafts_in: u64,
+}
+
+/// Every member's relaying half, indexed by member id. The source is the
+/// root relay of every tree; a viewer relays its interior stripe only and
+/// is a leaf elsewhere. A relay's live children are the plan's, then every
+/// orphan it adopted.
+struct Relays {
+    plan: Rc<TreePlan>,
+    rows: Vec<Relay>,
+    /// The clawback rings by `(member, tree)`, sorted: a backup's only.
+    /// Only an adoption reads a ring, and the hub grafts an orphan onto the
+    /// backup the plan names — its grandparent — so a member with no
+    /// grandchild in a tree is never asked to replay it (DESIGN.md §15).
+    rings: Vec<((Id, u8), RepairRing)>,
+    /// `(member, tree, orphan)` of every adoption, in the order they came.
+    adopted: Vec<(Id, u8, Id)>,
+}
+
+impl Relays {
+    fn new(plan: Rc<TreePlan>, ring: usize) -> Relays {
+        let p = &plan;
+        let mut backups: Vec<(Id, u8)> = (0..p.trees())
+            .flat_map(|t| {
+                (1..p.members()).filter_map(move |v| Some((p.backup(t, v)? as Id, t as u8)))
+            })
+            .collect();
+        backups.sort_unstable();
+        backups.dedup();
+        let row = Relay {
+            divisor: 1,
+            max_divisor: 1,
+            p8_skips: 0,
+            grafts_in: 0,
+        };
+        Relays {
+            rows: vec![row; plan.members()],
+            rings: backups
+                .into_iter()
+                .map(|key| (key, RepairRing::new(ring)))
+                .collect(),
+            adopted: Vec::new(),
+            plan,
+        }
+    }
+
+    fn ring(&mut self, member: usize, tree: usize) -> Option<&mut RepairRing> {
+        let key = (member as Id, tree as u8);
+        let at = self.rings.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+        Some(&mut self.rings[at].1)
+    }
+
+    fn children(&self, member: usize, tree: usize) -> impl Iterator<Item = Id> + '_ {
+        let adopted = self.adopted.iter();
+        let adopted =
+            adopted.filter(move |&&(m, t, _)| (m as usize, usize::from(t)) == (member, tree));
+        let planned = self.plan.children(tree, member).iter().map(|&c| c as Id);
+        planned.chain(adopted.map(|&(_, _, orphan)| orphan))
+    }
+
+    /// Keeps `slice` in its stripe's clawback ring, if `member` has one —
+    /// unless `member` is a leaf of that tree, or P8 is shedding this
+    /// segment. Returns whether live children are waiting for
+    /// [`Relays::forward`].
+    fn keep(&mut self, member: usize, slice: &Slice) -> bool {
+        let tree = usize::from(slice.tree);
+        if member != 0 && self.plan.interior_tree(member) != Some(tree) {
+            return false;
+        }
+        let k = self.plan.trees().max(1) as u32;
+        let row = &mut self.rows[member];
+        if row.divisor > 1 && !(slice.seq / k).is_multiple_of(row.divisor) {
+            row.p8_skips += 1;
+            return false;
+        }
+        if let Some(ring) = self.ring(member, tree) {
+            ring.push(slice.clone());
+        }
+        self.children(member, tree).next().is_some()
+    }
+
+    /// Queues one copy of `slice`, stamped now, for each live child of
+    /// its tree.
+    fn forward(&self, member: usize, slice: &Slice, uplinks: &mut Uplinks) {
+        let sent = now().as_nanos();
+        for dest in self.children(member, usize::from(slice.tree)) {
+            uplinks.push(member, dest, slice.retimed(sent));
+        }
+    }
+
+    /// Adopts `orphan` as a child on `tree` and replays the clawback
+    /// ring to it from `resume_from`.
+    fn adopt(
+        &mut self,
+        member: usize,
+        tree: usize,
+        orphan: usize,
+        resume_from: u32,
+        uplinks: &mut Uplinks,
+    ) {
+        self.rows[member].grafts_in += 1;
+        let orphan = orphan as Id;
+        if !self.children(member, tree).any(|c| c == orphan) {
+            self.adopted.push((member as Id, tree as u8, orphan));
+        }
+        let sent = now().as_nanos();
+        let replay = self.ring(member, tree).map(|r| r.replay_from(resume_from));
+        for s in replay.into_iter().flatten() {
+            uplinks.push(member, orphan, s.retimed(sent));
+        }
+    }
+}
+
+/// A viewer's receive side as the relay task drives it: its undrained
+/// letters, oldest first, as a list through the letters' arena.
+#[derive(Clone, Copy)]
+struct Inbox {
+    first: Id,
+    last: Id,
+    /// A kept slice holds the viewer for the relay cost.
+    held: bool,
+    /// On the relay task's woken list.
+    queued: bool,
+}
+
+/// One undrained message under its guard, linked in its viewer's list —
+/// or, drained, in the free list.
+struct Letter {
+    msg: Option<Msg>,
+    next: Id,
+    guard: u8,
+}
+
+/// What the ports' sink and the relay task share: every viewer's inbox and
+/// receiver, indexed by member id, the letters the inboxes hold, the
+/// viewers with something to drain, and the task's waker.
+struct Inboxes {
+    rows: Vec<Inbox>,
+    receivers: Vec<StripeReceiver>,
+    /// Drained letters are reused, so the arena is as long as the most
+    /// letters ever undrained at once.
+    letters: Vec<Letter>,
+    free: Id,
+    woken: VecDeque<Id>,
+    task: Option<TaskWaker>,
+}
+
+impl Inboxes {
+    fn new(members: usize, k: usize, playout_nanos: u64) -> Inboxes {
+        let inbox = Inbox {
+            first: NIL,
+            last: NIL,
+            held: false,
+            queued: false,
+        };
+        Inboxes {
+            rows: vec![inbox; members],
+            receivers: (0..members)
+                .map(|_| StripeReceiver::new(k, playout_nanos))
+                .collect(),
+            letters: Vec::new(),
+            free: NIL,
+            woken: VecDeque::new(),
+            task: None,
+        }
+    }
+
+    /// The ports' sink: files `msg` under its guard and queues the viewer
+    /// once, in delivery order — unless a hold has it, which drains it next.
+    fn deliver(&mut self, viewer: usize, guard: u8, msg: Msg) {
+        let letter = Letter {
+            msg: Some(msg),
+            next: NIL,
+            guard,
+        };
+        let at = match self.free {
+            NIL => {
+                self.letters.push(letter);
+                (self.letters.len() - 1) as Id
+            }
+            at => {
+                self.free = self.letters[at as usize].next;
+                self.letters[at as usize] = letter;
+                at
+            }
+        };
+        let inbox = &mut self.rows[viewer];
+        match inbox.last {
+            NIL => inbox.first = at,
+            last => self.letters[last as usize].next = at,
+        }
+        inbox.last = at;
+        if inbox.queued || inbox.held {
+            return;
+        }
+        inbox.queued = true;
+        self.woken.push_back(viewer as Id);
+        // The task drains the whole list each poll: only the first viewer
+        // queued since then has to wake it.
+        if self.woken.len() == 1 {
+            if let Some(task) = &self.task {
+                task.wake();
+            }
+        }
+    }
+
+    /// The viewer's next message in PRI ALT order: the oldest under the
+    /// lowest guard. The control port is guard 0 (P4), so a graft never
+    /// queues behind a stripe backlog.
+    fn take(&mut self, viewer: usize) -> Option<Msg> {
+        let inbox = &mut self.rows[viewer];
+        // The first letter under the lowest guard, and the one before it.
+        let mut best: Option<(Id, Id, u8)> = None;
+        let (mut before, mut at) = (NIL, inbox.first);
+        while at != NIL {
+            let letter = &self.letters[at as usize];
+            if best.is_none_or(|(.., guard)| letter.guard < guard) {
+                best = Some((at, before, letter.guard));
+            }
+            (before, at) = (at, letter.next);
+        }
+        let (at, before, _) = best?;
+        let letter = &mut self.letters[at as usize];
+        let next = std::mem::replace(&mut letter.next, self.free);
+        let msg = letter.msg.take();
+        self.free = at;
+        match before {
+            NIL => inbox.first = next,
+            before => self.letters[before as usize].next = next,
+        }
+        if inbox.last == at {
+            inbox.last = before;
+        }
+        msg
+    }
+}
+
+/// Every member's state, in dense tables indexed by member id: a member is
+/// a row in each, not a set of boxes of its own. The engines that serve
+/// every member share them — `ovl:wires`, `ovl:relay`, `ovl:beat` and the
+/// hub — and so does the ports' sink. Each borrows them for one poll or
+/// one call, and none calls into another, so the borrows never nest.
+struct Tables {
+    uplinks: Uplinks,
+    relays: Relays,
+    inboxes: Inboxes,
+}
+
+type Shared = Rc<RefCell<Tables>>;
 
 /// Where a member's wire is with the front copy of its hand-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -492,27 +746,6 @@ enum WireState {
     DownAtStart,
     /// The link was down as the front copy's hold ended.
     DownAtEnd,
-}
-
-/// One member's uplink as the wire engine clocks it: the P3 queue, its link
-/// and the ports of its (tree, child) edges.
-struct Wire {
-    up: Rc<Uplink>,
-    link: LinkControl,
-    config: LinkConfig,
-    outs: BTreeMap<(usize, usize), PortSender<Msg>>,
-    state: WireState,
-    /// The link's flap count when the engine last asked to be woken by it.
-    flaps: u64,
-}
-
-impl Wire {
-    /// Waits for the link: the engine is woken when it comes up.
-    fn stall(&mut self, state: WireState) {
-        self.state = state;
-        self.flaps = self.link.flaps();
-        self.link.wake_when_up();
-    }
 }
 
 /// Arms a timer that wakes the task being polled at `at`: a [`Delay`]
@@ -547,40 +780,56 @@ fn arm(at: u64, cx: &mut Context<'_>) {
 /// outlasts the cap's whole hold while the capped link clocks a whole,
 /// slowed copy inside it.
 struct WireEngine {
-    /// Indexed by member id.
-    wires: Vec<Wire>,
-    kicks: Rc<Kicks>,
+    tables: Shared,
+    /// Per member: where its wire is with the front copy of its hand-off.
+    states: Vec<WireState>,
+    /// Every edge's port as `(tree, child, port)`, grouped by member and
+    /// each member's sorted: member `m`'s are `edges[starts[m]..starts[m +
+    /// 1]]`.
+    edges: Vec<(u8, Id, PortSender<Msg>)>,
+    starts: Vec<u32>,
+    /// The uplink rates: the source's, then every viewer's.
+    rates: [LinkConfig; 2],
+    /// The link of every uplink no fault plan drives: up, at full rate.
+    nominal: LinkControl,
+    /// The member whose uplink a fault plan drives, and its link.
+    faulted: Option<(usize, LinkControl)>,
+    /// The faulted link's flap count when the engine last asked to be
+    /// woken by it.
+    flaps: u64,
     /// Transfers in flight by the instant their hold ends; one timer each.
-    ends: BTreeMap<u64, Vec<usize>>,
+    ends: BTreeMap<u64, Vec<Id>>,
     /// Members whose link was down, waiting for it to come up.
-    down: Vec<usize>,
+    down: Vec<Id>,
 }
 
 impl WireEngine {
     fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
-        let kicks = self.kicks.clone();
-        kicks.engine.borrow_mut().get_or_insert_with(waker);
+        let tables = self.tables.clone();
+        let uplinks = &mut tables.borrow_mut().uplinks;
+        uplinks.engine.get_or_insert_with(waker);
         let t = now().as_nanos();
         loop {
             // Completions first: they are what a timer at this instant woke.
             while let Some(done) = self.ends.first_entry().filter(|e| *e.key() <= t) {
                 for member in done.remove() {
-                    self.end(member, t, cx);
+                    self.end(uplinks, member as usize, t, cx);
                 }
             }
             for member in std::mem::take(&mut self.down) {
-                self.resume(member, t, cx);
+                self.resume(uplinks, member as usize, t, cx);
             }
             // The engine never pushes, so the list holds still meanwhile.
-            let mut kicked = kicks.members.borrow_mut();
-            for &member in kicked.iter() {
-                let wire = &mut self.wires[member];
-                wire.up.refill(t);
-                if wire.state == WireState::Idle {
-                    self.start(member, t, cx);
+            let mut kicked = std::mem::take(&mut uplinks.kicked);
+            for &member in &kicked {
+                let member = member as usize;
+                uplinks.refill(member, t);
+                if self.states[member] == WireState::Idle {
+                    self.start(uplinks, member, t, cx);
                 }
             }
             kicked.clear();
+            uplinks.kicked = kicked;
             // A zero-length transfer a kick started ends in this poll, as a
             // `delay(0)` did.
             if self.ends.first_key_value().is_none_or(|(&at, _)| at > t) {
@@ -589,228 +838,107 @@ impl WireEngine {
         }
     }
 
+    fn link(&self, member: usize) -> &LinkControl {
+        match &self.faulted {
+            Some((faulted, link)) if *faulted == member => link,
+            _ => &self.nominal,
+        }
+    }
+
+    /// Waits for the link: the engine is woken when it comes up.
+    fn stall(&mut self, member: usize, state: WireState) {
+        self.states[member] = state;
+        self.down.push(member as Id);
+        let flaps = self.link(member).flaps();
+        self.link(member).wake_when_up();
+        self.flaps = flaps;
+    }
+
     /// Puts the front copy on the wire, if there is one and the link is up.
-    fn start(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
-        let wire = &mut self.wires[member];
-        let Some(bytes) = wire
-            .up
-            .handed
-            .borrow()
-            .front()
-            .map(|it| it.slice.wire_bytes())
-        else {
-            wire.state = WireState::Idle;
+    fn start(&mut self, uplinks: &Uplinks, member: usize, t: u64, cx: &mut Context<'_>) {
+        let up = &uplinks.rows[member];
+        let front = up.queue.front().filter(|_| up.handed > 0);
+        let Some(bytes) = front.map(|it| it.slice.wire_bytes()) else {
+            self.states[member] = WireState::Idle;
             return;
         };
-        if !wire.link.is_up() {
-            wire.stall(WireState::DownAtStart);
-            self.down.push(member);
+        let link = self.link(member);
+        if !link.is_up() {
+            self.stall(member, WireState::DownAtStart);
             return;
         }
-        wire.state = WireState::Busy;
-        let at = t + wire.link.hold(&wire.config, bytes).as_nanos();
+        let at = t + link
+            .hold(&self.rates[usize::from(member != 0)], bytes)
+            .as_nanos();
+        self.states[member] = WireState::Busy;
         self.ends
             .entry(at)
             .or_insert_with(|| {
                 arm(at, cx);
                 Vec::new()
             })
-            .push(member);
+            .push(member as Id);
     }
 
     /// The front copy's hold is over: with the link up, it leaves.
-    fn end(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
-        let wire = &mut self.wires[member];
-        wire.up.refill(t);
-        if !wire.link.is_up() {
-            wire.stall(WireState::DownAtEnd);
-            self.down.push(member);
+    fn end(&mut self, uplinks: &mut Uplinks, member: usize, t: u64, cx: &mut Context<'_>) {
+        uplinks.refill(member, t);
+        if !self.link(member).is_up() {
+            self.stall(member, WireState::DownAtEnd);
             return;
         }
-        self.send(member, t, cx);
+        self.send(uplinks, member, t, cx);
     }
 
     /// Pops the front copy, sends it unless the member is dead, refills and
     /// starts the next.
-    fn send(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
-        let wire = &self.wires[member];
-        let item = wire.up.handed.borrow_mut().pop_front();
-        if let Some(item) = item.filter(|_| !wire.up.dead.get()) {
-            if let Some(tx) = wire.outs.get(&(item.tree, item.dest)) {
-                tx.send(Msg::Slice(item.slice));
+    fn send(&mut self, uplinks: &mut Uplinks, member: usize, t: u64, cx: &mut Context<'_>) {
+        let up = &mut uplinks.rows[member];
+        if up.handed > 0 {
+            up.handed -= 1;
+            let item = up.queue.pop_front().filter(|_| !up.dead);
+            if let Some(UpItem { dest, slice }) = item {
+                let edges =
+                    &self.edges[self.starts[member] as usize..self.starts[member + 1] as usize];
+                if let Ok(at) = edges.binary_search_by_key(&(slice.tree, dest), |&(t, c, _)| (t, c))
+                {
+                    edges[at].2.send(Msg::Slice(slice));
+                }
             }
         }
-        wire.up.refill(t);
-        self.start(member, t, cx);
+        uplinks.refill(member, t);
+        self.start(uplinks, member, t, cx);
     }
 
     /// A member whose link was down. Untouched until the link wakes the
     /// engine, as its wire slept in the up-check; then it refills, and goes
     /// on if the link is still up — or asks again if it fell meanwhile.
-    fn resume(&mut self, member: usize, t: u64, cx: &mut Context<'_>) {
-        let wire = &mut self.wires[member];
-        let up = wire.link.is_up();
-        if !up && wire.link.flaps() == wire.flaps {
-            self.down.push(member);
+    fn resume(&mut self, uplinks: &mut Uplinks, member: usize, t: u64, cx: &mut Context<'_>) {
+        let link = self.link(member);
+        let up = link.is_up();
+        if !up && link.flaps() == self.flaps {
+            self.down.push(member as Id);
             return;
         }
-        wire.up.refill(t);
+        uplinks.refill(member, t);
         if !up {
-            wire.stall(wire.state);
-            self.down.push(member);
+            self.stall(member, self.states[member]);
             return;
         }
-        match wire.state {
-            WireState::DownAtStart => self.start(member, t, cx),
-            WireState::DownAtEnd => self.send(member, t, cx),
+        match self.states[member] {
+            WireState::DownAtStart => self.start(uplinks, member, t, cx),
+            WireState::DownAtEnd => self.send(uplinks, member, t, cx),
             WireState::Idle | WireState::Busy => {}
         }
     }
 }
 
-/// Opens a member's uplink: the bounded queue, its link (for fault
-/// registration, returned) and the egress of each of its (tree, child)
-/// edges (`outs`, opened here), registered with the wire engine under the
-/// member's id.
-fn open_uplink(
-    env: &ShardEnv,
-    member: usize,
-    uplink_cps: u64,
-    roster: &Roster,
-    outs: Vec<(usize, usize, Egress<Msg>)>,
-) -> (Rc<Uplink>, LinkControl) {
-    let cfg = &roster.cfg;
-    // A copy that waits longer than one stripe interval (its own
-    // forwarding cadence) marks the uplink persistently backlogged;
-    // shorter waits — a graft replay burst, say — are transient.
-    let late_bound = cfg.segment_interval.as_nanos() * cfg.trees.max(1) as u64;
-    let up = Uplink::new(member, roster.kicks.clone(), cfg.uplink_queue, late_bound);
-    let link = LinkControl::default();
-    let mut wires = roster.wires.borrow_mut();
-    assert_eq!(wires.len(), member, "uplinks register in member order");
-    wires.push(Wire {
-        up: up.clone(),
-        link: link.clone(),
-        config: LinkConfig::new("ovl-up", uplink_cps.max(1) * CELL_WIRE_BITS),
-        outs: outs
-            .into_iter()
-            .map(|(tree, dest, egress)| ((tree, dest), env.open_egress(egress)))
-            .collect(),
-        state: WireState::Idle,
-        flaps: 0,
-    });
-    (up, link)
-}
-
-/// Installs the scripted uplink cap against this member's link, if the
-/// config aims one here. Returns the trace for the finish report.
-fn install_uplink_cap(
-    env: &ShardEnv,
-    member: usize,
-    cfg: &OverlayConfig,
-    link_ctl: &LinkControl,
-) -> Option<FaultTrace> {
-    let cap = cfg.uplink_cap?;
-    if cap.member != member {
-        return None;
-    }
-    let mut targets = FaultTargets::new();
-    targets.register_path("relay.up", PathControl::from_links(vec![link_ctl.clone()]));
-    let plan =
-        FaultPlan::scripted(Vec::new()).uplink_cap("relay.up", cap.at, cap.hold, cap.permille);
-    Some(install(env.spawner(), &plan, &targets))
-}
-
-/// A member's relaying half: its uplink and, per tree, the clawback
-/// ring of the stripe and the live children. The source is the root
-/// relay of all `k` trees; a viewer relays its interior stripe only and
-/// is a leaf (no ring) elsewhere. Shared by the member's tasks (relay or
-/// source loop, hub sweep), its [`Beat`] and its finish report.
-struct Relay {
-    uplink: Rc<Uplink>,
-    /// Per tree: the ring (`None` on a leaf), and the plan's children
-    /// plus every adopted orphan.
-    trees: RefCell<Vec<(Option<RepairRing>, Vec<usize>)>>,
-    grafts_in: StdCell<u64>,
-    /// The P8 rate divisor the [`Beat`]'s [`AdaptMachine`] last set.
-    divisor: StdCell<u32>,
-    max_divisor: StdCell<u32>,
-    p8_skips: StdCell<u64>,
-}
-
-impl Relay {
-    fn new(
-        uplink: Rc<Uplink>,
-        children: Vec<Vec<usize>>,
-        relays_tree: impl Fn(usize) -> bool,
-        ring: usize,
-    ) -> Rc<Relay> {
-        let trees = children
-            .into_iter()
-            .enumerate()
-            .map(|(t, kids)| (relays_tree(t).then(|| RepairRing::new(ring)), kids));
-        Rc::new(Relay {
-            uplink,
-            trees: RefCell::new(trees.collect()),
-            grafts_in: StdCell::new(0),
-            divisor: StdCell::new(1),
-            max_divisor: StdCell::new(1),
-            p8_skips: StdCell::new(0),
-        })
-    }
-
-    /// Keeps `slice` in its stripe's clawback ring — unless this member
-    /// is a leaf of that tree, or P8 is shedding this segment. Returns
-    /// whether live children are waiting for [`Relay::forward`].
-    fn keep(&self, slice: &Slice) -> bool {
-        let mut trees = self.trees.borrow_mut();
-        let k = trees.len().max(1) as u32;
-        let Some((Some(ring), children)) = trees.get_mut(slice.tree as usize) else {
-            return false;
-        };
-        let div = self.divisor.get();
-        if div > 1 && !(slice.seq / k).is_multiple_of(div) {
-            self.p8_skips.set(self.p8_skips.get() + 1);
-            return false;
-        }
-        ring.push(slice.clone());
-        !children.is_empty()
-    }
-
-    /// Queues one copy of `slice`, stamped now, for each live child of
-    /// its tree.
-    fn forward(&self, slice: &Slice) {
-        let tree = slice.tree as usize;
-        let sent = now().as_nanos();
-        for &dest in &self.trees.borrow()[tree].1 {
-            self.uplink.push(tree, dest, slice.retimed(sent));
-        }
-    }
-
-    /// Adopts `orphan` as a child on `tree` and replays the clawback
-    /// ring to it from `resume_from`.
-    fn adopt(&self, tree: usize, orphan: usize, resume_from: u32) {
-        self.grafts_in.set(self.grafts_in.get() + 1);
-        let mut trees = self.trees.borrow_mut();
-        let (ring, children) = &mut trees[tree];
-        if !children.contains(&orphan) {
-            children.push(orphan);
-        }
-        let sent = now().as_nanos();
-        for s in ring.iter().flat_map(|r| r.replay_from(resume_from)) {
-            self.uplink.push(tree, orphan, s.retimed(sent));
-        }
-    }
-}
-
-/// A viewer's heartbeat: what one beat reads and writes. No task of its
-/// own — one `ovl:beat` task beats every viewer in member order (see
+/// A viewer's heartbeat: what one beat needs beyond the tables. No task of
+/// its own — one `ovl:beat` task beats every viewer in member order (see
 /// [`build_overlay_broadcast`] for where it must run).
 struct Beat {
-    member: usize,
+    member: Id,
     report: PortSender<Hello>,
-    receiver: Rc<RefCell<StripeReceiver>>,
-    relay: Rc<Relay>,
     adapt: AdaptMachine,
 }
 
@@ -818,78 +946,25 @@ impl Beat {
     /// Sends the hub a `Hello` (liveness and resume points), then closes
     /// the uplink's P8 window. A dead member sends nothing: returns
     /// false, and it is never beaten again.
-    fn beat(&mut self) -> bool {
-        let relay = &self.relay;
-        if relay.uplink.dead.get() {
+    fn beat(&mut self, tables: &mut Tables) -> bool {
+        let member = self.member as usize;
+        if tables.uplinks.rows[member].dead {
             return false;
         }
+        let mut next = [0; MAX_TREES];
+        let expected = tables.inboxes.receivers[member].next_expected();
+        next[..expected.len()].copy_from_slice(expected);
         self.report.send(Hello {
             node: self.member,
-            next: self.receiver.borrow().next_expected().to_vec(),
+            next,
         });
-        let sample = relay.uplink.take_window();
+        let sample = tables.uplinks.take_window(member);
         if let Some(AdaptAction::SetDivisor(d)) = self.adapt.observe(&sample) {
-            relay.divisor.set(d);
-            relay.max_divisor.set(relay.max_divisor.get().max(d));
+            let relay = &mut tables.relays.rows[member];
+            relay.divisor = d;
+            relay.max_divisor = relay.max_divisor.max(d);
         }
         true
-    }
-}
-
-/// A viewer's receive side, as the relay task drives it.
-struct Inbox {
-    relay: Rc<Relay>,
-    receiver: Rc<RefCell<StripeReceiver>>,
-    /// What arrived and is not drained yet, in delivery order, each under
-    /// its guard: the control port, then the primary edges, then the
-    /// backup edges.
-    pending: VecDeque<(usize, Msg)>,
-    /// The kept slice the viewer holds for the relay cost.
-    held: Option<Slice>,
-    /// On the relay task's woken list.
-    queued: bool,
-}
-
-impl Inbox {
-    /// The next message in PRI ALT order: the oldest under the lowest
-    /// guard. The control port is guard 0 (P4), so a graft never queues
-    /// behind a stripe backlog.
-    fn take(&mut self) -> Option<Msg> {
-        let pending = self.pending.iter().enumerate();
-        let (first, _) = pending.min_by_key(|(_, (guard, _))| *guard)?;
-        self.pending.remove(first).map(|(_, msg)| msg)
-    }
-}
-
-/// What the ports' sinks and the relay task share: every viewer's inbox,
-/// the viewers with something to drain, and the task's waker.
-#[derive(Default)]
-struct Inboxes {
-    viewers: RefCell<Vec<Inbox>>,
-    woken: RefCell<VecDeque<usize>>,
-    task: RefCell<Option<TaskWaker>>,
-}
-
-impl Inboxes {
-    /// A port's sink: files `msg` under its guard and queues the viewer
-    /// once, in delivery order — unless a hold has it, which drains it next.
-    fn deliver(&self, viewer: usize, guard: usize, msg: Msg) {
-        let mut viewers = self.viewers.borrow_mut();
-        let inbox = &mut viewers[viewer];
-        inbox.pending.push_back((guard, msg));
-        if inbox.queued || inbox.held.is_some() {
-            return;
-        }
-        inbox.queued = true;
-        let mut woken = self.woken.borrow_mut();
-        woken.push_back(viewer);
-        // The task drains the whole list each poll: only the first viewer
-        // queued since then has to wake it.
-        if woken.len() == 1 {
-            if let Some(task) = self.task.borrow().as_ref() {
-                task.wake();
-            }
-        }
     }
 }
 
@@ -916,221 +991,135 @@ impl Inboxes {
 /// case). Nor does it cover a relay cost longer than the heartbeat, which
 /// puts the beat after the holds but ahead of the woken viewers.
 struct RelayTask {
-    inboxes: Rc<Inboxes>,
+    tables: Shared,
     cost: SimDuration,
-    /// `(instant, viewer)` of every hold, in the order they were taken.
-    holds: VecDeque<(u64, usize)>,
+    /// `(instant, viewer, kept slice)` of every hold, in the order they
+    /// were taken.
+    holds: VecDeque<(u64, Id, Slice)>,
 }
 
 impl RelayTask {
     fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
-        let inboxes = self.inboxes.clone();
-        inboxes.task.borrow_mut().get_or_insert_with(waker);
-        let mut viewers = inboxes.viewers.borrow_mut();
+        let tables = self.tables.clone();
+        let tables = &mut *tables.borrow_mut();
+        tables.inboxes.task.get_or_insert_with(waker);
         let t = now();
-        while let Some(&(_, viewer)) = self.holds.front().filter(|(at, _)| *at <= t.as_nanos()) {
-            self.holds.pop_front();
-            let inbox = &mut viewers[viewer];
-            if let Some(slice) = inbox.held.take() {
-                inbox.relay.forward(&slice);
-            }
-            self.drain(inbox, viewer, t, cx);
+        while let Some((_, viewer, slice)) = self.holds.pop_front_if(|(at, ..)| *at <= t.as_nanos())
+        {
+            let viewer = viewer as usize;
+            tables.inboxes.rows[viewer].held = false;
+            tables.relays.forward(viewer, &slice, &mut tables.uplinks);
+            self.drain(tables, viewer, t, cx);
         }
         loop {
-            let Some(viewer) = inboxes.woken.borrow_mut().pop_front() else {
+            let Some(viewer) = tables.inboxes.woken.pop_front() else {
                 return Poll::Pending;
             };
-            let inbox = &mut viewers[viewer];
-            inbox.queued = false;
-            self.drain(inbox, viewer, t, cx);
+            let viewer = viewer as usize;
+            tables.inboxes.rows[viewer].queued = false;
+            self.drain(tables, viewer, t, cx);
         }
     }
 
-    fn drain(&mut self, inbox: &mut Inbox, viewer: usize, t: SimTime, cx: &mut Context<'_>) {
-        while inbox.held.is_none() {
-            let Some(msg) = inbox.take() else {
+    fn drain(&mut self, tables: &mut Tables, viewer: usize, t: SimTime, cx: &mut Context<'_>) {
+        let Tables {
+            uplinks,
+            relays,
+            inboxes,
+        } = tables;
+        while !inboxes.rows[viewer].held {
+            let Some(msg) = inboxes.take(viewer) else {
                 return;
             };
-            if inbox.relay.uplink.dead.get() {
+            if uplinks.rows[viewer].dead {
                 continue;
             }
             match msg {
                 Msg::Slice(slice) => {
                     let arrived = t.as_nanos();
-                    if let Accept::Duplicate = inbox.receiver.borrow_mut().accept(&slice, arrived) {
+                    if let Accept::Duplicate = inboxes.receivers[viewer].accept(&slice, arrived) {
                         continue;
                     }
-                    if !inbox.relay.keep(&slice) {
+                    if !relays.keep(viewer, &slice) {
                         continue;
                     }
                     if self.cost == SimDuration::ZERO {
-                        inbox.relay.forward(&slice);
+                        relays.forward(viewer, &slice, uplinks);
                         continue;
                     }
                     let at = (t + self.cost).as_nanos();
-                    if self.holds.back().is_none_or(|&(last, _)| last != at) {
+                    if self.holds.back().is_none_or(|&(last, ..)| last != at) {
                         arm(at, cx);
                     }
-                    self.holds.push_back((at, viewer));
-                    inbox.held = Some(slice);
+                    self.holds.push_back((at, viewer as Id, slice));
+                    inboxes.rows[viewer].held = true;
                 }
                 Msg::Graft {
                     tree,
                     orphan,
                     resume_from,
-                } => inbox.relay.adopt(tree, orphan, resume_from),
+                } => relays.adopt(viewer, tree, orphan, resume_from, uplinks),
             }
         }
     }
 }
 
-/// What each member's setup registers for the three tasks that serve every
-/// member — `ovl:beat`, `ovl:relay` and `ovl:wires` — which the last setup
-/// spawns.
-struct Roster {
+/// Everything the setup needs, made before it runs: the ports' halves,
+/// each in one table for the whole membership.
+struct Seat {
     cfg: OverlayConfig,
-    kicks: Rc<Kicks>,
-    /// Indexed by member id.
-    wires: RefCell<Vec<Wire>>,
-    inboxes: Rc<Inboxes>,
-    beats: RefCell<Vec<Beat>>,
+    plan: Rc<TreePlan>,
+    /// `(member, tree, child, egress)` of every tree and backup edge,
+    /// sorted.
+    edges: Vec<(Id, u8, Id, Egress<Msg>)>,
+    /// Every viewer's control port and stripe inputs, each under its tag.
+    ins: Vec<(Ingress<Msg>, u32)>,
+    /// The hub's control port to viewer `v` is `ctls[v - 1]`.
+    ctls: Vec<Egress<Msg>>,
+    /// Viewer `v`'s heartbeat port to the hub is `reports[v - 1]`.
+    reports: Vec<(Egress<Hello>, Ingress<Hello>)>,
 }
 
-/// Everything one viewer's setup closure needs.
-struct NodeSeat {
-    member: usize,
-    interior: Option<usize>,
-    children: Vec<Vec<usize>>,
-    /// The hub's graft orders.
-    ctl: Ingress<Msg>,
-    /// Stripe inputs: primary edges, then backup edges.
-    ins: Vec<Ingress<Msg>>,
-    outs: Vec<(usize, usize, Egress<Msg>)>,
-    report: Egress<Hello>,
-    roster: Rc<Roster>,
-}
-
-fn node_setup(env: &mut ShardEnv, seat: NodeSeat) {
-    let (member, interior, roster) = (seat.member, seat.interior, seat.roster);
-    let cfg = roster.cfg;
-
-    let receiver = Rc::new(RefCell::new(StripeReceiver::new(
-        cfg.trees,
-        cfg.playout.as_nanos(),
-    )));
-    let (uplink, link_ctl) = open_uplink(env, member, cfg.uplink_cps, &roster, seat.outs);
-    let fault_trace = install_uplink_cap(env, member, &cfg, &link_ctl);
-    let relay = Relay::new(uplink, seat.children, |t| interior == Some(t), cfg.ring);
-
-    if let Some(crash) = cfg.crash.filter(|c| c.member == member) {
-        let crashed = relay.clone();
-        env.spawner()
-            .spawn(&format!("ovl:crash{member}"), async move {
-                delay(crash.at).await;
-                crashed.uplink.dead.set(true);
-            });
-    }
-
-    // Each port's sink files into the viewer's inbox under its guard.
-    let guards: Vec<_> = std::iter::once(seat.ctl).chain(seat.ins).collect();
-    let mut viewers = roster.inboxes.viewers.borrow_mut();
-    let viewer = viewers.len();
-    viewers.push(Inbox {
-        relay: relay.clone(),
-        receiver: receiver.clone(),
-        pending: VecDeque::new(),
-        held: None,
-        queued: false,
+/// The whole overlay's setup, in member order: the source and the repair
+/// hub, every viewer's scripted faults, then the three tasks that serve
+/// every member and the finish report.
+fn setup(env: &mut ShardEnv, seat: Seat) {
+    let Seat {
+        cfg,
+        plan,
+        edges,
+        ins,
+        ctls,
+        reports,
+    } = seat;
+    let (n, k) = (plan.members(), plan.trees());
+    // A copy that waits longer than one stripe interval (its own
+    // forwarding cadence) marks the uplink persistently backlogged;
+    // shorter waits — a graft replay burst, say — are transient.
+    let late_bound = cfg.segment_interval.as_nanos() * k as u64;
+    let tables: Shared = Rc::new(RefCell::new(Tables {
+        uplinks: Uplinks::new(n, cfg.uplink_queue, late_bound),
+        relays: Relays::new(plan.clone(), cfg.ring),
+        inboxes: Inboxes::new(n, k, cfg.playout.as_nanos()),
+    }));
+    let inboxes = tables.clone();
+    env.bind_ingress_tagged(ins, move |tag, msg| {
+        let (viewer, guard) = ((tag / GUARDS) as usize, (tag % GUARDS) as u8);
+        inboxes.borrow_mut().inboxes.deliver(viewer, guard, msg);
     });
-    drop(viewers);
-    for (guard, ingress) in guards.into_iter().enumerate() {
-        let inboxes = roster.inboxes.clone();
-        env.bind_ingress_call(ingress, move |msg| inboxes.deliver(viewer, guard, msg));
-    }
-
-    roster.beats.borrow_mut().push(Beat {
-        member,
-        report: env.open_egress(seat.report),
-        receiver: receiver.clone(),
-        relay: relay.clone(),
-        adapt: AdaptMachine::new(
-            MediaClass::Video,
-            HealthConfig {
-                window: cfg.heartbeat,
-                ..HealthConfig::default()
-            },
-        ),
-    });
-
-    env.on_finish(move || {
-        let r = receiver.borrow();
-        let buckets = r
-            .hop_buckets()
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut lines = vec![format!(
-            "node{member:04} recv={} dup={} gap={} lost={} late={} fwd={} p3={} p8={} \
-             graftin={} deg={} gapmax_us={} sgapmax_us={} hopmax_us={} crashed={} hopbkt={}",
-            r.delivered(),
-            r.dupes(),
-            r.gap_skips(),
-            r.lost(cfg.segments),
-            r.late(),
-            relay.uplink.enqueued.get(),
-            relay.uplink.drops.get(),
-            relay.p8_skips.get(),
-            relay.grafts_in.get(),
-            relay.max_divisor.get(),
-            r.gap_max_nanos() / 1_000,
-            r.stripe_gap_max_nanos() / 1_000,
-            r.hop_max_nanos() / 1_000,
-            u64::from(relay.uplink.dead.get()),
-            buckets,
-        )];
-        if let Some(trace) = &fault_trace {
-            for line in trace.to_text().lines() {
-                lines.push(format!("node{member:04} fault {line}"));
-            }
-        }
-        lines
-    });
-}
-
-/// Member 0's setup: the broadcast source and the repair hub.
-struct HubSeat {
-    src_children: Vec<Vec<usize>>,
-    outs: Vec<(usize, usize, Egress<Msg>)>,
-    ctls: Vec<(usize, Egress<Msg>)>,
-    reports: Vec<Ingress<Hello>>,
-    plan: TreePlan,
-    roster: Rc<Roster>,
-}
-
-fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
-    let cfg = seat.roster.cfg;
-    let k = cfg.trees;
-
-    let ctl_txs: BTreeMap<usize, PortSender<Msg>> = seat
-        .ctls
-        .into_iter()
-        .map(|(v, egress)| (v, env.open_egress(egress)))
-        .collect();
+    let (report_egs, report_ins): (Vec<_>, Vec<_>) = reports.into_iter().unzip();
     // Every member's report port on one queue, in merge-key order: a
     // `Hello` names its own node, so the ear needs no per-port guard.
-    let hello_rx = env.bind_ingress_merged(seat.reports);
+    let hello_rx = env.bind_ingress_merged(report_ins);
+    let ctl_txs: Vec<PortSender<Msg>> = ctls.into_iter().map(|eg| env.open_egress(eg)).collect();
 
-    // The source is the root relay of every tree, and never dies.
-    let (uplink, _link_ctl) = open_uplink(env, 0, cfg.source_uplink_cps, &seat.roster, seat.outs);
-    let relay = Relay::new(uplink, seat.src_children, |_| true, cfg.ring);
-    let engine = Rc::new(RefCell::new(RepairEngine::new(seat.plan, cfg.lease)));
-    let slab_bytes = cfg.payload_bytes.max(64);
-    let slab = ByteSlab::new(4, slab_bytes);
+    let engine = Rc::new(RefCell::new(RepairEngine::new(plan, cfg.lease)));
+    let slab = ByteSlab::new(4, cfg.payload_bytes.max(64));
 
     // The source: one slab write and one gather per segment, then Arc
-    // clones all the way down the trees.
-    let src = relay.clone();
+    // clones all the way down the trees. It is the root relay of every
+    // tree, and never dies.
+    let src = tables.clone();
     let src_slab = slab.clone();
     env.spawner().spawn("ovl:src", async move {
         let cells_per = cells_per_segment(cfg.payload_bytes) as u32;
@@ -1166,8 +1155,13 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
                 sent: stamp,
                 burst: Arc::new(burst),
             };
-            if src.keep(&slice) {
-                src.forward(&slice);
+            {
+                let Tables {
+                    uplinks, relays, ..
+                } = &mut *src.borrow_mut();
+                if relays.keep(0, &slice) {
+                    relays.forward(0, &slice, uplinks);
+                }
             }
             delay(cfg.segment_interval).await;
         }
@@ -1178,7 +1172,9 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     let ear_engine = engine.clone();
     env.spawner().spawn("ovl:hub:hello", async move {
         while let Ok(hello) = hello_rx.recv().await {
-            ear_engine.borrow_mut().hello(hello.node, &hello.next);
+            ear_engine
+                .borrow_mut()
+                .hello(hello.node as usize, &hello.next[..k]);
         }
     });
 
@@ -1186,7 +1182,7 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
     // each death's orphans are grafted — remotely via the control plane,
     // or locally when the source itself is the backup.
     let sweep_engine = engine.clone();
-    let sweep_relay = relay.clone();
+    let sweep_tables = tables.clone();
     env.spawner().spawn("ovl:hub:sweep", async move {
         // First sweep half a beat after the first hellos are due, so a
         // healthy member is never missed on startup jitter.
@@ -1195,8 +1191,11 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
             let grafts = sweep_engine.borrow_mut().sweep(now().as_nanos());
             for g in grafts {
                 if g.backup == 0 {
-                    sweep_relay.adopt(g.tree, g.orphan, g.resume_from);
-                } else if let Some(tx) = ctl_txs.get(&g.backup) {
+                    let Tables {
+                        uplinks, relays, ..
+                    } = &mut *sweep_tables.borrow_mut();
+                    relays.adopt(0, g.tree, g.orphan, g.resume_from, uplinks);
+                } else if let Some(tx) = ctl_txs.get(g.backup - 1) {
                     tx.send(Msg::Graft {
                         tree: g.tree,
                         orphan: g.orphan,
@@ -1208,14 +1207,115 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
         }
     });
 
+    // The viewers' scripted faults, in member order: a squeeze of one
+    // uplink's link and one crash.
+    let mut faulted = None;
+    for member in 1..n {
+        if let Some(cap) = cfg.uplink_cap.filter(|c| c.member == member) {
+            let link = LinkControl::default();
+            let mut targets = FaultTargets::new();
+            targets.register_path("relay.up", PathControl::from_links(vec![link.clone()]));
+            let plan = FaultPlan::scripted(Vec::new()).uplink_cap(
+                "relay.up",
+                cap.at,
+                cap.hold,
+                cap.permille,
+            );
+            faulted = Some((member, link, install(env.spawner(), &plan, &targets)));
+        }
+        if let Some(crash) = cfg.crash.filter(|c| c.member == member) {
+            let crashed = tables.clone();
+            env.spawner()
+                .spawn(&format!("ovl:crash{member}"), async move {
+                    delay(crash.at).await;
+                    crashed.borrow_mut().uplinks.rows[member].dead = true;
+                });
+        }
+    }
+
+    // One task beats for every viewer, spawned after every member's
+    // scripts — the place a heartbeat task per member had. Each of those
+    // armed its timer in member order, at t = 0 and then at each beat, so
+    // at every beat instant their polls already ran as one contiguous
+    // block: behind the high-priority wires and the dispatcher, ahead of
+    // every other low-priority task due then. Only timers armed at t = 0
+    // came before the block: the crash and fault scripts, and any probe a
+    // caller registers after this. (At the first beat a member's scripts
+    // ran just ahead of its own heartbeat, not the whole block; they touch
+    // only that member, so it is the same.) This task arms its first
+    // timer after every one of those and re-arms at each beat, so it runs
+    // in exactly that place. Spawned ahead of the members' scripts, it
+    // would beat before a crash due on a beat instant, and the member
+    // dying at the first beat would send one more hello. The relay task
+    // and the wire engine arm no timer at t = 0.
+    let health = HealthConfig {
+        window: cfg.heartbeat,
+        ..HealthConfig::default()
+    };
+    let mut beats: Vec<Beat> = (1..n)
+        .zip(report_egs)
+        .map(|(member, report)| Beat {
+            member: member as Id,
+            report: env.open_egress(report),
+            adapt: AdaptMachine::new(MediaClass::Video, health),
+        })
+        .collect();
+    let beat_tables = tables.clone();
+    env.spawner().spawn("ovl:beat", async move {
+        while !beats.is_empty() {
+            delay(cfg.heartbeat).await;
+            let tables = &mut *beat_tables.borrow_mut();
+            beats.retain_mut(|b| b.beat(tables));
+        }
+    });
+    let mut relay = RelayTask {
+        tables: tables.clone(),
+        cost: cfg.relay_cost,
+        holds: VecDeque::new(),
+    };
+    env.spawner()
+        .spawn("ovl:relay", poll_fn(move |cx| relay.poll(cx)));
+    let mut starts = vec![0u32; n + 1];
+    for &(member, ..) in &edges {
+        starts[member as usize + 1] += 1;
+    }
+    for m in 0..n {
+        starts[m + 1] += starts[m];
+    }
+    let rate = |cps: u64| LinkConfig::new("ovl-up", cps.max(1) * CELL_WIRE_BITS);
+    let mut wires = WireEngine {
+        tables: tables.clone(),
+        states: vec![WireState::Idle; n],
+        edges: edges
+            .into_iter()
+            .map(|(_, tree, child, egress)| (tree, child, env.open_egress(egress)))
+            .collect(),
+        starts,
+        rates: [rate(cfg.source_uplink_cps), rate(cfg.uplink_cps)],
+        nominal: LinkControl::default(),
+        faulted: faulted
+            .as_ref()
+            .map(|(member, link, _)| (*member, link.clone())),
+        flaps: 0,
+        ends: BTreeMap::new(),
+        down: Vec::new(),
+    };
+    env.spawner().spawn_prio(
+        "ovl:wires",
+        Priority::High,
+        poll_fn(move |cx| wires.poll(cx)),
+    );
+
     env.on_finish(move || {
+        let t = tables.borrow();
+        let (src_up, src_relay) = (&t.uplinks.rows[0], &t.relays.rows[0]);
         let mut lines = vec![format!(
             "node0000 src fwd={} p3={} slabin={} slabout={} srcgraft={}",
-            relay.uplink.enqueued.get(),
-            relay.uplink.drops.get(),
+            src_up.enqueued,
+            src_up.drops,
             slab.copied_in_bytes(),
             slab.copied_out_bytes(),
-            relay.grafts_in.get(),
+            src_relay.grafts_in,
         )];
         let e = engine.borrow();
         lines.push(format!(
@@ -1224,8 +1324,35 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
             e.grafts(),
             e.unrepairable(),
         ));
-        for line in e.log() {
-            lines.push(format!("hub {line}"));
+        lines.extend(e.log().iter().map(|line| format!("hub {line}")));
+        for member in 1..n {
+            let (r, up) = (&t.inboxes.receivers[member], &t.uplinks.rows[member]);
+            let relay = &t.relays.rows[member];
+            let buckets = r.hop_buckets().map(|b| b.to_string()).join(",");
+            lines.push(format!(
+                "node{member:04} recv={} dup={} gap={} lost={} late={} fwd={} p3={} p8={} \
+                 graftin={} deg={} gapmax_us={} sgapmax_us={} hopmax_us={} crashed={} hopbkt={}",
+                r.delivered(),
+                r.dupes(),
+                r.gap_skips(),
+                r.lost(cfg.segments),
+                r.late(),
+                up.enqueued,
+                up.drops,
+                relay.p8_skips,
+                relay.grafts_in,
+                relay.max_divisor,
+                r.gap_max_nanos() / 1_000,
+                r.stripe_gap_max_nanos() / 1_000,
+                r.hop_max_nanos() / 1_000,
+                u64::from(up.dead),
+                buckets,
+            ));
+            if let Some((_, _, trace)) = faulted.as_ref().filter(|f| f.0 == member) {
+                for line in trace.to_text().lines() {
+                    lines.push(format!("node{member:04} fault {line}"));
+                }
+            }
         }
         lines
     });
@@ -1237,15 +1364,17 @@ fn hub_setup(env: &mut ShardEnv, seat: HubSeat) {
 ///
 /// Ports are created in one canonical order (primary edges, backup
 /// edges, control, reports — each in member-then-tree order), the merge
-/// key order of same-instant deliveries, and setups are registered in
-/// member order, the order of the finish report, then the heartbeat's.
+/// key order of same-instant deliveries. One setup builds every member's
+/// rows and spawns its tasks in member order, and writes the finish
+/// report in that order too.
 ///
 /// # Errors
 ///
-/// [`BuildError::FaultTarget`] when a scripted crash or uplink cap names
-/// a member that is not a viewer, [`BuildError::Plan`] when the planner
-/// refuses the shape, [`BuildError::Admission`] when a member's relay
-/// charge does not fit its uplink budget — all before a port exists.
+/// [`BuildError::Trees`] past eight trees, [`BuildError::FaultTarget`]
+/// when a scripted crash or uplink cap names a member that is not a
+/// viewer, [`BuildError::Plan`] when the planner refuses the shape,
+/// [`BuildError::Admission`] when a member's relay charge does not fit its
+/// uplink budget — all before a port exists.
 ///
 /// # Panics
 ///
@@ -1254,6 +1383,9 @@ pub fn build_overlay_broadcast(
     cfg: &OverlayConfig,
     shards: usize,
 ) -> Result<OverlayBuild, BuildError> {
+    if cfg.trees > MAX_TREES {
+        return Err(BuildError::Trees { trees: cfg.trees });
+    }
     let fault_targets = [
         ("crash", cfg.crash.map(|c| c.member)),
         ("uplink_cap", cfg.uplink_cap.map(|c| c.member)),
@@ -1269,114 +1401,50 @@ pub fn build_overlay_broadcast(
     let k = plan.trees();
     let mut cluster = Cluster::new(shards);
 
-    let mut ins: Vec<Vec<Ingress<Msg>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut outs: Vec<Vec<(usize, usize, Egress<Msg>)>> = (0..n).map(|_| Vec::new()).collect();
     // Primary tree edges, then backup (graft) edges: grandparent →
-    // grandchild, pre-wired so a repair needs no new ports mid-run.
+    // grandchild, pre-wired so a repair needs no new ports mid-run. A
+    // viewer's guards are its control port, then its primary edges, then
+    // its backup edges, each in tree order.
+    let mut edges = Vec::new();
+    let mut ins = Vec::new();
+    let tag = |v: usize, guard: usize| v as u32 * GUARDS + guard as u32;
     type Upstream = fn(&TreePlan, usize, usize) -> Option<usize>;
-    for upstream in [TreePlan::parent as Upstream, TreePlan::backup] {
-        for (v, ins_v) in ins.iter_mut().enumerate().skip(1) {
+    for (kind, upstream) in [TreePlan::parent as Upstream, TreePlan::backup]
+        .into_iter()
+        .enumerate()
+    {
+        for v in 1..n {
             for t in 0..k {
                 let Some(p) = upstream(&plan, t, v) else {
                     continue;
                 };
                 let (eg, ing) = cluster.port::<Msg>(cfg.hop_latency);
-                outs[p].push((t, v, eg));
-                ins_v.push(ing);
+                edges.push((p as Id, t as u8, v as Id, eg));
+                ins.push((ing, tag(v, 1 + kind * k + t)));
             }
         }
     }
     // Control plane: hub → member grafts, member → hub heartbeats.
-    let (ctls, ctl_ins): (Vec<_>, Vec<_>) = (1..n)
+    let ctls = (1..n)
         .map(|v| {
             let (eg, ing) = cluster.port::<Msg>(cfg.ctl_latency);
-            ((v, eg), ing)
+            ins.push((ing, tag(v, 0)));
+            eg
         })
-        .unzip();
-    let (report_eg, reports): (Vec<_>, Vec<_>) = (1..n)
+        .collect();
+    let reports = (1..n)
         .map(|_| cluster.port::<Hello>(cfg.ctl_latency))
-        .unzip();
-
-    // Setups in member order: the merge key order of the finish report.
-    let roster = Rc::new(Roster {
+        .collect();
+    edges.sort_unstable_by_key(|&(p, t, v, _)| (p, t, v));
+    let seat = Seat {
         cfg: *cfg,
-        kicks: Rc::default(),
-        wires: RefCell::new(Vec::with_capacity(n)),
-        inboxes: Rc::default(),
-        beats: RefCell::new(Vec::with_capacity(n)),
-    });
-    let mut outs = outs.into_iter();
-    let hub = HubSeat {
-        src_children: (0..k).map(|t| plan.children(t, 0).to_vec()).collect(),
-        outs: outs.next().unwrap_or_default(),
+        plan: Rc::new(plan.clone()),
+        edges,
+        ins,
         ctls,
         reports,
-        plan: plan.clone(),
-        roster: roster.clone(),
     };
-    cluster.setup(0, move |env| hub_setup(env, hub));
-    let viewers = ins
-        .into_iter()
-        .skip(1)
-        .zip(outs)
-        .zip(ctl_ins)
-        .zip(report_eg);
-    for (v, (((v_ins, v_outs), ctl), report)) in (1..n).zip(viewers) {
-        let seat = NodeSeat {
-            member: v,
-            interior: plan.interior_tree(v),
-            children: (0..k).map(|t| plan.children(t, v).to_vec()).collect(),
-            ctl,
-            ins: v_ins,
-            outs: v_outs,
-            report,
-            roster: roster.clone(),
-        };
-        cluster.setup(0, move |env| node_setup(env, seat));
-    }
-    // One task beats for every viewer, from a setup registered after all
-    // of theirs — the place a heartbeat task per member had. Each of those
-    // armed its timer in member order, at t = 0 and then at each beat, so
-    // at every beat instant their polls already ran as one contiguous
-    // block: behind the high-priority wires and the dispatcher, ahead of
-    // every other low-priority task due then. Only timers armed at t = 0
-    // came before the block: the crash and fault scripts, and any probe a
-    // caller registers after this. (At the first beat a member's scripts
-    // ran just ahead of its own heartbeat, not the whole block; they touch
-    // only that member, so it is the same.) This task arms its first
-    // timer after every one of those and re-arms at each beat, so it runs
-    // in exactly that place. Spawned ahead of the members' setups, it
-    // would beat before a crash due on a beat instant, and the member
-    // dying at the first beat would send one more hello. The relay task
-    // and the wire engine arm no timer at t = 0.
-    cluster.setup(0, move |env| {
-        let period = roster.cfg.heartbeat;
-        let mut beats = roster.beats.take();
-        env.spawner().spawn("ovl:beat", async move {
-            while !beats.is_empty() {
-                delay(period).await;
-                beats.retain_mut(Beat::beat);
-            }
-        });
-        let mut relays = RelayTask {
-            inboxes: roster.inboxes.clone(),
-            cost: roster.cfg.relay_cost,
-            holds: VecDeque::new(),
-        };
-        env.spawner()
-            .spawn("ovl:relay", poll_fn(move |cx| relays.poll(cx)));
-        let mut wires = WireEngine {
-            wires: roster.wires.take(),
-            kicks: roster.kicks.clone(),
-            ends: BTreeMap::new(),
-            down: Vec::new(),
-        };
-        env.spawner().spawn_prio(
-            "ovl:wires",
-            Priority::High,
-            poll_fn(move |cx| wires.poll(cx)),
-        );
-    });
+    cluster.setup(0, move |env| setup(env, seat));
 
     Ok(OverlayBuild {
         cluster,
@@ -1702,6 +1770,45 @@ mod tests {
     }
 
     #[test]
+    fn more_trees_than_a_heartbeat_carries_are_refused() {
+        let cfg = |trees| OverlayConfig {
+            trees,
+            degree: 8,
+            source_uplink_cps: 1_000_000,
+            ..small_cfg()
+        };
+        match build_overlay_broadcast(&cfg(MAX_TREES + 1), 1) {
+            Err(BuildError::Trees { trees }) => assert_eq!(trees, MAX_TREES + 1),
+            Err(e) => panic!("refused for another reason: {e}"),
+            Ok(_) => panic!("{} trees were built", MAX_TREES + 1),
+        }
+        let (lines, _) = run(&cfg(MAX_TREES));
+        assert_eq!(OverlaySummary::parse(&lines).lost_total, 0);
+    }
+
+    /// A member is a row in each table: every row type, and what a queued
+    /// copy or letter costs, pinned at its measured size so that bytes per
+    /// member cannot creep back unseen (DESIGN.md §15).
+    #[test]
+    fn a_members_rows_stay_small() {
+        use std::mem::size_of;
+        let rows = [
+            ("Uplink", size_of::<Uplink>(), 80),
+            ("Relay", size_of::<Relay>(), 24),
+            ("Inbox", size_of::<Inbox>(), 12),
+            ("StripeReceiver", size_of::<StripeReceiver>(), 224),
+            ("Beat", size_of::<Beat>(), 88),
+            ("WireState", size_of::<WireState>(), 1),
+            ("edge", size_of::<(u8, Id, PortSender<Msg>)>(), 24),
+            ("UpItem", size_of::<UpItem>(), 40),
+            ("Letter", size_of::<Letter>(), 48),
+        ];
+        for (row, size, pinned) in rows {
+            assert!(size <= pinned, "{row}: {size} bytes, pinned at {pinned}");
+        }
+    }
+
+    #[test]
     fn fault_plans_must_name_a_viewer() {
         let viewers = small_cfg().viewers;
         for (member, valid) in [(0, false), (viewers + 1, false), (viewers, true)] {
@@ -1925,7 +2032,7 @@ mod tests {
             assert!(s.p3_drops > 0, "member {victim}, queue {queue}: never full");
             assert_eq!(
                 s.forwarded - s.p3_drops,
-                (queue + HANDOFF + started) as u64,
+                (queue + usize::from(HANDOFF) + started) as u64,
                 "member {victim}, queue {queue}"
             );
         }
@@ -1998,6 +2105,26 @@ mod tests {
         }
         let want: Vec<_> = RELAY_ORDER.map(|(k, d, c)| (k, d.to_string(), c)).to_vec();
         assert_eq!(got, want);
+    }
+
+    /// The tables of a two-member chain on one tree, member 0 relaying to
+    /// member 1, every queue and ring `queue` long.
+    fn chain_tables(queue: usize) -> Shared {
+        let plan = TreePlan::compute(
+            &[1, 1],
+            &PlanConfig {
+                trees: 1,
+                degree: 1,
+                seed: 0,
+                stripe_cps: 1,
+            },
+        )
+        .expect("plan");
+        Rc::new(RefCell::new(Tables {
+            uplinks: Uplinks::new(2, queue, u64::MAX),
+            relays: Relays::new(Rc::new(plan), queue),
+            inboxes: Inboxes::new(2, 1, u64::MAX),
+        }))
     }
 
     /// A slice on the one-tree stripe, its sequence number its place in
@@ -2079,33 +2206,26 @@ mod tests {
 
             let schedule = schedule.clone();
             let mut sim = Simulation::new();
-            let uplink = Uplink::new(0, Rc::default(), MESSAGES, u64::MAX);
-            let inboxes = Rc::new(Inboxes::default());
-            inboxes.viewers.borrow_mut().push(Inbox {
-                relay: Relay::new(uplink.clone(), vec![vec![1]], |_| true, MESSAGES),
-                receiver: Rc::new(RefCell::new(StripeReceiver::new(1, u64::MAX))),
-                pending: VecDeque::new(),
-                held: None,
-                queued: false,
-            });
+            let tables = chain_tables(MESSAGES);
             let mut relay = RelayTask {
-                inboxes: inboxes.clone(),
+                tables: tables.clone(),
                 cost: SimDuration::from_micros(cost),
                 holds: VecDeque::new(),
             };
             sim.spawn("ovl:relay", poll_fn(move |cx| relay.poll(cx)));
+            let sink = tables.clone();
             sim.spawn_prio("script", Priority::High, async move {
                 for (m, &(at, guard)) in schedule.iter().enumerate() {
                     delay_until(SimTime::from_micros(at)).await;
-                    inboxes.deliver(0, guard, Msg::Slice(probe_slice(seq_of[m])));
+                    let msg = Msg::Slice(probe_slice(seq_of[m]));
+                    sink.borrow_mut().inboxes.deliver(0, guard as u8, msg);
                 }
             });
             sim.run_until_idle();
-            let got: Vec<(u32, u64)> = uplink
-                .q
-                .borrow()
+            let got: Vec<(u32, u64)> = tables.borrow().uplinks.rows[0]
+                .queue
                 .iter()
-                .map(|it| (it.slice.seq, it.queued_at))
+                .map(|it| (it.slice.seq, it.slice.sent))
                 .collect();
             assert_eq!(got, want, "relay cost {cost} µs");
         });
@@ -2122,20 +2242,18 @@ mod tests {
         let mut cluster = Cluster::new(1);
         let (egress, ingress) = cluster.port::<Msg>(SimDuration::ZERO);
         cluster.setup(0, move |env| {
-            let kicks = Rc::new(Kicks::default());
-            let up = Uplink::new(0, kicks.clone(), 8, u64::MAX);
+            let tables = chain_tables(8);
             let link = LinkControl::default();
-            let bytes = probe_slice(0).wire_bytes() as u64;
+            let rate = LinkConfig::new("ovl-up", probe_slice(0).wire_bytes() as u64 * 8 * 1_000);
             let mut wires = WireEngine {
-                wires: vec![Wire {
-                    up: up.clone(),
-                    link: link.clone(),
-                    config: LinkConfig::new("ovl-up", bytes * 8 * 1_000),
-                    outs: BTreeMap::from([((0, 1), env.open_egress(egress))]),
-                    state: WireState::Idle,
-                    flaps: 0,
-                }],
-                kicks,
+                tables: tables.clone(),
+                states: vec![WireState::Idle; 2],
+                edges: vec![(0, 1, env.open_egress(egress))],
+                starts: vec![0, 1, 1],
+                rates: [rate, rate],
+                nominal: LinkControl::default(),
+                faulted: Some((0, link.clone())),
+                flaps: 0,
                 ends: BTreeMap::new(),
                 down: Vec::new(),
             };
@@ -2146,7 +2264,7 @@ mod tests {
             );
             env.spawner().spawn("script", async move {
                 for seq in 0..6 {
-                    up.push(0, 1, probe_slice(seq));
+                    tables.borrow_mut().uplinks.push(0, 1, probe_slice(seq));
                 }
                 delay_until(SimTime::from_micros(1_500)).await;
                 link.set_up(false);
@@ -2156,7 +2274,7 @@ mod tests {
             });
             let got = Rc::new(RefCell::new(Vec::new()));
             let g = got.clone();
-            env.bind_ingress_call(ingress, move |msg| {
+            env.bind_ingress_tagged([(ingress, 0)], move |_, msg| {
                 if let Msg::Slice(slice) = msg {
                     g.borrow_mut()
                         .push(format!("{} {}", slice.seq, now().as_micros()));

@@ -17,7 +17,7 @@
 //!   so relaying never copies payload), the clawback [`RepairRing`],
 //!   and the per-viewer [`StripeReceiver`] with its gap, lateness,
 //!   per-hop histogram and per-stripe repair-gap statistics.
-//! * [`repair`] — the hub engine: `pandora-recover` leases over member
+//! * `repair` — the hub engine: `pandora-recover` leases over member
 //!   heartbeats, and graft orders that move a dead relay's orphans to
 //!   their precomputed backup parents with a replay resume point.
 //! * [`broadcast`] — the topology builder
@@ -30,14 +30,12 @@
 
 pub mod broadcast;
 pub mod plan;
-pub mod repair;
+mod repair;
 pub mod stripe;
 
 pub use broadcast::{
-    build_overlay_broadcast, cells_per_segment, plan_for, stripe_class, stripe_cps, BuildError,
-    CrashPlan, Hello, Msg, OverlayBuild, OverlayConfig, OverlaySummary, UplinkCapPlan,
-    OVERLAY_VCI_BASE,
+    build_overlay_broadcast, cells_per_segment, plan_for, BuildError, CrashPlan, OverlayBuild,
+    OverlayConfig, OverlaySummary, UplinkCapPlan, OVERLAY_VCI_BASE,
 };
-pub use plan::{depth_bound, Member, PlanConfig, PlanError, TreePlan};
-pub use repair::{Graft, RepairEngine};
-pub use stripe::{Accept, RepairRing, Slice, StripeReceiver, HOP_BUCKETS};
+pub use plan::{PlanError, TreePlan};
+pub use stripe::{Accept, RepairRing, Slice, StripeReceiver};

@@ -15,33 +15,21 @@
 //! elsewhere), so the plan never promises bandwidth admission would
 //! refuse. Interiors are dealt round-robin from a seeded shuffle — the
 //! only randomness, and it is replayed from the seed, so equal inputs
-//! yield byte-identical plans ([`TreePlan::digest`] pins this).
+//! yield byte-identical plans.
 //!
 //! With every budget at `degree` or better the breadth-first fill packs
 //! each tree as a `degree`-ary heap: interiors land within
 //! `ceil(log_d N)` hops and leaves at most one hop deeper than the
 //! shallowest spare slot, keeping the measured depth at or under
-//! [`depth_bound`] — the Deterministic Near-Optimal P2P Streaming bound
+//! [`TreePlan::depth_bound`] — the Deterministic Near-Optimal P2P Streaming bound
 //! the acceptance soak asserts.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One session member as the planner sees it. Index 0 of the member
-/// slice is the broadcast source; everyone else is a viewer that may be
-/// asked to relay.
-#[derive(Debug, Clone)]
-pub struct Member {
-    /// Display name, used in digests and topology port labels.
-    pub name: String,
-    /// Transmit budget in cells/second — the same unit the session
-    /// admission controller charges (`Capabilities::link_cps`).
-    pub uplink_cps: u64,
-}
-
 /// Planner tunables.
 #[derive(Debug, Clone, Copy)]
-pub struct PlanConfig {
+pub(crate) struct PlanConfig {
     /// Number of striped trees `k`. Segment `seq` travels tree
     /// `seq % k`.
     pub trees: usize,
@@ -93,7 +81,6 @@ pub struct TreePlan {
     n: usize,
     k: usize,
     d: usize,
-    seed: u64,
     /// `parent[tree][member]`; `None` for the source.
     parent: Vec<Vec<Option<usize>>>,
     /// `children[tree][member]`, in attachment order.
@@ -111,7 +98,7 @@ pub struct TreePlan {
 
 /// Smallest `L` with `d^L >= n` — the depth bound `ceil(log_d n)` the
 /// acceptance soak measures against.
-pub fn depth_bound(n: usize, d: usize) -> u32 {
+pub(crate) fn depth_bound(n: usize, d: usize) -> u32 {
     if n <= 1 || d <= 1 {
         return if n <= 1 { 0 } else { n as u32 - 1 };
     }
@@ -131,7 +118,10 @@ struct Slot {
 }
 
 impl TreePlan {
-    /// Computes the plan. `members[0]` is the source.
+    /// Computes the plan over the members' transmit budgets in
+    /// cells/second — the unit the session admission controller charges
+    /// (`Capabilities::link_cps`). Member 0 is the source; everyone else
+    /// is a viewer that may be asked to relay.
     ///
     /// # Errors
     ///
@@ -139,8 +129,8 @@ impl TreePlan {
     /// [`PlanError::SourceUplink`] when the source cannot feed every
     /// tree, and [`PlanError::Capacity`] when some tree runs out of
     /// budgeted uplink slots before every member has a parent.
-    pub fn compute(members: &[Member], cfg: &PlanConfig) -> Result<TreePlan, PlanError> {
-        let n = members.len();
+    pub(crate) fn compute(uplinks: &[u64], cfg: &PlanConfig) -> Result<TreePlan, PlanError> {
+        let n = uplinks.len();
         let k = cfg.trees;
         let d = cfg.degree;
         if n < 2 || k == 0 || d == 0 || cfg.stripe_cps == 0 {
@@ -148,13 +138,13 @@ impl TreePlan {
         }
         // The source pushes every stripe: its per-tree child capacity
         // divides its uplink across the k stripes.
-        let src_cap = (members[0].uplink_cps / (cfg.stripe_cps * k as u64)).min(d as u64);
+        let src_cap = (uplinks[0] / (cfg.stripe_cps * k as u64)).min(d as u64);
         if src_cap == 0 {
             return Err(PlanError::SourceUplink);
         }
-        let cap: Vec<u64> = members
+        let cap: Vec<u64> = uplinks
             .iter()
-            .map(|m| (m.uplink_cps / cfg.stripe_cps).min(d as u64))
+            .map(|cps| (cps / cfg.stripe_cps).min(d as u64))
             .collect();
 
         // Seeded shuffle of the relay-capable viewers, then a round-robin
@@ -242,7 +232,6 @@ impl TreePlan {
             n,
             k,
             d,
-            seed: cfg.seed,
             parent,
             children,
             depth,
@@ -257,23 +246,18 @@ impl TreePlan {
     }
 
     /// Number of striped trees.
-    pub fn trees(&self) -> usize {
+    pub(crate) fn trees(&self) -> usize {
         self.k
     }
 
     /// Parent of `member` in `tree` (`None` for the source).
-    pub fn parent(&self, tree: usize, member: usize) -> Option<usize> {
+    pub(crate) fn parent(&self, tree: usize, member: usize) -> Option<usize> {
         self.parent[tree][member]
     }
 
     /// Children of `member` in `tree`, in attachment order.
-    pub fn children(&self, tree: usize, member: usize) -> &[usize] {
+    pub(crate) fn children(&self, tree: usize, member: usize) -> &[usize] {
         &self.children[tree][member]
-    }
-
-    /// Hops from the source to `member` in `tree`.
-    pub fn depth(&self, tree: usize, member: usize) -> u32 {
-        self.depth[tree][member]
     }
 
     /// The tree `member` is interior in; `None` for the source and for
@@ -285,7 +269,7 @@ impl TreePlan {
     /// The grandparent graft target for `member` in `tree` — the
     /// survivor that adopts it if its parent dies. `None` when the
     /// parent is the source.
-    pub fn backup(&self, tree: usize, member: usize) -> Option<usize> {
+    pub(crate) fn backup(&self, tree: usize, member: usize) -> Option<usize> {
         self.backup[tree][member]
     }
 
@@ -296,7 +280,7 @@ impl TreePlan {
     }
 
     /// Deepest member in `tree`.
-    pub fn max_depth(&self, tree: usize) -> u32 {
+    pub(crate) fn max_depth(&self, tree: usize) -> u32 {
         (0..self.n).map(|v| self.depth[tree][v]).max().unwrap_or(0)
     }
 
@@ -310,48 +294,14 @@ impl TreePlan {
     pub fn depth_bound(&self) -> u32 {
         depth_bound(self.n, self.d)
     }
-
-    /// Canonical text rendering: seed, shape, then one line per tree
-    /// with every member's parent. Byte-identical for equal inputs —
-    /// the replay contract.
-    pub fn digest(&self) -> String {
-        let mut out = format!(
-            "plan seed={} n={} k={} d={} depth={}/{}\n",
-            self.seed,
-            self.n,
-            self.k,
-            self.d,
-            self.max_depth_overall(),
-            self.depth_bound()
-        );
-        for t in 0..self.k {
-            out.push_str(&format!("t{t}:"));
-            for v in 1..self.n {
-                let p = self.parent[t][v].expect("non-source member always has a parent");
-                let mark = if self.interior_in[v] == Some(t) {
-                    "*"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(" {v}{mark}<{p}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn members(n: usize, uplink: u64) -> Vec<Member> {
-        (0..n)
-            .map(|i| Member {
-                name: format!("m{i}"),
-                uplink_cps: uplink,
-            })
-            .collect()
+    fn members(n: usize, uplink: u64) -> Vec<u64> {
+        vec![uplink; n]
     }
 
     fn cfg(k: usize, d: usize, seed: u64) -> PlanConfig {
@@ -390,7 +340,7 @@ mod tests {
         for (n, k, d) in [(64, 4, 4), (256, 3, 4), (1024, 4, 8), (100, 2, 3)] {
             // The source affords d children in every tree; viewers afford d.
             let mut m = members(n, 1_000 * d as u64);
-            m[0].uplink_cps = 1_000 * (k * d) as u64;
+            m[0] = 1_000 * (k * d) as u64;
             let plan = TreePlan::compute(&m, &cfg(k, d, 11)).unwrap();
             assert!(
                 plan.max_depth_overall() <= plan.depth_bound(),
@@ -404,10 +354,10 @@ mod tests {
     #[test]
     fn equal_seeds_replay_byte_identically_and_seeds_matter() {
         let m = members(40, 4_000);
-        let a = TreePlan::compute(&m, &cfg(3, 4, 5)).unwrap().digest();
-        let b = TreePlan::compute(&m, &cfg(3, 4, 5)).unwrap().digest();
+        let plan = |seed| format!("{:?}", TreePlan::compute(&m, &cfg(3, 4, seed)).unwrap());
+        let (a, b) = (plan(5), plan(5));
         assert_eq!(a, b);
-        let c = TreePlan::compute(&m, &cfg(3, 4, 6)).unwrap().digest();
+        let c = plan(6);
         assert_ne!(a, c, "different seeds should break ties differently");
     }
 
@@ -424,7 +374,7 @@ mod tests {
     fn leaf_only_members_never_parent() {
         let mut m = members(24, 4_000);
         for weak in m.iter_mut().skip(1).step_by(3) {
-            weak.uplink_cps = 0;
+            *weak = 0;
         }
         let plan = TreePlan::compute(&m, &cfg(2, 4, 3)).unwrap();
         for v in (1..24).step_by(3) {
@@ -454,7 +404,7 @@ mod tests {
         let err = TreePlan::compute(&members(32, 0), &cfg(2, 4, 1));
         assert!(matches!(err, Err(PlanError::SourceUplink)));
         let mut m = members(32, 0);
-        m[0].uplink_cps = 4_000; // source: 2 per tree
+        m[0] = 4_000; // source: 2 per tree
         let err = TreePlan::compute(&m, &cfg(2, 4, 1));
         assert_eq!(err.unwrap_err(), PlanError::Capacity { tree: 0 });
     }

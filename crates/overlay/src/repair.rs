@@ -17,6 +17,8 @@
 //! The engine is a pure state machine: hellos and sweeps in, grafts and
 //! log lines out, so a run's repair history replays byte-identically.
 
+use std::rc::Rc;
+
 use pandora_recover::{LeaseConfig, LeaseEvent, PassiveBeat};
 
 use crate::plan::TreePlan;
@@ -24,24 +26,25 @@ use crate::plan::TreePlan;
 /// One graft order: `backup` adopts `orphan` on `tree`, replaying its
 /// repair ring from `resume_from`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Graft {
+pub(crate) struct Graft {
     /// The stripe tree being repaired.
-    pub tree: usize,
+    pub(crate) tree: usize,
     /// The member that lost its parent.
-    pub orphan: usize,
+    pub(crate) orphan: usize,
     /// The surviving grandparent that adopts it.
-    pub backup: usize,
+    pub(crate) backup: usize,
     /// Global sequence replay resumes from (the orphan's last reported
     /// next-expected on that tree).
-    pub resume_from: u32,
+    pub(crate) resume_from: u32,
 }
 
 /// Lease-driven graft planner the broadcast hub drives.
-pub struct RepairEngine {
-    plan: TreePlan,
+pub(crate) struct RepairEngine {
+    plan: Rc<TreePlan>,
     beat: PassiveBeat,
-    /// Last reported next-expected per member per tree.
-    last: Vec<Vec<u32>>,
+    /// Last reported next-expected per tree, member `m`'s at
+    /// `last[m * k..][..k]`.
+    last: Vec<u32>,
     deaths: u64,
     grafts: u64,
     unrepairable: u64,
@@ -51,7 +54,8 @@ pub struct RepairEngine {
 impl RepairEngine {
     /// An engine over `plan`, with every member (except the source,
     /// which the hub itself hosts) enrolled under `lease`.
-    pub fn new(plan: TreePlan, lease: LeaseConfig) -> RepairEngine {
+    pub(crate) fn new(plan: impl Into<Rc<TreePlan>>, lease: LeaseConfig) -> RepairEngine {
+        let plan = plan.into();
         let k = plan.trees();
         let n = plan.members();
         let mut beat = PassiveBeat::new();
@@ -61,7 +65,7 @@ impl RepairEngine {
         RepairEngine {
             plan,
             beat,
-            last: vec![(0..k as u32).collect(); n],
+            last: (0..n).flat_map(|_| 0..k as u32).collect(),
             deaths: 0,
             grafts: 0,
             unrepairable: 0,
@@ -71,17 +75,18 @@ impl RepairEngine {
 
     /// A member's heartbeat: renews its lease and refreshes the resume
     /// points a future graft would use.
-    pub fn hello(&mut self, member: usize, next_expected: &[u32]) {
+    pub(crate) fn hello(&mut self, member: usize, next_expected: &[u32]) {
         let _ = self.beat.hello(member as u32);
-        if member < self.last.len() && next_expected.len() == self.plan.trees() {
-            self.last[member].copy_from_slice(next_expected);
+        let k = self.plan.trees();
+        if member < self.plan.members() && next_expected.len() == k {
+            self.last[member * k..][..k].copy_from_slice(next_expected);
         }
     }
 
     /// One lease sweep at virtual time `now_nanos`: silent members take
     /// a miss; deaths of interior relays produce the grafts that reroute
     /// their orphans.
-    pub fn sweep(&mut self, now_nanos: u64) -> Vec<Graft> {
+    pub(crate) fn sweep(&mut self, now_nanos: u64) -> Vec<Graft> {
         let mut grafts = Vec::new();
         for (peer, event) in self.beat.sweep() {
             if event != LeaseEvent::Died {
@@ -103,7 +108,7 @@ impl RepairEngine {
                             tree,
                             orphan,
                             backup,
-                            resume_from: self.last[orphan][tree],
+                            resume_from: self.last[orphan * self.plan.trees() + tree],
                         };
                         self.grafts += 1;
                         self.log.push(format!(
@@ -129,28 +134,29 @@ impl RepairEngine {
     }
 
     /// Member deaths observed (interior or leaf).
-    pub fn deaths(&self) -> u64 {
+    pub(crate) fn deaths(&self) -> u64 {
         self.deaths
     }
 
     /// Grafts issued.
-    pub fn grafts(&self) -> u64 {
+    pub(crate) fn grafts(&self) -> u64 {
         self.grafts
     }
 
     /// Orphans that had no backup parent.
-    pub fn unrepairable(&self) -> u64 {
+    pub(crate) fn unrepairable(&self) -> u64 {
         self.unrepairable
     }
 
     /// The plan being repaired.
-    pub fn plan(&self) -> &TreePlan {
+    #[cfg(test)]
+    pub(crate) fn plan(&self) -> &TreePlan {
         &self.plan
     }
 
     /// Deterministic repair history, one line per death/graft, in
     /// execution order.
-    pub fn log(&self) -> &[String] {
+    pub(crate) fn log(&self) -> &[String] {
         &self.log
     }
 }
@@ -158,18 +164,12 @@ impl RepairEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Member, PlanConfig};
+    use crate::plan::PlanConfig;
     use pandora_sim::SimDuration;
 
     fn engine(n: usize, degree: usize) -> RepairEngine {
-        let members: Vec<Member> = (0..n)
-            .map(|i| Member {
-                name: format!("m{i}"),
-                uplink_cps: 8_000,
-            })
-            .collect();
         let plan = TreePlan::compute(
-            &members,
+            &vec![8_000; n],
             &PlanConfig {
                 trees: 2,
                 degree,
@@ -343,11 +343,8 @@ mod tests {
     #[test]
     fn leaf_death_produces_no_grafts() {
         // Members with zero uplink are leaf-only; kill one.
-        let members: Vec<Member> = (0..20)
-            .map(|i| Member {
-                name: format!("m{i}"),
-                uplink_cps: if i == 0 || i % 2 == 1 { 8_000 } else { 0 },
-            })
+        let members: Vec<u64> = (0..20)
+            .map(|i| if i == 0 || i % 2 == 1 { 8_000 } else { 0 })
             .collect();
         let plan = TreePlan::compute(
             &members,

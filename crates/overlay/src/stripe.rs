@@ -22,7 +22,7 @@ use pandora_atm::CellBurst;
 use pandora_sim::WireSize;
 
 /// Number of power-of-two microsecond buckets in a hop histogram.
-pub const HOP_BUCKETS: usize = 16;
+pub(crate) const HOP_BUCKETS: usize = 16;
 
 /// One striped segment in flight: shared cells plus routing/timing
 /// metadata. Cloning bumps the `Arc` — relays never copy payload.
@@ -89,22 +89,12 @@ impl RepairRing {
 
     /// Slices with `seq >= from_seq`, oldest first — the catch-up burst
     /// for a freshly grafted orphan.
-    pub fn replay_from(&self, from_seq: u32) -> Vec<Slice> {
+    pub(crate) fn replay_from(&self, from_seq: u32) -> Vec<Slice> {
         self.slices
             .iter()
             .filter(|s| s.seq >= from_seq)
             .cloned()
             .collect()
-    }
-
-    /// Slices currently buffered.
-    pub fn len(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Whether the ring holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
     }
 }
 
@@ -128,44 +118,63 @@ pub enum Accept {
     },
 }
 
+/// Stripe trees a topology may have: a receiver and a heartbeat keep
+/// their per-tree state in inline arrays this long, so a member's rows
+/// hold no heap block of their own.
+pub(crate) const MAX_TREES: usize = 8;
+
 /// Per-viewer receive state across the `k` stripes: dedupe, gap and
-/// lateness accounting, and the per-hop latency histogram.
+/// lateness accounting, and the per-hop latency histogram. Every count
+/// but the dupes is bounded by the sequences delivered, so fits in 32
+/// bits.
 #[derive(Debug)]
 pub struct StripeReceiver {
-    k: usize,
     playout_nanos: u64,
     /// Next expected global seq per tree (tree t starts at seq t and
-    /// advances by k).
-    next: Vec<u32>,
-    delivered: u64,
+    /// advances by k); the first `k` are in use.
+    next: [u32; MAX_TREES],
+    /// Last delivery time per tree (`u64::MAX` before the first).
+    stripe_last: [u64; MAX_TREES],
     dupes: u64,
-    gap_skips: u64,
-    late: u64,
     last_delivery: u64,
     gap_max: u64,
-    /// Last delivery time per tree (`u64::MAX` before the first).
-    stripe_last: Vec<u64>,
     stripe_gap_max: u64,
     hop_max: u64,
-    hop_buckets: [u64; HOP_BUCKETS],
+    delivered: u32,
+    gap_skips: u32,
+    late: u32,
+    k: u8,
+    hop_buckets: [u32; HOP_BUCKETS],
 }
 
 impl StripeReceiver {
     /// Fresh state for `k` stripes under a `playout` lateness budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or more than eight.
     pub fn new(k: usize, playout_nanos: u64) -> StripeReceiver {
+        assert!(
+            (1..=MAX_TREES).contains(&k),
+            "{k} stripes: a receiver keeps 1 to {MAX_TREES}"
+        );
+        let mut next = [0; MAX_TREES];
+        for (t, n) in next.iter_mut().enumerate() {
+            *n = t as u32;
+        }
         StripeReceiver {
-            k,
             playout_nanos,
-            next: (0..k as u32).collect(),
-            delivered: 0,
+            next,
+            stripe_last: [u64::MAX; MAX_TREES],
             dupes: 0,
-            gap_skips: 0,
-            late: 0,
             last_delivery: 0,
             gap_max: 0,
-            stripe_last: vec![u64::MAX; k],
             stripe_gap_max: 0,
             hop_max: 0,
+            delivered: 0,
+            gap_skips: 0,
+            late: 0,
+            k: k as u8,
             hop_buckets: [0; HOP_BUCKETS],
         }
     }
@@ -173,13 +182,14 @@ impl StripeReceiver {
     /// Classifies and accounts one arriving slice.
     pub fn accept(&mut self, slice: &Slice, now_nanos: u64) -> Accept {
         let t = slice.tree as usize;
-        debug_assert_eq!(slice.seq as usize % self.k, t, "slice on the wrong stripe");
+        let k = u32::from(self.k);
+        debug_assert_eq!(slice.seq % k, t as u32, "slice on the wrong stripe");
         if slice.seq < self.next[t] {
             self.dupes += 1;
             return Accept::Duplicate;
         }
-        let gap = (slice.seq - self.next[t]) / self.k as u32;
-        self.next[t] = slice.seq + self.k as u32;
+        let gap = (slice.seq - self.next[t]) / k;
+        self.next[t] = slice.seq + k;
         let on_time = now_nanos.saturating_sub(slice.stamp) <= self.playout_nanos;
         if !on_time {
             self.late += 1;
@@ -204,7 +214,7 @@ impl StripeReceiver {
         let idx = (us.max(1).ilog2() as usize).min(HOP_BUCKETS - 1);
         self.hop_buckets[idx] += 1;
         if gap > 0 {
-            self.gap_skips += u64::from(gap);
+            self.gap_skips += gap;
             Accept::DeliveredAfterGap { gap, on_time }
         } else {
             Accept::Delivered { on_time }
@@ -213,33 +223,33 @@ impl StripeReceiver {
 
     /// Next expected global sequence per tree — what heartbeats report
     /// so a graft knows where replay must resume.
-    pub fn next_expected(&self) -> &[u32] {
-        &self.next
+    pub(crate) fn next_expected(&self) -> &[u32] {
+        &self.next[..usize::from(self.k)]
     }
 
     /// Slices delivered (first sight, in order).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
+    pub(crate) fn delivered(&self) -> u64 {
+        u64::from(self.delivered)
     }
 
     /// Replay overlaps dropped.
-    pub fn dupes(&self) -> u64 {
+    pub(crate) fn dupes(&self) -> u64 {
         self.dupes
     }
 
     /// Sequences skipped for good.
-    pub fn gap_skips(&self) -> u64 {
-        self.gap_skips
+    pub(crate) fn gap_skips(&self) -> u64 {
+        u64::from(self.gap_skips)
     }
 
     /// Deliveries past the playout budget.
-    pub fn late(&self) -> u64 {
-        self.late
+    pub(crate) fn late(&self) -> u64 {
+        u64::from(self.late)
     }
 
     /// Longest wait between consecutive deliveries — the repair-gap
     /// statistic: how long the viewer's clawback buffer had to bridge.
-    pub fn gap_max_nanos(&self) -> u64 {
+    pub(crate) fn gap_max_nanos(&self) -> u64 {
         self.gap_max
     }
 
@@ -249,30 +259,25 @@ impl StripeReceiver {
     /// delivering), so this is the window the graft-and-replay machinery
     /// had to close, and it must stay under the playout budget for the
     /// repair to be glitch-free.
-    pub fn stripe_gap_max_nanos(&self) -> u64 {
+    pub(crate) fn stripe_gap_max_nanos(&self) -> u64 {
         self.stripe_gap_max
     }
 
     /// Worst single-hop latency observed.
-    pub fn hop_max_nanos(&self) -> u64 {
+    pub(crate) fn hop_max_nanos(&self) -> u64 {
         self.hop_max
     }
 
     /// The per-hop latency histogram: bucket `i` counts hops in
     /// `[2^i, 2^(i+1))` microseconds.
-    pub fn hop_buckets(&self) -> &[u64; HOP_BUCKETS] {
+    pub(crate) fn hop_buckets(&self) -> &[u32; HOP_BUCKETS] {
         &self.hop_buckets
     }
 
-    /// Slices this receiver should have seen of `segments` total, given
-    /// round-robin striping.
-    pub fn expected(&self, segments: u32) -> u64 {
-        u64::from(segments)
-    }
-
-    /// Slices never delivered out of `segments` emitted.
-    pub fn lost(&self, segments: u32) -> u64 {
-        self.expected(segments).saturating_sub(self.delivered)
+    /// Slices never delivered out of `segments` emitted: round-robin
+    /// striping owes every viewer each of them.
+    pub(crate) fn lost(&self, segments: u32) -> u64 {
+        u64::from(segments.saturating_sub(self.delivered))
     }
 }
 
@@ -364,7 +369,7 @@ mod tests {
         for seq in [1u32, 3, 5, 7, 9] {
             ring.push(slice(2, seq, 0, 0));
         }
-        assert_eq!(ring.len(), 4, "capacity evicts the oldest");
+        assert_eq!(ring.replay_from(0).len(), 4, "capacity evicts the oldest");
         let replay = ring.replay_from(5);
         let seqs: Vec<u32> = replay.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![5, 7, 9]);

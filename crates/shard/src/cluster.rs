@@ -1,7 +1,6 @@
 //! Cluster construction: ports, setup closures and the environment handed
 //! to them.
 
-use std::cell::Cell;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
@@ -26,17 +25,14 @@ pub struct Ingress<T> {
 /// The sending end of an opened port ([`ShardEnv::open_egress`]).
 pub struct PortSender<T> {
     port: u32,
-    latency: SimDuration,
     lane: Rc<TypedLane<T>>,
-    hub: Rc<IngressHub>,
-    seq: Cell<u64>,
 }
 
 impl<T: 'static> PortSender<T> {
-    /// Sends `value` down the port: stamps it `(now + latency, port,
-    /// seq)` and queues it on the port's lane of the ingress hub. Never
-    /// blocks and never fails; a port whose ingress receiver was dropped
-    /// discards on delivery.
+    /// Sends `value` down the port: stamps it `(now + latency, port)` and
+    /// queues it on the port's lane of the ingress hub, after the values
+    /// this port sent before. Never blocks and never fails; a port whose
+    /// ingress receiver was dropped discards on delivery.
     ///
     /// # Panics
     ///
@@ -45,11 +41,7 @@ impl<T: 'static> PortSender<T> {
     /// task's virtual instant, so there is nothing to stamp a value
     /// with during setup.
     pub fn send(&self, value: T) {
-        let due = (pandora_sim::now() + self.latency).as_nanos();
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        self.lane.push((due, self.port, seq), value);
-        self.hub.queued(due);
+        self.lane.send(self.port, value);
     }
 }
 
@@ -59,7 +51,7 @@ pub(crate) type SetupFn = Box<dyn FnOnce(&mut ShardEnv)>;
 /// that will build its topology on the event loop.
 pub struct Cluster {
     shards: usize,
-    pub(crate) ports: usize,
+    ports: usize,
     pub(crate) setups: Vec<SetupFn>,
 }
 
@@ -138,27 +130,33 @@ impl ShardEnv {
     pub fn open_egress<T: 'static>(&self, egress: Egress<T>) -> PortSender<T> {
         PortSender {
             port: egress.port,
-            latency: egress.latency,
             lane: self.hub.lane(egress.latency),
-            hub: self.hub.clone(),
-            seq: Cell::new(0),
         }
     }
 
-    /// Binds the ingress half of a port to a call: the dispatcher hands
-    /// `sink` each value at its due instant, in `(due, port, seq)` merge
-    /// order, from inside its own poll. No channel and no task stand behind
-    /// the port: whatever `sink` does with the value — file it for a task
-    /// that serves many ports, say — is the whole of the delivery. `sink`
-    /// must not send on a port of the same latency and payload type.
+    /// Binds the ingress halves of any number of same-typed ports to
+    /// **one** call, each port under a `tag` of its own: the dispatcher
+    /// hands `sink` each value and its port's tag at the value's due
+    /// instant, in `(due, port)` merge order, from inside its own poll. No
+    /// channel and no task stand behind a port: whatever `sink` does with
+    /// the value — file it for a task that serves many ports, say — is the
+    /// whole of the delivery, and the tag tells it which port the value
+    /// came in on, with no closure per port: a bound port costs its lane
+    /// eight bytes. `sink` must not send on a port of the same latency and
+    /// payload type.
     ///
     /// # Panics
     ///
-    /// Panics if the port's ingress was already bound.
-    pub fn bind_ingress_call<T: 'static>(&self, ingress: Ingress<T>, sink: impl Fn(T) + 'static) {
-        self.hub
-            .lane(ingress.latency)
-            .bind(ingress.port, Rc::new(sink));
+    /// Panics if a port's ingress was already bound.
+    pub fn bind_ingress_tagged<T: 'static>(
+        &self,
+        ingresses: impl IntoIterator<Item = (Ingress<T>, u32)>,
+        sink: impl Fn(u32, T) + 'static,
+    ) {
+        let sink: Sink<T> = Rc::new(sink);
+        for (Ingress { port, latency, .. }, tag) in ingresses {
+            self.hub.lane(latency).bind(port, &sink, tag);
+        }
     }
 
     /// Binds the ingress halves of any number of same-typed ports to
@@ -179,12 +177,9 @@ impl ShardEnv {
         let (tx, rx) = unbounded::<T>();
         // Delivery into an unbounded queue never blocks; a dropped receiver
         // just discards the rest of the stream.
-        let sink: Sink<T> = Rc::new(move |value| {
+        self.bind_ingress_tagged(ingresses.into_iter().map(|i| (i, 0)), move |_, value| {
             let _ = tx.try_send(value);
         });
-        for Ingress { port, latency, .. } in ingresses {
-            self.hub.lane(latency).bind(port, sink.clone());
-        }
         rx
     }
 

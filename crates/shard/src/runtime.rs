@@ -1,5 +1,7 @@
 //! The run: one `Simulation` on the calling thread.
 
+use std::rc::Rc;
+
 use pandora_sim::{Priority, SimTime, Simulation};
 
 use crate::cluster::{Cluster, ShardEnv};
@@ -36,7 +38,7 @@ impl Cluster {
     /// `deadline` runs the setup closures and no task.
     pub fn run(self, deadline: SimTime) -> RunReport {
         let mut sim = Simulation::new();
-        let hub = IngressHub::new(self.ports);
+        let hub = Rc::new(IngressHub::default());
         sim.spawn_prio(
             "shard:dispatch",
             Priority::High,

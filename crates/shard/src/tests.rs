@@ -22,7 +22,7 @@ fn loopback_port_delivers_at_stamped_latency() {
         // task stands behind it.
         let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
         let seen2 = seen.clone();
-        env.bind_ingress_call(rx_half, move |v| {
+        env.bind_ingress_tagged([(rx_half, 0)], move |_, v| {
             seen2
                 .borrow_mut()
                 .push(format!("t={} v={v}", now().as_nanos()));
@@ -231,6 +231,47 @@ fn generated_schedules_deliver_in_merge_key_order() {
         });
         assert_eq!(report.merged_lines(), expected);
     });
+}
+
+/// Four ports over two lanes, created interleaved and bound to one call
+/// last port first: the call hears each value with its own port's tag,
+/// in merge order, and a bound port costs its lane eight bytes.
+#[test]
+fn tagged_ports_hand_one_call_their_tags() {
+    assert!(std::mem::size_of::<crate::hub::Slot>() <= 8);
+    assert!(std::mem::size_of::<crate::PortSender<u64>>() <= 16);
+    let mut cluster = Cluster::new(1);
+    let (egresses, ingresses): (Vec<_>, Vec<_>) = [300, 100, 300, 100]
+        .map(|us| cluster.port::<&'static str>(SimDuration::from_micros(us)))
+        .into_iter()
+        .unzip();
+    cluster.setup(0, move |env| {
+        let txs: Vec<_> = egresses.into_iter().map(|e| env.open_egress(e)).collect();
+        env.spawner().spawn("src", async move {
+            for (tx, v) in txs.iter().zip(["a", "b", "c", "d"]).rev() {
+                tx.send(v);
+            }
+        });
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let seen2 = seen.clone();
+        let tagged = ingresses.into_iter().zip([10, 11, 12, 13]).rev();
+        env.bind_ingress_tagged(tagged, move |tag, v| {
+            seen2
+                .borrow_mut()
+                .push(format!("t={} {tag} {v}", now().as_nanos()));
+        });
+        env.on_finish(move || seen.borrow().clone());
+    });
+    let report = cluster.run(SimTime::from_millis(1));
+    assert_eq!(
+        report.merged_lines(),
+        [
+            "t=100000 11 b",
+            "t=100000 13 d",
+            "t=300000 10 a",
+            "t=300000 12 c"
+        ]
+    );
 }
 
 #[test]
