@@ -32,8 +32,12 @@ struct Slot<T> {
 }
 
 struct PoolInner<T> {
+    /// One slot per buffer ever handed out, in first-use order: the table
+    /// grows on demand up to `capacity`.
     slots: RefCell<Vec<Slot<T>>>,
+    /// Freed slots, most recently freed on top.
     free: RefCell<Vec<usize>>,
+    capacity: usize,
     waiters: RefCell<Vec<TaskWaker>>,
     exhausted_waits: Cell<u64>,
     allocations: Cell<u64>,
@@ -85,14 +89,14 @@ impl<T> Drop for PoolInner<T> {
             eprintln!(
                 "pandora-buffers: pool dropped with {} leaked descriptor(s) of {}:",
                 leaked.len(),
-                slots.len()
+                self.capacity
             );
             for (d, refs) in &leaked {
                 eprintln!("  {d:?} with {refs} outstanding reference(s)");
             }
             LAST_LEAK.with(|l| {
                 *l.borrow_mut() = Some(LeakReport {
-                    capacity: slots.len(),
+                    capacity: self.capacity,
                     leaked,
                 });
             });
@@ -117,24 +121,20 @@ impl<T> Clone for Pool<T> {
 }
 
 impl<T> Pool<T> {
-    /// Creates a pool of `capacity` buffers.
+    /// Creates a pool of `capacity` buffers. Nothing is reserved here:
+    /// a slot joins the table the first time it is handed out (see
+    /// [`Pool::backed`]).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "pool capacity must be non-zero");
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(Slot {
-                value: None,
-                refs: 0,
-            });
-        }
         Pool {
             inner: Rc::new(PoolInner {
-                slots: RefCell::new(slots),
-                free: RefCell::new((0..capacity).rev().collect()),
+                slots: RefCell::new(Vec::new()),
+                free: RefCell::new(Vec::new()),
+                capacity,
                 waiters: RefCell::new(Vec::new()),
                 exhausted_waits: Cell::new(0),
                 allocations: Cell::new(0),
@@ -144,13 +144,22 @@ impl<T> Pool<T> {
 
     /// Tries to allocate a buffer holding `value` with reference count 1.
     ///
-    /// Returns the value back if the pool is exhausted.
+    /// Returns the value back if the pool is exhausted. Hands out the
+    /// most recently freed slot, else the lowest slot never used — the
+    /// order of a free stack holding every slot from the start.
     pub fn try_alloc(&self, value: T) -> Result<Descriptor, T> {
+        let mut slots = self.inner.slots.borrow_mut();
         let idx = match self.inner.free.borrow_mut().pop() {
             Some(i) => i,
+            None if slots.len() < self.inner.capacity => {
+                slots.push(Slot {
+                    value: None,
+                    refs: 0,
+                });
+                slots.len() - 1
+            }
             None => return Err(value),
         };
-        let mut slots = self.inner.slots.borrow_mut();
         slots[idx] = Slot {
             value: Some(value),
             refs: 1,
@@ -179,11 +188,12 @@ impl<T> Pool<T> {
     /// Panics if the descriptor is not allocated.
     pub fn add_refs(&self, d: Descriptor, extra: u32) {
         let mut slots = self.inner.slots.borrow_mut();
-        let slot = &mut slots[d.0];
-        assert!(
-            slot.value.is_some() && slot.refs > 0,
-            "add_refs on a free buffer {d:?}"
-        );
+        let Some(slot) = slots
+            .get_mut(d.0)
+            .filter(|s| s.value.is_some() && s.refs > 0)
+        else {
+            panic!("add_refs on a free buffer {d:?}");
+        };
         slot.refs += extra;
     }
 
@@ -196,11 +206,12 @@ impl<T> Pool<T> {
     /// Panics if the descriptor is not allocated.
     pub fn release(&self, d: Descriptor) -> Option<T> {
         let mut slots = self.inner.slots.borrow_mut();
-        let slot = &mut slots[d.0];
-        assert!(
-            slot.value.is_some() && slot.refs > 0,
-            "release of a free buffer {d:?}"
-        );
+        let Some(slot) = slots
+            .get_mut(d.0)
+            .filter(|s| s.value.is_some() && s.refs > 0)
+        else {
+            panic!("release of a free buffer {d:?}");
+        };
         slot.refs -= 1;
         if slot.refs == 0 {
             let value = slot.value.take();
@@ -222,7 +233,7 @@ impl<T> Pool<T> {
     /// Panics if the descriptor is not allocated.
     pub fn with<R>(&self, d: Descriptor, f: impl FnOnce(&T) -> R) -> R {
         let slots = self.inner.slots.borrow();
-        match slots[d.0].value.as_ref() {
+        match slots.get(d.0).and_then(|s| s.value.as_ref()) {
             Some(value) => f(value),
             None => panic!("with() on a free buffer {d:?}"),
         }
@@ -230,16 +241,23 @@ impl<T> Pool<T> {
 
     /// Current reference count of `d` (0 if free).
     pub fn refs(&self, d: Descriptor) -> u32 {
-        self.inner.slots.borrow()[d.0].refs
+        self.inner.slots.borrow().get(d.0).map_or(0, |s| s.refs)
     }
 
-    /// Number of free buffers.
+    /// Number of free buffers: freed ones plus those never used.
     pub fn free_count(&self) -> usize {
-        self.inner.free.borrow().len()
+        self.inner.free.borrow().len() + self.inner.capacity - self.backed()
     }
 
     /// Total buffers in the pool.
     pub fn capacity(&self) -> usize {
+        self.inner.capacity
+    }
+
+    /// Buffers ever used: the high-water mark of descriptors live at
+    /// once, since the LIFO free list reuses a freed slot before it
+    /// touches a fresh one.
+    pub fn backed(&self) -> usize {
         self.inner.slots.borrow().len()
     }
 
@@ -452,6 +470,59 @@ mod tests {
             pool.release(b);
         }
         assert!(take_leak_report().is_none());
+    }
+
+    /// Random grab / clone / release sequences hand out exactly the
+    /// descriptors of a free stack that holds every slot from the start
+    /// (the model), and the pool backs only its high-water mark.
+    #[test]
+    fn descriptors_follow_the_eager_free_stack() {
+        use pandora_prop::{check, Rng, Tape};
+        fn ops(tape: &mut Tape) -> (usize, Vec<(u8, usize)>) {
+            let capacity = tape.gen_range(1..=16usize);
+            let len = tape.gen_range(0..200usize);
+            let ops = (0..len)
+                .map(|_| (tape.gen_range(0..3u8), tape.gen_range(0..=usize::MAX)))
+                .collect();
+            (capacity, ops)
+        }
+        check("pool_free_stack", 1, 500, ops, |(capacity, ops)| {
+            let pool = Pool::new(*capacity);
+            let mut model: Vec<usize> = (0..*capacity).rev().collect();
+            let (mut live, mut high_water) = (Vec::new(), 0);
+            for &(op, pick) in ops {
+                match op {
+                    0 => match model.pop() {
+                        Some(slot) => {
+                            assert_eq!(pool.try_alloc(slot), Ok(Descriptor(slot)));
+                            live.push(Descriptor(slot));
+                            high_water = high_water.max(slot + 1);
+                        }
+                        None => assert_eq!(pool.try_alloc(usize::MAX), Err(usize::MAX)),
+                    },
+                    _ if live.is_empty() => {}
+                    1 => {
+                        let d = live[pick % live.len()];
+                        pool.add_refs(d, 1);
+                        live.push(d);
+                    }
+                    _ => {
+                        let d = live.swap_remove(pick % live.len());
+                        let last = !live.contains(&d);
+                        assert_eq!(pool.release(d), last.then_some(d.0));
+                        if last {
+                            model.push(d.0);
+                        }
+                    }
+                }
+                assert_eq!(pool.free_count(), model.len());
+                assert_eq!(pool.backed(), high_water);
+                assert_eq!(pool.capacity(), *capacity);
+            }
+            for d in live {
+                pool.release(d);
+            }
+        });
     }
 
     #[test]

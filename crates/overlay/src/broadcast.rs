@@ -1037,7 +1037,9 @@ impl RelayTask {
             match msg {
                 Msg::Slice(slice) => {
                     let arrived = t.as_nanos();
-                    if let Accept::Duplicate = inboxes.receivers[viewer].accept(&slice, arrived) {
+                    if let Accept::Duplicate | Accept::Refused =
+                        inboxes.receivers[viewer].accept(&slice, arrived)
+                    {
                         continue;
                     }
                     if !relays.keep(viewer, &slice) {

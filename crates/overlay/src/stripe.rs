@@ -116,6 +116,10 @@ pub enum Accept {
         /// Arrived within the playout budget.
         on_time: bool,
     },
+    /// Not a slice of this receiver's stripes — a tree past `k`, a
+    /// sequence off its tree, or one whose successor would overflow — and
+    /// dropped like a duplicate.
+    Refused,
 }
 
 /// Stripe trees a topology may have: a receiver and a heartbeat keep
@@ -179,17 +183,30 @@ impl StripeReceiver {
         }
     }
 
-    /// Classifies and accounts one arriving slice.
+    /// Classifies and accounts one arriving slice. A slice that is not
+    /// on one of the `k` stripes, or whose stripe could not advance past
+    /// it, is [`Accept::Refused`] and changes nothing.
     pub fn accept(&mut self, slice: &Slice, now_nanos: u64) -> Accept {
-        let t = slice.tree as usize;
         let k = u32::from(self.k);
-        debug_assert_eq!(slice.seq % k, t as u32, "slice on the wrong stripe");
+        if slice.tree >= self.k {
+            return Accept::Refused;
+        }
+        let t = usize::from(slice.tree);
+        // `next[t]` is always on tree t, so a slice is on it exactly when
+        // it lies a whole number of rounds away.
+        let distance = slice.seq.abs_diff(self.next[t]);
+        if !distance.is_multiple_of(k) {
+            return Accept::Refused;
+        }
         if slice.seq < self.next[t] {
             self.dupes += 1;
             return Accept::Duplicate;
         }
-        let gap = (slice.seq - self.next[t]) / k;
-        self.next[t] = slice.seq + k;
+        let Some(after) = slice.seq.checked_add(k) else {
+            return Accept::Refused;
+        };
+        let gap = distance / k;
+        self.next[t] = after;
         let on_time = now_nanos.saturating_sub(slice.stamp) <= self.playout_nanos;
         if !on_time {
             self.late += 1;
@@ -396,6 +413,96 @@ mod tests {
             assert!(std::ptr::eq(Arc::as_ptr(&h.burst), original));
         }
         assert_eq!(Arc::strong_count(&s.burst), 1_001);
+    }
+
+    /// Hostile slices: any tree, sequences near zero, near `u32::MAX` or
+    /// anywhere, and arbitrary times. None panics, every call is a
+    /// delivery, a dupe or a refusal, and no stripe's resume point moves
+    /// back.
+    #[test]
+    fn hostile_slices_are_refused_and_never_rewind_a_stripe() {
+        use pandora_prop::{check, Rng, Tape};
+        type Hostile = (u8, u32, u64, u64, u64);
+        fn hostile(tape: &mut Tape) -> (usize, Vec<Hostile>) {
+            let k = tape.gen_range(1..=MAX_TREES);
+            let slices = (0..100)
+                .map(|_| {
+                    let seq = match tape.gen_range(0..3u8) {
+                        0 => tape.gen_range(0..64u32),
+                        1 => u32::MAX - tape.gen_range(0..64u32),
+                        _ => tape.gen_range(0..=u32::MAX),
+                    };
+                    let tree = if tape.gen_bool(0.5) {
+                        (seq % k as u32) as u8
+                    } else {
+                        tape.gen_range(0..=u8::MAX)
+                    };
+                    (tree, seq, tape.next_u64(), tape.next_u64(), tape.next_u64())
+                })
+                .collect();
+            (k, slices)
+        }
+        let burst = Arc::new(burst_gather(Vci(9), &[], &[0xAB; 48], 0));
+        check("hostile_slices", 1, 1_000, hostile, |(k, slices)| {
+            let mut rx = StripeReceiver::new(*k, 1_000_000);
+            let mut refused = 0;
+            for (calls, &(tree, seq, stamp, sent, now)) in (1u64..).zip(slices) {
+                let before = rx.next_expected().to_vec();
+                let burst = burst.clone();
+                let s = Slice {
+                    tree,
+                    seq,
+                    stamp,
+                    sent,
+                    burst,
+                };
+                if rx.accept(&s, now) == Accept::Refused {
+                    refused += 1;
+                }
+                assert_eq!(rx.delivered() + rx.dupes() + refused, calls);
+                let after = rx.next_expected();
+                assert!(
+                    before.iter().zip(after).all(|(b, a)| a >= b),
+                    "{before:?} -> {after:?}"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn off_stripe_and_overflowing_slices_are_refused() {
+        let mut rx = StripeReceiver::new(2, u64::MAX);
+        let mut s = slice(2, 0, 0, 0);
+        // A tree past eight, a tree in k..8, two sequences off their tree,
+        // and the last sequence of each tree, whose successor overflows.
+        let refused = [
+            (8u8, 0u32),
+            (255, 1),
+            (2, 2),
+            (0, 1),
+            (1, u32::MAX),
+            (0, u32::MAX - 1),
+        ];
+        for (tree, seq) in refused {
+            s.tree = tree;
+            s.seq = seq;
+            assert_eq!(
+                rx.accept(&s, 1_000),
+                Accept::Refused,
+                "tree {tree} seq {seq}"
+            );
+        }
+        assert_eq!((rx.delivered(), rx.dupes()), (0, 0));
+        assert_eq!(rx.next_expected(), &[0, 1]);
+        s.tree = 0;
+        s.seq = u32::MAX - 3;
+        let gap = (u32::MAX - 3) / 2;
+        let on_time = true;
+        assert_eq!(
+            rx.accept(&s, 2_000),
+            Accept::DeliveredAfterGap { gap, on_time }
+        );
+        assert_eq!(rx.next_expected(), &[u32::MAX - 1, 1]);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! # pandora-slab — slab-backed refcounted byte regions
 //!
-//! The byte-level half of the §3.4 allocator. Where [`pandora-buffers`]'
+//! The byte-level half of the §3.4 allocator. Where `pandora-buffers`'
 //! `Pool` reference-counts *descriptors* (indices of typed values), this
-//! crate owns the payload *bytes* themselves: an arena of a fixed number
-//! of fixed-capacity slab regions, each backed with memory the first
-//! time it is handed out and kept from then on, handed out as refcounted
-//! [`SlabRef`] slices. The free list is LIFO, so an arena backs exactly
-//! its high-water mark of concurrently live regions and allocates
-//! nothing once that mark is reached — an idle box does not pay for the
-//! streams it could carry. Cloning a `SlabRef` bumps a counter;
+//! crate owns the payload *bytes* themselves: an arena of at most a fixed
+//! number of fixed-capacity slab regions, handed out as refcounted
+//! [`SlabRef`] slices. A region's slot is added to the table the first
+//! time it is handed out, with `slab_bytes` reserved and kept from then
+//! on, and holds only the bytes written into it. The free list is LIFO,
+//! so an arena backs exactly its high-water mark of concurrently live
+//! regions and allocates nothing once that mark is reached — an idle box
+//! does not pay for the streams it could carry. Cloning a `SlabRef` bumps a counter;
 //! subslicing is O(1); nothing is memcpy'd until a device boundary is
 //! crossed.
 //!
@@ -63,25 +64,26 @@ impl std::error::Error for SlabError {}
 
 struct Slot {
     refs: u32,
-    len: usize,
-    /// The region's bytes, allocated the first time the slot is grabbed
-    /// and never given back. `None` before that (the slot is then free,
-    /// `refs == 0`) and while a [`SlabWriter`] owns the buffer outright
-    /// (`refs >= 1`) — writers take it out so the append hot path indexes
-    /// a plain slice with no per-call borrow of shared state.
-    buf: Option<Box<[u8]>>,
+    /// The region's bytes: exactly those written, in a buffer reserved at
+    /// `slab_bytes` when the slot is first grabbed and never given back.
+    /// Empty while a [`SlabWriter`] owns the buffer outright — writers
+    /// take it out so the append hot path touches no shared state.
+    buf: Vec<u8>,
 }
 
 struct SlabInner {
+    /// One slot per region ever handed out, in first-use order: the
+    /// table grows on demand up to `count`, so every slot in it is
+    /// backed.
     slots: RefCell<Vec<Slot>>,
+    /// Freed slots, most recently freed on top.
     free: RefCell<Vec<usize>>,
+    count: usize,
     slab_bytes: usize,
     /// Live `ByteSlab` handles; the leak audit fires when the last drops
     /// (`SlabRef`s keep the `Rc` alive, so `Drop` of the inner cannot be
     /// the trigger as it is for the descriptor pool).
     handles: Cell<usize>,
-    /// Slots ever given their buffer.
-    backed: Cell<usize>,
     allocations: Cell<u64>,
     alloc_failures: Cell<u64>,
     copied_in: Cell<u64>,
@@ -101,7 +103,6 @@ impl SlabInner {
         debug_assert!(slot.refs > 0, "decref of a free slab {index}");
         slot.refs -= 1;
         if slot.refs == 0 {
-            slot.len = 0;
             drop(slots);
             self.free.borrow_mut().push(index);
         }
@@ -155,8 +156,10 @@ impl Drop for ByteSlab {
         if handles > 0 {
             return;
         }
-        let slots = self.inner.slots.borrow();
-        let leaked: Vec<(usize, u32)> = slots
+        let leaked: Vec<(usize, u32)> = self
+            .inner
+            .slots
+            .borrow()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.refs > 0)
@@ -165,19 +168,16 @@ impl Drop for ByteSlab {
         if leaked.is_empty() {
             return;
         }
+        let capacity = self.inner.count;
         eprintln!(
-            "pandora-slab: arena dropped with {} referenced slab(s) of {}:",
-            leaked.len(),
-            slots.len()
+            "pandora-slab: arena dropped with {} referenced slab(s) of {capacity}:",
+            leaked.len()
         );
         for (i, refs) in &leaked {
             eprintln!("  slab {i} with {refs} outstanding reference(s)");
         }
         LAST_SLAB_LEAK.with(|l| {
-            *l.borrow_mut() = Some(SlabLeakReport {
-                capacity: slots.len(),
-                leaked,
-            });
+            *l.borrow_mut() = Some(SlabLeakReport { capacity, leaked });
         });
     }
 }
@@ -194,8 +194,8 @@ impl fmt::Debug for ByteSlab {
 
 impl ByteSlab {
     /// Creates an arena of `count` slabs of `slab_bytes` bytes each.
-    /// Only the slot table is reserved here: `count` caps how many
-    /// regions can be live at once, and a slot gets its `slab_bytes` the
+    /// Nothing is reserved here: `count` caps how many regions can be
+    /// live at once, and a slot joins the table with its `slab_bytes` the
     /// first time it is handed out (see [`ByteSlab::backed`]).
     ///
     /// # Panics
@@ -204,20 +204,13 @@ impl ByteSlab {
     pub fn new(count: usize, slab_bytes: usize) -> ByteSlab {
         assert!(count > 0, "slab count must be non-zero");
         assert!(slab_bytes > 0, "slab size must be non-zero");
-        let slots = (0..count)
-            .map(|_| Slot {
-                refs: 0,
-                len: 0,
-                buf: None,
-            })
-            .collect();
         ByteSlab {
             inner: Rc::new(SlabInner {
-                slots: RefCell::new(slots),
-                free: RefCell::new((0..count).rev().collect()),
+                slots: RefCell::new(Vec::new()),
+                free: RefCell::new(Vec::new()),
+                count,
                 slab_bytes,
                 handles: Cell::new(1),
-                backed: Cell::new(0),
                 allocations: Cell::new(0),
                 alloc_failures: Cell::new(0),
                 copied_in: Cell::new(0),
@@ -226,31 +219,33 @@ impl ByteSlab {
         }
     }
 
+    /// Hands out the most recently freed slot, else the lowest slot never
+    /// used — the order of a free stack holding every slot from the
+    /// start, without writing that stack.
     #[inline]
     fn grab_slot(&self) -> Result<usize, SlabError> {
-        match self.inner.free.borrow_mut().pop() {
-            Some(index) => {
-                let mut slots = self.inner.slots.borrow_mut();
-                let slot = &mut slots[index];
-                slot.refs = 1;
-                slot.len = 0;
-                if slot.buf.is_none() {
-                    // First use of this slot: a free slot without its
-                    // buffer has never been grabbed (only a writer takes
-                    // a buffer out, and it puts it back before freeing).
-                    slot.buf = Some(vec![0u8; self.inner.slab_bytes].into_boxed_slice());
-                    self.inner.backed.set(self.inner.backed.get() + 1);
-                }
-                self.inner.allocations.set(self.inner.allocations.get() + 1);
-                Ok(index)
+        let mut slots = self.inner.slots.borrow_mut();
+        let index = match self.inner.free.borrow_mut().pop() {
+            Some(index) => index,
+            None if slots.len() < self.inner.count => {
+                slots.push(Slot {
+                    refs: 0,
+                    buf: Vec::with_capacity(self.inner.slab_bytes),
+                });
+                slots.len() - 1
             }
             None => {
                 self.inner
                     .alloc_failures
                     .set(self.inner.alloc_failures.get() + 1);
-                Err(SlabError::Exhausted)
+                return Err(SlabError::Exhausted);
             }
-        }
+        };
+        let slot = &mut slots[index];
+        slot.refs = 1;
+        slot.buf.clear();
+        self.inner.allocations.set(self.inner.allocations.get() + 1);
+        Ok(index)
     }
 
     /// Allocates a slab and copies `data` into it — an *input* copy,
@@ -266,14 +261,9 @@ impl ByteSlab {
             });
         }
         let index = self.grab_slot()?;
-        {
-            let mut slots = self.inner.slots.borrow_mut();
-            let slot = &mut slots[index];
-            #[allow(clippy::expect_used, reason = "grabbed slots always hold their buffer")]
-            let buf = slot.buf.as_mut().expect("allocated slab owns its buffer");
-            buf[..data.len()].copy_from_slice(data);
-            slot.len = data.len();
-        }
+        self.inner.slots.borrow_mut()[index]
+            .buf
+            .extend_from_slice(data);
         self.inner
             .copied_in
             .set(self.inner.copied_in.get() + data.len() as u64);
@@ -293,16 +283,11 @@ impl ByteSlab {
     #[inline]
     pub fn try_writer(&self) -> Result<SlabWriter, SlabError> {
         let index = self.grab_slot()?;
-        #[allow(clippy::expect_used, reason = "grabbed slots always hold their buffer")]
-        let buf = self.inner.slots.borrow_mut()[index]
-            .buf
-            .take()
-            .expect("allocated slab owns its buffer");
+        let buf = std::mem::take(&mut self.inner.slots.borrow_mut()[index].buf);
         Ok(SlabWriter {
             inner: self.inner.clone(),
             index,
             buf,
-            written: 0,
             frozen: false,
         })
     }
@@ -314,19 +299,19 @@ impl ByteSlab {
 
     /// Total slabs in the arena.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.borrow().len()
+        self.inner.count
     }
 
     /// Slabs ever backed with memory: the high-water mark of regions
     /// live at once, since the LIFO free list reuses a backed slot
     /// before it touches a fresh one.
     pub fn backed(&self) -> usize {
-        self.inner.backed.get()
+        self.inner.slots.borrow().len()
     }
 
-    /// Slabs currently free.
+    /// Slabs currently free: freed ones plus those never used.
     pub fn free_count(&self) -> usize {
-        self.inner.free.borrow().len()
+        self.inner.free.borrow().len() + self.inner.count - self.backed()
     }
 
     /// Total successful slab allocations.
@@ -441,16 +426,10 @@ impl SlabRef {
     /// Reads the bytes without copying (parsing, checksums, size math).
     #[inline]
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        let slots = self.inner.slots.borrow();
         // `SlabRef`s are only minted by `try_alloc_copy` and `freeze`,
         // both of which leave the buffer in the slot; a writer (the
         // only taker of a buffer) holds no `SlabRef`.
-        #[allow(clippy::expect_used, reason = "refs exist only for buffered slots")]
-        let buf = slots[self.index]
-            .buf
-            .as_ref()
-            .expect("referenced slab owns its buffer");
-        f(&buf[self.offset..self.offset + self.len])
+        f(&self.inner.slots.borrow()[self.index].buf[self.offset..self.offset + self.len])
     }
 
     /// Reads the bytes for a copy *out* of the arena; counts `len` bytes
@@ -481,8 +460,7 @@ impl SlabRef {
 pub struct SlabWriter {
     inner: Rc<SlabInner>,
     index: usize,
-    buf: Box<[u8]>,
-    written: usize,
+    buf: Vec<u8>,
     frozen: bool,
 }
 
@@ -490,7 +468,7 @@ impl fmt::Debug for SlabWriter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SlabWriter")
             .field("slab", &self.index)
-            .field("written", &self.written)
+            .field("written", &self.buf.len())
             .finish()
     }
 }
@@ -504,30 +482,30 @@ impl SlabWriter {
     /// the bytes written so far stay intact.
     #[inline]
     pub fn append(&mut self, data: &[u8]) -> Result<(), SlabError> {
-        if self.written + data.len() > self.buf.len() {
+        let needed = self.buf.len() + data.len();
+        if needed > self.inner.slab_bytes {
             return Err(SlabError::TooLarge {
-                needed: self.written + data.len(),
-                slab_bytes: self.buf.len(),
+                needed,
+                slab_bytes: self.inner.slab_bytes,
             });
         }
-        self.buf[self.written..self.written + data.len()].copy_from_slice(data);
-        self.written += data.len();
+        self.buf.extend_from_slice(data);
         Ok(())
     }
 
     /// Bytes appended so far.
     pub fn len(&self) -> usize {
-        self.written
+        self.buf.len()
     }
 
     /// True when nothing has been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.written == 0
+        self.buf.is_empty()
     }
 
     /// Bytes still available in the slab.
     pub fn remaining(&self) -> usize {
-        self.inner.slab_bytes - self.written
+        self.inner.slab_bytes - self.buf.len()
     }
 
     /// Freezes the written region into an immutable [`SlabRef`],
@@ -535,20 +513,16 @@ impl SlabWriter {
     #[inline]
     pub fn freeze(mut self) -> SlabRef {
         self.frozen = true;
-        {
-            let mut slots = self.inner.slots.borrow_mut();
-            let slot = &mut slots[self.index];
-            slot.buf = Some(std::mem::take(&mut self.buf));
-            slot.len = self.written;
-        }
+        let len = self.buf.len();
+        self.inner.slots.borrow_mut()[self.index].buf = std::mem::take(&mut self.buf);
         self.inner
             .copied_in
-            .set(self.inner.copied_in.get() + self.written as u64);
+            .set(self.inner.copied_in.get() + len as u64);
         SlabRef {
             inner: self.inner.clone(),
             index: self.index,
             offset: 0,
-            len: self.written,
+            len,
         }
     }
 }
@@ -557,7 +531,7 @@ impl Drop for SlabWriter {
     fn drop(&mut self) {
         if !self.frozen {
             // Abandoned region: hand the buffer back before freeing.
-            self.inner.slots.borrow_mut()[self.index].buf = Some(std::mem::take(&mut self.buf));
+            self.inner.slots.borrow_mut()[self.index].buf = std::mem::take(&mut self.buf);
             self.inner.decref(self.index);
         }
     }
@@ -792,6 +766,109 @@ mod tests {
         let report = take_slab_leak_report().expect("slab leak audit must fire");
         assert_eq!(report.capacity, 4);
         assert_eq!(report.leaked, vec![(1, 1)]);
+    }
+
+    /// Random grab / clone / release sequences hand out exactly the slab
+    /// indices of a free stack that holds every slot from the start (the
+    /// model), and every region reads back exactly the bytes written.
+    #[test]
+    fn regions_follow_the_eager_free_stack() {
+        use pandora_prop::{check, Rng, Tape};
+        fn ops(tape: &mut Tape) -> (usize, Vec<(u8, usize)>) {
+            let count = tape.gen_range(1..=16usize);
+            let len = tape.gen_range(0..200usize);
+            let ops = (0..len)
+                .map(|_| (tape.gen_range(0..5u8), tape.gen_range(0..=usize::MAX)))
+                .collect();
+            (count, ops)
+        }
+        check("slab_free_stack", 1, 500, ops, |(count, ops)| {
+            let slab = ByteSlab::new(*count, 64);
+            let mut model: Vec<usize> = (0..*count).rev().collect();
+            let (mut live, mut high_water) = (Vec::<SlabRef>::new(), 0);
+            for &(op, pick) in ops {
+                let bytes: Vec<u8> = (0..pick % 65)
+                    .map(|i| (pick >> 8) as u8 ^ i as u8)
+                    .collect();
+                match op {
+                    0..=2 => match model.pop() {
+                        Some(slot) => {
+                            let r = match op {
+                                0 => slab.try_alloc_copy(&bytes).unwrap(),
+                                1 => {
+                                    let mut w = slab.try_writer().unwrap();
+                                    w.append(&bytes).unwrap();
+                                    w.freeze()
+                                }
+                                _ => {
+                                    // An abandoned writer frees its slot
+                                    // again at once.
+                                    drop(slab.try_writer().unwrap());
+                                    model.push(slot);
+                                    high_water = high_water.max(slot + 1);
+                                    continue;
+                                }
+                            };
+                            assert_eq!(r.slab_index(), slot);
+                            r.with(|b| assert_eq!(b, &bytes[..]));
+                            live.push(r);
+                            high_water = high_water.max(slot + 1);
+                        }
+                        None => assert_eq!(slab.try_writer().unwrap_err(), SlabError::Exhausted),
+                    },
+                    _ if live.is_empty() => {}
+                    3 => live.push(live[pick % live.len()].clone()),
+                    _ => {
+                        let r = live.swap_remove(pick % live.len());
+                        if r.ref_count() == 1 {
+                            model.push(r.slab_index());
+                        }
+                    }
+                }
+                assert_eq!(slab.free_count(), model.len());
+                assert_eq!(slab.backed(), high_water);
+                assert_eq!(slab.capacity(), *count);
+            }
+        });
+    }
+
+    /// A region holds the bytes written and no more: its length is the
+    /// frame's, the cap is still `slab_bytes`, and a reused region shows
+    /// nothing of its last frame past the new length.
+    #[test]
+    fn a_region_commits_only_the_bytes_written() {
+        let slab = ByteSlab::new(2, 1024);
+        let region_len = |slab: &ByteSlab, i: usize| slab.inner.slots.borrow()[i].buf.len();
+        let frame = slab.try_alloc_copy(&[0xAA; 200]).unwrap();
+        assert_eq!((frame.len(), region_len(&slab, 0)), (200, 200));
+        assert!(slab.inner.slots.borrow()[0].buf.capacity() >= 1024);
+        drop(frame);
+
+        let again = slab.try_alloc_copy(&[1, 2, 3]).unwrap();
+        assert_eq!((again.slab_index(), region_len(&slab, 0)), (0, 3));
+        again.with(|b| assert_eq!(b, &[1, 2, 3]));
+        drop(again);
+        let mut w = slab.try_writer().unwrap();
+        assert_eq!((w.len(), w.buf.len(), w.remaining()), (0, 0, 1024));
+        w.append(&[7; 5]).unwrap();
+        let r = w.freeze();
+        assert_eq!((r.slab_index(), region_len(&slab, 0)), (0, 5));
+        r.with(|b| assert_eq!(b, &[7; 5]));
+        drop(r);
+
+        let full = slab.try_alloc_copy(&[0; 1024]).unwrap();
+        let too_large = SlabError::TooLarge {
+            needed: 1025,
+            slab_bytes: 1024,
+        };
+        assert_eq!(slab.try_alloc_copy(&[0; 1025]).unwrap_err(), too_large);
+        let mut w = slab.try_writer().unwrap();
+        w.append(&[0; 1000]).unwrap();
+        assert_eq!(w.append(&[0; 25]).unwrap_err(), too_large);
+        w.append(&[0; 24]).unwrap();
+        assert_eq!(w.remaining(), 0);
+        assert_eq!((full.len(), w.freeze().len()), (1024, 1024));
+        assert_eq!(slab.backed(), 2);
     }
 
     #[test]

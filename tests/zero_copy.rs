@@ -8,7 +8,7 @@ use pandora_atm::{cells_gather, HopConfig, SlabReassembler, Vci};
 use pandora_audio::gen::{Speech, Tone};
 use pandora_buffers::ByteSlab;
 use pandora_segment::{wire, AudioSegment, Segment, SequenceNumber, SlabSegment, Timestamp};
-use pandora_session::{Star, StarConfig, StreamClass};
+use pandora_session::{Star, StarConfig, StarNode, StreamClass};
 use pandora_sim::{SimTime, Simulation};
 use pandora_video::dpcm::LineMode;
 use pandora_video::{CaptureConfig, RateFraction, Rect};
@@ -120,49 +120,130 @@ fn steady_state_hop_stays_within_two_copies() {
     assert_two_copy_bound("b", &pair.b, a_cells + b_cells);
 }
 
-/// An idle box is free and a busy one stops allocating: the slab backs a
-/// slot the first time it is used, so a conference box holds its
-/// high-water mark of live regions — a handful, not the arena's 288 —
-/// and none after warm-up.
-#[test]
-fn conference_boxes_back_a_few_slabs_and_none_after_warm_up() {
+/// A box's slab and pool high-water marks: the regions and descriptors
+/// it has ever held at once.
+fn high_water(node: &StarNode) -> [usize; 2] {
+    [node.boxy.slab.backed(), node.boxy.pool.backed()]
+}
+
+/// One box of [`three_speakers`]: its high-water marks after the warm-up
+/// second and after the second that follows.
+struct Marks {
+    name: &'static str,
+    speaks: bool,
+    warm: [usize; 2],
+    end: [usize; 2],
+}
+
+/// Runs an `n`-box star built from `config` in which boxes 1 to 3 speak
+/// and every other box hears all three: one simulated second to warm up,
+/// then one more. Gives every box's marks, speakers first.
+fn three_speakers(n: usize, config: StarConfig) -> Vec<Marks> {
     let mut sim = Simulation::new();
-    let star = Star::build(&sim.spawner(), 4, StarConfig::default());
+    let star = Star::build(&sim.spawner(), n, config);
     for node in &star.nodes {
-        assert_eq!(
-            node.boxy.slab.backed(),
-            0,
-            "{}: backed before use",
-            node.name
-        );
+        assert_eq!(high_water(node), [0, 0], "{}: backed before use", node.name);
     }
-    let listener = star.nodes[0].endpoint;
-    let calls: Vec<_> = (1..4)
-        .map(|i| {
-            let mic = star.nodes[i]
+    let (speakers, listeners): (Vec<&StarNode>, Vec<&StarNode>) = star
+        .nodes
+        .iter()
+        .partition(|node| (1..4).contains(&node.index));
+    let calls: Vec<_> = speakers
+        .iter()
+        .map(|node| {
+            let mic = node
                 .boxy
-                .start_audio_source(Box::new(Speech::new(i as u64)));
-            (star.nodes[i].endpoint, mic)
+                .start_audio_source(Box::new(Speech::new(node.index as u64)));
+            (node.endpoint, mic)
         })
         .collect();
+    let ears: Vec<_> = listeners.iter().map(|node| node.endpoint).collect();
     let controller = star.controller.clone();
     sim.spawn("host", async move {
         for (speaker, mic) in calls {
             let s = controller.open(speaker, mic, StreamClass::Audio).unwrap();
-            controller.add_listener(s, listener).await.unwrap();
+            for &ear in &ears {
+                controller.add_listener(s, ear).await.unwrap();
+            }
         }
     });
     sim.run_until(SimTime::from_secs(1));
-    let warm: Vec<usize> = star.nodes.iter().map(|n| n.boxy.slab.backed()).collect();
+    let boxes: Vec<(&StarNode, bool)> = speakers
+        .iter()
+        .map(|&node| (node, true))
+        .chain(listeners.iter().map(|&node| (node, false)))
+        .collect();
+    let warm: Vec<_> = boxes.iter().map(|(node, _)| high_water(node)).collect();
     sim.run_until(SimTime::from_secs(2));
-    assert!(star.nodes[0].boxy.speaker.segments_received() > 1_000);
-    for (node, warm) in star.nodes.iter().zip(warm) {
-        let backed = node.boxy.slab.backed();
+    for node in &listeners {
         assert!(
-            (1..=32).contains(&backed),
-            "{}: {backed} slabs backed",
+            node.boxy.speaker.segments_received() > 1_000,
+            "{}: heard too little",
             node.name
         );
-        assert_eq!(backed, warm, "{}: backed a slab after warm-up", node.name);
+    }
+    boxes
+        .into_iter()
+        .zip(warm)
+        .map(|((node, speaks), warm)| Marks {
+            name: node.name,
+            speaks,
+            warm,
+            end: high_water(node),
+        })
+        .collect()
+}
+
+/// An idle box is free and a busy one stops allocating: the slab and the
+/// pool back a slot the first time it is used, so every box of a default
+/// four-box conference, speakers and listener alike, holds its high-water
+/// mark of live regions and descriptors — a handful, not the arena's 288
+/// or the pool's 256 — and backs none after warm-up.
+#[test]
+fn conference_boxes_back_a_few_slabs_and_none_after_warm_up() {
+    let boxes = three_speakers(4, StarConfig::default());
+    assert_eq!(boxes.len(), 4);
+    for Marks {
+        name, warm, end, ..
+    } in boxes
+    {
+        let [slabs, descriptors] = end;
+        assert!((1..=32).contains(&slabs), "{name}: {slabs} slabs backed");
+        assert!(
+            (1..=32).contains(&descriptors),
+            "{name}: {descriptors} descriptors backed of 256"
+        );
+        assert_eq!(end, warm, "{name}: backed more after warm-up");
+    }
+}
+
+/// Per-box buffer memory follows the streams a box carries, not the
+/// number of boxes: a listener of three speakers backs the same slabs and
+/// descriptors in a 64-box conference as in a 16-box one.
+///
+/// A speaker sends one copy of each segment per listener, all in one
+/// instant, and its audio network buffer (eight segments by default,
+/// figure 3.7) drops the copies past its eleventh listener or so; both
+/// conferences size it to hold a copy for every box.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "64 boxes for two simulated seconds: run in the optimised test step"
+)]
+fn a_listener_backs_as_much_in_a_64_box_conference_as_in_a_16_box_one() {
+    let listeners = |n| {
+        let config = StarConfig {
+            box_config: |name| BoxConfig {
+                audio_net_buffer: 64,
+                ..BoxConfig::standard(name)
+            },
+            ..StarConfig::default()
+        };
+        three_speakers(n, config).into_iter().filter(|b| !b.speaks)
+    };
+    let small: Vec<Marks> = listeners(16).collect();
+    let sixteen = small[0].end;
+    for Marks { name, end, .. } in small.into_iter().chain(listeners(64)) {
+        assert_eq!(end, sixteen, "{name}: a listener of 16 backs {sixteen:?}");
     }
 }
