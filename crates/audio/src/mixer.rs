@@ -118,6 +118,7 @@ impl Default for CpuProfile {
     }
 }
 
+#[cfg(test)]
 impl CpuProfile {
     /// CPU time to mix `streams` per 2 ms tick on the plain path
     /// (no jitter correction, no muting, no outgoing stream).

@@ -918,6 +918,92 @@ mod tests {
         assert!(reports.is_some(), "no gap report");
     }
 
+    /// One hostile segment: sequence, timestamp, whole blocks, then mix
+    /// ticks before the next.
+    type Hostile = (u32, u32, usize, u32);
+
+    fn hostile_segments(t: &mut pandora_prop::Tape) -> Vec<Hostile> {
+        use pandora_prop::Rng;
+        let mut seq = t.gen_range(0..=u32::MAX);
+        (0..1_000)
+            .map(|_| {
+                seq = match t.gen_range(0..10u8) {
+                    0..=4 => seq.wrapping_add(1),
+                    5 => seq.wrapping_add(t.gen_range(2..40u32)),
+                    6 => seq.wrapping_sub(t.gen_range(0..8u32)),
+                    7 => seq.wrapping_add((1 << 31) - t.gen_range(0..2u32)),
+                    8 => u32::MAX - t.gen_range(0..3u32),
+                    _ => t.gen_range(0..=u32::MAX),
+                };
+                let ts = match t.gen_range(0..4u8) {
+                    0 => u32::MAX - t.gen_range(0..4u32),
+                    1 => t.gen_range(0..4u32),
+                    _ => t.gen_range(0..=u32::MAX),
+                };
+                (seq, ts, t.gen_range(0..=16), t.gen_range(0..4))
+            })
+            .collect()
+    }
+
+    /// Segments as a hostile or broken sender could make them, into one
+    /// stream: no panic with overflow checks on, at most
+    /// `conceal_cap_blocks` concealed per call, no stream buffered past
+    /// the clawback cap, and every call counted once, received or stale.
+    #[test]
+    fn hostile_segments_are_concealed_capped_and_counted() {
+        let config = PlaybackConfig::default();
+        let cap_ns = config.clawback.per_stream_limit_blocks as u64 * BLOCK_DURATION_NANOS;
+        pandora_prop::check("hostile_audio", 1, 100, hostile_segments, |segments| {
+            let mut sim = Simulation::new();
+            let segments = segments.clone();
+            let config = config.clone();
+            let done = Rc::new(std::cell::Cell::new(false));
+            let finished = done.clone();
+            sim.spawn("sweep", async move {
+                let (rep_tx, _rep_rx) = unbounded::<Report>();
+                let mut reports = Reporter::new(rep_tx, "sweep", SimDuration::from_millis(1));
+                let sink = SpeakerSink::new();
+                let mut bank = ClawbackBank::new(config.clawback, ClawbackPool::new(2_000));
+                let mut concealers = Default::default();
+                let stream = StreamId(7);
+                for (calls, (seq, ts, blocks, ticks)) in (1..).zip(segments) {
+                    let seg = AudioSegment::from_blocks(
+                        pandora_segment::SequenceNumber(seq),
+                        Timestamp(ts),
+                        vec![0x55; blocks * pandora_segment::BLOCK_BYTES],
+                    );
+                    let concealed = sink.concealed();
+                    handle_segment(
+                        &mut bank,
+                        &mut concealers,
+                        &sink,
+                        &config,
+                        stream,
+                        seg,
+                        &mut reports,
+                    );
+                    let gap = sink.concealed() - concealed;
+                    assert!(gap <= config.conceal_cap_blocks as u64, "{gap} concealed");
+                    for _ in 0..ticks {
+                        bank.mix_tick();
+                    }
+                    let held = bank.delay_nanos(stream).unwrap_or(0);
+                    assert!(held <= cap_ns, "{held} ns held");
+                    {
+                        let i = sink.inner.borrow();
+                        let tracker = &i.seq[&stream];
+                        assert_eq!(tracker.received() + tracker.stale(), calls);
+                        assert_eq!(i.segments_in, calls);
+                    }
+                    pandora_sim::delay(SimDuration::from_micros(u64::from(ticks) * 500)).await;
+                }
+                finished.set(true);
+            });
+            sim.run_until_idle();
+            assert!(done.get(), "the sweep stopped early");
+        });
+    }
+
     #[test]
     fn arrival_jitter_measured() {
         let (mut sim, tx, sink, _cpu) = playback_rig(PlaybackConfig::default());

@@ -95,12 +95,9 @@ impl Fabric {
         self.switch.route_remove(vci, port);
     }
 
-    /// Installs one leg per `port` for `vci` in a single pass — the
-    /// overlay head-end shape: a broadcast source's `k` stripe feeds fan
-    /// out of the building through the fabric before the peer-to-peer
-    /// trees take over, so the whole first-hop fan-out is one routing
-    /// call. The first port replaces any existing route; the rest are
-    /// added as tannoy copies.
+    /// Installs one leg per `port` for `vci`: the first replaces any
+    /// existing route, the rest are added as tannoy copies.
+    #[cfg(test)]
     pub fn route_fanout(&self, vci: Vci, ports: &[usize]) {
         let mut ports = ports.iter();
         if let Some(&first) = ports.next() {

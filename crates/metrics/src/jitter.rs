@@ -1,7 +1,5 @@
 //! Inter-arrival jitter measurement.
 
-use crate::Histogram;
-
 /// Tracks the jitter of a nominally periodic arrival process.
 ///
 /// The paper (§3.7.2, §4.2) quotes jitter as the deviation of audio block
@@ -10,7 +8,8 @@ use crate::Histogram;
 /// transmitted through the same network interface". This tracker reproduces
 /// that notion: each arrival is compared against an ideal arrival clock that
 /// starts at the first observation and advances by the nominal period, and
-/// the *deviation* (actual − ideal, in the caller's time unit) is recorded.
+/// the *deviation* (actual − ideal, in the caller's time unit) is measured;
+/// the tracker keeps the smallest and the largest.
 ///
 /// It also keeps the classic RFC 3550 smoothed inter-arrival jitter
 /// estimate, which is useful for comparing against modern systems.
@@ -33,7 +32,9 @@ pub struct JitterTracker {
     last_arrival: Option<u64>,
     last_transit: f64,
     rfc3550: f64,
-    deviations: Histogram,
+    /// Smallest and largest deviation; ±∞ before the first arrival.
+    min_deviation: f64,
+    max_deviation: f64,
 }
 
 impl JitterTracker {
@@ -51,7 +52,8 @@ impl JitterTracker {
             last_arrival: None,
             last_transit: 0.0,
             rfc3550: 0.0,
-            deviations: Histogram::new(),
+            min_deviation: f64::INFINITY,
+            max_deviation: f64::NEG_INFINITY,
         }
     }
 
@@ -59,12 +61,15 @@ impl JitterTracker {
     pub fn arrival(&mut self, t: u64) {
         let first = *self.first.get_or_insert(t);
         let ideal = first as f64 + self.count as f64 * self.period as f64;
-        self.deviations.record(t as f64 - ideal);
+        let deviation = t as f64 - ideal;
+        self.min_deviation = self.min_deviation.min(deviation);
+        self.max_deviation = self.max_deviation.max(deviation);
         if let Some(last) = self.last_arrival {
             // RFC 3550: J += (|D| - J) / 16 where D is the difference of
             // consecutive transit-time deltas; with a fixed send cadence the
-            // transit delta is (gap - period).
-            let transit = (t - last) as f64 - self.period as f64;
+            // transit delta is (gap - period). The gap is taken in `f64`, so
+            // an arrival earlier than the last gives a negative gap.
+            let transit = (t as f64 - last as f64) - self.period as f64;
             let d = (transit - self.last_transit).abs();
             self.rfc3550 += (d - self.rfc3550) / 16.0;
             self.last_transit = transit;
@@ -80,31 +85,25 @@ impl JitterTracker {
 
     /// Largest positive deviation from the ideal cadence (lateness).
     pub fn max_deviation(&self) -> f64 {
-        self.deviations.max()
+        if self.count == 0 {
+            0.0
+        } else {
+            self.max_deviation
+        }
     }
 
     /// Peak-to-peak deviation (max − min), the "jitter" of §3.7.2.
     pub fn peak_to_peak(&self) -> f64 {
-        if self.deviations.is_empty() {
+        if self.count == 0 {
             0.0
         } else {
-            self.deviations.max() - self.deviations.min()
+            self.max_deviation - self.min_deviation
         }
-    }
-
-    /// Standard deviation of the cadence error.
-    pub fn stddev(&self) -> f64 {
-        self.deviations.stddev()
     }
 
     /// RFC 3550 smoothed inter-arrival jitter estimate.
     pub fn rfc3550(&self) -> f64 {
         self.rfc3550
-    }
-
-    /// The deviation distribution (actual − ideal arrival time).
-    pub fn deviations(&mut self) -> &mut Histogram {
-        &mut self.deviations
     }
 }
 
@@ -152,6 +151,19 @@ mod tests {
             t += 1_000;
         }
         assert!((j.rfc3550() - 400.0).abs() < 40.0, "got {}", j.rfc3550());
+    }
+
+    #[test]
+    fn an_earlier_arrival_gives_a_negative_gap() {
+        let mut j = JitterTracker::new(1_000);
+        for t in [5_000, 4_000, 7_000] {
+            j.arrival(t);
+        }
+        // Deviations 0, -2000 and 0; transits -2000 and +2000.
+        assert_eq!(j.peak_to_peak(), 2_000.0);
+        assert_eq!(j.max_deviation(), 0.0);
+        assert!(j.rfc3550().is_finite());
+        assert_eq!(j.rfc3550(), 125.0 + (4_000.0 - 125.0) / 16.0);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 mod counter;
 mod histogram;
 mod jitter;
+#[cfg(test)]
+mod model;
 mod series;
 mod table;
 mod timeline;

@@ -1,9 +1,12 @@
 //! Time-series traces for figure-style output.
 
+use std::sync::Arc;
+
 /// An append-only `(time, value)` trace.
 ///
 /// Used to regenerate figure-shaped results (the muting function of figure
 /// 4.1, clawback delay decay curves, ...). Times must be non-decreasing.
+/// Clones share the points until one side pushes.
 ///
 /// # Examples
 ///
@@ -17,7 +20,7 @@
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     name: String,
-    points: Vec<(u64, f64)>,
+    points: Arc<Vec<(u64, f64)>>,
 }
 
 impl TimeSeries {
@@ -25,7 +28,7 @@ impl TimeSeries {
     pub fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
-            points: Vec::new(),
+            points: Arc::default(),
         }
     }
 
@@ -42,7 +45,7 @@ impl TimeSeries {
             Some(&(last, _)) if t < last => last,
             _ => t,
         };
-        self.points.push((t, v));
+        Arc::make_mut(&mut self.points).push((t, v));
     }
 
     /// Number of points.
@@ -78,7 +81,7 @@ impl TimeSeries {
     /// used when printing long traces as figure data.
     pub fn downsample(&self, n: usize) -> Vec<(u64, f64)> {
         if n == 0 || self.points.len() <= n {
-            return self.points.clone();
+            return self.points.to_vec();
         }
         let mut out = Vec::with_capacity(n);
         let step = (self.points.len() - 1) as f64 / (n - 1) as f64;

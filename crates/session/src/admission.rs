@@ -198,8 +198,8 @@ impl AdmissionController {
         }
     }
 
-    /// Releases transmit bandwidth charged by
-    /// [`AdmissionController::admit_relay`] (pass the *granted* class).
+    /// Releases what `admit_relay` charged (pass the *granted* class).
+    #[cfg(test)]
     pub fn release_relay(&mut self, class: StreamClass, copies: u32) {
         self.tx_cps = self
             .tx_cps

@@ -140,8 +140,8 @@ impl Cpu {
         }
     }
 
-    /// Total virtual time this CPU has spent executing claims
-    /// (including context-switch surcharges).
+    /// Virtual time spent executing claims, context switches included.
+    #[cfg(test)]
     pub fn busy_time(&self) -> SimDuration {
         SimDuration(self.state.busy.get())
     }

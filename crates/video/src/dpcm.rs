@@ -125,23 +125,23 @@ pub fn compress_line(pixels: &[u8], mode: LineMode) -> Vec<u8> {
     out
 }
 
-/// Decompresses one line to `width` pixels.
-///
-/// Returns `None` on an unknown header or truncated payload.
+/// Decompresses one line to `width` pixels, or `None` on an unknown header
+/// or truncated payload: the per-line oracle of [`decompress_slice`].
+#[cfg(test)]
 pub fn decompress_line(data: &[u8], width: usize) -> Option<Vec<u8>> {
     let (&header, payload) = data.split_first()?;
-    let mode = LineMode::from_header(header)?;
-    match mode {
+    let dpcm_decode = |data, width| {
+        let mut out = Vec::with_capacity(width);
+        dpcm_decode_into(data, width, &mut out).map(|()| out)
+    };
+    match LineMode::from_header(header)? {
         LineMode::Raw => {
             if payload.len() < width {
                 return None;
             }
             Some(payload[..width].to_vec())
         }
-        LineMode::Dpcm => {
-            let px = dpcm_decode(payload, width)?;
-            Some(px)
-        }
+        LineMode::Dpcm => dpcm_decode(payload, width),
         LineMode::DpcmSub2 => {
             let half = width.div_ceil(2);
             let sub = dpcm_decode(payload, half)?;
@@ -180,12 +180,6 @@ fn dpcm_encode_into(pixels: &[u8], out: &mut Vec<u8>) {
     if let [p] = pairs.remainder() {
         out.push(quantise(*p as i32 - pred) << 4);
     }
-}
-
-fn dpcm_decode(data: &[u8], width: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(width);
-    dpcm_decode_into(data, width, &mut out)?;
-    Some(out)
 }
 
 // The chunked decode pass: one payload byte per iteration (two pixels),
@@ -333,9 +327,8 @@ pub(crate) fn compress_rows(
 }
 
 /// Decompresses `lines` consecutive line records into one `lines × width`
-/// pixel buffer, the row-chunked counterpart of calling
-/// [`decompress_line`] per record. Per-line modes may vary (each record
-/// carries its own header). Returns `None` on an unknown header or a
+/// pixel buffer, the row-chunked counterpart of decoding each record on
+/// its own. Per-line modes may vary (each record carries its own header). Returns `None` on an unknown header or a
 /// truncated record, like the per-line decoder — and, before anything is
 /// sized from them, on a `width` and `lines` (they come off the wire)
 /// that `data` could not hold even as the shortest records there are.
