@@ -89,23 +89,23 @@ pub fn clawback_adaptation() -> ClawbackAdaptResult {
     let epoch: Vec<f64> = series
         .points()
         .iter()
-        .filter(|&&(t, _)| t > 10_000_000_000 && t < step_at)
-        .map(|&(_, v)| v)
+        .filter(|&(t, _)| t > 10_000_000_000 && t < step_at)
+        .map(|(_, v)| v)
         .collect();
     let delay_during = epoch.iter().sum::<f64>() / epoch.len().max(1) as f64;
     let tail: Vec<f64> = series
         .points()
         .iter()
-        .filter(|&&(t, _)| t > 140_000_000_000)
-        .map(|&(_, v)| v)
+        .filter(|&(t, _)| t > 140_000_000_000)
+        .map(|(_, v)| v)
         .collect();
     let final_delay = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
     // First time after the step that delay ≤ 6ms (3 blocks).
     let reached = series
         .points()
         .iter()
-        .find(|&&(t, v)| t > step_at && v <= 6_000_000.0)
-        .map(|&(t, _)| (t - step_at) as f64 / 1e9)
+        .find(|&(t, v)| t > step_at && v <= 6_000_000.0)
+        .map(|(t, _)| (t - step_at) as f64 / 1e9)
         .unwrap_or(f64::INFINITY);
     let mut table = Table::new(
         "T5 (§3.7.2): clawback delay after jitter drops from 20 ms to 2 ms at t=30 s",
@@ -242,7 +242,7 @@ pub fn clock_drift_tolerance() -> DriftResult {
         let mut buf = Clawback::new(ClawbackConfig::default());
         let mut max_delay = 0f64;
         let series = drive_clawback(&mut buf, 600, |_| 0, drift);
-        for &(_, v) in series.points() {
+        for (_, v) in series.points() {
             max_delay = max_delay.max(v);
         }
         let drops = buf.stats().over_limit;

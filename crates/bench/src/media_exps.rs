@@ -53,7 +53,7 @@ pub fn muting_function() -> MutingResult {
         "T8 (fig 4.1): the muting function — mic gain vs time (loud speaker 10-20 ms)",
         &["t (ms)", "mic gain"],
     );
-    for &(t, v) in trace.points() {
+    for (t, v) in trace.points() {
         table.row_owned(vec![format!("{}", t / 1_000_000), format!("{v:.2}")]);
     }
     MutingResult {
@@ -365,7 +365,7 @@ mod tests {
             .trace
             .points()
             .iter()
-            .map(|&(_, v)| format!("{v:.2}"))
+            .map(|(_, v)| format!("{v:.2}"))
             .collect();
         assert_eq!(
             factors.into_iter().collect::<Vec<_>>(),

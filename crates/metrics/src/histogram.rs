@@ -4,15 +4,16 @@ use std::sync::Arc;
 
 /// A distribution of `f64` samples with exact quantile queries.
 ///
-/// Samples are stored; quantiles are computed by sorting on demand with the
-/// sorted order cached until the next insertion. This is appropriate for the
-/// simulation workloads in this workspace (up to a few million samples) and
-/// keeps quantiles exact, which matters when asserting paper figures in
-/// tests.
+/// Samples are stored; a quantile selects its sample in place, digit by
+/// digit over keys that order as [`f64::total_cmp`] does, without moving
+/// or copying one. This is appropriate for the simulation workloads in
+/// this workspace (up to a few million samples) and keeps quantiles exact,
+/// which matters when asserting paper figures in tests.
 ///
 /// While every sample is an integer in `0..=u32::MAX` (whole nanoseconds)
 /// it is kept as a `u32`; the storage widens to `f64`, exactly, on the first
-/// that is not. Clones share the storage until one side writes.
+/// that is not. Clones share the storage until one side writes, and a
+/// merge shares the other side's storage instead of copying it.
 ///
 /// # Examples
 ///
@@ -28,13 +29,15 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
+    /// What `record` wrote here.
     samples: Arc<Samples>,
-    sorted: bool,
+    /// The non-empty storage of every histogram merged in, shared.
+    parts: Vec<Arc<Samples>>,
     sum: f64,
 }
 
-/// The samples in recording order, or ascending once sorted: `narrow`
-/// while every one is an integer in `0..=u32::MAX`, then all in `wide`.
+/// Samples in recording order: `narrow` while every one is an integer in
+/// `0..=u32::MAX`, then all in `wide`.
 #[derive(Debug, Clone, Default)]
 struct Samples {
     narrow: Vec<u32>,
@@ -44,12 +47,6 @@ struct Samples {
 impl Samples {
     fn len(&self) -> usize {
         self.wide.as_ref().map_or(self.narrow.len(), Vec::len)
-    }
-
-    fn get(&self, i: usize) -> f64 {
-        self.wide
-            .as_ref()
-            .map_or_else(|| f64::from(self.narrow[i]), |w| w[i])
     }
 
     fn iter(&self) -> impl Iterator<Item = f64> + '_ {
@@ -64,33 +61,28 @@ impl Samples {
         if self.wide.is_none() && f64::from(narrow).to_bits() == v.to_bits() {
             self.narrow.push(narrow);
         } else {
-            self.widen().push(v);
+            let narrow = std::mem::take(&mut self.narrow);
+            self.wide
+                .get_or_insert_with(|| narrow.into_iter().map(f64::from).collect())
+                .push(v);
         }
     }
+}
 
-    fn extend(&mut self, other: &Samples) {
-        if self.wide.is_none() && other.wide.is_none() {
-            self.narrow.extend_from_slice(&other.narrow);
-        } else {
-            self.widen().extend(other.iter());
-        }
+/// The `u64` whose unsigned order is `total_cmp` order: a negative has
+/// every bit flipped, anything else only its sign. Samples with one key
+/// have the same bits.
+fn key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
+}
 
-    fn widen(&mut self) -> &mut Vec<f64> {
-        let narrow = std::mem::take(&mut self.narrow);
-        self.wide
-            .get_or_insert_with(|| narrow.into_iter().map(f64::from).collect())
-    }
-
-    /// Ascending `u32` order is `total_cmp` order of the same values as
-    /// `f64`, and samples equal under either are the same bits, so both
-    /// forms sort to the sequence a stable `total_cmp` sort gives.
-    fn sort(&mut self) {
-        match &mut self.wide {
-            Some(wide) => wide.sort_unstable_by(f64::total_cmp),
-            None => self.narrow.sort_unstable(),
-        }
-    }
+fn from_key(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
 impl Histogram {
@@ -105,13 +97,20 @@ impl Histogram {
             return;
         }
         Arc::make_mut(&mut self.samples).push(v);
-        self.sorted = false;
         self.sum += v;
+    }
+
+    fn storage(&self) -> impl Iterator<Item = &Samples> {
+        std::iter::once(&*self.samples).chain(self.parts.iter().map(|p| &**p))
+    }
+
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.storage().flat_map(Samples::iter).map(key)
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> usize {
-        self.samples.len()
+        self.storage().map(Samples::len).sum()
     }
 
     /// Returns `true` if no samples have been recorded.
@@ -128,51 +127,57 @@ impl Histogram {
         }
     }
 
-    /// Population standard deviation, or 0.0 when empty.
-    pub fn stddev(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.count() as f64;
-        var.sqrt()
-    }
-
-    /// Smallest sample, or 0.0 when empty.
+    /// Smallest sample in `total_cmp` order (so `-0.0` before `0.0`), or
+    /// 0.0 when empty.
     pub fn min(&self) -> f64 {
-        self.samples
-            .iter()
-            .fold(f64::INFINITY, f64::min)
-            .min_finite()
+        self.keys().min().map_or(0.0, from_key)
     }
 
-    /// Largest sample, or 0.0 when empty.
+    /// Largest sample in `total_cmp` order, or 0.0 when empty.
     pub fn max(&self) -> f64 {
-        self.samples
-            .iter()
-            .fold(f64::NEG_INFINITY, f64::max)
-            .max_finite()
+        self.keys().max().map_or(0.0, from_key)
     }
 
     /// Exact percentile by nearest-rank (`p` in 0..=100), or 0.0 when empty.
     pub fn percentile(&mut self, p: f64) -> f64 {
-        if self.is_empty() {
+        let n = self.count();
+        if n == 0 {
             return 0.0;
         }
-        if !self.sorted {
-            Arc::make_mut(&mut self.samples).sort();
-            self.sorted = true;
-        }
         let p = p.clamp(0.0, 100.0);
-        let rank = ((p / 100.0) * self.count() as f64).ceil() as usize;
-        self.samples.get(rank.saturating_sub(1))
+        let rank = ((p / 100.0) * n as f64).ceil() as usize;
+        self.select(rank.saturating_sub(1))
     }
 
-    /// Merges all samples of `other` into `self`.
+    /// The sample `rank` places from the smallest in `total_cmp` order.
+    /// Each pass counts, by its next byte, the keys that share the bytes
+    /// above it with the answer, and keeps the byte where `rank` falls.
+    fn select(&self, mut rank: usize) -> f64 {
+        let mut found = 0u64;
+        for shift in (0..64).step_by(8).rev() {
+            let above = shift + 8;
+            let mut counts = [0usize; 256];
+            for k in self.keys() {
+                if k.checked_shr(above) == found.checked_shr(above) {
+                    counts[usize::from((k >> shift) as u8)] += 1;
+                }
+            }
+            let mut digit = 0;
+            while rank >= counts[digit] {
+                rank -= counts[digit];
+                digit += 1;
+            }
+            found |= (digit as u64) << shift;
+        }
+        from_key(found)
+    }
+
+    /// Merges all samples of `other` into `self`, sharing its storage.
     pub fn merge(&mut self, other: &Histogram) {
-        Arc::make_mut(&mut self.samples).extend(&other.samples);
+        let theirs = std::iter::once(&other.samples).chain(&other.parts);
+        self.parts
+            .extend(theirs.filter(|s| s.len() > 0).map(Arc::clone));
         self.sum += other.sum;
-        self.sorted = false;
     }
 
     /// One-line summary: `n=.. mean=.. p50=.. p99=.. max=..`.
@@ -185,28 +190,6 @@ impl Histogram {
             self.percentile(99.0),
             self.max()
         )
-    }
-}
-
-trait Finite {
-    fn min_finite(self) -> f64;
-    fn max_finite(self) -> f64;
-}
-
-impl Finite for f64 {
-    fn min_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
-    }
-    fn max_finite(self) -> f64 {
-        if self.is_finite() {
-            self
-        } else {
-            0.0
-        }
     }
 }
 
@@ -223,7 +206,6 @@ mod tests {
         assert_eq!(h.min(), 0.0);
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.percentile(99.0), 0.0);
-        assert_eq!(h.stddev(), 0.0);
     }
 
     #[test]
@@ -251,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn record_after_percentile_resorts() {
+    fn a_record_after_a_percentile_is_counted() {
         let mut h = Histogram::new();
         h.record(10.0);
         assert_eq!(h.percentile(50.0), 10.0);
@@ -281,12 +263,36 @@ mod tests {
     }
 
     #[test]
-    fn stddev_of_constant_is_zero() {
-        let mut h = Histogram::new();
-        for _ in 0..10 {
-            h.record(4.0);
+    fn min_and_max_follow_total_order_whatever_the_recording_order() {
+        for order in [[0.0, -0.0], [-0.0, 0.0]] {
+            let mut h = Histogram::new();
+            order.into_iter().for_each(|v| h.record(v));
+            assert_eq!(h.min().to_bits(), (-0.0f64).to_bits());
+            assert_eq!(h.max().to_bits(), 0.0f64.to_bits());
         }
-        assert_eq!(h.stddev(), 0.0);
+    }
+
+    #[test]
+    fn a_merge_shares_its_parts_and_copies_nothing() {
+        let mut a = Histogram::new();
+        a.record(7.0);
+        let (mut b, mut c) = (Histogram::new(), Histogram::new());
+        b.record(1.0);
+        c.record(2.5);
+        b.merge(&c);
+        a.merge(&b);
+        a.merge(&Histogram::new());
+        // `b`'s own storage and its part, by reference; nothing empty.
+        assert_eq!(a.parts.len(), 2);
+        assert!(Arc::ptr_eq(&a.parts[0], &b.samples));
+        assert!(Arc::ptr_eq(&a.parts[1], &c.samples));
+        assert_eq!(a.samples.len(), 1);
+        assert_eq!((a.count(), a.percentile(50.0), a.max()), (3, 2.5, 7.0));
+        // A record on either side copies only that side's own storage.
+        b.record(9.0);
+        a.record(0.0);
+        assert_eq!((a.count(), a.max(), b.count()), (4, 7.0, 3));
+        assert!(Arc::ptr_eq(&a.parts[1], &c.samples));
     }
 
     /// Bytes the stored samples take, by their element type.

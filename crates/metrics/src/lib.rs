@@ -29,6 +29,6 @@ mod timeline;
 pub use counter::{Counter, CounterSet};
 pub use histogram::Histogram;
 pub use jitter::JitterTracker;
-pub use series::TimeSeries;
+pub use series::{Points, PointsIter, TimeSeries};
 pub use table::Table;
 pub use timeline::StateTimeline;

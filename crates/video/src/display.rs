@@ -107,23 +107,31 @@ impl FrameAssembler {
     /// Places the pieces in one rectangle. Its `x`, `y` and `width` come
     /// from the piece with the lowest `start_line`; a piece that disagrees
     /// with them, or whose pixels are not `lines × width` or fall outside
-    /// the rectangle, refuses the frame.
+    /// the rectangle, refuses the frame. Every piece is checked before the
+    /// rectangle is allocated, so it is never larger than the pixels its
+    /// pieces hold: its width and line count come off the wire.
     fn compose(&self) -> Option<AssembledFrame> {
         let top = self.received.values().min_by_key(|p| p.start_line)?.rect;
-        let total_lines: u32 = self.received.values().map(|p| p.rect.height).sum();
+        let mut heights = self.received.values().map(|p| p.rect.height);
+        let total_lines = heights.try_fold(0u32, u32::checked_add)?;
         let rect = Rect::new(top.x, top.y, top.width, total_lines);
+        let width = rect.width as usize;
+        let fits = |piece: &Piece| {
+            let r = piece.rect;
+            (r.x, r.y, r.width) == (top.x, top.y, top.width)
+                && piece.pixels.len() == r.height as usize * width
+                && (piece.start_line as usize)
+                    .checked_mul(width)
+                    .and_then(|start| start.checked_add(piece.pixels.len()))
+                    .is_some_and(|end| end <= rect.area())
+        };
+        if !self.received.values().all(fits) {
+            return None;
+        }
         let mut pixels = vec![0u8; rect.area()];
         for piece in self.received.values() {
-            let start = piece.start_line as usize * rect.width as usize;
-            let len = piece.rect.height as usize * rect.width as usize;
-            let r = piece.rect;
-            if (r.x, r.y, r.width) != (top.x, top.y, top.width)
-                || piece.pixels.len() != len
-                || start + len > pixels.len()
-            {
-                return None;
-            }
-            pixels[start..start + len].copy_from_slice(&piece.pixels);
+            let start = piece.start_line as usize * width;
+            pixels[start..start + piece.pixels.len()].copy_from_slice(&piece.pixels);
         }
         Some(AssembledFrame {
             frame_number: self.current_frame?,
@@ -151,7 +159,10 @@ mod tests {
     use crate::framestore::FrameStore;
     use crate::interp::{decode_segment, LineCache};
     use crate::pattern::TestPattern;
-    use pandora_segment::{SequenceNumber, StreamId, Timestamp};
+    use pandora_prop::{check, Rng, Tape};
+    use pandora_segment::{
+        PixelFormat, SequenceNumber, StreamId, Timestamp, VideoCompression, VideoHeader,
+    };
 
     fn captured_frame(frame_number: u32, lines_per_segment: u32) -> Vec<VideoSegment> {
         let mut fs = FrameStore::new(32, 16);
@@ -270,6 +281,172 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A segment off a hostile wire, and the stream it arrives on.
+    #[derive(Debug)]
+    struct Hostile {
+        stream: StreamId,
+        segment: VideoSegment,
+    }
+
+    /// Mostly a value in `small`, sometimes any `u32` at all.
+    fn small_or_any(t: &mut Tape, small: std::ops::Range<u32>) -> u32 {
+        if t.gen_bool(0.1) {
+            t.gen_range(0..=u32::MAX)
+        } else {
+            t.gen_range(small)
+        }
+    }
+
+    /// Whole line records of mixed modes for up to 64 pixels a line,
+    /// those records mutated, or arbitrary bytes that are often headers.
+    fn payload(t: &mut Tape, width: u32, lines: u32) -> Vec<u8> {
+        let kind = t.gen_range(0..3u8);
+        if kind == 0 {
+            let len = t.gen_range(0..200usize);
+            let top = if t.gen_bool(0.5) { 3 } else { 255 };
+            return (0..len).map(|_| t.gen_range(0..=top)).collect();
+        }
+        let width = width.min(64) as usize;
+        let mut data = Vec::new();
+        for _ in 0..lines.min(16) {
+            let mode = [LineMode::Raw, LineMode::Dpcm, LineMode::DpcmSub2][t.gen_range(0..3usize)];
+            let pixels: Vec<u8> = (0..width).map(|_| t.gen_range(0..=255u8)).collect();
+            match width {
+                0 => data.push(mode.header()),
+                _ => data.extend(crate::dpcm::compress_slice(&pixels, width, mode)),
+            }
+        }
+        if kind == 2 {
+            for _ in 0..t.gen_range(1..4usize) {
+                match t.gen_range(0..3u8) {
+                    0 if !data.is_empty() => {
+                        let at = t.gen_range(0..data.len());
+                        data[at] = t.gen_range(0..=255u8);
+                    }
+                    1 => data.truncate(t.gen_range(0..=data.len())),
+                    _ => data.push(t.gen_range(0..=3u8)),
+                }
+            }
+        }
+        data
+    }
+
+    fn hostile(t: &mut Tape) -> Hostile {
+        let (width, lines) = (small_or_any(t, 0..41), small_or_any(t, 0..13));
+        let header = VideoHeader {
+            frame_number: t.gen_range(0..3u32),
+            segments_in_frame: small_or_any(t, 0..5),
+            segment_number: small_or_any(t, 0..4),
+            x_offset: small_or_any(t, 0..8),
+            y_offset: small_or_any(t, 0..8),
+            pixel_format: PixelFormat::Mono8,
+            compression: VideoCompression::Dpcm,
+            compression_args: vec![],
+            width: if t.gen_bool(0.2) {
+                t.gen_range(8..12u32)
+            } else {
+                width
+            },
+            start_line: small_or_any(t, 0..16),
+            lines,
+            data_length: 0,
+        };
+        let data = payload(t, header.width, lines);
+        Hostile {
+            stream: StreamId(t.gen_range(0..2u32)),
+            segment: VideoSegment::new(SequenceNumber(0), Timestamp(0), header, data),
+        }
+    }
+
+    /// ROADMAP item 1(a): the video payload path end to end, 25,000 cases
+    /// of four segments each (10⁵ segments). Nothing panics; a segment
+    /// decodes to exactly `lines × width` pixels, at most four per payload
+    /// byte, or is counted as a decode error; a frame is released only as
+    /// one rectangle of the pixels pushed into it; and every frame begun
+    /// is, once a newer frame starts, either released or counted dropped.
+    #[test]
+    fn hostile_video_segments_are_shown_or_counted_and_stay_bounded() {
+        let generate = |t: &mut Tape| (0..4).map(|_| hostile(t)).collect::<Vec<_>>();
+        // A valid first piece of a newer frame than any drawn, which ends
+        // the frame in progress and stays in progress itself.
+        let mut flush = captured_frame(0, 12).remove(0);
+        (flush.video.frame_number, flush.video.segments_in_frame) = (3, 2);
+        let flush = Hostile {
+            stream: StreamId(0),
+            segment: flush,
+        };
+        check("hostile_video_segments", 1, 25_000, generate, |segments| {
+            let (mut asm, mut cache) = (FrameAssembler::new(), LineCache::new());
+            let (mut errors, mut decoded, mut shown) = (0, 0, 0);
+            // The frame in progress as the assembler sees it, frames begun,
+            // and the pixels pushed into the one in progress.
+            let (mut current, mut begun, mut pushed) = (None, 0, 0);
+            for Hostile { stream, segment } in segments.iter().chain([&flush]) {
+                let v = &segment.video;
+                let Some(pixels) = decode_segment(segment, *stream, &mut cache) else {
+                    errors += 1;
+                    continue;
+                };
+                decoded += 1;
+                assert_eq!(pixels.len() as u64, u64::from(v.width) * u64::from(v.lines));
+                assert!(
+                    pixels.len() <= 4 * segment.data.len(),
+                    "{} pixels",
+                    pixels.len()
+                );
+                if current != Some(v.frame_number) {
+                    (current, begun, pushed) = (Some(v.frame_number), begun + 1, 0);
+                }
+                pushed += pixels.len();
+                if let Some(frame) = asm.push(segment, pixels) {
+                    assert_eq!(frame.pixels.len(), frame.rect.area());
+                    assert!(
+                        frame.pixels.len() <= pushed,
+                        "{} > {pushed}",
+                        frame.pixels.len()
+                    );
+                    (current, shown) = (None, shown + 1);
+                }
+            }
+            assert_eq!(errors + decoded, segments.len() + 1);
+            assert_eq!(asm.completed(), shown);
+            // The flush frame is still in progress; every other one ended.
+            assert_eq!(shown + asm.dropped_incomplete() + 1, begun);
+        });
+    }
+
+    /// Found by the sweep above at seed 1, case 35 (shrunk to a 5-pixel
+    /// piece and a 0-pixel one agreeing on `start_line`): a frame was
+    /// allocated as the top piece's width times every piece's lines before
+    /// any piece was checked. A zero-line piece claiming a width of
+    /// 2³² − 1 beside 64 lines one pixel wide asked for 275 GB, and the
+    /// process aborted. The frame is refused, and the next one assembles.
+    #[test]
+    fn a_zero_line_piece_claiming_a_vast_width_sizes_nothing() {
+        let piece = |segment_number, width, lines, data| {
+            let mut s = captured_frame(0, 12).remove(0);
+            s.video = VideoHeader {
+                segments_in_frame: 2,
+                segment_number,
+                width,
+                lines,
+                ..s.video
+            };
+            VideoSegment::new(SequenceNumber(0), Timestamp(0), s.video, data)
+        };
+        let vast = piece(0, u32::MAX, 0, vec![]);
+        let thin = piece(1, 1, 64, [0, 7].repeat(64));
+        let mut asm = FrameAssembler::new();
+        let mut cache = LineCache::new();
+        for s in [&vast, &thin] {
+            let pixels = decode(s, &mut cache);
+            assert!(asm.push(s, pixels).is_none());
+        }
+        let next = captured_frame(1, 12);
+        assert!(asm.push(&next[0], decode(&next[0], &mut cache)).is_some());
+        assert_eq!((asm.completed(), asm.dropped_incomplete()), (1, 1));
     }
 
     #[test]

@@ -309,7 +309,7 @@ fn clawback_run(enabled: bool) -> (f64, f64) {
     let peak = series
         .points()
         .iter()
-        .map(|&(_, v)| v)
+        .map(|(_, v)| v)
         .fold(0.0f64, f64::max);
     let last = series.last_value().unwrap_or(0.0);
     (peak / 1e6, last / 1e6)
