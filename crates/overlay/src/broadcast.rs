@@ -50,7 +50,7 @@ use pandora_recover::{
     AdaptAction, AdaptMachine, HealthConfig, LeaseConfig, MediaClass, WindowSample,
 };
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
-use pandora_shard::{Cluster, Egress, Ingress, PortSender, ShardEnv};
+use pandora_shard::{Cluster, Egress, Ingress, PortSender, PortTable, ShardEnv};
 use pandora_sim::{
     delay, delay_until, now, waker, LinkConfig, LinkControl, Priority, SimDuration, SimTime,
     TaskWaker, WireSize,
@@ -237,8 +237,9 @@ pub struct OverlayBuild {
     /// The cluster; run it to a deadline and parse the merged
     /// report with [`OverlaySummary::parse`].
     pub cluster: Cluster,
-    /// The tree plan the topology was wired from.
-    pub plan: TreePlan,
+    /// The tree plan the topology was wired from: the one the setup
+    /// holds, not a copy.
+    pub plan: Rc<TreePlan>,
     /// Total transmit cells/second the relay admission charge took
     /// across all members.
     pub relay_tx_cps: u64,
@@ -361,10 +362,19 @@ const NIL: Id = Id::MAX;
 /// `viewer * GUARDS + guard`.
 const GUARDS: u32 = 1 + 2 * MAX_TREES as u32;
 
-/// One copy queued on a member's uplink, addressed to a child. A relay
-/// stamps a copy as it queues it, so it was queued at `slice.sent`.
+/// The edge a backup adopts `orphan` on `tree` by. A copy names its edge
+/// by one number: a primary edge is its child's CSR position in the plan
+/// (one per viewer per tree), and the backup edges follow, by `(tree,
+/// orphan)`.
+fn backup_edge(plan: &TreePlan, tree: usize, orphan: usize) -> u32 {
+    let (n, k) = (plan.members(), plan.trees());
+    (k * (n - 1) + tree * n + orphan) as u32
+}
+
+/// One copy queued on a member's uplink, addressed to a child by its edge.
+/// A relay stamps a copy as it queues it, so it was queued at `slice.sent`.
 struct UpItem {
-    dest: Id,
+    edge: u32,
     slice: Slice,
 }
 
@@ -420,7 +430,7 @@ impl Uplinks {
         }
     }
 
-    fn push(&mut self, member: usize, dest: Id, slice: Slice) {
+    fn push(&mut self, member: usize, edge: u32, slice: Slice) {
         let up = &mut self.rows[member];
         let handed = usize::from(up.handed);
         if up.queue.len() - handed >= self.cap {
@@ -428,7 +438,7 @@ impl Uplinks {
             up.drops += 1;
             up.window_drops += 1;
         }
-        up.queue.push_back(UpItem { dest, slice });
+        up.queue.push_back(UpItem { edge, slice });
         up.enqueued += 1;
         up.window_enq += 1;
         // Served once the pushing poll returns: a whole batch lands first.
@@ -495,25 +505,31 @@ struct Relay {
 struct Relays {
     plan: Rc<TreePlan>,
     rows: Vec<Relay>,
-    /// The clawback rings by `(member, tree)`, sorted: a backup's only.
-    /// Only an adoption reads a ring, and the hub grafts an orphan onto the
-    /// backup the plan names — its grandparent — so a member with no
-    /// grandchild in a tree is never asked to replay it (DESIGN.md §15).
-    rings: Vec<((Id, u8), RepairRing)>,
-    /// `(member, tree, orphan)` of every adoption, in the order they came.
-    adopted: Vec<(Id, u8, Id)>,
+    /// The clawback rings: a backup's only. Only an adoption reads a ring,
+    /// and the hub grafts an orphan onto the backup the plan names — its
+    /// grandparent — so a member with no grandchild in a tree is never
+    /// asked to replay it (DESIGN.md §15).
+    rings: Vec<RepairRing>,
+    /// Each member's ring in `rings`, or [`NIL`]. A viewer's is of its
+    /// interior tree, the one it has children in; the source's are the
+    /// first `k`, in tree order.
+    ring_at: Vec<Id>,
+    /// `(member, tree, edge)` of every adoption, in the order they came.
+    adopted: Vec<(Id, u8, u32)>,
 }
 
 impl Relays {
     fn new(plan: Rc<TreePlan>, ring: usize) -> Relays {
-        let p = &plan;
-        let mut backups: Vec<(Id, u8)> = (0..p.trees())
-            .flat_map(|t| {
-                (1..p.members()).filter_map(move |v| Some((p.backup(t, v)? as Id, t as u8)))
-            })
-            .collect();
-        backups.sort_unstable();
-        backups.dedup();
+        let (p, n, k) = (&plan, plan.members(), plan.trees());
+        let mut ring_at = vec![NIL; n];
+        ring_at[0] = 0;
+        let mut rings = k as Id;
+        for b in (0..k).flat_map(|t| (1..n).filter_map(move |v| p.backup(t, v))) {
+            if ring_at[b] == NIL {
+                ring_at[b] = rings;
+                rings += 1;
+            }
+        }
         let row = Relay {
             divisor: 1,
             max_divisor: 1,
@@ -521,28 +537,27 @@ impl Relays {
             grafts_in: 0,
         };
         Relays {
-            rows: vec![row; plan.members()],
-            rings: backups
-                .into_iter()
-                .map(|key| (key, RepairRing::new(ring)))
-                .collect(),
+            rows: vec![row; n],
+            rings: (0..rings).map(|_| RepairRing::new(ring)).collect(),
+            ring_at,
             adopted: Vec::new(),
             plan,
         }
     }
 
     fn ring(&mut self, member: usize, tree: usize) -> Option<&mut RepairRing> {
-        let key = (member as Id, tree as u8);
-        let at = self.rings.binary_search_by_key(&key, |(k, _)| *k).ok()?;
-        Some(&mut self.rings[at].1)
+        let at = self.ring_at[member] as usize + if member == 0 { tree } else { 0 };
+        self.rings.get_mut(at)
     }
 
-    fn children(&self, member: usize, tree: usize) -> impl Iterator<Item = Id> + '_ {
+    /// The edges to `member`'s live children on `tree`.
+    fn children(&self, member: usize, tree: usize) -> impl Iterator<Item = u32> + '_ {
         let adopted = self.adopted.iter();
         let adopted =
             adopted.filter(move |&&(m, t, _)| (m as usize, usize::from(t)) == (member, tree));
-        let planned = self.plan.children(tree, member).iter().map(|&c| c as Id);
-        planned.chain(adopted.map(|&(_, _, orphan)| orphan))
+        let (first, planned) = self.plan.child_row(tree, member);
+        let planned = first..first + planned.len() as u32;
+        planned.chain(adopted.map(|&(.., edge)| edge))
     }
 
     /// Keeps `slice` in its stripe's clawback ring, if `member` has one —
@@ -570,8 +585,8 @@ impl Relays {
     /// its tree.
     fn forward(&self, member: usize, slice: &Slice, uplinks: &mut Uplinks) {
         let sent = now().as_nanos();
-        for dest in self.children(member, usize::from(slice.tree)) {
-            uplinks.push(member, dest, slice.retimed(sent));
+        for edge in self.children(member, usize::from(slice.tree)) {
+            uplinks.push(member, edge, slice.retimed(sent));
         }
     }
 
@@ -586,14 +601,14 @@ impl Relays {
         uplinks: &mut Uplinks,
     ) {
         self.rows[member].grafts_in += 1;
-        let orphan = orphan as Id;
-        if !self.children(member, tree).any(|c| c == orphan) {
-            self.adopted.push((member as Id, tree as u8, orphan));
+        let edge = backup_edge(&self.plan, tree, orphan);
+        if !self.children(member, tree).any(|e| e == edge) {
+            self.adopted.push((member as Id, tree as u8, edge));
         }
         let sent = now().as_nanos();
         let replay = self.ring(member, tree).map(|r| r.replay_from(resume_from));
         for s in replay.into_iter().flatten() {
-            uplinks.push(member, orphan, s.retimed(sent));
+            uplinks.push(member, edge, s.retimed(sent));
         }
     }
 }
@@ -783,11 +798,8 @@ struct WireEngine {
     tables: Shared,
     /// Per member: where its wire is with the front copy of its hand-off.
     states: Vec<WireState>,
-    /// Every edge's port as `(tree, child, port)`, grouped by member and
-    /// each member's sorted: member `m`'s are `edges[starts[m]..starts[m +
-    /// 1]]`.
-    edges: Vec<(u8, Id, PortSender<Msg>)>,
-    starts: Vec<u32>,
+    /// Every edge's port, by the edge a copy names (see [`backup_edge`]).
+    edges: PortTable<Msg>,
     /// The uplink rates: the source's, then every viewer's.
     rates: [LinkConfig; 2],
     /// The link of every uplink no fault plan drives: up, at full rate.
@@ -897,13 +909,8 @@ impl WireEngine {
         if up.handed > 0 {
             up.handed -= 1;
             let item = up.queue.pop_front().filter(|_| !up.dead);
-            if let Some(UpItem { dest, slice }) = item {
-                let edges =
-                    &self.edges[self.starts[member] as usize..self.starts[member + 1] as usize];
-                if let Ok(at) = edges.binary_search_by_key(&(slice.tree, dest), |&(t, c, _)| (t, c))
-                {
-                    edges[at].2.send(Msg::Slice(slice));
-                }
+            if let Some(UpItem { edge, slice }) = item {
+                self.edges.send(edge as usize, Msg::Slice(slice));
             }
         }
         uplinks.refill(member, t);
@@ -1071,9 +1078,9 @@ impl RelayTask {
 struct Seat {
     cfg: OverlayConfig,
     plan: Rc<TreePlan>,
-    /// `(member, tree, child, egress)` of every tree and backup edge,
-    /// sorted.
-    edges: Vec<(Id, u8, Id, Egress<Msg>)>,
+    /// Every tree and backup edge's egress, by the edge a copy names (see
+    /// [`backup_edge`]).
+    edges: Vec<Option<Egress<Msg>>>,
     /// Every viewer's control port and stripe inputs, each under its tag.
     ins: Vec<(Ingress<Msg>, u32)>,
     /// The hub's control port to viewer `v` is `ctls[v - 1]`.
@@ -1277,22 +1284,11 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     };
     env.spawner()
         .spawn("ovl:relay", poll_fn(move |cx| relay.poll(cx)));
-    let mut starts = vec![0u32; n + 1];
-    for &(member, ..) in &edges {
-        starts[member as usize + 1] += 1;
-    }
-    for m in 0..n {
-        starts[m + 1] += starts[m];
-    }
     let rate = |cps: u64| LinkConfig::new("ovl-up", cps.max(1) * CELL_WIRE_BITS);
     let mut wires = WireEngine {
         tables: tables.clone(),
         states: vec![WireState::Idle; n],
-        edges: edges
-            .into_iter()
-            .map(|(_, tree, child, egress)| (tree, child, env.open_egress(egress)))
-            .collect(),
-        starts,
+        edges: env.open_egress_table(edges),
         rates: [rate(cfg.source_uplink_cps), rate(cfg.uplink_cps)],
         nominal: LinkControl::default(),
         faulted: faulted
@@ -1397,7 +1393,7 @@ pub fn build_overlay_broadcast(
             return Err(BuildError::FaultTarget { plan, member });
         }
     }
-    let plan = plan_for(cfg).map_err(BuildError::Plan)?;
+    let plan = Rc::new(plan_for(cfg).map_err(BuildError::Plan)?);
     let relay_tx_cps = charge_relay_admission(&plan, cfg)?;
     let n = plan.members();
     let k = plan.trees();
@@ -1407,21 +1403,23 @@ pub fn build_overlay_broadcast(
     // grandchild, pre-wired so a repair needs no new ports mid-run. A
     // viewer's guards are its control port, then its primary edges, then
     // its backup edges, each in tree order.
-    let mut edges = Vec::new();
+    let mut edges: Vec<Option<Egress<Msg>>> = (0..k * (2 * n - 1)).map(|_| None).collect();
     let mut ins = Vec::new();
     let tag = |v: usize, guard: usize| v as u32 * GUARDS + guard as u32;
-    type Upstream = fn(&TreePlan, usize, usize) -> Option<usize>;
-    for (kind, upstream) in [TreePlan::parent as Upstream, TreePlan::backup]
-        .into_iter()
-        .enumerate()
-    {
+    for kind in 0..2 {
         for v in 1..n {
             for t in 0..k {
-                let Some(p) = upstream(&plan, t, v) else {
-                    continue;
+                let edge = match (kind, plan.parent(t, v), plan.backup(t, v)) {
+                    (0, Some(p), _) => {
+                        let (first, kids) = plan.child_row(t, p);
+                        let at = kids.iter().position(|&c| c as usize == v);
+                        first as usize + at.expect("a viewer is among its parent's children")
+                    }
+                    (1, _, Some(_)) => backup_edge(&plan, t, v) as usize,
+                    _ => continue,
                 };
                 let (eg, ing) = cluster.port::<Msg>(cfg.hop_latency);
-                edges.push((p as Id, t as u8, v as Id, eg));
+                edges[edge] = Some(eg);
                 ins.push((ing, tag(v, 1 + kind * k + t)));
             }
         }
@@ -1437,10 +1435,9 @@ pub fn build_overlay_broadcast(
     let reports = (1..n)
         .map(|_| cluster.port::<Hello>(cfg.ctl_latency))
         .collect();
-    edges.sort_unstable_by_key(|&(p, t, v, _)| (p, t, v));
     let seat = Seat {
         cfg: *cfg,
-        plan: Rc::new(plan.clone()),
+        plan: plan.clone(),
         edges,
         ins,
         ctls,
@@ -1645,7 +1642,7 @@ mod tests {
         }
     }
 
-    fn run(cfg: &OverlayConfig) -> (Vec<String>, TreePlan) {
+    fn run(cfg: &OverlayConfig) -> (Vec<String>, Rc<TreePlan>) {
         let built = match build_overlay_broadcast(cfg, 1) {
             Ok(b) => b,
             Err(e) => panic!("build failed: {e}"),
@@ -1801,13 +1798,39 @@ mod tests {
             ("StripeReceiver", size_of::<StripeReceiver>(), 224),
             ("Beat", size_of::<Beat>(), 88),
             ("WireState", size_of::<WireState>(), 1),
-            ("edge", size_of::<(u8, Id, PortSender<Msg>)>(), 24),
+            ("edge", size_of::<u32>(), 4),
             ("UpItem", size_of::<UpItem>(), 40),
             ("Letter", size_of::<Letter>(), 48),
         ];
         for (row, size, pinned) in rows {
             assert!(size <= pinned, "{row}: {size} bytes, pinned at {pinned}");
         }
+        // The plan of the soak shape: bytes per (tree, member), the CSR's
+        // children included (20.25 measured).
+        let plan = plan_for(&OverlayConfig {
+            viewers: 1_023,
+            degree: 8,
+            uplink_cps: 60_000,
+            source_uplink_cps: 120_000,
+            ..OverlayConfig::default()
+        })
+        .expect("plan");
+        let (bytes, rows) = (plan.heap_bytes(), plan.trees() * plan.members());
+        assert!(
+            bytes <= 24 * rows,
+            "plan: {bytes} bytes for {rows} rows, pinned at 24 a row"
+        );
+    }
+
+    /// The setup holds the build's plan, not a copy of it.
+    #[test]
+    fn a_built_overlay_holds_one_plan() {
+        let built = build_overlay_broadcast(&small_cfg(), 1).expect("build");
+        assert_eq!(
+            Rc::strong_count(&built.plan),
+            2,
+            "the build's and the setup's"
+        );
     }
 
     #[test]
@@ -2007,7 +2030,7 @@ mod tests {
             ..small_cfg()
         };
         let plan = plan_for(&cfg).expect("plan");
-        let first_child = plan.children(0, 0)[0];
+        let first_child = plan.children(0, 0)[0] as usize;
         let rows = [1, 4, 8, 64].map(|q| (busy_relay(&plan), q, 0));
         let rows = rows
             .into_iter()
@@ -2250,8 +2273,7 @@ mod tests {
             let mut wires = WireEngine {
                 tables: tables.clone(),
                 states: vec![WireState::Idle; 2],
-                edges: vec![(0, 1, env.open_egress(egress))],
-                starts: vec![0, 1, 1],
+                edges: env.open_egress_table([Some(egress)]),
                 rates: [rate, rate],
                 nominal: LinkControl::default(),
                 faulted: Some((0, link.clone())),
@@ -2266,7 +2288,7 @@ mod tests {
             );
             env.spawner().spawn("script", async move {
                 for seq in 0..6 {
-                    tables.borrow_mut().uplinks.push(0, 1, probe_slice(seq));
+                    tables.borrow_mut().uplinks.push(0, 0, probe_slice(seq));
                 }
                 delay_until(SimTime::from_micros(1_500)).await;
                 link.set_up(false);
@@ -2336,7 +2358,7 @@ mod tests {
             .children(tree, victim)
             .iter()
             .map(|&o| {
-                let s = own(o);
+                let s = own(o as usize);
                 format!(
                     "{o}: delivered {} lost {} late {}",
                     s.delivered, s.lost_total, s.late_total

@@ -24,6 +24,8 @@
 //! [`TreePlan::depth_bound`] — the Deterministic Near-Optimal P2P Streaming bound
 //! the acceptance soak asserts.
 
+use std::collections::VecDeque;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,7 +47,8 @@ pub(crate) struct PlanConfig {
 /// Why a plan could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
-    /// Fewer than two members, or zero trees/degree/stripe rate.
+    /// Fewer than two members, more than a `u32` id names, zero or 255+
+    /// trees, or zero degree or stripe rate.
     Degenerate,
     /// Tree `tree` ran out of uplink capacity before every member was
     /// attached.
@@ -74,26 +77,31 @@ impl std::fmt::Display for PlanError {
     }
 }
 
+/// A row entry that names no member.
+const NONE: u32 = u32::MAX;
+
 /// The computed overlay: `k` trees over `n` members, every edge within
-/// budget, every relay interior in exactly one tree.
+/// budget, every relay interior in exactly one tree. Each (tree, member)
+/// is row `tree * n + member` of flat `u32` tables.
 #[derive(Debug, Clone)]
 pub struct TreePlan {
     n: usize,
     k: usize,
     d: usize,
-    /// `parent[tree][member]`; `None` for the source.
-    parent: Vec<Vec<Option<usize>>>,
-    /// `children[tree][member]`, in attachment order.
-    children: Vec<Vec<Vec<usize>>>,
-    /// `depth[tree][member]` in hops from the source.
-    depth: Vec<Vec<u32>>,
-    /// The tree each member is interior in; `None` for the source
+    /// The parent; [`NONE`] for the source.
+    parent: Vec<u32>,
+    /// The grandparent, which adopts the member if its parent dies;
+    /// [`NONE`] under the source.
+    backup: Vec<u32>,
+    /// Hops from the source.
+    depth: Vec<u32>,
+    /// The tree each member is interior in; `u8::MAX` for the source
     /// (interior everywhere) and for leaf-only members.
-    interior_in: Vec<Option<usize>>,
-    /// `backup[tree][member]`: the grandparent, the survivor an orphan
-    /// is grafted onto when its parent dies. `None` when the parent is
-    /// the source itself.
-    backup: Vec<Vec<Option<usize>>>,
+    interior_in: Vec<u8>,
+    /// Row `r`'s children, in attachment order, are `child_ids[child_at[r]
+    /// as usize..child_at[r + 1] as usize]`: one CSR.
+    child_at: Vec<u32>,
+    child_ids: Vec<u32>,
 }
 
 /// Smallest `L` with `d^L >= n` — the depth bound `ceil(log_d n)` the
@@ -109,12 +117,6 @@ pub(crate) fn depth_bound(n: usize, d: usize) -> u32 {
         l += 1;
     }
     l
-}
-
-/// One open attachment slot during the breadth-first fill.
-struct Slot {
-    node: usize,
-    remaining: u64,
 }
 
 impl TreePlan {
@@ -133,7 +135,8 @@ impl TreePlan {
         let n = uplinks.len();
         let k = cfg.trees;
         let d = cfg.degree;
-        if n < 2 || k == 0 || d == 0 || cfg.stripe_cps == 0 {
+        let ids_fit = n < NONE as usize && k < usize::from(u8::MAX);
+        if n < 2 || k == 0 || d == 0 || cfg.stripe_cps == 0 || !ids_fit {
             return Err(PlanError::Degenerate);
         }
         // The source pushes every stripe: its per-tree child capacity
@@ -156,87 +159,85 @@ impl TreePlan {
             let swap = rng.gen_range(0..=j);
             capable.swap(j, swap);
         }
-        let mut interior_in: Vec<Option<usize>> = vec![None; n];
+        let mut interior_in = vec![u8::MAX; n];
         let mut interiors: Vec<Vec<usize>> = vec![Vec::new(); k];
         for (j, &m) in capable.iter().enumerate() {
             let t = j % k;
-            interior_in[m] = Some(t);
+            interior_in[m] = t as u8;
             interiors[t].push(m);
         }
 
-        let mut parent = vec![vec![None; n]; k];
-        let mut children = vec![vec![Vec::new(); n]; k];
-        let mut depth = vec![vec![0u32; n]; k];
+        let mut parent = vec![NONE; k * n];
+        let mut depth = vec![0u32; k * n];
+        // `(parent's row, child)` of every edge, in the order attached.
+        let mut edges = Vec::with_capacity(k * n);
         for (t, tree_interiors) in interiors.iter().enumerate() {
-            // Breadth-first fill: pop the earliest slot with spare
-            // budget; interiors first (they open new slots), then every
-            // remaining member as a leaf, so leaves land in the
-            // shallowest spare capacity.
-            let mut slots = std::collections::VecDeque::new();
-            slots.push_back(Slot {
-                node: 0,
-                remaining: src_cap,
-            });
-            let mut attach = |v: usize,
-                              opens: Option<u64>,
-                              slots: &mut std::collections::VecDeque<Slot>|
-             -> bool {
-                loop {
-                    let Some(front) = slots.front_mut() else {
-                        return false;
-                    };
-                    if front.remaining == 0 {
-                        slots.pop_front();
-                        continue;
-                    }
-                    front.remaining -= 1;
-                    let p = front.node;
-                    parent[t][v] = Some(p);
-                    depth[t][v] = depth[t][p] + 1;
-                    children[t][p].push(v);
-                    if let Some(capacity) = opens {
-                        slots.push_back(Slot {
-                            node: v,
-                            remaining: capacity,
-                        });
-                    }
-                    return true;
+            let (parent, depth) = (&mut parent[t * n..][..n], &mut depth[t * n..][..n]);
+            // Breadth-first fill: attach to the earliest open slot, a
+            // `(node, children it may still take)` whose count is never
+            // zero; interiors first (they open new slots), then every
+            // remaining member as a leaf, so leaves land in the shallowest
+            // spare capacity.
+            let mut slots = VecDeque::new();
+            slots.push_back((0, src_cap));
+            let mut attach = |v: usize, opens: u64| -> bool {
+                let Some((p, remaining)) = slots.front_mut() else {
+                    return false;
+                };
+                let p = *p;
+                *remaining -= 1;
+                if *remaining == 0 {
+                    slots.pop_front();
                 }
+                parent[v] = p as u32;
+                depth[v] = depth[p] + 1;
+                edges.push(((t * n + p) as u32, v as u32));
+                if opens > 0 {
+                    slots.push_back((v, opens));
+                }
+                true
             };
             for &u in tree_interiors {
-                if !attach(u, Some(cap[u]), &mut slots) {
+                if !attach(u, cap[u]) {
                     return Err(PlanError::Capacity { tree: t });
                 }
             }
-            for (v, interior) in interior_in.iter().enumerate().skip(1) {
-                if *interior == Some(t) {
-                    continue;
-                }
-                if !attach(v, None, &mut slots) {
+            for (v, &interior) in interior_in.iter().enumerate().skip(1) {
+                if interior != t as u8 && !attach(v, 0) {
                     return Err(PlanError::Capacity { tree: t });
                 }
             }
         }
 
-        let mut backup = vec![vec![None; n]; k];
-        for (t, parents) in parent.iter().enumerate() {
-            for v in 1..n {
-                backup[t][v] = match parents[v] {
-                    Some(p) if p != 0 => parents[p],
-                    _ => None,
-                };
-            }
+        // The children as one CSR: the edges by parent row, each row's in
+        // attachment order, since the sort is stable.
+        edges.sort_by_key(|&(row, _)| row);
+        let mut child_at = vec![0u32; k * n + 1];
+        for &(row, _) in &edges {
+            child_at[row as usize + 1] += 1;
         }
+        for r in 0..k * n {
+            child_at[r + 1] += child_at[r];
+        }
+
+        // The grandparent: none under the source, whose parent is none.
+        let backup = (0..k * n)
+            .map(|r| match parent[r] {
+                NONE => NONE,
+                p => parent[r / n * n + p as usize],
+            })
+            .collect();
 
         Ok(TreePlan {
             n,
             k,
             d,
             parent,
-            children,
+            backup,
             depth,
             interior_in,
-            backup,
+            child_at,
+            child_ids: edges.iter().map(|&(_, child)| child).collect(),
         })
     }
 
@@ -252,42 +253,48 @@ impl TreePlan {
 
     /// Parent of `member` in `tree` (`None` for the source).
     pub(crate) fn parent(&self, tree: usize, member: usize) -> Option<usize> {
-        self.parent[tree][member]
+        let p = self.parent[tree * self.n + member];
+        (p != NONE).then_some(p as usize)
     }
 
     /// Children of `member` in `tree`, in attachment order.
-    pub(crate) fn children(&self, tree: usize, member: usize) -> &[usize] {
-        &self.children[tree][member]
+    pub(crate) fn children(&self, tree: usize, member: usize) -> &[u32] {
+        self.child_row(tree, member).1
+    }
+
+    /// [`TreePlan::children`], and the CSR position of the first: child
+    /// `i`'s is `first + i`, a number no other (tree, parent, child) has.
+    pub(crate) fn child_row(&self, tree: usize, member: usize) -> (u32, &[u32]) {
+        let r = tree * self.n + member;
+        let (first, end) = (self.child_at[r], self.child_at[r + 1]);
+        (first, &self.child_ids[first as usize..end as usize])
     }
 
     /// The tree `member` is interior in; `None` for the source and for
     /// leaf-only members.
     pub fn interior_tree(&self, member: usize) -> Option<usize> {
-        self.interior_in[member]
+        let t = self.interior_in[member];
+        (t != u8::MAX).then_some(usize::from(t))
     }
 
     /// The grandparent graft target for `member` in `tree` — the
     /// survivor that adopts it if its parent dies. `None` when the
     /// parent is the source.
     pub(crate) fn backup(&self, tree: usize, member: usize) -> Option<usize> {
-        self.backup[tree][member]
+        let b = self.backup[tree * self.n + member];
+        (b != NONE).then_some(b as usize)
     }
 
     /// Total children of `member` across every tree — the copy count its
     /// uplink admission must cover.
     pub fn fanout(&self, member: usize) -> usize {
-        (0..self.k).map(|t| self.children[t][member].len()).sum()
-    }
-
-    /// Deepest member in `tree`.
-    pub(crate) fn max_depth(&self, tree: usize) -> u32 {
-        (0..self.n).map(|v| self.depth[tree][v]).max().unwrap_or(0)
+        (0..self.k).map(|t| self.children(t, member).len()).sum()
     }
 
     /// Deepest member across all trees — the hop count the latency
     /// budget must cover.
     pub fn max_depth_overall(&self) -> u32 {
-        (0..self.k).map(|t| self.max_depth(t)).max().unwrap_or(0)
+        self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// `ceil(log_d n)` for this plan's shape.
@@ -299,6 +306,15 @@ impl TreePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TreePlan {
+        /// Bytes the plan's rows hold on the heap.
+        pub(crate) fn heap_bytes(&self) -> usize {
+            let rows = [&self.parent, &self.backup, &self.depth, &self.child_at];
+            let words: usize = rows.iter().map(|r| r.capacity()).sum();
+            (words + self.child_ids.capacity()) * 4 + self.interior_in.capacity()
+        }
+    }
 
     fn members(n: usize, uplink: u64) -> Vec<u64> {
         vec![uplink; n]
@@ -407,6 +423,133 @@ mod tests {
         m[0] = 4_000; // source: 2 per tree
         let err = TreePlan::compute(&m, &cfg(2, 4, 1));
         assert_eq!(err.unwrap_err(), PlanError::Capacity { tree: 0 });
+    }
+
+    /// One generated membership: `(uplinks, trees, degree, seed)`, the
+    /// source first. Up to 4,096 members, 8 trees and degree 16, the size
+    /// drawn log-uniformly; each case mixes leaf-only members (under one
+    /// stripe copy), marginal ones (one or two copies) and generous ones
+    /// (the degree or more) in proportions of its own, and one case in
+    /// nine is generous throughout, the source included.
+    fn membership(t: &mut pandora_prop::Tape) -> (Vec<u64>, usize, usize, u64) {
+        use pandora_prop::Rng;
+        let top = 1usize << t.gen_range(1..=12u32);
+        let (n, k, d) = (
+            t.gen_range(2..=top),
+            t.gen_range(1..=8),
+            t.gen_range(1..=16),
+        );
+        let copy = 1_000u64;
+        let generous = d as u64 * copy;
+        let (leaf, marginal) = (t.gen_range(0..=2u32), t.gen_range(0..=2u32));
+        let mut uplinks: Vec<u64> = (0..n)
+            .map(|_| match t.gen_range(0..4u32) {
+                r if r < leaf => t.gen_range(0..copy),
+                r if r < leaf + marginal => t.gen_range(copy..3 * copy),
+                _ => t.gen_range(generous..=3 * generous),
+            })
+            .collect();
+        let source = if leaf + marginal == 0 {
+            t.gen_range(generous..=3 * generous)
+        } else {
+            t.gen_range(copy..=generous + copy)
+        };
+        uplinks[0] = k as u64 * source;
+        (uplinks, k, d, t.next_u64())
+    }
+
+    /// Every plan that computes, over generated memberships: one parent
+    /// per viewer per tree, the CSR the inverse of `parent` in attachment
+    /// order, the grandparent as backup, depth one below the parent's,
+    /// every relay interior in exactly one tree, fan-out within budget,
+    /// and depth within the bound when every budget affords the degree.
+    #[test]
+    fn every_computed_plan_keeps_its_invariants() {
+        let cases = if cfg!(debug_assertions) { 400 } else { 10_000 };
+        let mut computed = 0;
+        pandora_prop::check(
+            "plan_invariants",
+            1,
+            cases,
+            membership,
+            |(uplinks, k, d, seed)| {
+                let (n, k, d) = (uplinks.len(), *k, *d);
+                let Ok(plan) = TreePlan::compute(uplinks, &cfg(k, d, *seed)) else {
+                    return;
+                };
+                computed += 1;
+                let cap = |v: usize| (uplinks[v] / 1_000).min(d as u64) as usize;
+                let src_cap = (uplinks[0] / (1_000 * k as u64)).min(d as u64) as usize;
+                for t in 0..k {
+                    assert_eq!((plan.parent(t, 0), plan.backup(t, 0)), (None, None));
+                    assert_eq!(plan.depth[t * n], 0);
+                    assert!(plan.children(t, 0).len() <= src_cap, "source over budget");
+                    let mut listed = vec![0; n];
+                    for p in 0..n {
+                        for &c in plan.children(t, p) {
+                            assert_eq!(
+                                plan.parent(t, c as usize),
+                                Some(p),
+                                "tree {t}: {p} lists {c}"
+                            );
+                            listed[c as usize] += 1;
+                        }
+                    }
+                    for (v, &times) in listed.iter().enumerate().skip(1) {
+                        assert_eq!(times, 1, "tree {t}: viewer {v} listed {times} times");
+                        let p = plan.parent(t, v).expect("a viewer has a parent");
+                        let grand = plan.parent(t, p).filter(|_| p != 0);
+                        assert_eq!(plan.backup(t, v), grand, "tree {t}: backup of {v}");
+                        let (dv, dp) = (plan.depth[t * n + v], plan.depth[t * n + p]);
+                        assert_eq!(dv, dp + 1, "tree {t}: depth of {v}");
+                    }
+                    // Attachment order: walked breadth-first, each list in its
+                    // order, the tree reads its interiors, then its leaves by id.
+                    let mut order = Vec::with_capacity(n);
+                    let mut open = VecDeque::from([0]);
+                    while let Some(p) = open.pop_front() {
+                        for &c in plan.children(t, p) {
+                            order.push(c as usize);
+                            if plan.interior_tree(c as usize) == Some(t) {
+                                open.push_back(c as usize);
+                            }
+                        }
+                    }
+                    let interiors = order
+                        .iter()
+                        .take_while(|&&v| plan.interior_tree(v) == Some(t));
+                    let leaves = &order[interiors.count()..];
+                    assert!(leaves.iter().all(|&v| plan.interior_tree(v) != Some(t)));
+                    assert!(
+                        leaves.is_sorted(),
+                        "tree {t}: leaves out of attachment order"
+                    );
+                    assert_eq!(order.len(), n - 1, "tree {t}: the walk misses a viewer");
+                }
+                for v in 1..n {
+                    let interior = plan.interior_tree(v);
+                    assert_eq!(
+                        interior.is_some(),
+                        cap(v) >= 1,
+                        "member {v} relays iff it can"
+                    );
+                    for t in (0..k).filter(|&t| Some(t) != interior) {
+                        assert!(
+                            plan.children(t, v).is_empty(),
+                            "{v} parents outside its tree"
+                        );
+                    }
+                    assert!(plan.fanout(v) <= cap(v), "member {v} over its budget");
+                }
+                if src_cap == d && (1..n).all(|v| cap(v) == d) {
+                    assert!(plan.max_depth_overall() <= plan.depth_bound());
+                }
+            },
+        );
+        assert!(
+            computed >= cases / 4,
+            "{computed} of {cases} memberships planned"
+        );
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl RepairEngine {
             self.log
                 .push(format!("t={now_nanos:012} death relay={dead} tree={tree}"));
             for &orphan in self.plan.children(tree, dead) {
+                let orphan = orphan as usize;
                 match self.plan.backup(tree, orphan) {
                     Some(backup) => {
                         let graft = Graft {
@@ -207,7 +208,12 @@ mod tests {
     fn silent_interior_dies_and_every_orphan_gets_a_graft() {
         let mut e = engine(40, 4);
         let (dead, tree) = victim(&e);
-        let orphans: Vec<usize> = e.plan().children(tree, dead).to_vec();
+        let orphans: Vec<usize> = e
+            .plan()
+            .children(tree, dead)
+            .iter()
+            .map(|&o| o as usize)
+            .collect();
         // Resume points come from the orphans' last hellos.
         let mut sweeps = 0;
         let grafts = loop {

@@ -45,6 +45,25 @@ impl<T: 'static> PortSender<T> {
     }
 }
 
+/// The sending ends of same-typed ports of one latency, opened as one
+/// table ([`ShardEnv::open_egress_table`]): one lane handle, and a port id
+/// a slot (`u32::MAX` in a slot that holds none).
+pub struct PortTable<T> {
+    ports: Vec<u32>,
+    lane: Option<Rc<TypedLane<T>>>,
+}
+
+impl<T: 'static> PortTable<T> {
+    /// Sends `value` down the port in `slot`, as [`PortSender::send`]
+    /// does; panics if the slot holds no port.
+    pub fn send(&self, slot: usize, value: T) {
+        match (self.ports[slot], &self.lane) {
+            (port, Some(lane)) if port != u32::MAX => lane.send(port, value),
+            _ => panic!("port table slot {slot} holds no port"),
+        }
+    }
+}
+
 pub(crate) type SetupFn = Box<dyn FnOnce(&mut ShardEnv)>;
 
 /// A simulation under construction: its ports and the setup closures
@@ -132,6 +151,26 @@ impl ShardEnv {
             port: egress.port,
             lane: self.hub.lane(egress.latency),
         }
+    }
+
+    /// Opens egress halves as one [`PortTable`], slot `i` holding the
+    /// `i`-th or, where it is `None`, no port: four bytes a slot and one
+    /// lane handle. Panics if two of the ports differ in latency.
+    pub fn open_egress_table<T: 'static>(
+        &self,
+        slots: impl IntoIterator<Item = Option<Egress<T>>>,
+    ) -> PortTable<T> {
+        let mut latency = None;
+        let ports = slots.into_iter().map(|slot| {
+            slot.map_or(u32::MAX, |eg| {
+                let same = *latency.get_or_insert(eg.latency) == eg.latency;
+                assert!(same, "a port table's ports share one latency");
+                eg.port
+            })
+        });
+        let ports = ports.collect();
+        let lane = latency.map(|l| self.hub.lane(l));
+        PortTable { ports, lane }
     }
 
     /// Binds the ingress halves of any number of same-typed ports to

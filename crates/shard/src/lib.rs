@@ -8,7 +8,8 @@
 //! The contract, in two rules:
 //!
 //! 1. **A port has two task-less ends.** The sending end is a
-//!    [`PortSender`] ([`ShardEnv::open_egress`]): its synchronous `send`
+//!    [`PortSender`] ([`ShardEnv::open_egress`]), or a slot of a
+//!    [`PortTable`] ([`ShardEnv::open_egress_table`]): its synchronous `send`
 //!    stamps the value `(due time, port id)` from inside whichever task
 //!    calls it — like the Inmos link engine it stands for, crossing a link
 //!    costs the box no process (§3.1). The receiving end is a call
@@ -39,5 +40,5 @@ mod runtime;
 #[cfg(test)]
 mod tests;
 
-pub use cluster::{Cluster, Egress, Ingress, PortSender, ShardEnv};
+pub use cluster::{Cluster, Egress, Ingress, PortSender, PortTable, ShardEnv};
 pub use runtime::RunReport;

@@ -321,3 +321,57 @@ fn port_send_outside_a_task_panics() {
     cluster.setup(0, move |env| env.open_egress(tx).send(1));
     cluster.run(SimTime::from_millis(1));
 }
+
+/// A port table sends on the port its slot holds, as that port's own
+/// sender would, and refuses a slot that holds none.
+#[test]
+fn a_port_table_sends_on_each_slots_port() {
+    let mut cluster = Cluster::new(1);
+    let (egresses, ingresses): (Vec<_>, Vec<_>) = (0..3)
+        .map(|_| cluster.port::<u32>(SimDuration::from_micros(5)))
+        .unzip();
+    cluster.setup(0, move |env| {
+        let mut egresses = egresses.into_iter();
+        let (a, b, c) = (egresses.next(), egresses.next(), egresses.next());
+        // Slot 0 holds port 2, slot 1 nothing, slot 2 port 0, slot 3 port 1.
+        let table = env.open_egress_table([c, None, a, b]);
+        let seen = Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink = seen.clone();
+        let tagged = ingresses.into_iter().zip(0..);
+        env.bind_ingress_tagged(tagged, move |port, v| {
+            sink.borrow_mut()
+                .push(format!("t={} port={port} v={v}", now().as_nanos()));
+        });
+        env.spawner().spawn("src", async move {
+            for slot in [3, 0, 2] {
+                table.send(slot, slot as u32 * 10);
+            }
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                table.send(1, 0);
+            }));
+            assert!(refused.is_err(), "slot 1 holds no port");
+        });
+        env.on_finish(move || seen.borrow().clone());
+    });
+    let lines = cluster.run(SimTime::from_millis(1)).merged_lines();
+    assert_eq!(
+        lines,
+        [
+            "t=5000 port=0 v=20",
+            "t=5000 port=1 v=30",
+            "t=5000 port=2 v=0"
+        ]
+    );
+}
+
+#[test]
+#[should_panic(expected = "a port table's ports share one latency")]
+fn a_port_table_of_two_latencies_panics() {
+    let mut cluster = Cluster::new(1);
+    let (fast, _) = cluster.port::<u8>(SimDuration::ZERO);
+    let (slow, _) = cluster.port::<u8>(SimDuration::from_micros(1));
+    cluster.setup(0, move |env| {
+        env.open_egress_table([Some(fast), Some(slow)]);
+    });
+    cluster.run(SimTime::from_millis(1));
+}

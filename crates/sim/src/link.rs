@@ -66,12 +66,15 @@ impl LinkConfig {
         LinkConfig { bits_per_sec, name }
     }
 
-    /// Time to clock `bytes` through this link.
+    /// Time to clock `bytes` through this link, divided in `u64` whenever
+    /// `bytes × 8·10⁹` fits: the same quotient, without a 128-bit division.
     pub fn transfer_time(&self, bytes: usize) -> SimDuration {
         if self.bits_per_sec == 0 {
             return SimDuration::ZERO;
         }
-        SimDuration(((bytes as u128 * 8 * 1_000_000_000) / self.bits_per_sec as u128) as u64)
+        let wide = || ((bytes as u128 * 8_000_000_000) / self.bits_per_sec as u128) as u64;
+        let fits = (bytes as u64).checked_mul(8_000_000_000);
+        SimDuration(fits.map_or_else(wide, |bit_ns| bit_ns / self.bits_per_sec))
     }
 }
 
@@ -340,6 +343,39 @@ mod tests {
         assert_eq!(cfg.transfer_time(1), SimDuration::from_nanos(400));
         // A 68-byte audio segment (36B header + 32B data) = 27.2us.
         assert_eq!(cfg.transfer_time(68), SimDuration::from_nanos(27_200));
+    }
+
+    /// The `u64` form is the `u128` formula's quotient wherever the
+    /// numerator fits, and falls back to it past that: byte counts around
+    /// the fit boundary, small and anywhere, over rates of 1, `u64::MAX`
+    /// and anywhere between.
+    #[test]
+    fn transfer_time_is_the_wide_formula() {
+        use pandora_prop::{check, Rng, Tape};
+        let fits = (u64::MAX / 8_000_000_000) as usize;
+        let case = |t: &mut Tape| {
+            let bytes = match t.gen_range(0..3u32) {
+                0 => fits - 2 + t.gen_range(0..5usize),
+                1 => t.gen_range(0..100_000usize),
+                _ => t.gen_range(0..=usize::MAX),
+            };
+            let bps = match t.gen_range(0..4u32) {
+                0 => 1,
+                1 => u64::MAX,
+                2 => t.gen_range(1..100_000_000_000u64),
+                _ => t.gen_range(1..=u64::MAX),
+            };
+            (bytes, bps)
+        };
+        check("transfer_time_wide", 1, 10_000, case, |&(bytes, bps)| {
+            let wide = (bytes as u128 * 8 * 1_000_000_000) / bps as u128;
+            let got = LinkConfig::new("l", bps).transfer_time(bytes);
+            assert_eq!(
+                got,
+                SimDuration(wide as u64),
+                "{bytes} bytes at {bps} bit/s"
+            );
+        });
     }
 
     #[test]
