@@ -61,86 +61,6 @@ pub fn cells_gather(vci: Vci, header: &[u8], payload: &[u8], first_seq: u32) -> 
     out
 }
 
-/// Per-VCI reassembly state.
-#[derive(Debug, Default)]
-struct VciState {
-    buf: Vec<u8>,
-    next_seq: Option<u32>,
-    corrupt: bool,
-}
-
-/// Largest frame a [`Reassembler`] buffers: a box's default slab region
-/// (`BoxConfig::standard().slab_bytes`), so it refuses the frames a box's
-/// [`SlabReassembler`] refuses.
-const MAX_FRAME_BYTES: usize = 64 * 1024;
-
-/// Reassembles cell streams back into frames, discarding whole any frame
-/// with a missing cell or more than 64 KiB of payload.
-#[derive(Debug, Default)]
-pub struct Reassembler {
-    circuits: BTreeMap<Vci, VciState>,
-    frames_ok: u64,
-    frames_discarded: u64,
-}
-
-impl Reassembler {
-    /// Creates an empty reassembler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one arriving cell; returns a completed frame when the marked
-    /// last cell of an intact frame arrives.
-    pub fn push(&mut self, cell: Cell) -> Option<(Vci, Vec<u8>)> {
-        let st = self.circuits.entry(cell.vci).or_default();
-        if let Some(expected) = st.next_seq {
-            if cell.seq != expected {
-                // A cell went missing: poison the in-progress frame.
-                st.corrupt = true;
-            }
-        }
-        st.next_seq = Some(cell.seq.wrapping_add(1));
-        if st.buf.len() + cell.data().len() > MAX_FRAME_BYTES {
-            st.corrupt = true;
-        }
-        if st.corrupt {
-            // A poisoned frame is never delivered: stop buffering it, or a
-            // stream whose last-marked cell never comes grows without bound.
-            st.buf.clear();
-        } else {
-            st.buf.extend_from_slice(cell.data());
-        }
-        if cell.last {
-            let frame = std::mem::take(&mut st.buf);
-            let corrupt = std::mem::take(&mut st.corrupt);
-            if corrupt {
-                self.frames_discarded += 1;
-                None
-            } else {
-                self.frames_ok += 1;
-                Some((cell.vci, frame))
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Frames delivered intact.
-    pub fn frames_ok(&self) -> u64 {
-        self.frames_ok
-    }
-
-    /// Frames discarded due to cell loss.
-    pub fn frames_discarded(&self) -> u64 {
-        self.frames_discarded
-    }
-
-    /// Circuits currently known.
-    pub fn circuits(&self) -> usize {
-        self.circuits.len()
-    }
-}
-
 /// Per-VCI slab reassembly state.
 #[derive(Debug, Default)]
 struct SlabVciState {
@@ -149,20 +69,23 @@ struct SlabVciState {
     corrupt: bool,
 }
 
-/// Reassembles cell streams directly into slab regions — the zero-copy
-/// RX path.
+/// Reassembles cell streams directly into slab regions — the one RX
+/// path, for boxes, Medusa units and the session controller alike.
 ///
-/// Where [`Reassembler`] accumulates into a per-VCI `Vec<u8>` that the
-/// caller then copies again, this variant appends each arriving cell
-/// straight into a [`SlabWriter`] region (the frame's *one* input copy)
-/// and hands the completed frame back as a refcounted [`SlabRef`].
-/// Frames with a missing cell, frames larger than one slab region, and
-/// frames that arrive while the slab is exhausted are discarded whole,
-/// per the §3.8 rule.
+/// Each arriving cell is appended straight into a [`SlabWriter`] region
+/// (the frame's *one* input copy) and the completed frame is handed back
+/// as a refcounted [`SlabRef`]. A frame holds its region from its first
+/// cell to its last, so at most `slab.capacity()` frames are in progress
+/// at once. Frames with a missing cell, frames larger than one slab
+/// region, and frames that start while every region is taken are
+/// discarded whole, per the §3.8 rule.
 #[derive(Debug)]
 pub struct SlabReassembler {
-    slab: ByteSlab,
+    // Declared before `slab`, so in-progress writers hand their regions
+    // back before the arena's last handle can go: the slab's leak audit
+    // then sees only the regions someone else still holds.
     circuits: BTreeMap<Vci, SlabVciState>,
+    slab: ByteSlab,
     frames_ok: u64,
     frames_discarded: u64,
     alloc_failures: u64,
@@ -172,8 +95,8 @@ impl SlabReassembler {
     /// Creates a reassembler that allocates frame regions from `slab`.
     pub fn new(slab: ByteSlab) -> Self {
         SlabReassembler {
-            slab,
             circuits: BTreeMap::new(),
+            slab,
             frames_ok: 0,
             frames_discarded: 0,
             alloc_failures: 0,
@@ -240,7 +163,7 @@ impl SlabReassembler {
         self.frames_discarded
     }
 
-    /// Frames lost because no slab region was free (or one overflowed).
+    /// Frames lost because no slab region was free when they started.
     pub fn alloc_failures(&self) -> u64 {
         self.alloc_failures
     }
@@ -251,7 +174,8 @@ impl SlabReassembler {
     }
 
     /// The slab frames are reassembled into.
-    pub fn slab(&self) -> &ByteSlab {
+    #[cfg(test)]
+    fn slab(&self) -> &ByteSlab {
         &self.slab
     }
 }
@@ -259,69 +183,39 @@ impl SlabReassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pandora_slab::take_slab_leak_report;
+
+    fn feed(r: &mut SlabReassembler, cells: Vec<Cell>) -> Vec<(Vci, Vec<u8>)> {
+        let done = cells.into_iter().filter_map(|c| r.push(c));
+        done.map(|(vci, frame)| (vci, frame.with(|b| b.to_vec())))
+            .collect()
+    }
 
     #[test]
     fn single_cell_frame() {
         let cells = segment_to_cells(Vci(1), &[1, 2, 3], 0);
         assert_eq!(cells.len(), 1);
         assert!(cells[0].last);
-        let mut r = Reassembler::new();
-        assert_eq!(r.push(cells[0].clone()), Some((Vci(1), vec![1, 2, 3])));
-    }
-
-    #[test]
-    fn multi_cell_round_trip() {
-        let frame: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        let cells = segment_to_cells(Vci(9), &frame, 100);
-        assert_eq!(cells.len(), 5); // ceil(200/48).
-        assert!(cells[4].last);
-        assert!(!cells[3].last);
-        let mut r = Reassembler::new();
-        let mut out = None;
-        for c in cells {
-            out = out.or(r.push(c));
-        }
-        assert_eq!(out, Some((Vci(9), frame)));
-        assert_eq!(r.frames_ok(), 1);
+        let mut r = SlabReassembler::new(ByteSlab::new(1, 64));
+        assert_eq!(feed(&mut r, cells), vec![(Vci(1), vec![1, 2, 3])]);
     }
 
     #[test]
     fn empty_frame_is_one_empty_cell() {
         let cells = segment_to_cells(Vci(2), &[], 0);
         assert_eq!(cells.len(), 1);
-        let mut r = Reassembler::new();
-        assert_eq!(r.push(cells[0].clone()), Some((Vci(2), vec![])));
-    }
-
-    #[test]
-    fn lost_cell_discards_frame() {
-        let frame = vec![7u8; 150];
-        let mut cells = segment_to_cells(Vci(3), &frame, 0);
-        cells.remove(1); // Lose the middle cell.
-        let mut r = Reassembler::new();
-        let mut out = None;
-        for c in cells {
-            out = out.or(r.push(c));
-        }
-        assert_eq!(out, None);
-        assert_eq!(r.frames_discarded(), 1);
-        // The next intact frame still gets through (the counter resumed).
-        let next = segment_to_cells(Vci(3), &[1, 2], 4);
-        let mut got = None;
-        for c in next {
-            got = got.or(r.push(c));
-        }
-        assert_eq!(got, Some((Vci(3), vec![1, 2])));
+        let mut r = SlabReassembler::new(ByteSlab::new(1, 64));
+        assert_eq!(feed(&mut r, cells), vec![(Vci(2), vec![])]);
     }
 
     #[test]
     fn poisoned_frame_buffers_nothing_more() {
-        let mut r = Reassembler::new();
+        let mut r = SlabReassembler::new(ByteSlab::new(1, 64 * 1024));
         r.push(Cell::new(Vci(1), 0, false, &[1u8; 48]));
-        // A gap, then a long unmarked run: none of it is kept.
+        // A gap, then a long unmarked run: none of it holds a region.
         for seq in 2..1_000 {
             r.push(Cell::new(Vci(1), seq, false, &[2u8; 48]));
-            assert!(r.circuits[&Vci(1)].buf.is_empty());
+            assert_eq!(r.slab().free_count(), 1);
         }
     }
 
@@ -331,17 +225,10 @@ mod tests {
         let fb = vec![2u8; 100];
         let ca = segment_to_cells(Vci(1), &fa, 0);
         let cb = segment_to_cells(Vci(2), &fb, 0);
-        let mut r = Reassembler::new();
-        let mut done = Vec::new();
         // Interleave cell by cell.
-        for (a, b) in ca.into_iter().zip(cb) {
-            if let Some(f) = r.push(a) {
-                done.push(f);
-            }
-            if let Some(f) = r.push(b) {
-                done.push(f);
-            }
-        }
+        let cells = ca.into_iter().zip(cb).flat_map(|(a, b)| [a, b]);
+        let mut r = SlabReassembler::new(ByteSlab::new(2, 1024));
+        let done = feed(&mut r, cells.collect());
         assert_eq!(done, vec![(Vci(1), fa), (Vci(2), fb)]);
         assert_eq!(r.circuits(), 2);
     }
@@ -372,6 +259,9 @@ mod tests {
     fn slab_reassembler_round_trip() {
         let frame: Vec<u8> = (0..200).map(|i| i as u8).collect();
         let cells = segment_to_cells(Vci(9), &frame, 100);
+        assert_eq!(cells.len(), 5); // ceil(200/48).
+        assert!(cells[4].last);
+        assert!(!cells[3].last);
         let mut r = SlabReassembler::new(ByteSlab::new(2, 1024));
         let mut out = None;
         for c in cells {
@@ -391,23 +281,14 @@ mod tests {
     #[test]
     fn slab_reassembler_discards_on_lost_cell_and_frees_region() {
         let mut cells = segment_to_cells(Vci(3), &[7u8; 150], 0);
-        cells.remove(1);
+        cells.remove(1); // Lose the middle cell.
         let mut r = SlabReassembler::new(ByteSlab::new(1, 1024));
-        let mut out = None;
-        for c in cells {
-            out = out.or(r.push(c));
-        }
-        assert_eq!(out, None);
+        assert_eq!(feed(&mut r, cells), vec![]);
         assert_eq!(r.frames_discarded(), 1);
-        // The poisoned frame's region was freed, so the single slab is
-        // available for the next intact frame.
+        // The poisoned frame's region was freed and the counter resumed,
+        // so the single slab takes the next intact frame.
         let next = segment_to_cells(Vci(3), &[1, 2], 4);
-        let mut got = None;
-        for c in next {
-            got = got.or(r.push(c));
-        }
-        let (_, frame) = got.unwrap();
-        frame.with(|b| assert_eq!(b, &[1, 2]));
+        assert_eq!(feed(&mut r, next), vec![(Vci(3), vec![1, 2])]);
     }
 
     #[test]
@@ -445,18 +326,42 @@ mod tests {
 
     #[test]
     fn seq_wraps_across_frames() {
-        let mut r = Reassembler::new();
+        let mut r = SlabReassembler::new(ByteSlab::new(1, 1024));
         let c1 = segment_to_cells(Vci(1), &[1u8; 96], u32::MAX - 1);
-        for c in c1 {
-            r.push(c);
-        }
+        assert_eq!(feed(&mut r, c1).len(), 1);
         // Continues at 0 after wrap; next frame must still be accepted.
         let c2 = segment_to_cells(Vci(1), &[2u8; 48], 0);
-        let mut got = None;
-        for c in c2 {
-            got = got.or(r.push(c));
-        }
-        assert!(got.is_some());
+        assert_eq!(feed(&mut r, c2).len(), 1);
         assert_eq!(r.frames_ok(), 2);
+    }
+
+    #[test]
+    fn a_reassembler_that_owns_its_arena_reports_no_leak() {
+        let _ = take_slab_leak_report();
+        let mut r = SlabReassembler::new(ByteSlab::new(2, 1024));
+        assert_eq!(r.push(Cell::new(Vci(1), 0, false, &[1u8; 48])), None);
+        assert_eq!(r.slab().free_count(), 1, "the frame holds a region");
+        drop(r);
+        assert!(take_slab_leak_report().is_none());
+    }
+
+    /// ROADMAP item 20's probe: a region is freed only when a later cell
+    /// arrives on its VCI, so frames whose streams fall silent mid-frame
+    /// pin every region of a box-sized slab and starve a live circuit.
+    #[test]
+    #[ignore = "a silent VCI pins its region: ROADMAP item 20"]
+    fn silent_vcis_do_not_starve_a_live_circuit() {
+        let mut r = SlabReassembler::new(ByteSlab::new(288, 64 * 1024));
+        for vci in 1_000..1_288 {
+            assert_eq!(r.push(Cell::new(Vci(vci), 0, false, &[0u8; 48])), None);
+        }
+        let mut seq = 0;
+        let mut delivered = 0;
+        for i in 0..100u8 {
+            let cells = segment_to_cells(Vci(1), &[i; 100], seq);
+            seq = seq.wrapping_add(cells.len() as u32);
+            delivered += feed(&mut r, cells).len();
+        }
+        assert_eq!((delivered, r.alloc_failures()), (100, 0));
     }
 }

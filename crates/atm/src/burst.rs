@@ -27,13 +27,6 @@ pub struct CellBurst {
     cells: Vec<Cell>,
 }
 
-impl CellBurst {
-    /// The cells, in sequence order.
-    pub fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-}
-
 impl WireSize for CellBurst {
     fn wire_bytes(&self) -> usize {
         self.cells.len() * CELL_BYTES
@@ -57,10 +50,7 @@ mod tests {
         let header: Vec<u8> = (0u8..36).collect();
         let payload: Vec<u8> = (0u8..100).map(|i| i.wrapping_mul(7)).collect();
         let burst = burst_gather(Vci(3), &header, &payload, 5);
-        assert_eq!(
-            burst.cells(),
-            &cells_gather(Vci(3), &header, &payload, 5)[..]
-        );
-        assert_eq!(burst.wire_bytes(), burst.cells().len() * CELL_BYTES);
+        assert_eq!(burst.cells, cells_gather(Vci(3), &header, &payload, 5));
+        assert_eq!(burst.wire_bytes(), burst.cells.len() * CELL_BYTES);
     }
 }

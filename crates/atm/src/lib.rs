@@ -5,15 +5,16 @@
 //!
 //! * [`Cell`] / [`Vci`] — 53-byte cells on virtual circuits; Pandora
 //!   carries the destination's stream number in the VCI;
-//! * [`segment_to_cells`] / [`Reassembler`] — frame segmentation and
-//!   reassembly with whole-frame discard on cell loss;
-//! * [`cells_gather`] / [`SlabReassembler`] — the zero-copy variants:
-//!   scatter-gather segmentation straight from a header region plus a
-//!   slab payload, and reassembly directly into slab regions;
-//! * [`build_path_over`] / [`HopConfig`] — multi-hop paths over the
-//!   queue they drain ([`build_path_controlled`]: over one of their own),
-//!   two tasks a hop: a wire (bandwidth, latency, a `LinkControl`) and a
-//!   release stage (a seeded [`JitterModel`] — including the paper's
+//! * [`segment_to_cells`] / [`cells_gather`] — frame segmentation, from
+//!   one buffer or scatter-gather straight from a header region plus a
+//!   slab payload;
+//! * [`SlabReassembler`] — the one reassembler: cells go straight into
+//!   regions of a [`ByteSlab`] the caller sizes, and a frame with a
+//!   missing cell, one larger than a region, or one that starts while
+//!   every region is taken is discarded whole;
+//! * [`build_path_controlled`] / [`build_duplex_path`] / [`HopConfig`] —
+//!   multi-hop paths, two tasks a hop: a wire (bandwidth, latency, a
+//!   `LinkControl`) and a release stage (a seeded [`JitterModel`] — including the paper's
 //!   "2 ms usually, 20 ms under video load" bursty shape — Bernoulli
 //!   loss, and on the last hop the runtime fault controls of
 //!   [`PathControl`]); an ill-formed hop is refused at build time;
@@ -33,10 +34,11 @@ mod burst;
 mod cell;
 mod network;
 
-pub use aal::{cells_gather, segment_to_cells, Reassembler, SlabReassembler};
+pub use aal::{cells_gather, segment_to_cells, SlabReassembler};
 pub use burst::{burst_gather, CellBurst};
 pub use cell::{Cell, Vci, CELL_BYTES, CELL_PAYLOAD};
 pub use network::{
-    build_duplex_path, build_path_controlled, build_path_over, DuplexPath, FabricCounters,
-    HopConfig, JitterModel, PathControl, StageStats, Switch, SwitchCore,
+    build_duplex_path, build_path_controlled, DuplexPath, FabricCounters, HopConfig, JitterModel,
+    PathControl, Switch, SwitchCore,
 };
+pub use pandora_slab::ByteSlab;

@@ -10,7 +10,7 @@
 //! A hop is two tasks: a wire (`link:{path}.{i}`, a [`long_line`]) that
 //! serialises cells and stamps each with its arrival instant, and a
 //! release stage (`hop:{path}.{i}`) that applies the hop's jitter and
-//! loss and hands the cell on — see [`build_path_over`]. Hop 0's wire
+//! loss and hands the cell on — see [`build_path_controlled`]. Hop 0's wire
 //! drains whatever queue the path is built over: a switch's output port
 //! feeds its attachment with no task in between.
 
@@ -98,7 +98,7 @@ impl FabricCounters {
     }
 
     /// Items dropped for lack of a route.
-    pub fn unroutable(&self) -> u64 {
+    pub(crate) fn unroutable(&self) -> u64 {
         self.unroutable.get()
     }
 
@@ -123,10 +123,6 @@ impl FabricCounters {
         self.overflow.set(self.overflow.get() + n);
     }
 }
-
-/// Statistics of a network stage (the loss-relevant view of
-/// [`FabricCounters`]).
-pub type StageStats = FabricCounters;
 
 /// One hop of an ATM path: a bandwidth-limited cell link, its
 /// propagation latency, and the jitter and loss of whatever the hop
@@ -181,7 +177,7 @@ struct PathCtlState {
     injected_corruptions: StdCell<u64>,
 }
 
-/// Runtime fault-injection handle for a [`build_path_over`] path.
+/// Runtime fault-injection handle for a [`build_path_controlled`] path.
 ///
 /// A fault plan can superimpose cell loss, payload corruption and a
 /// latency step on the path's egress, and reach the per-hop
@@ -196,7 +192,7 @@ pub struct PathControl {
 
 impl PathControl {
     /// Wraps hop links in a control handle whose egress disturbance knobs
-    /// start at zero. [`build_path_over`] makes its own this way;
+    /// start at zero. Every path builder makes its own this way;
     /// topologies that assemble their own links (the overlay's relay
     /// uplinks) do it to register with `pandora-faults` as a named path.
     pub fn from_links(links: Vec<LinkControl>) -> Self {
@@ -253,28 +249,15 @@ impl PathControl {
 }
 
 /// Builds a multi-hop ATM path whose first wire drains `source`; returns
-/// the egress receiver, per-hop loss stats and the path's fault controls.
-///
-/// This is the E15 "SuperJanet" substrate: chain several hops with bursty
-/// jitter to model a Cambridge-to-London path crossing "several networks
-/// and protocol conversions". Hop `i` is two tasks: its wire,
-/// `link:{name}.{i}` — a [`long_line`], whose [`LinkControl`] the returned
-/// [`PathControl`] reaches — and its release stage, `hop:{name}.{i}`,
-/// which feeds the next hop's wire. The last hop's stage is also the
-/// path's fault stage and feeds the egress; left untouched, the controls
-/// pass every cell through at its release instant.
-///
-/// # Panics
-///
-/// Panics if `hops` is empty, or — naming the hop — if a `loss` or a
-/// [`JitterModel::Bursty`] `burst_prob` is outside `0..=1` (NaN included).
-pub fn build_path_over(
+/// the egress receiver, per-hop loss stats and the path's fault controls
+/// (see [`build_path_controlled`]).
+fn build_path_over(
     spawner: &Spawner,
     name: &str,
     hops: &[HopConfig],
     seed: u64,
     source: Receiver<Cell>,
-) -> (Receiver<Cell>, Vec<StageStats>, PathControl) {
+) -> (Receiver<Cell>, Vec<FabricCounters>, PathControl) {
     assert!(!hops.is_empty(), "a path needs at least one hop");
     // Wire 0 drains the caller's queue; every later wire a hand-off slot
     // of its own, which the stage before it fills.
@@ -298,7 +281,7 @@ pub fn build_path_over(
         link_ctls.push(lc);
     }
     let ctrl = PathControl::from_links(link_ctls);
-    let stats: Vec<StageStats> = hops.iter().map(|_| StageStats::default()).collect();
+    let stats: Vec<FabricCounters> = hops.iter().map(|_| FabricCounters::default()).collect();
     let (egress_tx, egress_rx) = channel::<Cell>();
     // From the egress backwards: each stage owns the sender into the wire
     // after it.
@@ -321,8 +304,23 @@ pub fn build_path_over(
     (egress_rx, stats, ctrl)
 }
 
-/// [`build_path_over`] a fresh [`link_queue`], whose sender — the path's
-/// ingress — comes first in the result.
+/// Builds a multi-hop ATM path over a fresh [`link_queue`]; returns the
+/// path's ingress (the queue's sender), the egress receiver, per-hop loss
+/// stats and the path's fault controls.
+///
+/// This is the E15 "SuperJanet" substrate: chain several hops with bursty
+/// jitter to model a Cambridge-to-London path crossing "several networks
+/// and protocol conversions". Hop `i` is two tasks: its wire,
+/// `link:{name}.{i}` — a [`long_line`], whose [`LinkControl`] the returned
+/// [`PathControl`] reaches — and its release stage, `hop:{name}.{i}`,
+/// which feeds the next hop's wire. The last hop's stage is also the
+/// path's fault stage and feeds the egress; left untouched, the controls
+/// pass every cell through at its release instant.
+///
+/// # Panics
+///
+/// Panics if `hops` is empty, or — naming the hop — if a `loss` or a
+/// [`JitterModel::Bursty`] `burst_prob` is outside `0..=1` (NaN included).
 pub fn build_path_controlled(
     spawner: &Spawner,
     name: &str,
@@ -331,7 +329,7 @@ pub fn build_path_controlled(
 ) -> (
     LinkSender<Cell>,
     Receiver<Cell>,
-    Vec<StageStats>,
+    Vec<FabricCounters>,
     PathControl,
 ) {
     let (ingress, source) = link_queue();
@@ -362,7 +360,7 @@ async fn release_stage(
     stamped: Receiver<(SimTime, Cell)>,
     hop: HopConfig,
     seed: u64,
-    stats: StageStats,
+    stats: FabricCounters,
     mut next: Next,
 ) {
     let mut jitter_rng = SmallRng::seed_from_u64(seed ^ 0xA5A5);
@@ -424,9 +422,9 @@ pub struct DuplexPath {
     /// B-side receiver (egress of the a→b direction).
     pub b_rx: Receiver<Cell>,
     /// Per-hop loss stats of the a→b direction.
-    pub a_to_b: Vec<StageStats>,
+    pub a_to_b: Vec<FabricCounters>,
     /// Per-hop loss stats of the b→a direction.
-    pub b_to_a: Vec<StageStats>,
+    pub b_to_a: Vec<FabricCounters>,
     /// Fault-injection control of the a→b direction.
     pub a_to_b_ctrl: PathControl,
     /// Fault-injection control of the b→a direction.

@@ -3,15 +3,21 @@
 //! away"). Reassembly must translate every corruption into discard
 //! counters and keep running — never panic, never wedge a circuit.
 
-use pandora_atm::{segment_to_cells, Cell, Reassembler, SlabReassembler, Vci};
-use pandora_prop::{check, replay, Rng, Tape};
-use pandora_slab::ByteSlab;
+mod model;
 
-fn feed(r: &mut Reassembler, cells: impl IntoIterator<Item = Cell>) -> Vec<(Vci, Vec<u8>)> {
-    cells.into_iter().filter_map(|c| r.push(c)).collect()
+use model::{feed_both, Model};
+use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Vci};
+use pandora_prop::{check, replay, Rng, Tape};
+
+/// Two regions of a box's default 64 KiB.
+const REGIONS: usize = 2;
+const REGION_BYTES: usize = 64 * 1024;
+
+fn reassembler() -> SlabReassembler {
+    SlabReassembler::new(ByteSlab::new(REGIONS, REGION_BYTES))
 }
 
-fn feed_slab(r: &mut SlabReassembler, cells: Vec<Cell>) -> Vec<(Vci, Vec<u8>)> {
+fn feed(r: &mut SlabReassembler, cells: impl IntoIterator<Item = Cell>) -> Vec<(Vci, Vec<u8>)> {
     let done = cells.into_iter().filter_map(|c| r.push(c));
     done.map(|(vci, frame)| (vci, frame.with(|b| b.to_vec())))
         .collect()
@@ -29,7 +35,7 @@ fn truncated_burst_discards_both_frames_once() {
     let n1 = c1.len() as u32;
     c1.truncate(c1.len() - 2); // lose the tail, with its `last` marker
     let c2 = segment_to_cells(Vci(5), &f2, n1);
-    let mut r = Reassembler::new();
+    let mut r = reassembler();
     let done = feed(&mut r, c1.into_iter().chain(c2));
     assert!(done.is_empty(), "truncated frame delivered: {done:?}");
     assert_eq!(r.frames_ok(), 0);
@@ -45,7 +51,7 @@ fn reordered_cells_discard_frame_and_recover() {
     let frame = vec![9u8; 200];
     let mut cells = segment_to_cells(Vci(7), &frame, 40);
     cells.swap(1, 2);
-    let mut r = Reassembler::new();
+    let mut r = reassembler();
     let done = feed(&mut r, cells);
     assert!(done.is_empty(), "reordered frame delivered");
     assert_eq!(r.frames_discarded(), 1);
@@ -58,7 +64,7 @@ fn duplicated_cell_discards_frame() {
     let frame = vec![6u8; 150];
     let mut cells = segment_to_cells(Vci(3), &frame, 0);
     cells.insert(1, cells[1].clone()); // the same cell delivered twice
-    let mut r = Reassembler::new();
+    let mut r = reassembler();
     let done = feed(&mut r, cells);
     assert!(done.is_empty(), "duplicated cell slipped a frame through");
     assert_eq!(r.frames_discarded(), 1);
@@ -74,7 +80,7 @@ fn colliding_vci_interleave_never_panics() {
     let fb = vec![2u8; 150];
     let ca = segment_to_cells(Vci(11), &fa, 0);
     let cb = segment_to_cells(Vci(11), &fb, 1_000);
-    let mut r = Reassembler::new();
+    let mut r = reassembler();
     let mut done = Vec::new();
     for (a, b) in ca.into_iter().zip(cb) {
         done.extend(r.push(a));
@@ -88,10 +94,10 @@ fn colliding_vci_interleave_never_panics() {
 #[test]
 fn unmarked_cell_flood_is_refused_whole_and_circuit_recovers() {
     // A hostile (or broken) sender never marks a last cell: 10 000 full
-    // cells, 480 000 bytes, on one VCI. Neither reassembler may keep
+    // cells, 480 000 bytes, on one VCI. The reassembler may not keep
     // them — a box's default slab region, 64 KiB, bounds a frame — so
-    // when a mark finally comes both discard, and both deliver the
-    // intact frame that follows.
+    // when a mark finally comes it discards, and it delivers the intact
+    // frame that follows.
     let mut flood = segment_to_cells(Vci(8), &vec![0xEE; 10_000 * 48], 0);
     let n = flood.len() as u32;
     assert_eq!(n, 10_000);
@@ -101,22 +107,17 @@ fn unmarked_cell_flood_is_refused_whole_and_circuit_recovers() {
     let tail = segment_to_cells(Vci(8), &next, n + 1);
     let stream: Vec<Cell> = flood.into_iter().chain([end]).chain(tail).collect();
 
-    let mut owned = Reassembler::new();
-    assert_eq!(
-        feed(&mut owned, stream.clone()),
-        vec![(Vci(8), next.clone())]
-    );
-    assert_eq!((owned.frames_ok(), owned.frames_discarded()), (1, 1));
+    let mut r = reassembler();
+    let mut model = Model::new(REGIONS, REGION_BYTES);
+    let done = feed_both(&mut r, &mut model, &stream);
+    assert_eq!(done, vec![(Vci(8), next)]);
+    assert_eq!((r.frames_ok(), r.frames_discarded()), (1, 1));
 
-    let mut slab = SlabReassembler::new(ByteSlab::new(2, 64 * 1024));
-    assert_eq!(feed_slab(&mut slab, stream), vec![(Vci(8), next)]);
-    assert_eq!((slab.frames_ok(), slab.frames_discarded()), (1, 1));
-
-    // The bound is the same on both: 64 KiB passes, one byte more does not.
-    for (len, delivered) in [(64 * 1024, 1), (64 * 1024 + 1, 0)] {
+    // A region bounds a frame: 64 KiB passes, one byte more does not.
+    for (len, delivered) in [(REGION_BYTES, 1), (REGION_BYTES + 1, 0)] {
         let cells = segment_to_cells(Vci(9), &vec![1u8; len], 0);
-        assert_eq!(feed(&mut owned, cells.clone()).len(), delivered, "{len}");
-        assert_eq!(feed_slab(&mut slab, cells).len(), delivered, "{len}");
+        let done = feed_both(&mut r, &mut model, &cells);
+        assert_eq!(done.len(), delivered, "{len}");
     }
 }
 
@@ -157,44 +158,36 @@ fn mutated_cells(rng: &mut Tape) -> Vec<Cell> {
     cells
 }
 
-/// Feeds `cells` to an owned reassembler and to one with a two-region
-/// slab; returns both, and whether they delivered the same frames.
-fn reassemble_both(cells: &[Cell]) -> (Reassembler, SlabReassembler, bool) {
-    let mut owned = Reassembler::new();
-    let mut slab = SlabReassembler::new(ByteSlab::new(2, 64 * 1024));
-    let same = feed(&mut owned, cells.to_vec()) == feed_slab(&mut slab, cells.to_vec());
-    (owned, slab, same)
+/// Holds a two-region reassembler to the model over `cells`; returns it
+/// after the assault.
+fn reassemble_against_the_model(cells: &[Cell]) -> SlabReassembler {
+    let mut r = reassembler();
+    feed_both(&mut r, &mut Model::new(REGIONS, REGION_BYTES), cells);
+    r
 }
 
 #[test]
 fn seeded_mutation_fuzz_never_panics() {
-    // Every outcome of a mutated cell stream lands in a counter, and both
-    // reassemblers count the same frames; they deliver the same ones
-    // unless the slab had no region free for one.
+    // Every outcome of a mutated cell stream lands in a counter, and the
+    // reassembler delivers exactly the model's frames and counts exactly
+    // its discards and refusals.
     let mut unmutated = 0;
     let name = "seeded_mutation_fuzz_never_panics";
     check(name, 0, 10_000, mutated_cells, |cells| {
-        let (mut owned, mut slab, same) = reassemble_both(cells);
-        let (ok, bad) = (owned.frames_ok(), owned.frames_discarded());
-        assert_eq!(ok + bad, slab.frames_ok() + slab.frames_discarded());
-        if slab.alloc_failures() == 0 {
-            assert!(same);
-            assert_eq!(ok, slab.frames_ok());
-        }
-        unmutated += u64::from(bad == 0);
-        // Both reassemblers must still work after the assault.
+        let mut r = reassemble_against_the_model(cells);
+        unmutated += u64::from(r.frames_discarded() == 0);
+        // The reassembler must still work after the assault.
         let clean = segment_to_cells(Vci(99), &[5u8; 100], 0);
-        assert_eq!(feed(&mut owned, clean.clone()).len(), 1, "owned wedged");
-        assert_eq!(feed_slab(&mut slab, clean).len(), 1, "slab wedged");
+        assert_eq!(feed(&mut r, clean).len(), 1, "wedged");
     });
     assert_eq!(unmutated, 0, "a case mutated nothing");
 }
 
 /// The sweep's case 11, shrunk: a swapped cell opens a frame on a circuit
 /// that has seen nothing, so three frames are in progress at once and a
-/// two-region slab refuses one that `Reassembler` delivers.
+/// two-region slab refuses the third. That is the region bound: a slab
+/// of `n` regions holds at most `n` frames in progress.
 #[test]
-#[ignore = "a slab bounds the frames in progress at once and `Reassembler` does not: ROADMAP item 1(a)"]
 fn a_two_region_slab_refuses_a_third_frame_in_progress() {
     #[rustfmt::skip]
     let tape = [
@@ -220,6 +213,7 @@ fn a_two_region_slab_refuses_a_third_frame_in_progress() {
         0, 23998,
     ];
     replay(&tape, mutated_cells, |cells| {
-        assert!(reassemble_both(cells).2)
+        let r = reassemble_against_the_model(cells);
+        assert!(r.alloc_failures() > 0, "no frame was refused");
     });
 }

@@ -1,32 +1,16 @@
-//! Seeded equivalence: the zero-copy slab transport must deliver
-//! byte-identical segments to the legacy owned path for every segment
-//! shape — audio of one, two and twelve blocks, and sliced video frames
-//! with randomized geometry. Both paths run the same segment through
-//! their full encode → cells → reassemble → decode chain and must agree
-//! with each other and with the original.
+//! Seeded round trips: the zero-copy slab transport must deliver every
+//! segment shape byte-identical to the original — audio of one, two and
+//! twelve blocks, and sliced video frames with randomized geometry. Each
+//! segment runs the full chain: payload into the arena, cells gathered
+//! from it, reassembly into one slab region, decode in place. The cells
+//! gathered are the cells of the segment's contiguous wire image.
 
-use pandora_atm::{cells_gather, segment_to_cells, Reassembler, SlabReassembler, Vci};
+use pandora_atm::{cells_gather, segment_to_cells, ByteSlab, SlabReassembler, Vci};
 use pandora_prop::{check, Rng, Tape};
 use pandora_segment::{
     wire, AudioSegment, PixelFormat, Segment, SequenceNumber, SlabSegment, Timestamp,
     VideoCompression, VideoHeader, VideoSegment, BLOCK_BYTES,
 };
-use pandora_slab::ByteSlab;
-
-/// Drives `seg` through the legacy owned path: encode to one `Vec`,
-/// segment into cells, reassemble into a fresh `Vec`, decode.
-fn legacy_round_trip(seg: &Segment, vci: Vci, seq: u32) -> Segment {
-    let bytes = wire::encode(seg);
-    let cells = segment_to_cells(vci, &bytes, seq);
-    let mut r = Reassembler::new();
-    let mut out = None;
-    for cell in cells {
-        out = r.push(cell).or(out);
-    }
-    let (got_vci, frame) = out.expect("legacy frame completes");
-    assert_eq!(got_vci, vci);
-    wire::decode(&frame).expect("legacy frame decodes")
-}
 
 /// Drives `seg` through the slab path: payload into the arena, header
 /// into a scratch region, cells gathered straight from the slab,
@@ -41,6 +25,7 @@ fn slab_round_trip(seg: &Segment, vci: Vci, seq: u32) -> Segment {
     let cells = sseg
         .payload
         .copy_out_with(|p| cells_gather(vci, &scratch, p, seq));
+    assert_eq!(cells, segment_to_cells(vci, &wire::encode(seg), seq));
     let mut r = SlabReassembler::new(slab.clone());
     let mut out = None;
     for cell in cells {
@@ -53,12 +38,9 @@ fn slab_round_trip(seg: &Segment, vci: Vci, seq: u32) -> Segment {
         .to_segment()
 }
 
-/// Both paths must reproduce the original exactly.
-fn assert_paths_agree(seg: &Segment, vci: Vci, seq: u32) {
-    let legacy = legacy_round_trip(seg, vci, seq);
-    let slab = slab_round_trip(seg, vci, seq);
-    assert_eq!(&legacy, seg, "legacy path altered the segment");
-    assert_eq!(slab, legacy, "slab path diverged from the legacy path");
+/// The slab path must reproduce the original exactly.
+fn assert_round_trips(seg: &Segment, vci: Vci, seq: u32) {
+    assert_eq!(&slab_round_trip(seg, vci, seq), seg, "slab path altered it");
 }
 
 /// `seg` on a random circuit, from a random cell sequence number.
@@ -84,7 +66,7 @@ fn audio_segments_round_trip_identically() {
     for blocks in [1usize, 2, 12] {
         let case = |t: &mut Tape| on_a_circuit(random_audio(t, blocks), t);
         check("slab_audio", 0x5eed_a11d, 20, case, |(seg, vci, seq)| {
-            assert_paths_agree(seg, *vci, *seq)
+            assert_round_trips(seg, *vci, *seq)
         });
     }
 }
@@ -125,6 +107,6 @@ fn random_video_slice(rng: &mut Tape) -> Segment {
 fn sliced_video_frames_round_trip_identically() {
     let case = |t: &mut Tape| on_a_circuit(random_video_slice(t), t);
     check("slab_video", 0x51de0, 40, case, |(seg, vci, seq)| {
-        assert_paths_agree(seg, *vci, *seq)
+        assert_round_trips(seg, *vci, *seq)
     });
 }

@@ -604,9 +604,9 @@ pub struct BoxPair {
     /// Second box.
     pub b: PandoraBox,
     /// Loss stats of the a→b path hops.
-    pub a_to_b: Vec<pandora_atm::StageStats>,
+    pub a_to_b: Vec<pandora_atm::FabricCounters>,
     /// Loss stats of the b→a path hops.
-    pub b_to_a: Vec<pandora_atm::StageStats>,
+    pub b_to_a: Vec<pandora_atm::FabricCounters>,
     /// Fault-injection control of the a→b path (links and egress stage).
     pub a_to_b_ctrl: pandora_atm::PathControl,
     /// Fault-injection control of the b→a path.

@@ -27,8 +27,8 @@ use pandora::audio_board::{spawn_audio_playback, PlaybackConfig, SpeakerSink};
 use pandora::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
-use pandora::VideoCosts;
-use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, SwitchCore, Vci};
+use pandora::{BoxConfig, VideoCosts};
+use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, SwitchCore, Vci};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
 use pandora_buffers::Reporter;
@@ -132,6 +132,26 @@ impl Fabric {
     }
 }
 
+/// A unit's AAL receive side: a box's default arena, so a unit refuses
+/// the frames a box refuses ("the same design principles apply").
+fn unit_reassembler() -> SlabReassembler {
+    let config = BoxConfig::standard("medusa");
+    SlabReassembler::new(ByteSlab::new(config.slab_buffers, config.slab_bytes))
+}
+
+/// A unit's AAL transmit side: sends `seg` on `vci` as one frame of
+/// cells, continuing the circuit's `cell_seq`; false once the port closes.
+async fn send_frame(port: &LinkSender<Cell>, vci: Vci, cell_seq: &mut u32, seg: &Segment) -> bool {
+    let cells = segment_to_cells(vci, &wire::encode(seg), *cell_seq);
+    *cell_seq = cell_seq.wrapping_add(cells.len() as u32);
+    for cell in cells {
+        if port.send(cell).await.is_err() {
+            return false;
+        }
+    }
+    true
+}
+
 /// A microphone unit: signal → 2 ms blocks → segments → cells on a VCI.
 pub fn spawn_mic_unit(
     spawner: &Spawner,
@@ -155,13 +175,8 @@ pub fn spawn_mic_unit(
             c.claim(SimDuration::from_micros(250)).await;
             let ts = Timestamp::from_nanos(pandora_sim::now().as_nanos());
             if let Some(seg) = asm.push(block, ts) {
-                let bytes = wire::encode(&Segment::Audio(seg));
-                let cells = segment_to_cells(vci, &bytes, cell_seq);
-                cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-                for cell in cells {
-                    if port.send(cell).await.is_err() {
-                        return;
-                    }
+                if !send_frame(&port, vci, &mut cell_seq, &Segment::Audio(seg)).await {
+                    return;
                 }
             }
         }
@@ -185,10 +200,10 @@ pub fn spawn_speaker_unit(
     let (seg_tx, seg_rx) = pandora_sim::channel::<(StreamId, pandora_segment::AudioSegment)>();
     // AAL adapter.
     spawner.spawn(&format!("speaker-unit:{name}:aal"), async move {
-        let mut reasm = Reassembler::new();
+        let mut reasm = unit_reassembler();
         while let Ok(cell) = cells.recv().await {
             if let Some((vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Audio(a)) = wire::decode(&frame) {
+                if let Ok(Segment::Audio(a)) = frame.with(wire::decode) {
                     if seg_tx.send((vci.stream(), a)).await.is_err() {
                         return;
                     }
@@ -235,13 +250,8 @@ pub fn spawn_camera_unit(
     spawner.spawn(&format!("camera-unit:{name}:aal"), async move {
         let mut cell_seq: u32 = 0;
         while let Ok((_, seg)) = seg_rx.recv().await {
-            let bytes = wire::encode(&Segment::Video(seg));
-            let cells = segment_to_cells(vci, &bytes, cell_seq);
-            cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-            for cell in cells {
-                if port.send(cell).await.is_err() {
-                    return;
-                }
+            if !send_frame(&port, vci, &mut cell_seq, &Segment::Video(seg)).await {
+                return;
             }
         }
     });
@@ -260,10 +270,10 @@ pub fn spawn_display_unit(
     );
     let (seg_tx, seg_rx) = pandora_sim::channel::<(StreamId, pandora_segment::VideoSegment)>();
     spawner.spawn(&format!("display-unit:{name}:aal"), async move {
-        let mut reasm = Reassembler::new();
+        let mut reasm = unit_reassembler();
         while let Ok(cell) = cells.recv().await {
             if let Some((vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Video(v)) = wire::decode(&frame) {
+                if let Ok(Segment::Video(v)) = frame.with(wire::decode) {
                     if seg_tx.send((vci.stream(), v)).await.is_err() {
                         return;
                     }
@@ -298,20 +308,15 @@ pub fn spawn_filter_unit(
     let p = processed.clone();
     let mut transform = transform;
     spawner.spawn(&format!("filter-unit:{name}"), async move {
-        let mut reasm = Reassembler::new();
+        let mut reasm = unit_reassembler();
         let mut cell_seq: u32 = 0;
         while let Ok(cell) = in_cells.recv().await {
             if let Some((_vci, frame)) = reasm.push(cell) {
-                if let Ok(Segment::Video(mut v)) = wire::decode(&frame) {
+                if let Ok(Segment::Video(mut v)) = frame.with(wire::decode) {
                     transform(&mut v);
                     p.set(p.get() + 1);
-                    let bytes = wire::encode(&Segment::Video(v));
-                    let cells = segment_to_cells(out_vci, &bytes, cell_seq);
-                    cell_seq = cell_seq.wrapping_add(cells.len() as u32);
-                    for c in cells {
-                        if port.send(c).await.is_err() {
-                            return;
-                        }
+                    if !send_frame(&port, out_vci, &mut cell_seq, &Segment::Video(v)).await {
+                        return;
                     }
                 }
             }

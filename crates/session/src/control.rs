@@ -55,18 +55,18 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pandora::{OutputId, PandoraBox, StreamKind};
-use pandora_atm::{segment_to_cells, Cell, Reassembler, Switch, Vci};
+use pandora::{BoxConfig, OutputId, PandoraBox, StreamKind};
+use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, Vci};
 use pandora_metrics::{Histogram, StateTimeline, Table};
 use pandora_recover::{LeaseConfig, LeaseEvent, LeaseState, LeaseTable};
-use pandora_segment::{wire, StreamId};
+use pandora_segment::{wire, StreamId, COMMON_HEADER_BYTES};
 use pandora_sim::{recv_deadline, LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::admission::{AdmissionController, Decision};
 use crate::directory::{Capabilities, Directory, EndpointId};
-use crate::proto::{RejectReason, SessionMsg, StreamClass};
+use crate::proto::{RejectReason, SessionMsg, StreamClass, CONTROL_BYTES};
 
 /// A control-plane operation failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,13 +236,18 @@ impl Controller {
             recovery: RecoveryStats::default(),
         }));
         let dispatch = inner.clone();
+        // Every control frame is one test segment of a `CONTROL_BYTES`
+        // payload, so a region holds exactly one: a larger frame would
+        // fail `SessionMsg::decode` anyway, and is discarded on arrival.
+        let regions = BoxConfig::standard("controller").slab_buffers;
+        let slab = ByteSlab::new(regions, COMMON_HEADER_BYTES + CONTROL_BYTES);
         spawner.spawn("session:controller-rx", async move {
-            let mut reasm = Reassembler::new();
+            let mut reasm = SlabReassembler::new(slab);
             while let Ok(cell) = rx.recv().await {
                 let Some((_vci, frame)) = reasm.push(cell) else {
                     continue;
                 };
-                let Ok(seg) = wire::decode(&frame) else {
+                let Ok(seg) = frame.with(wire::decode) else {
                     continue;
                 };
                 let Some(msg) = SessionMsg::from_segment(&seg) else {

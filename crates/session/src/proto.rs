@@ -462,6 +462,12 @@ mod tests {
             assert_eq!(SessionMsg::decode(&bytes), Some(msg), "{msg:?}");
             let seg = msg.to_segment(42);
             assert_eq!(SessionMsg::from_segment(&seg), Some(msg), "{msg:?}");
+            // The controller's slab regions are sized to this frame.
+            let frame = pandora_segment::wire::encode(&seg);
+            assert_eq!(
+                frame.len(),
+                pandora_segment::COMMON_HEADER_BYTES + CONTROL_BYTES
+            );
         }
         assert_eq!(msgs, [true; 9], "a SessionMsg variant is missing");
         assert_eq!(classes, [true; 2], "a StreamClass variant is missing");

@@ -1,19 +1,23 @@
-//! Equivalence across crates: the two AAL reassemblers must deliver the
-//! same frames under seeded fault plans, and the Q15 scaled mixer must be
-//! exact on exact gains.
+//! Equivalence across crates: the AAL reassembler must deliver what its
+//! model delivers under seeded fault plans, and the Q15 scaled mixer must
+//! be exact on exact gains.
 //!
-//! Cells have one path only (there is no batched fabric), but two
-//! reassemblers sit at its end — `Reassembler` for slab-less units,
-//! `SlabReassembler` for boxes — and this suite pins them together: same
-//! frames, same counters, same bytes, for 10 seeds. The batched mixer and
-//! the slice DPCM codec are held to their scalar oracles in their own
-//! crates' tests, where the oracles live behind `#[cfg(test)]`.
+//! Cells have one path and one reassembler at its end,
+//! `SlabReassembler`, for boxes, Medusa units and the session controller
+//! alike. This suite holds it to the plain model of
+//! `crates/atm/tests/model`: same frames, same bytes, same counters, for
+//! 10 seeds of a lossy and corrupting path. The batched mixer and the
+//! slice DPCM codec are held to their scalar oracles in their own crates'
+//! tests, where the oracles live behind `#[cfg(test)]`.
 
+#[path = "../crates/atm/tests/model/mod.rs"]
+mod model;
+
+use model::{feed_both, Model};
 use pandora_atm::{
-    build_path_controlled, segment_to_cells, Cell, HopConfig, Reassembler, SlabReassembler, Vci,
+    build_path_controlled, segment_to_cells, ByteSlab, Cell, HopConfig, SlabReassembler, Vci,
 };
 use pandora_audio::{mix_blocks, mix_blocks_scaled, Block, Q15};
-use pandora_buffers::ByteSlab;
 use pandora_prop::{check, Rng, Tape};
 use pandora_sim::Simulation;
 use std::cell::RefCell;
@@ -35,9 +39,8 @@ fn blocks(t: &mut Tape, count: usize) -> Vec<Block> {
 #[test]
 fn burst_reassembly_matches_under_loss_and_corruption_faults() {
     // The cells of a 40-frame burst that survive a seeded lossy and
-    // corrupting path feed both reassemblers that exist — the owned one
-    // (medusa, the session controller) and the slab one (every box);
-    // they must deliver the same frames and count the same discards.
+    // corrupting path feed the reassembler and its model; they must
+    // deliver the same frames and count the same discards.
     let frame = |t: &mut Tape| {
         let len = t.gen_range(0..=300usize);
         noise(t, len)
@@ -78,16 +81,10 @@ fn burst_reassembly_matches_under_loss_and_corruption_faults() {
             sim.run_until_idle();
             assert!(ctrl.injected_drops() > 0, "plan injected no loss");
             // Cell by cell, both deliver the same frame or none.
-            let mut owned = Reassembler::new();
             let mut slab = SlabReassembler::new(ByteSlab::new(2, 1024));
-            for cell in survivors.borrow().iter() {
-                let frame = slab.push(cell.clone());
-                let frame = frame.map(|(vci, frame)| (vci, frame.with(|b| b.to_vec())));
-                assert_eq!(owned.push(cell.clone()), frame);
-            }
-            assert_eq!(owned.frames_ok(), slab.frames_ok());
-            assert_eq!(owned.frames_discarded(), slab.frames_discarded());
-            assert!(owned.frames_discarded() > 0, "nothing lost");
+            let mut model = Model::new(2, 1024);
+            feed_both(&mut slab, &mut model, &survivors.borrow());
+            assert!(slab.frames_discarded() > 0, "nothing lost");
             assert_eq!(slab.alloc_failures(), 0);
         });
     }

@@ -261,18 +261,18 @@ fn rate_fraction_exact_count() {
 /// and interleaving two circuits never cross-contaminates.
 #[test]
 fn aal_round_trip_and_isolation() {
-    use pandora_atm::{segment_to_cells, Reassembler, Vci};
+    use pandora_atm::{segment_to_cells, ByteSlab, SlabReassembler, Vci};
     let frames = |t: &mut Tape| (vec_of(t, 0..500, byte), vec_of(t, 0..500, byte));
     check("aal", SEED, CASES, frames, |(fa, fb)| {
         let ca = segment_to_cells(Vci(1), fa, 0);
         let cb = segment_to_cells(Vci(2), fb, 0);
         // The two circuits' cells alternate until the shorter runs out.
         let cells = (0..ca.len().max(cb.len())).flat_map(|i| [ca.get(i), cb.get(i)]);
-        let mut r = Reassembler::new();
+        let mut r = SlabReassembler::new(ByteSlab::new(2, 500));
         let out: Vec<_> = cells.flatten().filter_map(|c| r.push(c.clone())).collect();
         assert_eq!(out.len(), 2);
         for (vci, frame) in out {
-            assert_eq!(&frame, if vci == Vci(1) { fa } else { fb });
+            frame.with(|b| assert_eq!(b, if vci == Vci(1) { fa } else { fb }));
         }
     });
 }
