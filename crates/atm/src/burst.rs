@@ -1,10 +1,11 @@
-//! [`CellBurst`]: the cells of one frame, built once and shared.
+//! [`CellBurst`]: the size of one frame's cell run.
 //!
-//! The overlay source segments a slice into cells once
-//! ([`burst_gather`]) and every relay then forwards the same run behind
-//! an `Arc` (`pandora_overlay::Slice`), so a slice's payload is copied
-//! into cells once however many members it reaches. Links charge a burst
-//! its full cell count ([`WireSize`]).
+//! The overlay source charges each slice the cells its frame would fill
+//! ([`burst_gather`]) and every relay then forwards the same count behind
+//! an `Arc` (`pandora_overlay::Slice`). No overlay member reassembles
+//! anything, so a burst holds no cells: it is its cell count, and links
+//! charge it that many cells ([`WireSize`]), exactly what
+//! [`crate::cells_gather`] would build for the same frame.
 //!
 //! Between two boxes every cell travels singly — `cells_gather`, the
 //! switch's `dispatch_cell`, a reassembler's `push` — because the box TX
@@ -17,40 +18,51 @@
 
 use pandora_sim::WireSize;
 
-use crate::aal::cells_gather;
-use crate::cell::{Cell, Vci, CELL_BYTES};
+use crate::cell::{Vci, CELL_BYTES, CELL_PAYLOAD};
 
-/// The cells of one frame on one VCI, in sequence order; immutable once
-/// built, so it can be shared behind an `Arc`.
+/// The cell count of one frame on one VCI: what a link charges for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellBurst {
-    cells: Vec<Cell>,
+    cells: usize,
 }
 
 impl WireSize for CellBurst {
     fn wire_bytes(&self) -> usize {
-        self.cells.len() * CELL_BYTES
+        self.cells * CELL_BYTES
     }
 }
 
-/// Splits a logically contiguous `header ++ payload` frame into one burst
-/// on `vci`; the contained cells are exactly [`crate::cells_gather`]'s.
-pub fn burst_gather(vci: Vci, header: &[u8], payload: &[u8], first_seq: u32) -> CellBurst {
+/// The burst a logically contiguous `header ++ payload` frame fills: one
+/// cell per started [`CELL_PAYLOAD`] bytes, and one for an empty frame,
+/// as [`crate::cells_gather`] segments it. The VCI and first sequence
+/// number name the cells a box would send; a count does not need them.
+pub fn burst_gather(_vci: Vci, header: &[u8], payload: &[u8], _first_seq: u32) -> CellBurst {
     CellBurst {
-        cells: cells_gather(vci, header, payload, first_seq),
+        cells: (header.len() + payload.len()).div_ceil(CELL_PAYLOAD).max(1),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aal::cells_gather;
 
+    /// The count is the length of the cell run `cells_gather` builds, for
+    /// every frame of up to 3,000 bytes and header splits of none, a
+    /// sequence number and a full segment header.
     #[test]
-    fn burst_gather_matches_cells_gather() {
-        let header: Vec<u8> = (0u8..36).collect();
-        let payload: Vec<u8> = (0u8..100).map(|i| i.wrapping_mul(7)).collect();
-        let burst = burst_gather(Vci(3), &header, &payload, 5);
-        assert_eq!(burst.cells, cells_gather(Vci(3), &header, &payload, 5));
-        assert_eq!(burst.wire_bytes(), burst.cells.len() * CELL_BYTES);
+    fn a_burst_is_as_long_as_the_cells_gather_builds() {
+        let frame: Vec<u8> = (0..3_000u32).map(|i| i as u8).collect();
+        for split in [0, 4, 36] {
+            for len in 0..=frame.len() {
+                let (header, payload) = frame[..len].split_at(split.min(len));
+                let cells = cells_gather(Vci(3), header, payload, 5);
+                assert_eq!(
+                    burst_gather(Vci(3), header, payload, 5).wire_bytes(),
+                    cells.len() * CELL_BYTES,
+                    "frame of {len} bytes, header {split}"
+                );
+            }
+        }
     }
 }

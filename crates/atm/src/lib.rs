@@ -22,10 +22,11 @@
 //!   than stall other ports (Principle 5 at the fabric level): a
 //!   [`SwitchCore`] (route table, counters, `dispatch_cell`) plus the task
 //!   that feeds it;
-//! * [`CellBurst`] — the cells of one frame built once ([`burst_gather`])
-//!   and shared behind an `Arc` by the overlay's relays. Cells cross the
-//!   fabric one at a time; there is no per-burst switch or reassembly
-//!   path.
+//! * [`CellBurst`] — the cell count of one frame ([`burst_gather`]),
+//!   which the overlay's relays share behind an `Arc` and links charge in
+//!   full. It holds no cells: no overlay member reassembles. Cells cross
+//!   the fabric one at a time; there is no per-burst switch or
+//!   reassembly path.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

@@ -85,7 +85,7 @@ impl SegmentAssembler {
     }
 
     /// Number of blocks accumulated toward the next segment.
-    pub fn pending_blocks(&self) -> usize {
+    pub(crate) fn pending_blocks(&self) -> usize {
         self.pending.len() / BLOCK_BYTES
     }
 

@@ -38,7 +38,7 @@ pub fn mix_blocks<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
 /// The conformance oracle for [`mix_blocks`]: same accumulate/saturate
 /// semantics expressed through the reference (formula/loop) codec.
 #[cfg(test)]
-pub fn mix_blocks_scalar<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
+fn mix_blocks_scalar<'a>(blocks: impl IntoIterator<Item = &'a Block>) -> Block {
     let mut acc = [0i32; BLOCK_BYTES];
     for block in blocks {
         for (a, &b) in acc.iter_mut().zip(block.0.iter()) {
@@ -122,14 +122,14 @@ impl Default for CpuProfile {
 impl CpuProfile {
     /// CPU time to mix `streams` per 2 ms tick on the plain path
     /// (no jitter correction, no muting, no outgoing stream).
-    pub fn plain_tick_cost_ns(&self, streams: usize) -> u64 {
+    pub(crate) fn plain_tick_cost_ns(&self, streams: usize) -> u64 {
         streams as u64 * self.mix_per_stream_ns
     }
 
     /// CPU time per 2 ms tick on the full path of §4.2: jitter correction
     /// (clawback) and muting enabled, one outgoing stream, interface code
     /// running.
-    pub fn full_tick_cost_ns(&self, streams: usize) -> u64 {
+    pub(crate) fn full_tick_cost_ns(&self, streams: usize) -> u64 {
         streams as u64 * (self.mix_per_stream_ns + self.clawback_per_stream_ns)
             + self.muting_per_block_ns
             + self.outgoing_per_block_ns

@@ -102,15 +102,6 @@ impl Muting {
         }
     }
 
-    /// Current gain as the Q15 value actually applied by the tables.
-    pub fn factor_q15(&self) -> Q15 {
-        match self.stage {
-            MuteStage::Full => Q15::ONE,
-            MuteStage::Deep => Q15::from_f64(self.config.deep_factor),
-            MuteStage::Half => Q15::from_f64(self.config.half_factor),
-        }
-    }
-
     /// Observes one 2 ms speaker block about to be played and advances the
     /// state machine by one block period.
     pub fn observe_speaker(&mut self, block: &Block) {
@@ -276,14 +267,6 @@ mod tests {
                 assert!(d <= 1, "factor={factor} b={b}");
             }
         }
-    }
-
-    #[test]
-    fn factor_q15_matches_factor() {
-        let mut m = Muting::new(MutingConfig::default());
-        assert_eq!(m.factor_q15(), Q15::ONE);
-        m.observe_speaker(&block_of(20_000));
-        assert_eq!(m.factor_q15(), Q15::from_f64(m.factor()));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The paper ranks degradations perceptually (§3.8): occasional dropped
 //! samples < occasional dropped blocks < frequent drops ("gravelly").
 //! These metrics give the same ordering objectively: signal-to-distortion
-//! ratio against the lossless reference, plus discontinuity counts that
-//! act as a proxy for audible clicks.
+//! ratio against the lossless reference, plus counts of 2 ms energy holes
+//! that zero-fill cuts into the sound.
 
 use crate::block::Block;
 use crate::mulaw;
@@ -42,25 +42,6 @@ pub fn snr_db(reference: &[Block], degraded: &[Block]) -> f64 {
     }
 }
 
-/// Counts sample-to-sample discontinuities larger than `threshold` in the
-/// linear domain — a proxy for audible clicks at block boundaries.
-pub fn discontinuities(blocks: &[Block], threshold: i32) -> usize {
-    let mut count = 0;
-    let mut prev: Option<i32> = None;
-    for b in blocks {
-        for &s in b.0.iter() {
-            let v = mulaw::decode(s);
-            if let Some(p) = prev {
-                if (v - p).abs() > threshold {
-                    count += 1;
-                }
-            }
-            prev = Some(v);
-        }
-    }
-    count
-}
-
 /// Counts 2 ms energy holes: blocks where the degraded stream's RMS
 /// collapses below a tenth of the reference's (and the reference block was
 /// audible at all). This is the objective face of the paper's complaint
@@ -95,25 +76,6 @@ pub fn energy_holes(reference: &[Block], degraded: &[Block]) -> usize {
             rr > 500.0 && rms(d) < rr * 0.1
         })
         .count()
-}
-
-/// Fraction of blocks whose content differs from the reference — the
-/// "gravelly" proxy: repeated replacement of many blocks garbles speech.
-pub fn affected_block_fraction(reference: &[Block], degraded: &[Block]) -> f64 {
-    assert_eq!(
-        reference.len(),
-        degraded.len(),
-        "streams must be the same length"
-    );
-    if reference.is_empty() {
-        return 0.0;
-    }
-    let n = reference
-        .iter()
-        .zip(degraded.iter())
-        .filter(|(r, d)| r != d)
-        .count();
-    n as f64 / reference.len() as f64
 }
 
 #[cfg(test)]
@@ -164,23 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_fill_creates_discontinuities() {
-        let reference = tone_blocks(100);
-        let (zero, _) = drop_and_conceal(&reference, 10, Concealment::Zero);
-        let clean = discontinuities(&reference, 9_000);
-        let torn = discontinuities(&zero, 9_000);
-        assert!(torn > clean, "torn {torn} clean {clean}");
-    }
-
-    #[test]
-    fn affected_fraction_matches_drop_rate() {
-        let reference = tone_blocks(100);
-        let (d, _) = drop_and_conceal(&reference, 10, Concealment::Zero);
-        let f = affected_block_fraction(&reference, &d);
-        assert!((f - 0.1).abs() <= 0.02, "f = {f}");
-    }
-
-    #[test]
     fn energy_holes_distinguish_zero_from_replay() {
         let reference = tone_blocks(200);
         let (zero, _) = drop_and_conceal(&reference, 10, Concealment::Zero);
@@ -193,7 +138,6 @@ mod tests {
 
     #[test]
     fn empty_streams() {
-        assert_eq!(affected_block_fraction(&[], &[]), 0.0);
         assert_eq!(snr_db(&[], &[]), f64::INFINITY);
     }
 }

@@ -63,16 +63,6 @@ impl Concealer {
     pub fn concealed(&self) -> u64 {
         self.concealed
     }
-
-    /// Fraction of output blocks that were concealed.
-    pub fn concealment_fraction(&self) -> f64 {
-        let total = self.delivered + self.concealed;
-        if total == 0 {
-            0.0
-        } else {
-            self.concealed as f64 / total as f64
-        }
-    }
 }
 
 /// Applies a deterministic periodic drop pattern to a block stream and
@@ -159,7 +149,6 @@ mod tests {
         c.conceal();
         assert_eq!(c.delivered(), 9);
         assert_eq!(c.concealed(), 1);
-        assert!((c.concealment_fraction() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -179,12 +168,6 @@ mod tests {
         let out = drop_samples_repeat_last(&samples, 5);
         // Samples at 1-based positions 5 and 10 replaced by predecessors.
         assert_eq!(out, vec![0, 1, 2, 3, 3, 5, 6, 7, 8, 8]);
-    }
-
-    #[test]
-    fn empty_fraction_is_zero() {
-        let c = Concealer::new(Concealment::Zero);
-        assert_eq!(c.concealment_fraction(), 0.0);
     }
 
     #[test]

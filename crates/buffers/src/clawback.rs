@@ -395,8 +395,6 @@ pub struct ClawbackBank<T> {
     streams: BTreeMap<StreamId, Clawback<T>>,
     config: ClawbackConfig,
     pool: ClawbackPool,
-    deactivations: u64,
-    activations: u64,
     retired: ClawbackStats,
 }
 
@@ -407,8 +405,6 @@ impl<T> ClawbackBank<T> {
             streams: BTreeMap::new(),
             config,
             pool,
-            deactivations: 0,
-            activations: 0,
             retired: ClawbackStats::default(),
         }
     }
@@ -418,13 +414,9 @@ impl<T> ClawbackBank<T> {
     pub fn arrival(&mut self, stream: StreamId, item: T) -> Arrival {
         let config = self.config;
         let pool = &self.pool;
-        let activations = &mut self.activations;
         self.streams
             .entry(stream)
-            .or_insert_with(|| {
-                *activations += 1;
-                Clawback::with_pool(config, pool.clone())
-            })
+            .or_insert_with(|| Clawback::with_pool(config, pool.clone()))
             .arrival(item)
     }
 
@@ -443,7 +435,6 @@ impl<T> ClawbackBank<T> {
             if let Some(buf) = self.streams.remove(&id) {
                 self.retired = self.retired.merge(&buf.stats());
             }
-            self.deactivations += 1;
         }
         out
     }
@@ -466,16 +457,6 @@ impl<T> ClawbackBank<T> {
     /// The shared pool.
     pub fn pool(&self) -> &ClawbackPool {
         &self.pool
-    }
-
-    /// How many times streams were deactivated on empty.
-    pub fn deactivations(&self) -> u64 {
-        self.deactivations
-    }
-
-    /// How many times buffers were (re)created on arrival.
-    pub fn activations(&self) -> u64 {
-        self.activations
     }
 
     /// Aggregate statistics over all streams, including retired buffers.
@@ -708,11 +689,9 @@ mod tests {
         let mixed = bank.mix_tick();
         assert_eq!(mixed, vec![(s2, 21)]);
         assert_eq!(bank.active_streams(), 1);
-        assert_eq!(bank.deactivations(), 1);
         // An arrival re-creates the buffer: "mixing will resume".
         bank.arrival(s1, 11);
         assert_eq!(bank.active_streams(), 2);
-        assert_eq!(bank.activations(), 3);
     }
 
     #[test]

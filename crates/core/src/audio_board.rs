@@ -221,8 +221,6 @@ struct SpeakerInner {
     ticks: u64,
     /// Ticks completed after their deadline (CPU overload indicator).
     late_ticks: u64,
-    /// Largest lag behind the tick deadline seen, ns.
-    max_lag_ns: u64,
     /// Latency from source timestamp to mix, per delivered block.
     latency: Histogram,
     /// Per-stream segment arrival jitter.
@@ -255,7 +253,6 @@ impl SpeakerSink {
             inner: Rc::new(RefCell::new(SpeakerInner {
                 ticks: 0,
                 late_ticks: 0,
-                max_lag_ns: 0,
                 latency: Histogram::new(),
                 jitter: Default::default(),
                 seq: Default::default(),
@@ -289,11 +286,6 @@ impl SpeakerSink {
         } else {
             i.late_ticks as f64 / i.ticks as f64
         }
-    }
-
-    /// Largest processing lag observed, in nanoseconds.
-    pub fn max_lag_ns(&self) -> u64 {
-        self.inner.borrow().max_lag_ns
     }
 
     /// Block latency distribution (source timestamp → mix), nanoseconds.
@@ -461,7 +453,6 @@ pub fn spawn_audio_playback(
                 if lag > BLOCK_DURATION_NANOS / 4 {
                     i.late_ticks += 1;
                 }
-                i.max_lag_ns = i.max_lag_ns.max(lag);
                 for (_, tb) in &mixed_inputs {
                     // End-to-end to the loudspeaker: mix time minus source
                     // timestamp, plus the codec output FIFO residence.

@@ -17,8 +17,8 @@ use pandora_segment::{SequenceNumber, StreamId, Timestamp, VideoSegment};
 use pandora_sim::{Cpu, Receiver, Sender, SimDuration, Spawner};
 use pandora_video::dpcm::{compressed_line_bytes, LineMode};
 use pandora_video::{
-    capture_rect, interp::LineCache, AssembledFrame, CaptureConfig, FrameAssembler, FrameStore,
-    ScanModel, TestPattern, FRAME_PERIOD_NANOS,
+    capture_rect, interp::LineCache, CaptureConfig, FrameAssembler, FrameStore, ScanModel,
+    TestPattern, FRAME_PERIOD_NANOS,
 };
 
 use crate::config::VideoCosts;
@@ -29,13 +29,13 @@ const LINES_PER_SLICE: u32 = 4;
 
 /// Pushes one compressed segment through the modelled compression
 /// pipeline as slices, sending the hold-back-buffered descriptions and
-/// flushing with dummy lines. Returns `(slices, dummy_flush_lines)`;
-/// `Err` means the per-line records did not parse (corrupt payload).
+/// flushing with dummy lines. Returns the number of slices; `Err` means
+/// the per-line records did not parse (corrupt payload).
 fn push_through_compression(
     seg: &VideoSegment,
     pipeline: &mut pandora_video::slice::CompressionPipeline,
     holdback: &mut pandora_video::slice::HoldbackBuffer<u32>,
-) -> Result<(u64, u64), ()> {
+) -> Result<u64, ()> {
     use pandora_video::slice::{slice_segment, SliceDesc, DUMMY_FLUSH_LINES};
     let width = seg.video.width as usize;
     let line_len = |d: &[u8]| {
@@ -88,7 +88,7 @@ fn push_through_compression(
     );
     debug_assert!(exited_bytes > 0, "flush never drained the pipeline");
     let _ = (pushed, emitted);
-    Ok((n_slices, DUMMY_FLUSH_LINES as u64))
+    Ok(n_slices)
 }
 
 /// A camera scanning a shared framestore at 25 Hz.
@@ -97,7 +97,7 @@ fn push_through_compression(
 /// port" and costs the box's processors nothing (§3.6), so an unread
 /// camera costs nothing here either: the `camera:*` task only counts
 /// frame periods, and a frame's pixels are developed the first time a
-/// reader looks at them — [`Camera::with_frame`] is the only way to the
+/// reader looks at them — `Camera::with_frame` is the only way to the
 /// store, so an undeveloped frame cannot be read.
 #[derive(Clone)]
 pub struct Camera {
@@ -138,7 +138,7 @@ impl Camera {
     /// the test pattern, developed here if no earlier read of this frame
     /// period did it (at most one render per scanned frame), or the
     /// zeroed store before the first scan.
-    pub fn with_frame<R>(&self, read: impl FnOnce(&FrameStore) -> R) -> R {
+    pub(crate) fn with_frame<R>(&self, read: impl FnOnce(&FrameStore) -> R) -> R {
         let cam = &*self.inner;
         let frames = cam.frames.get();
         let mut store = cam.store.borrow_mut();
@@ -172,7 +172,6 @@ pub struct VideoCaptureHandle {
     segments: Rc<Cell<u64>>,
     frames: Rc<Cell<u64>>,
     slices: Rc<Cell<u64>>,
-    flush_lines: Rc<Cell<u64>>,
     divisor: Rc<Cell<u32>>,
 }
 
@@ -210,11 +209,6 @@ impl VideoCaptureHandle {
     pub fn slices(&self) -> u64 {
         self.slices.get()
     }
-
-    /// Dummy flush lines sent to drain the pipeline after each segment.
-    pub fn flush_lines(&self) -> u64 {
-        self.flush_lines.get()
-    }
 }
 
 /// Spawns one video capture stream from `camera` at the configured
@@ -235,7 +229,6 @@ pub fn spawn_video_capture(
         segments: Rc::new(Cell::new(0)),
         frames: Rc::new(Cell::new(0)),
         slices: Rc::new(Cell::new(0)),
-        flush_lines: Rc::new(Cell::new(0)),
         divisor: Rc::new(Cell::new(1)),
     };
     let h = handle.clone();
@@ -292,10 +285,7 @@ pub fn spawn_video_capture(
             // slice descriptions honest, and dummy lines flush the tail.
             for seg in segments {
                 match push_through_compression(&seg, &mut pipeline, &mut holdback) {
-                    Ok((slices, flushed)) => {
-                        h.slices.set(h.slices.get() + slices);
-                        h.flush_lines.set(h.flush_lines.get() + flushed);
-                    }
+                    Ok(slices) => h.slices.set(h.slices.get() + slices),
                     Err(()) => continue, // Corrupt payload: segment dropped.
                 }
                 h.segments.set(h.segments.get() + 1);
@@ -322,10 +312,9 @@ struct DisplayInner {
     decode_errors: u64,
     /// Capture-timestamp → blit latency, ns.
     latency: Histogram,
-    /// Blits deferred to dodge the scan.
-    blits_deferred: u64,
     display: FrameStore,
-    last_frame: Option<AssembledFrame>,
+    #[cfg(test)]
+    last_frame: Option<pandora_video::AssembledFrame>,
 }
 
 impl DisplaySink {
@@ -355,13 +344,9 @@ impl DisplaySink {
         self.inner.borrow().latency.clone()
     }
 
-    /// Blits that had to wait for the scan to move away.
-    pub fn blits_deferred(&self) -> u64 {
-        self.inner.borrow().blits_deferred
-    }
-
     /// The most recently completed frame.
-    pub fn last_frame(&self) -> Option<AssembledFrame> {
+    #[cfg(test)]
+    fn last_frame(&self) -> Option<pandora_video::AssembledFrame> {
         self.inner.borrow().last_frame.clone()
     }
 
@@ -398,8 +383,8 @@ pub fn spawn_video_display(
             segments: 0,
             decode_errors: 0,
             latency: Histogram::new(),
-            blits_deferred: 0,
             display: FrameStore::new(display_width, display_height),
+            #[cfg(test)]
             last_frame: None,
         })),
     };
@@ -451,7 +436,6 @@ pub fn spawn_video_display(
                 blit_time.as_nanos(),
             );
             if wait > 0 {
-                s.inner.borrow_mut().blits_deferred += 1;
                 pandora_sim::delay(SimDuration::from_nanos(wait)).await;
             }
             let mut inner = s.inner.borrow_mut();
@@ -462,7 +446,10 @@ pub fn spawn_video_display(
                     .saturating_sub(seg.common.timestamp.as_nanos()) as f64,
             );
             inner.frames_shown += 1;
-            inner.last_frame = Some(frame);
+            #[cfg(test)]
+            {
+                inner.last_frame = Some(frame);
+            }
         }
     });
     sink

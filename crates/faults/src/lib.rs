@@ -91,7 +91,7 @@ pub enum FaultKind {
         prefix: String,
     },
     /// Crashes a whole Pandora's Box: pauses every one of the box's task
-    /// families (switch, boards, handlers — see [`box_task_prefixes`]).
+    /// families (switch, boards, handlers — see `box_task_prefixes`).
     /// Reverting (or a later [`BoxRestart`]) resumes them, replaying the
     /// wake-ups that arrived while down — the box restarts with its
     /// pre-crash state, so recovery must clean stale state up explicitly.
@@ -426,7 +426,7 @@ impl FaultPlan {
 ///
 /// Matching is by prefix — crash targets must not be name-prefixes of
 /// other boxes (see [`FaultKind::BoxCrash`]).
-pub fn box_task_prefixes(name: &str) -> Vec<String> {
+pub(crate) fn box_task_prefixes(name: &str) -> Vec<String> {
     vec![
         format!("{name}:"),
         format!("switch:{name}"),

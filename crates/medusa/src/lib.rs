@@ -98,7 +98,7 @@ impl Fabric {
     /// Installs one leg per `port` for `vci`: the first replaces any
     /// existing route, the rest are added as tannoy copies.
     #[cfg(test)]
-    pub fn route_fanout(&self, vci: Vci, ports: &[usize]) {
+    fn route_fanout(&self, vci: Vci, ports: &[usize]) {
         let mut ports = ports.iter();
         if let Some(&first) = ports.next() {
             self.route(vci, first);

@@ -22,7 +22,7 @@
 /// j.arrival(0);
 /// j.arrival(2_000_000);
 /// j.arrival(4_500_000); // 500us late
-/// assert_eq!(j.max_deviation(), 500_000.0);
+/// assert_eq!(j.peak_to_peak(), 500_000.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct JitterTracker {
@@ -83,15 +83,6 @@ impl JitterTracker {
         self.count
     }
 
-    /// Largest positive deviation from the ideal cadence (lateness).
-    pub fn max_deviation(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max_deviation
-        }
-    }
-
     /// Peak-to-peak deviation (max − min), the "jitter" of §3.7.2.
     pub fn peak_to_peak(&self) -> f64 {
         if self.count == 0 {
@@ -118,7 +109,7 @@ mod tests {
             j.arrival(1_000 + i * 2_000);
         }
         assert_eq!(j.count(), 100);
-        assert_eq!(j.max_deviation(), 0.0);
+        assert_eq!(j.max_deviation, 0.0);
         assert_eq!(j.peak_to_peak(), 0.0);
         assert_eq!(j.rfc3550(), 0.0);
     }
@@ -128,7 +119,7 @@ mod tests {
         let mut j = JitterTracker::new(2_000);
         j.arrival(0);
         j.arrival(2_500);
-        assert_eq!(j.max_deviation(), 500.0);
+        assert_eq!(j.max_deviation, 500.0);
         assert_eq!(j.peak_to_peak(), 500.0);
     }
 
@@ -161,7 +152,7 @@ mod tests {
         }
         // Deviations 0, -2000 and 0; transits -2000 and +2000.
         assert_eq!(j.peak_to_peak(), 2_000.0);
-        assert_eq!(j.max_deviation(), 0.0);
+        assert_eq!(j.max_deviation, 0.0);
         assert!(j.rfc3550().is_finite());
         assert_eq!(j.rfc3550(), 125.0 + (4_000.0 - 125.0) / 16.0);
     }

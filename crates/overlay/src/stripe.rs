@@ -1,10 +1,11 @@
 //! Stripe scheduling and the per-viewer receive state.
 //!
-//! A segment becomes one [`Slice`]: its cells gathered once, at the
-//! source, into a [`CellBurst`] behind an `Arc`. Every relay hop clones
-//! the `Arc` — never the payload — so fanning one slice to a thousand
-//! viewers adds **zero** payload copies beyond the source's single
-//! slab-to-cells gather (pinned by `relay_adds_no_payload_copies`).
+//! A segment becomes one [`Slice`]: its size, the [`CellBurst`] its
+//! cells would fill, behind an `Arc`. No member reassembles a slice, so
+//! it carries no payload. Every relay hop clones the `Arc`, so fanning
+//! one slice to a thousand viewers copies nothing (pinned by
+//! `relay_adds_no_payload_copies`); links charge each hop the slice's
+//! full cell count.
 //!
 //! The scheduler is round-robin by construction: segment `seq` rides
 //! tree `seq % k`, so each tree carries every k-th segment and a crashed
@@ -24,8 +25,8 @@ use pandora_sim::WireSize;
 /// Number of power-of-two microsecond buckets in a hop histogram.
 pub(crate) const HOP_BUCKETS: usize = 16;
 
-/// One striped segment in flight: shared cells plus routing/timing
-/// metadata. Cloning bumps the `Arc` — relays never copy payload.
+/// One striped segment in flight: its shared size plus routing/timing
+/// metadata. Cloning bumps the `Arc`.
 #[derive(Debug, Clone)]
 pub struct Slice {
     /// The tree (stripe) this slice rides: `seq % k`.
@@ -37,7 +38,7 @@ pub struct Slice {
     /// Last forwarding hop's transmit time — per-hop latency is
     /// `arrival - sent`.
     pub sent: u64,
-    /// The segment's cells, gathered once at the source.
+    /// The segment's cell count, sized once at the source.
     pub burst: Arc<CellBurst>,
 }
 
@@ -395,7 +396,7 @@ mod tests {
 
     #[test]
     fn relay_adds_no_payload_copies() {
-        // One gather at the source; a thousand forwards share it.
+        // One burst sized at the source; a thousand forwards share it.
         let burst = Arc::new(burst_gather(Vci(5), &[], &[7u8; 1408], 0));
         let original = Arc::as_ptr(&burst);
         let s = Slice {

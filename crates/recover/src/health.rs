@@ -77,14 +77,14 @@ pub struct WindowSample {
 impl WindowSample {
     /// Lost segments as a permille of the segments the window should
     /// have carried (1000 when only gaps were seen).
-    pub fn loss_permille(&self) -> u32 {
+    pub(crate) fn loss_permille(&self) -> u32 {
         let total = self.received + self.gaps;
         (self.gaps * 1000).checked_div(total).unwrap_or_default() as u32
     }
 
     /// Late events as a permille of received segments (late events in a
     /// silent window count in full).
-    pub fn late_permille(&self) -> u32 {
+    pub(crate) fn late_permille(&self) -> u32 {
         if self.late == 0 {
             0
         } else {
@@ -158,11 +158,6 @@ impl AdaptMachine {
     /// Degrade steps taken.
     pub fn degrades(&self) -> u64 {
         self.degrades
-    }
-
-    /// Recovery steps taken.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
     }
 
     /// Feeds one closed window; returns the action to apply, if the
@@ -294,7 +289,7 @@ mod tests {
         assert_eq!(m.observe(&clean()), Some(AdaptAction::SetDivisor(1)));
         assert_eq!(m.state().divisor, 1);
         assert_eq!(m.degrades(), 2);
-        assert_eq!(m.recoveries(), 2);
+        assert_eq!(m.recoveries, 2);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! reconvergence exactly once per death and rejoin exactly once per
 //! revival.
 
-use std::collections::BTreeMap;
-
 use pandora_sim::SimDuration;
 
 /// Lease/heartbeat tunables.
@@ -134,11 +132,6 @@ impl Lease {
         self.renewals
     }
 
-    /// Total missed renewals over the lease's lifetime.
-    pub fn missed_total(&self) -> u64 {
-        self.missed_total
-    }
-
     /// Times the lease died.
     pub fn deaths(&self) -> u64 {
         self.deaths
@@ -217,58 +210,92 @@ impl Lease {
     }
 }
 
-/// The controller's leases, keyed by endpoint id. A `BTreeMap` keeps
-/// iteration order deterministic — probe scheduling and digests must not
-/// depend on hash order.
+/// A book of leases indexed by a dense small id: the session
+/// controller's endpoint ids (`Directory::register` hands out `len - 1`)
+/// or the overlay's member numbers. A slot is one index, not a map
+/// lookup, and ids are visited in ascending order, so sweeps and digests
+/// do not depend on the order leases were granted.
+///
+/// The controller renews each lease itself, from its probe's outcome
+/// through [`LeaseBook::get_mut`]. A fan-out hub cannot afford a probe
+/// round-trip per peer, so it flips the direction: every peer volunteers
+/// a [`LeaseBook::hello`] on its own cadence and the hub runs one
+/// [`LeaseBook::sweep`] per interval, missing every lease that heard no
+/// hello since the last one. Same lease machine, same walk.
 #[derive(Debug, Default)]
-pub struct LeaseTable {
-    leases: BTreeMap<u32, Lease>,
+pub struct LeaseBook {
+    /// Per id: its lease and whether a hello landed since the last
+    /// sweep; `None` for an id never granted.
+    leases: Vec<Option<(Lease, bool)>>,
 }
 
-impl LeaseTable {
-    /// An empty table.
-    pub fn new() -> LeaseTable {
-        LeaseTable::default()
+impl LeaseBook {
+    /// An empty book.
+    pub fn new() -> LeaseBook {
+        LeaseBook::default()
     }
 
-    /// Grants (or re-grants) a fresh live lease for `endpoint`.
-    pub fn grant(&mut self, endpoint: u32, config: LeaseConfig) -> &mut Lease {
-        self.leases.entry(endpoint).or_insert_with(|| {
-            // The entry API defers construction so a re-grant of an
-            // existing lease keeps its history.
-            Lease::new(config)
-        })
+    /// Grants a fresh live lease to `id`, fresh for the next sweep.
+    /// Re-granting keeps the lease's history and its hello flag. The
+    /// book grows to `id + 1` slots: ids are meant to be dense.
+    pub fn grant(&mut self, id: u32, config: LeaseConfig) {
+        let i = id as usize;
+        if self.leases.len() <= i {
+            self.leases.resize_with(i + 1, || None);
+        }
+        self.leases[i].get_or_insert_with(|| (Lease::new(config), true));
     }
 
-    /// The lease for `endpoint`, if granted.
-    pub fn get(&self, endpoint: u32) -> Option<&Lease> {
-        self.leases.get(&endpoint)
+    /// The lease `id` holds, if granted.
+    pub fn get(&self, id: u32) -> Option<&Lease> {
+        self.leases
+            .get(id as usize)?
+            .as_ref()
+            .map(|(lease, _)| lease)
     }
 
     /// Mutable access for renew/miss reporting.
-    pub fn get_mut(&mut self, endpoint: u32) -> Option<&mut Lease> {
-        self.leases.get_mut(&endpoint)
-    }
-
-    /// Endpoints holding leases, in ascending id order.
-    pub fn endpoints(&self) -> Vec<u32> {
-        self.leases.keys().copied().collect()
-    }
-
-    /// Endpoints currently in the given state, in ascending id order.
-    pub fn in_state(&self, state: LeaseState) -> Vec<u32> {
+    pub fn get_mut(&mut self, id: u32) -> Option<&mut Lease> {
         self.leases
-            .iter()
-            .filter(|(_, l)| l.state() == state)
-            .map(|(&e, _)| e)
-            .collect()
+            .get_mut(id as usize)?
+            .as_mut()
+            .map(|(lease, _)| lease)
     }
 
-    /// Multi-line digest (`endpoint: <lease digest>`), deterministic.
+    /// Records a hello from `id`. The renewal is applied immediately so
+    /// a revival surfaces without waiting for the next sweep; the lease
+    /// is also marked fresh for that sweep.
+    pub fn hello(&mut self, id: u32) -> Option<LeaseEvent> {
+        let (lease, fresh) = self.leases.get_mut(id as usize)?.as_mut()?;
+        *fresh = true;
+        lease.renew()
+    }
+
+    /// One sweep: every lease without a hello since the last sweep takes
+    /// a miss. Returns the threshold crossings in ascending id order.
+    pub fn sweep(&mut self) -> Vec<(u32, LeaseEvent)> {
+        let mut events = Vec::new();
+        for (id, slot) in self.leases.iter_mut().enumerate() {
+            let Some((lease, fresh)) = slot else {
+                continue;
+            };
+            if std::mem::take(fresh) {
+                continue;
+            }
+            if let Some(event) = lease.miss() {
+                events.push((id as u32, event));
+            }
+        }
+        events
+    }
+
+    /// Multi-line digest (`id: <lease digest>`), in ascending id order.
     pub fn digest(&self) -> String {
         let mut out = String::new();
-        for (e, l) in &self.leases {
-            out.push_str(&format!("{e}: {}\n", l.digest()));
+        for (id, slot) in self.leases.iter().enumerate() {
+            if let Some((lease, _)) = slot {
+                out.push_str(&format!("{id}: {}\n", lease.digest()));
+            }
         }
         out
     }
@@ -339,32 +366,114 @@ mod tests {
         assert_eq!(l.next_probe_in(), SimDuration::from_millis(800));
     }
 
+    fn beat_cfg() -> LeaseConfig {
+        LeaseConfig {
+            interval: SimDuration::from_millis(10),
+            suspect_after: 2,
+            dead_after: 3,
+            backoff_cap: SimDuration::from_millis(80),
+        }
+    }
+
     #[test]
-    fn table_iterates_in_endpoint_order() {
-        let mut t = LeaseTable::new();
-        for e in [7u32, 1, 4] {
-            t.grant(e, cfg());
+    fn digest_lists_leases_in_id_order() {
+        let mut book = LeaseBook::new();
+        for id in [7u32, 1, 4] {
+            book.grant(id, cfg());
         }
-        assert_eq!(t.endpoints(), vec![1, 4, 7]);
         for _ in 0..4 {
-            let _ = t.get_mut(4).unwrap().miss();
+            let _ = book.get_mut(4).unwrap().miss();
         }
-        assert_eq!(t.in_state(LeaseState::Dead), vec![4]);
-        assert_eq!(t.in_state(LeaseState::Live), vec![1, 7]);
-        let d = t.digest();
-        assert!(d.starts_with("1: state=live"), "{d}");
-        assert!(d.contains("4: state=dead"), "{d}");
+        assert_eq!(
+            book.digest(),
+            "1: state=live renewals=0 missed=0 deaths=0 revivals=0\n\
+             4: state=dead renewals=0 missed=4 deaths=1 revivals=0\n\
+             7: state=live renewals=0 missed=0 deaths=0 revivals=0\n"
+        );
+    }
+
+    #[test]
+    fn silent_peer_walks_to_dead_in_sweep_order() {
+        let mut book = LeaseBook::new();
+        for p in [3u32, 1, 2] {
+            book.grant(p, beat_cfg());
+        }
+        // Everyone is fresh at grant time: first sweep misses nobody.
+        assert!(book.sweep().is_empty());
+        // Peers 1 and 3 keep calling; peer 2 goes silent. Its first miss
+        // is below `suspect_after`, the second reaches it.
+        book.hello(1);
+        book.hello(3);
+        assert!(book.sweep().is_empty());
+        book.hello(1);
+        book.hello(3);
+        assert_eq!(book.sweep(), vec![(2, LeaseEvent::Suspected)]);
+        book.hello(1);
+        book.hello(3);
+        assert_eq!(book.sweep(), vec![(2, LeaseEvent::Died)]);
+        let states = [1, 2, 3].map(|p| book.get(p).map(Lease::state));
+        assert_eq!(
+            states,
+            [LeaseState::Live, LeaseState::Dead, LeaseState::Live].map(Some)
+        );
+    }
+
+    /// Two peers fall silent together: their events come back in id
+    /// order, whatever order they were granted in.
+    #[test]
+    fn simultaneous_deaths_come_back_in_peer_order() {
+        use LeaseEvent::{Died, Suspected};
+        let mut book = LeaseBook::new();
+        for p in [9u32, 4, 6] {
+            book.grant(p, beat_cfg());
+        }
+        let mut events = Vec::new();
+        for _ in 0..4 {
+            book.hello(6);
+            events.extend(book.sweep());
+        }
+        assert_eq!(
+            events,
+            vec![(4, Suspected), (9, Suspected), (4, Died), (9, Died)]
+        );
+        assert!(book.get(5).is_none(), "an id never granted holds no lease");
     }
 
     #[test]
     fn regrant_keeps_history() {
-        let mut t = LeaseTable::new();
-        t.grant(1, cfg());
+        let mut book = LeaseBook::new();
+        book.grant(2, beat_cfg());
         for _ in 0..4 {
-            let _ = t.get_mut(1).unwrap().miss();
+            let _ = book.sweep();
         }
-        t.grant(1, cfg());
-        assert_eq!(t.get(1).unwrap().deaths(), 1, "re-grant must not reset");
+        book.grant(2, beat_cfg());
+        assert_eq!(book.get(2).map(Lease::deaths), Some(1));
+    }
+
+    #[test]
+    fn hello_revives_immediately() {
+        let mut book = LeaseBook::new();
+        book.grant(5, beat_cfg());
+        assert!(book.sweep().is_empty());
+        for _ in 0..3 {
+            let _ = book.sweep();
+        }
+        assert_eq!(book.get(5).unwrap().state(), LeaseState::Dead);
+        assert_eq!(
+            book.hello(5),
+            Some(LeaseEvent::Revived { was_dead: true }),
+            "revival must not wait for the sweep"
+        );
+        assert!(book.sweep().is_empty());
+    }
+
+    #[test]
+    fn hello_from_a_stranger_is_ignored() {
+        let mut book = LeaseBook::new();
+        assert_eq!(book.hello(9), None);
+        book.grant(2, beat_cfg());
+        assert_eq!(book.hello(1), None, "a hole below a granted id");
+        assert!(book.sweep().is_empty());
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! state machines those promises rest on — pure data types with no I/O,
 //! no clock access and no randomness, so every transition is replayable:
 //!
-//! * [`Lease`] / [`LeaseTable`] — the controller-held lease a heartbeat
-//!   probe renews on the P4 command path. Missed renewals walk the lease
-//!   `Live → Suspect → Dead` after a configurable number of misses, with
-//!   exponential backoff on the probe side; a successful renewal of a
-//!   dead lease is a *revival*, the signal to re-admit a restarted box.
-//! * [`PassiveBeat`] — the same lease machine fed passively: peers
-//!   volunteer hellos on their own cadence and one sweep per interval
-//!   renews or misses every lease at once, from a book indexed by peer
-//!   id. The overlay broadcast hub watches a thousand relays this way
-//!   without per-peer probe tasks.
+//! * [`Lease`] — the lease a heartbeat renews. Missed renewals walk the
+//!   lease `Live → Suspect → Dead` after a configurable number of misses,
+//!   with exponential backoff on the probe side; a successful renewal of
+//!   a dead lease is a *revival*, the signal to re-admit a restarted box.
+//! * [`LeaseBook`] — the one book of leases, a `Vec` indexed by dense id
+//!   and visited in id order. The session controller renews each lease
+//!   from its own Ping/Pong probe on the P4 command path; the overlay
+//!   broadcast hub feeds the same book passively — peers volunteer hellos
+//!   and one sweep per interval renews or misses every lease at once — to
+//!   watch a thousand relays without per-peer probe tasks.
 //! * [`AdaptMachine`] — the P8 local-adaptation policy over windows of
 //!   sequence-gap and late-segment rates per stream ([`WindowSample`]):
 //!   sustained video loss steps the rate divisor down (degrade-to-fit,
@@ -34,10 +34,8 @@
 
 #![deny(missing_docs)]
 
-pub mod beat;
 pub mod health;
 pub mod lease;
 
-pub use beat::PassiveBeat;
 pub use health::{AdaptAction, AdaptMachine, AdaptState, HealthConfig, MediaClass, WindowSample};
-pub use lease::{Lease, LeaseConfig, LeaseEvent, LeaseState, LeaseTable};
+pub use lease::{Lease, LeaseBook, LeaseConfig, LeaseEvent, LeaseState};

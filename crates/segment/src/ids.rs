@@ -29,7 +29,7 @@ impl SequenceNumber {
 
     /// Signed distance from `self` to `other` with wrap-around, positive if
     /// `other` is ahead.
-    pub fn distance_to(self, other: SequenceNumber) -> i32 {
+    pub(crate) fn distance_to(self, other: SequenceNumber) -> i32 {
         other.0.wrapping_sub(self.0) as i32
     }
 }
@@ -99,16 +99,6 @@ impl SeqTracker {
     pub fn stale(&self) -> u64 {
         self.stale
     }
-
-    /// Fraction of expected segments that were lost, in 0..=1.
-    pub fn loss_fraction(&self) -> f64 {
-        let expected = self.received + self.lost;
-        if expected == 0 {
-            0.0
-        } else {
-            self.lost as f64 / expected as f64
-        }
-    }
 }
 
 /// A segment timestamp with 64 µs resolution (§3.2).
@@ -162,7 +152,6 @@ mod tests {
         t.observe(SequenceNumber(0));
         assert_eq!(t.observe(SequenceNumber(3)), SeqEvent::Gap { missing: 2 });
         assert_eq!(t.lost(), 2);
-        assert!((t.loss_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -189,10 +178,5 @@ mod tests {
         assert_eq!(Timestamp::from_nanos(63_999).0, 0);
         assert_eq!(Timestamp::from_nanos(64_000).0, 1);
         assert_eq!(Timestamp::from_nanos(2_000_000).as_nanos(), 1_984_000);
-    }
-
-    #[test]
-    fn loss_fraction_empty_is_zero() {
-        assert_eq!(SeqTracker::new().loss_fraction(), 0.0);
     }
 }

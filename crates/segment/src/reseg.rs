@@ -28,7 +28,9 @@ pub struct TimedBlock {
 /// the block offset, so merging preserves per-block timing even when the
 /// original segments had mixed sizes ("incoming segments of any mixture of
 /// sizes are accepted", §3.2).
-pub fn split_blocks<'a>(segments: impl IntoIterator<Item = &'a AudioSegment>) -> Vec<TimedBlock> {
+pub(crate) fn split_blocks<'a>(
+    segments: impl IntoIterator<Item = &'a AudioSegment>,
+) -> Vec<TimedBlock> {
     let mut out = Vec::new();
     for seg in segments {
         let base = seg.common.timestamp.as_nanos();
@@ -54,7 +56,7 @@ pub fn split_blocks<'a>(segments: impl IntoIterator<Item = &'a AudioSegment>) ->
 /// # Panics
 ///
 /// Panics if `blocks_per_segment` is zero.
-pub fn merge_blocks(
+pub(crate) fn merge_blocks(
     blocks: &[TimedBlock],
     blocks_per_segment: usize,
     first_seq: SequenceNumber,

@@ -8,8 +8,9 @@
 //!
 //! The zero-copy entry points are [`encode_header_into`] (headers into a
 //! caller-provided region, so the payload can be scatter-gathered from
-//! its slab) and [`decode_view`] / [`decode_slab`] (headers parsed out,
-//! payload left in place as a borrow or a refcounted [`SlabRef`] slice).
+//! its slab) and [`decode_slab`] (headers parsed out, payload left in
+//! place as a refcounted [`SlabRef`] slice); both decoders share one
+//! borrowing parser, `decode_view`.
 //! [`encode`] and [`decode`] remain as the owned-`Vec` compatibility
 //! wrappers over the same code.
 
@@ -18,8 +19,8 @@ use pandora_slab::SlabRef;
 
 use crate::format::{
     AudioFormat, AudioHeader, CommonHeader, PixelFormat, Segment, SegmentHeader, SegmentType,
-    VideoCompression, VideoHeader, AUDIO_FULL_HEADER_BYTES, COMMON_HEADER_BYTES, VERSION_ID,
-    VIDEO_FIXED_HEADER_BYTES,
+    VideoCompression, VideoHeader, AUDIO_FULL_HEADER_BYTES, AUDIO_SAMPLE_RATE, COMMON_HEADER_BYTES,
+    VERSION_ID, VIDEO_FIXED_HEADER_BYTES,
 };
 use crate::ids::{SequenceNumber, Timestamp};
 use crate::slabseg::SlabSegment;
@@ -40,6 +41,15 @@ pub enum WireError {
     BadType(u32),
     /// Unknown audio format code.
     BadAudioFormat(u32),
+    /// An audio segment sampled at other than [`AUDIO_SAMPLE_RATE`] or
+    /// compressed: every box plays 8 kHz uncompressed samples, so such a
+    /// segment would play as noise.
+    BadAudioEncoding {
+        /// The sub-header's sampling rate, Hz.
+        sampling_rate: u32,
+        /// The sub-header's compression code (0 is uncompressed).
+        compression: u32,
+    },
     /// Unknown pixel format code.
     BadPixelFormat(u32),
     /// Unknown video compression code.
@@ -63,6 +73,13 @@ impl std::fmt::Display for WireError {
             WireError::BadVersion(v) => write!(f, "bad version id {v:#x}"),
             WireError::BadType(t) => write!(f, "unknown segment type {t}"),
             WireError::BadAudioFormat(c) => write!(f, "unknown audio format {c}"),
+            WireError::BadAudioEncoding {
+                sampling_rate,
+                compression,
+            } => write!(
+                f,
+                "unplayable audio: {sampling_rate} Hz, compression {compression}"
+            ),
             WireError::BadPixelFormat(c) => write!(f, "unknown pixel format {c}"),
             WireError::BadCompression(c) => write!(f, "unknown compression {c}"),
             WireError::BadLength { field } => write!(f, "inconsistent length field {field}"),
@@ -127,7 +144,7 @@ pub struct SegmentView<'a> {
 ///
 /// Performs exactly the validation of [`decode`]; the returned
 /// [`SegmentView`] borrows its payload from `data`.
-pub fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
+pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
     let mut buf = data;
     if buf.len() < COMMON_HEADER_BYTES {
         return Err(WireError::Truncated {
@@ -175,6 +192,12 @@ pub fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
             let format = AudioFormat::from_code(format_code)
                 .ok_or(WireError::BadAudioFormat(format_code))?;
             let compression = body.get_u32();
+            if sampling_rate != AUDIO_SAMPLE_RATE || compression != 0 {
+                return Err(WireError::BadAudioEncoding {
+                    sampling_rate,
+                    compression,
+                });
+            }
             let data_length = body.get_u32();
             if data_length as usize != body.len() {
                 return Err(WireError::BadLength { field: data_length });
@@ -254,7 +277,7 @@ pub fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
 }
 
 /// Decodes one segment from `data`, which must contain the whole segment
-/// (owned wrapper over [`decode_view`]; the single copy is the payload
+/// (owned wrapper over `decode_view`; the single copy is the payload
 /// move out of `data`).
 pub fn decode(data: &[u8]) -> Result<Segment, WireError> {
     let view = decode_view(data)?;
@@ -465,12 +488,31 @@ mod tests {
         assert!(matches!(decode(&bytes), Err(WireError::BadLength { .. })));
     }
 
+    #[test]
+    fn unplayable_audio_rejected() {
+        // The sampling rate sits at offset 20..24, the compression at 28..32.
+        for (at, word, err) in [(20, 16_000, (16_000, 0)), (28, 1, (AUDIO_SAMPLE_RATE, 1))] {
+            let mut bytes = encode(&sample_audio());
+            bytes[at..at + 4].copy_from_slice(&u32::to_be_bytes(word));
+            let (sampling_rate, compression) = err;
+            assert_eq!(
+                decode(&bytes),
+                Err(WireError::BadAudioEncoding {
+                    sampling_rate,
+                    compression
+                })
+            );
+        }
+    }
+
     /// Seeded hostile payloads of 0–120 bytes. Half of them start with a
     /// valid common header — `VERSION_ID`, a type code in 0–3 (0 is
     /// unknown) and a `length` no longer than the buffer — followed by
-    /// small words and, half the time, the `data_length` that `length`
-    /// implies. Decoding never panics, and whatever decodes re-encodes to
-    /// the input's first `length` bytes.
+    /// small words, half the time an audio sub-header's 8 kHz rate, and,
+    /// half the time, the `data_length` that `length` implies. Decoding
+    /// never panics, whatever decodes re-encodes to the input's first
+    /// `length` bytes, and only 8 kHz uncompressed audio decodes: a bad
+    /// rate and a bad compression alone are both refused.
     #[test]
     fn decode_survives_seeded_hostile_payloads() {
         use pandora_prop::{check, Rng, Tape};
@@ -494,6 +536,7 @@ mod tests {
             let len = tape.gen_range(shortest..=120);
             let (type_code, short_by) = (tape.gen_range(0..=3u32), tape.gen_range(0..=len));
             let fill_data_length = tape.gen_bool(0.5);
+            let playable_rate = tape.gen_bool(0.5);
             let mut bytes = Vec::with_capacity(len);
             for at in (0..len).step_by(4) {
                 bytes.extend((at..len.min(at + 4)).map(|_| tape.gen_range(0..=255u8)));
@@ -506,6 +549,9 @@ mod tests {
                 put(&mut bytes, 0, VERSION_ID);
                 put(&mut bytes, 12, type_code);
                 put(&mut bytes, 16, length as u32);
+                if type_code == 1 && playable_rate {
+                    put(&mut bytes, 20, AUDIO_SAMPLE_RATE);
+                }
                 // The `data_length` word sits just before the payload; a
                 // video header's argument count is its word at byte 48.
                 let video_args = 4 * word(&bytes, 48) as usize;
@@ -520,12 +566,27 @@ mod tests {
             }
             bytes
         }
-        let (mut decoded, mut types) = (0, 0u8);
+        let (mut decoded, mut types, mut unplayable) = (0, 0u8, 0u8);
         let name = "decode_survives_seeded_hostile_payloads";
         check(name, 0x5E6_3E47, 100_000, hostile, |bytes| {
-            let Ok(view) = decode_view(bytes) else {
-                return;
+            let view = match decode_view(bytes) {
+                Ok(view) => view,
+                Err(WireError::BadAudioEncoding { sampling_rate, .. }) => {
+                    unplayable |= if sampling_rate == AUDIO_SAMPLE_RATE {
+                        2
+                    } else {
+                        1
+                    };
+                    return;
+                }
+                Err(_) => return,
             };
+            if let SegmentHeader::Audio { audio, .. } = &view.header {
+                assert_eq!(
+                    (audio.sampling_rate, audio.compression),
+                    (AUDIO_SAMPLE_RATE, 0)
+                );
+            }
             decoded += 1;
             types |= 1 << view.header.common().segment_type.code();
             let length = word(bytes, 16) as usize;
@@ -536,6 +597,7 @@ mod tests {
         });
         // The sweep reaches every decode arm, not just the common header.
         assert_eq!(types, 0b1110);
+        assert_eq!(unplayable, 0b11, "a bad rate and a bad compression alone");
         assert!(decoded > 5_000, "{decoded} decoded");
     }
 
@@ -547,5 +609,10 @@ mod tests {
         };
         assert!(e.to_string().contains("truncated"));
         assert!(WireError::BadVersion(3).to_string().contains("bad version"));
+        let e = WireError::BadAudioEncoding {
+            sampling_rate: 16_000,
+            compression: 0,
+        };
+        assert!(e.to_string().contains("16000 Hz"));
     }
 }

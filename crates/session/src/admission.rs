@@ -200,7 +200,7 @@ impl AdmissionController {
 
     /// Releases what `admit_relay` charged (pass the *granted* class).
     #[cfg(test)]
-    pub fn release_relay(&mut self, class: StreamClass, copies: u32) {
+    fn release_relay(&mut self, class: StreamClass, copies: u32) {
         self.tx_cps = self
             .tx_cps
             .saturating_sub(class.demand_cps() * u64::from(copies));
@@ -221,24 +221,9 @@ impl AdmissionController {
         self.rejected
     }
 
-    /// Receive-side cell bandwidth currently charged.
-    pub fn rx_cps(&self) -> u64 {
-        self.rx_cps
-    }
-
     /// Transmit-side cell bandwidth currently charged.
     pub fn tx_cps(&self) -> u64 {
         self.tx_cps
-    }
-
-    /// Audio sinks currently admitted.
-    pub fn audio_sinks(&self) -> u32 {
-        self.audio_sinks
-    }
-
-    /// Video sinks currently admitted.
-    pub fn video_sinks(&self) -> u32 {
-        self.video_sinks
     }
 }
 
@@ -329,8 +314,8 @@ mod tests {
             panic!("expected degrade");
         };
         a.release_sink(StreamClass::Video { rate_permille });
-        assert_eq!(a.rx_cps(), 0);
-        assert_eq!(a.video_sinks(), 0);
+        assert_eq!(a.rx_cps, 0);
+        assert_eq!(a.video_sinks, 0);
     }
 
     #[test]

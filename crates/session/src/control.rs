@@ -31,8 +31,10 @@
 //!
 //! When [`ControllerConfig::lease`] is set, the controller probes every
 //! endpoint with `Ping`/`Pong` heartbeats on the ordinary command path
-//! and holds a [`LeaseTable`]. A lease that misses enough renewals dies,
-//! and the controller reconverges the surviving conference:
+//! and holds their leases in a [`LeaseBook`] indexed by endpoint id (the
+//! overlay hub's book, renewed by probes instead of volunteered hellos).
+//! A lease that misses enough renewals dies, and the controller
+//! reconverges the surviving conference:
 //!
 //! 1. sessions where the dead box was a *listener* shrink upstream-first
 //!    (RemoveDest at the live source, fabric route out) — the source's
@@ -58,7 +60,7 @@ use std::rc::Rc;
 use pandora::{BoxConfig, OutputId, PandoraBox, StreamKind};
 use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, Vci};
 use pandora_metrics::{Histogram, StateTimeline, Table};
-use pandora_recover::{LeaseConfig, LeaseEvent, LeaseState, LeaseTable};
+use pandora_recover::{LeaseBook, LeaseConfig, LeaseEvent, LeaseState};
 use pandora_segment::{wire, StreamId, COMMON_HEADER_BYTES};
 use pandora_sim::{recv_deadline, LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner};
 use rand::rngs::SmallRng;
@@ -191,7 +193,7 @@ struct CtlInner {
     next_seg_seq: u32,
     stats: ControlStats,
     jitter_rng: SmallRng,
-    leases: LeaseTable,
+    leases: LeaseBook,
     stale: BTreeMap<u32, StaleDebt>,
     recovery: RecoveryStats,
 }
@@ -231,7 +233,7 @@ impl Controller {
             next_seg_seq: 1,
             stats: ControlStats::default(),
             jitter_rng: SmallRng::seed_from_u64(config.seed),
-            leases: LeaseTable::new(),
+            leases: LeaseBook::new(),
             stale: BTreeMap::new(),
             recovery: RecoveryStats::default(),
         }));
@@ -786,11 +788,6 @@ impl Controller {
     /// Dead leases revived (stale debt settled) so far.
     pub fn rejoins(&self) -> u64 {
         self.inner.borrow().recovery.rejoins
-    }
-
-    /// Heartbeat probes that went unanswered.
-    pub fn probe_misses(&self) -> u64 {
-        self.inner.borrow().recovery.probe_misses
     }
 
     /// Outstanding stale-debt entries owed by an endpoint (0 once its

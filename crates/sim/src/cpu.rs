@@ -142,7 +142,7 @@ impl Cpu {
 
     /// Virtual time spent executing claims, context switches included.
     #[cfg(test)]
-    pub fn busy_time(&self) -> SimDuration {
+    fn busy_time(&self) -> SimDuration {
         SimDuration(self.state.busy.get())
     }
 

@@ -68,7 +68,7 @@ impl LinkConfig {
 
     /// Time to clock `bytes` through this link, divided in `u64` whenever
     /// `bytes × 8·10⁹` fits: the same quotient, without a 128-bit division.
-    pub fn transfer_time(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> SimDuration {
         if self.bits_per_sec == 0 {
             return SimDuration::ZERO;
         }

@@ -88,19 +88,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Builds a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(
-            s.is_finite() && s >= 0.0,
-            "duration must be finite and non-negative"
-        );
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -221,18 +208,6 @@ mod tests {
     fn duration_scaling() {
         assert_eq!(SimDuration::from_millis(2).mul(12).as_millis(), 24);
         assert_eq!(SimDuration::from_millis(24).div(12).as_millis(), 2);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.000_000_001_4).as_nanos(), 1);
-        assert_eq!(SimDuration::from_secs_f64(2e-3).as_millis(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn negative_duration_panics() {
-        let _ = SimDuration::from_secs_f64(-1.0);
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub fn compress_line(pixels: &[u8], mode: LineMode) -> Vec<u8> {
 /// Decompresses one line to `width` pixels, or `None` on an unknown header
 /// or truncated payload: the per-line oracle of [`decompress_slice`].
 #[cfg(test)]
-pub fn decompress_line(data: &[u8], width: usize) -> Option<Vec<u8>> {
+fn decompress_line(data: &[u8], width: usize) -> Option<Vec<u8>> {
     let (&header, payload) = data.split_first()?;
     let dpcm_decode = |data, width| {
         let mut out = Vec::with_capacity(width);

@@ -242,18 +242,13 @@ impl ScanModel {
     }
 
     /// Time the scan spends on one line.
-    pub fn line_period_ns(&self) -> u64 {
+    pub(crate) fn line_period_ns(&self) -> u64 {
         self.frame_period_ns / self.height as u64
-    }
-
-    /// The line under the scan beam at absolute time `t_ns`.
-    pub fn scan_line_at(&self, t_ns: u64) -> u32 {
-        ((t_ns % self.frame_period_ns) / self.line_period_ns()) as u32 % self.height
     }
 
     /// Whether the scan is inside `rect`'s rows during
     /// `[t_ns, t_ns + duration_ns)`.
-    pub fn scan_hits_rect(&self, rect: Rect, t_ns: u64, duration_ns: u64) -> bool {
+    pub(crate) fn scan_hits_rect(&self, rect: Rect, t_ns: u64, duration_ns: u64) -> bool {
         // Walk whole line intervals covered by the window.
         let lp = self.line_period_ns();
         let first = t_ns / lp;
@@ -359,15 +354,6 @@ mod tests {
     fn out_of_range_read_panics() {
         let fs = FrameStore::new(8, 8);
         let _ = fs.read_rect(Rect::new(4, 4, 8, 8));
-    }
-
-    #[test]
-    fn scan_line_advances_with_time() {
-        let scan = ScanModel::new(100, 40_000_000); // 400us per line.
-        assert_eq!(scan.scan_line_at(0), 0);
-        assert_eq!(scan.scan_line_at(400_000), 1);
-        assert_eq!(scan.scan_line_at(39_999_999), 99);
-        assert_eq!(scan.scan_line_at(40_000_000), 0); // Wraps per frame.
     }
 
     #[test]

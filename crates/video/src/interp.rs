@@ -91,17 +91,6 @@ pub fn decode_segment(
     Some(pixels)
 }
 
-/// Decodes a segment *without* consulting the cache — the broken
-/// interleaving the paper's choice 3 exists to prevent. The first line is
-/// filtered against whatever stale line is passed in (e.g. another
-/// stream's), producing a seam.
-pub fn decode_segment_stale(segment: &VideoSegment, stale_prev: Option<&[u8]>) -> Option<Vec<u8>> {
-    let mut pixels = decode_rows(segment)?;
-    let mut prev = stale_prev.unwrap_or_default().to_vec();
-    vertical_filter(&mut pixels, segment.video.width as usize, &mut prev);
-    Some(pixels)
-}
-
 // One row-chunked pass decodes every line of the segment into one buffer.
 fn decode_rows(segment: &VideoSegment) -> Option<Vec<u8>> {
     let (width, lines) = (segment.video.width, segment.video.lines);
@@ -127,6 +116,17 @@ mod tests {
             mode: LineMode::Dpcm,
         };
         capture_rect(&fs, &cfg, 0, SequenceNumber(0), Timestamp(0))
+    }
+
+    /// Decodes a segment *without* consulting the cache — the broken
+    /// interleaving the paper's choice 3 exists to prevent. The first line
+    /// is filtered against whatever stale line is passed in (e.g. another
+    /// stream's), producing a seam.
+    fn decode_segment_stale(segment: &VideoSegment, stale_prev: Option<&[u8]>) -> Option<Vec<u8>> {
+        let mut pixels = decode_rows(segment)?;
+        let mut prev = stale_prev.unwrap_or_default().to_vec();
+        vertical_filter(&mut pixels, segment.video.width as usize, &mut prev);
+        Some(pixels)
     }
 
     #[test]

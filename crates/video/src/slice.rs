@@ -120,11 +120,6 @@ impl CompressionPipeline {
         out
     }
 
-    /// Bytes of data currently stuck in the pipeline.
-    pub fn resident_bytes(&self) -> usize {
-        self.resident.as_ref().map_or(0, |d| d.len())
-    }
-
     /// Bytes fully emitted.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -225,9 +220,9 @@ mod tests {
     fn pipeline_retains_last_slice() {
         let mut p = CompressionPipeline::new();
         assert_eq!(p.write(vec![1, 2, 3]), None);
-        assert_eq!(p.resident_bytes(), 3);
+        assert_eq!(p.resident, Some(vec![1, 2, 3]));
         assert_eq!(p.write(vec![4, 5]), Some(vec![1, 2, 3]));
-        assert_eq!(p.resident_bytes(), 2);
+        assert_eq!(p.resident, Some(vec![4, 5]));
         assert_eq!(p.emitted(), 3);
     }
 
@@ -238,7 +233,7 @@ mod tests {
         let flushed = p.write(vec![0; 10]); // Dummy flush lines.
         assert_eq!(flushed, Some(vec![9; 100]));
         // The dummies are now resident — harmless until the next segment.
-        assert_eq!(p.resident_bytes(), 10);
+        assert_eq!(p.resident, Some(vec![0; 10]));
     }
 
     #[test]

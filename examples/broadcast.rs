@@ -137,7 +137,7 @@ fn main() {
         s.src_forwarded, s.forwarded, s.p3_drops, s.p8_skips, s.max_divisor
     );
     println!(
-        "  slab: {} payload bytes gathered once at the source",
+        "  slab: {} payload bytes read once out of the source slab",
         s.slab_copied_out
     );
 

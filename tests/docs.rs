@@ -1,5 +1,6 @@
 //! The docs' inventories match the tree: each crate has a row in the README's layout and
-//! DESIGN.md §3, each example a row in the README's examples table and a run in CI.
+//! DESIGN.md §3, each example a row in the README's examples table, a golden stdout under
+//! `tests/golden/examples` and a run in CI that diffs its stdout against that golden.
 
 const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -33,8 +34,21 @@ fn every_crate_has_a_row_in_the_readme_layout_and_design_section_3() {
 #[test]
 fn every_example_has_a_row_in_the_readme_and_a_run_in_ci() {
     for stem in ls("examples").iter().filter_map(|f| f.strip_suffix(".rs")) {
-        let (row, run) = (format!("| `{stem}` |"), format!("--example {stem}"));
+        let row = format!("| `{stem}` |");
+        let run = format!("--example {stem} | diff -u tests/golden/examples/{stem}.stdout -");
         assert!(README.contains(&row), "README's table lacks `{stem}`");
-        assert!(CI.lines().any(|l| l.ends_with(&run)), "CI never runs {run}");
+        assert!(
+            CI.lines().any(|l| l.ends_with(&run)),
+            "CI never diffs {stem}"
+        );
+    }
+}
+
+#[test]
+fn every_example_has_a_golden_stdout() {
+    let goldens = ls("tests/golden/examples");
+    for stem in ls("examples").iter().filter_map(|f| f.strip_suffix(".rs")) {
+        let golden = format!("{stem}.stdout");
+        assert!(goldens.contains(&golden), "no golden stdout for {stem}");
     }
 }
