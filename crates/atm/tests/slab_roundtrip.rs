@@ -8,8 +8,8 @@
 use pandora_atm::{cells_gather, segment_to_cells, ByteSlab, SlabReassembler, Vci};
 use pandora_prop::{check, Rng, Tape};
 use pandora_segment::{
-    wire, AudioSegment, PixelFormat, Segment, SequenceNumber, SlabSegment, Timestamp,
-    VideoCompression, VideoHeader, VideoSegment, BLOCK_BYTES,
+    wire, AudioSegment, Segment, SequenceNumber, SlabSegment, Timestamp, VideoHeader, VideoSegment,
+    BLOCK_BYTES,
 };
 
 /// Drives `seg` through the slab path: payload into the arena, header
@@ -87,8 +87,6 @@ fn random_video_slice(rng: &mut Tape) -> Segment {
         segment_number: rng.gen_range(0..segments_in_frame),
         x_offset: rng.gen_range(0u32..512),
         y_offset: rng.gen_range(0u32..512),
-        pixel_format: PixelFormat::Mono8,
-        compression: VideoCompression::Dpcm,
         compression_args: args,
         width,
         start_line: rng.gen_range(0u32..512),

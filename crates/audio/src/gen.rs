@@ -9,10 +9,7 @@
 
 use crate::block::Block;
 use crate::mulaw;
-use pandora_segment::{BLOCK_BYTES, SAMPLES_PER_BLOCK};
-
-/// Sample rate used by all generators (the codec's 8 kHz).
-pub const SAMPLE_RATE: f64 = 8_000.0;
+use pandora_segment::{AUDIO_SAMPLE_RATE, BLOCK_BYTES, SAMPLES_PER_BLOCK};
 
 /// A deterministic mono signal source at 8 kHz.
 pub trait Signal {
@@ -39,16 +36,6 @@ pub trait Signal {
     }
 }
 
-/// Pure silence.
-#[derive(Debug, Default, Clone)]
-pub struct Silence;
-
-impl Signal for Silence {
-    fn next_sample(&mut self) -> i16 {
-        0
-    }
-}
-
 /// A steady sine tone (the "solo violin" stand-in: a sustained pure tone
 /// on which periodic artifacts are maximally audible).
 #[derive(Debug, Clone)]
@@ -63,7 +50,7 @@ impl Tone {
     pub fn new(freq: f64, amplitude: f64) -> Self {
         Tone {
             phase: 0.0,
-            step: 2.0 * std::f64::consts::PI * freq / SAMPLE_RATE,
+            step: 2.0 * std::f64::consts::PI * freq / AUDIO_SAMPLE_RATE as f64,
             amplitude,
         }
     }
@@ -106,7 +93,7 @@ impl Signal for Violin {
         let w = 2.0 * std::f64::consts::PI * f * self.t;
         // Sawtooth-ish harmonic stack typical of bowed strings.
         let v = w.sin() + 0.55 * (2.0 * w).sin() + 0.35 * (3.0 * w).sin() + 0.2 * (4.0 * w).sin();
-        self.t += 1.0 / SAMPLE_RATE;
+        self.t += 1.0 / AUDIO_SAMPLE_RATE as f64;
         (v / 2.1 * self.amplitude) as i16
     }
 }
@@ -153,12 +140,12 @@ impl Speech {
         self.voiced = !self.voiced;
         if self.voiced {
             // 80-300ms voiced burst with a fresh pitch and formant.
-            self.remaining = (SAMPLE_RATE * (0.08 + 0.22 * self.rand())) as u32;
+            self.remaining = (AUDIO_SAMPLE_RATE as f64 * (0.08 + 0.22 * self.rand())) as u32;
             self.pitch = 90.0 + 80.0 * self.rand();
             self.formant = 400.0 + 1800.0 * self.rand();
         } else {
             // 40-200ms pause.
-            self.remaining = (SAMPLE_RATE * (0.04 + 0.16 * self.rand())) as u32;
+            self.remaining = (AUDIO_SAMPLE_RATE as f64 * (0.04 + 0.16 * self.rand())) as u32;
         }
     }
 }
@@ -180,50 +167,14 @@ impl Signal for Speech {
         } else {
             0.0
         };
-        self.t += 1.0 / SAMPLE_RATE;
+        self.t += 1.0 / AUDIO_SAMPLE_RATE as f64;
         out as i16
-    }
-}
-
-/// Deterministic white noise.
-#[derive(Debug, Clone)]
-pub struct Noise {
-    rng: u64,
-    amplitude: f64,
-}
-
-impl Noise {
-    /// Creates white noise with the given amplitude and seed.
-    pub fn new(amplitude: f64, seed: u64) -> Self {
-        Noise {
-            rng: seed.max(1),
-            amplitude,
-        }
-    }
-}
-
-impl Signal for Noise {
-    fn next_sample(&mut self) -> i16 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        let u = (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64;
-        ((u * 2.0 - 1.0) * self.amplitude) as i16
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn silence_is_all_zero() {
-        let mut s = Silence;
-        assert_eq!(s.next_block_linear(), [0i16; SAMPLES_PER_BLOCK]);
-        assert_eq!(s.next_block(), Block::SILENCE);
-    }
 
     #[test]
     fn tone_has_expected_period() {
@@ -280,13 +231,5 @@ mod tests {
         let mut c = Speech::new(8);
         let differs = (0..1000).any(|_| a.next_sample() != c.next_sample());
         assert!(differs);
-    }
-
-    #[test]
-    fn noise_spans_both_signs() {
-        let mut n = Noise::new(5_000.0, 3);
-        let samples: Vec<i16> = (0..1_000).map(|_| n.next_sample()).collect();
-        assert!(samples.iter().any(|&s| s > 1_000));
-        assert!(samples.iter().any(|&s| s < -1_000));
     }
 }

@@ -5,7 +5,7 @@ use pandora::pandora_box::{connect_pair, open_audio_shout};
 use pandora::BoxConfig;
 use pandora_atm::{HopConfig, JitterModel};
 use pandora_audio::gen::Tone;
-use pandora_buffers::{Clawback, ClawbackConfig, MultiRateClawback, MultiRateConfig};
+use pandora_buffers::{Clawback, ClawbackConfig, MultiRateClawback};
 use pandora_metrics::{Table, TimeSeries};
 use pandora_sim::{SimDuration, SimTime, Simulation};
 
@@ -147,7 +147,7 @@ pub fn multirate_clawback() -> MultiRateResult {
     // (a) Removal intervals at fixed standing occupancy.
     let mut intervals = Vec::new();
     for occupancy in [5usize, 25] {
-        let mut buf = MultiRateClawback::new(MultiRateConfig::default());
+        let mut buf = MultiRateClawback::new();
         for _ in 0..occupancy {
             buf.arrival(0u64);
         }
@@ -173,7 +173,7 @@ pub fn multirate_clawback() -> MultiRateResult {
         intervals.push(mean);
     }
     // (b) Half-life of the delay once the jitter source is removed.
-    let mut buf = MultiRateClawback::new(MultiRateConfig::default());
+    let mut buf = MultiRateClawback::new();
     // Standing delay of 50 blocks (100ms).
     for _ in 0..50 {
         buf.arrival(0u64);

@@ -270,24 +270,12 @@ impl<T> Drop for Clawback<T> {
     }
 }
 
-/// Configuration of the multi-rate clawback (§3.7.2's proposal).
-#[derive(Debug, Clone, Copy)]
-pub struct MultiRateConfig {
-    /// The product level in block·seconds ("20 block seconds would be
-    /// suitable for our environment").
-    pub level_block_seconds: f64,
-    /// Hard per-stream cap in blocks.
-    pub per_stream_limit_blocks: usize,
-}
+/// The multi-rate clawback's product level in block·seconds (§3.7.2: "20
+/// block seconds would be suitable for our environment").
+const MULTI_RATE_LEVEL_BLOCK_SECONDS: f64 = 20.0;
 
-impl Default for MultiRateConfig {
-    fn default() -> Self {
-        MultiRateConfig {
-            level_block_seconds: 20.0,
-            per_stream_limit_blocks: 512,
-        }
-    }
-}
+/// The multi-rate clawback's hard per-stream cap in blocks.
+const MULTI_RATE_LIMIT_BLOCKS: usize = 512;
 
 /// The multi-rate clawback buffer: "keeping a running minimum of the
 /// buffer contents, and removing blocks at a frequency proportional to
@@ -301,19 +289,23 @@ impl Default for MultiRateConfig {
 #[derive(Debug)]
 pub struct MultiRateClawback<T> {
     queue: VecDeque<T>,
-    config: MultiRateConfig,
     /// Minimum post-pop contents this window; `usize::MAX` = no sample yet.
     running_min: usize,
     arrivals_since_reset: u64,
     stats: ClawbackStats,
 }
 
+impl<T> Default for MultiRateClawback<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> MultiRateClawback<T> {
     /// Creates a multi-rate buffer.
-    pub fn new(config: MultiRateConfig) -> Self {
+    pub fn new() -> Self {
         MultiRateClawback {
             queue: VecDeque::new(),
-            config,
             running_min: usize::MAX,
             arrivals_since_reset: 0,
             stats: ClawbackStats::default(),
@@ -328,7 +320,7 @@ impl<T> MultiRateClawback<T> {
     /// Offers an arriving block.
     pub fn arrival(&mut self, item: T) -> Arrival {
         self.stats.arrivals += 1;
-        if self.queue.len() >= self.config.per_stream_limit_blocks {
+        if self.queue.len() >= MULTI_RATE_LIMIT_BLOCKS {
             self.stats.over_limit += 1;
             return Arrival::OverLimit;
         }
@@ -336,7 +328,7 @@ impl<T> MultiRateClawback<T> {
         let seconds = self.arrivals_since_reset as f64 * (BLOCK_NANOS as f64 / 1e9);
         if self.running_min != usize::MAX && self.running_min > 0 {
             let product = self.running_min as f64 * seconds;
-            if product > self.config.level_block_seconds {
+            if product > MULTI_RATE_LEVEL_BLOCK_SECONDS {
                 // Remove a block and reset the counts.
                 self.reset_window();
                 self.stats.clawed_back += 1;
@@ -632,7 +624,7 @@ mod tests {
         // block-seconds, removals come every ~2000 arrivals (4s); at 25
         // blocks (50ms), every ~400 arrivals (0.8s).
         for (occupancy, expected) in [(5usize, 2_000u64), (25, 400)] {
-            let mut b = MultiRateClawback::new(MultiRateConfig::default());
+            let mut b = MultiRateClawback::new();
             for _ in 0..occupancy {
                 b.arrival(0u32);
             }
@@ -664,7 +656,7 @@ mod tests {
 
     #[test]
     fn multirate_idle_buffer_never_removes() {
-        let mut b = MultiRateClawback::new(MultiRateConfig::default());
+        let mut b = MultiRateClawback::new();
         // Running min 0 (buffer empties every tick): no clawback ever.
         for _ in 0..100_000 {
             assert_eq!(b.arrival(0u32), Arrival::Accepted);

@@ -32,8 +32,7 @@ mod pool;
 mod report;
 
 pub use clawback::{
-    Arrival, Clawback, ClawbackBank, ClawbackConfig, ClawbackPool, ClawbackStats,
-    MultiRateClawback, MultiRateConfig,
+    Arrival, Clawback, ClawbackBank, ClawbackConfig, ClawbackPool, ClawbackStats, MultiRateClawback,
 };
 pub use decoupling::{decoupling, DecouplingHandle, ReadyGate};
 pub use pool::{take_leak_report, Alloc, Descriptor, LeakReport, Pool};

@@ -158,13 +158,21 @@ pub fn spawn_audio_capture(
     stats
 }
 
+/// Maximum blocks concealed (replay-last) per detected gap (§3.8: "we
+/// replay the last 2ms block, and try to ensure that it does not happen
+/// frequently").
+const CONCEAL_CAP_BLOCKS: usize = 6;
+
+/// Depth of the codec *output* FIFO in nanoseconds. §4.2 accounts "4ms …
+/// in the buffering to the codec" on the paper's measured 8 ms best
+/// one-way trip; mixed blocks sit this long before they sound.
+const CODEC_OUTPUT_FIFO_NS: u64 = 4_000_000;
+
 /// Configuration of the incoming (speaker) path.
 #[derive(Clone)]
 pub struct PlaybackConfig {
     /// Clawback parameters.
     pub clawback: ClawbackConfig,
-    /// Shared clawback pool size in blocks.
-    pub pool_blocks: usize,
     /// Whether jitter correction cost is charged (the "straightforward
     /// case" of §4.2 charges mixing only).
     pub charge_clawback: bool,
@@ -176,16 +184,8 @@ pub struct PlaybackConfig {
     pub costs: CpuProfile,
     /// Crystal drift of this box's playback clock.
     pub drift: f64,
-    /// Maximum blocks concealed (replay-last) per detected gap (§3.8:
-    /// "we replay the last 2ms block, and try to ensure that it does not
-    /// happen frequently").
-    pub conceal_cap_blocks: usize,
     /// Keep the mixed output blocks for offline quality analysis.
     pub record_output: bool,
-    /// Depth of the codec *output* FIFO in nanoseconds. §4.2 accounts
-    /// "4ms … in the buffering to the codec" on the paper's measured 8 ms
-    /// best one-way trip; mixed blocks sit this long before they sound.
-    pub codec_output_fifo_ns: u64,
     /// Principle 1: claim the mix's CPU time at
     /// [`pandora_sim::PRIO_OUTPUT`]; when `false` the mix competes at
     /// normal priority (the conformance-suite ablation).
@@ -196,15 +196,12 @@ impl Default for PlaybackConfig {
     fn default() -> Self {
         PlaybackConfig {
             clawback: ClawbackConfig::default(),
-            pool_blocks: 2_000,
             charge_clawback: true,
             charge_muting: true,
             charge_interface: true,
             costs: CpuProfile::default(),
             drift: 0.0,
-            conceal_cap_blocks: 6,
             record_output: false,
-            codec_output_fifo_ns: 4_000_000,
             output_priority: true,
         }
     }
@@ -386,7 +383,8 @@ pub fn spawn_audio_playback(
     let proc_name = format!("audio:{name}:playback");
     let mut reports = reports.named(&proc_name);
     spawner.spawn(&proc_name, async move {
-        let pool = ClawbackPool::new(config.pool_blocks);
+        // The shared clawback pool: 2000 blocks, 4 s (§3.7.2).
+        let pool = ClawbackPool::standard();
         let mut bank: ClawbackBank<TimedBlock> = ClawbackBank::new(config.clawback, pool);
         let mut concealers: std::collections::BTreeMap<StreamId, Concealer> = Default::default();
         let start = pandora_sim::now();
@@ -404,15 +402,7 @@ pub fn spawn_audio_playback(
             loop {
                 match pandora_sim::recv_deadline(&segments, deadline).await {
                     Some(Ok((stream, seg))) => {
-                        handle_segment(
-                            &mut bank,
-                            &mut concealers,
-                            &s,
-                            &config,
-                            stream,
-                            seg,
-                            &mut reports,
-                        );
+                        handle_segment(&mut bank, &mut concealers, &s, stream, seg, &mut reports);
                     }
                     Some(Err(_)) => return,
                     None => break, // Tick time.
@@ -457,8 +447,7 @@ pub fn spawn_audio_playback(
                     // End-to-end to the loudspeaker: mix time minus source
                     // timestamp, plus the codec output FIFO residence.
                     i.latency.record(
-                        (now.as_nanos().saturating_sub(tb.ts_nanos) + config.codec_output_fifo_ns)
-                            as f64,
+                        (now.as_nanos().saturating_sub(tb.ts_nanos) + CODEC_OUTPUT_FIFO_NS) as f64,
                     );
                 }
                 if let Some((sid, _)) = mixed_inputs.first() {
@@ -497,7 +486,6 @@ fn handle_segment(
     bank: &mut ClawbackBank<TimedBlock>,
     concealers: &mut std::collections::BTreeMap<StreamId, Concealer>,
     sink: &SpeakerSink,
-    config: &PlaybackConfig,
     stream: StreamId,
     seg: AudioSegment,
     reports: &mut Reporter,
@@ -526,7 +514,7 @@ fn handle_segment(
         .or_insert_with(|| Concealer::new(Concealment::RepeatLast));
     if let SeqEvent::Gap { missing } = event {
         let blocks_missing = missing as usize * seg.block_count();
-        let conceal = blocks_missing.min(config.conceal_cap_blocks);
+        let conceal = blocks_missing.min(CONCEAL_CAP_BLOCKS);
         for k in 0..conceal {
             let block = concealer.conceal();
             sink.inner.borrow_mut().concealed += 1;
@@ -570,13 +558,6 @@ fn handle_segment(
             );
         }
     }
-}
-
-/// Convenience: a playback rig fed directly by generated segments — used
-/// by unit tests and the capacity benches (no server board involved).
-pub struct DirectFeed {
-    /// Send `(stream, segment)` pairs here.
-    pub tx: Sender<(StreamId, AudioSegment)>,
 }
 
 /// Spawns a generator task producing `n_streams` synthetic audio streams
@@ -938,7 +919,7 @@ mod tests {
 
     /// Segments as a hostile or broken sender could make them, into one
     /// stream: no panic with overflow checks on, at most
-    /// `conceal_cap_blocks` concealed per call, no stream buffered past
+    /// `CONCEAL_CAP_BLOCKS` concealed per call, no stream buffered past
     /// the clawback cap, and every call counted once, received or stale.
     #[test]
     fn hostile_segments_are_concealed_capped_and_counted() {
@@ -964,17 +945,9 @@ mod tests {
                         vec![0x55; blocks * pandora_segment::BLOCK_BYTES],
                     );
                     let concealed = sink.concealed();
-                    handle_segment(
-                        &mut bank,
-                        &mut concealers,
-                        &sink,
-                        &config,
-                        stream,
-                        seg,
-                        &mut reports,
-                    );
+                    handle_segment(&mut bank, &mut concealers, &sink, stream, seg, &mut reports);
                     let gap = sink.concealed() - concealed;
-                    assert!(gap <= config.conceal_cap_blocks as u64, "{gap} concealed");
+                    assert!(gap <= CONCEAL_CAP_BLOCKS as u64, "{gap} concealed");
                     for _ in 0..ticks {
                         bank.mix_tick();
                     }

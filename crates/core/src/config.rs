@@ -7,10 +7,19 @@
 //! (20 Mbit/s links, 100 Mbit/s FIFOs), and let every other behaviour
 //! emerge.
 
-use pandora_audio::{CpuProfile, MutingConfig};
+use pandora_audio::CpuProfile;
 use pandora_buffers::ClawbackConfig;
-use pandora_recover::HealthConfig;
 use pandora_sim::SimDuration;
+
+/// Byte slabs in a box's payload arena: a little above the standard
+/// [`BoxConfig::pool_buffers`] (256), because reassembly writers hold
+/// regions before a descriptor exists. Medusa's units and the session
+/// controller size their receive arenas by it too.
+pub const SLAB_BUFFERS: usize = 288;
+
+/// Fixed capacity of one payload slab, in bytes. It holds the largest
+/// whole received frame (headers + payload).
+pub const SLAB_BYTES: usize = 64 * 1024;
 
 /// How the network output process schedules cells from different segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,18 +69,13 @@ pub struct BoxConfig {
     pub blocks_per_segment: usize,
     /// Clawback configuration (targets, rate, caps).
     pub clawback: ClawbackConfig,
-    /// Shared clawback pool size in blocks (2000 = 4 s, §3.7.2).
-    pub clawback_pool_blocks: usize,
-    /// Muting parameters (figure 4.1).
-    pub muting: MutingConfig,
-    /// Whether hands-free muting is enabled on this box.
+    /// Whether hands-free muting (figure 4.1's default parameters) is
+    /// enabled on this box.
     pub muting_enabled: bool,
     /// Audio-board link rate to the server (20 Mbit/s, figure 1.2).
     pub audio_link_bps: u64,
     /// Video FIFO rate to/from the server (100 Mbit/s, figure 1.2).
     pub video_fifo_bps: u64,
-    /// Capacity of each output decoupling buffer, in segments.
-    pub decoupling_capacity: usize,
     /// Capacity of the audio-specific network decoupling buffer
     /// (kept small so "video delays do not become aggravating", fig 3.7).
     pub audio_net_buffer: usize,
@@ -82,16 +86,8 @@ pub struct BoxConfig {
     pub tx_mode: TxMode,
     /// Segment buffer pool size on the server board.
     pub pool_buffers: usize,
-    /// Byte slabs in the payload arena (a little above `pool_buffers`:
-    /// reassembly writers hold regions before a descriptor exists).
-    pub slab_buffers: usize,
-    /// Fixed capacity of one payload slab, in bytes. Must hold the
-    /// largest whole received frame (headers + payload).
-    pub slab_bytes: usize,
     /// Relative crystal drift of this box's clocks (e.g. `1e-5`).
     pub clock_drift: f64,
-    /// Minimum period between reports of one error class (§3.8).
-    pub report_min_period: SimDuration,
     /// Principle 1: output processes claim the CPU at
     /// [`pandora_sim::PRIO_OUTPUT`]. Disabled, the audio mix competes at
     /// normal priority — a conformance-suite ablation, not a mode the
@@ -110,10 +106,10 @@ pub struct BoxConfig {
     /// buffers, so a slow output loses its own traffic only. Disabled, the
     /// gates block on a full buffer and stall the whole switch.
     pub ready_mode: bool,
-    /// Principle 8: spawn the box's stream-health monitor with these
-    /// tunables (local adaptation: audio mute, video rate divisor).
-    /// `None` disables local adaptation entirely.
-    pub health: Option<HealthConfig>,
+    /// Principle 8: spawn the box's stream-health monitor (local
+    /// adaptation: audio mute, video rate divisor). Disabled, the box
+    /// does not adapt locally at all.
+    pub health: bool,
 }
 
 impl BoxConfig {
@@ -126,26 +122,20 @@ impl BoxConfig {
             switch_cost: SimDuration::from_nanos(700),
             blocks_per_segment: 2,
             clawback: ClawbackConfig::default(),
-            clawback_pool_blocks: 2_000,
-            muting: MutingConfig::default(),
             muting_enabled: true,
             audio_link_bps: 20_000_000,
             video_fifo_bps: 100_000_000,
-            decoupling_capacity: 32,
             audio_net_buffer: 8,
             video_backlog_cap: 24,
             tx_mode: TxMode::NonInterleaved,
             pool_buffers: 256,
-            slab_buffers: 288,
-            slab_bytes: 64 * 1024,
             clock_drift: 0.0,
-            report_min_period: SimDuration::from_millis(500),
             output_priority: true,
             audio_priority: true,
             p3_oldest_first: true,
             command_priority: true,
             ready_mode: true,
-            health: None,
+            health: false,
         }
     }
 }
@@ -161,7 +151,8 @@ mod tests {
         assert_eq!(c.video_fifo_bps, 100_000_000);
         assert_eq!(c.blocks_per_segment, 2);
         assert_eq!(c.clawback.count_threshold, 4096);
-        assert_eq!(c.clawback_pool_blocks, 2_000);
+        // The shared playback pool every box plays through: 4 s (§3.7.2).
+        assert_eq!(pandora_buffers::ClawbackPool::standard().capacity(), 2_000);
         assert!(c.switch_cost < SimDuration::from_micros(1));
         assert_eq!(c.tx_mode, TxMode::NonInterleaved);
     }

@@ -23,12 +23,16 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pandora_recover::{AdaptAction, AdaptMachine, HealthConfig, MediaClass, WindowSample};
-use pandora_sim::Spawner;
+use pandora_recover::{AdaptAction, AdaptMachine, MediaClass, WindowSample};
+use pandora_sim::{SimDuration, Spawner};
 
 use crate::audio_board::SpeakerSink;
 use crate::network_board::NetOutStats;
 use crate::video_boards::VideoCaptureHandle;
+
+/// Length of one observation window: the board closes a window and feeds
+/// it to the adaptation machines this often.
+const WINDOW: SimDuration = SimDuration::from_millis(250);
 
 struct HealthInner {
     audio: AdaptMachine,
@@ -51,20 +55,19 @@ pub struct HealthBoard {
 
 impl HealthBoard {
     /// Spawns the monitor task (`<name>:health`) sampling `speaker` and
-    /// `net_out` every `config.window` and applying the adaptation
+    /// `net_out` every 250 ms window and applying the adaptation
     /// actions locally: mute/unmute on the speaker, divisor steps on
     /// every registered capture handle.
     pub fn spawn(
         spawner: &Spawner,
         name: &str,
-        config: HealthConfig,
         speaker: SpeakerSink,
         net_out: NetOutStats,
     ) -> HealthBoard {
         let board = HealthBoard {
             inner: Rc::new(RefCell::new(HealthInner {
-                audio: AdaptMachine::new(MediaClass::Audio, config),
-                video: AdaptMachine::new(MediaClass::Video, config),
+                audio: AdaptMachine::new(MediaClass::Audio),
+                video: AdaptMachine::new(MediaClass::Video),
                 captures: Vec::new(),
                 windows: 0,
                 prev_audio_recv: 0,
@@ -77,7 +80,7 @@ impl HealthBoard {
         let b = board.clone();
         spawner.spawn(&format!("{name}:health"), async move {
             loop {
-                pandora_sim::delay(config.window).await;
+                pandora_sim::delay(WINDOW).await;
                 // Audio receive health: sequence gaps and late mix
                 // ticks at the speaker.
                 let (recv, lost) = speaker

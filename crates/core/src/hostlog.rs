@@ -13,6 +13,11 @@ use std::rc::Rc;
 use pandora_buffers::{Report, ReportClass, Reporter};
 use pandora_sim::{unbounded, SimDuration, Spawner};
 
+/// The minimum period between two reports of one sort of error from one
+/// process: "a minimum period between reports for any particular sort of
+/// error" (§3.8).
+pub(crate) const REPORT_MIN_PERIOD: SimDuration = SimDuration::from_millis(500);
+
 /// A handle onto the collected host log.
 pub struct ReportLog {
     entries: Rc<RefCell<Vec<Report>>>,
@@ -24,15 +29,15 @@ impl ReportLog {
     /// handle.
     ///
     /// Every process reports through a [`ReportLog::reporter`] of its own,
-    /// allowing one report per `min_period` for each sort of error (§3.8);
+    /// allowing one report per 500 ms for each sort of error (§3.8);
     /// reports never block (the host link is modelled as an unbounded
     /// sink, report volume being tiny next to stream traffic).
-    pub fn spawn(spawner: &Spawner, name: &str, min_period: SimDuration) -> ReportLog {
+    pub fn spawn(spawner: &Spawner, name: &str) -> ReportLog {
         let (tx, rx) = unbounded::<Report>();
         let entries = Rc::new(RefCell::new(Vec::new()));
         let log = ReportLog {
             entries: entries.clone(),
-            reports: Reporter::new(tx, name, min_period),
+            reports: Reporter::new(tx, name, REPORT_MIN_PERIOD),
         };
         spawner.spawn(&format!("hostlog:{name}"), async move {
             while let Ok(r) = rx.recv().await {
@@ -100,7 +105,7 @@ mod tests {
     #[test]
     fn collects_and_filters() {
         let mut sim = Simulation::new();
-        let log = ReportLog::spawn(&sim.spawner(), "boxa", SimDuration::from_millis(500));
+        let log = ReportLog::spawn(&sim.spawner(), "boxa");
         let (mut switch, mut clawback) = (log.reporter("switch"), log.reporter("clawback"));
         sim.spawn("proc", async move {
             switch.report("drop", ReportClass::Overload, "dropped 3");

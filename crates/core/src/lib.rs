@@ -43,7 +43,7 @@ pub mod server_board;
 pub mod video_boards;
 
 pub use audio_board::{PlaybackConfig, SpeakerSink};
-pub use config::{BoxConfig, TxMode, VideoCosts};
+pub use config::{BoxConfig, TxMode, VideoCosts, SLAB_BUFFERS, SLAB_BYTES};
 pub use health::HealthBoard;
 pub use hostlog::ReportLog;
 pub use msg::{OutputId, SegMsg, StreamKind, SwitchCommand, SwitchEntry};

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora_atm::Vci;
-use pandora_audio::{gen::Signal, Muting};
+use pandora_audio::{gen::Signal, Muting, MutingConfig};
 use pandora_buffers::{
     ByteSlab, DecouplingHandle, Descriptor, Pool, ReadyGate, ReportClass, Reporter,
 };
@@ -26,7 +26,7 @@ use crate::audio_board::{
     spawn_audio_capture, spawn_audio_playback, CaptureConfig as MicConfig, CaptureStats,
     PlaybackConfig, SpeakerSink,
 };
-use crate::config::BoxConfig;
+use crate::config::{BoxConfig, SLAB_BUFFERS, SLAB_BYTES};
 use crate::hostlog::ReportLog;
 use crate::msg::{OutputId, SegMsg, StreamKind, SwitchCommand, SwitchEntry};
 use crate::network_board::{spawn_net_in, spawn_net_out, NetInStats, NetOutConfig, NetOutStats};
@@ -34,6 +34,11 @@ use crate::server_board::{spawn_switch, SwitchOutputs, SwitchStats};
 use crate::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
+
+/// Capacity of each output decoupling buffer downstream of the switch, in
+/// segments (§3.7.1), except the network audio buffer, which
+/// [`BoxConfig::audio_net_buffer`] keeps small.
+const DECOUPLING_CAPACITY: usize = 32;
 
 /// Copies an input device's segment into the slab (the hop's single input
 /// copy, §3.4) and pools a descriptor over it. `None` means the slab or
@@ -160,10 +165,10 @@ impl PandoraBox {
         net_rx: Receiver<pandora_atm::Cell>,
     ) -> PandoraBox {
         let name = config.name;
-        let log = ReportLog::spawn(spawner, name, config.report_min_period);
+        let log = ReportLog::spawn(spawner, name);
         let reports = log.reporter(name);
         let pool: Pool<SlabSegment> = Pool::new(config.pool_buffers);
-        let slab = ByteSlab::new(config.slab_buffers, config.slab_bytes);
+        let slab = ByteSlab::new(SLAB_BUFFERS, SLAB_BYTES);
 
         let audio_cpu = Cpu::new(&format!("{name}.audio"), config.switch_cost);
         let server_cpu = Cpu::new(&format!("{name}.server"), config.switch_cost);
@@ -180,12 +185,11 @@ impl PandoraBox {
             buffers: Rc::default(),
         };
         let (net_audio_gate, net_audio_rx) = outputs.gate("net-audio", config.audio_net_buffer);
-        let (net_video_gate, net_video_rx) = outputs.gate("net-video", config.decoupling_capacity);
-        let (audio_gate, audio_out_rx) = outputs.gate("audio-out", config.decoupling_capacity);
-        let (mixer_gate, mixer_out_rx) = outputs.gate("mixer-out", config.decoupling_capacity);
-        let (repo_gate, repo_out_rx) = outputs.gate("repo-out", config.decoupling_capacity);
-        let (session_gate, session_out_rx) =
-            outputs.gate("session-out", config.decoupling_capacity);
+        let (net_video_gate, net_video_rx) = outputs.gate("net-video", DECOUPLING_CAPACITY);
+        let (audio_gate, audio_out_rx) = outputs.gate("audio-out", DECOUPLING_CAPACITY);
+        let (mixer_gate, mixer_out_rx) = outputs.gate("mixer-out", DECOUPLING_CAPACITY);
+        let (repo_gate, repo_out_rx) = outputs.gate("repo-out", DECOUPLING_CAPACITY);
+        let (session_gate, session_out_rx) = outputs.gate("session-out", DECOUPLING_CAPACITY);
 
         // --- The switch.
         let (to_switch, switch_in_rx) = pandora_sim::channel::<SegMsg>();
@@ -240,7 +244,7 @@ impl PandoraBox {
 
         // --- Audio board: server → (20 Mbit/s link) → clawback/mixer.
         let muting = if config.muting_enabled {
-            Some(Rc::new(RefCell::new(Muting::new(config.muting))))
+            Some(Rc::new(RefCell::new(Muting::new(MutingConfig::default()))))
         } else {
             None
         };
@@ -259,15 +263,12 @@ impl PandoraBox {
         );
         let playback_config = PlaybackConfig {
             clawback: config.clawback,
-            pool_blocks: config.clawback_pool_blocks,
             charge_clawback: true,
             charge_muting: config.muting_enabled,
             charge_interface: true,
             costs: config.audio_costs,
             drift: config.clock_drift,
-            conceal_cap_blocks: 6,
             record_output: false,
-            codec_output_fifo_ns: 4_000_000,
             output_priority: config.output_priority,
         };
         let speaker = spawn_audio_playback(
@@ -345,14 +346,8 @@ impl PandoraBox {
 
         // --- P8 local adaptation (opt-in): the health monitor samples
         // the box's own counters and mutes audio / thins video locally.
-        let health = config.health.map(|hc| {
-            crate::health::HealthBoard::spawn(
-                spawner,
-                name,
-                hc,
-                speaker.clone(),
-                net_out_stats.clone(),
-            )
+        let health = config.health.then(|| {
+            crate::health::HealthBoard::spawn(spawner, name, speaker.clone(), net_out_stats.clone())
         });
 
         PandoraBox {
@@ -527,15 +522,6 @@ impl PandoraBox {
     /// the box's session agent.
     pub fn take_session_rx(&self) -> Option<Receiver<(StreamId, Segment)>> {
         self.session_rx.borrow_mut().take()
-    }
-
-    /// Injects a test segment directly into the switch (the `test in`
-    /// handler of figure 3.3).
-    pub async fn inject_segment(&self, stream: StreamId, segment: Segment) -> bool {
-        match alloc_slab_segment(&self.pool, &self.slab, &segment) {
-            Some(desc) => self.to_switch.send(SegMsg { stream, desc }).await.is_ok(),
-            None => false,
-        }
     }
 
     /// Returns a sender that feeds `(stream, segment)` pairs into this
@@ -786,7 +772,7 @@ mod tests {
         let mut sim = Simulation::new();
         let mut cfg = BoxConfig::standard("tiny");
         cfg.pool_buffers = 2;
-        let period = cfg.report_min_period;
+        let period = crate::hostlog::REPORT_MIN_PERIOD;
         let pair = connect_pair(
             &sim.spawner(),
             cfg,

@@ -44,6 +44,8 @@ pub struct NetMsg {
 ///
 /// Audio and video bound for the network are split into separate buffers
 /// (figure 3.7) "so that it \[audio\] can be given priority (principle 2)".
+/// The default leaves every output unattached.
+#[derive(Default)]
 pub struct SwitchOutputs {
     /// Network-bound audio (small buffer, drains first).
     pub net_audio: Option<ReadyGate<NetMsg>>,
@@ -59,21 +61,6 @@ pub struct SwitchOutputs {
     pub repository: Option<ReadyGate<SegMsg>>,
     /// Session agent (inbound control signalling).
     pub session: Option<ReadyGate<SegMsg>>,
-}
-
-impl SwitchOutputs {
-    /// A gate set with every output unattached.
-    pub fn none() -> Self {
-        SwitchOutputs {
-            net_audio: None,
-            net_video: None,
-            audio: None,
-            mixer: None,
-            test: None,
-            repository: None,
-            session: None,
-        }
-    }
 }
 
 /// Shared switch statistics.
@@ -351,7 +338,7 @@ mod tests {
         let outputs = SwitchOutputs {
             audio: Some(audio),
             test: Some(test),
-            ..SwitchOutputs::none()
+            ..SwitchOutputs::default()
         };
         let cpu = Cpu::new("server", SimDuration::ZERO);
         let stats = spawn_switch(

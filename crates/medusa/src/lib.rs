@@ -27,7 +27,7 @@ use pandora::audio_board::{spawn_audio_playback, PlaybackConfig, SpeakerSink};
 use pandora::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
-use pandora::{BoxConfig, VideoCosts};
+use pandora::{VideoCosts, SLAB_BUFFERS, SLAB_BYTES};
 use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, SwitchCore, Vci};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
@@ -135,8 +135,7 @@ impl Fabric {
 /// A unit's AAL receive side: a box's default arena, so a unit refuses
 /// the frames a box refuses ("the same design principles apply").
 fn unit_reassembler() -> SlabReassembler {
-    let config = BoxConfig::standard("medusa");
-    SlabReassembler::new(ByteSlab::new(config.slab_buffers, config.slab_bytes))
+    SlabReassembler::new(ByteSlab::new(SLAB_BUFFERS, SLAB_BYTES))
 }
 
 /// A unit's AAL transmit side: sends `seg` on `vci` as one frame of

@@ -46,9 +46,7 @@ use std::task::{Context, Poll};
 
 use pandora_atm::{burst_gather, PathControl, Vci};
 use pandora_faults::{install, FaultPlan, FaultTargets};
-use pandora_recover::{
-    AdaptAction, AdaptMachine, HealthConfig, LeaseConfig, MediaClass, WindowSample,
-};
+use pandora_recover::{AdaptAction, AdaptMachine, LeaseConfig, MediaClass, WindowSample};
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
 use pandora_shard::{Cluster, Egress, Ingress, PortSender, PortTable, ShardEnv};
 use pandora_sim::{
@@ -1259,16 +1257,12 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     // would beat before a crash due on a beat instant, and the member
     // dying at the first beat would send one more hello. The relay task
     // and the wire engine arm no timer at t = 0.
-    let health = HealthConfig {
-        window: cfg.heartbeat,
-        ..HealthConfig::default()
-    };
     let mut beats: Vec<Beat> = (1..n)
         .zip(report_egs)
         .map(|(member, report)| Beat {
             member: member as Id,
             report: env.open_egress(report),
-            adapt: AdaptMachine::new(MediaClass::Video, health),
+            adapt: AdaptMachine::new(MediaClass::Video),
         })
         .collect();
     let beat_tables = tables.clone();

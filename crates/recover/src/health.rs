@@ -13,13 +13,11 @@
 //! * **Audio** is never degraded (P2): sustained loss engages muting —
 //!   silence is better than garbage — and recovery unmutes.
 //!
-//! Hysteresis is asymmetric by construction: `sustain_windows` bad
-//! windows trigger a step down, but `recover_windows` *consecutive*
+//! Hysteresis is asymmetric by construction: `SUSTAIN_WINDOWS` (2) bad
+//! windows trigger a step down, but `RECOVER_WINDOWS` (4) *consecutive*
 //! clean windows are required per step back up, so quality never
 //! oscillates across a marginal link. All decisions are pure functions
 //! of the observed counts; the caller owns the clock.
-
-use pandora_sim::SimDuration;
 
 /// Which adaptation policy a stream runs (P2: they differ on purpose).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,38 +28,23 @@ pub enum MediaClass {
     Video,
 }
 
-/// Health-monitor tunables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Length of one observation window.
-    pub window: SimDuration,
-    /// Loss or late rate (permille of segments in the window) at or
-    /// above which the window counts as bad.
-    pub degrade_permille: u32,
-    /// Rate at or below which the window counts as clean. Keeping this
-    /// below `degrade_permille` widens the hysteresis band.
-    pub recover_permille: u32,
-    /// Consecutive bad windows before a degrade step.
-    pub sustain_windows: u32,
-    /// Consecutive clean windows before a recovery step (larger than
-    /// `sustain_windows` for the asymmetric hysteresis).
-    pub recover_windows: u32,
-    /// Largest video rate divisor the machine will reach.
-    pub max_divisor: u32,
-}
+/// Loss or late rate (permille of segments in the window) at or above
+/// which the window counts as bad.
+const DEGRADE_PERMILLE: u32 = 50;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            window: SimDuration::from_millis(250),
-            degrade_permille: 50,
-            recover_permille: 10,
-            sustain_windows: 2,
-            recover_windows: 4,
-            max_divisor: 8,
-        }
-    }
-}
+/// Rate at or below which the window counts as clean. It sits below
+/// `DEGRADE_PERMILLE`, and the band between the two is the hysteresis.
+const RECOVER_PERMILLE: u32 = 10;
+
+/// Consecutive bad windows before a degrade step.
+const SUSTAIN_WINDOWS: u32 = 2;
+
+/// Consecutive clean windows before a recovery step: more than
+/// `SUSTAIN_WINDOWS`, for the asymmetric hysteresis.
+const RECOVER_WINDOWS: u32 = 4;
+
+/// Largest video rate divisor the machine will reach.
+const MAX_DIVISOR: u32 = 8;
 
 /// The counts of one closed observation window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,7 +101,6 @@ pub struct AdaptState {
 #[derive(Debug, Clone)]
 pub struct AdaptMachine {
     class: MediaClass,
-    config: HealthConfig,
     divisor: u32,
     muted: bool,
     bad_streak: u32,
@@ -129,10 +111,9 @@ pub struct AdaptMachine {
 
 impl AdaptMachine {
     /// A machine at full quality.
-    pub fn new(class: MediaClass, config: HealthConfig) -> AdaptMachine {
+    pub fn new(class: MediaClass) -> AdaptMachine {
         AdaptMachine {
             class,
-            config,
             divisor: 1,
             muted: false,
             bad_streak: 0,
@@ -156,7 +137,8 @@ impl AdaptMachine {
     }
 
     /// Degrade steps taken.
-    pub fn degrades(&self) -> u64 {
+    #[cfg(test)]
+    fn degrades(&self) -> u64 {
         self.degrades
     }
 
@@ -165,10 +147,10 @@ impl AdaptMachine {
     /// so each further step needs a fresh sustained period.
     pub fn observe(&mut self, sample: &WindowSample) -> Option<AdaptAction> {
         let worst = sample.loss_permille().max(sample.late_permille());
-        if worst >= self.config.degrade_permille {
+        if worst >= DEGRADE_PERMILLE {
             self.bad_streak += 1;
             self.good_streak = 0;
-        } else if worst <= self.config.recover_permille {
+        } else if worst <= RECOVER_PERMILLE {
             self.good_streak += 1;
             self.bad_streak = 0;
         } else {
@@ -176,11 +158,11 @@ impl AdaptMachine {
             // resets — a marginal window freezes the machine.
             return None;
         }
-        if self.bad_streak >= self.config.sustain_windows {
+        if self.bad_streak >= SUSTAIN_WINDOWS {
             self.bad_streak = 0;
             return self.degrade_step();
         }
-        if self.good_streak >= self.config.recover_windows {
+        if self.good_streak >= RECOVER_WINDOWS {
             self.good_streak = 0;
             return self.recover_step();
         }
@@ -198,7 +180,7 @@ impl AdaptMachine {
                 Some(AdaptAction::Mute)
             }
             MediaClass::Video => {
-                let next = (self.divisor * 2).min(self.config.max_divisor);
+                let next = (self.divisor * 2).min(MAX_DIVISOR);
                 if next == self.divisor {
                     return None;
                 }
@@ -243,17 +225,6 @@ impl AdaptMachine {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            window: SimDuration::from_millis(100),
-            degrade_permille: 50,
-            recover_permille: 10,
-            sustain_windows: 2,
-            recover_windows: 4,
-            max_divisor: 8,
-        }
-    }
-
     fn bad() -> WindowSample {
         WindowSample {
             received: 90,
@@ -272,13 +243,13 @@ mod tests {
 
     #[test]
     fn video_steps_divisor_down_then_recovers_with_hysteresis() {
-        let mut m = AdaptMachine::new(MediaClass::Video, cfg());
+        let mut m = AdaptMachine::new(MediaClass::Video);
         assert_eq!(m.observe(&bad()), None, "one bad window is a blip");
         assert_eq!(m.observe(&bad()), Some(AdaptAction::SetDivisor(2)));
         // The next step needs a fresh sustained period.
         assert_eq!(m.observe(&bad()), None);
         assert_eq!(m.observe(&bad()), Some(AdaptAction::SetDivisor(4)));
-        // Recovery needs recover_windows consecutive clean windows.
+        // Recovery needs RECOVER_WINDOWS consecutive clean windows.
         for _ in 0..3 {
             assert_eq!(m.observe(&clean()), None);
         }
@@ -294,16 +265,16 @@ mod tests {
 
     #[test]
     fn video_divisor_caps() {
-        let mut m = AdaptMachine::new(MediaClass::Video, cfg());
+        let mut m = AdaptMachine::new(MediaClass::Video);
         for _ in 0..20 {
             let _ = m.observe(&bad());
         }
-        assert_eq!(m.state().divisor, 8, "capped at max_divisor");
+        assert_eq!(m.state().divisor, 8, "capped at MAX_DIVISOR");
     }
 
     #[test]
     fn audio_mutes_never_degrades() {
-        let mut m = AdaptMachine::new(MediaClass::Audio, cfg());
+        let mut m = AdaptMachine::new(MediaClass::Audio);
         assert_eq!(m.observe(&bad()), None);
         assert_eq!(m.observe(&bad()), Some(AdaptAction::Mute));
         assert!(m.state().muted);
@@ -317,7 +288,7 @@ mod tests {
 
     #[test]
     fn marginal_windows_freeze_the_machine() {
-        let mut m = AdaptMachine::new(MediaClass::Audio, cfg());
+        let mut m = AdaptMachine::new(MediaClass::Audio);
         let marginal = WindowSample {
             received: 970,
             gaps: 30, // 30‰: between recover (10) and degrade (50).
@@ -333,7 +304,7 @@ mod tests {
 
     #[test]
     fn late_rate_alone_triggers_adaptation() {
-        let mut m = AdaptMachine::new(MediaClass::Video, cfg());
+        let mut m = AdaptMachine::new(MediaClass::Video);
         let late = WindowSample {
             received: 100,
             gaps: 0,

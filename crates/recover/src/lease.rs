@@ -127,18 +127,14 @@ impl Lease {
         self.misses
     }
 
-    /// Renewals accepted over the lease's lifetime.
-    pub fn renewals(&self) -> u64 {
-        self.renewals
-    }
-
     /// Times the lease died.
     pub fn deaths(&self) -> u64 {
         self.deaths
     }
 
     /// Times the lease revived from suspect or dead.
-    pub fn revivals(&self) -> u64 {
+    #[cfg(test)]
+    fn revivals(&self) -> u64 {
         self.revivals
     }
 

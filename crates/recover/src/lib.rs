@@ -37,5 +37,5 @@
 pub mod health;
 pub mod lease;
 
-pub use health::{AdaptAction, AdaptMachine, AdaptState, HealthConfig, MediaClass, WindowSample};
+pub use health::{AdaptAction, AdaptMachine, AdaptState, MediaClass, WindowSample};
 pub use lease::{Lease, LeaseBook, LeaseConfig, LeaseEvent, LeaseState};

@@ -82,43 +82,14 @@ pub struct CommonHeader {
     pub length: u32,
 }
 
-/// Audio sample format field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AudioFormat {
-    /// 8-bit µ-law, the format of the Pandora codec.
-    MuLaw8,
-    /// 16-bit linear PCM (used by software paths in tests).
-    Linear16,
-}
-
-impl AudioFormat {
-    /// Wire encoding.
-    pub fn code(self) -> u32 {
-        match self {
-            AudioFormat::MuLaw8 => 1,
-            AudioFormat::Linear16 => 2,
-        }
-    }
-
-    /// Decodes the format field.
-    pub fn from_code(code: u32) -> Option<AudioFormat> {
-        match code {
-            1 => Some(AudioFormat::MuLaw8),
-            2 => Some(AudioFormat::Linear16),
-            _ => None,
-        }
-    }
-}
-
 /// The audio-specific header (figure 3.1).
+///
+/// Its sampling-rate, format and compression words each hold one value on
+/// the wire: 8 kHz, 8-bit µ-law, uncompressed, the only audio a box plays.
+/// The codec writes them and refuses any other, so only the length is
+/// carried here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AudioHeader {
-    /// Sampling rate in Hz (8000 for the Pandora codec).
-    pub sampling_rate: u32,
-    /// Sample format.
-    pub format: AudioFormat,
-    /// Compression scheme (0 = none; µ-law is considered a format here).
-    pub compression: u32,
     /// Length of the sample data in bytes.
     pub data_length: u32,
 }
@@ -156,9 +127,6 @@ impl AudioSegment {
                 length,
             },
             audio: AudioHeader {
-                sampling_rate: AUDIO_SAMPLE_RATE,
-                format: AudioFormat::MuLaw8,
-                compression: 0,
                 data_length: data.len() as u32,
             },
             data,
@@ -191,67 +159,6 @@ impl AudioSegment {
     }
 }
 
-/// Pixel formats for video segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PixelFormat {
-    /// 8-bit greyscale.
-    Mono8,
-    /// 16-bit colour (the Pandora framestore format).
-    Rgb16,
-}
-
-impl PixelFormat {
-    /// Wire encoding.
-    pub fn code(self) -> u32 {
-        match self {
-            PixelFormat::Mono8 => 1,
-            PixelFormat::Rgb16 => 2,
-        }
-    }
-
-    /// Decodes the pixel-format field.
-    pub fn from_code(code: u32) -> Option<PixelFormat> {
-        match code {
-            1 => Some(PixelFormat::Mono8),
-            2 => Some(PixelFormat::Rgb16),
-            _ => None,
-        }
-    }
-}
-
-/// Video compression schemes.
-///
-/// "We have a variable number of fields after the compression type field so
-/// that compression parameters for any scheme can be accommodated.
-/// Compression schemes and parameters can be changed from one segment to
-/// the next" (§3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VideoCompression {
-    /// Uncompressed pixels.
-    None,
-    /// Per-line DPCM with optional horizontal sub-sampling.
-    Dpcm,
-}
-
-impl VideoCompression {
-    /// Wire encoding.
-    pub fn code(self) -> u32 {
-        match self {
-            VideoCompression::None => 0,
-            VideoCompression::Dpcm => 1,
-        }
-    }
-
-    /// Decodes the compression-type field.
-    pub fn from_code(code: u32) -> Option<VideoCompression> {
-        match code {
-            0 => Some(VideoCompression::None),
-            1 => Some(VideoCompression::Dpcm),
-            _ => None,
-        }
-    }
-}
-
 /// The video-specific header (figure 3.2).
 ///
 /// "Video segments do not have to contain a whole frame. A frame can be
@@ -259,6 +166,13 @@ impl VideoCompression {
 /// contains a count of the number of segments in the frame, the number of
 /// this segment within the frame, and enough information to place this
 /// segment in the correct position."
+///
+/// The pixel-format and compression-type words each hold one value on the
+/// wire: 8-bit greyscale under per-line DPCM with optional horizontal
+/// sub-sampling, the only video a box displays. The codec writes them and
+/// refuses any other; the compression arguments still vary per segment
+/// ("compression schemes and parameters can be changed from one segment to
+/// the next", §3.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VideoHeader {
     /// Frame this segment belongs to.
@@ -271,10 +185,6 @@ pub struct VideoHeader {
     pub x_offset: u32,
     /// Vertical placement of the rectangle.
     pub y_offset: u32,
-    /// Pixel format of the data.
-    pub pixel_format: PixelFormat,
-    /// Compression scheme applied to the data.
-    pub compression: VideoCompression,
     /// Variable compression arguments (count is the "Argument length" field).
     pub compression_args: Vec<u32>,
     /// Width of the rectangle in pixels ("x Width").
@@ -294,7 +204,7 @@ pub struct VideoSegment {
     pub common: CommonHeader,
     /// Video-specific header fields.
     pub video: VideoHeader,
-    /// Pixel data (compressed per `video.compression`).
+    /// DPCM-compressed pixel data.
     pub data: Vec<u8>,
 }
 
@@ -574,8 +484,6 @@ mod tests {
             segment_number: 2,
             x_offset: 10,
             y_offset: 20,
-            pixel_format: PixelFormat::Mono8,
-            compression: VideoCompression::Dpcm,
             compression_args: vec![2, 1],
             width: 64,
             start_line: 0,
@@ -608,8 +516,6 @@ mod tests {
             segment_number: 2,
             x_offset: 10,
             y_offset: 20,
-            pixel_format: PixelFormat::Mono8,
-            compression: VideoCompression::Dpcm,
             compression_args: vec![2, 1],
             width: 64,
             start_line: 0,
@@ -650,14 +556,5 @@ mod tests {
             assert_eq!(SegmentType::from_code(t.code()), Some(t));
         }
         assert_eq!(SegmentType::from_code(99), None);
-        for f in [AudioFormat::MuLaw8, AudioFormat::Linear16] {
-            assert_eq!(AudioFormat::from_code(f.code()), Some(f));
-        }
-        for p in [PixelFormat::Mono8, PixelFormat::Rgb16] {
-            assert_eq!(PixelFormat::from_code(p.code()), Some(p));
-        }
-        for c in [VideoCompression::None, VideoCompression::Dpcm] {
-            assert_eq!(VideoCompression::from_code(c.code()), Some(c));
-        }
     }
 }

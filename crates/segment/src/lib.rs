@@ -27,11 +27,10 @@ mod slabseg;
 pub mod wire;
 
 pub use format::{
-    AudioFormat, AudioHeader, AudioSegment, CommonHeader, PixelFormat, Segment, SegmentHeader,
-    SegmentType, TestSegment, VideoCompression, VideoHeader, VideoSegment, AUDIO_FULL_HEADER_BYTES,
-    AUDIO_HEADER_BYTES, AUDIO_SAMPLE_RATE, BLOCK_BYTES, BLOCK_DURATION_NANOS, COMMON_HEADER_BYTES,
-    DEFAULT_BLOCKS_PER_SEGMENT, REPOSITORY_BLOCKS_PER_SEGMENT, SAMPLES_PER_BLOCK, VERSION_ID,
-    VIDEO_FIXED_HEADER_BYTES,
+    AudioHeader, AudioSegment, CommonHeader, Segment, SegmentHeader, SegmentType, TestSegment,
+    VideoHeader, VideoSegment, AUDIO_FULL_HEADER_BYTES, AUDIO_HEADER_BYTES, AUDIO_SAMPLE_RATE,
+    BLOCK_BYTES, BLOCK_DURATION_NANOS, COMMON_HEADER_BYTES, DEFAULT_BLOCKS_PER_SEGMENT,
+    REPOSITORY_BLOCKS_PER_SEGMENT, SAMPLES_PER_BLOCK, VERSION_ID, VIDEO_FIXED_HEADER_BYTES,
 };
 pub use ids::{SeqEvent, SeqTracker, SequenceNumber, StreamId, Timestamp};
 pub use slabseg::SlabSegment;

@@ -18,12 +18,23 @@ use bytes::Buf;
 use pandora_slab::SlabRef;
 
 use crate::format::{
-    AudioFormat, AudioHeader, CommonHeader, PixelFormat, Segment, SegmentHeader, SegmentType,
-    VideoCompression, VideoHeader, AUDIO_FULL_HEADER_BYTES, AUDIO_SAMPLE_RATE, COMMON_HEADER_BYTES,
-    VERSION_ID, VIDEO_FIXED_HEADER_BYTES,
+    AudioHeader, CommonHeader, Segment, SegmentHeader, SegmentType, VideoHeader,
+    AUDIO_FULL_HEADER_BYTES, AUDIO_SAMPLE_RATE, COMMON_HEADER_BYTES, VERSION_ID,
+    VIDEO_FIXED_HEADER_BYTES,
 };
 use crate::ids::{SequenceNumber, Timestamp};
 use crate::slabseg::SlabSegment;
+
+/// The audio format code of 8-bit µ-law, the Pandora codec's format.
+const MULAW8: u32 = 1;
+/// The audio compression code of uncompressed samples (µ-law counts as a
+/// format here, not a compression).
+const UNCOMPRESSED: u32 = 0;
+/// The pixel format code of 8-bit greyscale.
+const MONO8: u32 = 1;
+/// The video compression code of per-line DPCM with optional horizontal
+/// sub-sampling.
+const DPCM: u32 = 1;
 
 /// Errors produced while decoding a segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +50,7 @@ pub enum WireError {
     BadVersion(u32),
     /// Unknown segment type code.
     BadType(u32),
-    /// Unknown audio format code.
+    /// An audio format other than 8-bit µ-law: every box plays µ-law.
     BadAudioFormat(u32),
     /// An audio segment sampled at other than [`AUDIO_SAMPLE_RATE`] or
     /// compressed: every box plays 8 kHz uncompressed samples, so such a
@@ -50,9 +61,9 @@ pub enum WireError {
         /// The sub-header's compression code (0 is uncompressed).
         compression: u32,
     },
-    /// Unknown pixel format code.
+    /// A pixel format other than 8-bit greyscale: every box displays it.
     BadPixelFormat(u32),
-    /// Unknown video compression code.
+    /// A video compression other than per-line DPCM: every box decodes it.
     BadCompression(u32),
     /// A length field is inconsistent with the enclosing segment.
     BadLength {
@@ -188,11 +199,12 @@ pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
                 });
             }
             let sampling_rate = body.get_u32();
-            let format_code = body.get_u32();
-            let format = AudioFormat::from_code(format_code)
-                .ok_or(WireError::BadAudioFormat(format_code))?;
+            let format = body.get_u32();
+            if format != MULAW8 {
+                return Err(WireError::BadAudioFormat(format));
+            }
             let compression = body.get_u32();
-            if sampling_rate != AUDIO_SAMPLE_RATE || compression != 0 {
+            if sampling_rate != AUDIO_SAMPLE_RATE || compression != UNCOMPRESSED {
                 return Err(WireError::BadAudioEncoding {
                     sampling_rate,
                     compression,
@@ -205,12 +217,7 @@ pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
             Ok(SegmentView {
                 header: SegmentHeader::Audio {
                     common,
-                    audio: AudioHeader {
-                        sampling_rate,
-                        format,
-                        compression,
-                        data_length,
-                    },
+                    audio: AudioHeader { data_length },
                 },
                 payload: body,
             })
@@ -227,12 +234,14 @@ pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
             let segment_number = body.get_u32();
             let x_offset = body.get_u32();
             let y_offset = body.get_u32();
-            let pf_code = body.get_u32();
-            let pixel_format =
-                PixelFormat::from_code(pf_code).ok_or(WireError::BadPixelFormat(pf_code))?;
-            let comp_code = body.get_u32();
-            let compression = VideoCompression::from_code(comp_code)
-                .ok_or(WireError::BadCompression(comp_code))?;
+            let pixel_format = body.get_u32();
+            if pixel_format != MONO8 {
+                return Err(WireError::BadPixelFormat(pixel_format));
+            }
+            let compression = body.get_u32();
+            if compression != DPCM {
+                return Err(WireError::BadCompression(compression));
+            }
             let arg_count = body.get_u32();
             if body.len() < arg_count as usize * 4 + 16 {
                 return Err(WireError::BadLength { field: arg_count });
@@ -257,8 +266,6 @@ pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
                         segment_number,
                         x_offset,
                         y_offset,
-                        pixel_format,
-                        compression,
                         compression_args,
                         width,
                         start_line,
@@ -310,9 +317,9 @@ fn put_common(buf: &mut [u8], at: &mut usize, h: &CommonHeader) {
 }
 
 fn put_audio_header(buf: &mut [u8], at: &mut usize, h: &AudioHeader) {
-    put_u32(buf, at, h.sampling_rate);
-    put_u32(buf, at, h.format.code());
-    put_u32(buf, at, h.compression);
+    put_u32(buf, at, AUDIO_SAMPLE_RATE);
+    put_u32(buf, at, MULAW8);
+    put_u32(buf, at, UNCOMPRESSED);
     put_u32(buf, at, h.data_length);
 }
 
@@ -322,8 +329,8 @@ fn put_video_header(buf: &mut [u8], at: &mut usize, h: &VideoHeader) {
     put_u32(buf, at, h.segment_number);
     put_u32(buf, at, h.x_offset);
     put_u32(buf, at, h.y_offset);
-    put_u32(buf, at, h.pixel_format.code());
-    put_u32(buf, at, h.compression.code());
+    put_u32(buf, at, MONO8);
+    put_u32(buf, at, DPCM);
     put_u32(buf, at, h.compression_args.len() as u32);
     for a in &h.compression_args {
         put_u32(buf, at, *a);
@@ -358,8 +365,6 @@ mod tests {
                 segment_number: 1,
                 x_offset: 16,
                 y_offset: 32,
-                pixel_format: PixelFormat::Mono8,
-                compression: VideoCompression::Dpcm,
                 compression_args: vec![2],
                 width: 64,
                 start_line: 8,
@@ -384,6 +389,16 @@ mod tests {
         let bytes = encode(&seg);
         assert_eq!(bytes.len(), seg.wire_bytes());
         assert_eq!(decode(&bytes).unwrap(), seg);
+        // The pixel format sits at offset 40..44, the compression at
+        // 44..48: 16-bit colour and uncompressed video are refused.
+        for (at, word, err) in [
+            (40, 2, WireError::BadPixelFormat(2)),
+            (44, 0, WireError::BadCompression(0)),
+        ] {
+            let mut bytes = bytes.clone();
+            bytes[at..at + 4].copy_from_slice(&u32::to_be_bytes(word));
+            assert_eq!(decode(&bytes), Err(err));
+        }
     }
 
     #[test]
@@ -490,29 +505,34 @@ mod tests {
 
     #[test]
     fn unplayable_audio_rejected() {
-        // The sampling rate sits at offset 20..24, the compression at 28..32.
-        for (at, word, err) in [(20, 16_000, (16_000, 0)), (28, 1, (AUDIO_SAMPLE_RATE, 1))] {
+        // The sampling rate sits at offset 20..24, the format (2 was
+        // 16-bit linear) at 24..28, the compression at 28..32.
+        let encoding = |sampling_rate, compression| WireError::BadAudioEncoding {
+            sampling_rate,
+            compression,
+        };
+        for (at, word, err) in [
+            (20, 16_000, encoding(16_000, 0)),
+            (24, 2, WireError::BadAudioFormat(2)),
+            (28, 1, encoding(AUDIO_SAMPLE_RATE, 1)),
+        ] {
             let mut bytes = encode(&sample_audio());
             bytes[at..at + 4].copy_from_slice(&u32::to_be_bytes(word));
-            let (sampling_rate, compression) = err;
-            assert_eq!(
-                decode(&bytes),
-                Err(WireError::BadAudioEncoding {
-                    sampling_rate,
-                    compression
-                })
-            );
+            assert_eq!(decode(&bytes), Err(err));
         }
     }
 
     /// Seeded hostile payloads of 0–120 bytes. Half of them start with a
     /// valid common header — `VERSION_ID`, a type code in 0–3 (0 is
     /// unknown) and a `length` no longer than the buffer — followed by
-    /// small words, half the time an audio sub-header's 8 kHz rate, and,
-    /// half the time, the `data_length` that `length` implies. Decoding
-    /// never panics, whatever decodes re-encodes to the input's first
-    /// `length` bytes, and only 8 kHz uncompressed audio decodes: a bad
-    /// rate and a bad compression alone are both refused.
+    /// small words, half the time an audio sub-header's 8 kHz rate,
+    /// three times in four a sub-header's format codes, and, half the
+    /// time, the `data_length` that `length` implies. Decoding never
+    /// panics, and whatever decodes re-encodes to the input's first
+    /// `length` bytes. The encoder writes only the codes of 8 kHz
+    /// uncompressed µ-law audio and Mono8 DPCM video, so only those decode:
+    /// a bad rate, a bad audio compression, and the codes of 16-bit linear
+    /// audio, colour pixels and uncompressed video are each refused.
     #[test]
     fn decode_survives_seeded_hostile_payloads() {
         use pandora_prop::{check, Rng, Tape};
@@ -537,6 +557,11 @@ mod tests {
             let (type_code, short_by) = (tape.gen_range(0..=3u32), tape.gen_range(0..=len));
             let fill_data_length = tape.gen_bool(0.5);
             let playable_rate = tape.gen_bool(0.5);
+            // 0 leaves the codes to the words drawn below; 1 writes the
+            // codes of what plays; 2 and 3 write 16-bit linear audio's
+            // code, and a video's colour pixels (2) or its Mono8 pixels
+            // uncompressed (3).
+            let codes = tape.gen_range(0..=3u32);
             let mut bytes = Vec::with_capacity(len);
             for at in (0..len).step_by(4) {
                 bytes.extend((at..len.min(at + 4)).map(|_| tape.gen_range(0..=255u8)));
@@ -551,6 +576,20 @@ mod tests {
                 put(&mut bytes, 16, length as u32);
                 if type_code == 1 && playable_rate {
                     put(&mut bytes, 20, AUDIO_SAMPLE_RATE);
+                }
+                // The audio format, then a video's pixel format and
+                // compression.
+                let (format, pixels, compression) = match codes {
+                    1 => (MULAW8, MONO8, DPCM),
+                    2 => (2, 2, DPCM),
+                    _ => (2, MONO8, 0),
+                };
+                if codes > 0 && type_code == 1 {
+                    put(&mut bytes, 24, format);
+                }
+                if codes > 0 && type_code == 2 {
+                    put(&mut bytes, 40, pixels);
+                    put(&mut bytes, 44, compression);
                 }
                 // The `data_length` word sits just before the payload; a
                 // video header's argument count is its word at byte 48.
@@ -579,14 +618,20 @@ mod tests {
                     };
                     return;
                 }
+                Err(WireError::BadAudioFormat(_)) => {
+                    unplayable |= 4;
+                    return;
+                }
+                Err(WireError::BadPixelFormat(_)) => {
+                    unplayable |= 8;
+                    return;
+                }
+                Err(WireError::BadCompression(_)) => {
+                    unplayable |= 16;
+                    return;
+                }
                 Err(_) => return,
             };
-            if let SegmentHeader::Audio { audio, .. } = &view.header {
-                assert_eq!(
-                    (audio.sampling_rate, audio.compression),
-                    (AUDIO_SAMPLE_RATE, 0)
-                );
-            }
             decoded += 1;
             types |= 1 << view.header.common().segment_type.code();
             let length = word(bytes, 16) as usize;
@@ -597,7 +642,10 @@ mod tests {
         });
         // The sweep reaches every decode arm, not just the common header.
         assert_eq!(types, 0b1110);
-        assert_eq!(unplayable, 0b11, "a bad rate and a bad compression alone");
+        assert_eq!(
+            unplayable, 0b11111,
+            "a bad rate, a bad audio compression, format, pixel format and video compression"
+        );
         assert!(decoded > 5_000, "{decoded} decoded");
     }
 

@@ -57,7 +57,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pandora::{BoxConfig, OutputId, PandoraBox, StreamKind};
+use pandora::{OutputId, PandoraBox, StreamKind, SLAB_BUFFERS};
 use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, Vci};
 use pandora_metrics::{Histogram, StateTimeline, Table};
 use pandora_recover::{LeaseBook, LeaseConfig, LeaseEvent, LeaseState};
@@ -99,6 +99,11 @@ pub struct Admitted {
     pub rate_permille: u32,
 }
 
+/// Jitter added to each attempt's reply wait, as thousandths of the
+/// backed-off wait. Jitter keeps lock-step retries from re-colliding on a
+/// congested command path.
+const JITTER_PERMILLE: u64 = 200;
+
 /// Controller tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
@@ -109,10 +114,6 @@ pub struct ControllerConfig {
     /// Upper bound on the backed-off per-attempt reply wait
     /// (`reply_timeout * 2^attempt`, capped here).
     pub backoff_cap: SimDuration,
-    /// Jitter added to each attempt's wait, as thousandths of the
-    /// backed-off wait (0 disables jitter). Jitter keeps lock-step
-    /// retries from re-colliding on a congested command path.
-    pub jitter_permille: u32,
     /// Seed for the jitter generator — same seed, same retry schedule,
     /// so runs replay byte-identically.
     pub seed: u64,
@@ -127,7 +128,6 @@ impl Default for ControllerConfig {
             reply_timeout: SimDuration::from_millis(500),
             retries: 2,
             backoff_cap: SimDuration::from_millis(4_000),
-            jitter_permille: 200,
             seed: 0x5EA5_1DE5,
             lease: None,
         }
@@ -241,8 +241,7 @@ impl Controller {
         // Every control frame is one test segment of a `CONTROL_BYTES`
         // payload, so a region holds exactly one: a larger frame would
         // fail `SessionMsg::decode` anyway, and is discarded on arrival.
-        let regions = BoxConfig::standard("controller").slab_buffers;
-        let slab = ByteSlab::new(regions, COMMON_HEADER_BYTES + CONTROL_BYTES);
+        let slab = ByteSlab::new(SLAB_BUFFERS, COMMON_HEADER_BYTES + CONTROL_BYTES);
         spawner.spawn("session:controller-rx", async move {
             let mut reasm = SlabReassembler::new(slab);
             while let Ok(cell) = rx.recv().await {
@@ -553,9 +552,8 @@ impl Controller {
     /// Spawns one lease-probe task per directory endpoint (task
     /// `session:lease:<name>`). Each probe sleeps for the lease's
     /// current backoff, sends a single-attempt `Ping` on the command
-    /// path and reports the outcome to the lease; deaths trigger
-    /// [`Controller::reconverge`] and revivals from dead trigger the
-    /// rejoin cleanup.
+    /// path and reports the outcome to the lease; deaths trigger crash
+    /// reconvergence and revivals from dead trigger the rejoin cleanup.
     ///
     /// # Panics
     ///
@@ -653,7 +651,7 @@ impl Controller {
     /// never glitch (Principle 6), releases the survivors' admission
     /// charges, sweeps the fabric port and records the dead box's own
     /// unreleasable state as stale debt for the rejoin path.
-    pub async fn reconverge(&self, dead: EndpointId) {
+    async fn reconverge(&self, dead: EndpointId) {
         let t0 = pandora_sim::now();
         let Ok((dead_port, dead_ctl)) = self.endpoint(dead) else {
             return;
@@ -865,14 +863,14 @@ impl Controller {
     }
 
     /// The reply wait for a given attempt: `reply_timeout * 2^attempt`
-    /// capped at `backoff_cap`, plus up to `jitter_permille` thousandths
+    /// capped at `backoff_cap`, plus up to [`JITTER_PERMILLE`] thousandths
     /// of seeded jitter. Every computed wait is recorded in the
     /// per-attempt delay histogram.
     fn attempt_wait(&self, attempt: u32) -> SimDuration {
         let base = self.config.reply_timeout.as_nanos();
         let cap = self.config.backoff_cap.as_nanos().max(base);
         let backed = base.saturating_mul(1u64 << attempt.min(20)).min(cap);
-        let span = backed / 1_000 * u64::from(self.config.jitter_permille);
+        let span = backed / 1_000 * JITTER_PERMILLE;
         let mut inner = self.inner.borrow_mut();
         let jitter = if span == 0 {
             0

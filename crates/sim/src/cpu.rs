@@ -74,7 +74,6 @@ struct CpuState {
     seq: Cell<u64>,
     busy: Cell<u64>,
     claims: Cell<u64>,
-    switches: Cell<u64>,
 }
 
 /// A virtual CPU granting exclusive execution time to claiming tasks.
@@ -111,7 +110,6 @@ impl Cpu {
                 seq: Cell::new(0),
                 busy: Cell::new(0),
                 claims: Cell::new(0),
-                switches: Cell::new(0),
             }),
         }
     }
@@ -147,13 +145,9 @@ impl Cpu {
     }
 
     /// Number of claims fully executed.
-    pub fn claims(&self) -> u64 {
+    #[cfg(test)]
+    fn claims(&self) -> u64 {
         self.state.claims.get()
-    }
-
-    /// Number of context switches charged (one per executed claim).
-    pub fn switches(&self) -> u64 {
-        self.state.switches.get()
     }
 }
 
@@ -204,7 +198,6 @@ impl Claim {
         self.cpu
             .busy
             .set(self.cpu.busy.get() + (done_at - start).as_nanos());
-        self.cpu.switches.set(self.cpu.switches.get() + 1);
         self.state = ClaimState::Running {
             done_at,
             registered: false,

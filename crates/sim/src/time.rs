@@ -112,15 +112,6 @@ impl SimDuration {
     pub const fn mul(self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))
     }
-
-    /// Divides the duration by an integer divisor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub const fn div(self, k: u64) -> Self {
-        SimDuration(self.0 / k)
-    }
 }
 
 impl std::ops::Add<SimDuration> for SimTime {
@@ -207,7 +198,6 @@ mod tests {
     #[test]
     fn duration_scaling() {
         assert_eq!(SimDuration::from_millis(2).mul(12).as_millis(), 24);
-        assert_eq!(SimDuration::from_millis(24).div(12).as_millis(), 2);
     }
 
     #[test]

@@ -292,11 +292,6 @@ impl ByteSlab {
         })
     }
 
-    /// Fixed byte capacity of one slab.
-    pub fn slab_bytes(&self) -> usize {
-        self.inner.slab_bytes
-    }
-
     /// Total slabs in the arena.
     pub fn capacity(&self) -> usize {
         self.inner.count

@@ -8,9 +8,7 @@
 //! are split into several segments "each of which is despatched as soon as
 //! the data is ready, reducing latencies and buffering requirements".
 
-use pandora_segment::{
-    PixelFormat, SequenceNumber, Timestamp, VideoCompression, VideoHeader, VideoSegment,
-};
+use pandora_segment::{SequenceNumber, Timestamp, VideoHeader, VideoSegment};
 
 use crate::dpcm::{compress_rows, LineMode};
 use crate::framestore::{FrameStore, Rect};
@@ -105,8 +103,6 @@ pub fn capture_rect(
             segment_number: s,
             x_offset: rect.x,
             y_offset: rect.y,
-            pixel_format: PixelFormat::Mono8,
-            compression: VideoCompression::Dpcm,
             compression_args: vec![config.mode.header() as u32],
             width: rect.width,
             start_line,

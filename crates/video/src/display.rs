@@ -160,9 +160,7 @@ mod tests {
     use crate::interp::{decode_segment, LineCache};
     use crate::pattern::TestPattern;
     use pandora_prop::{check, Rng, Tape};
-    use pandora_segment::{
-        PixelFormat, SequenceNumber, StreamId, Timestamp, VideoCompression, VideoHeader,
-    };
+    use pandora_segment::{SequenceNumber, StreamId, Timestamp, VideoHeader};
 
     fn captured_frame(frame_number: u32, lines_per_segment: u32) -> Vec<VideoSegment> {
         let mut fs = FrameStore::new(32, 16);
@@ -341,8 +339,6 @@ mod tests {
             segment_number: small_or_any(t, 0..4),
             x_offset: small_or_any(t, 0..8),
             y_offset: small_or_any(t, 0..8),
-            pixel_format: PixelFormat::Mono8,
-            compression: VideoCompression::Dpcm,
             compression_args: vec![],
             width: if t.gen_bool(0.2) {
                 t.gen_range(8..12u32)

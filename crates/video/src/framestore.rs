@@ -36,14 +36,6 @@ impl Rect {
         self.width as usize * self.height as usize
     }
 
-    /// Returns `true` if `self` and `other` share any pixel.
-    pub fn overlaps(&self, other: &Rect) -> bool {
-        u64::from(self.x) < other.right()
-            && u64::from(other.x) < self.right()
-            && u64::from(self.y) < other.bottom()
-            && u64::from(other.y) < self.bottom()
-    }
-
     /// Returns `true` if the rectangle fits a `width` × `height` frame.
     pub fn fits(&self, width: u32, height: u32) -> bool {
         self.right() <= u64::from(width) && self.bottom() <= u64::from(height)
@@ -295,8 +287,6 @@ mod tests {
     fn rect_geometry() {
         let r = Rect::new(10, 20, 30, 40);
         assert_eq!(r.area(), 1200);
-        assert!(r.overlaps(&Rect::new(35, 55, 10, 10)));
-        assert!(!r.overlaps(&Rect::new(40, 20, 5, 5)));
         assert!(r.fits(100, 100));
         assert!(!r.fits(39, 100));
     }
@@ -306,8 +296,6 @@ mod tests {
         // x + width and y + height both wrap to 60 in u32.
         let far = Rect::new(u32::MAX - 3, u32::MAX - 3, 64, 64);
         assert!(!far.fits(768, 288));
-        assert!(!far.overlaps(&Rect::new(0, 0, 768, 288)));
-        assert!(far.overlaps(&Rect::new(u32::MAX - 1, u32::MAX - 1, 1, 1)));
         let scan = ScanModel::new(100, 40_000_000);
         assert!(!scan.scan_hits_rect(far, 0, 40_000_000));
         assert!(scan.scan_hits_rect(Rect::new(0, 99, 1, u32::MAX), 0, 40_000_000));

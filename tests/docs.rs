@@ -1,6 +1,7 @@
 //! The docs' inventories match the tree: each crate has a row in the README's layout and
 //! DESIGN.md §3, each example a row in the README's examples table, a golden stdout under
-//! `tests/golden/examples` and a run in CI that diffs its stdout against that golden.
+//! `tests/golden/examples` and a run in CI that diffs its stdout against that golden. And
+//! the public API carries no dead weight: every public function is named outside its file.
 
 const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -51,4 +52,71 @@ fn every_example_has_a_golden_stdout() {
         let golden = format!("{stem}.stdout");
         assert!(goldens.contains(&golden), "no golden stdout for {stem}");
     }
+}
+
+/// Every `.rs` file under `dir`, relative to the repository root, with its text.
+fn rust_files(dir: &str, out: &mut Vec<(String, String)>) {
+    let entries = std::fs::read_dir(format!("{}/{dir}", env!("CARGO_MANIFEST_DIR")));
+    for entry in entries.expect("listable").flatten() {
+        let path = format!("{dir}/{}", entry.file_name().to_string_lossy());
+        if entry.file_type().expect("file type").is_dir() {
+            rust_files(&path, out);
+        } else if path.ends_with(".rs") {
+            let text = std::fs::read_to_string(entry.path()).expect("readable");
+            out.push((path, text));
+        }
+    }
+}
+
+/// The identifiers and keywords of `text` outside its `//` comments, doc comments
+/// included: a name a comment mentions is not a call.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .flat_map(|line| line.split("//").next())
+        .flat_map(|code| code.split(|c: char| !(c.is_alphanumeric() || c == '_')))
+        .filter(|w| !w.is_empty())
+}
+
+/// A `pub fn`, `pub async fn` or `pub const fn` under `crates/*/src` that no other file
+/// names is API nothing uses: delete it, or call it. A name counts as called when it
+/// appears as a word in another `.rs` file of the crates, the root suites, the examples,
+/// the root binary's sources or the benchmark harness.
+#[test]
+fn every_public_fn_has_a_caller_outside_its_file() {
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples", "src", "benchmark/src"] {
+        rust_files(dir, &mut files);
+    }
+    let mut files_naming = std::collections::BTreeMap::<&str, usize>::new();
+    for (_, text) in &files {
+        let named: std::collections::BTreeSet<&str> = words(text).collect();
+        for word in named {
+            *files_naming.entry(word).or_default() += 1;
+        }
+    }
+    let mut uncalled = Vec::new();
+    for (path, text) in &files {
+        let mut parts = path.split('/');
+        if parts.next() != Some("crates") || parts.nth(1) != Some("src") {
+            continue;
+        }
+        for line in text.lines() {
+            let line = line.trim_start();
+            let Some(rest) = ["pub fn ", "pub async fn ", "pub const fn "]
+                .iter()
+                .find_map(|prefix| line.strip_prefix(prefix))
+            else {
+                continue;
+            };
+            let name = words(rest).next().expect("a name");
+            // The defining file names it once; a caller elsewhere makes it two.
+            if files_naming[name] < 2 {
+                uncalled.push(format!("{path}: {name}"));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "public fns nothing else names: {uncalled:#?}"
+    );
 }

@@ -14,7 +14,7 @@ use pandora_buffers::{Clawback, ClawbackConfig, ClawbackPool};
 use pandora_metrics::Histogram;
 use pandora_segment::{
     reseg, wire, AudioSegment, Segment, SeqTracker, SequenceNumber, TestSegment, Timestamp,
-    VideoCompression, VideoHeader, VideoSegment, BLOCK_BYTES,
+    VideoHeader, VideoSegment, BLOCK_BYTES,
 };
 use pandora_video::RateFraction;
 
@@ -63,8 +63,6 @@ fn video_segment_wire_round_trip() {
                 segment_number: 1,
                 x_offset: t.gen_range(0u32..1024),
                 y_offset: t.gen_range(0u32..1024),
-                pixel_format: pandora_segment::PixelFormat::Mono8,
-                compression: VideoCompression::Dpcm,
                 compression_args: args,
                 width: t.gen_range(1u32..512),
                 start_line: 0,

@@ -18,7 +18,6 @@ use std::rc::Rc;
 use pandora::BoxConfig;
 use pandora_audio::gen::Speech;
 use pandora_faults::{install, FaultKind, FaultPlan, FaultTargets};
-use pandora_recover::HealthConfig;
 use pandora_session::{ControllerConfig, LeaseConfig, LeaseState, Star, StarConfig, StreamClass};
 use pandora_sim::{SimDuration, SimTime, Simulation};
 
@@ -327,7 +326,7 @@ fn leases_disabled_crash_leaks_routes_and_charges() {
 /// A box configuration with the P8 health monitor enabled.
 fn health_box(name: &'static str) -> BoxConfig {
     let mut cfg = BoxConfig::standard(name);
-    cfg.health = Some(HealthConfig::default());
+    cfg.health = true;
     cfg
 }
 
