@@ -45,10 +45,10 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use pandora_atm::{burst_gather, PathControl, Vci};
-use pandora_faults::{install, FaultPlan, FaultTargets};
+use pandora_faults::{install, FaultPlan, FaultTargets, TraceEntry};
 use pandora_recover::{AdaptAction, AdaptMachine, LeaseConfig, MediaClass, WindowSample};
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
-use pandora_shard::{Cluster, Egress, Ingress, PortSender, PortTable, ShardEnv};
+use pandora_shard::{Cluster, Egress, Ingress, PortSender, PortTable, Render, ShardEnv};
 use pandora_sim::{
     delay, delay_until, now, waker, LinkConfig, LinkControl, Priority, SimDuration, SimTime,
     TaskWaker, WireSize,
@@ -1301,27 +1301,73 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     );
 
     env.on_finish(move || {
-        let t = tables.borrow();
-        let (src_up, src_relay) = (&t.uplinks.rows[0], &t.relays.rows[0]);
+        let (t, e) = (tables.borrow(), engine.borrow());
+        let member = |m: usize| {
+            let up = &t.uplinks.rows[m];
+            MemberRow {
+                receiver: t.inboxes.receivers[m].clone(),
+                relay: t.relays.rows[m],
+                fwd: up.enqueued,
+                p3: up.drops,
+                crashed: up.dead,
+            }
+        };
+        FinishTable {
+            segments: cfg.segments,
+            slabin: slab.copied_in_bytes(),
+            slabout: slab.copied_out_bytes(),
+            deaths: e.deaths(),
+            grafts: e.grafts(),
+            unrepairable: e.unrepairable(),
+            hub_log: e.log().to_vec(),
+            members: (0..n).map(member).collect(),
+            fault: faulted.map(|(member, _, trace)| (member, trace.entries())),
+        }
+    });
+}
+
+/// The finish report as values, copied out of the run's tables at the
+/// deadline. It is `Send`, so it holds no `Rc` into the run, whose tables
+/// drop with the simulation; its lines are formatted only if it is read.
+struct FinishTable {
+    segments: u32,
+    /// The bytes the source's slab copied in and out.
+    slabin: u64,
+    slabout: u64,
+    /// The hub's counters and its repair history, a line per death or graft.
+    deaths: u64,
+    grafts: u64,
+    unrepairable: u64,
+    hub_log: Vec<String>,
+    /// Indexed by member id: the source, then the viewers.
+    members: Vec<MemberRow>,
+    /// The uplink-capped member and its fault trace.
+    fault: Option<(usize, Vec<TraceEntry>)>,
+}
+
+/// A member's receive state, relay row and uplink counters at the deadline.
+struct MemberRow {
+    receiver: StripeReceiver,
+    relay: Relay,
+    fwd: u64,
+    p3: u64,
+    crashed: bool,
+}
+
+impl Render for FinishTable {
+    fn render(self: Box<Self>) -> Vec<String> {
+        let (src, viewers) = self.members.split_first().expect("member 0 is the source");
         let mut lines = vec![format!(
             "node0000 src fwd={} p3={} slabin={} slabout={} srcgraft={}",
-            src_up.enqueued,
-            src_up.drops,
-            slab.copied_in_bytes(),
-            slab.copied_out_bytes(),
-            src_relay.grafts_in,
+            src.fwd, src.p3, self.slabin, self.slabout, src.relay.grafts_in,
         )];
-        let e = engine.borrow();
         lines.push(format!(
             "hub deaths={} grafts={} unrepairable={}",
-            e.deaths(),
-            e.grafts(),
-            e.unrepairable(),
+            self.deaths, self.grafts, self.unrepairable,
         ));
-        lines.extend(e.log().iter().map(|line| format!("hub {line}")));
-        for member in 1..n {
-            let (r, up) = (&t.inboxes.receivers[member], &t.uplinks.rows[member]);
-            let relay = &t.relays.rows[member];
+        lines.extend(self.hub_log.iter().map(|line| format!("hub {line}")));
+        for (member, v) in (1..).zip(viewers) {
+            let (r, relay) = (&v.receiver, &v.relay);
             let buckets = r.hop_buckets().map(|b| b.to_string()).join(",");
             lines.push(format!(
                 "node{member:04} recv={} dup={} gap={} lost={} late={} fwd={} p3={} p8={} \
@@ -1329,27 +1375,28 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
                 r.delivered(),
                 r.dupes(),
                 r.gap_skips(),
-                r.lost(cfg.segments),
+                r.lost(self.segments),
                 r.late(),
-                up.enqueued,
-                up.drops,
+                v.fwd,
+                v.p3,
                 relay.p8_skips,
                 relay.grafts_in,
                 relay.max_divisor,
                 r.gap_max_nanos() / 1_000,
                 r.stripe_gap_max_nanos() / 1_000,
                 r.hop_max_nanos() / 1_000,
-                u64::from(up.dead),
+                u64::from(v.crashed),
                 buckets,
             ));
-            if let Some((_, _, trace)) = faulted.as_ref().filter(|f| f.0 == member) {
-                for line in trace.to_text().lines() {
-                    lines.push(format!("node{member:04} fault {line}"));
+            if let Some((_, trace)) = self.fault.as_ref().filter(|f| f.0 == member) {
+                for e in trace {
+                    let at = e.at.as_nanos();
+                    lines.push(format!("node{member:04} fault t={at:012} {}", e.line));
                 }
             }
         }
         lines
-    });
+    }
 }
 
 /// Builds the overlay broadcast. `shards` is range-checked and has no
@@ -1799,6 +1846,7 @@ mod tests {
             ("edge", size_of::<u32>(), 4),
             ("UpItem", size_of::<UpItem>(), 40),
             ("Letter", size_of::<Letter>(), 48),
+            ("MemberRow", size_of::<MemberRow>(), 272),
         ];
         for (row, size, pinned) in rows {
             assert!(size <= pinned, "{row}: {size} bytes, pinned at {pinned}");

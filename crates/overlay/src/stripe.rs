@@ -132,7 +132,7 @@ pub(crate) const MAX_TREES: usize = 8;
 /// lateness accounting, and the per-hop latency histogram. Every count
 /// but the dupes is bounded by the sequences delivered, so fits in 32
 /// bits.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StripeReceiver {
     playout_nanos: u64,
     /// Next expected global seq per tree (tree t starts at seq t and

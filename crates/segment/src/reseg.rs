@@ -193,6 +193,59 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 2]);
     }
 
+    /// Live streams of 0–10 segments of 1–12 whole blocks each, random
+    /// bytes, from a random timestamp: re-segmentation keeps every byte in
+    /// order and cuts ⌈blocks / 20⌉ segments of 20 blocks (the last may be
+    /// shorter), numbered from 0, each stamped with the timestamp its first
+    /// block is reconstructed to from its own segment's.
+    #[test]
+    fn generated_live_streams_resegment_whole() {
+        use pandora_prop::{check, Rng, Tape};
+
+        fn live(tape: &mut Tape) -> Vec<AudioSegment> {
+            let (segments, mut at) = (tape.gen_range(0..=10u32), tape.gen_range(0..=u32::MAX));
+            let mut live = Vec::new();
+            for seq in 0..segments {
+                let blocks = tape.gen_range(1..=12usize);
+                let data = (0..blocks * BLOCK_BYTES).map(|_| tape.gen_range(0..=255u8));
+                let timestamp = Timestamp(at);
+                live.push(AudioSegment::from_blocks(
+                    SequenceNumber(seq),
+                    timestamp,
+                    data.collect(),
+                ));
+                at = Timestamp::from_nanos(
+                    timestamp.as_nanos() + blocks as u64 * BLOCK_DURATION_NANOS,
+                )
+                .0;
+            }
+            live
+        }
+        let name = "generated_live_streams_resegment_whole";
+        check(name, 0x2E5E6, 2_000, live, |live| {
+            let repo = to_repository_format(live);
+            let bytes = |segs: &[AudioSegment]| -> Vec<u8> {
+                segs.iter().flat_map(|s| s.data.clone()).collect()
+            };
+            assert_eq!(bytes(&repo), bytes(live));
+            let stamps: Vec<Timestamp> = live
+                .iter()
+                .flat_map(|s| {
+                    let base = s.common.timestamp.as_nanos();
+                    (0..s.block_count() as u64)
+                        .map(move |i| Timestamp::from_nanos(base + i * BLOCK_DURATION_NANOS))
+                })
+                .collect();
+            let per = REPOSITORY_BLOCKS_PER_SEGMENT;
+            assert_eq!(repo.len(), stamps.len().div_ceil(per));
+            for (i, seg) in repo.iter().enumerate() {
+                assert_eq!(seg.block_count(), (stamps.len() - i * per).min(per));
+                assert_eq!(seg.common.sequence, SequenceNumber(i as u32));
+                assert_eq!(seg.common.timestamp, stamps[i * per]);
+            }
+        });
+    }
+
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_blocks_per_segment_panics() {

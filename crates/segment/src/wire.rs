@@ -19,7 +19,7 @@ use pandora_slab::SlabRef;
 
 use crate::format::{
     AudioHeader, CommonHeader, Segment, SegmentHeader, SegmentType, VideoHeader,
-    AUDIO_FULL_HEADER_BYTES, AUDIO_SAMPLE_RATE, COMMON_HEADER_BYTES, VERSION_ID,
+    AUDIO_FULL_HEADER_BYTES, AUDIO_SAMPLE_RATE, BLOCK_BYTES, COMMON_HEADER_BYTES, VERSION_ID,
     VIDEO_FIXED_HEADER_BYTES,
 };
 use crate::ids::{SequenceNumber, Timestamp};
@@ -65,7 +65,8 @@ pub enum WireError {
     BadPixelFormat(u32),
     /// A video compression other than per-line DPCM: every box decodes it.
     BadCompression(u32),
-    /// A length field is inconsistent with the enclosing segment.
+    /// A length field is inconsistent with the enclosing segment, or an
+    /// audio `data_length` is not whole blocks.
     BadLength {
         /// The offending value.
         field: u32,
@@ -210,8 +211,9 @@ pub(crate) fn decode_view(data: &[u8]) -> Result<SegmentView<'_>, WireError> {
                     compression,
                 });
             }
+            // Audio is whole 16-byte blocks of 2 ms (§3.5).
             let data_length = body.get_u32();
-            if data_length as usize != body.len() {
+            if data_length as usize != body.len() || !body.len().is_multiple_of(BLOCK_BYTES) {
                 return Err(WireError::BadLength { field: data_length });
             }
             Ok(SegmentView {
@@ -520,19 +522,29 @@ mod tests {
             bytes[at..at + 4].copy_from_slice(&u32::to_be_bytes(word));
             assert_eq!(decode(&bytes), Err(err));
         }
+        // 17 bytes are a block and one sample: `length` (16..20) and
+        // `data_length` (32..36) agree, but audio is whole blocks.
+        let length = AUDIO_FULL_HEADER_BYTES + 17;
+        let mut bytes = encode(&sample_audio());
+        bytes.truncate(length);
+        bytes[16..20].copy_from_slice(&u32::to_be_bytes(length as u32));
+        bytes[32..36].copy_from_slice(&u32::to_be_bytes(17));
+        assert_eq!(decode(&bytes), Err(WireError::BadLength { field: 17 }));
     }
 
     /// Seeded hostile payloads of 0–120 bytes. Half of them start with a
     /// valid common header — `VERSION_ID`, a type code in 0–3 (0 is
     /// unknown) and a `length` no longer than the buffer — followed by
-    /// small words, half the time an audio sub-header's 8 kHz rate,
-    /// three times in four a sub-header's format codes, and, half the
-    /// time, the `data_length` that `length` implies. Decoding never
-    /// panics, and whatever decodes re-encodes to the input's first
-    /// `length` bytes. The encoder writes only the codes of 8 kHz
-    /// uncompressed µ-law audio and Mono8 DPCM video, so only those decode:
-    /// a bad rate, a bad audio compression, and the codes of 16-bit linear
-    /// audio, colour pixels and uncompressed video are each refused.
+    /// small words, half the time an audio sub-header's 8 kHz rate, half
+    /// the time an audio `length` cut to whole blocks, three times in four
+    /// a sub-header's format codes, and, half the time, the `data_length`
+    /// that `length` implies. Decoding never panics, and whatever decodes
+    /// re-encodes to the input's first `length` bytes. The encoder writes
+    /// only the codes of 8 kHz uncompressed µ-law audio and Mono8 DPCM
+    /// video, so only those decode: a bad rate, a bad audio compression,
+    /// and the codes of 16-bit linear audio, colour pixels and uncompressed
+    /// video are each refused, and so is audio whose consistent
+    /// `data_length` is not whole blocks.
     #[test]
     fn decode_survives_seeded_hostile_payloads() {
         use pandora_prop::{check, Rng, Tape};
@@ -557,6 +569,7 @@ mod tests {
             let (type_code, short_by) = (tape.gen_range(0..=3u32), tape.gen_range(0..=len));
             let fill_data_length = tape.gen_bool(0.5);
             let playable_rate = tape.gen_bool(0.5);
+            let whole_blocks = tape.gen_bool(0.5);
             // 0 leaves the codes to the words drawn below; 1 writes the
             // codes of what plays; 2 and 3 write 16-bit linear audio's
             // code, and a video's colour pixels (2) or its Mono8 pixels
@@ -570,7 +583,11 @@ mod tests {
                 }
             }
             if structured {
-                let length = len - short_by;
+                let mut length = len - short_by;
+                // Only whole blocks of audio decode.
+                if type_code == 1 && whole_blocks && length > AUDIO_FULL_HEADER_BYTES {
+                    length -= (length - AUDIO_FULL_HEADER_BYTES) % BLOCK_BYTES;
+                }
                 put(&mut bytes, 0, VERSION_ID);
                 put(&mut bytes, 12, type_code);
                 put(&mut bytes, 16, length as u32);
@@ -630,6 +647,16 @@ mod tests {
                     unplayable |= 16;
                     return;
                 }
+                // An audio `data_length` that agrees with `length` but is
+                // not whole blocks.
+                Err(WireError::BadLength { field })
+                    if word(bytes, 12) == 1
+                        && field as usize + AUDIO_FULL_HEADER_BYTES == word(bytes, 16) as usize =>
+                {
+                    assert_ne!(field as usize % BLOCK_BYTES, 0);
+                    unplayable |= 32;
+                    return;
+                }
                 Err(_) => return,
             };
             decoded += 1;
@@ -643,8 +670,9 @@ mod tests {
         // The sweep reaches every decode arm, not just the common header.
         assert_eq!(types, 0b1110);
         assert_eq!(
-            unplayable, 0b11111,
-            "a bad rate, a bad audio compression, format, pixel format and video compression"
+            unplayable, 0b111111,
+            "a bad rate, a bad audio compression, format, pixel format and video compression, \
+             and audio that is not whole blocks"
         );
         assert!(decoded > 5_000, "{decoded} decoded");
     }

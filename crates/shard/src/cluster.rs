@@ -7,6 +7,7 @@ use std::rc::Rc;
 use pandora_sim::{unbounded, Receiver, SimDuration, Spawner};
 
 use crate::hub::{IngressHub, Sink, TypedLane};
+use crate::Render;
 
 /// A typed, one-way, latency-stamped port: the egress half.
 pub struct Egress<T> {
@@ -65,6 +66,7 @@ impl<T: 'static> PortTable<T> {
 }
 
 pub(crate) type SetupFn = Box<dyn FnOnce(&mut ShardEnv)>;
+type FinishFn = Box<dyn FnOnce() -> Box<dyn Render + Send>>;
 
 /// A simulation under construction: its ports and the setup closures
 /// that will build its topology on the event loop.
@@ -132,8 +134,7 @@ impl Cluster {
 pub struct ShardEnv {
     pub(crate) spawner: Spawner,
     pub(crate) hub: Rc<IngressHub>,
-    #[allow(clippy::type_complexity)]
-    pub(crate) finishers: Vec<Box<dyn FnOnce() -> Vec<String>>>,
+    pub(crate) finishers: Vec<FinishFn>,
 }
 
 impl ShardEnv {
@@ -222,10 +223,11 @@ impl ShardEnv {
         rx
     }
 
-    /// Registers a closure to run after the run completes; the returned
-    /// lines land in [`crate::RunReport::merged_lines`], in registration
-    /// order.
-    pub fn on_finish(&mut self, f: impl FnOnce() -> Vec<String> + 'static) {
-        self.finishers.push(Box::new(f));
+    /// Registers a closure that reads, at the deadline, what it reports
+    /// into a [`Render`] value; its lines land in
+    /// [`crate::RunReport::merged_lines`], in registration order. The value
+    /// is `Send`, so it cannot hold the run's `Rc` tables past the run.
+    pub fn on_finish<R: Render + Send + 'static>(&mut self, f: impl FnOnce() -> R + 'static) {
+        self.finishers.push(Box::new(|| Box::new(f())));
     }
 }

@@ -41,4 +41,4 @@ mod runtime;
 mod tests;
 
 pub use cluster::{Cluster, Egress, Ingress, PortSender, PortTable, ShardEnv};
-pub use runtime::RunReport;
+pub use runtime::{Render, RunReport};

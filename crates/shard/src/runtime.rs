@@ -1,15 +1,31 @@
 //! The run: one `Simulation` on the calling thread.
 
 use std::rc::Rc;
+use std::sync::LazyLock;
 
 use pandora_sim::{Priority, SimTime, Simulation};
 
 use crate::cluster::{Cluster, ShardEnv};
 use crate::hub::{Dispatcher, IngressHub};
 
+/// What a finisher read at the deadline ([`ShardEnv::on_finish`]). Its lines
+/// are made on the first [`RunReport::merged_lines`] call, so a report
+/// dropped unread formats nothing; lines already made render as themselves.
+/// A finisher's value is `Send`, so it holds no `Rc` into the run.
+pub trait Render {
+    /// The lines, in order.
+    fn render(self: Box<Self>) -> Vec<String>;
+}
+
+impl Render for Vec<String> {
+    fn render(self: Box<Self>) -> Vec<String> {
+        *self
+    }
+}
+
 /// What a finished cluster run observed.
 pub struct RunReport {
-    lines: Vec<String>,
+    lines: LazyLock<Vec<String>, Box<dyn FnOnce() -> Vec<String> + Send>>,
     events: u64,
     /// Tasks ever spawned.
     pub spawned_total: u64,
@@ -19,9 +35,9 @@ pub struct RunReport {
 
 impl RunReport {
     /// Every `on_finish` line, in registration order — the deterministic
-    /// trace replays are compared on.
+    /// trace replays are compared on. The first call renders them.
     pub fn merged_lines(&self) -> Vec<String> {
-        self.lines.clone()
+        LazyLock::force(&self.lines).clone()
     }
 
     /// Context switches (task polls) of the run — the "events executed"
@@ -34,8 +50,8 @@ impl RunReport {
 impl Cluster {
     /// Spawns the ingress dispatcher (`shard:dispatch`), runs the setup
     /// closures in registration order, runs the simulation to `deadline`
-    /// and collects the `on_finish` lines in that same order. A zero
-    /// `deadline` runs the setup closures and no task.
+    /// and, before it drops, calls the `on_finish` closures in that order.
+    /// A zero `deadline` runs the setup closures and no task.
     pub fn run(self, deadline: SimTime) -> RunReport {
         let mut sim = Simulation::new();
         let hub = Rc::new(IngressHub::default());
@@ -55,8 +71,10 @@ impl Cluster {
         if deadline > sim.now() {
             sim.run_until(deadline);
         }
+        let reads: Vec<_> = env.finishers.into_iter().map(|f| f()).collect();
+        let render = move || reads.into_iter().flat_map(Render::render).collect();
         RunReport {
-            lines: env.finishers.into_iter().flat_map(|f| f()).collect(),
+            lines: LazyLock::new(Box::new(render)),
             events: sim.context_switches(),
             spawned_total: sim.spawned_total(),
             live_tasks: sim.live_tasks(),

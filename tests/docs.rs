@@ -120,3 +120,34 @@ fn every_public_fn_has_a_caller_outside_its_file() {
         "public fns nothing else names: {uncalled:#?}"
     );
 }
+
+/// CI's debug step runs every library crate's unit tests with overflow checks on: each
+/// package under `crates/` is a `-p` of its `--lib` run, bar the experiment harness
+/// (`pandora-bench`), whose whole-scenario tests run in the optimised step.
+#[test]
+fn every_library_crate_runs_in_the_ci_debug_step() {
+    let debug_step = CI
+        .lines()
+        .find(|l| l.trim_end().ends_with("--lib"))
+        .expect("--lib");
+    let ps: Vec<&str> = debug_step
+        .split(" -p ")
+        .skip(1)
+        .filter_map(|p| p.split(' ').next())
+        .collect();
+    for dir in ls("crates") {
+        let manifest = std::fs::read_to_string(format!(
+            "{}/crates/{dir}/Cargo.toml",
+            env!("CARGO_MANIFEST_DIR")
+        ))
+        .expect("readable");
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .expect("a package name");
+        if name != "pandora-bench" {
+            assert!(ps.contains(&name), "CI's debug step lacks -p {name}");
+        }
+    }
+}
