@@ -285,7 +285,7 @@ fn build_path_over(
     let (egress_tx, egress_rx) = channel::<Cell>();
     // From the egress backwards: each stage owns the sender into the wire
     // after it.
-    let mut next = Next::Egress {
+    let mut next = Next::Exit {
         tx: egress_tx,
         ctrl: ctrl.state.clone(),
         rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
@@ -342,7 +342,7 @@ pub fn build_path_controlled(
 /// [`PathControl`] and this stage draws from `rng`.
 enum Next {
     Hop(LinkSender<Cell>),
-    Egress {
+    Exit {
         tx: Sender<Cell>,
         ctrl: Rc<PathCtlState>,
         rng: SmallRng,
@@ -384,7 +384,7 @@ async fn release_stage(
             // The controls are read only now, after the jitter wait: a
             // cell is disturbed by what the plan says as it leaves the
             // network, not as it entered the hop.
-            Next::Egress { tx, ctrl, rng } => {
+            Next::Exit { tx, ctrl, rng } => {
                 let loss = ctrl.loss.get();
                 if loss > 0.0 && rng.gen_bool(loss) {
                     ctrl.injected_drops.set(ctrl.injected_drops.get() + 1);

@@ -2,7 +2,7 @@
 //! "standard 8-bit µ-law codec" sampling at 125 µs intervals (§3.2).
 
 /// Largest linear magnitude representable before clipping.
-pub const CLIP: i32 = 32_635;
+const CLIP: i32 = 32_635;
 const BIAS: i32 = 0x84;
 
 /// Encodes one 16-bit linear PCM sample to 8-bit µ-law.

@@ -31,7 +31,7 @@ use pandora_sim::{
 /// overload, incoming data streams should be degraded before outgoing data
 /// streams" — the outgoing block handler outranks the incoming mix
 /// (which claims at [`pandora_sim::PRIO_OUTPUT`]).
-pub const PRIO_OUTGOING: pandora_sim::ClaimPriority = 13;
+const PRIO_OUTGOING: pandora_sim::ClaimPriority = 13;
 
 /// A 2 ms block tagged with its source timestamp, as it travels through
 /// the playback path.

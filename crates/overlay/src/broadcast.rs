@@ -48,13 +48,14 @@ use pandora_atm::{burst_gather, PathControl, Vci};
 use pandora_faults::{install, FaultPlan, FaultTargets, TraceEntry};
 use pandora_recover::{AdaptAction, AdaptMachine, LeaseConfig, MediaClass, WindowSample};
 use pandora_session::{AdmissionController, Capabilities, Decision, StreamClass};
-use pandora_shard::{Cluster, Egress, Ingress, PortSender, PortTable, Render, ShardEnv};
+use pandora_shard::{Cluster, Render, ShardEnv};
 use pandora_sim::{
-    delay, delay_until, now, waker, LinkConfig, LinkControl, Priority, SimDuration, SimTime,
-    TaskWaker, WireSize,
+    delay, delay_until, now, unbounded, waker, LinkConfig, LinkControl, Priority, SimDuration,
+    SimTime, TaskWaker, WireSize,
 };
 use pandora_slab::ByteSlab;
 
+use crate::lanes::{dispatcher, Lanes, Port};
 use crate::plan::{PlanConfig, PlanError, TreePlan};
 use crate::repair::RepairEngine;
 use crate::stripe::{Accept, RepairRing, Slice, StripeReceiver, HOP_BUCKETS, MAX_TREES};
@@ -264,9 +265,9 @@ pub(crate) enum Msg {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Hello {
     /// Reporting member.
-    node: u32,
+    pub(crate) node: u32,
     /// Next expected global sequence per tree; the first `k` are in use.
-    next: [u32; MAX_TREES],
+    pub(crate) next: [u32; MAX_TREES],
 }
 
 /// Cells one segment fills (header plus payload, 48-byte AAL payload
@@ -796,7 +797,9 @@ struct WireEngine {
     /// Per member: where its wire is with the front copy of its hand-off.
     states: Vec<WireState>,
     /// Every edge's port, by the edge a copy names (see [`backup_edge`]).
-    edges: PortTable<Msg>,
+    edges: Vec<Option<Port>>,
+    /// The lanes a copy is sent on.
+    lanes: Rc<Lanes>,
     /// The uplink rates: the source's, then every viewer's.
     rates: [LinkConfig; 2],
     /// The link of every uplink no fault plan drives: up, at full rate.
@@ -907,7 +910,8 @@ impl WireEngine {
             up.handed -= 1;
             let item = up.queue.pop_front().filter(|_| !up.dead);
             if let Some(UpItem { edge, slice }) = item {
-                self.edges.send(edge as usize, Msg::Slice(slice));
+                let port = self.edges[edge as usize].expect("a copy's edge has a port");
+                self.lanes.edge(port, Msg::Slice(slice));
             }
         }
         uplinks.refill(member, t);
@@ -942,7 +946,8 @@ impl WireEngine {
 /// [`build_overlay_broadcast`] for where it must run).
 struct Beat {
     member: Id,
-    report: PortSender<Hello>,
+    /// The member's report port.
+    report: u32,
     adapt: AdaptMachine,
 }
 
@@ -950,7 +955,7 @@ impl Beat {
     /// Sends the hub a `Hello` (liveness and resume points), then closes
     /// the uplink's P8 window. A dead member sends nothing: returns
     /// false, and it is never beaten again.
-    fn beat(&mut self, tables: &mut Tables) -> bool {
+    fn beat(&mut self, tables: &mut Tables, lanes: &Lanes) -> bool {
         let member = self.member as usize;
         if tables.uplinks.rows[member].dead {
             return false;
@@ -958,10 +963,11 @@ impl Beat {
         let mut next = [0; MAX_TREES];
         let expected = tables.inboxes.receivers[member].next_expected();
         next[..expected.len()].copy_from_slice(expected);
-        self.report.send(Hello {
+        let hello = Hello {
             node: self.member,
             next,
-        });
+        };
+        lanes.hello(self.report, hello);
         let sample = tables.uplinks.take_window(member);
         if let Some(AdaptAction::SetDivisor(d)) = self.adapt.observe(&sample) {
             let relay = &mut tables.relays.rows[member];
@@ -1070,35 +1076,68 @@ impl RelayTask {
     }
 }
 
-/// Everything the setup needs, made before it runs: the ports' halves,
-/// each in one table for the whole membership.
-struct Seat {
-    cfg: OverlayConfig,
-    plan: Rc<TreePlan>,
-    /// Every tree and backup edge's egress, by the edge a copy names (see
-    /// [`backup_edge`]).
-    edges: Vec<Option<Egress<Msg>>>,
-    /// Every viewer's control port and stripe inputs, each under its tag.
-    ins: Vec<(Ingress<Msg>, u32)>,
+/// The overlay's ports, numbered in one canonical order — primary edges,
+/// backup edges, control, reports, each in member-then-tree order. A port
+/// id is the second key of the lanes' merge, so this is the order of
+/// same-instant deliveries. A viewer's guards are its control port, then
+/// its primary edges, then its backup edges, each in tree order.
+struct Ports {
+    /// Every tree and backup edge's port, by the edge a copy names (see
+    /// [`backup_edge`]): grandparent → grandchild edges are pre-wired, so
+    /// a repair needs no new port mid-run.
+    edges: Vec<Option<Port>>,
     /// The hub's control port to viewer `v` is `ctls[v - 1]`.
-    ctls: Vec<Egress<Msg>>,
-    /// Viewer `v`'s heartbeat port to the hub is `reports[v - 1]`.
-    reports: Vec<(Egress<Hello>, Ingress<Hello>)>,
+    ctls: Vec<Port>,
+    /// Viewer `v`'s heartbeat port to the hub is `reports + v - 1`.
+    reports: u32,
 }
 
-/// The whole overlay's setup, in member order: the source and the repair
-/// hub, every viewer's scripted faults, then the three tasks that serve
-/// every member and the finish report.
-fn setup(env: &mut ShardEnv, seat: Seat) {
-    let Seat {
-        cfg,
-        plan,
+impl Ports {
+    fn new(plan: &TreePlan) -> Ports {
+        let (n, k) = (plan.members(), plan.trees());
+        let mut edges = vec![None; k * (2 * n - 1)];
+        let mut next = 0;
+        let mut port = |v: usize, guard: usize| {
+            let id = next;
+            next += 1;
+            let tag = v as u32 * GUARDS + guard as u32;
+            Port { id, tag }
+        };
+        for kind in 0..2 {
+            for v in 1..n {
+                for t in 0..k {
+                    let edge = match (kind, plan.parent(t, v), plan.backup(t, v)) {
+                        (0, Some(p), _) => {
+                            let (first, kids) = plan.child_row(t, p);
+                            let at = kids.iter().position(|&c| c as usize == v);
+                            first as usize + at.expect("a viewer is among its parent's children")
+                        }
+                        (1, _, Some(_)) => backup_edge(plan, t, v) as usize,
+                        _ => continue,
+                    };
+                    edges[edge] = Some(port(v, 1 + kind * k + t));
+                }
+            }
+        }
+        let ctls = (1..n).map(|v| port(v, 0)).collect();
+        Ports {
+            edges,
+            ctls,
+            reports: next,
+        }
+    }
+}
+
+/// The whole overlay's setup, in member order: the ports' dispatcher, the
+/// source and the repair hub, every viewer's scripted faults, then the
+/// three tasks that serve every member and the finish report.
+fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
+    let (n, k) = (plan.members(), plan.trees());
+    let Ports {
         edges,
-        ins,
         ctls,
         reports,
-    } = seat;
-    let (n, k) = (plan.members(), plan.trees());
+    } = Ports::new(&plan);
     // A copy that waits longer than one stripe interval (its own
     // forwarding cadence) marks the uplink persistently backlogged;
     // shorter waits — a graft replay burst, say — are transient.
@@ -1108,16 +1147,30 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
         relays: Relays::new(plan.clone(), cfg.ring),
         inboxes: Inboxes::new(n, k, cfg.playout.as_nanos()),
     }));
+    // The dispatcher is spawned first, ahead of every member's task, at
+    // high priority; the histories are recorded with it there. It files
+    // each edge and graft message in its viewer's inbox under the port's
+    // guard, and every hello on one queue in merge-key order — a `Hello`
+    // names its own node, so the ear needs no per-port guard.
+    let lanes = Rc::new(Lanes::new(cfg.hop_latency, cfg.ctl_latency));
     let inboxes = tables.clone();
-    env.bind_ingress_tagged(ins, move |tag, msg| {
-        let (viewer, guard) = ((tag / GUARDS) as usize, (tag % GUARDS) as u8);
-        inboxes.borrow_mut().inboxes.deliver(viewer, guard, msg);
-    });
-    let (report_egs, report_ins): (Vec<_>, Vec<_>) = reports.into_iter().unzip();
-    // Every member's report port on one queue, in merge-key order: a
-    // `Hello` names its own node, so the ear needs no per-port guard.
-    let hello_rx = env.bind_ingress_merged(report_ins);
-    let ctl_txs: Vec<PortSender<Msg>> = ctls.into_iter().map(|eg| env.open_egress(eg)).collect();
+    let (hello_tx, hello_rx) = unbounded::<Hello>();
+    env.spawner().spawn_prio(
+        "ovl:dispatch",
+        Priority::High,
+        dispatcher(
+            lanes.clone(),
+            move |tag, msg| {
+                let (viewer, guard) = ((tag / GUARDS) as usize, (tag % GUARDS) as u8);
+                inboxes.borrow_mut().inboxes.deliver(viewer, guard, msg);
+            },
+            // An unbounded queue never blocks; a dropped receiver just
+            // discards the rest of the stream.
+            move |hello| {
+                let _ = hello_tx.try_send(hello);
+            },
+        ),
+    );
 
     let engine = Rc::new(RefCell::new(RepairEngine::new(plan, cfg.lease)));
     let slab = ByteSlab::new(4, cfg.payload_bytes.max(64));
@@ -1192,6 +1245,7 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     // or locally when the source itself is the backup.
     let sweep_engine = engine.clone();
     let sweep_tables = tables.clone();
+    let sweep_lanes = lanes.clone();
     env.spawner().spawn("ovl:hub:sweep", async move {
         // First sweep half a beat after the first hellos are due, so a
         // healthy member is never missed on startup jitter.
@@ -1204,12 +1258,13 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
                         uplinks, relays, ..
                     } = &mut *sweep_tables.borrow_mut();
                     relays.adopt(0, g.tree, g.orphan, g.resume_from, uplinks);
-                } else if let Some(tx) = ctl_txs.get(g.backup - 1) {
-                    tx.send(Msg::Graft {
+                } else if let Some(&port) = ctls.get(g.backup - 1) {
+                    let graft = Msg::Graft {
                         tree: g.tree,
                         orphan: g.orphan,
                         resume_from: g.resume_from,
-                    });
+                    };
+                    sweep_lanes.graft(port, graft);
                 }
             }
             delay(cfg.heartbeat).await;
@@ -1258,19 +1313,20 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     // dying at the first beat would send one more hello. The relay task
     // and the wire engine arm no timer at t = 0.
     let mut beats: Vec<Beat> = (1..n)
-        .zip(report_egs)
+        .zip(reports..)
         .map(|(member, report)| Beat {
             member: member as Id,
-            report: env.open_egress(report),
+            report,
             adapt: AdaptMachine::new(MediaClass::Video),
         })
         .collect();
     let beat_tables = tables.clone();
+    let beat_lanes = lanes.clone();
     env.spawner().spawn("ovl:beat", async move {
         while !beats.is_empty() {
             delay(cfg.heartbeat).await;
             let tables = &mut *beat_tables.borrow_mut();
-            beats.retain_mut(|b| b.beat(tables));
+            beats.retain_mut(|b| b.beat(tables, &beat_lanes));
         }
     });
     let mut relay = RelayTask {
@@ -1284,7 +1340,8 @@ fn setup(env: &mut ShardEnv, seat: Seat) {
     let mut wires = WireEngine {
         tables: tables.clone(),
         states: vec![WireState::Idle; n],
-        edges: env.open_egress_table(edges),
+        edges,
+        lanes,
         rates: [rate(cfg.source_uplink_cps), rate(cfg.uplink_cps)],
         nominal: LinkControl::default(),
         faulted: faulted
@@ -1401,13 +1458,12 @@ impl Render for FinishTable {
 
 /// Builds the overlay broadcast. `shards` is range-checked and has no
 /// other effect: the fenced benchmark harness still passes 1 and 2, and
-/// ROADMAP item 4 deletes the argument with `_sh2` and the `shard.*` rows.
+/// ROADMAP items 4-I and 10 delete the argument with `_sh2` and the
+/// `shard.*` rows.
 ///
-/// Ports are created in one canonical order (primary edges, backup
-/// edges, control, reports — each in member-then-tree order), the merge
-/// key order of same-instant deliveries. One setup builds every member's
-/// rows and spawns its tasks in member order, and writes the finish
-/// report in that order too.
+/// One setup numbers the ports (see `Ports`), builds every member's rows
+/// and spawns its tasks in member order, and writes the finish report in
+/// that order too.
 ///
 /// # Errors
 ///
@@ -1438,55 +1494,9 @@ pub fn build_overlay_broadcast(
     }
     let plan = Rc::new(plan_for(cfg).map_err(BuildError::Plan)?);
     let relay_tx_cps = charge_relay_admission(&plan, cfg)?;
-    let n = plan.members();
-    let k = plan.trees();
     let mut cluster = Cluster::new(shards);
-
-    // Primary tree edges, then backup (graft) edges: grandparent →
-    // grandchild, pre-wired so a repair needs no new ports mid-run. A
-    // viewer's guards are its control port, then its primary edges, then
-    // its backup edges, each in tree order.
-    let mut edges: Vec<Option<Egress<Msg>>> = (0..k * (2 * n - 1)).map(|_| None).collect();
-    let mut ins = Vec::new();
-    let tag = |v: usize, guard: usize| v as u32 * GUARDS + guard as u32;
-    for kind in 0..2 {
-        for v in 1..n {
-            for t in 0..k {
-                let edge = match (kind, plan.parent(t, v), plan.backup(t, v)) {
-                    (0, Some(p), _) => {
-                        let (first, kids) = plan.child_row(t, p);
-                        let at = kids.iter().position(|&c| c as usize == v);
-                        first as usize + at.expect("a viewer is among its parent's children")
-                    }
-                    (1, _, Some(_)) => backup_edge(&plan, t, v) as usize,
-                    _ => continue,
-                };
-                let (eg, ing) = cluster.port::<Msg>(cfg.hop_latency);
-                edges[edge] = Some(eg);
-                ins.push((ing, tag(v, 1 + kind * k + t)));
-            }
-        }
-    }
-    // Control plane: hub → member grafts, member → hub heartbeats.
-    let ctls = (1..n)
-        .map(|v| {
-            let (eg, ing) = cluster.port::<Msg>(cfg.ctl_latency);
-            ins.push((ing, tag(v, 0)));
-            eg
-        })
-        .collect();
-    let reports = (1..n)
-        .map(|_| cluster.port::<Hello>(cfg.ctl_latency))
-        .collect();
-    let seat = Seat {
-        cfg: *cfg,
-        plan: plan.clone(),
-        edges,
-        ins,
-        ctls,
-        reports,
-    };
-    cluster.setup(0, move |env| setup(env, seat));
+    let (cfg, setup_plan) = (*cfg, plan.clone());
+    cluster.setup(0, move |env| setup(env, cfg, setup_plan));
 
     Ok(OverlayBuild {
         cluster,
@@ -1843,7 +1853,7 @@ mod tests {
             ("StripeReceiver", size_of::<StripeReceiver>(), 224),
             ("Beat", size_of::<Beat>(), 88),
             ("WireState", size_of::<WireState>(), 1),
-            ("edge", size_of::<u32>(), 4),
+            ("edge", size_of::<Option<Port>>(), 12),
             ("UpItem", size_of::<UpItem>(), 40),
             ("Letter", size_of::<Letter>(), 48),
             ("MemberRow", size_of::<MemberRow>(), 272),
@@ -2310,50 +2320,53 @@ mod tests {
     /// test pins for a wire.
     #[test]
     fn a_downed_uplink_holds_its_copy_as_a_wire_does() {
-        let mut cluster = Cluster::new(1);
-        let (egress, ingress) = cluster.port::<Msg>(SimDuration::ZERO);
-        cluster.setup(0, move |env| {
-            let tables = chain_tables(8);
-            let link = LinkControl::default();
-            let rate = LinkConfig::new("ovl-up", probe_slice(0).wire_bytes() as u64 * 8 * 1_000);
-            let mut wires = WireEngine {
-                tables: tables.clone(),
-                states: vec![WireState::Idle; 2],
-                edges: env.open_egress_table([Some(egress)]),
-                rates: [rate, rate],
-                nominal: LinkControl::default(),
-                faulted: Some((0, link.clone())),
-                flaps: 0,
-                ends: BTreeMap::new(),
-                down: Vec::new(),
-            };
-            env.spawner().spawn_prio(
-                "ovl:wires",
-                Priority::High,
-                poll_fn(move |cx| wires.poll(cx)),
-            );
-            env.spawner().spawn("script", async move {
-                for seq in 0..6 {
-                    tables.borrow_mut().uplinks.push(0, 0, probe_slice(seq));
-                }
-                delay_until(SimTime::from_micros(1_500)).await;
-                link.set_up(false);
-                delay_until(SimTime::from_millis(5)).await;
-                link.set_up(true);
-                link.set_rate_permille(250);
-            });
-            let got = Rc::new(RefCell::new(Vec::new()));
-            let g = got.clone();
-            env.bind_ingress_tagged([(ingress, 0)], move |_, msg| {
-                if let Msg::Slice(slice) = msg {
-                    g.borrow_mut()
-                        .push(format!("{} {}", slice.seq, now().as_micros()));
-                }
-            });
-            env.on_finish(move || got.take());
+        let mut sim = Simulation::new();
+        let lanes = Rc::new(Lanes::new(SimDuration::ZERO, SimDuration::ZERO));
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let g = got.clone();
+        let sink = move |_, msg| {
+            if let Msg::Slice(slice) = msg {
+                g.borrow_mut()
+                    .push(format!("{} {}", slice.seq, now().as_micros()));
+            }
+        };
+        let delivery = dispatcher(lanes.clone(), sink, |_| {});
+        sim.spawn_prio("ovl:dispatch", Priority::High, delivery);
+        let tables = chain_tables(8);
+        let link = LinkControl::default();
+        let rate = LinkConfig::new("ovl-up", probe_slice(0).wire_bytes() as u64 * 8 * 1_000);
+        let mut wires = WireEngine {
+            tables: tables.clone(),
+            states: vec![WireState::Idle; 2],
+            edges: vec![Some(Port { id: 0, tag: 0 })],
+            lanes,
+            rates: [rate, rate],
+            nominal: LinkControl::default(),
+            faulted: Some((0, link.clone())),
+            flaps: 0,
+            ends: BTreeMap::new(),
+            down: Vec::new(),
+        };
+        sim.spawn_prio(
+            "ovl:wires",
+            Priority::High,
+            poll_fn(move |cx| wires.poll(cx)),
+        );
+        sim.spawn("script", async move {
+            for seq in 0..6 {
+                tables.borrow_mut().uplinks.push(0, 0, probe_slice(seq));
+            }
+            delay_until(SimTime::from_micros(1_500)).await;
+            link.set_up(false);
+            delay_until(SimTime::from_millis(5)).await;
+            link.set_up(true);
+            link.set_rate_permille(250);
         });
-        let lines = cluster.run(SimTime::from_millis(20)).merged_lines();
-        assert_eq!(lines, ["0 1000", "1 5000", "2 9000", "3 13000", "4 17000"]);
+        sim.run_until(SimTime::from_millis(20));
+        assert_eq!(
+            *got.borrow(),
+            ["0 1000", "1 5000", "2 9000", "3 13000", "4 17000"]
+        );
     }
 
     /// ROADMAP item 1(b), headroom violated: a viewer's uplink affords its

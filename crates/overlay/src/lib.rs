@@ -21,14 +21,17 @@
 //!   heartbeats, and graft orders that move a dead relay's orphans to
 //!   their precomputed backup parents with a replay resume point.
 //! * [`broadcast`] — the topology builder
-//!   ([`build_overlay_broadcast`]): ports, bandwidth-limited uplinks
-//!   with P3 drop-oldest queues and P8 local divisors, the session
-//!   admission charge for every relay's fan-out, and the merged-report
-//!   parser ([`OverlaySummary`]).
+//!   ([`build_overlay_broadcast`]): bandwidth-limited uplinks with P3
+//!   drop-oldest queues and P8 local divisors, the session admission
+//!   charge for every relay's fan-out, and the merged-report parser
+//!   ([`OverlaySummary`]). Its messages travel on `lanes`: three
+//!   latency-stamped lanes — tree edges, grafts, hellos — and the one
+//!   dispatcher task that delivers them in `(due, port)` order.
 
 #![deny(missing_docs)]
 
 pub mod broadcast;
+mod lanes;
 pub mod plan;
 mod repair;
 pub mod stripe;

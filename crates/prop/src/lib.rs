@@ -7,7 +7,7 @@
 //! shrunk on the tape, not on the value, so no type needs a shrinker: runs
 //! of 8, 4, 2 and 1 draws are deleted, then each draw is set to zero or else
 //! lowered by binary search, keeping each candidate that still fails, until
-//! a round changes nothing or [`SHRINK_ATTEMPTS`] candidates have run. A
+//! a round changes nothing or 10,000 candidates have run. A
 //! replayed tape gives back its draws in order and 0 past its end. The final
 //! panic names the test, seed and case and prints the shrunk value, its
 //! panic and its tape, which [`replay`] turns into a regression test.
@@ -22,7 +22,7 @@ pub use rand::Rng;
 use rand::SeedableRng;
 
 /// Candidates run while shrinking one failure.
-pub const SHRINK_ATTEMPTS: usize = 10_000;
+const SHRINK_ATTEMPTS: usize = 10_000;
 
 /// The draws of one case: recorded from its seeded stream, or replayed.
 pub struct Tape {

@@ -112,7 +112,7 @@ pub struct Timestamp(pub u32);
 
 impl Timestamp {
     /// Resolution of one timestamp unit in nanoseconds.
-    pub const RESOLUTION_NANOS: u64 = 64_000;
+    const RESOLUTION_NANOS: u64 = 64_000;
 
     /// Quantises a boot-relative time in nanoseconds.
     pub fn from_nanos(ns: u64) -> Self {

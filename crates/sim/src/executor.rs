@@ -120,9 +120,9 @@ impl Wake for InertWaker {
 ///
 /// All [`Normal`] timers at an instant fire before any [`Late`] timer at
 /// the same instant, regardless of registration order. The late lane
-/// exists for the cluster's ingress dispatcher (`pandora-shard`): its
-/// delivery timer is re-registered whenever a send moves the head of the
-/// ingress lanes, and those re-registrations must never perturb the
+/// exists for the overlay's port dispatcher (`pandora-overlay`): its
+/// delivery timer is re-registered whenever a send moves the head of its
+/// message lanes, and those re-registrations must never perturb the
 /// ordering of the ordinary timers the workload itself registered.
 ///
 /// [`Normal`]: TimerLane::Normal
@@ -781,7 +781,7 @@ pub fn delay_until(deadline: SimTime) -> Delay {
 
 /// Future that completes at an absolute virtual time, *after* every
 /// ordinary timer registered for the same instant — even ordinary timers
-/// registered later. The cluster's ingress dispatcher sleeps on this
+/// registered later. The overlay's port dispatcher sleeps on this
 /// lane, so port deliveries at an instant always come after that
 /// instant's ordinary timers, whenever the dispatcher last re-armed.
 pub fn delay_until_late(deadline: SimTime) -> Delay {

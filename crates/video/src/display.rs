@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(&frame.pixels[..24], &expected[..24]);
     }
 
-    /// ROADMAP items 1(a) and 5(a): a frame's `x`, `y` and `width` came
+    /// ROADMAP item 1(a): a frame's `x`, `y` and `width` came
     /// from whichever piece `HashMap` iteration yielded first, so a piece
     /// disagreeing on them could assemble or not by hash seed. The lowest
     /// `start_line` decides now, and a disagreeing piece refuses the frame

@@ -1,7 +1,9 @@
 //! The docs' inventories match the tree: each crate has a row in the README's layout and
 //! DESIGN.md §3, each example a row in the README's examples table, a golden stdout under
-//! `tests/golden/examples` and a run in CI that diffs its stdout against that golden. And
-//! the public API carries no dead weight: every public function is named outside its file.
+//! `tests/golden/examples` and a run in CI that diffs its stdout against that golden, as
+//! `repro` has `tests/golden/repro.stdout`. And
+//! the public API carries no dead weight: every public function and constant is named
+//! outside its file.
 
 const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -54,6 +56,20 @@ fn every_example_has_a_golden_stdout() {
     }
 }
 
+/// `repro` prints every paper table the same way run to run, bar its last line, the host
+/// time it took: that stdout is committed as a golden, and CI diffs a release run against it.
+#[test]
+fn repro_has_a_golden_stdout_and_a_run_in_ci() {
+    let golden = format!("{}/tests/golden/repro.stdout", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(golden).expect("no golden stdout for repro");
+    assert!(
+        !golden.contains("of host time"),
+        "the golden holds the host time"
+    );
+    let run = "target/release/repro | grep -v 'of host time' | diff -u tests/golden/repro.stdout -";
+    assert!(CI.lines().any(|l| l.trim() == run), "CI never diffs repro");
+}
+
 /// Every `.rs` file under `dir`, relative to the repository root, with its text.
 fn rust_files(dir: &str, out: &mut Vec<(String, String)>) {
     let entries = std::fs::read_dir(format!("{}/{dir}", env!("CARGO_MANIFEST_DIR")));
@@ -77,10 +93,10 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
-/// A `pub fn`, `pub async fn` or `pub const fn` under `crates/*/src` that no other file
-/// names is API nothing uses: delete it, or call it. A name counts as called when it
-/// appears as a word in another `.rs` file of the crates, the root suites, the examples,
-/// the root binary's sources or the benchmark harness.
+/// A `pub fn`, `pub async fn`, `pub const fn` or `pub const` under `crates/*/src` that no
+/// other file names is API nothing uses: delete it, narrow it, or use it. A name counts as
+/// used when it appears as a word in another `.rs` file of the crates, the root suites, the
+/// examples, the root binary's sources or the benchmark harness.
 #[test]
 fn every_public_fn_has_a_caller_outside_its_file() {
     let mut files = Vec::new();
@@ -102,7 +118,7 @@ fn every_public_fn_has_a_caller_outside_its_file() {
         }
         for line in text.lines() {
             let line = line.trim_start();
-            let Some(rest) = ["pub fn ", "pub async fn ", "pub const fn "]
+            let Some(rest) = ["pub fn ", "pub async fn ", "pub const fn ", "pub const "]
                 .iter()
                 .find_map(|prefix| line.strip_prefix(prefix))
             else {
@@ -117,7 +133,7 @@ fn every_public_fn_has_a_caller_outside_its_file() {
     }
     assert!(
         uncalled.is_empty(),
-        "public fns nothing else names: {uncalled:#?}"
+        "public fns and consts nothing else names: {uncalled:#?}"
     );
 }
 
