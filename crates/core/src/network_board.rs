@@ -719,6 +719,44 @@ mod tests {
     }
 
     #[test]
+    fn p3_drops_the_victims_oldest_segment() {
+        // One stream of numbered segments, fed far past the cap while its
+        // first is on the wire: P3 drops what has waited longest, so the
+        // newest `cap` segments follow the first onto the wire.
+        const CAP: usize = 4;
+        let mut r = rig(TxMode::NonInterleaved, CAP, 1_000_000);
+        let pool = r.pool.clone();
+        let slab = r.slab.clone();
+        let vtx = r.video_tx.clone();
+        r.sim.spawn("feed", async move {
+            for seq in 0..10 {
+                let seg = Segment::Test(pandora_segment::TestSegment::new(
+                    SequenceNumber(seq),
+                    Timestamp(0),
+                    vec![0u8; 5_000],
+                ));
+                vtx.send(msg(&pool, &slab, 10, seg, 0)).await.unwrap();
+            }
+        });
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let got = sent.clone();
+        let rx = r.wire_rx;
+        r.sim.spawn("wire", async move {
+            let mut frame = Vec::new();
+            while let Ok(c) = rx.recv().await {
+                frame.extend_from_slice(&c.payload[..usize::from(c.payload_len)]);
+                if c.last {
+                    let seg = wire::decode(&std::mem::take(&mut frame)).expect("a frame");
+                    got.borrow_mut().push(seg.common().sequence.0);
+                }
+            }
+        });
+        r.sim.run_until_idle();
+        assert_eq!(r.stats.p3_drops(StreamId(10)), 5);
+        assert_eq!(*sent.borrow(), [0, 6, 7, 8, 9]);
+    }
+
+    #[test]
     fn audio_priority_disabled_waits_behind_video() {
         // Interleaved mode normally lets audio cut in between video cells
         // (see interleaved_audio_preempts_video); with Principle 2

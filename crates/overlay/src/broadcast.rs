@@ -55,7 +55,7 @@ use pandora_sim::{
 };
 use pandora_slab::ByteSlab;
 
-use crate::lanes::{dispatcher, Lanes, Port};
+use crate::lanes::{dispatcher, Lanes};
 use crate::plan::{PlanConfig, PlanError, TreePlan};
 use crate::repair::RepairEngine;
 use crate::stripe::{Accept, RepairRing, Slice, StripeReceiver, HOP_BUCKETS, MAX_TREES};
@@ -355,24 +355,22 @@ type Id = u32;
 /// The end of a list of letters.
 const NIL: Id = Id::MAX;
 
-/// Guards in a viewer's PRI ALT: its control port, then at most one
-/// primary and one backup edge per tree. A port's tag is
-/// `viewer * GUARDS + guard`.
+/// Guards in a viewer's PRI ALT: its control port (guard 0), then its
+/// primary edge of tree `t` (guard `1 + t`), then its backup edge of tree
+/// `t` (guard `1 + MAX_TREES + t`).
 const GUARDS: u32 = 1 + 2 * MAX_TREES as u32;
 
-/// The edge a backup adopts `orphan` on `tree` by. A copy names its edge
-/// by one number: a primary edge is its child's CSR position in the plan
-/// (one per viewer per tree), and the backup edges follow, by `(tree,
-/// orphan)`.
-fn backup_edge(plan: &TreePlan, tree: usize, orphan: usize) -> u32 {
-    let (n, k) = (plan.members(), plan.trees());
-    (k * (n - 1) + tree * n + orphan) as u32
+/// The tag a message to `viewer` under `guard` is delivered by: one number
+/// per port.
+fn tag(viewer: usize, guard: usize) -> u32 {
+    viewer as u32 * GUARDS + guard as u32
 }
 
-/// One copy queued on a member's uplink, addressed to a child by its edge.
-/// A relay stamps a copy as it queues it, so it was queued at `slice.sent`.
+/// One copy queued on a member's uplink, addressed to a child's edge by the
+/// tag it is delivered under. A relay stamps a copy as it queues it, so it
+/// was queued at `slice.sent`.
 struct UpItem {
-    edge: u32,
+    tag: u32,
     slice: Slice,
 }
 
@@ -428,7 +426,7 @@ impl Uplinks {
         }
     }
 
-    fn push(&mut self, member: usize, edge: u32, slice: Slice) {
+    fn push(&mut self, member: usize, tag: u32, slice: Slice) {
         let up = &mut self.rows[member];
         let handed = usize::from(up.handed);
         if up.queue.len() - handed >= self.cap {
@@ -436,7 +434,7 @@ impl Uplinks {
             up.drops += 1;
             up.window_drops += 1;
         }
-        up.queue.push_back(UpItem { edge, slice });
+        up.queue.push_back(UpItem { tag, slice });
         up.enqueued += 1;
         up.window_enq += 1;
         // Served once the pushing poll returns: a whole batch lands first.
@@ -512,7 +510,7 @@ struct Relays {
     /// interior tree, the one it has children in; the source's are the
     /// first `k`, in tree order.
     ring_at: Vec<Id>,
-    /// `(member, tree, edge)` of every adoption, in the order they came.
+    /// `(member, tree, tag)` of every adoption, in the order they came.
     adopted: Vec<(Id, u8, u32)>,
 }
 
@@ -548,14 +546,14 @@ impl Relays {
         self.rings.get_mut(at)
     }
 
-    /// The edges to `member`'s live children on `tree`.
+    /// The tags of `member`'s edges to its live children on `tree`.
     fn children(&self, member: usize, tree: usize) -> impl Iterator<Item = u32> + '_ {
+        let planned = self.plan.children(tree, member).iter();
+        let planned = planned.map(move |&child| tag(child as usize, 1 + tree));
         let adopted = self.adopted.iter();
         let adopted =
             adopted.filter(move |&&(m, t, _)| (m as usize, usize::from(t)) == (member, tree));
-        let (first, planned) = self.plan.child_row(tree, member);
-        let planned = first..first + planned.len() as u32;
-        planned.chain(adopted.map(|&(.., edge)| edge))
+        planned.chain(adopted.map(|&(.., tag)| tag))
     }
 
     /// Keeps `slice` in its stripe's clawback ring, if `member` has one —
@@ -583,8 +581,8 @@ impl Relays {
     /// its tree.
     fn forward(&self, member: usize, slice: &Slice, uplinks: &mut Uplinks) {
         let sent = now().as_nanos();
-        for edge in self.children(member, usize::from(slice.tree)) {
-            uplinks.push(member, edge, slice.retimed(sent));
+        for tag in self.children(member, usize::from(slice.tree)) {
+            uplinks.push(member, tag, slice.retimed(sent));
         }
     }
 
@@ -599,14 +597,14 @@ impl Relays {
         uplinks: &mut Uplinks,
     ) {
         self.rows[member].grafts_in += 1;
-        let edge = backup_edge(&self.plan, tree, orphan);
-        if !self.children(member, tree).any(|e| e == edge) {
-            self.adopted.push((member as Id, tree as u8, edge));
+        let tag = tag(orphan, 1 + MAX_TREES + tree);
+        if !self.children(member, tree).any(|t| t == tag) {
+            self.adopted.push((member as Id, tree as u8, tag));
         }
         let sent = now().as_nanos();
         let replay = self.ring(member, tree).map(|r| r.replay_from(resume_from));
         for s in replay.into_iter().flatten() {
-            uplinks.push(member, edge, s.retimed(sent));
+            uplinks.push(member, tag, s.retimed(sent));
         }
     }
 }
@@ -778,26 +776,31 @@ fn arm(at: u64, cx: &mut Context<'_>) {
 /// not once a copy.
 ///
 /// Why one engine keeps every history: each wire ran at high priority and
-/// touched only its own uplink, and its sends are filed by `(due, port,
-/// seq)`, so the order of wires within an instant never mattered. Two
-/// things did, and the engine keeps both. Every completion at an instant
-/// ran before the late-lane dispatcher and before every low task at that
-/// instant: the engine's timer is a normal-lane timer of a high task. And a
-/// push was served before the next low task ran: the kick wakes a high
-/// task. The only other high tasks are the fault scripts, and a copy reads
-/// its link's rate as it starts. A cap's apply is armed at t = 0, ahead of
-/// every completion. Its revert is armed at the apply: a wire whose copy
-/// ended with the revert ran after it if the copy was filed after the
-/// apply, and the engine runs where the instant's first copy was filed.
-/// The two differ only if some uplink's copy, filed before the apply,
-/// outlasts the cap's whole hold while the capped link clocks a whole,
-/// slowed copy inside it.
+/// touched only its own uplink, so the order of wires within an instant
+/// never mattered. Its sends keep their send order, and the order of
+/// different ports within an instant only reorders independent work:
+/// - each port is one (viewer, guard), a copy's tag;
+/// - the dispatcher runs at high priority, so all of an instant's
+///   deliveries land before the low-priority `ovl:relay` drains, whether
+///   it runs before or after the engine (a zero-hop copy rings it again);
+/// - [`Inboxes::take`] takes by guard;
+/// - members' rows are disjoint.
+///
+/// Two things did matter, and the engine keeps both. Every completion at
+/// an instant ran before every low task at that instant: the engine is a
+/// high task. And a push was served before the next low task ran: the
+/// kick wakes a high task. The only other high tasks are the fault
+/// scripts, and a copy reads its link's rate as it starts. A cap's apply
+/// is armed at t = 0, ahead of every completion. Its revert is armed at
+/// the apply: a wire whose copy ended with the revert ran after it if the
+/// copy was filed after the apply, and the engine runs where the instant's
+/// first copy was filed. The two differ only if some uplink's copy, filed
+/// before the apply, outlasts the cap's whole hold while the capped link
+/// clocks a whole, slowed copy inside it.
 struct WireEngine {
     tables: Shared,
     /// Per member: where its wire is with the front copy of its hand-off.
     states: Vec<WireState>,
-    /// Every edge's port, by the edge a copy names (see [`backup_edge`]).
-    edges: Vec<Option<Port>>,
     /// The lanes a copy is sent on.
     lanes: Rc<Lanes>,
     /// The uplink rates: the source's, then every viewer's.
@@ -909,9 +912,8 @@ impl WireEngine {
         if up.handed > 0 {
             up.handed -= 1;
             let item = up.queue.pop_front().filter(|_| !up.dead);
-            if let Some(UpItem { edge, slice }) = item {
-                let port = self.edges[edge as usize].expect("a copy's edge has a port");
-                self.lanes.edge(port, Msg::Slice(slice));
+            if let Some(UpItem { tag, slice }) = item {
+                self.lanes.edge(tag, Msg::Slice(slice));
             }
         }
         uplinks.refill(member, t);
@@ -946,8 +948,6 @@ impl WireEngine {
 /// [`build_overlay_broadcast`] for where it must run).
 struct Beat {
     member: Id,
-    /// The member's report port.
-    report: u32,
     adapt: AdaptMachine,
 }
 
@@ -967,7 +967,7 @@ impl Beat {
             node: self.member,
             next,
         };
-        lanes.hello(self.report, hello);
+        lanes.hello(hello);
         let sample = tables.uplinks.take_window(member);
         if let Some(AdaptAction::SetDivisor(d)) = self.adapt.observe(&sample) {
             let relay = &mut tables.relays.rows[member];
@@ -990,11 +990,16 @@ impl Beat {
 /// replaces ran in two blocks, after every other low task a timer woke at
 /// that instant. First came the relay-cost completions, in arming order;
 /// each forwarded, then drained what had arrived. Then came the viewers the
-/// dispatcher woke, in wake order. The beat, the sweep, the source and the
-/// crash scripts armed their timers in earlier instants, so they ran first.
-/// This task arms its timer in the instant it takes the first hold due at
-/// that time — where the first node armed its own — and drains woken
-/// viewers after the holds. The argument does not cover another low task
+/// dispatcher woke, in wake order. Wake order is delivery order, and the
+/// order of different ports within an instant only reorders independent
+/// work: each port is one (viewer, guard); the high-priority dispatcher
+/// lands all of an instant's deliveries before this low task drains;
+/// [`Inboxes::take`] takes by guard; and members' rows are disjoint, so
+/// draining one viewer touches no other's. The beat, the sweep, the source
+/// and the crash scripts armed their timers in earlier instants, so they
+/// ran first. This task arms its timer in the instant it takes the first
+/// hold due at that time — where the first node armed its own — and drains
+/// woken viewers after the holds. The argument does not cover another low task
 /// arming a timer exactly one relay cost long in the same instant as a
 /// hold: a node that armed after it ran after it, while this task runs
 /// every hold first (the 4 ms rows of `RELAY_ORDER` pin the source's
@@ -1076,68 +1081,11 @@ impl RelayTask {
     }
 }
 
-/// The overlay's ports, numbered in one canonical order — primary edges,
-/// backup edges, control, reports, each in member-then-tree order. A port
-/// id is the second key of the lanes' merge, so this is the order of
-/// same-instant deliveries. A viewer's guards are its control port, then
-/// its primary edges, then its backup edges, each in tree order.
-struct Ports {
-    /// Every tree and backup edge's port, by the edge a copy names (see
-    /// [`backup_edge`]): grandparent → grandchild edges are pre-wired, so
-    /// a repair needs no new port mid-run.
-    edges: Vec<Option<Port>>,
-    /// The hub's control port to viewer `v` is `ctls[v - 1]`.
-    ctls: Vec<Port>,
-    /// Viewer `v`'s heartbeat port to the hub is `reports + v - 1`.
-    reports: u32,
-}
-
-impl Ports {
-    fn new(plan: &TreePlan) -> Ports {
-        let (n, k) = (plan.members(), plan.trees());
-        let mut edges = vec![None; k * (2 * n - 1)];
-        let mut next = 0;
-        let mut port = |v: usize, guard: usize| {
-            let id = next;
-            next += 1;
-            let tag = v as u32 * GUARDS + guard as u32;
-            Port { id, tag }
-        };
-        for kind in 0..2 {
-            for v in 1..n {
-                for t in 0..k {
-                    let edge = match (kind, plan.parent(t, v), plan.backup(t, v)) {
-                        (0, Some(p), _) => {
-                            let (first, kids) = plan.child_row(t, p);
-                            let at = kids.iter().position(|&c| c as usize == v);
-                            first as usize + at.expect("a viewer is among its parent's children")
-                        }
-                        (1, _, Some(_)) => backup_edge(plan, t, v) as usize,
-                        _ => continue,
-                    };
-                    edges[edge] = Some(port(v, 1 + kind * k + t));
-                }
-            }
-        }
-        let ctls = (1..n).map(|v| port(v, 0)).collect();
-        Ports {
-            edges,
-            ctls,
-            reports: next,
-        }
-    }
-}
-
-/// The whole overlay's setup, in member order: the ports' dispatcher, the
+/// The whole overlay's setup, in member order: the lanes' dispatcher, the
 /// source and the repair hub, every viewer's scripted faults, then the
 /// three tasks that serve every member and the finish report.
 fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
     let (n, k) = (plan.members(), plan.trees());
-    let Ports {
-        edges,
-        ctls,
-        reports,
-    } = Ports::new(&plan);
     // A copy that waits longer than one stripe interval (its own
     // forwarding cadence) marks the uplink persistently backlogged;
     // shorter waits — a graft replay burst, say — are transient.
@@ -1149,8 +1097,8 @@ fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
     }));
     // The dispatcher is spawned first, ahead of every member's task, at
     // high priority; the histories are recorded with it there. It files
-    // each edge and graft message in its viewer's inbox under the port's
-    // guard, and every hello on one queue in merge-key order — a `Hello`
+    // each edge and graft message in its viewer's inbox under its tag's
+    // guard, and every hello on one queue in delivery order — a `Hello`
     // names its own node, so the ear needs no per-port guard.
     let lanes = Rc::new(Lanes::new(cfg.hop_latency, cfg.ctl_latency));
     let inboxes = tables.clone();
@@ -1258,13 +1206,13 @@ fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
                         uplinks, relays, ..
                     } = &mut *sweep_tables.borrow_mut();
                     relays.adopt(0, g.tree, g.orphan, g.resume_from, uplinks);
-                } else if let Some(&port) = ctls.get(g.backup - 1) {
+                } else {
                     let graft = Msg::Graft {
                         tree: g.tree,
                         orphan: g.orphan,
                         resume_from: g.resume_from,
                     };
-                    sweep_lanes.graft(port, graft);
+                    sweep_lanes.graft(tag(g.backup, 0), graft);
                 }
             }
             delay(cfg.heartbeat).await;
@@ -1313,10 +1261,8 @@ fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
     // dying at the first beat would send one more hello. The relay task
     // and the wire engine arm no timer at t = 0.
     let mut beats: Vec<Beat> = (1..n)
-        .zip(reports..)
-        .map(|(member, report)| Beat {
+        .map(|member| Beat {
             member: member as Id,
-            report,
             adapt: AdaptMachine::new(MediaClass::Video),
         })
         .collect();
@@ -1340,7 +1286,6 @@ fn setup(env: &mut ShardEnv, cfg: OverlayConfig, plan: Rc<TreePlan>) {
     let mut wires = WireEngine {
         tables: tables.clone(),
         states: vec![WireState::Idle; n],
-        edges,
         lanes,
         rates: [rate(cfg.source_uplink_cps), rate(cfg.uplink_cps)],
         nominal: LinkControl::default(),
@@ -1461,9 +1406,8 @@ impl Render for FinishTable {
 /// ROADMAP items 4-I and 10 delete the argument with `_sh2` and the
 /// `shard.*` rows.
 ///
-/// One setup numbers the ports (see `Ports`), builds every member's rows
-/// and spawns its tasks in member order, and writes the finish report in
-/// that order too.
+/// One setup builds every member's rows and spawns its tasks in member
+/// order, and writes the finish report in that order too.
 ///
 /// # Errors
 ///
@@ -1853,7 +1797,6 @@ mod tests {
             ("StripeReceiver", size_of::<StripeReceiver>(), 224),
             ("Beat", size_of::<Beat>(), 88),
             ("WireState", size_of::<WireState>(), 1),
-            ("edge", size_of::<Option<Port>>(), 12),
             ("UpItem", size_of::<UpItem>(), 40),
             ("Letter", size_of::<Letter>(), 48),
             ("MemberRow", size_of::<MemberRow>(), 272),
@@ -1862,7 +1805,7 @@ mod tests {
             assert!(size <= pinned, "{row}: {size} bytes, pinned at {pinned}");
         }
         // The plan of the soak shape: bytes per (tree, member), the CSR's
-        // children included (20.25 measured).
+        // children included (16.25 measured).
         let plan = plan_for(&OverlayConfig {
             viewers: 1_023,
             degree: 8,
@@ -1873,8 +1816,8 @@ mod tests {
         .expect("plan");
         let (bytes, rows) = (plan.heap_bytes(), plan.trees() * plan.members());
         assert!(
-            bytes <= 24 * rows,
-            "plan: {bytes} bytes for {rows} rows, pinned at 24 a row"
+            bytes <= 20 * rows,
+            "plan: {bytes} bytes for {rows} rows, pinned at 20 a row"
         );
     }
 
@@ -2338,7 +2281,6 @@ mod tests {
         let mut wires = WireEngine {
             tables: tables.clone(),
             states: vec![WireState::Idle; 2],
-            edges: vec![Some(Port { id: 0, tag: 0 })],
             lanes,
             rates: [rate, rate],
             nominal: LinkControl::default(),
@@ -2367,6 +2309,62 @@ mod tests {
             *got.borrow(),
             ["0 1000", "1 5000", "2 9000", "3 13000", "4 17000"]
         );
+    }
+
+    /// The order of different ports within an instant only reorders
+    /// independent work (the `lanes` module's argument). With each
+    /// instant's values delivered in reverse port order, each port's own in
+    /// send order, two shapes print the same report at eight plan seeds:
+    /// a relay two levels down crashing with every latency zero, so a copy
+    /// and a graft land in the instant they are sent, and an uplink cap on
+    /// [`busy_relay`] that drives P3 and P8.
+    #[test]
+    fn an_instants_port_order_changes_no_report() {
+        for seed in 0..8 {
+            let base = OverlayConfig {
+                seed,
+                ..small_cfg()
+            };
+            let plan = plan_for(&base).expect("plan");
+            let deep = (1..plan.members())
+                .find(|&v| {
+                    plan.interior_tree(v).is_some_and(|t| {
+                        !plan.children(t, v).is_empty() && plan.parent(t, v) != Some(0)
+                    })
+                })
+                .expect("no interior relay below the first level");
+            let crash = OverlayConfig {
+                crash: Some(CrashPlan {
+                    member: deep,
+                    at: SimDuration::from_millis(60),
+                }),
+                hop_latency: SimDuration::ZERO,
+                ctl_latency: SimDuration::ZERO,
+                ..base
+            };
+            let cap = OverlayConfig {
+                uplink_queue: 4,
+                uplink_cap: Some(UplinkCapPlan {
+                    member: busy_relay(&plan),
+                    at: SimDuration::from_millis(30),
+                    hold: SimDuration::from_millis(80),
+                    permille: 40,
+                }),
+                ..base
+            };
+            for (shape, cfg) in [("crash", crash), ("cap", cap)] {
+                let (lines, _) = run(&cfg);
+                let s = OverlaySummary::parse(&lines);
+                match shape {
+                    "crash" => assert!(s.hub_grafts > 0, "seed {seed}: no graft"),
+                    _ => assert!(s.p3_drops + s.p8_skips > 0, "seed {seed}: no squeeze"),
+                }
+                crate::lanes::tests::REVERSED.set(true);
+                let (reversed, _) = run(&cfg);
+                crate::lanes::tests::REVERSED.set(false);
+                assert_eq!(lines, reversed, "seed {seed}, {shape}");
+            }
+        }
     }
 
     /// ROADMAP item 1(b), headroom violated: a viewer's uplink affords its

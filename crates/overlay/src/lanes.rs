@@ -1,15 +1,26 @@
 //! The overlay's ports: three latency-stamped lanes — tree edges, grafts
 //! and hellos — and the one dispatcher task that merges their heads.
 //!
-//! A send has no task behind it: it stamps its value `(due, port)` from
-//! inside whichever task calls it and files it in its lane, the way an
-//! Inmos link engine moves bytes without costing the box a process
-//! (§3.1). The dispatcher (`ovl:dispatch`) delivers every value at its
-//! due instant on the executor's *late* timer lane, in exactly `(due,
-//! port)` order, each port's values in send order. The overlay numbers
-//! its ports in one order (see `Ports` in `broadcast`), so what a viewer
-//! or the hub hears is a pure function of the stamps, never of which
-//! lane a scan happened to visit first.
+//! A send has no task behind it: it stamps its value with its due instant
+//! from inside whichever task calls it and appends it to its lane, the way
+//! an Inmos link engine moves bytes without costing the box a process
+//! (§3.1). A lane has one latency and the clock only moves forward, so a
+//! lane's due order is its send order, the order a link or an Occam
+//! channel keeps. The dispatcher (`ovl:dispatch`)
+//! delivers every value at its due instant, the least `(due, lane)` head
+//! first: edges, then grafts, then hellos.
+//!
+//! Why send order is enough, with no port numbers to re-sort an instant:
+//! - a port is one (viewer, guard), the tag a value is delivered under,
+//!   and its values keep their send order;
+//! - the dispatcher runs at high priority, so all of an instant's
+//!   deliveries land before the low-priority `ovl:relay` drains any;
+//! - a viewer's inbox is taken by guard (`Inboxes::take`), not by arrival;
+//! - members' rows are disjoint: draining one viewer touches no other's.
+//!
+//! So the order of different ports within an instant only reorders
+//! independent work. `an_instants_port_order_changes_no_report` pins it,
+//! delivering each instant's values in reverse port order.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -18,23 +29,9 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::Poll;
 
-use pandora_sim::{delay_until_late, now, Delay, SimDuration, SimTime, TaskWaker};
+use pandora_sim::{delay_until, now, Delay, SimDuration, SimTime, TaskWaker};
 
 use crate::broadcast::{Hello, Msg};
-
-/// The merge key of one stamped value: `(due, port)`. A lane files each
-/// value after every value whose key is not above its own, so the values
-/// one port sends due at one instant keep their send order: the merge is
-/// `(due, port, seq)` with the per-port sequence held by the lane's order.
-type Key = (u64, u32);
-
-/// A port of the edge or the graft lane: its id, the second key of the
-/// merge, and the tag its messages are delivered under.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Port {
-    pub id: u32,
-    pub tag: u32,
-}
 
 /// What a send tells the dispatcher: its waker, and the instant its timer
 /// is armed for.
@@ -62,10 +59,11 @@ impl Doorbell {
     }
 }
 
-/// The queued values of every port of one latency, in key order.
+/// The values sent on every port of one latency, in send order, each with
+/// the instant it falls due.
 struct Lane<T> {
     latency: SimDuration,
-    queue: RefCell<VecDeque<(Key, T)>>,
+    queue: RefCell<VecDeque<(u64, T)>>,
 }
 
 impl<T> Lane<T> {
@@ -76,47 +74,33 @@ impl<T> Lane<T> {
         }
     }
 
-    /// Stamps `value` due one latency from now, files it in key order and
-    /// returns its due instant. The lane's ports share one latency and the
-    /// clock only moves forward, so a value is never due before the lane's
-    /// tail: it is appended, unless values sent earlier in this same
-    /// instant have a larger port id — then it is filed in among them.
-    fn push(&self, port: u32, value: T) -> u64 {
+    /// Appends `value`, due one latency from now, and returns its due
+    /// instant.
+    fn push(&self, value: T) -> u64 {
         let due = (now() + self.latency).as_nanos();
-        let key = (due, port);
-        let mut queue = self.queue.borrow_mut();
-        let at = queue
-            .iter()
-            .rposition(|(k, _)| *k <= key)
-            .map_or(0, |i| i + 1);
-        queue.insert(at, (key, value));
+        self.queue.borrow_mut().push_back((due, value));
         due
     }
 
-    /// The key of the lane's first value, if it holds one.
-    fn head(&self) -> Option<Key> {
-        self.queue.borrow().front().map(|(key, _)| *key)
+    /// The due instant of the lane's first value, if it holds one.
+    fn head(&self) -> Option<u64> {
+        self.queue.borrow().front().map(|&(due, _)| due)
     }
 
-    /// Hands `sink`, in order, the lane's values due by `t` and keyed
-    /// below `bound` (the least key of the other lanes' heads).
-    fn deliver(&self, t: u64, bound: Option<Key>, mut sink: impl FnMut(T)) {
-        let mut queue = self.queue.borrow_mut();
-        while let Some((_, value)) =
-            queue.pop_front_if(|(key, _)| key.0 <= t && bound.is_none_or(|b| *key < b))
-        {
-            sink(value);
-        }
+    /// Takes the lane's first value, which [`Lane::head`] has just seen.
+    fn pop(&self) -> T {
+        let head = self.queue.borrow_mut().pop_front();
+        head.expect("a lane with a head").1
     }
 }
 
 /// The overlay's three lanes, and the doorbell their sends ring.
 pub(crate) struct Lanes {
     /// Slices down the primary and backup tree edges, one hop latency
-    /// out, each under its port's tag.
+    /// out, each under its edge's tag.
     edges: Lane<(u32, Msg)>,
     /// The hub's graft orders, one control latency out, each under its
-    /// port's tag.
+    /// viewer's control tag.
     grafts: Lane<(u32, Msg)>,
     /// Every viewer's heartbeat to the hub, one control latency out: a
     /// `Hello` names its own member, so it needs no tag.
@@ -135,63 +119,71 @@ impl Lanes {
         }
     }
 
-    /// Sends `msg` down a tree edge. Never blocks and never fails.
+    /// Sends `msg` down a tree edge, to be delivered under `tag`. Never
+    /// blocks and never fails.
     ///
     /// # Panics
     ///
     /// Panics outside a running task, with [`pandora_sim::now`]'s message
     /// ("not inside a simulation…"): the stamp is the sending task's
     /// virtual instant. So do [`Lanes::graft`] and [`Lanes::hello`].
-    pub fn edge(&self, port: Port, msg: Msg) {
-        let due = self.edges.push(port.id, (port.tag, msg));
-        self.bell.queued(due);
+    pub fn edge(&self, tag: u32, msg: Msg) {
+        self.bell.queued(self.edges.push((tag, msg)));
     }
 
-    /// Sends a graft order down a control port.
-    pub fn graft(&self, port: Port, msg: Msg) {
-        let due = self.grafts.push(port.id, (port.tag, msg));
-        self.bell.queued(due);
+    /// Sends a graft order to a viewer's control port, `tag`.
+    pub fn graft(&self, tag: u32, msg: Msg) {
+        self.bell.queued(self.grafts.push((tag, msg)));
     }
 
-    /// Sends `hello` to the hub on report port `port`.
-    pub fn hello(&self, port: u32, hello: Hello) {
-        let due = self.hellos.push(port, hello);
-        self.bell.queued(due);
+    /// Sends `hello` to the hub.
+    pub fn hello(&self, hello: Hello) {
+        self.bell.queued(self.hellos.push(hello));
     }
 
-    /// Delivers every value with `due <= now`, in `(due, port)` order —
-    /// the lane holding the least head delivers up to the next lane's
-    /// head, and again — and returns the next value's due time.
+    /// The lane whose head is least by `(due, lane)`, and that head's due
+    /// instant.
+    fn least(&self) -> Option<(usize, u64)> {
+        [self.edges.head(), self.grafts.head(), self.hellos.head()]
+            .into_iter()
+            .enumerate()
+            .filter_map(|(lane, due)| Some((lane, due?)))
+            .min_by_key(|&(lane, due)| (due, lane))
+    }
+
+    /// Delivers every value with `due <= now`, the least `(due, lane)`
+    /// head first, and returns the next value's due time.
     fn deliver_matured(&self, tagged: &impl Fn(u32, Msg), hello: &impl Fn(Hello)) -> Option<u64> {
         let t = now().as_nanos();
+        #[cfg(test)]
+        if tests::REVERSED.get() {
+            return self.deliver_reversed(t, tagged, hello);
+        }
         loop {
-            let heads = [self.edges.head(), self.grafts.head(), self.hellos.head()];
-            let (lane, head) = (0..3)
-                .filter_map(|i| Some((i, heads[i]?)))
-                .min_by_key(|h| h.1)?;
-            if head.0 > t {
-                return Some(head.0);
+            let (lane, due) = self.least()?;
+            if due > t {
+                return Some(due);
             }
-            let bound = (0..3).filter(|&i| i != lane).filter_map(|i| heads[i]).min();
-            match lane {
-                0 => self.edges.deliver(t, bound, |(tag, msg)| tagged(tag, msg)),
-                1 => self.grafts.deliver(t, bound, |(tag, msg)| tagged(tag, msg)),
-                _ => self.hellos.deliver(t, bound, hello),
-            }
+            let (tag, msg) = match lane {
+                0 => self.edges.pop(),
+                1 => self.grafts.pop(),
+                _ => {
+                    hello(self.hellos.pop());
+                    continue;
+                }
+            };
+            tagged(tag, msg);
         }
     }
 }
 
 /// The dispatcher task body: an endless future that hands each matured
-/// edge or graft message and its port's tag to `tagged`, and each hello to
-/// `hello`, then sleeps on the executor's *late* timer lane until the next
-/// due time, which it posts in the doorbell's `armed` so that a send can
-/// tell whether it moves the head. Neither sink may send on a lane: the
-/// lane is borrowed while it delivers. Spurious wakes (abandoned timers)
-/// deliver nothing and are inert — they never perturb the ordering of
-/// ordinary timers, because the late lane sorts after every normal timer
-/// at the same instant. Spawn exactly one per [`Lanes`], first, at high
-/// priority.
+/// edge or graft message and its tag to `tagged`, and each hello to
+/// `hello`, then sleeps until the next due time, which it posts in the
+/// doorbell's `armed` so that a send can tell whether it moves the head.
+/// Neither sink may send on a lane: the lane is borrowed while it
+/// delivers. Spurious wakes (abandoned timers) deliver nothing. Spawn
+/// exactly one per [`Lanes`], first, at high priority.
 pub(crate) fn dispatcher(
     lanes: Rc<Lanes>,
     tagged: impl Fn(u32, Msg),
@@ -210,7 +202,7 @@ pub(crate) fn dispatcher(
             // just fires a harmless spurious wake later.
             if bell.armed.get() != head {
                 bell.armed.set(head);
-                sleep = head.map(|due| delay_until_late(SimTime::from_nanos(due)));
+                sleep = head.map(|due| delay_until(SimTime::from_nanos(due)));
             }
             let Some(delay) = sleep.as_mut() else {
                 return Poll::Pending;
@@ -225,20 +217,73 @@ pub(crate) fn dispatcher(
 }
 
 #[cfg(test)]
-mod tests {
-    use std::cell::RefCell;
+pub(crate) mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::cmp::Reverse;
     use std::future::Future;
     use std::rc::Rc;
 
     use pandora_prop::{check, Rng, Tape};
     use pandora_sim::{delay, delay_until, now, Priority, SimDuration, SimTime, Simulation};
 
-    use super::{dispatcher, Lanes, Port};
+    use super::{dispatcher, Lanes};
     use crate::broadcast::{Hello, Msg};
     use crate::stripe::MAX_TREES;
 
-    /// The test's ports: port `i` has id and tag `i` and rides lane
-    /// `on[i]` — 0 the edges, 1 the grafts, 2 the hellos.
+    thread_local! {
+        /// Set, the dispatcher hands each instant's values over in reverse
+        /// port order, each port's own values still in send order.
+        pub(crate) static REVERSED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// A value as the dispatcher hands it over.
+    enum Value {
+        Tagged(u32, Msg),
+        Hello(Hello),
+    }
+
+    impl Lanes {
+        /// [`Lanes::deliver_matured`] under [`REVERSED`]: every value due
+        /// by `t`, sorted stably by its port — `(lane, tag)`, a hello's
+        /// port its member — from the last port to the first.
+        pub(super) fn deliver_reversed(
+            &self,
+            t: u64,
+            tagged: &impl Fn(u32, Msg),
+            hello: &impl Fn(Hello),
+        ) -> Option<u64> {
+            let mut due_now = Vec::new();
+            let next = loop {
+                match self.least() {
+                    Some((_, due)) if due > t => break Some(due),
+                    None => break None,
+                    Some((0, _)) => {
+                        let (tag, msg) = self.edges.pop();
+                        due_now.push(((0, tag), Value::Tagged(tag, msg)));
+                    }
+                    Some((1, _)) => {
+                        let (tag, msg) = self.grafts.pop();
+                        due_now.push(((1, tag), Value::Tagged(tag, msg)));
+                    }
+                    Some(_) => {
+                        let h = self.hellos.pop();
+                        due_now.push(((2, h.node), Value::Hello(h)));
+                    }
+                }
+            };
+            due_now.sort_by_key(|&(port, _)| Reverse(port));
+            for (_, value) in due_now {
+                match value {
+                    Value::Tagged(tag, msg) => tagged(tag, msg),
+                    Value::Hello(h) => hello(h),
+                }
+            }
+            next
+        }
+    }
+
+    /// The test's ports: port `i` has tag `i` (a hello's member) and rides
+    /// lane `on[i]` — 0 the edges, 1 the grafts, 2 the hellos.
     struct Sends {
         lanes: Rc<Lanes>,
         on: Vec<usize>,
@@ -247,27 +292,24 @@ mod tests {
     impl Sends {
         /// Sends `value` on port `port`.
         fn send(&self, port: usize, value: u32) {
-            let id = port as u32;
+            let tag = port as u32;
             let msg = Msg::Graft {
                 tree: 0,
                 orphan: 0,
                 resume_from: value,
             };
             match self.on[port] {
-                0 => self.lanes.edge(Port { id, tag: id }, msg),
-                1 => self.lanes.graft(Port { id, tag: id }, msg),
-                _ => self.lanes.hello(
-                    id,
-                    Hello {
-                        node: id,
-                        next: [value; MAX_TREES],
-                    },
-                ),
+                0 => self.lanes.edge(tag, msg),
+                1 => self.lanes.graft(tag, msg),
+                _ => self.lanes.hello(Hello {
+                    node: tag,
+                    next: [value; MAX_TREES],
+                }),
             }
         }
     }
 
-    /// Ports on the lanes `on` (see [`Sends`]), the edge lane `hop` µs
+    /// Test ports on the lanes `on` (see [`Sends`]), the edge lane `hop` µs
     /// long and the other two `ctl` µs, their sinks logging `t=<ns>
     /// <port letter><value>`; `script` drives the senders from a task of
     /// its own. Returns the log at `deadline` and the run's task polls.
@@ -372,11 +414,11 @@ mod tests {
         assert_eq!(lines, ["t=0 a0", "t=3000000 a3", "t=6000000 b0"]);
     }
 
-    /// Two ports on two lanes. The sender deliberately uses the later
-    /// port first, and the two latencies differ so that values sent at
-    /// different instants fall due together.
+    /// Two ports on two lanes. The sender uses the hello port first, and
+    /// the two latencies differ so that values sent at different instants
+    /// fall due together.
     #[test]
-    fn merged_receiver_orders_by_due_then_port_then_send_order() {
+    fn merged_receiver_orders_by_due_then_lane_then_send_order() {
         let (lines, _) = rig(
             &[0, 2],
             [300, 100],
@@ -394,8 +436,8 @@ mod tests {
             lines,
             [
                 "t=100000 b0",
-                // Equal due times: port order (a before b), then each
-                // port's own send order.
+                // Equal due times: the edge lane before the hello lane,
+                // then each lane's send order.
                 "t=300000 a0",
                 "t=300000 b1",
                 "t=300000 b2",
@@ -404,10 +446,10 @@ mod tests {
         );
     }
 
-    /// Ports of one lane: sends made in one instant to them out of port
-    /// order still arrive in port order, each port's in send order.
+    /// Three ports of one lane: sends made in one instant to them out of port
+    /// order arrive in send order, as a link keeps them.
     #[test]
-    fn same_latency_sends_in_one_instant_arrive_in_port_order() {
+    fn same_latency_sends_in_one_instant_arrive_in_send_order() {
         let (lines, _) = rig(
             &[0, 0, 0],
             [100, 100],
@@ -421,13 +463,13 @@ mod tests {
         );
         assert_eq!(
             lines,
-            ["t=100000 a0", "t=100000 a1", "t=100000 b0", "t=100000 c0"]
+            ["t=100000 c0", "t=100000 a0", "t=100000 b0", "t=100000 a1"]
         );
     }
 
     /// Seeded schedules over six ports spread across the three lanes, the
     /// two latencies sometimes equal: what arrives is the stable sort of
-    /// the sends by `(due, port, seq)`, each value at its due instant.
+    /// the sends by `(due, lane)`, each value at its due instant.
     #[test]
     fn generated_schedules_deliver_in_merge_key_order() {
         const PORTS: usize = 6;
@@ -456,16 +498,15 @@ mod tests {
             case,
             |(latencies, on, schedule)| {
                 let latency = |port: usize| latencies[usize::from(on[port] != 0)];
-                let mut keyed: Vec<((u64, usize, usize), usize)> = Vec::with_capacity(SENDS);
-                let mut seqs = [0usize; PORTS];
-                for (i, &(at, port)) in schedule.iter().enumerate() {
-                    keyed.push(((at + latency(port), port, seqs[port]), i));
-                    seqs[port] += 1;
-                }
-                keyed.sort_by_key(|&(key, _)| key);
+                let mut keyed: Vec<((u64, usize), usize, usize)> = schedule
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(at, port))| ((at + latency(port), on[port]), port, i))
+                    .collect();
+                keyed.sort_by_key(|&(key, ..)| key);
                 let expected: Vec<String> = keyed
                     .iter()
-                    .map(|&((due, port, _), i)| {
+                    .map(|&((due, _), port, i)| {
                         let letter = char::from(b'a' + port as u8);
                         format!("t={} {letter}{i}", due * 1_000)
                     })
@@ -497,6 +538,6 @@ mod tests {
             node: 1,
             next: [0; MAX_TREES],
         };
-        lanes.hello(0, hello);
+        lanes.hello(hello);
     }
 }

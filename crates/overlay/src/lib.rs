@@ -25,8 +25,9 @@
 //!   drop-oldest queues and P8 local divisors, the session admission
 //!   charge for every relay's fan-out, and the merged-report parser
 //!   ([`OverlaySummary`]). Its messages travel on `lanes`: three
-//!   latency-stamped lanes — tree edges, grafts, hellos — and the one
-//!   dispatcher task that delivers them in `(due, port)` order.
+//!   latency-stamped lanes — tree edges, grafts, hellos — each in send
+//!   order, and the one dispatcher task that delivers them in `(due,
+//!   lane)` order.
 
 #![deny(missing_docs)]
 

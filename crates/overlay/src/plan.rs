@@ -90,9 +90,6 @@ pub struct TreePlan {
     d: usize,
     /// The parent; [`NONE`] for the source.
     parent: Vec<u32>,
-    /// The grandparent, which adopts the member if its parent dies;
-    /// [`NONE`] under the source.
-    backup: Vec<u32>,
     /// Hops from the source.
     depth: Vec<u32>,
     /// The tree each member is interior in; `u8::MAX` for the source
@@ -220,20 +217,11 @@ impl TreePlan {
             child_at[r + 1] += child_at[r];
         }
 
-        // The grandparent: none under the source, whose parent is none.
-        let backup = (0..k * n)
-            .map(|r| match parent[r] {
-                NONE => NONE,
-                p => parent[r / n * n + p as usize],
-            })
-            .collect();
-
         Ok(TreePlan {
             n,
             k,
             d,
             parent,
-            backup,
             depth,
             interior_in,
             child_at,
@@ -259,15 +247,8 @@ impl TreePlan {
 
     /// Children of `member` in `tree`, in attachment order.
     pub(crate) fn children(&self, tree: usize, member: usize) -> &[u32] {
-        self.child_row(tree, member).1
-    }
-
-    /// [`TreePlan::children`], and the CSR position of the first: child
-    /// `i`'s is `first + i`, a number no other (tree, parent, child) has.
-    pub(crate) fn child_row(&self, tree: usize, member: usize) -> (u32, &[u32]) {
         let r = tree * self.n + member;
-        let (first, end) = (self.child_at[r], self.child_at[r + 1]);
-        (first, &self.child_ids[first as usize..end as usize])
+        &self.child_ids[self.child_at[r] as usize..self.child_at[r + 1] as usize]
     }
 
     /// The tree `member` is interior in; `None` for the source and for
@@ -279,10 +260,9 @@ impl TreePlan {
 
     /// The grandparent graft target for `member` in `tree` — the
     /// survivor that adopts it if its parent dies. `None` when the
-    /// parent is the source.
+    /// parent is the source, whose parent is none.
     pub(crate) fn backup(&self, tree: usize, member: usize) -> Option<usize> {
-        let b = self.backup[tree * self.n + member];
-        (b != NONE).then_some(b as usize)
+        self.parent(tree, self.parent(tree, member)?)
     }
 
     /// Total children of `member` across every tree — the copy count its
@@ -310,7 +290,7 @@ mod tests {
     impl TreePlan {
         /// Bytes the plan's rows hold on the heap.
         pub(crate) fn heap_bytes(&self) -> usize {
-            let rows = [&self.parent, &self.backup, &self.depth, &self.child_at];
+            let rows = [&self.parent, &self.depth, &self.child_at];
             let words: usize = rows.iter().map(|r| r.capacity()).sum();
             (words + self.child_ids.capacity()) * 4 + self.interior_in.capacity()
         }

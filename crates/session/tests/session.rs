@@ -37,15 +37,21 @@ fn call_setup_streams_audio_then_tears_down() {
         .boxy
         .start_audio_source(Box::new(Speech::new(1)));
     let controller = star.controller.clone();
+    let switch = star.switch.clone();
     let (src, dst) = (star.nodes[0].endpoint, star.nodes[1].endpoint);
     let done = Rc::new(StdCell::new(false));
     let d = done.clone();
     sim.spawn("driver", async move {
         let session = controller.open(src, mic, StreamClass::Audio).unwrap();
+        // The listener's fabric port gains one route, and loses it again:
+        // a removed listener leaves no route behind.
+        let routes = switch.port_route_count(1);
         let admitted = controller.add_listener(session, dst).await.unwrap();
         assert_eq!(admitted.rate_permille, 1000, "audio never degraded");
+        assert_eq!(switch.port_route_count(1), routes + 1);
         pandora_sim::delay(SimDuration::from_secs(2)).await;
         controller.remove_listener(session, dst).await.unwrap();
+        assert_eq!(switch.port_route_count(1), routes, "the route leaked");
         controller.close(session).await.unwrap();
         assert_eq!(controller.listeners(session), 0);
         d.set(true);

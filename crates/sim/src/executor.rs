@@ -116,30 +116,13 @@ impl Wake for InertWaker {
     }
 }
 
-/// Which of the two firing lanes a timer occupies at its instant.
-///
-/// All [`Normal`] timers at an instant fire before any [`Late`] timer at
-/// the same instant, regardless of registration order. The late lane
-/// exists for the overlay's port dispatcher (`pandora-overlay`): its
-/// delivery timer is re-registered whenever a send moves the head of its
-/// message lanes, and those re-registrations must never perturb the
-/// ordering of the ordinary timers the workload itself registered.
-///
-/// [`Normal`]: TimerLane::Normal
-/// [`Late`]: TimerLane::Late
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimerLane {
-    Normal = 0,
-    Late = 1,
-}
-
 /// A pending timer: fires by queueing a wake of the task that armed it.
-/// Derived ordering is `(at, lane << 63 | seq)`; `task` never decides,
-/// because `seq` is unique.
+/// Derived ordering is `(at, seq)`: timers of one instant fire in arming
+/// order. `task` never decides, because `seq` is unique.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     at: u64,
-    lane_seq: u64,
+    seq: u64,
     task: TaskId,
 }
 
@@ -252,19 +235,11 @@ impl Inner {
 
     /// Arms a timer that wakes the task being polled at `at`.
     pub(crate) fn register_timer(&self, at: SimTime) {
-        self.register_timer_in(at, TimerLane::Normal);
-    }
-
-    fn register_timer_in(&self, at: SimTime, lane: TimerLane) {
-        // One shared seq counter is safe for both lanes: ordering is
-        // (at, lane, seq), so extra late-lane registrations shift normal
-        // timers' seq values without ever reordering them.
         let seq = self.timer_seq.get();
-        debug_assert!(seq < 1 << 63, "timer seq reached the lane bit");
         self.timer_seq.set(seq + 1);
         self.timers.borrow_mut().push(Reverse(TimerEntry {
             at: at.0,
-            lane_seq: (lane as u64) << 63 | seq,
+            seq,
             task: self.current_task(),
         }));
     }
@@ -775,21 +750,6 @@ pub fn delay_until(deadline: SimTime) -> Delay {
         deadline,
         rel: None,
         registered: false,
-        lane: TimerLane::Normal,
-    }
-}
-
-/// Future that completes at an absolute virtual time, *after* every
-/// ordinary timer registered for the same instant — even ordinary timers
-/// registered later. The overlay's port dispatcher sleeps on this
-/// lane, so port deliveries at an instant always come after that
-/// instant's ordinary timers, whenever the dispatcher last re-armed.
-pub fn delay_until_late(deadline: SimTime) -> Delay {
-    Delay {
-        deadline,
-        rel: None,
-        registered: false,
-        lane: TimerLane::Late,
     }
 }
 
@@ -801,17 +761,14 @@ pub fn delay(d: SimDuration) -> Delay {
         deadline: SimTime(u64::MAX),
         rel: Some(d),
         registered: false,
-        lane: TimerLane::Normal,
     }
 }
 
-/// Timer future returned by [`delay`] / [`delay_until`] /
-/// [`delay_until_late`].
+/// Timer future returned by [`delay`] / [`delay_until`].
 pub struct Delay {
     deadline: SimTime,
     rel: Option<SimDuration>,
     registered: bool,
-    lane: TimerLane,
 }
 
 impl Delay {
@@ -833,7 +790,7 @@ impl Future for Delay {
                 return Poll::Ready(());
             }
             if !this.registered {
-                i.register_timer_in(this.deadline, this.lane);
+                i.register_timer(this.deadline);
                 this.registered = true;
             }
             Poll::Pending
@@ -968,42 +925,6 @@ mod tests {
             }),
         );
         sim.run_until_idle();
-    }
-
-    #[test]
-    fn late_lane_fires_after_all_normal_timers_at_the_instant() {
-        let mut sim = Simulation::new();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        // The late timer is registered FIRST (lowest seq): only the lane
-        // can push it behind the normal timers at the same instant.
-        let o = order.clone();
-        sim.spawn("late", async move {
-            crate::delay_until_late(SimTime::from_millis(5)).await;
-            o.borrow_mut().push("late");
-        });
-        for name in ["n1", "n2"] {
-            let o = order.clone();
-            sim.spawn(name, async move {
-                crate::delay_until(SimTime::from_millis(5)).await;
-                o.borrow_mut().push(name);
-            });
-        }
-        sim.run_until_idle();
-        assert_eq!(*order.borrow(), vec!["n1", "n2", "late"]);
-    }
-
-    #[test]
-    fn late_lane_past_deadline_completes_immediately() {
-        let mut sim = Simulation::new();
-        let at = Rc::new(Cell::new(0u64));
-        let a = at.clone();
-        sim.spawn("z", async move {
-            crate::delay(SimDuration::from_millis(3)).await;
-            crate::delay_until_late(SimTime::from_millis(1)).await;
-            a.set(crate::now().as_millis());
-        });
-        sim.run_until_idle();
-        assert_eq!(at.get(), 3);
     }
 
     #[test]

@@ -71,9 +71,8 @@ pub use channel::{
 };
 pub use cpu::{Claim, ClaimPriority, Cpu, PRIO_COMMAND, PRIO_NORMAL, PRIO_OUTPUT};
 pub use executor::{
-    delay, delay_until, delay_until_late, now, pause_matching, resume_matching, spawn, spawn_prio,
-    try_now, waker, yield_now, DeadlockReport, Delay, Priority, Simulation, Spawner, StopReason,
-    TaskId, TaskWaker,
+    delay, delay_until, now, pause_matching, resume_matching, spawn, spawn_prio, try_now, waker,
+    yield_now, DeadlockReport, Delay, Priority, Simulation, Spawner, StopReason, TaskId, TaskWaker,
 };
 pub use link::{
     drifted_tick, link, link_over, link_queue, long_line, LinkConfig, LinkControl, LinkSender,

@@ -3,7 +3,7 @@
 //! `tests/golden/examples` and a run in CI that diffs its stdout against that golden, as
 //! `repro` has `tests/golden/repro.stdout`. And
 //! the public API carries no dead weight: every public function and constant is named
-//! outside its file.
+//! outside its file. Every committed mutant still applies to the tree.
 
 const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -165,5 +165,30 @@ fn every_library_crate_runs_in_the_ci_debug_step() {
         if name != "pandora-bench" {
             assert!(ps.contains(&name), "CI's debug step lacks -p {name}");
         }
+    }
+}
+
+/// Every mutant in `mutants/mutants.txt` still applies to the tree: its file exists and
+/// its text occurs there exactly once, so `mutants/run.sh` never finds an entry stale. A
+/// change to a mutated line moves the entry with it.
+#[test]
+fn every_listed_mutant_applies_to_the_tree() {
+    let list = include_str!("../mutants/mutants.txt");
+    let entries: Vec<&str> = list.split("\n=== ").skip(1).collect();
+    assert!(!entries.is_empty(), "no mutants listed");
+    for entry in entries {
+        let name = entry.lines().next().expect("a name");
+        let field = |key: &str| entry.lines().find_map(|l| l.strip_prefix(key));
+        let file = field("file: ").unwrap_or_else(|| panic!("{name}: no file"));
+        assert!(field("killer: ").is_some(), "{name}: no killer");
+        assert!(field("breaks: ").is_some(), "{name}: no contract");
+        let find = entry
+            .split_once("\n--- find\n")
+            .and_then(|(_, rest)| rest.split_once("\n--- replace\n"))
+            .map(|(find, _)| find)
+            .unwrap_or_else(|| panic!("{name}: no find and replace"));
+        let text = std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+            .unwrap_or_else(|e| panic!("{name}: {file}: {e}"));
+        assert_eq!(text.matches(find).count(), 1, "{name}: its text in {file}");
     }
 }

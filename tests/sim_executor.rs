@@ -8,8 +8,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use pandora_sim::{
-    channel, delay, delay_until, delay_until_late, now, spawn, unbounded, yield_now, Priority,
-    Sender, SimDuration, SimTime, Simulation, StopReason,
+    channel, delay, delay_until, now, spawn, unbounded, yield_now, Priority, Sender, SimDuration,
+    SimTime, Simulation, StopReason,
 };
 
 #[test]
@@ -200,17 +200,12 @@ fn wakes_made_in_one_poll_run_in_call_order_self_wake_included() {
 }
 
 #[test]
-fn timers_of_one_instant_fire_in_arming_order_then_late_then_their_wakes() {
+fn timers_of_one_instant_fire_in_arming_order_then_their_wakes() {
     let mut sim = Simulation::new();
     let log: Log = Rc::default();
     let r1 = logging_receiver(&mut sim, "r1", &log);
     let r2 = logging_receiver(&mut sim, "r2", &log);
     let at = SimTime::from_millis(5);
-    let l = log.clone();
-    sim.spawn("late", async move {
-        delay_until_late(at).await;
-        l.borrow_mut().push("late");
-    });
     // `x` is spawned first but arms last: arming order, not task order.
     for (name, yields, kick) in [
         ("x", true, None),
@@ -231,7 +226,7 @@ fn timers_of_one_instant_fire_in_arming_order_then_late_then_their_wakes() {
         });
     }
     sim.run_until_idle();
-    assert_eq!(*log.borrow(), ["y", "z", "x", "late", "r1", "r2"]);
+    assert_eq!(*log.borrow(), ["y", "z", "x", "r1", "r2"]);
 }
 
 #[test]
