@@ -12,7 +12,9 @@
 //! release stage (`hop:{path}.{i}`) that applies the hop's jitter and
 //! loss and hands the cell on — see [`build_path_controlled`]. Hop 0's wire
 //! drains whatever queue the path is built over: a switch's output port
-//! feeds its attachment with no task in between.
+//! feeds its attachment with no task in between. The switch is no task
+//! either: a path into a fabric ends in a call to
+//! [`SwitchCore::dispatch_cell`], made by its last release stage.
 
 use std::cell::Cell as StdCell;
 use std::cell::RefCell;
@@ -23,8 +25,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use pandora_sim::{
-    buffered, channel, delay_until, link_queue, long_line, AltSet, LinkConfig, LinkControl,
-    LinkSender, Receiver, Sender, SimDuration, SimTime, Spawner,
+    buffered, channel, delay_until, link_queue, long_line, LinkConfig, LinkControl, LinkSender,
+    Receiver, Sender, SimDuration, SimTime, Spawner,
 };
 
 use crate::cell::{Cell, Vci};
@@ -248,16 +250,17 @@ impl PathControl {
     }
 }
 
-/// Builds a multi-hop ATM path whose first wire drains `source`; returns
-/// the egress receiver, per-hop loss stats and the path's fault controls
-/// (see [`build_path_controlled`]).
+/// Builds a multi-hop ATM path whose first wire drains `source` and whose
+/// last release stage delivers to `egress`; returns per-hop loss stats and
+/// the path's fault controls (see [`build_path_controlled`]).
 fn build_path_over(
     spawner: &Spawner,
     name: &str,
     hops: &[HopConfig],
     seed: u64,
     source: Receiver<Cell>,
-) -> (Receiver<Cell>, Vec<FabricCounters>, PathControl) {
+    egress: Egress,
+) -> (Vec<FabricCounters>, PathControl) {
     assert!(!hops.is_empty(), "a path needs at least one hop");
     // Wire 0 drains the caller's queue; every later wire a hand-off slot
     // of its own, which the stage before it fills.
@@ -282,11 +285,10 @@ fn build_path_over(
     }
     let ctrl = PathControl::from_links(link_ctls);
     let stats: Vec<FabricCounters> = hops.iter().map(|_| FabricCounters::default()).collect();
-    let (egress_tx, egress_rx) = channel::<Cell>();
     // From the egress backwards: each stage owns the sender into the wire
     // after it.
     let mut next = Next::Exit {
-        tx: egress_tx,
+        to: egress,
         ctrl: ctrl.state.clone(),
         rng: SmallRng::seed_from_u64(seed ^ 0xFA17),
     };
@@ -301,7 +303,7 @@ fn build_path_over(
             None => break,
         };
     }
-    (egress_rx, stats, ctrl)
+    (stats, ctrl)
 }
 
 /// Builds a multi-hop ATM path over a fresh [`link_queue`]; returns the
@@ -333,8 +335,34 @@ pub fn build_path_controlled(
     PathControl,
 ) {
     let (ingress, source) = link_queue();
-    let (egress_rx, stats, ctrl) = build_path_over(spawner, name, hops, seed, source);
+    let (egress_tx, egress_rx) = channel::<Cell>();
+    let egress = Egress::Channel(egress_tx);
+    let (stats, ctrl) = build_path_over(spawner, name, hops, seed, source, egress);
     (ingress, egress_rx, stats, ctrl)
+}
+
+/// [`build_path_controlled`] into a fabric: the last release stage hands
+/// each cell to `fabric`'s [`SwitchCore::dispatch_cell`] where a path
+/// into a box would send it to the box's net-in. Returns the path's
+/// ingress, per-hop loss stats and fault controls.
+pub fn build_path_into(
+    spawner: &Spawner,
+    name: &str,
+    hops: &[HopConfig],
+    seed: u64,
+    fabric: &SwitchCore,
+) -> (LinkSender<Cell>, Vec<FabricCounters>, PathControl) {
+    let (ingress, source) = link_queue();
+    let egress = Egress::Fabric(fabric.clone());
+    let (stats, ctrl) = build_path_over(spawner, name, hops, seed, source, egress);
+    (ingress, stats, ctrl)
+}
+
+/// Where a path's last release stage puts a cell: the channel a box's
+/// net-in reads, or a fabric, which switches it there and then.
+enum Egress {
+    Channel(Sender<Cell>),
+    Fabric(SwitchCore),
 }
 
 /// Where a release stage sends: the next hop's wire, or — the last hop —
@@ -343,7 +371,7 @@ pub fn build_path_controlled(
 enum Next {
     Hop(LinkSender<Cell>),
     Exit {
-        tx: Sender<Cell>,
+        to: Egress,
         ctrl: Rc<PathCtlState>,
         rng: SmallRng,
     },
@@ -384,7 +412,7 @@ async fn release_stage(
             // The controls are read only now, after the jitter wait: a
             // cell is disturbed by what the plan says as it leaves the
             // network, not as it entered the hop.
-            Next::Exit { tx, ctrl, rng } => {
+            Next::Exit { to, ctrl, rng } => {
                 let loss = ctrl.loss.get();
                 if loss > 0.0 && rng.gen_bool(loss) {
                     ctrl.injected_drops.set(ctrl.injected_drops.get() + 1);
@@ -401,7 +429,13 @@ async fn release_stage(
                 }
                 egressed = (due + SimDuration(ctrl.extra_delay_ns.get())).max(egressed);
                 delay_until(egressed).await;
-                tx.send(cell).await
+                match to {
+                    Egress::Channel(tx) => tx.send(cell).await,
+                    Egress::Fabric(core) => {
+                        core.dispatch_cell(cell);
+                        Ok(())
+                    }
+                }
             }
         };
         if sent.is_err() {
@@ -410,17 +444,15 @@ async fn release_stage(
     }
 }
 
-/// The two directions of a [`build_duplex_path`] connection: `a` holds
-/// the A-side ingress/egress, `b` the B-side egress — what feeds the B
-/// side is the queue the connection was built over — with per-direction
-/// hop stats and fault controls.
+/// The two directions of a [`build_duplex_path`] attachment: the
+/// endpoint's ingress and egress, with per-direction hop stats and fault
+/// controls. The fabric's side needs no handle: the a→b direction ends in
+/// its dispatch, and the b→a direction drains its output port.
 pub struct DuplexPath {
-    /// A-side sender (into the a→b direction).
+    /// Endpoint sender (into the a→b direction).
     pub a_tx: LinkSender<Cell>,
-    /// A-side receiver (egress of the b→a direction).
+    /// Endpoint receiver (egress of the b→a direction).
     pub a_rx: Receiver<Cell>,
-    /// B-side receiver (egress of the a→b direction).
-    pub b_rx: Receiver<Cell>,
     /// Per-hop loss stats of the a→b direction.
     pub a_to_b: Vec<FabricCounters>,
     /// Per-hop loss stats of the b→a direction.
@@ -431,32 +463,35 @@ pub struct DuplexPath {
     pub b_to_a_ctrl: PathControl,
 }
 
-/// Builds a full-duplex connection: two independent controlled paths with
-/// the same hop profile, one per direction. The b→a direction drains
-/// `b_source` — a switch's output port, or the [`link_queue`] whose sender
-/// the B endpoint holds — and derives its seed from `seed`, so a single
-/// seed reproduces the whole connection, yet the two directions see
-/// independent disturbance processes.
+/// Attaches an endpoint to a fabric port over a full-duplex connection:
+/// two independent controlled paths with the same hop profile, one per
+/// direction. The a→b direction ends in `fabric` ([`build_path_into`]);
+/// the b→a direction drains `from_fabric`, the port's own queue, and
+/// derives its seed from `seed`, so a single seed reproduces the whole
+/// connection, yet the two directions see independent disturbance
+/// processes.
 pub fn build_duplex_path(
     spawner: &Spawner,
     name: &str,
     hops: &[HopConfig],
     seed: u64,
-    b_source: Receiver<Cell>,
+    fabric: &SwitchCore,
+    from_fabric: Receiver<Cell>,
 ) -> DuplexPath {
-    let (a_tx, b_rx, a_to_b, a_to_b_ctrl) =
-        build_path_controlled(spawner, &format!("{name}.ab"), hops, seed);
-    let (a_rx, b_to_a, b_to_a_ctrl) = build_path_over(
+    let (a_tx, a_to_b, a_to_b_ctrl) =
+        build_path_into(spawner, &format!("{name}.ab"), hops, seed, fabric);
+    let (to_a, a_rx) = channel::<Cell>();
+    let (b_to_a, b_to_a_ctrl) = build_path_over(
         spawner,
         &format!("{name}.ba"),
         hops,
         seed ^ 0xDEAD,
-        b_source,
+        from_fabric,
+        Egress::Channel(to_a),
     );
     DuplexPath {
         a_tx,
         a_rx,
-        b_rx,
         a_to_b,
         b_to_a,
         a_to_b_ctrl,
@@ -468,11 +503,28 @@ pub fn build_duplex_path(
 // rewritten VCI).
 type RouteTable = Rc<RefCell<BTreeMap<Vci, Vec<(usize, Vci)>>>>;
 
-/// The synchronous dispatch core of the switch: route table, unified
-/// counters and the bounded per-port output queues.
+/// A VCI-routed cell switch (the ATM ring / switch fabric stand-in): route
+/// table, unified counters and the bounded per-port output queues.
+/// Cloning shares the same table, counters and ports.
 ///
-/// [`Switch`] wraps this in a simulation task; the benchmark drives it
-/// directly. Cloning shares the same table, counters and ports.
+/// Cells are forwarded to the ports given by the routing table,
+/// optionally rewriting the VCI. A VCI may carry several copy
+/// destinations (fabric-level tannoy splitting): each installed copy is
+/// forwarded independently. Unroutable cells are dropped and counted.
+/// Output ports have bounded queues: a full port drops cells (counting
+/// them) rather than stalling other ports — Principle 5 at the fabric
+/// level, and Principle 5 again between the copies of a multicast VCI.
+///
+/// The fabric is hardware in Pandora, as the link engines are (§3.1), so
+/// it is no process here: a path into it ([`build_path_into`]) calls
+/// [`Self::dispatch_cell`] from its last release stage, after the fault
+/// steps, and a cell is switched in the instant its path releases it.
+/// Cells that reach one port in the same instant queue there in the
+/// order their release stages run, which is the executor's own rule:
+/// a stage runs when its timer fires, and timers of one instant fire in
+/// arming order. A switch task that took the lowest input port first
+/// would break such a tie otherwise; the tests, the examples and the
+/// benchmark's histories read the same under either rule.
 #[derive(Clone)]
 pub struct SwitchCore {
     table: RouteTable,
@@ -613,68 +665,11 @@ impl SwitchCore {
     }
 }
 
-/// A VCI-routed cell switch (the ATM ring / switch fabric stand-in): a
-/// [`SwitchCore`] plus the task that feeds it, so the route table and the
-/// counters are reached through the handle (`switch.route(..)`).
-///
-/// Cells arriving on any input port are forwarded to the ports given by the
-/// routing table, optionally rewriting the VCI. A VCI may carry several
-/// copy destinations (fabric-level tannoy splitting): each installed copy
-/// is forwarded independently. Unroutable cells are dropped and counted.
-/// Output ports have bounded queues: a full port drops cells (counting
-/// them) rather than stalling other ports — Principle 5 at the fabric
-/// level, and Principle 5 again between the copies of a multicast VCI.
-pub struct Switch {
-    core: SwitchCore,
-}
-
-impl Switch {
-    /// Spawns the switch task over `core` and the given input ports. The
-    /// ports are the caller's to make ([`SwitchCore::new`]) because a
-    /// fabric's outputs may have to exist before its inputs do: a star's
-    /// attachments drain the one and feed the other. The task ends when
-    /// every input has closed — at once if there are none.
-    pub fn spawn(
-        spawner: &Spawner,
-        name: &str,
-        core: SwitchCore,
-        inputs: Vec<Receiver<Cell>>,
-    ) -> Switch {
-        let task_core = core.clone();
-        let mut inputs = AltSet::new(inputs);
-        spawner.spawn(&format!("switch:{name}"), async move {
-            while let Ok((_port, cell)) = inputs.recv().await {
-                task_core.dispatch_cell(cell);
-            }
-        });
-        Switch { core }
-    }
-}
-
-impl std::ops::Deref for Switch {
-    type Target = SwitchCore;
-
-    fn deref(&self) -> &SwitchCore {
-        &self.core
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pandora_sim::{SimTime, Simulation};
     use std::cell::RefCell as StdRefCell;
-
-    /// A switch over a fresh core of `ports` ports of `queue` cells.
-    fn switch(
-        sim: &Simulation,
-        inputs: Vec<Receiver<Cell>>,
-        ports: usize,
-        queue: usize,
-    ) -> (Switch, Vec<Receiver<Cell>>) {
-        let (core, outs) = SwitchCore::new(ports, queue);
-        (Switch::spawn(&sim.spawner(), "s", core, inputs), outs)
-    }
 
     #[test]
     fn clean_path_delivers_in_order() {
@@ -784,17 +779,12 @@ mod tests {
 
     #[test]
     fn switch_routes_by_vci() {
-        let mut sim = Simulation::new();
-        let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 64);
+        let (sw, mut outs) = SwitchCore::new(2, 64);
         sw.route(Vci(1), 0, Vci(101));
         sw.route(Vci(2), 1, Vci(102));
-        sim.spawn("send", async move {
-            in_tx.send(Cell::new(Vci(1), 0, true, &[1])).await.unwrap();
-            in_tx.send(Cell::new(Vci(2), 0, true, &[2])).await.unwrap();
-            in_tx.send(Cell::new(Vci(3), 0, true, &[3])).await.unwrap(); // No route.
-        });
-        sim.run_until_idle();
+        sw.dispatch_cell(Cell::new(Vci(1), 0, true, &[1]));
+        sw.dispatch_cell(Cell::new(Vci(2), 0, true, &[2]));
+        sw.dispatch_cell(Cell::new(Vci(3), 0, true, &[3])); // No route.
         let p1 = outs.remove(1);
         let p0 = outs.remove(0);
         let c0 = p0.try_recv().unwrap();
@@ -808,9 +798,7 @@ mod tests {
 
     #[test]
     fn unroute_port_tears_down_only_the_dead_legs() {
-        let sim = Simulation::new();
-        let (_in_tx, in_rx) = channel::<Cell>();
-        let (sw, _outs) = switch(&sim, vec![in_rx], 3, 64);
+        let (sw, _outs) = SwitchCore::new(3, 64);
         sw.route(Vci(10), 0, Vci(10));
         sw.route_add(Vci(10), 2, Vci(10)); // A split: ports 0 and 2.
         sw.route(Vci(11), 2, Vci(11)); // Unicast to the dying port.
@@ -823,20 +811,20 @@ mod tests {
         assert_eq!(sw.port_route_count(0), 1);
         assert_eq!(sw.port_route_count(1), 1);
         assert_eq!(sw.unroute_port(2), Vec::<Vci>::new(), "idempotent");
-        let _ = sim; // The table edits need no scheduling.
     }
 
     #[test]
     fn switch_full_port_drops_without_stalling_others() {
         let mut sim = Simulation::new();
-        let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 2);
+        let (sw, mut outs) = SwitchCore::new(2, 2);
         sw.route(Vci(1), 0, Vci(1)); // Nobody drains port 0.
         sw.route(Vci(2), 1, Vci(2));
+        let fabric = sw.clone();
         sim.spawn("send", async move {
             for i in 0..10 {
-                in_tx.send(Cell::new(Vci(1), i, false, &[])).await.unwrap();
-                in_tx.send(Cell::new(Vci(2), i, false, &[])).await.unwrap();
+                fabric.dispatch_cell(Cell::new(Vci(1), i, false, &[]));
+                fabric.dispatch_cell(Cell::new(Vci(2), i, false, &[]));
+                pandora_sim::delay(SimDuration::from_micros(1)).await;
             }
         });
         let delivered = Rc::new(StdCell::new(0u32));
@@ -854,29 +842,13 @@ mod tests {
     }
 
     #[test]
-    fn switch_without_inputs_ends_its_task() {
-        // No input can ever carry a cell: the task must finish, not sit
-        // in an ALT over nothing for the deadlock detector to report.
-        let mut sim = Simulation::new();
-        let (_sw, _outs) = switch(&sim, Vec::new(), 2, 4);
-        sim.run_until_idle();
-        assert_eq!(sim.live_tasks(), 0);
-        assert!(sim.deadlock_report().is_none());
-    }
-
-    #[test]
     fn switch_multicast_copies_to_every_port() {
-        let mut sim = Simulation::new();
-        let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = switch(&sim, vec![in_rx], 3, 64);
+        let (sw, mut outs) = SwitchCore::new(3, 64);
         sw.route(Vci(7), 0, Vci(100));
         sw.route_add(Vci(7), 1, Vci(101));
         sw.route_add(Vci(7), 2, Vci(102));
         sw.route_add(Vci(7), 2, Vci(102)); // Duplicate copy: ignored.
-        sim.spawn("send", async move {
-            in_tx.send(Cell::new(Vci(7), 0, true, &[9])).await.unwrap();
-        });
-        sim.run_until_idle();
+        sw.dispatch_cell(Cell::new(Vci(7), 0, true, &[9]));
         let p2 = outs.remove(2);
         let p1 = outs.remove(1);
         let p0 = outs.remove(0);
@@ -890,16 +862,11 @@ mod tests {
 
     #[test]
     fn switch_route_remove_leaves_other_copies() {
-        let mut sim = Simulation::new();
-        let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, mut outs) = switch(&sim, vec![in_rx], 2, 64);
+        let (sw, mut outs) = SwitchCore::new(2, 64);
         sw.route(Vci(7), 0, Vci(100));
         sw.route_add(Vci(7), 1, Vci(101));
         sw.route_remove(Vci(7), 0);
-        sim.spawn("send", async move {
-            in_tx.send(Cell::new(Vci(7), 0, true, &[])).await.unwrap();
-        });
-        sim.run_until_idle();
+        sw.dispatch_cell(Cell::new(Vci(7), 0, true, &[]));
         let p1 = outs.remove(1);
         let p0 = outs.remove(0);
         assert!(p0.try_recv().is_none(), "removed copy still forwarded");
@@ -911,47 +878,37 @@ mod tests {
 
     #[test]
     fn duplex_path_carries_both_directions() {
+        // The endpoint's cell crosses a→b into the fabric, which routes it
+        // back out of the endpoint's own port and down b→a.
         let mut sim = Simulation::new();
-        let (b_tx, b_source) = link_queue();
+        let (fabric, mut ports) = SwitchCore::new(1, 8);
+        fabric.route(Vci(1), 0, Vci(2));
         let hops = [HopConfig::clean(100_000_000)];
-        let d = build_duplex_path(&sim.spawner(), "d", &hops, 3, b_source);
+        let port = ports.remove(0);
+        let d = build_duplex_path(&sim.spawner(), "d", &hops, 3, &fabric, port);
         let a_tx = d.a_tx;
         sim.spawn("a-send", async move {
             a_tx.send(Cell::new(Vci(1), 0, true, &[1])).await.unwrap();
         });
-        sim.spawn("b-send", async move {
-            b_tx.send(Cell::new(Vci(2), 0, true, &[2])).await.unwrap();
-        });
         let got = Rc::new(StdRefCell::new(Vec::new()));
-        let (g1, g2) = (got.clone(), got.clone());
-        let (a_rx, b_rx) = (d.a_rx, d.b_rx);
+        let g = got.clone();
+        let a_rx = d.a_rx;
         sim.spawn("a-recv", async move {
             if let Ok(c) = a_rx.recv().await {
-                g1.borrow_mut().push(c.vci);
-            }
-        });
-        sim.spawn("b-recv", async move {
-            if let Ok(c) = b_rx.recv().await {
-                g2.borrow_mut().push(c.vci);
+                g.borrow_mut().push((c.vci, c.data().to_vec()));
             }
         });
         sim.run_until_idle();
-        let mut got = got.borrow().clone();
-        got.sort();
-        assert_eq!(got, vec![Vci(1), Vci(2)]);
+        assert_eq!(*got.borrow(), vec![(Vci(2), vec![1])]);
+        assert_eq!(fabric.forwarded(), 1);
     }
 
     #[test]
     fn unroute_stops_forwarding() {
-        let mut sim = Simulation::new();
-        let (in_tx, in_rx) = channel::<Cell>();
-        let (sw, _outs) = switch(&sim, vec![in_rx], 1, 8);
+        let (sw, _outs) = SwitchCore::new(1, 8);
         sw.route(Vci(1), 0, Vci(1));
         sw.unroute(Vci(1));
-        sim.spawn("send", async move {
-            in_tx.send(Cell::new(Vci(1), 0, true, &[])).await.unwrap();
-        });
-        sim.run_until_idle();
+        sw.dispatch_cell(Cell::new(Vci(1), 0, true, &[]));
         assert_eq!(sw.unroutable(), 1);
     }
 

@@ -610,17 +610,19 @@ pub fn connect_pair(
     hops: &[pandora_atm::HopConfig],
     seed: u64,
 ) -> BoxPair {
-    let (b_tx, b_source) = link_queue();
-    let duplex = pandora_atm::build_duplex_path(spawner, "pair", hops, seed, b_source);
-    let a = PandoraBox::new(spawner, cfg_a, duplex.a_tx, duplex.a_rx);
-    let b = PandoraBox::new(spawner, cfg_b, b_tx, duplex.b_rx);
+    let (a_tx, b_rx, a_to_b, a_to_b_ctrl) =
+        pandora_atm::build_path_controlled(spawner, "pair.ab", hops, seed);
+    let (b_tx, a_rx, b_to_a, b_to_a_ctrl) =
+        pandora_atm::build_path_controlled(spawner, "pair.ba", hops, seed ^ 0xDEAD);
+    let a = PandoraBox::new(spawner, cfg_a, a_tx, a_rx);
+    let b = PandoraBox::new(spawner, cfg_b, b_tx, b_rx);
     BoxPair {
         a,
         b,
-        a_to_b: duplex.a_to_b,
-        b_to_a: duplex.b_to_a,
-        a_to_b_ctrl: duplex.a_to_b_ctrl,
-        b_to_a_ctrl: duplex.b_to_a_ctrl,
+        a_to_b,
+        b_to_a,
+        a_to_b_ctrl,
+        b_to_a_ctrl,
     }
 }
 

@@ -28,37 +28,37 @@ use pandora::video_boards::{
     spawn_video_capture, spawn_video_display, Camera, DisplaySink, VideoCaptureHandle,
 };
 use pandora::{VideoCosts, SLAB_BUFFERS, SLAB_BYTES};
-use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, SwitchCore, Vci};
+use pandora_atm::{
+    build_path_into, segment_to_cells, ByteSlab, Cell, HopConfig, SlabReassembler, SwitchCore, Vci,
+};
 use pandora_audio::gen::Signal;
 use pandora_audio::SegmentAssembler;
 use pandora_buffers::Reporter;
 use pandora_segment::{wire, Segment, StreamId, Timestamp, BLOCK_DURATION_NANOS};
-use pandora_sim::{link, Cpu, LinkConfig, LinkSender, Receiver, SimDuration, Spawner};
+use pandora_sim::{Cpu, LinkSender, Receiver, SimDuration, Spawner};
 use pandora_video::CaptureConfig;
 
 /// The ATM switch fabric joining Medusa units.
 pub struct Fabric {
-    switch: Switch,
+    switch: SwitchCore,
     ports_tx: Vec<LinkSender<Cell>>,
     ports_rx: Vec<Option<Receiver<Cell>>>,
 }
 
 impl Fabric {
-    /// Builds a fabric with `n_ports` ports at `bits_per_sec` each.
+    /// Builds a fabric with `n_ports` ports at `bits_per_sec` each. A
+    /// unit's cells reach the switch over a one-hop clean path, the way a
+    /// star attaches an endpoint; its output port it reads directly.
     pub fn new(spawner: &Spawner, n_ports: usize, bits_per_sec: u64) -> Fabric {
-        let mut ingress_rx = Vec::with_capacity(n_ports);
-        let mut ports_tx = Vec::with_capacity(n_ports);
-        for p in 0..n_ports {
-            let cfg = LinkConfig::new(
-                Box::leak(format!("medusa.port{p}.in").into_boxed_str()),
-                bits_per_sec,
-            );
-            let (tx, rx) = link::<Cell>(spawner, cfg);
-            ports_tx.push(tx);
-            ingress_rx.push(rx);
-        }
-        let (core, port_rxs) = SwitchCore::new(n_ports, 256);
-        let switch = Switch::spawn(spawner, "medusa", core, ingress_rx);
+        let (switch, port_rxs) = SwitchCore::new(n_ports, 256);
+        let hop = [HopConfig::clean(bits_per_sec)];
+        let ports_tx = (0..n_ports)
+            .map(|p| {
+                let name = format!("medusa.port{p}.in");
+                let (tx, _, _) = build_path_into(spawner, &name, &hop, p as u64, &switch);
+                tx
+            })
+            .collect();
         Fabric {
             switch,
             ports_tx,
@@ -127,7 +127,7 @@ impl Fabric {
     }
 
     /// The underlying switch (for statistics).
-    pub fn switch(&self) -> &Switch {
+    pub fn switch(&self) -> &SwitchCore {
         &self.switch
     }
 }

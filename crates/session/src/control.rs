@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pandora::{OutputId, PandoraBox, StreamKind, SLAB_BUFFERS};
-use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, Switch, Vci};
+use pandora_atm::{segment_to_cells, ByteSlab, Cell, SlabReassembler, SwitchCore, Vci};
 use pandora_metrics::{Histogram, StateTimeline, Table};
 use pandora_recover::{LeaseBook, LeaseConfig, LeaseEvent, LeaseState};
 use pandora_segment::{wire, StreamId, COMMON_HEADER_BYTES};
@@ -202,7 +202,7 @@ struct CtlInner {
 /// session registry and the reconfiguration engine.
 pub struct Controller {
     inner: Rc<RefCell<CtlInner>>,
-    switch: Rc<Switch>,
+    switch: SwitchCore,
     tx: LinkSender<Cell>,
     config: ControllerConfig,
 }
@@ -215,7 +215,7 @@ impl Controller {
     pub fn spawn(
         spawner: &Spawner,
         directory: Directory,
-        switch: Rc<Switch>,
+        switch: SwitchCore,
         tx: LinkSender<Cell>,
         rx: Receiver<Cell>,
         config: ControllerConfig,

@@ -7,18 +7,15 @@
 //! build time; everything else — stream routes, splits, sinks — is
 //! installed and removed live by the [`Controller`].
 //!
-//! [`Star::build`] is the one star builder. The path from the switch back
-//! to an endpoint is built over the queue the cells are already in
-//! (`attach`'s `from_switch`): output port `i` itself, made before the
-//! attachments so that the switch task, which reads what they deliver,
-//! can still be spawned after them.
+//! [`Star::build`] is the one star builder. The switch is a
+//! [`SwitchCore`], no task: the path from an endpoint ends in it, and the
+//! path from it back to the endpoint is built over the queue the cells
+//! are already in (`attach`'s `from_switch`): output port `i` itself.
 
 use std::rc::Rc;
 
 use pandora::{BoxConfig, PandoraBox};
-use pandora_atm::{
-    build_duplex_path, Cell, DuplexPath, HopConfig, PathControl, Switch, SwitchCore, Vci,
-};
+use pandora_atm::{build_duplex_path, Cell, DuplexPath, HopConfig, PathControl, SwitchCore, Vci};
 use pandora_sim::{Receiver, Spawner};
 
 use crate::control::{spawn_agent, AgentStats, Controller, ControllerConfig};
@@ -86,14 +83,15 @@ pub struct StarNode {
 /// Builds attachment `i` of an `n`-box star — box `i`, or the controller
 /// at `i == n`: names it, derives its seed from the master seed, spawns
 /// its duplex path — the A side is the endpoint's, the B side the
-/// switch's, whose cells for the endpoint the path takes straight out of
-/// `from_switch` — and names the path's two fault controls (`{name}.ab` /
-/// `{name}.ba`).
+/// switch's: the path in ends in `switch`, and the path out takes the
+/// endpoint's cells straight out of `from_switch` — and names the path's
+/// two fault controls (`{name}.ab` / `{name}.ba`).
 fn attach(
     spawner: &Spawner,
     i: usize,
     n: usize,
     config: &StarConfig,
+    switch: &SwitchCore,
     from_switch: Receiver<Cell>,
 ) -> (&'static str, Vec<(String, PathControl)>, DuplexPath) {
     let name = if i == n {
@@ -103,7 +101,7 @@ fn attach(
     };
     let name: &'static str = Box::leak(name.into_boxed_str());
     let seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-    let duplex = build_duplex_path(spawner, name, &config.hops, seed, from_switch);
+    let duplex = build_duplex_path(spawner, name, &config.hops, seed, switch, from_switch);
     let path_controls = vec![
         (format!("{name}.ab"), duplex.a_to_b_ctrl.clone()),
         (format!("{name}.ba"), duplex.b_to_a_ctrl.clone()),
@@ -119,7 +117,7 @@ pub struct Star {
     /// The control plane (shared so drivers can clone it into tasks).
     pub controller: Rc<Controller>,
     /// The central fabric switch.
-    pub switch: Rc<Switch>,
+    pub switch: SwitchCore,
     controller_paths: Vec<(String, PathControl)>,
 }
 
@@ -132,18 +130,15 @@ impl Star {
     /// Panics if `n` is zero.
     pub fn build(spawner: &Spawner, n: usize, config: StarConfig) -> Star {
         assert!(n > 0, "a star needs at least one box");
-        let (core, port_rxs) = SwitchCore::new(n + 1, PORT_QUEUE_CELLS);
-        let mut inputs = Vec::with_capacity(n + 1);
+        let (switch, port_rxs) = SwitchCore::new(n + 1, PORT_QUEUE_CELLS);
         let mut ends = Vec::with_capacity(n + 1);
         for (i, port_rx) in port_rxs.into_iter().enumerate() {
-            let (name, path_controls, duplex) = attach(spawner, i, n, &config, port_rx);
-            inputs.push(duplex.b_rx);
+            let (name, path_controls, duplex) = attach(spawner, i, n, &config, &switch, port_rx);
             ends.push((name, path_controls, duplex.a_tx, duplex.a_rx));
         }
         // The fabric: every box's well-known control circuits —
         // controller → box `i`, and box `i`'s replies → the controller's
         // port `n` — and a directory of the boxes in port order.
-        let switch = Rc::new(Switch::spawn(spawner, "star", core, inputs));
         let mut directory = Directory::new();
         let mut circuits = Vec::with_capacity(n);
         for (i, (name, ..)) in ends[..n].iter().enumerate() {
@@ -237,6 +232,55 @@ mod tests {
     use std::cell::RefCell;
 
     #[test]
+    fn a_star_switches_in_its_paths() {
+        // The fabric is no task: a star's tasks are its paths, boxes (each
+        // with its own `switch:node{i}` board task), controller and agents.
+        let sim = Simulation::new();
+        let _star = Star::build(&sim.spawner(), 2, StarConfig::default());
+        let tasks = sim.dump_tasks();
+        assert!(tasks.iter().any(|(name, _)| name == "hop:node0.ab.0"));
+        assert!(tasks.iter().all(|(name, _)| name != "switch:star"));
+
+        // Two endpoints release a cell each in one instant toward the
+        // listener on port 2. Port 1's sender runs first, so its wire arms
+        // its timer first and its release stage runs first: the listener
+        // gets port 1's cell ahead of port 0's, in the stages' run order,
+        // not in port order.
+        let mut sim = Simulation::new();
+        let spawner = sim.spawner();
+        let config = StarConfig::default();
+        let (core, mut port_rxs) = SwitchCore::new(3, PORT_QUEUE_CELLS);
+        let listener_port = port_rxs.pop().expect("port 2");
+        let mut senders = Vec::new();
+        for (i, from_switch) in port_rxs.into_iter().enumerate() {
+            let (_, _, duplex) = attach(&spawner, i, 3, &config, &core, from_switch);
+            core.route(Vci(10 + i as u32), 2, Vci(10 + i as u32));
+            senders.push(duplex.a_tx);
+        }
+        for (i, a_tx) in senders.into_iter().enumerate().rev() {
+            spawner.spawn(&format!("endpoint{i}"), async move {
+                let cell = Cell::new(Vci(10 + i as u32), 0, true, &[]);
+                a_tx.send(cell).await.expect("path open");
+            });
+        }
+        let arrived = Rc::new(RefCell::new(Vec::new()));
+        let a = arrived.clone();
+        spawner.spawn("listener", async move {
+            while let Ok(cell) = listener_port.recv().await {
+                a.borrow_mut().push((cell.vci, pandora_sim::now()));
+            }
+        });
+        sim.run_until_idle();
+        let arrived = arrived.borrow();
+        assert_eq!(arrived.len(), 2);
+        assert_eq!(arrived[0].1, arrived[1].1, "released in one instant");
+        assert_eq!(
+            arrived.iter().map(|&(vci, _)| vci).collect::<Vec<_>>(),
+            [Vci(11), Vci(10)]
+        );
+    }
+
+    #[test]
     fn a_port_takes_2048_cells_and_its_wire_one_more() {
         // Nothing stands between a port and the wire that drains it: with
         // the wire stopped, the fabric accepts the queue (2,048) and the
@@ -247,7 +291,8 @@ mod tests {
         let (core, mut port_rxs) = SwitchCore::new(2, PORT_QUEUE_CELLS);
         let _controller_port = port_rxs.pop();
         let from_switch = port_rxs.pop().expect("port 0");
-        let (_, controls, duplex) = attach(&spawner, 0, 1, &StarConfig::default(), from_switch);
+        let config = StarConfig::default();
+        let (_, controls, duplex) = attach(&spawner, 0, 1, &config, &core, from_switch);
         let (name, to_endpoint) = &controls[1];
         assert_eq!(name, "node0.ba");
         let first_link = to_endpoint.link(0).expect("hop 0");

@@ -11,14 +11,13 @@
 //! to model hardware FIFOs and report channels. [`unbounded`] never blocks
 //! the sender.
 
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::alt::AltShared;
 use crate::executor::{waker, with_current, TaskWaker};
 
 /// Error returned by `send` when the receiver has been dropped.
@@ -79,16 +78,12 @@ struct Shared<T> {
 /// One per channel, so its size is a cost every scenario pays: sixteen
 /// more bytes put it in malloc's next size class, and a sixteen-box
 /// conference's peak RSS then read 19.5 MB instead of 16.9 in eight runs
-/// of twelve (one of twelve without). The set link's two words are the
-/// borrow flag the waker no longer has to itself and the half word
-/// `senders` gave up beside `receiver_alive`.
+/// of twelve (one of twelve without). It is 72 bytes: the queue, the
+/// waker slot and the borrow flag they share, the capacity, and
+/// `senders` beside `receiver_alive` in one word.
 pub(crate) struct ChanState<T> {
     shared: RefCell<Shared<T>>,
     capacity: Cell<usize>,
-    /// Set when the receiver becomes a guard of an [`crate::AltSet`]: the
-    /// set's shared state and this guard's index in it. From then on a
-    /// push reports to the set, not to `recv_waker`.
-    guard_of: OnceCell<(Rc<AltShared>, usize)>,
     senders: Cell<u32>,
     receiver_alive: Cell<bool>,
 }
@@ -96,9 +91,7 @@ pub(crate) struct ChanState<T> {
 impl<T> ChanState<T> {
     /// Called on every push and on the last sender's drop.
     fn wake_receiver(&self) {
-        if let Some((set, index)) = self.guard_of.get() {
-            set.mark_ready(*index);
-        } else if let Some(w) = self.shared.borrow_mut().recv_waker.take() {
+        if let Some(w) = self.shared.borrow_mut().recv_waker.take() {
             w.wake();
         }
     }
@@ -140,23 +133,17 @@ impl<T> ChanState<T> {
         Some(entry.value)
     }
 
-    /// The head value, the closure, or `Pending` with nothing registered.
-    fn take(&self) -> Poll<Result<T, RecvError>> {
+    /// The head value, the closure, or `Pending` with the receiver's
+    /// waker registered.
+    fn poll_take(&self) -> Poll<Result<T, RecvError>> {
         if let Some(v) = self.pop() {
             return Poll::Ready(Ok(v));
         }
         if self.senders.get() == 0 {
             return Poll::Ready(Err(RecvError));
         }
+        with_current(|i| i.register(&mut self.shared.borrow_mut().recv_waker));
         Poll::Pending
-    }
-
-    fn poll_take(&self) -> Poll<Result<T, RecvError>> {
-        let taken = self.take();
-        if taken.is_pending() {
-            with_current(|i| i.register(&mut self.shared.borrow_mut().recv_waker));
-        }
-        taken
     }
 }
 
@@ -184,7 +171,6 @@ fn with_capacity<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
             recv_waker: None,
         }),
         capacity: Cell::new(capacity),
-        guard_of: OnceCell::new(),
         senders: Cell::new(1),
         receiver_alive: Cell::new(true),
     });
@@ -411,26 +397,6 @@ impl<T> Receiver<T> {
 
     pub(crate) fn poll_take(&self) -> Poll<Result<T, RecvError>> {
         self.state.poll_take()
-    }
-
-    /// Makes this receiver guard `index` of an ALT set: from now on its
-    /// pushes mark that bit in `set`, which wakes the set's owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the receiver is a guard of a set already — it would go
-    /// on reporting to the first, and the second would wait forever.
-    pub(crate) fn join_set(&self, set: Rc<AltShared>, index: usize) {
-        assert!(
-            self.state.guard_of.set((set, index)).is_ok(),
-            "receiver is already a guard of an ALT set"
-        );
-    }
-
-    /// A set's visit to this guard: [`Self::poll_take`] without the
-    /// registration, which the set does once for all its guards.
-    pub(crate) fn take(&self) -> Poll<Result<T, RecvError>> {
-        self.state.take()
     }
 }
 
@@ -772,22 +738,10 @@ mod tests {
     }
 
     #[test]
-    fn chan_state_is_the_size_it_was_before_it_could_be_a_guard() {
-        // queue 40, capacity 8, waker slot 24, senders 8, alive 8 (padded).
-        assert!(std::mem::size_of::<ChanState<u64>>() <= 88);
-    }
-
-    #[test]
-    #[should_panic(expected = "receiver is already a guard of an ALT set")]
-    fn a_receiver_cannot_join_two_alt_sets() {
-        let (_tx, rx) = channel::<u32>();
-        // A set owns its guards and a `Receiver` is not `Clone`, so only
-        // a forged second handle gets this far.
-        let twin = Receiver {
-            state: rx.state.clone(),
-        };
-        let _first = crate::AltSet::new(vec![rx]);
-        let _second = crate::AltSet::new(vec![twin]);
+    fn chan_state_is_72_bytes_or_fewer() {
+        // Borrow flag, queue 32 and waker slot 16 in the `RefCell`,
+        // capacity 8, senders and alive sharing one padded word.
+        assert!(std::mem::size_of::<ChanState<u64>>() <= 72);
     }
 
     /// Minimal two-future race for tests (first to complete wins, other dropped).

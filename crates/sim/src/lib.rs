@@ -13,10 +13,8 @@
 //! * **rendezvous channels** ([`channel`]) with Occam semantics — a send
 //!   completes only when received — plus [`buffered`] and [`unbounded`]
 //!   variants for hardware FIFOs and report sinks;
-//! * **PRI ALT** ([`alt2`], [`AltSet`], [`recv_deadline`]) —
-//!   prioritized alternation so command channels can never be starved
-//!   (Principle 4); an [`AltSet`] owns any number of same-typed guards
-//!   and polls only the ones that fired;
+//! * **PRI ALT** ([`alt2`], [`recv_deadline`]) — prioritized
+//!   alternation so command channels can never be starved (Principle 4);
 //! * **virtual CPUs** ([`Cpu`]) with non-preemptive priority dispatch and
 //!   context-switch surcharges, so overload behaviour (the subject of the
 //!   paper's principles) emerges from resource exhaustion;
@@ -64,7 +62,7 @@ mod link;
 mod ticker;
 mod time;
 
-pub use alt::{alt2, recv_deadline, Alt2, AltSet, Either2, RecvDeadline};
+pub use alt::{alt2, recv_deadline, Alt2, Either2, RecvDeadline};
 pub use channel::{
     buffered, channel, unbounded, Receiver, RecvError, RecvFuture, SendError, SendFuture, Sender,
     TrySendError,

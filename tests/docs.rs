@@ -1,9 +1,9 @@
 //! The docs' inventories match the tree: each crate has a row in the README's layout and
 //! DESIGN.md §3, each example a row in the README's examples table, a golden stdout under
 //! `tests/golden/examples` and a run in CI that diffs its stdout against that golden, as
-//! `repro` has `tests/golden/repro.stdout`. And
-//! the public API carries no dead weight: every public function and constant is named
-//! outside its file. Every committed mutant still applies to the tree.
+//! `repro` has `tests/golden/repro.stdout` and each benchmark seed a golden of its
+//! histories. And the public API carries no dead weight: every public function and constant
+//! is named outside its file. Every committed mutant still applies to the tree.
 
 const README: &str = include_str!("../README.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -68,6 +68,43 @@ fn repro_has_a_golden_stdout_and_a_run_in_ci() {
     );
     let run = "target/release/repro | grep -v 'of host time' | diff -u tests/golden/repro.stdout -";
     assert!(CI.lines().any(|l| l.trim() == run), "CI never diffs repro");
+}
+
+/// Every simulated history `benchmark/run.sh` writes at seeds 1993, 4242 and 86243 is
+/// committed as a golden, and CI diffs each against it: 1993 after the benchmark step, and
+/// the other two in a step that runs them.
+#[test]
+fn every_benchmark_seed_has_a_golden_history_and_a_diff_in_ci() {
+    let goldens = ls("tests/golden/histories");
+    for seed in ["1993", "4242", "86243"] {
+        assert!(
+            goldens.contains(&format!("seed{seed}.json")),
+            "no golden history for seed {seed}"
+        );
+    }
+    assert!(
+        CI.contains("\n      HISTORIES: |\n"),
+        "CI defines no history form"
+    );
+    let first = "python3 -c \"$HISTORIES\" benchmark/out/result-seed1993.json \
+                 | diff -u tests/golden/histories/seed1993.json -";
+    assert!(
+        CI.lines()
+            .any(|l| l.trim_start() == format!("run: {first}")),
+        "CI never diffs seed 1993's histories"
+    );
+    let rest = [
+        "for seed in 4242 86243; do",
+        "bash benchmark/run.sh --seed \"$seed\"",
+        "python3 -c \"$HISTORIES\" \"benchmark/out/result-seed$seed.json\" \
+         | diff -u \"tests/golden/histories/seed$seed.json\" -",
+    ];
+    for line in rest {
+        assert!(
+            CI.lines().any(|l| l.trim() == line),
+            "CI's history step for seeds 4242 and 86243 lacks `{line}`"
+        );
+    }
 }
 
 /// Every `.rs` file under `dir`, relative to the repository root, with its text.
